@@ -5,6 +5,14 @@ Everything in this module is exact: scalars are `fractions.Fraction`
 root counting goes through Sturm chains so that every count is a proof,
 not an approximation.  Floating-point evaluation exists only as a
 convenience for plotting and diagnostics.
+
+Root counting runs on integers alone.  A `SturmChain` is built once per
+polynomial by integer pseudo-division; its last remainder is
+gcd(p, p'), so the same sequence also gives the squarefree part, which
+counting, isolation and refinement of that polynomial then share.  Each
+element is kept as its primitive integer form, a positive multiple of
+the rational remainder, and its sign at n/d is the sign of the integer
+sum c_i n^i d^(D-i) (homogeneous Horner): no `Fraction` and no gcd.
 """
 
 from __future__ import annotations
@@ -218,35 +226,109 @@ class Poly:
 X = Poly([0, 1])
 
 
+# -- integer kernel -------------------------------------------------------------
+
+
+def _content_free(ints: Sequence[int]) -> tuple[int, ...]:
+    """Divide integer coefficients by their (positive) gcd."""
+    g = math.gcd(*ints)
+    return tuple(v // g for v in ints)
+
+
+def _primitive_ints(p: Poly) -> tuple[int, ...]:
+    """Primitive form of p: coprime integers, a positive multiple of p."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return _content_free([c.numerator * (den // c.denominator) for c in p.coeffs])
+
+
+def _sign_at(cs: Sequence[int], num: int, den: int) -> int:
+    """Exact sign of the integer polynomial cs at num/den, for den > 0.
+
+    Homogeneous Horner computes den^D * p(num/den) = sum c_i num^i den^(D-i),
+    an integer with the same sign, without any division or gcd.
+    """
+    acc, den_k = 0, 1
+    for c in reversed(cs):
+        acc *= num
+        if c:
+            acc += c * den_k
+        den_k *= den
+    return (acc > 0) - (acc < 0)
+
+
+def _neg_remainder(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Primitive form of -(a mod b); empty when b divides a.
+
+    Integer pseudo-division: each step multiplies the running remainder by
+    |lc(b)| / g, a positive factor, so the result is a positive multiple
+    of the rational remainder and keeps its signs.
+    """
+    r = list(a)
+    nb = len(b)
+    lead = b[-1]
+    lead_sign = 1 if lead > 0 else -1
+    while len(r) >= nb:
+        top = r.pop()
+        if not top:
+            continue
+        g = math.gcd(top, lead)
+        scale, f = abs(lead) // g, lead_sign * top // g
+        if scale != 1:
+            r = [scale * v for v in r]
+        k = len(r) + 1 - nb
+        for i in range(nb - 1):
+            r[k + i] -= f * b[i]
+    while r and not r[-1]:
+        r.pop()
+    return _content_free([-v for v in r])
+
+
+def _remainder_sequence(a: tuple[int, ...], b: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """a, b, then the primitive forms of -(a mod b), ... (b nonzero).
+
+    The last element is gcd(a, b) up to a nonzero constant.
+    """
+    seq = [a, b]
+    while len(seq[-1]) > 1:
+        r = _neg_remainder(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append(r)
+    return seq
+
+
+def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """a / b for integer polynomials when the primitive b divides a over Q.
+
+    By Gauss's lemma the quotient has integer coefficients, so every
+    step of the long division divides exactly.
+    """
+    r = list(a)
+    nb = len(b)
+    q = [0] * (len(a) - nb + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + nb - 1] // b[-1]
+        for i in range(nb - 1):
+            r[k + i] -= c * b[i]
+    return tuple(q)
+
+
+def _sturm_sequence(a: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Remainder sequence of a and a'; just [a] for a constant."""
+    if len(a) < 2:
+        return [a]
+    return _remainder_sequence(a, _content_free([i * c for i, c in enumerate(a)][1:]))
+
+
 # -- gcd / squarefree --------------------------------------------------------
 
 
-def _primitive(p: Poly) -> Poly:
-    """Integer-primitive representative of p with positive leading scale.
-
-    Multiplies by a positive rational so the coefficients become coprime
-    integers; the sign pattern is unchanged.
-    """
-    if p.is_zero:
-        return p
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    return Poly([v // g for v in ints])
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the rationals (Euclid with primitive normalization)."""
-    a, b = _primitive(a), _primitive(b)
-    while not b.is_zero:
-        a, b = b, _primitive(a % b)
-    if a.is_zero:
-        return a
-    return a.monic()
+    """Monic gcd over the rationals (primitive integer remainder sequence)."""
+    if b.is_zero:
+        return a if a.is_zero else a.monic()
+    g = _remainder_sequence(_primitive_ints(a), _primitive_ints(b))[-1]
+    return Poly(g).monic()
 
 
 def squarefree_part(p: Poly) -> Poly:
@@ -264,44 +346,72 @@ def squarefree_part(p: Poly) -> Poly:
 # -- Sturm chains and root isolation ------------------------------------------
 
 
-def _sign(x: Rational) -> int:
-    return (x > 0) - (x < 0)
-
-
 class SturmChain:
-    """Signed remainder sequence of p and p'.
+    """Sturm chain of the squarefree part of p, in exact integer arithmetic.
 
-    Elements after the first two are normalized to primitive integer
-    polynomials by a positive scaling, which leaves every sign evaluation
-    unchanged while keeping coefficient growth in check.
+    One remainder sequence p, p', -(p mod p'), ... serves both purposes:
+    its last element is gcd(p, p').  When that is a constant, p is its own
+    squarefree part and the sequence is the chain.  Otherwise p is divided
+    by it and the chain of the quotient is built instead, so `chain[0]` is
+    always the squarefree part (up to a positive factor) and is shared by
+    every count, isolation and refinement made with this object.
 
-    `count(a, b)` returns the number of distinct real roots of the
-    squarefree part of p in the half-open interval (a, b].  This is exact
-    for any rational endpoints, including endpoints where p or a chain
-    element vanishes: the sign-variation count ignores zeros, which makes
-    it right-continuous.
+    Every element is kept as its primitive form (see `_primitive_ints`),
+    a positive multiple of the remainder, so signs are exact integer signs
+    from homogeneous Horner; no `Fraction` arithmetic is involved.
+    `chain` holds the same elements as polynomials, the first two as p
+    and p' when p is squarefree.
+
+    `count(a, b)` returns the number of distinct real roots of p in the
+    half-open interval (a, b].  This is exact for any rational endpoints,
+    including endpoints where p or a chain element vanishes: the
+    sign-variation count ignores zeros, which makes it right-continuous.
     """
 
     def __init__(self, p: Poly):
         if p.is_zero:
             raise ZeroPolynomial("Sturm chain of the zero polynomial")
-        chain = [p, p.derivative()]
-        while not chain[-1].is_zero:
-            r = chain[-2] % chain[-1]
-            if r.is_zero:
-                break
-            chain.append(_primitive(-r))
-        self.chain: tuple[Poly, ...] = tuple(chain)
+        a = _primitive_ints(p)
+        seq = _sturm_sequence(a)
+        gcd = seq[-1]
+        if len(gcd) > 1:
+            # p / gcd(p, p'), with gcd's sign chosen so that the quotient is
+            # a positive multiple of squarefree_part(p); Gauss's lemma makes
+            # it primitive
+            if gcd[-1] < 0:
+                gcd = tuple(-c for c in gcd)
+            a = _exact_quotient(a, gcd)
+            p = Poly(a)
+            seq = _sturm_sequence(a)
+        self._ints: tuple[tuple[int, ...], ...] = tuple(seq)
+        self.chain: tuple[Poly, ...] = (p, p.derivative(), *map(Poly, seq[2:]))[:len(seq)]
+
+    @classmethod
+    def of(cls, p: Union[Poly, SturmChain]) -> SturmChain:
+        """p itself when it already is a chain, else the chain of p."""
+        return p if isinstance(p, SturmChain) else cls(p)
+
+    def sign(self, x: Rational) -> int:
+        """Exact sign of the squarefree part chain[0] at x."""
+        return _sign_at(self._ints[0], x.numerator, x.denominator)
 
     def variations(self, x: Rational) -> int:
-        signs = [s for s in (_sign(q(x)) for q in self.chain) if s]
-        return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
+        num, den = x.numerator, x.denominator
+        count = last = 0
+        for cs in self._ints:
+            s = _sign_at(cs, num, den)
+            if s:
+                if last and s != last:
+                    count += 1
+                last = s
+        return count
 
     def count(self, a: Rational, b: Rational) -> int:
-        """Distinct roots of squarefree_part(chain[0]) in (a, b]."""
+        """Distinct roots of chain[0] in (a, b]."""
         if not a < b:
             raise ValueError("need a < b")
         return self.variations(a) - self.variations(b)
+
 
 
 @dataclass(frozen=True)
@@ -320,41 +430,38 @@ class IsolatingInterval:
         return (self.lo + self.hi) / 2
 
 
-def count_roots(p: Poly, lo: Rational, hi: Rational) -> int:
+def count_roots(p: Union[Poly, SturmChain], lo: Rational, hi: Rational) -> int:
     """Exact number of distinct real roots of p in the open interval (lo, hi).
 
-    Counts via the Sturm chain of the squarefree part.  Roots exactly at
-    either endpoint are excluded; no endpoint perturbation is needed
-    because the half-open Sturm count (lo, hi] is already exact and a
-    root at hi is detected by direct evaluation.
+    p is a polynomial or its SturmChain.  Roots exactly at either endpoint
+    are excluded; no endpoint perturbation is needed because the
+    half-open Sturm count (lo, hi] is already exact and a root at hi is
+    detected by its exact sign.
     """
-    if p.is_zero:
-        raise ZeroPolynomial("cannot count roots of the zero polynomial")
+    chain = SturmChain.of(p)
     lo, hi = Fraction(lo), Fraction(hi)
-    q = squarefree_part(p)
-    n = SturmChain(q).count(lo, hi)
-    if q(hi) == 0:
+    n = chain.count(lo, hi)
+    if chain.sign(hi) == 0:
         n -= 1
     return n
 
 
-def isolate_roots(p: Poly, lo: Rational, hi: Rational) -> list[IsolatingInterval]:
+def isolate_roots(
+    p: Union[Poly, SturmChain], lo: Rational, hi: Rational
+) -> list[IsolatingInterval]:
     """Disjoint isolating intervals, one per distinct root of p in (lo, hi).
 
-    Bisection on half-open Sturm counts; returned intervals (a, b] are
-    sorted and each contains exactly one root.
+    p is a polynomial or its SturmChain.  Bisection on half-open Sturm
+    counts; returned intervals (a, b] are sorted and each contains
+    exactly one root.
     """
-    if p.is_zero:
-        raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
+    chain = SturmChain.of(p)
     lo, hi = Fraction(lo), Fraction(hi)
-    q = squarefree_part(p)
-    deflated_hi = q(hi) == 0
+    deflated_hi = chain.sign(hi) == 0
     if deflated_hi:
         # exclude the root at hi: it is not in the open interval
-        q = q // Poly([-hi, 1])
-        if q.degree < 1:
-            return []
-    chain = SturmChain(q)
+        factor = (-hi.numerator, hi.denominator)
+        chain = SturmChain(Poly(_exact_quotient(chain._ints[0], factor)))
     out: list[IsolatingInterval] = []
     stack = [(lo, hi, chain.variations(lo), chain.variations(hi))]
     while stack:
@@ -386,48 +493,51 @@ def isolate_roots(p: Poly, lo: Rational, hi: Rational) -> list[IsolatingInterval
     return out
 
 
-def refine(p: Poly, iv: IsolatingInterval, width: Rational) -> IsolatingInterval:
+def refine(
+    p: Union[Poly, SturmChain], iv: IsolatingInterval, width: Rational
+) -> IsolatingInterval:
     """Shrink an isolating interval by bisection until hi - lo <= width.
 
-    Works on the squarefree part; after the first step that pins nonzero
-    endpoint signs it switches to plain sign bisection, which needs one
-    polynomial evaluation per step instead of a full chain evaluation.
+    p is a polynomial or its SturmChain; passing the chain lets every root
+    of one polynomial share its squarefree part.  After the first step
+    that pins nonzero endpoint signs, plain sign bisection takes over,
+    which needs one exact integer sign per step instead of a full chain
+    evaluation.
     """
-    q = squarefree_part(p)
+    chain = SturmChain.of(p)
     lo, hi = Fraction(iv.lo), Fraction(iv.hi)
     width = Fraction(width)
     if hi - lo <= width:
         return IsolatingInterval(lo, hi)
-    f_hi = q(hi)
-    if f_hi == 0:
+    s_hi = chain.sign(hi)
+    if s_hi == 0:
         # the isolated root is exactly hi
         lo = max(lo, hi - width)
         return IsolatingInterval(lo, hi)
-    if q(lo) == 0:
+    if chain.sign(lo) == 0:
         # lo can sit exactly on the neighboring root (a bisection midpoint);
         # chain-counted bisection until a clean sign bracket appears.
-        chain = SturmChain(q)
         while hi - lo > width:
             m = (lo + hi) / 2
-            f_m = q(m)
-            if f_m != 0 and _sign(f_m) != _sign(f_hi):
+            s_m = chain.sign(m)
+            if s_m != 0 and s_m != s_hi:
                 lo = m
                 break
             if chain.count(lo, m) == 1:
-                hi, f_hi = m, f_m
+                hi, s_hi = m, s_m
             else:
                 lo = m
-            if f_hi == 0:
+            if s_hi == 0:
                 return IsolatingInterval(max(lo, hi - width), hi)
         if hi - lo <= width:
             return IsolatingInterval(lo, hi)
     while hi - lo > width:
         m = (lo + hi) / 2
-        f_m = q(m)
-        if f_m == 0:
+        s_m = chain.sign(m)
+        if s_m == 0:
             return IsolatingInterval(max(lo, m - width), m)
-        if _sign(f_m) == _sign(f_hi):
-            hi, f_hi = m, f_m
+        if s_m == s_hi:
+            hi = m
         else:
             lo = m
     return IsolatingInterval(lo, hi)

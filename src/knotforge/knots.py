@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from . import chebyshev as cb
 from .errors import (
@@ -46,6 +46,7 @@ from .errors import (
 from .exactpoly import (
     Poly,
     Rational,
+    SturmChain,
     count_roots,
     isolate_roots,
     rat_str,
@@ -311,16 +312,17 @@ def solve_deformation(basis: CnBasis, nodes: NodeSet) -> tuple[tuple[Fraction, .
 def certify_A(a_poly: Poly, n_crossings: int) -> bool:
     """Certify that A has exactly N roots in (-2, 2), all inside (-1, 1).
 
-    Both counts are exact Sturm counts; together they are the hypothesis
-    under which the lifted curve provably has exactly N crossings with
-    the required parameter ordering.
+    Both counts are exact Sturm counts on one chain; together they are
+    the hypothesis under which the lifted curve provably has exactly N
+    crossings with the required parameter ordering.
     """
     if a_poly.is_zero:
         return False
+    chain = SturmChain(a_poly)
     two, one = Fraction(2), Fraction(1)
     return (
-        count_roots(a_poly, -two, two) == n_crossings
-        and count_roots(a_poly, -one, one) == n_crossings
+        count_roots(chain, -two, two) == n_crossings
+        and count_roots(chain, -one, one) == n_crossings
     )
 
 
@@ -381,21 +383,24 @@ def lift_plane(a_poly: Poly, n_crossings: int, a: tuple[Fraction, ...] = ()) -> 
     return PlaneCurve(cb.t_poly(3), y, r, a)
 
 
-def crossings(a_poly: Poly, n_crossings: int) -> CrossingReport:
+def crossings(a_poly: Union[Poly, SturmChain], n_crossings: int) -> CrossingReport:
     """Locate the N crossings of the lifted curve from the roots of A.
 
-    Roots are isolated in (-2, 2) by Sturm bisection (isolation itself
-    certifies the count) and refined to width 2^-48, then mapped through
-    u = 2 cos(alpha), s = 2 cos(alpha + pi/3), t = 2 cos(alpha - pi/3).
+    a_poly is A (or R), or its SturmChain.  Roots are isolated in (-2, 2)
+    by Sturm bisection (isolation itself certifies the count) and refined
+    to width 2^-48, all on one chain, so the squarefree part is computed
+    once.  Each root is then mapped through u = 2 cos(alpha),
+    s = 2 cos(alpha + pi/3), t = 2 cos(alpha - pi/3).
     The 2N-way ordering s_1 < ... < s_N < t_1 < ... < t_N must hold with
     margin > 1e-8, else OrderingViolation.
     """
     two = Fraction(2)
-    intervals = isolate_roots(a_poly, -two, two)
+    chain = SturmChain.of(a_poly)
+    intervals = isolate_roots(chain, -two, two)
     certified = len(intervals) == n_crossings
     out = []
     for iv in intervals:
-        iv = refine(a_poly, iv, ROOT_WIDTH)
+        iv = refine(chain, iv, ROOT_WIDTH)
         u = float(iv.midpoint)
         alpha = math.acos(max(-1.0, min(1.0, u / 2.0)))
         s = 2.0 * math.cos(alpha + math.pi / 3.0)

@@ -27,7 +27,7 @@ from typing import Any, Optional, Union
 
 from . import chebyshev as cb
 from .errors import KnotforgeError, NotInImage, OrderingViolation, SignViolation
-from .exactpoly import Poly, count_roots, parse_rat, rat_str
+from .exactpoly import Poly, SturmChain, count_roots, parse_rat, rat_str
 from .knots import (
     Crossing,
     CrossingReport,
@@ -62,13 +62,22 @@ def basis_to_json(obj: Union[Poly, cb.ChebT, cb.ChebV]) -> dict[str, Any]:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _rat_from_json(s: Any, what: str) -> Fraction:
+    """Parse one rational string of a document, or raise SchemaError."""
+    if not isinstance(s, str):
+        raise SchemaError(f"{what} must be a rational string, got {type(s).__name__}")
+    try:
+        return parse_rat(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad {what} {s!r}: {exc}") from exc
+
+
 def basis_from_json(d: Any) -> Union[Poly, cb.ChebT, cb.ChebV]:
     if not isinstance(d, dict) or "basis" not in d or "coeffs" not in d:
         raise SchemaError("coefficient object needs 'basis' and 'coeffs'")
-    try:
-        coeffs = [parse_rat(c) for c in d["coeffs"]]
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(f"bad coefficient: {exc}") from exc
+    if not isinstance(d["coeffs"], list):
+        raise SchemaError("'coeffs' must be a list of rational strings")
+    coeffs = [_rat_from_json(c, "coefficient") for c in d["coeffs"]]
     basis = d["basis"]
     if basis == "monomial":
         return Poly(coeffs)
@@ -126,13 +135,16 @@ def load_curve(path: str) -> dict[str, Any]:
 def verify_curve(doc: dict[str, Any]) -> tuple[bool, list[str]]:
     """Re-derive every certificate of a stored curve from scratch.
 
-    Returns (ok, report lines).  Checks, in order: schema shape; x is
-    exactly the monic degree-3 cosine polynomial; the divided-difference
-    image R of y has exactly N roots in (-2, 2) (Sturm); the crossing
-    parameters are ordered with margin > 1e-8 and the x/y coincidences
-    hold below 1e-9; and when z is present, the crossing signs alternate
-    (exactly at stored rational nodes, in scaled-precision decimals
-    otherwise).
+    Returns (ok, report lines).  Checks, in order: schema shape, where
+    any malformed field (N not an odd integer, a coefficient, node or
+    epsilon that is not a rational string, nodes outside 0 < d_1 < ... <
+    d_n < 1) raises SchemaError; x is exactly the monic degree-3 cosine
+    polynomial; the divided-difference image R of y has exactly N roots
+    in (-2, 2) (Sturm); stored nodes number (N - 1) / 2 and are exact
+    roots of R; the crossing parameters are ordered with margin > 1e-8
+    and the x/y coincidences hold below 1e-9; and when z is present, the
+    crossing signs alternate (exactly at stored rational nodes, in
+    scaled-precision decimals otherwise).
     """
     lines: list[str] = []
 
@@ -146,7 +158,8 @@ def verify_curve(doc: dict[str, Any]) -> tuple[bool, list[str]]:
         if key not in doc:
             raise SchemaError(f"missing key {key!r}")
     n_crossings = doc["N"]
-    if not isinstance(n_crossings, int) or n_crossings < 1 or n_crossings % 2 == 0:
+    if (not isinstance(n_crossings, int) or isinstance(n_crossings, bool)
+            or n_crossings < 1 or n_crossings % 2 == 0):
         raise SchemaError("N must be an odd positive integer")
     x = basis_from_json(doc["x"])
     if isinstance(x, (cb.ChebT, cb.ChebV)):
@@ -163,11 +176,18 @@ def verify_curve(doc: dict[str, Any]) -> tuple[bool, list[str]]:
             z = cb.to_T(z)
         elif isinstance(z, cb.ChebV):
             raise SchemaError("z must be in the T or monomial basis")
+    epsilon = doc.get("epsilon")
+    if epsilon is not None:
+        epsilon = _rat_from_json(epsilon, "epsilon")
     nodes = None
     if doc.get("nodes") is not None:
-        delta = tuple(sorted(parse_rat(s) for s in doc["nodes"]))
-        nodes = NodeSet(len(delta), delta,
-                        parse_rat(doc["epsilon"]) if doc.get("epsilon") else None)
+        if not isinstance(doc["nodes"], list):
+            raise SchemaError("nodes must be a list of rational strings or null")
+        delta = tuple(sorted(_rat_from_json(s, "node") for s in doc["nodes"]))
+        try:
+            nodes = NodeSet(len(delta), delta, epsilon)
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from exc
 
     if x != cb.t_poly(3):
         return fail("x is not the monic degree-3 cosine polynomial t^3 - 3t")
@@ -177,19 +197,23 @@ def verify_curve(doc: dict[str, Any]) -> tuple[bool, list[str]]:
     r_poly = cb.from_V(r)
     if r_poly.is_zero:
         return fail("divided-difference image of y is zero")
-    count = count_roots(r_poly, Fraction(-2), Fraction(2))
+    chain = SturmChain(r_poly)
+    count = count_roots(chain, Fraction(-2), Fraction(2))
     if count != n_crossings:
         return fail(f"R has {count} roots in (-2, 2), expected {n_crossings}")
     lines.append(f"ok   R has exactly {n_crossings} roots in (-2, 2) [Sturm]")
 
     if nodes is not None:
+        if 2 * nodes.n + 1 != n_crossings:
+            return fail(f"{nodes.n} stored nodes give {2 * nodes.n + 1} planted roots, "
+                        f"expected {n_crossings}")
         for u in nodes.all_roots():
             if r_poly(u) != 0:
                 return fail(f"stored node {rat_str(u)} is not a root of R")
         lines.append("ok   all stored nodes are exact roots of R")
 
     try:
-        report = compute_crossings(r_poly, n_crossings)
+        report = compute_crossings(chain, n_crossings)
     except OrderingViolation as exc:
         return fail(f"ordering: {exc}")
     lines.append(f"ok   parameter ordering holds (margin {report.ordering_margin:.3e})")

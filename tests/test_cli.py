@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from knotforge.cli import main
 
 
@@ -117,6 +119,59 @@ class TestVerify:
         bad.write_text(json.dumps({"N": 3, "x": {"basis": "monomial", "coeffs": ["0"]}}))
         code, _, _ = run(["verify", str(bad)], capsys)
         assert code == 1
+
+
+def _set_node(doc, value):
+    doc["nodes"][0] = value
+
+
+def _set_y_coefficient(doc, value):
+    doc["y"]["coeffs"][1] = value
+
+
+class TestVerifyMalformed:
+    """Malformed files exit 1 with a one-line schema reason, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            pytest.param(lambda d: _set_node(d, "3/2"), id="node-above-one"),
+            pytest.param(lambda d: _set_node(d, "0"), id="node-zero"),
+            pytest.param(lambda d: _set_node(d, "-1/8"), id="node-negative"),
+            pytest.param(lambda d: _set_node(d, d["nodes"][1]), id="node-repeated"),
+            pytest.param(lambda d: _set_y_coefficient(d, 1), id="int-coefficient"),
+            pytest.param(lambda d: _set_y_coefficient(d, "1/0"), id="zero-denominator"),
+            pytest.param(lambda d: d.update(nodes="1/8"), id="nodes-string"),
+            pytest.param(lambda d: d.update(epsilon=0.25), id="epsilon-float"),
+            pytest.param(lambda d: d.update(N=True), id="n-bool"),
+            pytest.param(lambda d: d["z"].update(coeffs="0"), id="coeffs-string"),
+        ],
+    )
+    def test_exits_one_with_schema_reason(self, tmp_path, capsys, mutate):
+        out = tmp_path / "n5.json"
+        run(["gen", "--n", "5", "--out", str(out)], capsys)
+        doc = json.loads(out.read_text())
+        mutate(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, stdout, err = run(["verify", str(bad)], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("knotforge verify: bad schema: ")
+        assert err.count("\n") == 1
+
+    def test_missing_nodes_is_a_certificate_failure(self, tmp_path, capsys):
+        # every stored node is a genuine root, but too few of them are
+        # stored to name one planted root per crossing
+        out = tmp_path / "n5.json"
+        run(["gen", "--n", "5", "--out", str(out)], capsys)
+        doc = json.loads(out.read_text())
+        doc["nodes"] = []
+        bad = tmp_path / "short.json"
+        bad.write_text(json.dumps(doc))
+        code, stdout, _ = run(["verify", str(bad)], capsys)
+        assert code == 2
+        assert "FAIL 0 stored nodes give 1 planted roots, expected 5" in stdout
 
 
 class TestTables:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -18,6 +19,8 @@ from knotforge.exactpoly import (
     refine,
     solve_linear,
     squarefree_part,
+    _primitive_ints,
+    _sign_at,
 )
 
 T = Poly([0, 1])
@@ -243,6 +246,128 @@ class TestProperties:
     def test_compose_eval_consistency(self, pc, qc, a):
         p, q = Poly(pc), Poly(qc)
         assert p.compose(q)(a) == p(q(a))
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+def reference_primitive(p):
+    """Coprime integer coefficients of a positive multiple of p."""
+    den = 1
+    for c in p.coeffs:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    ints = [int(c * den) for c in p.coeffs]
+    g = 0
+    for v in ints:
+        g = math.gcd(g, v)
+    return tuple(v // g for v in ints)
+
+
+def reference_sturm_chain(p):
+    """Signed remainder sequence p, p', -(p mod p'), ... in rational arithmetic."""
+    chain = [p, p.derivative()]
+    while chain[-1].degree > 0:
+        r = chain[-2] % chain[-1]
+        if r.is_zero:
+            break
+        chain.append(-r)
+    return chain
+
+
+any_rat = st.fractions(min_value=F(-4), max_value=F(4), max_denominator=10**12)
+points = st.one_of(st.just(F(0)), small_rat, any_rat, st.fractions(max_denominator=3**20))
+rational_polys = st.lists(
+    st.fractions(min_value=F(-50), max_value=F(50), max_denominator=10**6),
+    min_size=1, max_size=9,
+).map(Poly).filter(lambda p: not p.is_zero)
+
+
+def factored(scale, roots, squares):
+    """scale * prod (t - r) * prod (t^2 - c).
+
+    Repeated factors make it non-squarefree; c < 0 gives complex roots,
+    which let chain elements have negative leading coefficients.
+    """
+    p = poly_from_roots(roots).scale(scale)
+    for c in squares:
+        p = p * Poly([-c, 0, 1])
+    return p
+
+
+factored_polys = st.builds(
+    factored,
+    st.sampled_from([1, F(-3, 2)]),
+    st.lists(small_rat, min_size=0, max_size=6),
+    st.lists(st.integers(-7, 7).filter(bool), min_size=0, max_size=3),
+)
+# odd and even polynomials, like A and R: every other coefficient is zero,
+# so pseudo-division skips steps
+parity_polys = st.builds(
+    lambda p, odd: p.compose(Poly([0, 0, 1])) * (T if odd else Poly([1])),
+    rational_polys,
+    st.booleans(),
+)
+
+
+class TestIntegerKernel:
+    @given(rational_polys, points, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_sign_matches_rational_horner(self, p, x, make_root):
+        if make_root:
+            p = p * Poly([-x, 1])
+        assert _sign_at(_primitive_ints(p), x.numerator, x.denominator) == sign(p(x))
+
+    @given(st.one_of(rational_polys, factored_polys, parity_polys))
+    @settings(max_examples=150, deadline=None)
+    def test_chain_matches_rational_reference(self, p):
+        if p.degree < 1:
+            return
+        sf = squarefree_part(p)
+        ref = reference_sturm_chain(sf)
+        chain = SturmChain(p)
+        assert len(chain.chain) == len(ref)
+        assert [reference_primitive(q) for q in chain.chain] == [
+            reference_primitive(q) for q in ref
+        ]
+        # past p and p' each element is exactly the primitive form of the
+        # rational remainder; a positive multiple, so every sign agrees
+        assert list(chain.chain[2:]) == [Poly(reference_primitive(q)) for q in ref[2:]]
+        if sf == p:
+            assert chain.chain[:2] == (p, p.derivative())
+        else:
+            # the squarefree part is p / gcd(p, p') up to a positive factor
+            ratio = chain.chain[0].leading / sf.leading
+            assert ratio > 0 and chain.chain[0] == sf.scale(ratio)
+
+    @given(
+        st.lists(small_rat, min_size=1, max_size=5),
+        st.lists(st.integers(1, 3), min_size=5, max_size=5),
+        st.booleans(),
+        small_rat,
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_repeated_roots_and_root_at_hi(self, roots, mults, root_at_hi, lo):
+        p = Poly([1])
+        for r, m in zip(roots, mults):
+            p = p * poly_from_roots([r] * m)
+        hi = max(roots) if root_at_hi else F(2)
+        if not lo < hi:
+            lo = hi - 1
+        distinct = sorted(set(roots))
+        inside = [r for r in distinct if lo < r < hi]
+        assert count_roots(p, lo, hi) == len(inside)
+        chain = SturmChain(p)
+        assert chain.count(lo, hi) == len([r for r in distinct if lo < r <= hi])
+        ivs = isolate_roots(chain, lo, hi)
+        assert ivs == isolate_roots(p, lo, hi)
+        assert len(ivs) == len(inside)
+        for iv, r in zip(ivs, inside):
+            assert [s for s in distinct if iv.lo < s <= iv.hi] == [r]
+            tight = refine(chain, iv, F(1, 2**20))
+            assert tight == refine(p, iv, F(1, 2**20))
+            assert tight.lo < r <= tight.hi
+            assert tight.width <= F(1, 2**20)
 
 
 class TestLinearAlgebra:

@@ -1,0 +1,68 @@
+"""Byte-level golden outputs of `gen` and `verify`.
+
+The digests were recorded before the integer root-isolation kernel
+replaced the rational one.  Every isolating interval, and so every
+crossing abscissa and residual printed, feeds these bytes, so a moved
+interval or a changed bisection choice fails here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from knotforge.cli import main
+
+GEN_SHA256 = {
+    1: "86bf5dc81103c3d174dd921c44b4e79de0ace88e0af763f0c7191b2ca3feb5d9",
+    3: "3608cdce88d230f8ebdd2268cd3c5550ed68cd899c3c7b3cbd2cd7d462d9f446",
+    9: "c13611665ffbf5c04073f56c0cbedaaa064b93343c5f680295126630a9a37bd1",
+    15: "b133bfd8ddf09a5828753e259d37f6a8efc1c210b9283e203a9e99d7356f9ac9",
+    21: "bcf1f8d4121979f11bed609663e846b438132597035e69b47dd897862236654e",
+}
+VERIFY_FIXTURE_SHA256 = "2b3449ef1a860085ce32229d9b0f4ae04221ecff2a497dc31a12e5f7b8b7ab39"
+VERIFY_N21_SHA256 = {
+    "nodeless": "7f6d047aa038baf44007b2a595c80166604eee6254961d44b59b3db82999d3cd",
+    "plane": "3769cee5f7eff867891ee172bcaf9f23ed58806fe1dd5f058f668dd92abf4d3b",
+}
+N21_VARIANTS = {
+    "nodeless": {"nodes": None, "epsilon": None},
+    "plane": {"z": None},
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def gen_outputs(tmp_path_factory):
+    out = {}
+    for n in GEN_SHA256:
+        path = tmp_path_factory.mktemp("gen") / f"n{n}.json"
+        assert main(["gen", "--n", str(n), "--out", str(path)]) == 0
+        out[n] = path.read_bytes()
+    return out
+
+
+@pytest.mark.parametrize("n", sorted(GEN_SHA256))
+def test_gen_bytes(gen_outputs, n):
+    assert sha256(gen_outputs[n]) == GEN_SHA256[n]
+
+
+def verify_stdout(path, capsys) -> str:
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 0
+    return capsys.readouterr().out
+
+
+def test_verify_fixture_stdout(fixture_n9_path, capsys):
+    assert sha256(verify_stdout(fixture_n9_path, capsys).encode()) == VERIFY_FIXTURE_SHA256
+
+
+@pytest.mark.parametrize("variant", sorted(N21_VARIANTS))
+def test_verify_n21_variant_stdout(gen_outputs, tmp_path, capsys, variant):
+    doc = dict(json.loads(gen_outputs[21]), **N21_VARIANTS[variant])
+    path = tmp_path / f"{variant}.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    assert sha256(verify_stdout(path, capsys).encode()) == VERIFY_N21_SHA256[variant]
