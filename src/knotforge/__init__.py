@@ -31,7 +31,6 @@ from .errors import (
     KnotforgeError,
     NotInImage,
     OrderingViolation,
-    SignViolation,
     SingularSystem,
     ZeroPolynomial,
 )
@@ -55,10 +54,10 @@ from .knots import (
     NodeSet,
     PlaneCurve,
     SpaceCurve,
-    auto_nodes,
     build_cn,
     build_cn_tilde,
     build_cn_triangular,
+    certify,
     certify_A,
     crossing_oracle,
     crossings,
@@ -67,7 +66,6 @@ from .knots import (
     solve_deformation,
     solve_height,
     synthesize,
-    verify_space,
 )
 from .pade import PadeApproximant, check_pole_locations, expand, pade
 from .stieltjes import PhiSeries, difference, hankel_det, ode_residual, phi, phi_closed
@@ -78,15 +76,15 @@ __all__ = [
     "ChebT", "ChebV", "divided_difference", "eps", "from_T", "from_V",
     "lift_from_V", "t_poly", "to_T", "to_V", "v_poly", "w_index", "wtilde_index",
     "CertificationFailed", "DomainError", "EpsilonExhausted", "InternalInconsistency",
-    "KnotforgeError", "NotInImage", "OrderingViolation", "SignViolation",
-    "SingularSystem", "ZeroPolynomial",
+    "KnotforgeError", "NotInImage", "OrderingViolation", "SingularSystem",
+    "ZeroPolynomial",
     "IsolatingInterval", "Poly", "Rational", "SturmChain", "count_roots",
     "isolate_roots", "rat_str", "parse_rat", "refine", "squarefree_part",
     "CnBasis", "CnTildeBasis", "Crossing", "CrossingReport", "NodeSet",
-    "PlaneCurve", "SpaceCurve", "auto_nodes", "build_cn", "build_cn_tilde",
-    "build_cn_triangular", "certify_A", "crossing_oracle", "crossings",
+    "PlaneCurve", "SpaceCurve", "build_cn", "build_cn_tilde",
+    "build_cn_triangular", "certify", "certify_A", "crossing_oracle", "crossings",
     "lift_height", "lift_plane", "solve_deformation", "solve_height",
-    "synthesize", "verify_space",
+    "synthesize",
     "PadeApproximant", "check_pole_locations", "expand", "pade",
     "PhiSeries", "difference", "hankel_det", "ode_residual", "phi", "phi_closed",
     "__version__",

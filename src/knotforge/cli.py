@@ -184,7 +184,7 @@ def _cmd_export(args) -> int:
         return USAGE_EXIT
     try:
         text = svg.render_svg(doc, args.samples) if args.svg else svg.render_csv(doc, args.samples)
-    except (SchemaError, KeyError) as exc:
+    except SchemaError as exc:
         print(f"knotforge export: bad curve file: {exc}", file=sys.stderr)
         return USAGE_EXIT
     _write(text, args.out)

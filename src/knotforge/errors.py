@@ -30,12 +30,18 @@ class EpsilonExhausted(KnotforgeError):
 
 
 class CertificationFailed(KnotforgeError):
-    """Explicitly supplied nodes produced a curve that fails its certificate."""
+    """A curve failed a stage of its crossing certificate.
+
+    `stage` names the stage (one of `knots.CERTIFY_STAGES`); `report` is
+    the crossing report of the stages before it, once the crossings are
+    located, and None before that.
+    """
+
+    def __init__(self, message: str, stage: str, report=None):
+        super().__init__(message)
+        self.stage = stage
+        self.report = report
 
 
 class OrderingViolation(KnotforgeError):
     """The crossing parameters failed the required global ordering."""
-
-
-class SignViolation(KnotforgeError):
-    """The height function failed the alternating over/under sign pattern."""

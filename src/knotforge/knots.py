@@ -15,11 +15,16 @@ signs (-1)^i.  The steps:
     and plain triangular elimination against the W rows; they must agree.
 2.  Plant double-point abscissae {0, +-d_1, ..., +-d_n} by solving
     A = C_n + sum a_k C_k for the a_k (exact n x n solve), then certify
-    by Sturm count that these are the only roots of A in [-2, 2].
+    by Sturm count that these are the only roots of A in [-2, 2], all
+    inside (-1, 1).  One loop halves the node scale epsilon until this
+    holds and the height system below is solvable.
 3.  Lift A through the divided-difference map to get y; crossing
     parameters come from u_i = 2 cos(alpha_i) via s, t = 2 cos(alpha -+ pi/3).
 4.  Interpolate B(u_i) = (-1)^i in the even basis Ct_0..Ct_n and lift to
     the height z, making the crossing signs alternate exactly.
+5.  `certify` checks the finished curve.  The crossings of (T_3, y) are
+    the roots of R = dd(y) in (-2, 2), so one routine serves `gen` (where
+    R = A) and `verify` (where R is recomputed from a stored y).
 
 Everything up to the trigonometric parameter values is exact rational
 arithmetic; floats (and scaled-precision decimals, where coefficients
@@ -40,7 +45,6 @@ from .errors import (
     EpsilonExhausted,
     InternalInconsistency,
     OrderingViolation,
-    SignViolation,
     SingularSystem,
 )
 from .exactpoly import (
@@ -59,6 +63,9 @@ from .stieltjes import phi
 ORDERING_MARGIN = 1e-8
 COINCIDENCE_TOL = 1e-9
 ROOT_WIDTH = Fraction(1, 2**48)
+# The stages of `certify`, in the order it runs them.
+CERTIFY_STAGES = ("count", "nodes", "ordering", "space")
+MAX_HALVINGS = 40
 
 
 def plane_degree(n_crossings: int) -> int:
@@ -121,15 +128,12 @@ class NodeSet:
 class PlaneCurve:
     x: Poly
     y: cb.ChebT
-    r: cb.ChebV                      # divided-difference image of y
-    a: tuple[Fraction, ...]          # deformation coefficients a_0..a_{n-1}
 
 
 @dataclass(frozen=True)
 class SpaceCurve:
     plane: PlaneCurve
     z: cb.ChebT
-    b: tuple[Fraction, ...]          # height coefficients b_0..b_n
 
 
 @dataclass(frozen=True)
@@ -147,8 +151,6 @@ class Crossing:
 class CrossingReport:
     n_crossings: int
     crossings: tuple[Crossing, ...]
-    count_certified: bool
-    ordering_ok: bool
     ordering_margin: float
     signs_alternate: Optional[bool] = None
     sign_margin: Optional[float] = None
@@ -309,16 +311,17 @@ def solve_deformation(basis: CnBasis, nodes: NodeSet) -> tuple[tuple[Fraction, .
     return tuple(a), poly
 
 
-def certify_A(a_poly: Poly, n_crossings: int) -> bool:
+def certify_A(a_poly: Union[Poly, SturmChain], n_crossings: int) -> bool:
     """Certify that A has exactly N roots in (-2, 2), all inside (-1, 1).
 
-    Both counts are exact Sturm counts on one chain; together they are
-    the hypothesis under which the lifted curve provably has exactly N
-    crossings with the required parameter ordering.
+    a_poly is A or its SturmChain.  Both counts are exact Sturm counts on
+    one chain; together they are the hypothesis under which the lifted
+    curve provably has exactly N crossings with the required parameter
+    ordering.
     """
-    if a_poly.is_zero:
+    if isinstance(a_poly, Poly) and a_poly.is_zero:
         return False
-    chain = SturmChain(a_poly)
+    chain = SturmChain.of(a_poly)
     two, one = Fraction(2), Fraction(1)
     return (
         count_roots(chain, -two, two) == n_crossings
@@ -331,56 +334,16 @@ def default_nodes(n: int, epsilon: Fraction) -> NodeSet:
     return NodeSet(n, tuple(epsilon * Fraction(i, n + 1) for i in range(1, n + 1)), epsilon)
 
 
-def auto_nodes(
-    n: int,
-    epsilon: Optional[Rational] = None,
-    *,
-    basis: Optional[CnBasis] = None,
-    max_halvings: int = 40,
-) -> NodeSet:
-    """Find a node scale whose deformation passes the root certificate.
-
-    Starts at epsilon = 1/4 (or the given value) and halves on a singular
-    solve or a failed certificate.  Every accepted scale so far has been
-    the first one tried; the loop exists because the underlying existence
-    result is only an 'epsilon small enough' statement.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return NodeSet(0, (), Fraction(epsilon) if epsilon is not None else Fraction(1, 4))
-    if basis is None:
-        basis = build_cn(n)
-    eps_val = Fraction(epsilon) if epsilon is not None else Fraction(1, 4)
-    last: Optional[Poly] = None
-    for _ in range(max_halvings + 1):
-        nodes = default_nodes(n, eps_val)
-        try:
-            _, a_poly = solve_deformation(basis, nodes)
-        except SingularSystem:
-            eps_val /= 2
-            continue
-        last = a_poly
-        if certify_A(a_poly, 2 * n + 1):
-            return nodes
-        eps_val /= 2
-    raise EpsilonExhausted(
-        f"no certified node set for n={n} after {max_halvings} halvings"
-        + (f"; last deformation degree {last.degree}" if last is not None else "")
-    )
-
-
 # -- lifting to the curve -----------------------------------------------------------
 
 
-def lift_plane(a_poly: Poly, n_crossings: int, a: tuple[Fraction, ...] = ()) -> PlaneCurve:
+def lift_plane(a_poly: Poly, n_crossings: int) -> PlaneCurve:
     """Lift a certified deformation to the plane curve (T_3(t), y(t))."""
-    r = cb.to_V(a_poly)
-    y = cb.lift_from_V(r)
+    y = cb.lift_from_V(cb.to_V(a_poly))
     expected = plane_degree(n_crossings)
     if y.degree != expected:
         raise InternalInconsistency(f"deg y = {y.degree}, expected {expected}")
-    return PlaneCurve(cb.t_poly(3), y, r, a)
+    return PlaneCurve(cb.t_poly(3), y)
 
 
 def crossings(a_poly: Union[Poly, SturmChain], n_crossings: int) -> CrossingReport:
@@ -396,10 +359,8 @@ def crossings(a_poly: Union[Poly, SturmChain], n_crossings: int) -> CrossingRepo
     """
     two = Fraction(2)
     chain = SturmChain.of(a_poly)
-    intervals = isolate_roots(chain, -two, two)
-    certified = len(intervals) == n_crossings
     out = []
-    for iv in intervals:
+    for iv in isolate_roots(chain, -two, two):
         iv = refine(chain, iv, ROOT_WIDTH)
         u = float(iv.midpoint)
         alpha = math.acos(max(-1.0, min(1.0, u / 2.0)))
@@ -413,13 +374,7 @@ def crossings(a_poly: Union[Poly, SturmChain], n_crossings: int) -> CrossingRepo
             f"found {len(out)} crossings, ordering margin {margin:.3e} "
             f"(need {n_crossings} with margin > {ORDERING_MARGIN:.0e})"
         )
-    return CrossingReport(
-        n_crossings=n_crossings,
-        crossings=tuple(out),
-        count_certified=certified,
-        ordering_ok=True,
-        ordering_margin=margin,
-    )
+    return CrossingReport(n_crossings=n_crossings, crossings=tuple(out), ordering_margin=margin)
 
 
 def solve_height(basis_tilde: CnTildeBasis, nodes: NodeSet) -> tuple[tuple[Fraction, ...], Poly]:
@@ -465,71 +420,106 @@ def _coefficient_magnitude(c: cb.ChebT) -> float:
     return sum(abs(float(v)) for _, v in c.items) + 1.0
 
 
-def verify_space(
-    curve: SpaceCurve,
-    report: CrossingReport,
+def certify(
+    y: cb.ChebT,
+    z: Optional[cb.ChebT],
+    n_crossings: int,
     nodes: Optional[NodeSet] = None,
+    chain: Optional[SturmChain] = None,
 ) -> CrossingReport:
-    """Complete a crossing report with coincidence and sign certificates.
+    """Certify the N crossings of the curve (T_3, y, z); `gen` and `verify` share it.
 
-    Exact layer: the divided-difference image of y must equal r, and when
-    the planted nodes are known, dd(z) evaluated at them must equal
-    (-1)^i exactly (dd(y) must vanish there).  Numeric layer: x, y
-    coincidences below 1e-9 and the alternating sign of z(t_i) - z(s_i),
-    evaluated in decimal arithmetic at a precision that scales with the
-    coefficient size, since the height coefficients outgrow doubles long
-    before N reaches 21.
+    The crossings are the roots of R = dd(y) in (-2, 2).  `chain` is the
+    SturmChain of R when the caller already holds it (`gen`, where R = A
+    by the exact lift); otherwise it is built here.  The stages, in
+    CERTIFY_STAGES order:
+
+    - count: R is nonzero and has exactly N roots in (-2, 2) (Sturm);
+    - nodes: when planted nodes are given, 2n + 1 = N and every planted
+      root is an exact root of R;
+    - ordering: the crossings are located on the same chain and their
+      parameters ordered with margin > 1e-8 (see `crossings`);
+    - space: when z is present, dd(z) equals (-1)^i exactly at the
+      planted roots, and z(t_i) - z(s_i) has sign (-1)^i; then the x/y
+      coincidence residuals must be below 1e-9.
+
+    The sign and residual checks run in decimal arithmetic at a precision
+    that scales with the coefficient size, since the height coefficients
+    outgrow doubles long before N reaches 21.  With z they are taken at
+    the planted roots when given; without z, and for node-less curves, at
+    the midpoints of the refined root intervals.
+
+    Returns the completed report; a failed stage raises
+    CertificationFailed carrying the stage and the report so far.
     """
-    if cb.divided_difference(curve.plane.y) != curve.plane.r:
-        raise InternalInconsistency("divided difference of y does not equal r")
-    zv = cb.from_V(cb.divided_difference(curve.z))
-    rv = cb.from_V(curve.plane.r)
+    r_poly = cb.from_V(cb.divided_difference(y))
+    if chain is None:
+        if r_poly.is_zero:
+            raise CertificationFailed("divided-difference image of y is zero", "count")
+        chain = SturmChain(r_poly)
+    count = count_roots(chain, Fraction(-2), Fraction(2))
+    if count != n_crossings:
+        raise CertificationFailed(
+            f"R has {count} roots in (-2, 2), expected {n_crossings}", "count"
+        )
+
     if nodes is not None:
-        for i, u in enumerate(nodes.all_roots(), start=1):
+        if 2 * nodes.n + 1 != n_crossings:
+            raise CertificationFailed(
+                f"{nodes.n} stored nodes give {2 * nodes.n + 1} planted roots, "
+                f"expected {n_crossings}", "nodes"
+            )
+        for u in nodes.all_roots():
+            if r_poly(u) != 0:
+                raise CertificationFailed(f"stored node {rat_str(u)} is not a root of R", "nodes")
+
+    try:
+        report = crossings(chain, n_crossings)
+    except OrderingViolation as exc:
+        raise CertificationFailed(str(exc), "ordering") from exc
+
+    planted = None
+    if z is not None and nodes is not None:
+        planted = nodes.all_roots()
+        zv = cb.from_V(cb.divided_difference(z))
+        for i, u in enumerate(planted, start=1):
             if zv(u) != (-1) ** i:
-                raise SignViolation(f"dd(z)({rat_str(u)}) != {(-1) ** i}")
-            if rv(u) != 0:
-                raise InternalInconsistency(f"r({rat_str(u)}) != 0 at a planted node")
-    prec = 40 + max(
-        len(str(int(_coefficient_magnitude(curve.z)))),
-        len(str(int(_coefficient_magnitude(curve.plane.y)))),
-    )
-    planted = nodes.all_roots() if nodes is not None else None
+                raise CertificationFailed(f"dd(z)({rat_str(u)}) != {(-1) ** i}", "space", report)
+    prec = 40 + max(len(str(int(_coefficient_magnitude(c)))) for c in (y, z) if c is not None)
     x_err = y_err = 0.0
     sign_margin = math.inf
     completed = []
     with localcontext() as ctx:
         ctx.prec = prec
         for i, cr in enumerate(report.crossings, start=1):
-            if planted is not None:
-                u = planted[i - 1]
-            else:
-                u = cr.u_lo / 2 + cr.u_hi / 2
+            u = planted[i - 1] if planted is not None else cr.u_lo / 2 + cr.u_hi / 2
             s, t = _decimal_st(u.numerator, u.denominator)
             xs = s * s * s - 3 * s
             xt = t * t * t - 3 * t
-            ys = cb.eval_T_decimal(curve.plane.y, s)
-            yt = cb.eval_T_decimal(curve.plane.y, t)
-            zd = cb.eval_T_decimal(curve.z, t) - cb.eval_T_decimal(curve.z, s)
+            ys = cb.eval_T_decimal(y, s)
+            yt = cb.eval_T_decimal(y, t)
             x_err = max(x_err, abs(float(xt - xs)))
             y_err = max(y_err, abs(float(yt - ys)))
-            sign = 1 if zd > 0 else -1
-            if sign != (-1) ** i:
-                raise SignViolation(f"crossing {i}: z(t)-z(s) has sign {sign}, expected {(-1) ** i}")
-            sign_margin = min(sign_margin, abs(float(zd)))
-            completed.append(replace(cr, sign=sign))
+            if z is not None:
+                zd = cb.eval_T_decimal(z, t) - cb.eval_T_decimal(z, s)
+                sign = 1 if zd > 0 else -1
+                if sign != (-1) ** i:
+                    raise CertificationFailed(
+                        f"crossing {i}: z(t)-z(s) has sign {sign}, expected {(-1) ** i}",
+                        "space", report,
+                    )
+                sign_margin = min(sign_margin, abs(float(zd)))
+                cr = replace(cr, sign=sign)
+            completed.append(cr)
     if x_err >= COINCIDENCE_TOL or y_err >= COINCIDENCE_TOL:
-        raise InternalInconsistency(
+        raise CertificationFailed(
             f"coincidence residuals too large: x {x_err:.3e}, y {y_err:.3e}"
+            if z is not None else f"y coincidence residual {y_err:.3e} >= 1e-9",
+            "space", report,
         )
-    return replace(
-        report,
-        crossings=tuple(completed),
-        signs_alternate=True,
-        sign_margin=sign_margin,
-        x_coincidence=x_err,
-        y_coincidence=y_err,
-    )
+    if z is not None:
+        report = replace(report, signs_alternate=True, sign_margin=sign_margin)
+    return replace(report, crossings=tuple(completed), x_coincidence=x_err, y_coincidence=y_err)
 
 
 # -- the full pipeline --------------------------------------------------------------
@@ -549,8 +539,15 @@ def synthesize(
     nodes : explicit positive abscissae; skips the automatic search, and
         failure then raises CertificationFailed instead of retrying
 
-    Returns the curve and its completed report.  EpsilonExhausted is the
-    only expected failure of the automatic path.
+    The automatic search tries d_i = epsilon * i / (n + 1), solving the
+    deformation, certifying A on its Sturm chain and solving the height
+    once per scale; a singular system or a failed count halves epsilon,
+    at most 40 times.  Every accepted scale so far has been the first one
+    tried; the loop exists because the underlying existence result is
+    only an 'epsilon small enough' statement.
+
+    Returns the curve and its report from `certify`.  EpsilonExhausted is
+    the only expected failure of the automatic path.
     """
     if n_crossings < 1 or n_crossings % 2 == 0:
         raise ValueError("N must be an odd positive integer")
@@ -561,37 +558,37 @@ def synthesize(
     if nodes is not None:
         node_set = NodeSet(n, tuple(sorted(Fraction(d) for d in nodes)),
                            Fraction(epsilon) if epsilon is not None else None)
-        a, a_poly = solve_deformation(basis, node_set)
-        if not certify_A(a_poly, n_crossings):
+        _, a_poly = solve_deformation(basis, node_set)
+        chain = SturmChain(a_poly)
+        if not certify_A(chain, n_crossings):
             raise CertificationFailed(
-                f"supplied nodes leave extra roots of A in [-2, 2] (N={n_crossings})"
+                f"supplied nodes leave extra roots of A in [-2, 2] (N={n_crossings})", "count"
             )
-        b, b_poly = solve_height(basis_tilde, node_set)
+        _, b_poly = solve_height(basis_tilde, node_set)
     else:
         eps_val = Fraction(epsilon) if epsilon is not None else Fraction(1, 4)
-        for attempt in range(41):
-            node_set = auto_nodes(n, eps_val, basis=basis, max_halvings=40 - attempt)
+        for _ in range(MAX_HALVINGS + 1):
+            node_set = default_nodes(n, eps_val)
             try:
-                a, a_poly = solve_deformation(basis, node_set)
-                b, b_poly = solve_height(basis_tilde, node_set)
-                break
+                _, a_poly = solve_deformation(basis, node_set)
+                chain = SturmChain(a_poly)
+                if certify_A(chain, n_crossings):
+                    _, b_poly = solve_height(basis_tilde, node_set)
+                    break
             except SingularSystem:
-                # height system can in principle go singular on its own;
-                # shrink further and retry the whole node search
-                eps_val = (node_set.epsilon or eps_val) / 2
+                pass
+            eps_val /= 2
         else:
-            raise EpsilonExhausted(f"no node set solved both systems for N={n_crossings}")
+            raise EpsilonExhausted(f"no certified node set for n={n} after {MAX_HALVINGS} halvings")
 
-    plane = lift_plane(a_poly, n_crossings, a)
-    report = crossings(a_poly, n_crossings)
+    plane = lift_plane(a_poly, n_crossings)
     z = lift_height(b_poly)
     if z.degree != height_degree(n_crossings):
         raise InternalInconsistency(
             f"deg z = {z.degree}, expected {height_degree(n_crossings)}"
         )
-    curve = SpaceCurve(plane, z, b)
-    report = replace(report, epsilon=node_set.epsilon, nodes=node_set.delta)
-    return curve, verify_space(curve, report, node_set)
+    report = certify(plane.y, z, n_crossings, node_set, chain)
+    return SpaceCurve(plane, z), replace(report, epsilon=node_set.epsilon, nodes=node_set.delta)
 
 
 # -- independent crossing oracle ------------------------------------------------------

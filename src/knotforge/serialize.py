@@ -13,31 +13,28 @@ Schema (key order is fixed so output is byte-stable):
       "certified": true
     }
 
-Rationals serialize as "p/q" ("p" when q = 1); the crossing abscissa is
-an exact isolating interval "lo..hi".  `verify_curve` recomputes every
-certificate from the stored x, y (and z, nodes when present) rather than
-trusting any stored flags.
+Rationals serialize as "p/q" ("p" when q = 1), and only that form is read
+back; the crossing abscissa is an exact isolating interval "lo..hi".
+`parse_curve` is the one reader of documents, for `verify` and `export`.
+`verify_curve` re-certifies a stored x, y (and z, nodes when present)
+with `knots.certify`, the routine `gen` runs, and trusts no stored flag.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional, Union
 
 from . import chebyshev as cb
-from .errors import KnotforgeError, NotInImage, OrderingViolation, SignViolation
-from .exactpoly import Poly, SturmChain, count_roots, parse_rat, rat_str
-from .knots import (
-    Crossing,
-    CrossingReport,
-    NodeSet,
-    PlaneCurve,
-    SpaceCurve,
-    crossings as compute_crossings,
-    plane_degree,
-    verify_space,
-)
+from .errors import CertificationFailed, KnotforgeError
+from .exactpoly import Poly, parse_rat, rat_str
+from .knots import CERTIFY_STAGES, Crossing, CrossingReport, NodeSet, certify, plane_degree
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 class SchemaError(KnotforgeError, ValueError):
@@ -66,6 +63,8 @@ def _rat_from_json(s: Any, what: str) -> Fraction:
     """Parse one rational string of a document, or raise SchemaError."""
     if not isinstance(s, str):
         raise SchemaError(f"{what} must be a rational string, got {type(s).__name__}")
+    if not _RATIONAL.fullmatch(s):
+        raise SchemaError(f"bad {what} {s!r}: expected p or p/q")
     try:
         return parse_rat(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -132,26 +131,40 @@ def load_curve(path: str) -> dict[str, Any]:
         return json.load(fh)
 
 
-def verify_curve(doc: dict[str, Any]) -> tuple[bool, list[str]]:
-    """Re-derive every certificate of a stored curve from scratch.
+@dataclass(frozen=True)
+class StoredCurve:
+    """The fields of a curve document, parsed and checked."""
 
-    Returns (ok, report lines).  Checks, in order: schema shape, where
-    any malformed field (N not an odd integer, a coefficient, node or
-    epsilon that is not a rational string, nodes outside 0 < d_1 < ... <
-    d_n < 1) raises SchemaError; x is exactly the monic degree-3 cosine
-    polynomial; the divided-difference image R of y has exactly N roots
-    in (-2, 2) (Sturm); stored nodes number (N - 1) / 2 and are exact
-    roots of R; the crossing parameters are ordered with margin > 1e-8
-    and the x/y coincidences hold below 1e-9; and when z is present, the
-    crossing signs alternate (exactly at stored rational nodes, in
-    scaled-precision decimals otherwise).
+    n_crossings: int
+    x: Poly
+    y: cb.ChebT
+    z: Optional[cb.ChebT]
+    nodes: Optional[NodeSet]
+    crossings: tuple[tuple[float, float, Optional[int]], ...]  # stored (s, t, sign)
+
+
+def _is_finite_number(v: Any) -> bool:
+    """True for a JSON number that converts to a finite float (not a bool, NaN or inf)."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def _space_coordinate(d: Any, name: str) -> cb.ChebT:
+    c = basis_from_json(d)
+    if isinstance(c, Poly):
+        return cb.to_T(c)
+    if isinstance(c, cb.ChebV):
+        raise SchemaError(f"{name} must be in the T or monomial basis")
+    return c
+
+
+def parse_curve(doc: Any) -> StoredCurve:
+    """Parse a curve document, or raise SchemaError naming the first bad field.
+
+    N must be an odd positive integer; every coefficient, node and epsilon
+    a rational string; the nodes satisfy 0 < d_1 < ... < d_n < 1; y and z
+    are given in the T or monomial basis; and each stored crossing is an
+    object with numeric "s" and "t" and a "sign" of -1, 1 or null.
     """
-    lines: list[str] = []
-
-    def fail(msg: str) -> tuple[bool, list[str]]:
-        lines.append(f"FAIL {msg}")
-        return False, lines
-
     if not isinstance(doc, dict):
         raise SchemaError("document is not an object")
     for key in ("N", "x", "y"):
@@ -164,18 +177,8 @@ def verify_curve(doc: dict[str, Any]) -> tuple[bool, list[str]]:
     x = basis_from_json(doc["x"])
     if isinstance(x, (cb.ChebT, cb.ChebV)):
         x = x.to_poly()
-    y = basis_from_json(doc["y"])
-    if isinstance(y, Poly):
-        y = cb.to_T(y)
-    elif isinstance(y, cb.ChebV):
-        raise SchemaError("y must be in the T or monomial basis")
-    z = None
-    if doc.get("z") is not None:
-        z = basis_from_json(doc["z"])
-        if isinstance(z, Poly):
-            z = cb.to_T(z)
-        elif isinstance(z, cb.ChebV):
-            raise SchemaError("z must be in the T or monomial basis")
+    y = _space_coordinate(doc["y"], "y")
+    z = _space_coordinate(doc["z"], "z") if doc.get("z") is not None else None
     epsilon = doc.get("epsilon")
     if epsilon is not None:
         epsilon = _rat_from_json(epsilon, "epsilon")
@@ -188,77 +191,72 @@ def verify_curve(doc: dict[str, Any]) -> tuple[bool, list[str]]:
             nodes = NodeSet(len(delta), delta, epsilon)
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
+    stored = doc.get("crossings") or []
+    if not isinstance(stored, list):
+        raise SchemaError("crossings must be a list of objects")
+    crossings = []
+    for i, c in enumerate(stored, start=1):
+        if not isinstance(c, dict):
+            raise SchemaError(f"crossing {i} is not an object")
+        if not (_is_finite_number(c.get("s")) and _is_finite_number(c.get("t"))):
+            raise SchemaError(f"crossing {i} needs finite numeric 's' and 't'")
+        sign = c.get("sign")
+        if sign is not None and (isinstance(sign, bool) or sign not in (-1, 1)):
+            raise SchemaError(f"crossing {i} has sign {sign!r}, expected -1, 1 or null")
+        crossings.append((float(c["s"]), float(c["t"]), sign))
+    return StoredCurve(n_crossings, x, y, z, nodes, tuple(crossings))
 
-    if x != cb.t_poly(3):
-        return fail("x is not the monic degree-3 cosine polynomial t^3 - 3t")
-    lines.append("ok   x = T_3")
 
-    r = cb.divided_difference(y)
-    r_poly = cb.from_V(r)
-    if r_poly.is_zero:
-        return fail("divided-difference image of y is zero")
-    chain = SturmChain(r_poly)
-    count = count_roots(chain, Fraction(-2), Fraction(2))
-    if count != n_crossings:
-        return fail(f"R has {count} roots in (-2, 2), expected {n_crossings}")
-    lines.append(f"ok   R has exactly {n_crossings} roots in (-2, 2) [Sturm]")
+def verify_curve(doc: Any) -> tuple[bool, list[str]]:
+    """Re-derive every certificate of a stored curve from scratch.
 
-    if nodes is not None:
-        if 2 * nodes.n + 1 != n_crossings:
-            return fail(f"{nodes.n} stored nodes give {2 * nodes.n + 1} planted roots, "
-                        f"expected {n_crossings}")
-        for u in nodes.all_roots():
-            if r_poly(u) != 0:
-                return fail(f"stored node {rat_str(u)} is not a root of R")
+    Returns (ok, report lines).  `parse_curve` checks the schema first and
+    raises SchemaError on any malformed field.  Then x must be exactly the
+    monic degree-3 cosine polynomial, and `knots.certify` runs its stages
+    on the stored y, z and nodes: R = dd(y) has exactly N roots in (-2, 2)
+    (Sturm); stored nodes number (N - 1) / 2 and are exact roots of R; the
+    crossing parameters are ordered with margin > 1e-8; when z is present,
+    the crossing signs alternate (exactly at stored nodes, and in
+    scaled-precision decimals at every crossing); and the x/y coincidence
+    residuals are below 1e-9.  Each passed stage gives an "ok" line, and
+    the failed one a "FAIL" line that ends the report.
+    """
+    curve = parse_curve(doc)
+    if curve.x != cb.t_poly(3):
+        return False, ["FAIL x is not the monic degree-3 cosine polynomial t^3 - 3t"]
+    lines = ["ok   x = T_3"]
+    n_crossings, z = curve.n_crossings, curve.z
+    failure = None
+    try:
+        report = certify(curve.y, z, n_crossings, curve.nodes)
+    except CertificationFailed as exc:
+        failure, report = exc, exc.report
+    passed = CERTIFY_STAGES.index(failure.stage) if failure else len(CERTIFY_STAGES)
+    if passed > 0:
+        lines.append(f"ok   R has exactly {n_crossings} roots in (-2, 2) [Sturm]")
+    if passed > 1 and curve.nodes is not None:
         lines.append("ok   all stored nodes are exact roots of R")
-
-    try:
-        report = compute_crossings(chain, n_crossings)
-    except OrderingViolation as exc:
-        return fail(f"ordering: {exc}")
-    lines.append(f"ok   parameter ordering holds (margin {report.ordering_margin:.3e})")
-
+    if passed > 2:
+        lines.append(f"ok   parameter ordering holds (margin {report.ordering_margin:.3e})")
+        if z is None:
+            lines.append("note z absent: plane diagram only, sign checks skipped")
+    if failure is not None:
+        prefix = {"ordering": "ordering: ",
+                  "space": "space verification: " if z is not None else ""}
+        lines.append(f"FAIL {prefix.get(failure.stage, '')}{failure}")
+        return False, lines
     if z is None:
-        lines.append("note z absent: plane diagram only, sign checks skipped")
-        coincidence = _plane_coincidence(y, report)
-        if coincidence >= 1e-9:
-            return fail(f"y coincidence residual {coincidence:.3e} >= 1e-9")
-        lines.append(f"ok   x/y coincide at all crossings (max residual {coincidence:.3e})")
+        lines.append(f"ok   x/y coincide at all crossings (max residual {report.y_coincidence:.3e})")
         return True, lines
-
-    a_coeffs = tuple()
-    plane = PlaneCurve(x, y, r, a_coeffs)
-    curve = SpaceCurve(plane, z, tuple())
-    try:
-        completed = verify_space(curve, report, nodes)
-    except (SignViolation, NotInImage, KnotforgeError) as exc:
-        return fail(f"space verification: {exc}")
     lines.append(
         f"ok   x/y coincide at all crossings "
-        f"(residuals x {completed.x_coincidence:.3e}, y {completed.y_coincidence:.3e})"
+        f"(residuals x {report.x_coincidence:.3e}, y {report.y_coincidence:.3e})"
     )
     lines.append(
-        f"ok   crossing signs alternate (-1)^i (margin {completed.sign_margin:.3e})"
-        + (" [exact at planted nodes]" if nodes is not None else "")
+        f"ok   crossing signs alternate (-1)^i (margin {report.sign_margin:.3e})"
+        + (" [exact at planted nodes]" if curve.nodes is not None else "")
     )
-    if y.degree != plane_degree(n_crossings):
-        lines.append(f"note deg y = {y.degree} (canonical synthesized degree is "
+    if curve.y.degree != plane_degree(n_crossings):
+        lines.append(f"note deg y = {curve.y.degree} (canonical synthesized degree is "
                      f"{plane_degree(n_crossings)})")
     return True, lines
-
-
-def _plane_coincidence(y: cb.ChebT, report: CrossingReport) -> float:
-    """Max |y(s_i) - y(t_i)| over the crossings, in scaled-precision decimals."""
-    from decimal import Decimal, localcontext
-
-    mag = sum(abs(float(v)) for _, v in y.items) + 1.0
-    worst = 0.0
-    with localcontext() as ctx:
-        ctx.prec = 40 + len(str(int(mag)))
-        for cr in report.crossings:
-            u = cr.u_lo / 2 + cr.u_hi / 2
-            ud = Decimal(u.numerator) / Decimal(u.denominator)
-            disc = (Decimal(12) - 3 * ud * ud).sqrt()
-            s, t = (ud - disc) / 2, (ud + disc) / 2
-            worst = max(worst, abs(float(cb.eval_T_decimal(y, t) - cb.eval_T_decimal(y, s))))
-    return worst

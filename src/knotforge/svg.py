@@ -15,43 +15,21 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from . import chebyshev as cb
-from .exactpoly import Poly
-from .serialize import basis_from_json
+from .serialize import parse_curve
 
 T_RANGE = (-2.2, 2.2)
 GAP_HALF_WIDTH = 0.05
 
 
-def _prepare(doc: dict[str, Any]) -> tuple[Poly, cb.ChebT, Optional[cb.ChebT], list[dict]]:
-    x = basis_from_json(doc["x"])
-    if isinstance(x, (cb.ChebT, cb.ChebV)):
-        x = x.to_poly()
-    y = basis_from_json(doc["y"])
-    if isinstance(y, Poly):
-        y = cb.to_T(y)
-    z = None
-    if doc.get("z") is not None:
-        z = basis_from_json(doc["z"])
-        if isinstance(z, Poly):
-            z = cb.to_T(z)
-    crossings = doc.get("crossings") or []
-    return x, y, z, crossings
-
-
-def _under_parameters(crossings: list[dict]) -> list[float]:
+def _under_parameters(crossings: tuple[tuple[float, float, Optional[int]], ...]) -> list[float]:
     """Parameter values where the strand goes under (one per signed crossing)."""
-    unders = []
-    for c in crossings:
-        sign = c.get("sign")
-        if sign is None:
-            continue
-        # sign = sgn(z(t) - z(s)); positive means t-strand on top, s-strand under
-        unders.append(c["s"] if sign > 0 else c["t"])
-    return unders
+    # sign = sgn(z(t) - z(s)); positive means t-strand on top, s-strand under
+    return [s if sign > 0 else t for s, t, sign in crossings if sign is not None]
 
 
 def render_csv(doc: dict[str, Any], samples: int) -> str:
-    x, y, z, _ = _prepare(doc)
+    curve = parse_curve(doc)
+    x, y, z = curve.x, curve.y, curve.z
     lo, hi = T_RANGE
     cols = "t,x,y,z" if z is not None else "t,x,y"
     rows = [cols]
@@ -66,11 +44,12 @@ def render_csv(doc: dict[str, Any], samples: int) -> str:
 
 def render_svg(doc: dict[str, Any], samples: int, gap: Optional[float] = None) -> str:
     """Render the plane projection with over/under gaps at the crossings."""
-    x, y, z, crossings = _prepare(doc)
+    curve = parse_curve(doc)
+    x, y, z = curve.x, curve.y, curve.z
     lo, hi = T_RANGE
     ts = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
     pts = [(x.eval_float(t), cb.eval_T_float(y, t)) for t in ts]
-    unders = _under_parameters(crossings) if z is not None else []
+    unders = _under_parameters(curve.crossings) if z is not None else []
     if gap is None:
         # keep distinct gaps from merging: cap the half-width at a third of
         # the closest spacing between under-parameters

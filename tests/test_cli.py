@@ -145,6 +145,9 @@ class TestVerifyMalformed:
             pytest.param(lambda d: d.update(epsilon=0.25), id="epsilon-float"),
             pytest.param(lambda d: d.update(N=True), id="n-bool"),
             pytest.param(lambda d: d["z"].update(coeffs="0"), id="coeffs-string"),
+            pytest.param(lambda d: d.update(epsilon="1e5"), id="epsilon-exponent"),
+            pytest.param(lambda d: _set_y_coefficient(d, "0.5"), id="decimal-coefficient"),
+            pytest.param(lambda d: _set_y_coefficient(d, "1_000"), id="underscore-coefficient"),
         ],
     )
     def test_exits_one_with_schema_reason(self, tmp_path, capsys, mutate):
@@ -241,6 +244,28 @@ class TestExport:
         lines = stdout.strip().splitlines()
         assert lines[0] == "t,x,y"
         assert all(line.count(",") == 2 for line in lines)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            pytest.param(lambda d: [d], id="array-document"),
+            pytest.param(lambda d: dict(d, crossings="abc"), id="crossings-string"),
+            pytest.param(lambda d: dict(d, crossings=[dict(c, sign="x") for c in d["crossings"]]),
+                         id="sign-string"),
+            pytest.param(lambda d: dict(d, y=dict(d["y"], basis="V")), id="y-in-v-basis"),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["--svg", "--csv"])
+    def test_malformed_file_exits_one(self, tmp_path, capsys, mutate, fmt):
+        out = tmp_path / "n3.json"
+        run(["gen", "--n", "3", "--out", str(out)], capsys)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(mutate(json.loads(out.read_text()))))
+        code, stdout, err = run(["export", fmt, str(bad)], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("knotforge export: bad curve file: ")
+        assert err.count("\n") == 1
 
     def test_requires_format_flag(self, tmp_path, capsys):
         out = tmp_path / "n3.json"

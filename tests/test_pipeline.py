@@ -4,14 +4,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knotforge import knots
 from knotforge.chebyshev import divided_difference, from_V, to_V
-from knotforge.errors import NotInImage
+from knotforge.errors import EpsilonExhausted, NotInImage, SingularSystem
 from knotforge.exactpoly import Poly
 from knotforge.knots import (
     NodeSet,
-    auto_nodes,
     build_cn,
     build_cn_tilde,
+    certify,
     certify_A,
     crossings,
     default_nodes,
@@ -22,7 +23,6 @@ from knotforge.knots import (
     solve_deformation,
     solve_height,
     synthesize,
-    verify_space,
 )
 
 T = Poly([0, 1])
@@ -86,19 +86,61 @@ class TestCertify:
 
 class TestAutoNodes:
     def test_n1_first_epsilon(self):
-        nodes = auto_nodes(1)
-        assert nodes.delta == (F(1, 8),)
-        assert nodes.epsilon == F(1, 4)
+        _, report = synthesize(3)
+        assert report.nodes == (F(1, 8),)
+        assert report.epsilon == F(1, 4)
 
     def test_n4_first_epsilon(self):
         # pinned: the default scale certifies without any halving
-        nodes = auto_nodes(4)
-        assert nodes.epsilon == F(1, 4)
-        assert nodes.delta == tuple(F(1, 4) * F(i, 5) for i in range(1, 5))
+        _, report = synthesize(9)
+        assert report.epsilon == F(1, 4)
+        assert report.nodes == tuple(F(1, 4) * F(i, 5) for i in range(1, 5))
 
     def test_n0_trivial(self):
-        nodes = auto_nodes(0)
-        assert nodes.n == 0 and nodes.delta == ()
+        _, report = synthesize(1)
+        assert report.nodes == ()
+
+
+class TestEpsilonLoop:
+    def _count_calls(self, monkeypatch, name, fails=0, raises=None):
+        """Record each call of knots.<name>; the first `fails` calls fail."""
+        calls = []
+        real = getattr(knots, name)
+
+        def wrapper(*args):
+            calls.append(args)
+            if len(calls) <= fails:
+                if raises is not None:
+                    raise raises("injected")
+                return False
+            return real(*args)
+
+        monkeypatch.setattr(knots, name, wrapper)
+        return calls
+
+    def test_deformation_solved_once(self, monkeypatch):
+        solves = self._count_calls(monkeypatch, "solve_deformation")
+        synthesize(7)
+        assert [nodes.epsilon for _, nodes in solves] == [F(1, 4)]
+
+    def test_failed_count_halves_epsilon(self, monkeypatch):
+        counts = self._count_calls(monkeypatch, "certify_A", fails=1)
+        solves = self._count_calls(monkeypatch, "solve_deformation")
+        _, report = synthesize(5)
+        assert len(counts) == 2 and len(solves) == 2
+        assert report.epsilon == F(1, 8)
+        assert report.nodes == (F(1, 24), F(1, 12))
+
+    def test_singular_height_halves_epsilon(self, monkeypatch):
+        self._count_calls(monkeypatch, "solve_height", fails=1, raises=SingularSystem)
+        _, report = synthesize(5)
+        assert report.epsilon == F(1, 8)
+
+    def test_exhausted_after_forty_halvings(self, monkeypatch):
+        counts = self._count_calls(monkeypatch, "certify_A", fails=10**6)
+        with pytest.raises(EpsilonExhausted, match="after 40 halvings"):
+            synthesize(3)
+        assert len(counts) == 41
 
 
 class TestPlaneLift:
@@ -140,7 +182,7 @@ class TestCrossings:
 
     def test_ordering_flags(self):
         report = crossings(Poly([0, F(-1, 64), 0, 1]), 3)
-        assert report.ordering_ok and report.count_certified
+        assert len(report.crossings) == 3
         seq = [c.s for c in report.crossings] + [c.t for c in report.crossings]
         assert seq == sorted(seq)
 
@@ -186,7 +228,7 @@ class TestSynthesize:
         curve, report = synthesize(3)
         assert (curve.plane.x.degree, curve.plane.y.degree, curve.z.degree) == (3, 4, 5)
         assert [c.sign for c in report.crossings] == [-1, 1, -1]
-        assert report.count_certified and report.ordering_ok and report.signs_alternate
+        assert len(report.crossings) == 3 and report.signs_alternate
 
     def test_degrees_for_nine(self):
         curve, report = synthesize(9)
@@ -211,7 +253,7 @@ class TestSynthesize:
         # the certified region is much larger than the 'small enough' scale
         # the existence argument needs; even nodes near 1 pass the Sturm gate
         curve, report = synthesize(5, nodes=[F(3, 4), F(9, 10)])
-        assert report.count_certified and report.signs_alternate
+        assert len(report.crossings) == 5 and report.signs_alternate
 
     def test_wrong_node_count_rejected(self):
         with pytest.raises(ValueError):
@@ -229,9 +271,9 @@ class TestSynthesize:
         assert report.sign_margin > 1.0
         assert report.x_coincidence < 1e-9 and report.y_coincidence < 1e-9
 
-    def test_verify_space_is_idempotent(self):
+    def test_certify_is_idempotent(self):
         curve, report = synthesize(5)
-        again = verify_space(curve, report, NodeSet(2, report.nodes))
+        again = certify(curve.plane.y, curve.z, 5, NodeSet(2, report.nodes))
         assert again.signs_alternate
         assert [c.sign for c in again.crossings] == [c.sign for c in report.crossings]
 
@@ -242,6 +284,6 @@ class TestSynthesize:
     @settings(max_examples=15, deadline=None)
     def test_certifies_across_node_scales(self, n, eps):
         curve, report = synthesize(2 * n + 1, epsilon=eps)
-        assert report.count_certified and report.ordering_ok and report.signs_alternate
+        assert len(report.crossings) == 2 * n + 1 and report.signs_alternate
         assert curve.plane.y.degree == plane_degree(2 * n + 1)
         assert curve.z.degree == height_degree(2 * n + 1)

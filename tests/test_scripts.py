@@ -1,0 +1,31 @@
+"""Smoke tests of the scripts under scripts/."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+
+from knotforge.serialize import dumps
+
+SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
+
+
+def test_sweep_runs():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "sweep.py"), "--max-n", "7", "--oracle-max-n", "5"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["1", "3", "5", "7"]
+    # the oracle column counts N up to --oracle-max-n and is skipped above it
+    assert [row.split()[5] for row in rows] == ["1", "3", "5", "-"]
+
+
+def test_fixture_script_reproduces_fixture(fixture_n9_path):
+    path = os.path.join(SCRIPTS, "make_fixture_n9.py")
+    spec = importlib.util.spec_from_file_location("make_fixture_n9", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    with open(fixture_n9_path, encoding="utf-8") as fh:
+        assert dumps(module.build_document()) == fh.read()

@@ -2,9 +2,10 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from knotforge.chebyshev import ChebT, ChebV, t_poly
-from knotforge.exactpoly import Poly
+from knotforge.exactpoly import Poly, rat_str
 from knotforge.knots import synthesize
 from knotforge.serialize import (
     SchemaError,
@@ -45,6 +46,10 @@ class TestBasisJson:
     def test_bad_coefficient_rejected(self):
         with pytest.raises(SchemaError):
             basis_from_json({"basis": "T", "coeffs": ["1/0x"]})
+
+    @given(st.fractions())
+    def test_rat_str_roundtrip(self, x):
+        assert basis_from_json({"basis": "monomial", "coeffs": [rat_str(x)]}) == Poly([x])
 
 
 class TestCurveDict:
