@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from . import serialize, svg
 from .errors import KnotforgeError
-from .exactpoly import Poly, parse_rat, rat_str
+from .exactpoly import Poly, rat_str
 from .knots import build_cn, synthesize
 from .pade import pade
 from .serialize import SchemaError
@@ -80,18 +80,20 @@ def _cmd_gen(args) -> int:
         print(f"knotforge gen: error: --n must be an odd positive integer, got {args.n}",
               file=sys.stderr)
         return USAGE_EXIT
+    # the p or p/q rationals of curve files, checked by the same reader
     nodes = None
     if args.nodes:
         try:
-            nodes = [parse_rat(part) for part in args.nodes.split(",")]
-        except ValueError as exc:
+            nodes = [serialize._rat_from_json(part.strip(), "node")
+                     for part in args.nodes.split(",")]
+        except SchemaError as exc:
             print(f"knotforge gen: error: bad --nodes: {exc}", file=sys.stderr)
             return USAGE_EXIT
     epsilon = None
     if args.epsilon:
         try:
-            epsilon = parse_rat(args.epsilon)
-        except ValueError as exc:
+            epsilon = serialize._rat_from_json(args.epsilon.strip(), "epsilon")
+        except SchemaError as exc:
             print(f"knotforge gen: error: bad --epsilon: {exc}", file=sys.stderr)
             return USAGE_EXIT
     try:

@@ -13,11 +13,19 @@ counting, isolation and refinement of that polynomial then share.  Each
 element is kept as its primitive integer form, a positive multiple of
 the rational remainder, and its sign at n/d is the sign of the integer
 sum c_i n^i d^(D-i) (homogeneous Horner): no `Fraction` and no gcd.
+`Poly.__call__` runs the same Horner on the coefficients brought to
+their common denominator, so an exact value costs one gcd.
+
+When every root of a polynomial in an interval is already known and
+certified, `PlantedRoots` answers the chain's sign and count queries
+there from that root list, and `isolate_roots`/`refine` run unchanged
+on it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -150,11 +158,20 @@ class Poly:
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, x: _RationalLike) -> Rational:
-        """Exact Horner evaluation at a rational point."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Exact value at a rational (or int) point, by one integer Horner.
+
+        With L the lcm of the coefficient denominators and x = num/den,
+        p(x) = sum(L c_i num^i den^(D-i)) / (L den^D): the sum is integer
+        homogeneous Horner (see `_horner`), and normalizing the returned
+        Fraction is the only gcd.
+        """
+        cs = self.coeffs
+        if not cs:
+            return Fraction(0)
+        lcm = math.lcm(*(c.denominator for c in cs))
+        acc = _horner([c.numerator * (lcm // c.denominator) for c in cs],
+                      x.numerator, x.denominator)
+        return Fraction(acc, lcm * x.denominator ** (len(cs) - 1))
 
     def eval_float(self, x: float) -> float:
         """Double-precision Horner; for plotting only, never certification."""
@@ -241,11 +258,10 @@ def _primitive_ints(p: Poly) -> tuple[int, ...]:
     return _content_free([c.numerator * (den // c.denominator) for c in p.coeffs])
 
 
-def _sign_at(cs: Sequence[int], num: int, den: int) -> int:
-    """Exact sign of the integer polynomial cs at num/den, for den > 0.
+def _horner(cs: Sequence[int], num: int, den: int) -> int:
+    """den^D * p(num/den) = sum c_i num^i den^(D-i) for integer coefficients cs.
 
-    Homogeneous Horner computes den^D * p(num/den) = sum c_i num^i den^(D-i),
-    an integer with the same sign, without any division or gcd.
+    Homogeneous Horner: integer products and sums only, no division or gcd.
     """
     acc, den_k = 0, 1
     for c in reversed(cs):
@@ -253,6 +269,12 @@ def _sign_at(cs: Sequence[int], num: int, den: int) -> int:
         if c:
             acc += c * den_k
         den_k *= den
+    return acc
+
+
+def _sign_at(cs: Sequence[int], num: int, den: int) -> int:
+    """Exact sign of the integer polynomial cs at num/den, for den > 0."""
+    acc = _horner(cs, num, den)
     return (acc > 0) - (acc < 0)
 
 
@@ -387,9 +409,9 @@ class SturmChain:
         self.chain: tuple[Poly, ...] = (p, p.derivative(), *map(Poly, seq[2:]))[:len(seq)]
 
     @classmethod
-    def of(cls, p: Union[Poly, SturmChain]) -> SturmChain:
-        """p itself when it already is a chain, else the chain of p."""
-        return p if isinstance(p, SturmChain) else cls(p)
+    def of(cls, p: Union[Poly, SturmChain, PlantedRoots]) -> Union[SturmChain, PlantedRoots]:
+        """The chain of p for a polynomial; p itself when it already answers counts."""
+        return cls(p) if isinstance(p, Poly) else p
 
     def sign(self, x: Rational) -> int:
         """Exact sign of the squarefree part chain[0] at x."""
@@ -412,6 +434,55 @@ class SturmChain:
             raise ValueError("need a < b")
         return self.variations(a) - self.variations(b)
 
+    def deflated(self, x: Rational) -> SturmChain:
+        """Chain of chain[0] / (t - x), for an exact root x of chain[0]."""
+        return SturmChain(Poly(_exact_quotient(self._ints[0], (-x.numerator, x.denominator))))
+
+
+class PlantedRoots:
+    """A SturmChain's answers for a polynomial whose roots in (lo, hi) are known.
+
+    `roots` must be every distinct root of the chain's polynomial in the
+    open interval (lo, hi), sorted; the caller certifies that (in
+    `knots.certify`, by the count and nodes stages).  Then inside (lo, hi)
+    the half-open count (a, b] is the number of known roots in it, and the
+    squarefree part changes sign exactly at each of them, so
+
+        variations(x) = variations(lo) - #{roots <= x}
+        sign(x) = s * (-1)^#{roots > x}   (0 at a root)
+
+    where variations(lo) and s, the sign between the top root and hi, are
+    taken once from the chain.  Every other point, lo and hi included, and
+    `deflated` go to the chain.  The answers equal the chain's, so
+    `isolate_roots` and `refine` give the same intervals on either.
+    """
+
+    def __init__(self, chain: SturmChain, roots: Sequence[Rational], lo: Rational, hi: Rational):
+        self._chain = chain
+        self._roots = tuple(roots)
+        self._lo, self._hi = Fraction(lo), Fraction(hi)
+        self._v_lo = chain.variations(self._lo)
+        top = self._roots[-1] if self._roots else self._lo
+        self._s_top = chain.sign((top + self._hi) / 2)
+
+    def sign(self, x: Rational) -> int:
+        if not self._lo < x < self._hi:
+            return self._chain.sign(x)
+        i = bisect_right(self._roots, x)
+        if i and self._roots[i - 1] == x:
+            return 0
+        return self._s_top if (len(self._roots) - i) % 2 == 0 else -self._s_top
+
+    def variations(self, x: Rational) -> int:
+        if not self._lo < x < self._hi:
+            return self._chain.variations(x)
+        return self._v_lo - bisect_right(self._roots, x)
+
+    # distinct roots in (a, b], from this object's variations
+    count = SturmChain.count
+
+    def deflated(self, x: Rational) -> SturmChain:
+        return self._chain.deflated(x)
 
 
 @dataclass(frozen=True)
@@ -447,21 +518,20 @@ def count_roots(p: Union[Poly, SturmChain], lo: Rational, hi: Rational) -> int:
 
 
 def isolate_roots(
-    p: Union[Poly, SturmChain], lo: Rational, hi: Rational
+    p: Union[Poly, SturmChain, PlantedRoots], lo: Rational, hi: Rational
 ) -> list[IsolatingInterval]:
     """Disjoint isolating intervals, one per distinct root of p in (lo, hi).
 
-    p is a polynomial or its SturmChain.  Bisection on half-open Sturm
-    counts; returned intervals (a, b] are sorted and each contains
-    exactly one root.
+    p is a polynomial, its SturmChain or a PlantedRoots over it.
+    Bisection on half-open Sturm counts; returned intervals (a, b] are
+    sorted and each contains exactly one root.
     """
     chain = SturmChain.of(p)
     lo, hi = Fraction(lo), Fraction(hi)
     deflated_hi = chain.sign(hi) == 0
     if deflated_hi:
         # exclude the root at hi: it is not in the open interval
-        factor = (-hi.numerator, hi.denominator)
-        chain = SturmChain(Poly(_exact_quotient(chain._ints[0], factor)))
+        chain = chain.deflated(hi)
     out: list[IsolatingInterval] = []
     stack = [(lo, hi, chain.variations(lo), chain.variations(hi))]
     while stack:
@@ -494,15 +564,15 @@ def isolate_roots(
 
 
 def refine(
-    p: Union[Poly, SturmChain], iv: IsolatingInterval, width: Rational
+    p: Union[Poly, SturmChain, PlantedRoots], iv: IsolatingInterval, width: Rational
 ) -> IsolatingInterval:
     """Shrink an isolating interval by bisection until hi - lo <= width.
 
-    p is a polynomial or its SturmChain; passing the chain lets every root
-    of one polynomial share its squarefree part.  After the first step
-    that pins nonzero endpoint signs, plain sign bisection takes over,
-    which needs one exact integer sign per step instead of a full chain
-    evaluation.
+    p is a polynomial, its SturmChain or a PlantedRoots over it; passing
+    the chain lets every root of one polynomial share its squarefree part.
+    After the first step that pins nonzero endpoint signs, plain sign
+    bisection takes over, which needs one exact integer sign per step
+    instead of a full chain evaluation.
     """
     chain = SturmChain.of(p)
     lo, hi = Fraction(iv.lo), Fraction(iv.hi)

@@ -48,6 +48,7 @@ from .errors import (
     SingularSystem,
 )
 from .exactpoly import (
+    PlantedRoots,
     Poly,
     Rational,
     SturmChain,
@@ -346,14 +347,17 @@ def lift_plane(a_poly: Poly, n_crossings: int) -> PlaneCurve:
     return PlaneCurve(cb.t_poly(3), y)
 
 
-def crossings(a_poly: Union[Poly, SturmChain], n_crossings: int) -> CrossingReport:
+def crossings(
+    a_poly: Union[Poly, SturmChain, PlantedRoots], n_crossings: int
+) -> CrossingReport:
     """Locate the N crossings of the lifted curve from the roots of A.
 
-    a_poly is A (or R), or its SturmChain.  Roots are isolated in (-2, 2)
-    by Sturm bisection (isolation itself certifies the count) and refined
-    to width 2^-48, all on one chain, so the squarefree part is computed
-    once.  Each root is then mapped through u = 2 cos(alpha),
-    s = 2 cos(alpha + pi/3), t = 2 cos(alpha - pi/3).
+    a_poly is A (or R), its SturmChain, or a PlantedRoots over that chain
+    when the roots in (-2, 2) are certified to be the planted ones.  Roots
+    are isolated in (-2, 2) by Sturm bisection (isolation itself certifies
+    the count) and refined to width 2^-48, all on one chain, so the
+    squarefree part is computed once.  Each root is then mapped through
+    u = 2 cos(alpha), s = 2 cos(alpha + pi/3), t = 2 cos(alpha - pi/3).
     The 2N-way ordering s_1 < ... < s_N < t_1 < ... < t_N must hold with
     margin > 1e-8, else OrderingViolation.
     """
@@ -416,8 +420,13 @@ def _decimal_st(u_num: int, u_den: int) -> tuple[Decimal, Decimal]:
     return (u - disc) / 2, (u + disc) / 2
 
 
-def _coefficient_magnitude(c: cb.ChebT) -> float:
-    return sum(abs(float(v)) for _, v in c.items) + 1.0
+def _coefficient_digits(c: cb.ChebT) -> int:
+    """Decimal digits of the integer part of 1 + sum |c_k|, which scales the precision."""
+    try:
+        return len(str(int(sum(abs(float(v)) for _, v in c.items) + 1.0)))
+    except OverflowError:
+        # beyond the double range; the bit length bounds the digits within one
+        return int(int(sum(abs(v) for _, v in c.items)).bit_length() * 0.30103) + 1
 
 
 def certify(
@@ -438,7 +447,11 @@ def certify(
     - nodes: when planted nodes are given, 2n + 1 = N and every planted
       root is an exact root of R;
     - ordering: the crossings are located on the same chain and their
-      parameters ordered with margin > 1e-8 (see `crossings`);
+      parameters ordered with margin > 1e-8 (see `crossings`).  After the
+      count and nodes stages the roots of R in (-2, 2) are exactly the N
+      planted ones, so with nodes the bisection reads its counts and
+      signs there from the planted set (`PlantedRoots`) instead of
+      evaluating the chain; the intervals are the same either way;
     - space: when z is present, dd(z) equals (-1)^i exactly at the
       planted roots, and z(t_i) - z(s_i) has sign (-1)^i; then the x/y
       coincidence residuals must be below 1e-9.
@@ -473,8 +486,9 @@ def certify(
             if r_poly(u) != 0:
                 raise CertificationFailed(f"stored node {rat_str(u)} is not a root of R", "nodes")
 
+    located = chain if nodes is None else PlantedRoots(chain, nodes.all_roots(), -2, 2)
     try:
-        report = crossings(chain, n_crossings)
+        report = crossings(located, n_crossings)
     except OrderingViolation as exc:
         raise CertificationFailed(str(exc), "ordering") from exc
 
@@ -485,7 +499,7 @@ def certify(
         for i, u in enumerate(planted, start=1):
             if zv(u) != (-1) ** i:
                 raise CertificationFailed(f"dd(z)({rat_str(u)}) != {(-1) ** i}", "space", report)
-    prec = 40 + max(len(str(int(_coefficient_magnitude(c)))) for c in (y, z) if c is not None)
+    prec = 40 + max(_coefficient_digits(c) for c in (y, z) if c is not None)
     x_err = y_err = 0.0
     sign_margin = math.inf
     completed = []

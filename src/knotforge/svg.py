@@ -15,10 +15,25 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from . import chebyshev as cb
-from .serialize import parse_curve
+from .serialize import SchemaError, StoredCurve, parse_curve
 
 T_RANGE = (-2.2, 2.2)
 GAP_HALF_WIDTH = 0.05
+
+
+def _plottable(doc: Any) -> StoredCurve:
+    """`parse_curve`, and every coefficient must convert to a double."""
+    curve = parse_curve(doc)
+    coordinates = {"x": curve.x.coeffs, "y": [c for _, c in curve.y.items]}
+    if curve.z is not None:
+        coordinates["z"] = [c for _, c in curve.z.items]
+    for name, coeffs in coordinates.items():
+        try:
+            for c in coeffs:
+                float(c)
+        except OverflowError:
+            raise SchemaError(f"a {name} coefficient is beyond the double range") from None
+    return curve
 
 
 def _under_parameters(crossings: tuple[tuple[float, float, Optional[int]], ...]) -> list[float]:
@@ -28,7 +43,7 @@ def _under_parameters(crossings: tuple[tuple[float, float, Optional[int]], ...])
 
 
 def render_csv(doc: dict[str, Any], samples: int) -> str:
-    curve = parse_curve(doc)
+    curve = _plottable(doc)
     x, y, z = curve.x, curve.y, curve.z
     lo, hi = T_RANGE
     cols = "t,x,y,z" if z is not None else "t,x,y"
@@ -44,7 +59,7 @@ def render_csv(doc: dict[str, Any], samples: int) -> str:
 
 def render_svg(doc: dict[str, Any], samples: int, gap: Optional[float] = None) -> str:
     """Render the plane projection with over/under gaps at the crossings."""
-    curve = parse_curve(doc)
+    curve = _plottable(doc)
     x, y, z = curve.x, curve.y, curve.z
     lo, hi = T_RANGE
     ts = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]

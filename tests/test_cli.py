@@ -1,8 +1,16 @@
+import copy
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from knotforge.cli import main
+from knotforge.exactpoly import rat_str
+from knotforge.knots import synthesize
+from knotforge.serialize import curve_to_dict
+
+
+BEYOND_DOUBLE = "1" + "0" * 400
 
 
 def run(argv, capsys):
@@ -55,9 +63,15 @@ class TestGen:
         assert doc["epsilon"] == "1/8"
         assert doc["nodes"] == ["1/24", "1/12"]  # eps * i/(n+1) for n = 2
 
-    def test_bad_nodes_string(self, capsys):
-        code, _, _ = run(["gen", "--n", "3", "--nodes", "0.x"], capsys)
+    @pytest.mark.parametrize("value", ["0.x", "1e-1", "0.1", "1e100000000"])
+    @pytest.mark.parametrize("flag", ["--nodes", "--epsilon"])
+    def test_bad_nodes_string(self, capsys, flag, value):
+        # only the p or p/q rationals of curve files; an exponent would
+        # otherwise build a huge integer before any check
+        code, out, err = run(["gen", "--n", "3", flag, value], capsys)
         assert code == 1
+        assert out == ""
+        assert err.startswith(f"knotforge gen: error: bad {flag}: ")
 
     def test_unknown_flag(self, capsys):
         code, _, _ = run(["gen", "--n", "3", "--frob"], capsys)
@@ -103,6 +117,21 @@ class TestVerify:
         code, stdout, _ = run(["verify", str(tampered)], capsys)
         assert code == 2
         assert "FAIL" in stdout
+
+    @pytest.mark.parametrize("coordinate", ["y", "z"])
+    def test_constant_beyond_double_range(self, tmp_path, capsys, coordinate):
+        # T_0 is in the kernel of the divided difference: a huge constant
+        # moves the curve, not its crossings, and the decimal checks must
+        # scale their precision to it instead of overflowing a float
+        out = tmp_path / "n5.json"
+        run(["gen", "--n", "5", "--out", str(out)], capsys)
+        doc = json.loads(out.read_text())
+        doc[coordinate]["coeffs"][0] = BEYOND_DOUBLE
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(doc))
+        code, stdout, _ = run(["verify", str(big)], capsys)
+        assert code == 0
+        assert stdout.endswith("VERIFIED\n") and "FAIL" not in stdout
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, _ = run(["verify", str(tmp_path / "nope.json")], capsys)
@@ -253,6 +282,8 @@ class TestExport:
             pytest.param(lambda d: dict(d, crossings=[dict(c, sign="x") for c in d["crossings"]]),
                          id="sign-string"),
             pytest.param(lambda d: dict(d, y=dict(d["y"], basis="V")), id="y-in-v-basis"),
+            pytest.param(lambda d: dict(d, y={"basis": "T", "coeffs": [BEYOND_DOUBLE, "1"]}),
+                         id="y-beyond-double"),
         ],
     )
     @pytest.mark.parametrize("fmt", ["--svg", "--csv"])
@@ -272,3 +303,82 @@ class TestExport:
         run(["gen", "--n", "3", "--out", str(out)], capsys)
         code, _, _ = run(["export", str(out)], capsys)
         assert code == 1
+
+
+# -- fuzzing -----------------------------------------------------------------------
+
+json_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-10**6, 10**6),
+    st.floats(),
+    st.text(max_size=6),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.sampled_from(["basis", "coeffs", "s", "t", "sign"]), st.integers(-1, 1),
+                    max_size=2),
+)
+rational_values = st.one_of(
+    st.sampled_from([BEYOND_DOUBLE, "-" + BEYOND_DOUBLE, "1/" + BEYOND_DOUBLE]),
+    st.sampled_from(["0", "1/3", "-1", "1/0", "1e5", "0.5", " 1/2", ""]),
+    st.fractions(max_denominator=10**6).map(rat_str),
+    json_values,
+)
+
+
+@st.composite
+def mutated_documents(draw, bases):
+    """A stored curve with one to three fields edited, replaced or dropped."""
+    doc = copy.deepcopy(draw(st.sampled_from(bases)))
+    for _ in range(draw(st.integers(1, 3))):
+        field = draw(st.sampled_from(["x", "y", "z", "nodes", "epsilon", "N", "crossings"]))
+        action = draw(st.sampled_from(["edit", "edit", "edit", "replace", "drop"]))
+        target = doc.get(field)
+        if action == "drop":
+            doc.pop(field, None)
+        elif action == "replace" or field in ("N", "epsilon"):
+            doc[field] = draw(st.one_of(st.integers(-3, 45), rational_values))
+        elif isinstance(target, dict) and isinstance(target.get("coeffs"), list):
+            coeffs = target["coeffs"]
+            if coeffs and draw(st.integers(0, 3)):
+                coeffs[draw(st.integers(0, len(coeffs) - 1))] = draw(rational_values)
+            else:
+                target["basis"] = draw(st.sampled_from(["T", "V", "monomial", "Q"]))
+        elif isinstance(target, list) and target:
+            i = draw(st.integers(0, len(target) - 1))
+            if draw(st.integers(0, 3)) == 0:
+                del target[i]
+            elif isinstance(target[i], dict):
+                target[i][draw(st.sampled_from(["s", "t", "sign", "u"]))] = draw(json_values)
+            else:
+                target[i] = draw(rational_values)
+    return doc
+
+
+def _n3_document():
+    curve, report = synthesize(3)
+    return curve_to_dict(3, curve.plane.x, curve.plane.y, curve.z, report, True)
+
+
+class TestFuzz:
+    """verify and export map every mutated curve file to 0, 1 or 2, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def bases(self, fixture_n9_path):
+        with open(fixture_n9_path, encoding="utf-8") as fh:
+            return [_n3_document(), json.load(fh)]
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    def test_mutated_files_exit_cleanly(self, bases, work, data):
+        doc = data.draw(mutated_documents(bases))
+        path = work / "mutated.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["verify", str(path)],
+                     ["export", "--svg", "--samples", "60", str(path), "--out", str(work / "o")],
+                     ["export", "--csv", "--samples", "60", str(path), "--out", str(work / "o")]):
+            assert main(argv) in (0, 1, 2)

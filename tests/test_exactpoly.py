@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from knotforge.errors import SingularSystem, ZeroPolynomial
 from knotforge.exactpoly import (
     IsolatingInterval,
+    PlantedRoots,
     Poly,
     SturmChain,
     bareiss_det,
@@ -368,6 +369,75 @@ class TestIntegerKernel:
             assert tight == refine(p, iv, F(1, 2**20))
             assert tight.lo < r <= tight.hi
             assert tight.width <= F(1, 2**20)
+
+    @given(
+        st.one_of(st.just(Poly()), rational_polys),
+        st.one_of(st.just(0), st.integers(-10**6, 10**6), points),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_call_matches_fraction_horner(self, p, x):
+        expected = F(0)
+        for c in reversed(p.coeffs):
+            expected = expected * x + c
+        value = p(x)
+        assert type(value) is F and value == expected
+
+    @given(
+        st.lists(st.fractions(min_value=F(-2), max_value=F(2), max_denominator=64),
+                 min_size=0, max_size=6),
+        st.lists(st.sampled_from([F(-3), F(-2), F(2), F(5, 2)]), max_size=2),
+        st.sampled_from([1, 2]),
+        st.sampled_from([F(1), F(-2, 3)]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_planted_roots_locate_like_the_chain(self, roots, outside, mult, scale):
+        # roots inside (-2, 2), roots at or beyond +-2, a repeated factor and
+        # a root-free quadratic; the oracle knows only the roots inside
+        p = poly_from_roots(roots + outside).scale(scale) * Poly([1, 0, 1])
+        p = p * poly_from_roots(roots[:1]) ** (mult - 1)
+        if p.degree < 1:
+            return
+        inside = sorted(set(r for r in roots if F(-2) < r < F(2)))
+        chain = SturmChain(p)
+        oracle = PlantedRoots(chain, inside, F(-2), F(2))
+        for x in inside + [F(k, 8) for k in range(-20, 21)]:
+            assert oracle.sign(x) == chain.sign(x)
+            assert oracle.variations(x) == chain.variations(x)
+        ivs = isolate_roots(chain, -2, 2)
+        assert isolate_roots(oracle, -2, 2) == ivs
+        for iv in ivs:
+            assert refine(oracle, iv, F(1, 2**40)) == refine(chain, iv, F(1, 2**40))
+
+    @pytest.mark.parametrize("nodes", [
+        pytest.param((F(1, 4), F(1, 2)), id="n5"),
+        pytest.param((F(1, 8), F(1, 4), F(1, 2)), id="n7"),
+    ])
+    def test_planted_roots_on_bisection_midpoints(self, nodes):
+        # dyadic planted roots are themselves midpoints of the bisection of
+        # (-2, 2), where both sign and count must read exactly 0 / the root
+        roots = sorted([-d for d in nodes] + [F(0)] + list(nodes))
+        p = poly_from_roots(roots) * Poly([3, 0, 1])
+        chain = SturmChain(p)
+        oracle = PlantedRoots(chain, roots, F(-2), F(2))
+        ivs = isolate_roots(chain, -2, 2)
+        assert isolate_roots(oracle, -2, 2) == ivs
+        assert [iv.hi for iv in ivs] == roots
+        for iv in ivs:
+            assert refine(oracle, iv, F(1, 2**48)) == refine(chain, iv, F(1, 2**48))
+
+    def test_planted_roots_with_a_root_at_two(self):
+        # R(2) = 0: the endpoint goes to the real chain and isolation takes
+        # the deflation path, with the same top interval as the chain
+        roots = [F(-1, 4), F(0), F(1, 4)]
+        p = poly_from_roots(roots + [F(2), F(-3)])
+        chain = SturmChain(p)
+        oracle = PlantedRoots(chain, roots, F(-2), F(2))
+        assert oracle.sign(F(2)) == chain.sign(F(2)) == 0
+        ivs = isolate_roots(chain, -2, 2)
+        assert len(ivs) == 3 and ivs[-1].hi < 2
+        assert isolate_roots(oracle, -2, 2) == ivs
+        for iv in ivs:
+            assert refine(oracle, iv, F(1, 2**48)) == refine(chain, iv, F(1, 2**48))
 
 
 class TestLinearAlgebra:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from knotforge import knots
 from knotforge.chebyshev import divided_difference, from_V, to_V
 from knotforge.errors import EpsilonExhausted, NotInImage, SingularSystem
-from knotforge.exactpoly import Poly
+from knotforge.exactpoly import PlantedRoots, Poly, SturmChain
 from knotforge.knots import (
     NodeSet,
     build_cn,
@@ -185,6 +185,33 @@ class TestCrossings:
         assert len(report.crossings) == 3
         seq = [c.s for c in report.crossings] + [c.t for c in report.crossings]
         assert seq == sorted(seq)
+
+
+    @pytest.mark.parametrize("nodes", [
+        pytest.param((F(1, 4), F(1, 2)), id="n5"),
+        pytest.param((F(1, 8), F(1, 4), F(1, 2)), id="n7"),
+    ])
+    def test_planted_roots_give_the_chain_intervals(self, nodes):
+        # dyadic nodes fall on bisection midpoints of (-2, 2)
+        n = len(nodes)
+        node_set = NodeSet(n, nodes)
+        _, a_poly = solve_deformation(build_cn(n), node_set)
+        chain = SturmChain(a_poly)
+        assert certify_A(chain, 2 * n + 1)
+        planted = PlantedRoots(chain, node_set.all_roots(), F(-2), F(2))
+        assert crossings(planted, 2 * n + 1) == crossings(chain, 2 * n + 1)
+
+    @pytest.mark.parametrize("nodes", [
+        pytest.param((F(1, 4), F(1, 2)), id="n5"),
+        pytest.param((F(1, 8), F(1, 4), F(1, 2)), id="n7"),
+    ])
+    def test_certify_locates_the_same_crossings_with_and_without_nodes(self, nodes):
+        n = len(nodes)
+        curve, report = synthesize(2 * n + 1, nodes=nodes)
+        plain = certify(curve.plane.y, None, 2 * n + 1)
+        assert [(c.u_lo, c.u_hi) for c in report.crossings] == [
+            (c.u_lo, c.u_hi) for c in plain.crossings
+        ]
 
 
 class TestHeight:
