@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import NotInImage
 from .exactpoly import Poly, Rational, rat_str
@@ -220,30 +220,36 @@ def wtilde_poly(k: int) -> Poly:
 # -- numeric evaluation ---------------------------------------------------------
 
 
-def eval_T_float(c: ChebT, x: float) -> float:
-    """Evaluate a T-basis polynomial in doubles via the three-term recurrence.
+def eval_T_float(c: ChebT, ts: Sequence[float]) -> list[float]:
+    """Evaluate a T-basis polynomial in doubles at every point of a grid.
 
-    On [-2, 2] every T_k is bounded by 2, so this is far better
-    conditioned than expanding to the monomial basis first.  Diagnostics
-    only: certification never uses floats.
+    Each coefficient is converted to a double once; at each point the
+    three-term recurrence runs on its own, adding the T_0 and T_1 terms
+    and then the term of each nonzero coefficient in increasing degree.  On [-2, 2] every T_k is bounded by 2, so this is
+    far better conditioned than expanding to the monomial basis first.
+    Diagnostics only: certification never uses floats.
     """
     items = c.items
     if not items:
-        return 0.0
-    kmax = items[-1][0]
-    coeffs = c.as_dict()
-    t0, t1 = 2.0, x
-    tot = float(coeffs.get(0, 0)) * t0 + float(coeffs.get(1, 0)) * t1
-    for k in range(2, kmax + 1):
-        t0, t1 = t1, x * t1 - t0
-        ck = coeffs.get(k)
-        if ck:
-            tot += float(ck) * t1
-    return tot
+        return [0.0] * len(ts)
+    coeffs = {k: float(ck) for k, ck in items}
+    c0, c1 = coeffs.get(0, 0.0), coeffs.get(1, 0.0)
+    # None marks a zero coefficient; a nonzero one whose double is 0.0 still adds
+    steps = [coeffs.get(k) for k in range(2, items[-1][0] + 1)]
+    out = []
+    for x in ts:
+        t0, t1 = 2.0, x
+        tot = c0 * t0 + c1 * t1
+        for ck in steps:
+            t0, t1 = t1, x * t1 - t0
+            if ck is not None:
+                tot += ck * t1
+        out.append(tot)
+    return out
 
 
 def eval_T_decimal(c: ChebT, x: Decimal) -> Decimal:
-    """Like :func:`eval_T_float` but in `decimal` arithmetic.
+    """Like :func:`eval_T_float` at one point, but in `decimal` arithmetic.
 
     Needed because the height polynomials carry coefficients that reach
     1e22 by N = 21, where double precision loses the O(1) differences

@@ -173,12 +173,17 @@ class Poly:
                       x.numerator, x.denominator)
         return Fraction(acc, lcm * x.denominator ** (len(cs) - 1))
 
-    def eval_float(self, x: float) -> float:
-        """Double-precision Horner; for plotting only, never certification."""
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc
+    def eval_float(self, xs: Sequence[float]) -> list[float]:
+        """Double-precision Horner at every point of a grid, each coefficient
+        converted once; for plotting only, never certification."""
+        coeffs = [float(c) for c in reversed(self.coeffs)]
+        out = []
+        for x in xs:
+            acc = 0.0
+            for c in coeffs:
+                acc = acc * x + c
+            out.append(acc)
+        return out
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero:

@@ -6,12 +6,24 @@ crossing the strand that passes underneath (decided by the stored sign:
 parameter-space gap, which is the usual knot-diagram convention.  A
 curve without height data renders as one unbroken polyline.
 
+Both formats share one sampler: it builds the t grid on T_RANGE once and
+evaluates each coordinate over the whole grid in one pass
+(`Poly.eval_float`, `chebyshev.eval_T_float`), converting every
+coefficient to a double once.  Each sample takes the same double
+operations in the same order as a one-point evaluation, so the bytes
+written do not depend on the grid form.  A sampled value that is not
+finite, or an SVG frame whose span or scale is not, is a `SchemaError`
+(exit 1 in the CLI) rather than a `nan`/`inf` in the output.  The gap
+test finds the two under-parameters next to each sample by bisection.
+
 Floating-point evaluation is fine here: rendering is diagnostics, and
 certification never flows through this module.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from typing import Any, Optional
 
 from . import chebyshev as cb
@@ -42,44 +54,64 @@ def _under_parameters(crossings: tuple[tuple[float, float, Optional[int]], ...])
     return [s if sign > 0 else t for s, t, sign in crossings if sign is not None]
 
 
+def _sample(curve: StoredCurve, samples: int, heights: bool) -> tuple[list[float], ...]:
+    """The t grid and the x, y (and, with `heights`, z) columns, each checked finite."""
+    lo, hi = T_RANGE
+    ts = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
+    columns = {"x": curve.x.eval_float(ts), "y": cb.eval_T_float(curve.y, ts)}
+    if heights and curve.z is not None:
+        columns["z"] = cb.eval_T_float(curve.z, ts)
+    for name, values in columns.items():
+        if not all(map(math.isfinite, values)):
+            raise SchemaError(f"a {name} value is beyond the double range on [{lo}, {hi}]")
+    return (ts, *columns.values())
+
+
+def _axis(name: str, values: list[float], size: float) -> tuple[float, float]:
+    """Padded lower end and scale that map `values` onto [0, size]."""
+    v0, v1 = min(values), max(values)
+    pad = 0.05 * (v1 - v0 or 1.0)
+    v0, v1 = v0 - pad, v1 + pad
+    scale = size / (v1 - v0)
+    if not (math.isfinite(v1 - v0) and math.isfinite(scale)):
+        raise SchemaError(f"the {name} range of the curve cannot be scaled in doubles")
+    return v0, scale
+
+
 def render_csv(doc: dict[str, Any], samples: int) -> str:
     curve = _plottable(doc)
-    x, y, z = curve.x, curve.y, curve.z
-    lo, hi = T_RANGE
-    cols = "t,x,y,z" if z is not None else "t,x,y"
-    rows = [cols]
-    for i in range(samples):
-        t = lo + (hi - lo) * i / (samples - 1)
-        vals = [t, x.eval_float(t), cb.eval_T_float(y, t)]
-        if z is not None:
-            vals.append(cb.eval_T_float(z, t))
-        rows.append(",".join(f"{v:.12g}" for v in vals))
-    return "\n".join(rows) + "\n"
+    columns = _sample(curve, samples, heights=True)
+    header = "t,x,y,z" if curve.z is not None else "t,x,y"
+    row = ",".join(["%.12g"] * len(columns))
+    return "\n".join([header, *(row % values for values in zip(*columns))]) + "\n"
 
 
 def render_svg(doc: dict[str, Any], samples: int, gap: Optional[float] = None) -> str:
     """Render the plane projection with over/under gaps at the crossings."""
     curve = _plottable(doc)
-    x, y, z = curve.x, curve.y, curve.z
-    lo, hi = T_RANGE
-    ts = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
-    pts = [(x.eval_float(t), cb.eval_T_float(y, t)) for t in ts]
-    unders = _under_parameters(curve.crossings) if z is not None else []
+    ts, xs, ys = _sample(curve, samples, heights=False)
+    unders = sorted(_under_parameters(curve.crossings)) if curve.z is not None else []
     if gap is None:
         # keep distinct gaps from merging: cap the half-width at a third of
         # the closest spacing between under-parameters
         gap = GAP_HALF_WIDTH
         if len(unders) > 1:
-            spaced = sorted(unders)
-            closest = min(b - a for a, b in zip(spaced, spaced[1:]))
+            closest = min(b - a for a, b in zip(unders, unders[1:]))
             gap = min(gap, closest / 3.0)
+
+    def in_gap(t: float) -> bool:
+        # |t - u| grows with the distance of u from t on either side, so the
+        # two neighbours of t in the sorted list decide
+        i = bisect_left(unders, t)
+        return ((i < len(unders) and abs(t - unders[i]) < gap)
+                or (i > 0 and abs(t - unders[i - 1]) < gap))
 
     # split the parameter line into segments, cutting a gap around each
     # under-parameter; overlapping gaps merge on their own
     segments: list[list[tuple[float, float]]] = []
     current: list[tuple[float, float]] = []
-    for t, p in zip(ts, pts):
-        if any(abs(t - u) < gap for u in unders):
+    for t, p in zip(ts, zip(xs, ys)):
+        if in_gap(t):
             if len(current) >= 2:
                 segments.append(current)
             current = []
@@ -88,17 +120,9 @@ def render_svg(doc: dict[str, Any], samples: int, gap: Optional[float] = None) -
     if len(current) >= 2:
         segments.append(current)
 
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-    pad_x = 0.05 * (x1 - x0 or 1.0)
-    pad_y = 0.05 * (y1 - y0 or 1.0)
-    x0, x1 = x0 - pad_x, x1 + pad_x
-    y0, y1 = y0 - pad_y, y1 + pad_y
     width, height = 800.0, 600.0
-    sx = width / (x1 - x0)
-    sy = height / (y1 - y0)
+    x0, sx = _axis("x", xs, width)
+    y0, sy = _axis("y", ys, height)
 
     def tx(p: tuple[float, float]) -> str:
         # flip y so larger values render upward

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from knotforge.chebyshev import (
     ChebT,
@@ -186,9 +186,70 @@ class TestWIndices:
             assert wtilde_poly(k).degree == 2 * k + 2 * ((k + 1) // 2)
 
 
+def eval_T_float_at(c: ChebT, x: float) -> float:
+    """Reference: the one-point recurrence the grid evaluator must reproduce."""
+    items = c.items
+    if not items:
+        return 0.0
+    kmax = items[-1][0]
+    coeffs = c.as_dict()
+    t0, t1 = 2.0, x
+    tot = float(coeffs.get(0, 0)) * t0 + float(coeffs.get(1, 0)) * t1
+    for k in range(2, kmax + 1):
+        t0, t1 = t1, x * t1 - t0
+        ck = coeffs.get(k)
+        if ck:
+            tot += float(ck) * t1
+    return tot
+
+
+def poly_eval_float_at(p: Poly, x: float) -> float:
+    """Reference: the one-point Horner the grid evaluator must reproduce."""
+    acc = 0.0
+    for c in reversed(p.coeffs):
+        acc = acc * x + float(c)
+    return acc
+
+
+def bits(values: list[float]) -> list[str]:
+    # float.hex tells -0.0 from 0.0, and every nan from every number
+    return [v.hex() for v in values]
+
+
+TINY = F(1, 10**400)  # nonzero, but its double is (-)0.0
+float_coefficients = st.one_of(
+    st.fractions(min_value=-100, max_value=100, max_denominator=1000),
+    st.sampled_from([TINY, -TINY, F(10**300), F(-3, 7)]),
+)
+grid_points = st.lists(
+    st.one_of(st.sampled_from([-2.2, 2.2, 0.0, -0.0, -2.0]), st.floats(-2.2, 2.2)), max_size=8
+)
+
+
 class TestFloatEval:
     def test_matches_exact(self):
         y = ChebT.of({0: 3, 2: F(1, 4), 7: -2})
         exact = from_T(y)
-        for x in (-1.75, -0.5, 0.0, 1.2):
-            assert eval_T_float(y, x) == pytest.approx(exact.eval_float(x), abs=1e-12)
+        xs = [-1.75, -0.5, 0.0, 1.2]
+        assert eval_T_float(y, xs) == pytest.approx(exact.eval_float(xs), abs=1e-12)
+
+    @given(coeffs=st.dictionaries(st.integers(0, 14), float_coefficients, max_size=6),
+           xs=grid_points)
+    @example(coeffs={}, xs=[-2.2, 0.0, 2.2])
+    @example(coeffs={0: F(3), 1: F(-1, 2)}, xs=[-2.2, -0.0, 0.0, 2.2])
+    @example(coeffs={1: F(5)}, xs=[0.0, -0.0])
+    @example(coeffs={0: F(1), 4: F(2), 9: F(-3)}, xs=[-2.2, 0.0, 2.2])
+    # the partial sum is -0.0 at t = -2; the T_2 term, 0.0 as a double, makes it +0.0
+    @example(coeffs={0: -TINY, 2: TINY}, xs=[-2.0, -1.0, 0.0])
+    @settings(max_examples=150, deadline=None)
+    def test_grid_is_bit_equal_to_pointwise(self, coeffs, xs):
+        c = ChebT.of(coeffs)
+        assert bits(eval_T_float(c, xs)) == bits([eval_T_float_at(c, x) for x in xs])
+        p = c.to_poly()
+        assert bits(p.eval_float(xs)) == bits([poly_eval_float_at(p, x) for x in xs])
+
+    def test_signed_zero_partial_sum(self):
+        c = ChebT.of({0: -TINY, 2: TINY})
+        assert bits(eval_T_float(c, [-2.0])) == [(0.0).hex()]
+        assert bits(eval_T_float(ChebT.of({0: -TINY}), [-2.0])) == [(-0.0).hex()]
+        assert bits(Poly([-TINY]).eval_float([-1.0, 1.0])) == [(-0.0).hex(), (0.0).hex()]

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -11,6 +12,9 @@ from knotforge.serialize import curve_to_dict
 
 
 BEYOND_DOUBLE = "1" + "0" * 400
+# a double, but 10^307 T_14(t) overflows one on [-2.2, 2.2]
+WIDE = "1" + "0" * 307
+NON_FINITE = re.compile(r"\b(?:nan|inf)\b", re.IGNORECASE)
 
 
 def run(argv, capsys):
@@ -284,6 +288,8 @@ class TestExport:
             pytest.param(lambda d: dict(d, y=dict(d["y"], basis="V")), id="y-in-v-basis"),
             pytest.param(lambda d: dict(d, y={"basis": "T", "coeffs": [BEYOND_DOUBLE, "1"]}),
                          id="y-beyond-double"),
+            pytest.param(lambda d: dict(d, y={"basis": "T", "coeffs": ["0"] * 14 + [WIDE]}),
+                         id="y-value-beyond-double"),
         ],
     )
     @pytest.mark.parametrize("fmt", ["--svg", "--csv"])
@@ -297,6 +303,34 @@ class TestExport:
         assert stdout == ""
         assert err.startswith("knotforge export: bad curve file: ")
         assert err.count("\n") == 1
+
+    def test_height_beyond_double_fails_only_the_csv(self, tmp_path, capsys):
+        # the SVG never samples z, so only the CSV sees it overflow
+        out = tmp_path / "n3.json"
+        run(["gen", "--n", "3", "--out", str(out)], capsys)
+        doc = json.loads(out.read_text())
+        doc["z"]["coeffs"] += ["0"] * (14 - len(doc["z"]["coeffs"])) + [WIDE]
+        bad = tmp_path / "wide.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(["export", "--csv", str(bad)], capsys)
+        assert code == 1
+        assert err.endswith("a z value is beyond the double range on [-2.2, 2.2]\n")
+        code, svg, _ = run(["export", "--svg", str(bad)], capsys)
+        assert code == 0 and not NON_FINITE.search(svg)
+
+    def test_svg_span_beyond_double_exits_one(self, tmp_path, capsys):
+        # every sample fits a double, but max(y) - min(y) does not
+        out = tmp_path / "n3.json"
+        run(["gen", "--n", "3", "--out", str(out)], capsys)
+        doc = dict(json.loads(out.read_text()), y={"basis": "T", "coeffs": ["0", "8" + "0" * 307]})
+        bad = tmp_path / "span.json"
+        bad.write_text(json.dumps(doc))
+        code, stdout, err = run(["export", "--svg", str(bad)], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == ("knotforge export: bad curve file: "
+                       "the y range of the curve cannot be scaled in doubles\n")
+        code, csv, _ = run(["export", "--csv", str(bad)], capsys)
+        assert code == 0 and not NON_FINITE.search(csv)
 
     def test_requires_format_flag(self, tmp_path, capsys):
         out = tmp_path / "n3.json"
@@ -360,7 +394,8 @@ def _n3_document():
 
 
 class TestFuzz:
-    """verify and export map every mutated curve file to 0, 1 or 2, never a traceback."""
+    """verify and export map every mutated curve file to 0, 1 or 2, never a
+    traceback, and a successful export holds no nan or inf."""
 
     @pytest.fixture(scope="class")
     def bases(self, fixture_n9_path):
@@ -378,7 +413,11 @@ class TestFuzz:
         doc = data.draw(mutated_documents(bases))
         path = work / "mutated.json"
         path.write_text(json.dumps(doc))
+        out = work / "o"
         for argv in (["verify", str(path)],
-                     ["export", "--svg", "--samples", "60", str(path), "--out", str(work / "o")],
-                     ["export", "--csv", "--samples", "60", str(path), "--out", str(work / "o")]):
-            assert main(argv) in (0, 1, 2)
+                     ["export", "--svg", "--samples", "60", str(path), "--out", str(out)],
+                     ["export", "--csv", "--samples", "60", str(path), "--out", str(out)]):
+            code = main(argv)
+            assert code in (0, 1, 2)
+            if argv[0] == "export" and code == 0:
+                assert not NON_FINITE.search(out.read_text())

@@ -89,7 +89,7 @@ class TestEval:
         assert Poly([-2, 0, 1])(F(1, 2)) == F(-7, 4)
 
     def test_eval_float(self):
-        assert Poly([0, -3, 0, 1]).eval_float(2.0) == pytest.approx(2.0)
+        assert Poly([0, -3, 0, 1]).eval_float([2.0]) == pytest.approx([2.0])
 
 
 class TestSquarefree:

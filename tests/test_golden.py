@@ -1,9 +1,13 @@
-"""Byte-level golden outputs of `gen` and `verify`.
+"""Byte-level golden outputs of `gen`, `verify` and `export`.
 
-The digests were recorded before the integer root-isolation kernel
-replaced the rational one.  Every isolating interval, and so every
-crossing abscissa and residual printed, feeds these bytes, so a moved
-interval or a changed bisection choice fails here.
+The `gen`/`verify` digests were recorded before the integer
+root-isolation kernel replaced the rational one.  Every isolating
+interval, and so every crossing abscissa and residual printed, feeds
+these bytes, so a moved interval or a changed bisection choice fails
+here.  The `export` digests were recorded before the float sampling
+moved to whole-grid evaluation: every sample goes through the same
+double operations in the same order, so a reordered recurrence or a
+changed number format fails here.
 """
 
 import hashlib
@@ -25,6 +29,16 @@ VERIFY_N21_SHA256 = {
     "nodeless": "7f6d047aa038baf44007b2a595c80166604eee6254961d44b59b3db82999d3cd",
     "plane": "3769cee5f7eff867891ee172bcaf9f23ed58806fe1dd5f058f668dd92abf4d3b",
 }
+EXPORT_SHA256 = {
+    (3, "svg"): "cb2f2f5e7d3ad9d5bc7774049a62e3a51d15fdc83ddd4085fe0dc37568b53c36",
+    (3, "csv"): "6dec088ea013b7415de89b6ed7598e1090efd55bfe7702392666c87e96b4186f",
+    (15, "svg"): "bc0d2e391bc88fb0a5168e3cb53d06ecc7686383def6bdd5d352b5bbd891aad3",
+    (15, "csv"): "2af7c8437004d22e3313137a8e6793fd915a82c5b4cc66d8f20914dcab74541c",
+    ("fixture", "svg"): "8480cf1a1404098ae301144bf7307cebb926cc371a095ee97c202b8557551013",
+    ("fixture", "csv"): "9748d222909e11af5fa9daee68ba17dbe425437ebea3e5472952a612c7cb5112",
+}
+# the default 1200 samples for the SVG, 2000 for the CSV
+EXPORT_ARGS = {"svg": ["--svg"], "csv": ["--csv", "--samples", "2000"]}
 N21_VARIANTS = {
     "nodeless": {"nodes": None, "epsilon": None},
     "plane": {"z": None},
@@ -66,3 +80,15 @@ def test_verify_n21_variant_stdout(gen_outputs, tmp_path, capsys, variant):
     path = tmp_path / f"{variant}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n")
     assert sha256(verify_stdout(path, capsys).encode()) == VERIFY_N21_SHA256[variant]
+
+
+@pytest.mark.parametrize("source,fmt", sorted(EXPORT_SHA256, key=str))
+def test_export_bytes(gen_outputs, fixture_n9_path, tmp_path, source, fmt):
+    if source == "fixture":
+        path = fixture_n9_path
+    else:
+        path = tmp_path / f"n{source}.json"
+        path.write_bytes(gen_outputs[source])
+    out = tmp_path / f"out.{fmt}"
+    assert main(["export", *EXPORT_ARGS[fmt], str(path), "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == EXPORT_SHA256[(source, fmt)]
