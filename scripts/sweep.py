@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Sweep the synthesis over odd N and report degrees, margins, and timing.
+"""Sweep the synthesis over odd N and report degrees, ordering margins, and timing.
 
 Usage:
     python scripts/sweep.py [--max-n 21] [--outdir DIR]
@@ -15,7 +15,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from knotforge import crossing_oracle, from_T, rat_str, synthesize  # noqa: E402
+from knotforge import crossing_oracle, rat_str, synthesize  # noqa: E402
 from knotforge.serialize import curve_to_dict, save_curve  # noqa: E402
 from knotforge.svg import render_svg  # noqa: E402
 
@@ -29,7 +29,7 @@ def main() -> None:
     args = ap.parse_args()
 
     print(f"{'N':>3} {'degrees':>12} {'eps':>6} {'ord.margin':>11} "
-          f"{'sign.margin':>11} {'oracle':>6} {'secs':>6}")
+          f"{'oracle':>6} {'secs':>6}")
     for n in range(1, args.max_n + 1, 2):
         t0 = time.time()
         curve, report = synthesize(n)
@@ -37,10 +37,9 @@ def main() -> None:
         degs = f"(3,{curve.plane.y.degree},{curve.z.degree})"
         oracle = "-"
         if n <= args.oracle_max_n:
-            oracle = str(crossing_oracle(curve.plane.x, from_T(curve.plane.y)))
+            oracle = str(crossing_oracle(curve.plane.x, curve.plane.y.to_poly()))
         print(f"{n:>3} {degs:>12} {rat_str(report.epsilon):>6} "
-              f"{report.ordering_margin:>11.3e} {report.sign_margin:>11.3e} "
-              f"{oracle:>6} {elapsed:>6.2f}")
+              f"{report.ordering_margin:>11.3e} {oracle:>6} {elapsed:>6.2f}")
         if args.outdir:
             os.makedirs(args.outdir, exist_ok=True)
             doc = curve_to_dict(n, curve.plane.x, curve.plane.y, curve.z, report, True)

@@ -13,8 +13,6 @@ from .chebyshev import (
     ChebV,
     divided_difference,
     eps,
-    from_T,
-    from_V,
     lift_from_V,
     t_poly,
     to_T,
@@ -73,8 +71,8 @@ from .stieltjes import PhiSeries, difference, hankel_det, ode_residual, phi, phi
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChebT", "ChebV", "divided_difference", "eps", "from_T", "from_V",
-    "lift_from_V", "t_poly", "to_T", "to_V", "v_poly", "w_index", "wtilde_index",
+    "ChebT", "ChebV", "divided_difference", "eps", "lift_from_V", "t_poly",
+    "to_T", "to_V", "v_poly", "w_index", "wtilde_index",
     "CertificationFailed", "DomainError", "EpsilonExhausted", "InternalInconsistency",
     "KnotforgeError", "NotInImage", "OrderingViolation", "SingularSystem",
     "ZeroPolynomial",

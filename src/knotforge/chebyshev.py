@@ -18,7 +18,6 @@ for a single univariate polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -71,93 +70,63 @@ def _normalize(coeffs: _CoeffMap) -> tuple[tuple[int, Fraction], ...]:
 
 
 @dataclass(frozen=True)
-class ChebT:
+class _ChebSeries:
+    """Coefficients on one of the two monic families, as sorted (index, value) pairs."""
+
+    items: tuple[tuple[int, Fraction], ...]
+
+    @classmethod
+    def of(cls, coeffs: _CoeffMap):
+        return cls(_normalize(coeffs))
+
+    def as_dict(self) -> dict[int, Fraction]:
+        return dict(self.items)
+
+    @property
+    def degree(self) -> int:
+        return self.items[-1][0] if self.items else -1
+
+    def to_poly(self) -> Poly:
+        out = Poly()
+        for k, c in self.items:
+            out = out + self._family(k) * c
+        return out
+
+
+class ChebT(_ChebSeries):
     """Polynomial expressed in the T basis; note T_0 is the constant 2."""
 
-    items: tuple[tuple[int, Fraction], ...]
-
-    @classmethod
-    def of(cls, coeffs: _CoeffMap) -> "ChebT":
-        return cls(_normalize(coeffs))
-
-    def coeff(self, k: int) -> Fraction:
-        return dict(self.items).get(k, Fraction(0))
-
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.items)
-
-    @property
-    def degree(self) -> int:
-        return self.items[-1][0] if self.items else -1
-
-    def to_poly(self) -> Poly:
-        out = Poly()
-        for k, c in self.items:
-            out = out + t_poly(k) * c
-        return out
+    _family = staticmethod(t_poly)
 
 
-@dataclass(frozen=True)
-class ChebV:
+class ChebV(_ChebSeries):
     """Polynomial expressed in the V basis (V_0 = 1)."""
 
-    items: tuple[tuple[int, Fraction], ...]
-
-    @classmethod
-    def of(cls, coeffs: _CoeffMap) -> "ChebV":
-        return cls(_normalize(coeffs))
-
-    def coeff(self, k: int) -> Fraction:
-        return dict(self.items).get(k, Fraction(0))
-
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.items)
-
-    @property
-    def degree(self) -> int:
-        return self.items[-1][0] if self.items else -1
-
-    def to_poly(self) -> Poly:
-        out = Poly()
-        for k, c in self.items:
-            out = out + v_poly(k) * c
-        return out
+    _family = staticmethod(v_poly)
 
 
-def to_T(p: Poly) -> ChebT:
-    """Exact change of basis, monomial -> T, by triangular back-substitution."""
-    rem = list(p.coeffs)
-    out: dict[int, Fraction] = {}
-    for d in range(len(rem) - 1, 0, -1):
-        c = rem[d]
-        if c:
-            out[d] = c
-            for i, tc in enumerate(t_poly(d).coeffs):
-                rem[i] -= c * tc
-    if rem and rem[0]:
-        out[0] = rem[0] / 2  # T_0 is the constant 2
-    return ChebT.of(out)
-
-
-def to_V(p: Poly) -> ChebV:
-    """Exact change of basis, monomial -> V, by triangular back-substitution."""
+def _from_monomials(p: Poly, cls):
+    """Exact change of basis, monomial -> cls, by triangular back-substitution."""
     rem = list(p.coeffs)
     out: dict[int, Fraction] = {}
     for d in range(len(rem) - 1, -1, -1):
         c = rem[d]
         if c:
+            basis = cls._family(d)
+            if d == 0:
+                c /= basis.coeffs[0]  # T_0 is the constant 2
             out[d] = c
-            for i, vc in enumerate(v_poly(d).coeffs):
-                rem[i] -= c * vc
-    return ChebV.of(out)
+            for i, bc in enumerate(basis.coeffs):
+                rem[i] -= c * bc
+    return cls.of(out)
 
 
-def from_T(c: ChebT) -> Poly:
-    return c.to_poly()
+def to_T(p: Poly) -> ChebT:
+    return _from_monomials(p, ChebT)
 
 
-def from_V(c: ChebV) -> Poly:
-    return c.to_poly()
+def to_V(p: Poly) -> ChebV:
+    return _from_monomials(p, ChebV)
 
 
 def divided_difference(y: ChebT) -> ChebV:
@@ -225,8 +194,9 @@ def eval_T_float(c: ChebT, ts: Sequence[float]) -> list[float]:
 
     Each coefficient is converted to a double once; at each point the
     three-term recurrence runs on its own, adding the T_0 and T_1 terms
-    and then the term of each nonzero coefficient in increasing degree.  On [-2, 2] every T_k is bounded by 2, so this is
-    far better conditioned than expanding to the monomial basis first.
+    and then the term of each nonzero coefficient in increasing degree.
+    On [-2, 2] every T_k is bounded by 2, so this is far better
+    conditioned than expanding to the monomial basis first.
     Diagnostics only: certification never uses floats.
     """
     items = c.items
@@ -246,31 +216,3 @@ def eval_T_float(c: ChebT, ts: Sequence[float]) -> list[float]:
                 tot += ck * t1
         out.append(tot)
     return out
-
-
-def eval_T_decimal(c: ChebT, x: Decimal) -> Decimal:
-    """Like :func:`eval_T_float` at one point, but in `decimal` arithmetic.
-
-    Needed because the height polynomials carry coefficients that reach
-    1e22 by N = 21, where double precision loses the O(1) differences
-    being verified; the caller picks the context precision.
-    """
-    items = c.items
-    if not items:
-        return Decimal(0)
-    kmax = items[-1][0]
-    coeffs = c.as_dict()
-    t0, t1 = Decimal(2), x
-    tot = Decimal(0)
-    c0 = coeffs.get(0)
-    if c0:
-        tot += Decimal(c0.numerator) / Decimal(c0.denominator) * t0
-    c1 = coeffs.get(1)
-    if c1:
-        tot += Decimal(c1.numerator) / Decimal(c1.denominator) * t1
-    for k in range(2, kmax + 1):
-        t0, t1 = t1, x * t1 - t0
-        ck = coeffs.get(k)
-        if ck:
-            tot += Decimal(ck.numerator) / Decimal(ck.denominator) * t1
-    return tot

@@ -8,6 +8,7 @@ the tool can anchor shell pipelines and CI checks.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -33,7 +34,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later `main`."""
     parser = _Parser(prog="knotforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

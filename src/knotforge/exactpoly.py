@@ -19,7 +19,8 @@ their common denominator, so an exact value costs one gcd.
 When every root of a polynomial in an interval is already known and
 certified, `PlantedRoots` answers the chain's sign and count queries
 there from that root list, and `isolate_roots`/`refine` run unchanged
-on it.
+on it.  `signs_at_roots` gives the exact sign of a second polynomial at
+each isolated root, from a slope bound, in integers.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ from .errors import SingularSystem, ZeroPolynomial
 Rational = Fraction
 
 _RationalLike = Union[Fraction, int]
+
+# Bisection depth at which `signs_at_roots` asks the gcd, and at which
+# `knots.crossings` stops trying to separate two crossing parameters.
+DEEP_WIDTH = Fraction(1, 2**200)
 
 
 def rat_str(x: Rational) -> str:
@@ -243,9 +248,6 @@ class Poly:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-
-X = Poly([0, 1])
 
 
 # -- integer kernel -------------------------------------------------------------
@@ -616,6 +618,55 @@ def refine(
         else:
             lo = m
     return IsolatingInterval(lo, hi)
+
+
+def signs_at_roots(
+    chain: SturmChain, q: Poly, intervals: Sequence[IsolatingInterval]
+) -> list[int]:
+    """Exact sign of q at the root of chain[0] that each interval isolates, 0 if q vanishes there.
+
+    With c_k the primitive integer coefficients of q and m = max(|lo|, |hi|),
+    L = sum k |c_k| m^(k-1) bounds |q'| on the interval, so
+    |q(lo)| > L (hi - lo) leaves q no root in [lo, hi], and q has the sign
+    of q(lo) at the root.  Otherwise the interval is narrowed on the chain
+    and tested again, in cross-multiplied integers.  The test never passes
+    where q vanishes, so below DEEP_WIDTH the gcd of chain[0] and q (built
+    once) is asked for a root in the interval; if it has none, bisection
+    goes on.
+    """
+    if q.is_zero:
+        return [0] * len(intervals)
+    cs = _primitive_ints(q)
+    deg = len(cs) - 1
+    slope = [k * abs(c) for k, c in enumerate(cs)][1:]
+    common = None  # Sturm chain of gcd(chain[0], q), or False when it is constant
+    out = []
+    for iv in intervals:
+        m = max(abs(iv.lo), abs(iv.hi))
+        # L = l_num / l_den, and 0 for a constant q
+        l_num, l_den = _horner(slope, m.numerator, m.denominator), m.denominator ** max(deg - 1, 0)
+        asked = False
+        while True:
+            lo, width = iv.lo, iv.width
+            val = _horner(cs, lo.numerator, lo.denominator)  # lo.denominator^deg q(lo)
+            # |q(lo)| and L (hi - lo), times one common positive factor
+            gap = abs(val) * l_den * width.denominator
+            bound = l_num * width.numerator * lo.denominator ** deg
+            if gap > bound:
+                out.append(1 if val > 0 else -1)
+                break
+            if width <= DEEP_WIDTH and not asked:
+                asked = True
+                if common is None:
+                    g = poly_gcd(chain.chain[0], q)
+                    common = SturmChain(g) if g.degree > 0 else False
+                if common and common.count(iv.lo, iv.hi):
+                    out.append(0)
+                    break
+            # enough halvings to bring L (hi - lo) below about |q(lo)| / 2
+            halvings = min(max(1, bound.bit_length() - gap.bit_length() + 2), 64)
+            iv = refine(chain, iv, width / 2**halvings)
+    return out
 
 
 # -- exact linear algebra ------------------------------------------------------

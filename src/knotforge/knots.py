@@ -26,16 +26,15 @@ signs (-1)^i.  The steps:
     the roots of R = dd(y) in (-2, 2), so one routine serves `gen` (where
     R = A) and `verify` (where R is recomputed from a stored y).
 
-Everything up to the trigonometric parameter values is exact rational
-arithmetic; floats (and scaled-precision decimals, where coefficients
-outgrow doubles) appear only in reports and rendering.
+Every certificate is exact rational or integer arithmetic; floats appear
+only in reports and rendering, and decimals only in `crossing_oracle`,
+the brute-force reference the tests compare against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -48,6 +47,8 @@ from .errors import (
     SingularSystem,
 )
 from .exactpoly import (
+    DEEP_WIDTH,
+    IsolatingInterval,
     PlantedRoots,
     Poly,
     Rational,
@@ -56,13 +57,12 @@ from .exactpoly import (
     isolate_roots,
     rat_str,
     refine,
+    signs_at_roots,
     solve_linear,
 )
 from .pade import pade
 from .stieltjes import phi
 
-ORDERING_MARGIN = 1e-8
-COINCIDENCE_TOL = 1e-9
 ROOT_WIDTH = Fraction(1, 2**48)
 # The stages of `certify`, in the order it runs them.
 CERTIFY_STAGES = ("count", "nodes", "ordering", "space")
@@ -152,11 +152,8 @@ class Crossing:
 class CrossingReport:
     n_crossings: int
     crossings: tuple[Crossing, ...]
-    ordering_margin: float
+    ordering_margin: float  # diagnostic: smallest gap of s_1, ..., t_N in floats
     signs_alternate: Optional[bool] = None
-    sign_margin: Optional[float] = None
-    x_coincidence: Optional[float] = None
-    y_coincidence: Optional[float] = None
     epsilon: Optional[Fraction] = None
     nodes: Optional[tuple[Fraction, ...]] = None
 
@@ -347,6 +344,55 @@ def lift_plane(a_poly: Poly, n_crossings: int) -> PlaneCurve:
     return PlaneCurve(cb.t_poly(3), y)
 
 
+def _parameter_bounds(iv: IsolatingInterval, sign: int) -> tuple[int, int, int]:
+    """Enclosure of (u + sign sqrt(12 - 3u^2)) / 2, s for sign -1 and t for +1, on [lo, hi].
+
+    Returns (e, low, high) in units of 2^-e, at most a quarter of the
+    width.  s has its only minimum -2 at u = -1, and t its only maximum 2
+    at u = 1, so the endpoint values and, when inside, that extreme bound
+    them.  At u = p/q, f = floor(2^b u) and r = floor(2^b sqrt(12 - 3u^2))
+    put 2^(b+1) s in (f - r - 1, f - r + 1) and 2^(b+1) t in [f + r, f + r + 2).
+    """
+    b = math.floor(4 / iv.width).bit_length()
+    vals = [sign << (b + 2)] if iv.lo < sign < iv.hi else []
+    for u in (iv.lo, iv.hi):
+        p, q = u.numerator, u.denominator
+        f = (p << b) // q
+        r = math.isqrt(((12 * q * q - 3 * p * p) << 2 * b) // (q * q))
+        vals += [f + r, f + r + 2] if sign > 0 else [f - r - 1, f - r + 1]
+    return b + 1, min(vals), max(vals)
+
+
+def _certify_ordering(
+    chain: Union[SturmChain, PlantedRoots], intervals: Sequence[IsolatingInterval]
+) -> None:
+    """Prove s_1 < ... < s_N < t_1 < ... < t_N on the enclosures of `_parameter_bounds`.
+
+    When two neighboring enclosures overlap, the root intervals they come
+    from are halved on the chain and the pair compared again, down to
+    DEEP_WIDTH.  Disjoint enclosures in the wrong order, or a pair still
+    overlapping at that width, raise OrderingViolation.
+    """
+    n = len(intervals)
+    ivs = list(intervals)
+    seq = [(i, -1) for i in range(n)] + [(i, 1) for i in range(n)]  # s_1..s_N, t_1..t_N
+    bounds = [_parameter_bounds(ivs[i], sign) for i, sign in seq]
+    for pos in range(2 * n - 1):
+        (i, si), (j, sj) = seq[pos], seq[pos + 1]
+        while True:
+            (ea, a_lo, a_hi), (eb, b_lo, b_hi) = bounds[pos], bounds[pos + 1]
+            if a_hi << eb < b_lo << ea:
+                break
+            pair = f"{'st'[si > 0]}_{i + 1} and {'st'[sj > 0]}_{j + 1}"
+            if a_lo << eb > b_hi << ea:
+                raise OrderingViolation(f"parameters {pair} are out of order")
+            for k in {i, j}:
+                if ivs[k].width <= DEEP_WIDTH:
+                    raise OrderingViolation(f"parameters {pair} not separated at width 2^-200")
+                ivs[k] = refine(chain, ivs[k], ivs[k].width / 2)
+                bounds[k::n] = [_parameter_bounds(ivs[k], sign) for sign in (-1, 1)]  # s_k, t_k
+
+
 def crossings(
     a_poly: Union[Poly, SturmChain, PlantedRoots], n_crossings: int
 ) -> CrossingReport:
@@ -357,15 +403,19 @@ def crossings(
     are isolated in (-2, 2) by Sturm bisection (isolation itself certifies
     the count) and refined to width 2^-48, all on one chain, so the
     squarefree part is computed once.  Each root is then mapped through
-    u = 2 cos(alpha), s = 2 cos(alpha + pi/3), t = 2 cos(alpha - pi/3).
-    The 2N-way ordering s_1 < ... < s_N < t_1 < ... < t_N must hold with
-    margin > 1e-8, else OrderingViolation.
+    u = 2 cos(alpha), s = 2 cos(alpha + pi/3), t = 2 cos(alpha - pi/3) in
+    floats for the report.  The 2N-way ordering
+    s_1 < ... < s_N < t_1 < ... < t_N is proved on rational enclosures
+    (`_certify_ordering`), else OrderingViolation; the float
+    `ordering_margin`, the smallest gap of that sequence, is a diagnostic.
     """
-    two = Fraction(2)
     chain = SturmChain.of(a_poly)
+    intervals = [refine(chain, iv, ROOT_WIDTH) for iv in isolate_roots(chain, -2, 2)]
+    if len(intervals) != n_crossings:
+        raise OrderingViolation(f"found {len(intervals)} crossings, expected {n_crossings}")
+    _certify_ordering(chain, intervals)
     out = []
-    for iv in isolate_roots(chain, -two, two):
-        iv = refine(chain, iv, ROOT_WIDTH)
+    for iv in intervals:
         u = float(iv.midpoint)
         alpha = math.acos(max(-1.0, min(1.0, u / 2.0)))
         s = 2.0 * math.cos(alpha + math.pi / 3.0)
@@ -373,11 +423,6 @@ def crossings(
         out.append(Crossing(iv.lo, iv.hi, u, alpha, s, t))
     seq = [c.s for c in out] + [c.t for c in out]
     margin = min((b - a for a, b in zip(seq, seq[1:])), default=math.inf)
-    if len(out) != n_crossings or margin <= ORDERING_MARGIN:
-        raise OrderingViolation(
-            f"found {len(out)} crossings, ordering margin {margin:.3e} "
-            f"(need {n_crossings} with margin > {ORDERING_MARGIN:.0e})"
-        )
     return CrossingReport(n_crossings=n_crossings, crossings=tuple(out), ordering_margin=margin)
 
 
@@ -413,22 +458,6 @@ def lift_height(b_poly: Poly) -> cb.ChebT:
 # -- verification -----------------------------------------------------------------
 
 
-def _decimal_st(u_num: int, u_den: int) -> tuple[Decimal, Decimal]:
-    """The crossing parameter pair for abscissa u: roots of X^2 - uX + (u^2 - 3)."""
-    u = Decimal(u_num) / Decimal(u_den)
-    disc = (Decimal(12) - 3 * u * u).sqrt()
-    return (u - disc) / 2, (u + disc) / 2
-
-
-def _coefficient_digits(c: cb.ChebT) -> int:
-    """Decimal digits of the integer part of 1 + sum |c_k|, which scales the precision."""
-    try:
-        return len(str(int(sum(abs(float(v)) for _, v in c.items) + 1.0)))
-    except OverflowError:
-        # beyond the double range; the bit length bounds the digits within one
-        return int(int(sum(abs(v) for _, v in c.items)).bit_length() * 0.30103) + 1
-
-
 def certify(
     y: cb.ChebT,
     z: Optional[cb.ChebT],
@@ -447,25 +476,24 @@ def certify(
     - nodes: when planted nodes are given, 2n + 1 = N and every planted
       root is an exact root of R;
     - ordering: the crossings are located on the same chain and their
-      parameters ordered with margin > 1e-8 (see `crossings`).  After the
-      count and nodes stages the roots of R in (-2, 2) are exactly the N
-      planted ones, so with nodes the bisection reads its counts and
-      signs there from the planted set (`PlantedRoots`) instead of
-      evaluating the chain; the intervals are the same either way;
-    - space: when z is present, dd(z) equals (-1)^i exactly at the
-      planted roots, and z(t_i) - z(s_i) has sign (-1)^i; then the x/y
-      coincidence residuals must be below 1e-9.
+      parameters proved ordered (see `crossings`).  After the count and
+      nodes stages the roots of R in (-2, 2) are exactly the N planted
+      ones, so with nodes the bisection reads its counts and signs there
+      from the planted set (`PlantedRoots`); the intervals are the same;
+    - space: when z is present, z(t) - z(s) = (t - s) dd(z)(u) with
+      t - s = sqrt(12 - 3u^2) > 0, so the sign at a crossing is that of
+      dd(z) at its root u: exactly (-1)^i at planted nodes, and otherwise
+      `signs_at_roots` on R's chain, where a root shared with dd(z)
+      (z(t) = z(s)) fails.
 
-    The sign and residual checks run in decimal arithmetic at a precision
-    that scales with the coefficient size, since the height coefficients
-    outgrow doubles long before N reaches 21.  With z they are taken at
-    the planted roots when given; without z, and for node-less curves, at
-    the midpoints of the refined root intervals.
+    Every certificate is exact.  The x/y coincidences are identities: s, t
+    are the roots of X^2 - uX + (u^2 - 3), so T_3(s) = T_3(t), and
+    y(t) - y(s) = (t - s) R(u) = 0.
 
     Returns the completed report; a failed stage raises
     CertificationFailed carrying the stage and the report so far.
     """
-    r_poly = cb.from_V(cb.divided_difference(y))
+    r_poly = cb.divided_difference(y).to_poly()
     if chain is None:
         if r_poly.is_zero:
             raise CertificationFailed("divided-difference image of y is zero", "count")
@@ -491,49 +519,25 @@ def certify(
         report = crossings(located, n_crossings)
     except OrderingViolation as exc:
         raise CertificationFailed(str(exc), "ordering") from exc
+    if z is None:
+        return report
 
-    planted = None
-    if z is not None and nodes is not None:
-        planted = nodes.all_roots()
-        zv = cb.from_V(cb.divided_difference(z))
-        for i, u in enumerate(planted, start=1):
+    zv = cb.divided_difference(z).to_poly()
+    if nodes is not None:
+        for i, u in enumerate(nodes.all_roots(), start=1):
             if zv(u) != (-1) ** i:
                 raise CertificationFailed(f"dd(z)({rat_str(u)}) != {(-1) ** i}", "space", report)
-    prec = 40 + max(_coefficient_digits(c) for c in (y, z) if c is not None)
-    x_err = y_err = 0.0
-    sign_margin = math.inf
-    completed = []
-    with localcontext() as ctx:
-        ctx.prec = prec
-        for i, cr in enumerate(report.crossings, start=1):
-            u = planted[i - 1] if planted is not None else cr.u_lo / 2 + cr.u_hi / 2
-            s, t = _decimal_st(u.numerator, u.denominator)
-            xs = s * s * s - 3 * s
-            xt = t * t * t - 3 * t
-            ys = cb.eval_T_decimal(y, s)
-            yt = cb.eval_T_decimal(y, t)
-            x_err = max(x_err, abs(float(xt - xs)))
-            y_err = max(y_err, abs(float(yt - ys)))
-            if z is not None:
-                zd = cb.eval_T_decimal(z, t) - cb.eval_T_decimal(z, s)
-                sign = 1 if zd > 0 else -1
-                if sign != (-1) ** i:
-                    raise CertificationFailed(
-                        f"crossing {i}: z(t)-z(s) has sign {sign}, expected {(-1) ** i}",
-                        "space", report,
-                    )
-                sign_margin = min(sign_margin, abs(float(zd)))
-                cr = replace(cr, sign=sign)
-            completed.append(cr)
-    if x_err >= COINCIDENCE_TOL or y_err >= COINCIDENCE_TOL:
-        raise CertificationFailed(
-            f"coincidence residuals too large: x {x_err:.3e}, y {y_err:.3e}"
-            if z is not None else f"y coincidence residual {y_err:.3e} >= 1e-9",
-            "space", report,
-        )
-    if z is not None:
-        report = replace(report, signs_alternate=True, sign_margin=sign_margin)
-    return replace(report, crossings=tuple(completed), x_coincidence=x_err, y_coincidence=y_err)
+    else:
+        intervals = [IsolatingInterval(c.u_lo, c.u_hi) for c in report.crossings]
+        for i, sign in enumerate(signs_at_roots(chain, zv, intervals), start=1):
+            if sign != (-1) ** i:
+                raise CertificationFailed(
+                    f"crossing {i}: z(t)-z(s) has sign {sign}, expected {(-1) ** i}" if sign
+                    else f"z(t) = z(s) at crossing {i}", "space", report,
+                )
+    # every sign is now certified to be (-1)^i
+    completed = tuple(replace(c, sign=(-1) ** i) for i, c in enumerate(report.crossings, start=1))
+    return replace(report, crossings=completed, signs_alternate=True)
 
 
 # -- the full pipeline --------------------------------------------------------------
@@ -621,6 +625,8 @@ def crossing_oracle(x: Poly, y: Poly, grid: int = 800, box: float = 2.2) -> int:
     coefficient size: the deformed curves hide their coincidences at
     magnitudes far below double-precision noise.
     """
+    from decimal import Decimal, localcontext
+
     if x.degree != 3:
         raise ValueError("oracle requires deg x = 3")
     mag = sum(abs(float(c)) * (box + 0.1) ** k for k, c in enumerate(y.coeffs)) + 2.0

@@ -148,13 +148,13 @@ def _is_finite_number(v: Any) -> bool:
     return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
-def _space_coordinate(d: Any, name: str) -> cb.ChebT:
+def _space_coordinate(d: Any, name: str, max_degree: int) -> cb.ChebT:
     c = basis_from_json(d)
-    if isinstance(c, Poly):
-        return cb.to_T(c)
     if isinstance(c, cb.ChebV):
         raise SchemaError(f"{name} must be in the T or monomial basis")
-    return c
+    if c.degree > max_degree:
+        raise SchemaError(f"{name} has degree {c.degree}, above the cap 4N + 64 = {max_degree}")
+    return cb.to_T(c) if isinstance(c, Poly) else c
 
 
 def parse_curve(doc: Any) -> StoredCurve:
@@ -162,8 +162,10 @@ def parse_curve(doc: Any) -> StoredCurve:
 
     N must be an odd positive integer; every coefficient, node and epsilon
     a rational string; the nodes satisfy 0 < d_1 < ... < d_n < 1; y and z
-    are given in the T or monomial basis; and each stored crossing is an
-    object with numeric "s" and "t" and a "sign" of -1, 1 or null.
+    are given in the T or monomial basis, of degree at most 4N + 64 (a
+    `gen` curve has about 1.5N), which bounds the work of `verify`; and
+    each stored crossing is an object with numeric "s" and "t" and a
+    "sign" of -1, 1 or null.
     """
     if not isinstance(doc, dict):
         raise SchemaError("document is not an object")
@@ -177,8 +179,9 @@ def parse_curve(doc: Any) -> StoredCurve:
     x = basis_from_json(doc["x"])
     if isinstance(x, (cb.ChebT, cb.ChebV)):
         x = x.to_poly()
-    y = _space_coordinate(doc["y"], "y")
-    z = _space_coordinate(doc["z"], "z") if doc.get("z") is not None else None
+    max_degree = 4 * n_crossings + 64
+    y = _space_coordinate(doc["y"], "y", max_degree)
+    z = _space_coordinate(doc["z"], "z", max_degree) if doc.get("z") is not None else None
     epsilon = doc.get("epsilon")
     if epsilon is not None:
         epsilon = _rat_from_json(epsilon, "epsilon")
@@ -213,13 +216,14 @@ def verify_curve(doc: Any) -> tuple[bool, list[str]]:
     Returns (ok, report lines).  `parse_curve` checks the schema first and
     raises SchemaError on any malformed field.  Then x must be exactly the
     monic degree-3 cosine polynomial, and `knots.certify` runs its stages
-    on the stored y, z and nodes: R = dd(y) has exactly N roots in (-2, 2)
-    (Sturm); stored nodes number (N - 1) / 2 and are exact roots of R; the
-    crossing parameters are ordered with margin > 1e-8; when z is present,
-    the crossing signs alternate (exactly at stored nodes, and in
-    scaled-precision decimals at every crossing); and the x/y coincidence
-    residuals are below 1e-9.  Each passed stage gives an "ok" line, and
-    the failed one a "FAIL" line that ends the report.
+    on the stored y, z and nodes, each of them exact: R = dd(y) has
+    exactly N roots in (-2, 2) (Sturm); stored nodes number (N - 1) / 2
+    and are exact roots of R; the crossing parameters are ordered (proved
+    on rational enclosures; the printed float margin is a diagnostic);
+    and when z is present, the crossing signs alternate (dd(z) = (-1)^i
+    at stored nodes, otherwise the exact sign of dd(z) at each root of
+    R).  Each passed stage gives an "ok" line, and the failed one a
+    "FAIL" line that ends the report.
     """
     curve = parse_curve(doc)
     if curve.x != cb.t_poly(3):
@@ -241,21 +245,12 @@ def verify_curve(doc: Any) -> tuple[bool, list[str]]:
         if z is None:
             lines.append("note z absent: plane diagram only, sign checks skipped")
     if failure is not None:
-        prefix = {"ordering": "ordering: ",
-                  "space": "space verification: " if z is not None else ""}
+        prefix = {"ordering": "ordering: ", "space": "space verification: "}
         lines.append(f"FAIL {prefix.get(failure.stage, '')}{failure}")
         return False, lines
     if z is None:
-        lines.append(f"ok   x/y coincide at all crossings (max residual {report.y_coincidence:.3e})")
         return True, lines
-    lines.append(
-        f"ok   x/y coincide at all crossings "
-        f"(residuals x {report.x_coincidence:.3e}, y {report.y_coincidence:.3e})"
-    )
-    lines.append(
-        f"ok   crossing signs alternate (-1)^i (margin {report.sign_margin:.3e})"
-        + (" [exact at planted nodes]" if curve.nodes is not None else "")
-    )
+    lines.append("ok   crossing signs alternate (-1)^i [exact]")
     if curve.y.degree != plane_degree(n_crossings):
         lines.append(f"note deg y = {curve.y.degree} (canonical synthesized degree is "
                      f"{plane_degree(n_crossings)})")

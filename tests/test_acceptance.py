@@ -13,8 +13,6 @@ from knotforge.chebyshev import (
     ChebT,
     divided_difference,
     eps,
-    from_T,
-    from_V,
     lift_from_V,
     t_poly,
     to_V,
@@ -89,14 +87,14 @@ def test_criterion_1_cn_table_reproduction():
 
 def test_criterion_2_nine_crossing_fixture():
     with _Timer(5.0) as t:
-        r_poly = from_V(divided_difference(FIXTURE_Y))
+        r_poly = divided_difference(FIXTURE_Y).to_poly()
         assert count_roots(r_poly, -2, 2) == 9          # certified path
         report = crossings(r_poly, 9)                   # ordering + margin
         assert len(report.crossings) == 9
         assert report.ordering_margin > 1e-8
         seq = [c.s for c in report.crossings] + [c.t for c in report.crossings]
         assert seq == sorted(seq)
-        assert crossing_oracle(t_poly(3), from_T(FIXTURE_Y)) == 9  # brute force
+        assert crossing_oracle(t_poly(3), FIXTURE_Y.to_poly()) == 9  # brute force
     _report(2, "fixture curve: 9 crossings by Sturm and by brute force, ordered", t)
 
 
@@ -112,7 +110,7 @@ def test_criterion_3_full_synthesis_sweep(tmp_path, capsys):
             assert report.signs_alternate
             assert [c.sign for c in report.crossings] == [(-1) ** i for i in range(1, n + 1)]
             # exact sign certificate at the planted rational nodes
-            b_poly = from_V(divided_difference(curve.z))
+            b_poly = divided_difference(curve.z).to_poly()
             for i, u in enumerate(NodeSet((n - 1) // 2, report.nodes).all_roots(), start=1):
                 assert b_poly(u) == (-1) ** i
             # CLI round trip: gen then verify must both exit 0
@@ -129,7 +127,7 @@ def test_criterion_4_trefoil_cross_check():
         degrees = (curve.plane.x.degree, curve.plane.y.degree, curve.z.degree)
         assert degrees == (3, 4, 5)
         assert report.n_crossings == 3
-        assert crossing_oracle(curve.plane.x, from_T(curve.plane.y)) == 3
+        assert crossing_oracle(curve.plane.x, curve.plane.y.to_poly()) == 3
     _report(4, "trefoil: degrees (3,4,5) and oracle agrees on 3 crossings", t)
 
 

@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from knotforge import cli
 from knotforge.cli import main
 from knotforge.exactpoly import rat_str
 from knotforge.knots import synthesize
@@ -82,6 +83,22 @@ class TestGen:
         assert code == 1
 
 
+class TestParser:
+    def test_calls_share_one_parser(self, capsys):
+        cli._build_parser.cache_clear()
+        assert run(["phi", "--count", "2"], capsys)[0] == 0
+        assert run(["phi", "--count", "3"], capsys)[0] == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_usage_error_on_the_shared_parser_exits_one(self, capsys):
+        assert run(["phi", "--count", "2"], capsys)[0] == 0
+        code, out, err = run(["phi", "--count", "two"], capsys)
+        assert code == 1
+        assert out == "" and "invalid int value" in err
+        assert run(["phi", "--count", "2"], capsys) == (0, "4/9\n32/243\n", "")
+
+
 class TestVerify:
     def test_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "n5.json"
@@ -108,6 +125,19 @@ class TestVerify:
         code, stdout, _ = run(["verify", str(anon)], capsys)
         assert code == 0
         assert "signs alternate" in stdout
+
+    def test_nodeless_height_flat_at_a_crossing_fails(self, tmp_path, capsys):
+        # z = T_2 gives dd(z) = V_1 = u, which vanishes at the middle
+        # crossing u = 0: there z(t) = z(s) and the strands meet
+        out = tmp_path / "n3.json"
+        run(["gen", "--n", "3", "--out", str(out)], capsys)
+        doc = json.loads(out.read_text())
+        doc.update(nodes=None, epsilon=None, z={"basis": "T", "coeffs": ["0", "0", "1"]})
+        flat = tmp_path / "flat.json"
+        flat.write_text(json.dumps(doc))
+        code, stdout, _ = run(["verify", str(flat)], capsys)
+        assert code == 2
+        assert "FAIL space verification: z(t) = z(s) at crossing 2\n" in stdout
 
     def test_tampered_coefficient_fails(self, tmp_path, capsys):
         out = tmp_path / "n5.json"
@@ -162,6 +192,12 @@ def _set_y_coefficient(doc, value):
     doc["y"]["coeffs"][1] = value
 
 
+def _raise_degree(doc, coordinate, degree):
+    """Pad a coordinate with zeros to the given degree, with a 1 on top."""
+    coeffs = doc[coordinate]["coeffs"]
+    coeffs.extend(["0"] * (degree - len(coeffs)) + ["1"])
+
+
 class TestVerifyMalformed:
     """Malformed files exit 1 with a one-line schema reason, never a traceback."""
 
@@ -181,6 +217,11 @@ class TestVerifyMalformed:
             pytest.param(lambda d: d.update(epsilon="1e5"), id="epsilon-exponent"),
             pytest.param(lambda d: _set_y_coefficient(d, "0.5"), id="decimal-coefficient"),
             pytest.param(lambda d: _set_y_coefficient(d, "1_000"), id="underscore-coefficient"),
+            # the cap is 4N + 64 = 84 for N = 5
+            pytest.param(lambda d: _raise_degree(d, "y", 85), id="y-degree-above-cap"),
+            pytest.param(lambda d: _raise_degree(d, "z", 85), id="z-degree-above-cap"),
+            pytest.param(lambda d: d.update(y={"basis": "monomial", "coeffs": ["0"] * 85 + ["1"]}),
+                         id="monomial-y-degree-above-cap"),
         ],
     )
     def test_exits_one_with_schema_reason(self, tmp_path, capsys, mutate):
@@ -361,7 +402,12 @@ rational_values = st.one_of(
 
 @st.composite
 def mutated_documents(draw, bases):
-    """A stored curve with one to three fields edited, replaced or dropped."""
+    """A stored curve with one to three fields edited, replaced or dropped.
+
+    Returns (document, raised): sometimes the y or z of a document whose N
+    is still a small odd integer is then padded to a degree above the cap
+    4N + 64, and raised is True.
+    """
     doc = copy.deepcopy(draw(st.sampled_from(bases)))
     for _ in range(draw(st.integers(1, 3))):
         field = draw(st.sampled_from(["x", "y", "z", "nodes", "epsilon", "N", "crossings"]))
@@ -385,7 +431,13 @@ def mutated_documents(draw, bases):
                 target[i][draw(st.sampled_from(["s", "t", "sign", "u"]))] = draw(json_values)
             else:
                 target[i] = draw(rational_values)
-    return doc
+    n, name = doc.get("N"), draw(st.sampled_from(["y", "z"]))
+    coordinate = doc.get(name)
+    raised = (draw(st.integers(0, 7)) == 0 and type(n) is int and 1 <= n <= 45 and n % 2 == 1
+              and isinstance(coordinate, dict) and isinstance(coordinate.get("coeffs"), list))
+    if raised:
+        _raise_degree(doc, name, 4 * n + 64 + draw(st.integers(1, 3)))
+    return doc, raised
 
 
 def _n3_document():
@@ -395,7 +447,8 @@ def _n3_document():
 
 class TestFuzz:
     """verify and export map every mutated curve file to 0, 1 or 2, never a
-    traceback, and a successful export holds no nan or inf."""
+    traceback, and a successful export holds no nan or inf.  A y or z of
+    degree above the cap exits 1."""
 
     @pytest.fixture(scope="class")
     def bases(self, fixture_n9_path):
@@ -410,7 +463,7 @@ class TestFuzz:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
     def test_mutated_files_exit_cleanly(self, bases, work, data):
-        doc = data.draw(mutated_documents(bases))
+        doc, raised = data.draw(mutated_documents(bases))
         path = work / "mutated.json"
         path.write_text(json.dumps(doc))
         out = work / "o"
@@ -418,6 +471,6 @@ class TestFuzz:
                      ["export", "--svg", "--samples", "60", str(path), "--out", str(out)],
                      ["export", "--csv", "--samples", "60", str(path), "--out", str(out)]):
             code = main(argv)
-            assert code in (0, 1, 2)
+            assert code in ((1,) if raised else (0, 1, 2))
             if argv[0] == "export" and code == 0:
                 assert not NON_FINITE.search(out.read_text())

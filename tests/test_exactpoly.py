@@ -18,6 +18,7 @@ from knotforge.exactpoly import (
     poly_gcd,
     rat_str,
     refine,
+    signs_at_roots,
     solve_linear,
     squarefree_part,
     _primitive_ints,
@@ -438,6 +439,49 @@ class TestIntegerKernel:
         assert isolate_roots(oracle, -2, 2) == ivs
         for iv in ivs:
             assert refine(oracle, iv, F(1, 2**48)) == refine(chain, iv, F(1, 2**48))
+
+
+class TestSignsAtRoots:
+    """The exact sign of q at each root of p, from p's isolating intervals."""
+
+    @given(
+        st.lists(st.fractions(F(-19, 10), F(19, 10), max_denominator=40),
+                 min_size=1, max_size=4, unique=True),
+        st.lists(st.fractions(F(-19, 10), F(19, 10), max_denominator=40), max_size=3),
+        st.booleans(),
+        st.sampled_from([1, -3, F(1, 7)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_sign_at_rational_roots(self, roots, q_roots, share, lead):
+        if share:
+            q_roots = q_roots + roots[:1]  # q vanishes at a root of p
+        q = poly_from_roots(q_roots).scale(lead)
+        chain = SturmChain(poly_from_roots(roots))
+        expected = [sign(q(r)) for r in sorted(roots)]
+        assert signs_at_roots(chain, q, isolate_roots(chain, -2, 2)) == expected
+
+    @pytest.mark.parametrize("offset,expected", [
+        (F(-1, 2**150), -1),   # decided above the gcd depth
+        (F(1, 2**250), 1),     # decided below it, after the gcd finds no common root
+        (F(0), 0),
+    ])
+    def test_root_of_q_next_to_a_root_of_p(self, offset, expected):
+        chain = SturmChain(poly_from_roots([F(-1), F(1, 3)]))
+        q = Poly([-F(1, 3) + offset, 1])  # q(1/3) = offset
+        ivs = isolate_roots(chain, -2, 2)
+        assert signs_at_roots(chain, q, ivs) == [-1, expected]
+
+    def test_irrational_roots(self):
+        p = Poly([-2, 0, 1])                 # roots -sqrt(2), sqrt(2)
+        q = T * p - Poly([F(1, 10**30)])     # -10^-30 at both roots
+        chain = SturmChain(p)
+        assert signs_at_roots(chain, q, isolate_roots(chain, -2, 2)) == [-1, -1]
+
+    def test_constant_and_zero(self):
+        chain = SturmChain(poly_from_roots([F(-1, 2), F(1, 2)]))
+        ivs = isolate_roots(chain, -2, 2)
+        assert signs_at_roots(chain, Poly([F(-2, 3)]), ivs) == [-1, -1]
+        assert signs_at_roots(chain, Poly(), ivs) == [0, 0]
 
 
 class TestLinearAlgebra:

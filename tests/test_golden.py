@@ -1,8 +1,9 @@
 """Byte-level golden outputs of `gen`, `verify` and `export`.
 
-The `gen`/`verify` digests were recorded before the integer
-root-isolation kernel replaced the rational one.  Every isolating
-interval, and so every crossing abscissa and residual printed, feeds
+The `gen` digests were recorded before the integer root-isolation
+kernel replaced the rational one, and the `verify` digests when the
+decimal sign and residual lines gave way to exact ones.  Every isolating
+interval, and so every crossing abscissa and margin printed, feeds
 these bytes, so a moved interval or a changed bisection choice fails
 here.  The `export` digests were recorded before the float sampling
 moved to whole-grid evaluation: every sample goes through the same
@@ -24,10 +25,10 @@ GEN_SHA256 = {
     15: "b133bfd8ddf09a5828753e259d37f6a8efc1c210b9283e203a9e99d7356f9ac9",
     21: "bcf1f8d4121979f11bed609663e846b438132597035e69b47dd897862236654e",
 }
-VERIFY_FIXTURE_SHA256 = "2b3449ef1a860085ce32229d9b0f4ae04221ecff2a497dc31a12e5f7b8b7ab39"
+VERIFY_FIXTURE_SHA256 = "a25fe7a2d9718ee5ecf8d079068bd00d3f9cad8df19c6fc839f8ea0f89dfb904"
 VERIFY_N21_SHA256 = {
-    "nodeless": "7f6d047aa038baf44007b2a595c80166604eee6254961d44b59b3db82999d3cd",
-    "plane": "3769cee5f7eff867891ee172bcaf9f23ed58806fe1dd5f058f668dd92abf4d3b",
+    "nodeless": "c100254e9df7d3e850b1300301f5954f145a8ad1885f4a7e4b8e9c6ec2f56db5",
+    "plane": "be671392e10931835058aee8eaa1210cf86c5cf194f6599695702b3b637569a4",
 }
 EXPORT_SHA256 = {
     (3, "svg"): "cb2f2f5e7d3ad9d5bc7774049a62e3a51d15fdc83ddd4085fe0dc37568b53c36",

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from knotforge.chebyshev import ChebT, divided_difference, from_T, from_V, t_poly
+from knotforge.chebyshev import ChebT, divided_difference, t_poly
 from knotforge.exactpoly import Poly, count_roots, squarefree_part
 from knotforge.knots import crossing_oracle, synthesize
 
@@ -22,20 +22,20 @@ class TestOracleBasics:
             crossing_oracle(Poly([0, 0, 1]), Poly([0, 1]))
 
     def test_fixture_has_nine(self):
-        assert crossing_oracle(X3, from_T(FIXTURE_Y)) == 9
+        assert crossing_oracle(X3, FIXTURE_Y.to_poly()) == 9
 
     def test_unknot_diagram(self):
         curve, _ = synthesize(1)
-        assert crossing_oracle(X3, from_T(curve.plane.y)) == 1
+        assert crossing_oracle(X3, curve.plane.y.to_poly()) == 1
 
     def test_trefoil(self):
         curve, _ = synthesize(3)
-        assert crossing_oracle(X3, from_T(curve.plane.y)) == 3
+        assert crossing_oracle(X3, curve.plane.y.to_poly()) == 3
 
     def test_synthesized_through_eleven(self):
         for n in (5, 7, 9, 11):
             curve, _ = synthesize(n)
-            assert crossing_oracle(X3, from_T(curve.plane.y)) == n
+            assert crossing_oracle(X3, curve.plane.y.to_poly()) == n
 
 
 class TestCrossValidation:
@@ -52,12 +52,12 @@ class TestCrossValidation:
                 2: F(rng.randint(-40, 40), rng.randint(200, 400)),
                 5: F(rng.randint(-40, 40), rng.randint(200, 400)),
             })
-            r_poly = from_V(divided_difference(y))
+            r_poly = divided_difference(y).to_poly()
             if squarefree_part(r_poly).degree != r_poly.degree:
                 continue
             expected = count_roots(r_poly, -2, 2)
             if expected != count_roots(r_poly, F(-9, 5), F(9, 5)):
                 continue  # keep roots clear of the +-2 degeneracy
-            assert crossing_oracle(X3, from_T(y), grid=400) == expected
+            assert crossing_oracle(X3, y.to_poly(), grid=400) == expected
             agreed += 1
         assert agreed == 20

@@ -1,13 +1,14 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from knotforge import knots
-from knotforge.chebyshev import divided_difference, from_V, to_V
-from knotforge.errors import EpsilonExhausted, NotInImage, SingularSystem
-from knotforge.exactpoly import PlantedRoots, Poly, SturmChain
+from knotforge.chebyshev import divided_difference, to_V
+from knotforge.errors import EpsilonExhausted, NotInImage, OrderingViolation, SingularSystem
+from knotforge.exactpoly import IsolatingInterval, PlantedRoots, Poly, SturmChain
 from knotforge.knots import (
     NodeSet,
     build_cn,
@@ -158,11 +159,11 @@ class TestPlaneLift:
     def test_divided_difference_inverts_lift(self):
         poly = Poly([0, F(-1, 64), 0, 1])
         plane = lift_plane(poly, 3)
-        assert from_V(divided_difference(plane.y)) == poly
+        assert divided_difference(plane.y).to_poly() == poly
 
     def test_rejects_non_image(self):
         with pytest.raises(NotInImage):
-            lift_plane(from_V(to_V(Poly([0, 0, 1]))), 1)  # even poly has V_2 part
+            lift_plane(to_V(Poly([0, 0, 1])).to_poly(), 1)  # even poly has V_2 part
 
 
 class TestCrossings:
@@ -187,6 +188,51 @@ class TestCrossings:
         seq = [c.s for c in report.crossings] + [c.t for c in report.crossings]
         assert seq == sorted(seq)
 
+    # R = u^2 - 3 + e has the roots -+sqrt(3 - e), and s_2 - t_1 has the sign of -e:
+    # at e = 0 the parameters s_2 = t_1 = 0 coincide
+    def test_ordering_proved_below_the_float_margin(self):
+        report = crossings(Poly([-3 + F(1, 2**60), 0, 1]), 2)
+        assert [c.u_hi - c.u_lo <= F(1, 2**48) for c in report.crossings] == [True, True]
+        assert report.ordering_margin < 1e-8  # far below what the float diagnostic resolves
+
+    def test_ordering_violation_below_the_float_margin(self):
+        with pytest.raises(OrderingViolation, match="parameters s_2 and t_1 are out of order"):
+            crossings(Poly([-3 - F(1, 2**60), 0, 1]), 2)
+
+    def test_coincident_parameters_are_not_separated(self):
+        with pytest.raises(OrderingViolation, match="s_2 and t_1 not separated at width 2"):
+            crossings(Poly([-3, 0, 1]), 2)
+
+    def test_roots_below_minus_one_reverse_s(self):
+        # s falls on (-2, -1), so two roots there give s_1 > s_2
+        with pytest.raises(OrderingViolation, match="parameters s_1 and s_2 are out of order"):
+            crossings(Poly([F(54, 25), 3, 1]), 2)  # (u + 9/5)(u + 6/5)
+
+    @given(
+        lo=st.fractions(F(-2), F(2), max_denominator=2**20),
+        width=st.one_of(st.fractions(F(1, 2**70), F(2), max_denominator=2**70),
+                        st.integers(-1, 80).map(lambda k: F(1, 2) ** k)),
+        at=st.one_of(st.sampled_from([F(0), F(1), F(1, 3)]), st.fractions(F(0), F(1))),
+    )
+    @example(lo=F(-2), width=F(2), at=F(1, 3))  # wide around the minimum s(-1) = -2
+    @example(lo=F(0), width=F(2), at=F(1, 3))   # and around the maximum t(1) = 2
+    @settings(max_examples=200, deadline=None)
+    def test_parameter_enclosures_hold(self, lo, width, at):
+        # reference: s, t = (u -+ sqrt(12 - 3u^2)) / 2 in 100-digit decimals
+        hi = min(lo + width, F(2))
+        if not lo < hi:
+            return
+        iv = IsolatingInterval(lo, hi)
+        points = [lo + (hi - lo) * at] + [u for u in (F(-1), F(1)) if lo < u < hi]
+        with localcontext() as ctx:
+            ctx.prec = 100
+            for sign in (-1, 1):
+                e, low, high = knots._parameter_bounds(iv, sign)
+                scale = Decimal(2) ** e
+                for u in points:
+                    d = Decimal(u.numerator) / Decimal(u.denominator)
+                    value = (d + sign * (12 - 3 * d * d).sqrt()) / 2
+                    assert Decimal(low) / scale <= value <= Decimal(high) / scale
 
     @pytest.mark.parametrize("nodes", [
         pytest.param((F(1, 4), F(1, 2)), id="n5"),
@@ -290,14 +336,14 @@ class TestSynthesize:
     def test_exact_identities_and_margins(self):
         curve, report = synthesize(7)
         nodes = NodeSet(3, report.nodes)
-        a_poly = from_V(divided_difference(curve.plane.y))
-        b_poly = from_V(divided_difference(curve.z))
+        a_poly = divided_difference(curve.plane.y).to_poly()
+        b_poly = divided_difference(curve.z).to_poly()
         for i, u in enumerate(nodes.all_roots(), start=1):
             assert a_poly(u) == 0
             assert b_poly(u) == (-1) ** i
         assert report.ordering_margin > 1e-8
-        assert report.sign_margin > 1.0
-        assert report.x_coincidence < 1e-9 and report.y_coincidence < 1e-9
+        assert report.signs_alternate
+        assert [c.sign for c in report.crossings] == [(-1) ** i for i in range(1, 8)]
 
     def test_certify_is_idempotent(self):
         curve, report = synthesize(5)

@@ -19,7 +19,7 @@ def test_sweep_runs():
     rows = proc.stdout.splitlines()[1:]
     assert [row.split()[0] for row in rows] == ["1", "3", "5", "7"]
     # the oracle column counts N up to --oracle-max-n and is skipped above it
-    assert [row.split()[5] for row in rows] == ["1", "3", "5", "-"]
+    assert [row.split()[4] for row in rows] == ["1", "3", "5", "-"]
 
 
 def test_fixture_script_reproduces_fixture(fixture_n9_path):

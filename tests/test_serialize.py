@@ -108,3 +108,13 @@ class TestVerifyCurve:
         doc["nodes"] = ["1/7"]  # not the planted node
         ok, lines = verify_curve(doc)
         assert not ok
+
+    def test_nodeless_n51_verifies(self):
+        # dd(z) changes sign inside the 2^-48 root interval at crossing 1,
+        # so a sign read at the interval's midpoint is wrong there
+        curve, report = synthesize(51)
+        doc = curve_to_dict(51, curve.plane.x, curve.plane.y, curve.z, report, True)
+        doc["nodes"] = doc["epsilon"] = None
+        ok, lines = verify_curve(doc)
+        assert ok, lines
+        assert "ok   crossing signs alternate (-1)^i [exact]" in lines
