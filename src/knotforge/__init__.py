@@ -42,7 +42,6 @@ from .exactpoly import (
     rat_str,
     parse_rat,
     refine,
-    squarefree_part,
 )
 from .knots import (
     CnBasis,
@@ -56,11 +55,11 @@ from .knots import (
     build_cn_tilde,
     build_cn_triangular,
     certify,
-    certify_A,
+    certify_cofactor,
     crossing_oracle,
     crossings,
-    lift_height,
     lift_plane,
+    planted_factor,
     solve_deformation,
     solve_height,
     synthesize,
@@ -77,11 +76,11 @@ __all__ = [
     "KnotforgeError", "NotInImage", "OrderingViolation", "SingularSystem",
     "ZeroPolynomial",
     "IsolatingInterval", "Poly", "Rational", "SturmChain", "count_roots",
-    "isolate_roots", "rat_str", "parse_rat", "refine", "squarefree_part",
+    "isolate_roots", "rat_str", "parse_rat", "refine",
     "CnBasis", "CnTildeBasis", "Crossing", "CrossingReport", "NodeSet",
     "PlaneCurve", "SpaceCurve", "build_cn", "build_cn_tilde",
-    "build_cn_triangular", "certify", "certify_A", "crossing_oracle", "crossings",
-    "lift_height", "lift_plane", "solve_deformation", "solve_height",
+    "build_cn_triangular", "certify", "certify_cofactor", "crossing_oracle", "crossings",
+    "lift_plane", "planted_factor", "solve_deformation", "solve_height",
     "synthesize",
     "PadeApproximant", "check_pole_locations", "expand", "pade",
     "PhiSeries", "difference", "hankel_det", "ode_residual", "phi", "phi_closed",

@@ -17,6 +17,7 @@ for a single univariate polynomial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
@@ -87,10 +88,18 @@ class _ChebSeries:
         return self.items[-1][0] if self.items else -1
 
     def to_poly(self) -> Poly:
-        out = Poly()
+        """The monomial form, summed in integers over the common denominator
+        (every T_k and V_k has integer coefficients)."""
+        if not self.items:
+            return Poly()
+        den = math.lcm(*(c.denominator for _, c in self.items))
+        acc = [0] * (self.degree + 1)
         for k, c in self.items:
-            out = out + self._family(k) * c
-        return out
+            w = c.numerator * (den // c.denominator)
+            for i, b in enumerate(self._family(k).coeffs):
+                if b:
+                    acc[i] += w * b.numerator
+        return Poly(Fraction(v, den) for v in acc)
 
 
 class ChebT(_ChebSeries):

@@ -17,9 +17,9 @@ sum c_i n^i d^(D-i) (homogeneous Horner): no `Fraction` and no gcd.
 their common denominator, so an exact value costs one gcd.
 
 When every root of a polynomial in an interval is already known and
-certified, `PlantedRoots` answers the chain's sign and count queries
-there from that root list, and `isolate_roots`/`refine` run unchanged
-on it.  `signs_at_roots` gives the exact sign of a second polynomial at
+certified, `PlantedRoots` answers a chain's sign and count queries there
+from that root list, with no chain built, and `isolate_roots`/`refine`
+run unchanged on it.  `signs_at_roots` gives the exact sign of a second polynomial at
 each isolated root, from a slope bound, in integers.
 """
 
@@ -349,7 +349,7 @@ def _sturm_sequence(a: tuple[int, ...]) -> list[tuple[int, ...]]:
     return _remainder_sequence(a, _content_free([i * c for i, c in enumerate(a)][1:]))
 
 
-# -- gcd / squarefree --------------------------------------------------------
+# -- gcd ------------------------------------------------------------------------
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -360,18 +360,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly(g).monic()
 
 
-def squarefree_part(p: Poly) -> Poly:
-    """Return p / gcd(p, p'): same roots, all simple."""
-    if p.is_zero:
-        raise ZeroPolynomial("squarefree part of the zero polynomial")
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p
-    q, r = divmod(p, g)
-    assert r.is_zero
-    return q
-
-
 # -- Sturm chains and root isolation ------------------------------------------
 
 
@@ -379,11 +367,12 @@ class SturmChain:
     """Sturm chain of the squarefree part of p, in exact integer arithmetic.
 
     One remainder sequence p, p', -(p mod p'), ... serves both purposes:
-    its last element is gcd(p, p').  When that is a constant, p is its own
-    squarefree part and the sequence is the chain.  Otherwise p is divided
-    by it and the chain of the quotient is built instead, so `chain[0]` is
-    always the squarefree part (up to a positive factor) and is shared by
-    every count, isolation and refinement made with this object.
+    its last element is gcd(p, p'), kept as `gcd`.  When that is a
+    constant, p is its own squarefree part and the sequence is the chain.
+    Otherwise p is divided by it and the chain of the quotient is built
+    instead, so `chain[0]` is always the squarefree part (up to a positive
+    factor) and is shared by every count, isolation and refinement made
+    with this object.  The roots of `gcd` are the repeated roots of p.
 
     Every element is kept as its primitive form (see `_primitive_ints`),
     a positive multiple of the remainder, so signs are exact integer signs
@@ -405,13 +394,14 @@ class SturmChain:
         gcd = seq[-1]
         if len(gcd) > 1:
             # p / gcd(p, p'), with gcd's sign chosen so that the quotient is
-            # a positive multiple of squarefree_part(p); Gauss's lemma makes
-            # it primitive
+            # a positive multiple of p / gcd(p, p') over Q; Gauss's lemma
+            # makes it primitive
             if gcd[-1] < 0:
                 gcd = tuple(-c for c in gcd)
             a = _exact_quotient(a, gcd)
             p = Poly(a)
             seq = _sturm_sequence(a)
+        self.gcd = Poly(gcd)
         self._ints: tuple[tuple[int, ...], ...] = tuple(seq)
         self.chain: tuple[Poly, ...] = (p, p.derivative(), *map(Poly, seq[2:]))[:len(seq)]
 
@@ -447,49 +437,45 @@ class SturmChain:
 
 
 class PlantedRoots:
-    """A SturmChain's answers for a polynomial whose roots in (lo, hi) are known.
+    """A SturmChain's answers for a polynomial whose roots in [lo, hi] are known.
 
-    `roots` must be every distinct root of the chain's polynomial in the
-    open interval (lo, hi), sorted; the caller certifies that (in
-    `knots.certify`, by the count and nodes stages).  Then inside (lo, hi)
-    the half-open count (a, b] is the number of known roots in it, and the
-    squarefree part changes sign exactly at each of them, so
+    `roots` must be every root of the polynomial in [lo, hi], sorted,
+    all simple and none at lo or hi, and `top_sign` its sign between the
+    top root and hi; the caller certifies that (in `knots.certify`, by
+    the cofactor certificate).  Then the squarefree part changes sign
+    exactly at each root, so for lo <= x <= hi
 
-        variations(x) = variations(lo) - #{roots <= x}
-        sign(x) = s * (-1)^#{roots > x}   (0 at a root)
+        variations(x) = -#{roots <= x}
+        sign(x) = top_sign * (-1)^#{roots > x}   (0 at a root)
 
-    where variations(lo) and s, the sign between the top root and hi, are
-    taken once from the chain.  Every other point, lo and hi included, and
-    `deflated` go to the chain.  The answers equal the chain's, so
-    `isolate_roots` and `refine` give the same intervals on either.
+    No chain is built.  Counts are differences of variations and agree
+    with a chain's; signs agree with it up to one constant factor, which
+    bisection never sees.  So `isolate_roots` and `refine` give the same
+    intervals on either.
     """
 
-    def __init__(self, chain: SturmChain, roots: Sequence[Rational], lo: Rational, hi: Rational):
-        self._chain = chain
+    def __init__(self, roots: Sequence[Rational], top_sign: int, lo: Rational, hi: Rational):
         self._roots = tuple(roots)
+        self._top_sign = top_sign
         self._lo, self._hi = Fraction(lo), Fraction(hi)
-        self._v_lo = chain.variations(self._lo)
-        top = self._roots[-1] if self._roots else self._lo
-        self._s_top = chain.sign((top + self._hi) / 2)
+
+    def _below(self, x: Rational) -> int:
+        """#{roots <= x}, for x in [lo, hi]."""
+        if not self._lo <= x <= self._hi:
+            raise ValueError(f"{x} lies outside the interval of the planted roots")
+        return bisect_right(self._roots, x)
 
     def sign(self, x: Rational) -> int:
-        if not self._lo < x < self._hi:
-            return self._chain.sign(x)
-        i = bisect_right(self._roots, x)
+        i = self._below(x)
         if i and self._roots[i - 1] == x:
             return 0
-        return self._s_top if (len(self._roots) - i) % 2 == 0 else -self._s_top
+        return self._top_sign if (len(self._roots) - i) % 2 == 0 else -self._top_sign
 
     def variations(self, x: Rational) -> int:
-        if not self._lo < x < self._hi:
-            return self._chain.variations(x)
-        return self._v_lo - bisect_right(self._roots, x)
+        return -self._below(x)
 
     # distinct roots in (a, b], from this object's variations
     count = SturmChain.count
-
-    def deflated(self, x: Rational) -> SturmChain:
-        return self._chain.deflated(x)
 
 
 @dataclass(frozen=True)
@@ -626,36 +612,40 @@ def signs_at_roots(
     """Exact sign of q at the root of chain[0] that each interval isolates, 0 if q vanishes there.
 
     With c_k the primitive integer coefficients of q and m = max(|lo|, |hi|),
-    L = sum k |c_k| m^(k-1) bounds |q'| on the interval, so
-    |q(lo)| > L (hi - lo) leaves q no root in [lo, hi], and q has the sign
-    of q(lo) at the root.  Otherwise the interval is narrowed on the chain
-    and tested again, in cross-multiplied integers.  The test never passes
-    where q vanishes, so below DEEP_WIDTH the gcd of chain[0] and q (built
-    once) is asked for a root in the interval; if it has none, bisection
-    goes on.
+    L2 = sum k (k-1) |c_k| m^(k-2) bounds |q''| on the interval, so
+    |q'(lo)| + L2 (hi - lo) bounds |q'| there, and
+    |q(lo)| > (|q'(lo)| + L2 (hi - lo)) (hi - lo) leaves q no root in
+    [lo, hi]: q has the sign of q(lo) at the root.  Otherwise the interval
+    is narrowed on the chain and tested again, in cross-multiplied
+    integers.  The test never passes where q vanishes, so below DEEP_WIDTH
+    the gcd of chain[0] and q (built once) is asked for a root in the
+    interval; if it has none, bisection goes on.
     """
     if q.is_zero:
         return [0] * len(intervals)
     cs = _primitive_ints(q)
     deg = len(cs) - 1
-    slope = [k * abs(c) for k, c in enumerate(cs)][1:]
+    slope = [k * c for k, c in enumerate(cs)][1:]
+    curve = [k * (k - 1) * abs(c) for k, c in enumerate(cs)][2:]
     common = None  # Sturm chain of gcd(chain[0], q), or False when it is constant
     out = []
     for iv in intervals:
         m = max(abs(iv.lo), abs(iv.hi))
-        # L = l_num / l_den, and 0 for a constant q
-        l_num, l_den = _horner(slope, m.numerator, m.denominator), m.denominator ** max(deg - 1, 0)
+        # L2 = l2_num / l2_den, and 0 for q of degree below 2
+        l2_num, l2_den = _horner(curve, m.numerator, m.denominator), m.denominator ** max(deg - 2, 0)
         asked = False
         while True:
-            lo, width = iv.lo, iv.width
-            val = _horner(cs, lo.numerator, lo.denominator)  # lo.denominator^deg q(lo)
-            # |q(lo)| and L (hi - lo), times one common positive factor
-            gap = abs(val) * l_den * width.denominator
-            bound = l_num * width.numerator * lo.denominator ** deg
+            lo, (w_num, w_den) = iv.lo, (iv.width.numerator, iv.width.denominator)
+            den = lo.denominator
+            val = _horner(cs, lo.numerator, den)          # den^deg q(lo)
+            d1 = abs(_horner(slope, lo.numerator, den))   # den^(deg-1) |q'(lo)|
+            # |q(lo)| and the bound above, times den^deg l2_den w_den^2
+            gap = abs(val) * l2_den * w_den * w_den
+            bound = (d1 * den * l2_den * w_den + l2_num * den ** deg * w_num) * w_num
             if gap > bound:
                 out.append(1 if val > 0 else -1)
                 break
-            if width <= DEEP_WIDTH and not asked:
+            if iv.width <= DEEP_WIDTH and not asked:
                 asked = True
                 if common is None:
                     g = poly_gcd(chain.chain[0], q)
@@ -663,9 +653,9 @@ def signs_at_roots(
                 if common and common.count(iv.lo, iv.hi):
                     out.append(0)
                     break
-            # enough halvings to bring L (hi - lo) below about |q(lo)| / 2
+            # enough halvings to bring the bound below about |q(lo)| / 2
             halvings = min(max(1, bound.bit_length() - gap.bit_length() + 2), 64)
-            iv = refine(chain, iv, width / 2**halvings)
+            iv = refine(chain, iv, iv.width / 2**halvings)
     return out
 
 

@@ -8,20 +8,25 @@ whose plane projection has exactly N transverse double points with
 parameters s_1 < ... < s_N < t_1 < ... < t_N and alternating over/under
 signs (-1)^i.  The steps:
 
-1.  Build the odd triangular basis C_0..C_n of span(W_0..W_n), where
-    C_j = t^{2j+1} F_j and F_j has no root in [-2, 2].  Two independent
-    constructions are implemented: substitution of the [k/l] rational
-    approximants of phi (v Q(u) - P(u) with v = t^2, u = t^2(t^2-3)^2/4),
-    and plain triangular elimination against the W rows; they must agree.
-2.  Plant double-point abscissae {0, +-d_1, ..., +-d_n} by solving
-    A = C_n + sum a_k C_k for the a_k (exact n x n solve), then certify
-    by Sturm count that these are the only roots of A in [-2, 2], all
-    inside (-1, 1).  One loop halves the node scale epsilon until this
-    holds and the height system below is solvable.
+1.  The odd triangular basis C_0..C_n of span(W_0..W_n), where
+    C_j = t^{2j+1} F_j and F_j has no root in [-2, 2], has two independent
+    constructions: substitution of the [k/l] rational approximants of phi
+    (v Q(u) - P(u) with v = t^2, u = t^2(t^2-3)^2/4), and plain triangular
+    elimination against the W rows; they must agree.  They serve
+    `cn-table` and the tests; synthesis does not build them.
+2.  Plant double-point abscissae {0, +-d_1, ..., +-d_n}: the unique
+    A = C_n + sum a_k C_k vanishing there is P G, with
+    P = t prod (q_i^2 t^2 - p_i^2) for d_i = p_i/q_i and G even, so the
+    floor(n/2) lower coefficients of G are solved for instead
+    (`solve_deformation`).  The cofactor certificate (`certify_cofactor`)
+    proves that the roots of A in (-2, 2) are exactly these, all simple.
+    One loop halves the node scale epsilon until this holds and the
+    height system below is solvable.
 3.  Lift A through the divided-difference map to get y; crossing
     parameters come from u_i = 2 cos(alpha_i) via s, t = 2 cos(alpha -+ pi/3).
-4.  Interpolate B(u_i) = (-1)^i in the even basis Ct_0..Ct_n and lift to
-    the height z, making the crossing signs alternate exactly.
+4.  Interpolate B(u_i) = (-1)^i in span(Ct_0..Ct_n), solved as
+    B = B_0 + t P H (`solve_height`), and lift to the height z, making the
+    crossing signs alternate exactly.
 5.  `certify` checks the finished curve.  The crossings of (T_3, y) are
     the roots of R = dd(y) in (-2, 2), so one routine serves `gen` (where
     R = A) and `verify` (where R is recomputed from a stored y).
@@ -282,49 +287,84 @@ def build_cn_tilde(n_max: int, basis: Optional[CnBasis] = None) -> CnTildeBasis:
     return CnTildeBasis(n_max, tuple(cns))
 
 
-# -- deformation ------------------------------------------------------------------
+# -- deformation and height, with the planted roots factored out -----------------
 
 
-def solve_deformation(basis: CnBasis, nodes: NodeSet) -> tuple[tuple[Fraction, ...], Poly]:
-    """Find the unique A = C_n + sum_{k<n} a_k C_k vanishing at the nodes.
+def _times_t(c: Sequence[int]) -> list[int]:
+    """t * sum c_k V_k on the V basis: t V_0 = V_1, t V_k = V_{k+1} + V_{k-1}."""
+    return [a + b for a, b in zip([0, *c], [*c[1:], 0, 0])]
 
-    Oddness makes A vanish at 0 and at -d automatically, so the exact
-    linear system only carries the n positive nodes.  Raises
-    SingularSystem for node sets where uniqueness fails.
+
+def _times_node(c: Sequence[int], d: Fraction) -> list[int]:
+    """(q^2 t^2 - p^2) * sum c_k V_k on the V basis, for d = p/q."""
+    p2, q2 = d.numerator ** 2, d.denominator ** 2
+    return [q2 * a - p2 * b for a, b in zip(_times_t(_times_t(c)), [*c, 0, 0])]
+
+
+def _fit(known: list, first: list[int], count: int, residue: int,
+         den: int) -> tuple[list[Fraction], cb.ChebV]:
+    """The x_j that clear the V-coefficients at k = residue (mod 6) of
+    X = known + sum_{j<count} x_j t^{2j} first, and X / den on the V basis."""
+    cols = []
+    for _ in range(count):
+        cols.append(first + [0] * (len(known) - len(first)))
+        first = _times_t(_times_t(first))
+    rows = range(residue, len(known), 6)
+    x = solve_linear([[col[k] for col in cols] for k in rows], [-known[k] for k in rows])
+    lcm = math.lcm(*(v.denominator for v in x))
+    ints = [v.numerator * (lcm // v.denominator) for v in x]
+    return x, cb.ChebV.of({
+        k: Fraction(lcm * c + sum(w * col[k] for w, col in zip(ints, cols)), lcm * den)
+        for k, c in enumerate(known)
+    })
+
+
+def planted_factor(nodes: NodeSet) -> Poly:
+    """P = t prod (q_i^2 t^2 - p_i^2) for d_i = p_i/q_i: primitive, with simple roots
+    exactly at the planted roots, and positive beyond the top one."""
+    poly = Poly([0, 1])
+    for d in nodes.delta:
+        poly = poly * Poly([-d.numerator ** 2, 0, d.denominator ** 2])
+    return poly
+
+
+def solve_deformation(nodes: NodeSet) -> tuple[Poly, cb.ChebV]:
+    """Find the unique A = C_n + sum_{k<n} a_k C_k vanishing at the nodes, as A = P G.
+
+    A is odd and vanishes at the planted roots, so A = P G with P from
+    `planted_factor` and G even of degree 2m, m = floor(n/2).  A lies in
+    span(C_0..C_n) = span(W_0..W_n) exactly when its V-coefficients at
+    k = 5 (mod 6) vanish (W_{2j} = V_{6j+1}, W_{2j+1} = V_{6j+3}): m
+    equations for the lower coefficients of G.  This system is singular
+    (SingularSystem) exactly when the n x n one in the C basis is, as both
+    describe the same set of A.
+
+    Returns (G, A), with A on the V basis.
     """
-    n = nodes.n
-    if basis.n_max < n:
-        raise ValueError(f"basis only reaches C_{basis.n_max}, need C_{n}")
-    if n == 0:
-        return (), basis.cn[0]
-    matrix = [[basis.cn[k](d) for k in range(n)] for d in nodes.delta]
-    rhs = [-basis.cn[n](d) for d in nodes.delta]
-    a = solve_linear(matrix, rhs)
-    poly = basis.cn[n]
-    for k, ak in enumerate(a):
-        poly = poly + basis.cn[k] * ak
-    for d in nodes.all_roots():
-        if poly(d) != 0:
-            raise InternalInconsistency(f"deformation does not vanish at {rat_str(d)}")
-    return tuple(a), poly
+    m = nodes.n // 2
+    planted = [0, 1]  # t = V_1
+    for d in nodes.delta:
+        planted = _times_node(planted, d)
+    lead = planted[-1]  # lc(P): every V_k is monic
+    top = planted
+    for _ in range(m):
+        top = _times_t(_times_t(top))
+    g, series = _fit(top, planted, m, 5, lead)
+    return Poly([c for x in [*g, 1] for c in (Fraction(x, lead), 0)]), series
 
 
-def certify_A(a_poly: Union[Poly, SturmChain], n_crossings: int) -> bool:
-    """Certify that A has exactly N roots in (-2, 2), all inside (-1, 1).
+def certify_cofactor(cofactor: Poly) -> bool:
+    """Certify that the even cofactor G of A = P G (or R = P G) has no root in (-2, 2).
 
-    a_poly is A or its SturmChain.  Both counts are exact Sturm counts on
-    one chain; together they are the hypothesis under which the lifted
-    curve provably has exactly N crossings with the required parameter
-    ordering.
+    Then the roots of A in (-2, 2) are exactly the N planted ones, all
+    simple: the hypothesis under which the lifted curve has exactly N
+    transverse crossings.  With g(v) = G(sqrt v), that is g(0) != 0 and
+    one Sturm count of g on (0, 4).  A G that is not even is refused.
     """
-    if isinstance(a_poly, Poly) and a_poly.is_zero:
+    if cofactor.is_zero or not cofactor.is_even():
         return False
-    chain = SturmChain.of(a_poly)
-    two, one = Fraction(2), Fraction(1)
-    return (
-        count_roots(chain, -two, two) == n_crossings
-        and count_roots(chain, -one, one) == n_crossings
-    )
+    g = Poly(cofactor.coeffs[::2])
+    return g.coeffs[0] != 0 and count_roots(g, Fraction(0), Fraction(4)) == 0
 
 
 def default_nodes(n: int, epsilon: Fraction) -> NodeSet:
@@ -335,9 +375,9 @@ def default_nodes(n: int, epsilon: Fraction) -> NodeSet:
 # -- lifting to the curve -----------------------------------------------------------
 
 
-def lift_plane(a_poly: Poly, n_crossings: int) -> PlaneCurve:
-    """Lift a certified deformation to the plane curve (T_3(t), y(t))."""
-    y = cb.lift_from_V(cb.to_V(a_poly))
+def lift_plane(a_series: cb.ChebV, n_crossings: int) -> PlaneCurve:
+    """Lift a certified deformation, on the V basis, to the plane curve (T_3(t), y(t))."""
+    y = cb.lift_from_V(a_series)
     expected = plane_degree(n_crossings)
     if y.degree != expected:
         raise InternalInconsistency(f"deg y = {y.degree}, expected {expected}")
@@ -398,11 +438,11 @@ def crossings(
 ) -> CrossingReport:
     """Locate the N crossings of the lifted curve from the roots of A.
 
-    a_poly is A (or R), its SturmChain, or a PlantedRoots over that chain
-    when the roots in (-2, 2) are certified to be the planted ones.  Roots
-    are isolated in (-2, 2) by Sturm bisection (isolation itself certifies
-    the count) and refined to width 2^-48, all on one chain, so the
-    squarefree part is computed once.  Each root is then mapped through
+    a_poly is A (or R), its SturmChain, or a PlantedRoots when the roots
+    in [-2, 2] are certified to be the planted ones.  Roots are isolated
+    in (-2, 2) by Sturm bisection (isolation itself certifies the count)
+    and refined to width 2^-48, all on one chain, so the squarefree part
+    is computed once.  Each root is then mapped through
     u = 2 cos(alpha), s = 2 cos(alpha + pi/3), t = 2 cos(alpha - pi/3) in
     floats for the report.  The 2N-way ordering
     s_1 < ... < s_N < t_1 < ... < t_N is proved on rational enclosures
@@ -426,33 +466,34 @@ def crossings(
     return CrossingReport(n_crossings=n_crossings, crossings=tuple(out), ordering_margin=margin)
 
 
-def solve_height(basis_tilde: CnTildeBasis, nodes: NodeSet) -> tuple[tuple[Fraction, ...], Poly]:
-    """Interpolate B(u_i) = (-1)^i at the planted roots in the even basis.
+def solve_height(nodes: NodeSet) -> cb.ChebV:
+    """Interpolate B(u_i) = (-1)^i at the planted roots in span(Ct_0..Ct_n), as B = B_0 + P_2 H.
 
-    Evenness of the Ct_k and symmetry of the nodes collapse the N
-    conditions to the n+1 nonnegative nodes {0, d_1, ..., d_n}; the node
-    u_{n+1} = 0 carries the right-hand side (-1)^{n+1}.  The solve and
-    the interpolation checks are exact since the nodes are rational.
+    B is even: the conditions are n + 1 values at v = t^2 in
+    {0, d_1^2, ..., d_n^2}.  B_0 is their Newton interpolant in v, and
+    every even interpolant is B_0 + P_2 H with P_2 = t P and H even.  B
+    lies in span(Ct_0..Ct_n) = span(Wt_0..Wt_n) (Wt_{2j} = V_{6j},
+    Wt_{2j+1} = V_{6j+4}) exactly when deg B <= deg Ct_n and its
+    V-coefficients at k = 2 (mod 6) vanish: floor((n-1)/2) + 1 equations.
+    This system is singular (SingularSystem) exactly when the one in the
+    Ct basis is, as both describe the same interpolants.
+
+    Returns B on the V basis.
     """
-    n = nodes.n
-    if basis_tilde.n_max < n:
-        raise ValueError(f"basis only reaches Ct_{basis_tilde.n_max}, need Ct_{n}")
-    points = [Fraction(0)] + list(nodes.delta)
-    matrix = [[basis_tilde.cn[k](u) for k in range(n + 1)] for u in points]
-    rhs = [Fraction((-1) ** (n + 1 + i)) for i in range(n + 1)]
-    b = solve_linear(matrix, rhs)
-    poly = Poly()
-    for k, bk in enumerate(b):
-        poly = poly + basis_tilde.cn[k] * bk
-    for i, u in enumerate(nodes.all_roots(), start=1):
-        if poly(u) != (-1) ** i:
-            raise InternalInconsistency(f"B({rat_str(u)}) != {(-1) ** i}")
-    return tuple(b), poly
-
-
-def lift_height(b_poly: Poly) -> cb.ChebT:
-    """Lift the interpolant B through the divided-difference map to z."""
-    return cb.lift_from_V(cb.to_V(b_poly))
+    n, m = nodes.n, (nodes.n + 1) // 2
+    v = [Fraction(0)] + [d * d for d in nodes.delta]
+    coeffs = [Fraction((-1) ** (n + 1 + i)) for i in range(n + 1)]
+    for j in range(1, n + 1):  # Newton divided differences in v
+        for i in range(n, j - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (v[i] - v[i - j])
+    known = [coeffs[n]]
+    for i in range(n - 1, -1, -1):  # B_0 by Horner on the Newton form, on the V basis
+        known = [a - v[i] * b for a, b in zip(_times_t(_times_t(known)), [*known, 0, 0])]
+        known[0] += coeffs[i]
+    planted = _times_t(_times_t([1]))  # P_2 = t P
+    for d in nodes.delta:
+        planted = _times_node(planted, d)
+    return _fit(known + [0] * (2 * m), planted, m, 2, 1)[1]
 
 
 # -- verification -----------------------------------------------------------------
@@ -463,28 +504,29 @@ def certify(
     z: Optional[cb.ChebT],
     n_crossings: int,
     nodes: Optional[NodeSet] = None,
-    chain: Optional[SturmChain] = None,
 ) -> CrossingReport:
     """Certify the N crossings of the curve (T_3, y, z); `gen` and `verify` share it.
 
-    The crossings are the roots of R = dd(y) in (-2, 2).  `chain` is the
-    SturmChain of R when the caller already holds it (`gen`, where R = A
-    by the exact lift); otherwise it is built here.  The stages, in
+    The crossings are the roots of R = dd(y) in (-2, 2).  The stages, in
     CERTIFY_STAGES order:
 
-    - count: R is nonzero and has exactly N roots in (-2, 2) (Sturm);
+    - count: R is nonzero and has exactly N roots in (-2, 2), none
+      repeated (a tangency, not a transverse crossing);
     - nodes: when planted nodes are given, 2n + 1 = N and every planted
       root is an exact root of R;
-    - ordering: the crossings are located on the same chain and their
-      parameters proved ordered (see `crossings`).  After the count and
-      nodes stages the roots of R in (-2, 2) are exactly the N planted
-      ones, so with nodes the bisection reads its counts and signs there
-      from the planted set (`PlantedRoots`); the intervals are the same;
+    - ordering: the crossings are located and their parameters proved
+      ordered (see `crossings`);
     - space: when z is present, z(t) - z(s) = (t - s) dd(z)(u) with
       t - s = sqrt(12 - 3u^2) > 0, so the sign at a crossing is that of
       dd(z) at its root u: exactly (-1)^i at planted nodes, and otherwise
       `signs_at_roots` on R's chain, where a root shared with dd(z)
       (z(t) = z(s)) fails.
+
+    With nodes, the quotient of R by `planted_factor(nodes)` passing
+    `certify_cofactor`, with no root at 2, proves the count and nodes
+    stages at once; the crossings are then located on the planted roots
+    (`PlantedRoots`), with no Sturm chain of R.  Otherwise both stages run
+    on the chain of R, which names the failure.  The intervals agree.
 
     Every certificate is exact.  The x/y coincidences are identities: s, t
     are the roots of X^2 - uX + (u^2 - 3), so T_3(s) = T_3(t), and
@@ -494,27 +536,37 @@ def certify(
     CertificationFailed carrying the stage and the report so far.
     """
     r_poly = cb.divided_difference(y).to_poly()
-    if chain is None:
-        if r_poly.is_zero:
-            raise CertificationFailed("divided-difference image of y is zero", "count")
-        chain = SturmChain(r_poly)
-    count = count_roots(chain, Fraction(-2), Fraction(2))
-    if count != n_crossings:
-        raise CertificationFailed(
-            f"R has {count} roots in (-2, 2), expected {n_crossings}", "count"
-        )
-
-    if nodes is not None:
-        if 2 * nodes.n + 1 != n_crossings:
+    if r_poly.is_zero:
+        raise CertificationFailed("divided-difference image of y is zero", "count")
+    located = None
+    if nodes is not None and 2 * nodes.n + 1 == n_crossings:
+        cofactor, rest = divmod(r_poly, planted_factor(nodes))
+        # P(2) > 0, so cofactor(2) has the sign of R above the planted roots
+        top = cofactor(Fraction(2)) if rest.is_zero and certify_cofactor(cofactor) else 0
+        if top:
+            located = PlantedRoots(nodes.all_roots(), 1 if top > 0 else -1, -2, 2)
+    if located is None:
+        located = SturmChain(r_poly)
+        count = count_roots(located, Fraction(-2), Fraction(2))
+        if count != n_crossings:
             raise CertificationFailed(
-                f"{nodes.n} stored nodes give {2 * nodes.n + 1} planted roots, "
-                f"expected {n_crossings}", "nodes"
+                f"R has {count} roots in (-2, 2), expected {n_crossings}", "count"
             )
-        for u in nodes.all_roots():
-            if r_poly(u) != 0:
-                raise CertificationFailed(f"stored node {rat_str(u)} is not a root of R", "nodes")
+        if located.gcd.degree > 0 and count_roots(located.gcd, Fraction(-2), Fraction(2)):
+            raise CertificationFailed(
+                "R has a repeated root in (-2, 2): a crossing is not transverse", "count"
+            )
+        if nodes is not None:
+            if 2 * nodes.n + 1 != n_crossings:
+                raise CertificationFailed(
+                    f"{nodes.n} stored nodes give {2 * nodes.n + 1} planted roots, "
+                    f"expected {n_crossings}", "nodes"
+                )
+            for u in nodes.all_roots():
+                if r_poly(u) != 0:
+                    raise CertificationFailed(f"stored node {rat_str(u)} is not a root of R",
+                                              "nodes")
 
-    located = chain if nodes is None else PlantedRoots(chain, nodes.all_roots(), -2, 2)
     try:
         report = crossings(located, n_crossings)
     except OrderingViolation as exc:
@@ -529,7 +581,7 @@ def certify(
                 raise CertificationFailed(f"dd(z)({rat_str(u)}) != {(-1) ** i}", "space", report)
     else:
         intervals = [IsolatingInterval(c.u_lo, c.u_hi) for c in report.crossings]
-        for i, sign in enumerate(signs_at_roots(chain, zv, intervals), start=1):
+        for i, sign in enumerate(signs_at_roots(located, zv, intervals), start=1):
             if sign != (-1) ** i:
                 raise CertificationFailed(
                     f"crossing {i}: z(t)-z(s) has sign {sign}, expected {(-1) ** i}" if sign
@@ -558,9 +610,9 @@ def synthesize(
         failure then raises CertificationFailed instead of retrying
 
     The automatic search tries d_i = epsilon * i / (n + 1), solving the
-    deformation, certifying A on its Sturm chain and solving the height
-    once per scale; a singular system or a failed count halves epsilon,
-    at most 40 times.  Every accepted scale so far has been the first one
+    deformation, certifying its cofactor and solving the height once per
+    scale; a singular system or a failed certificate halves epsilon, at
+    most 40 times.  Every accepted scale so far has been the first one
     tried; the loop exists because the underlying existence result is
     only an 'epsilon small enough' statement.
 
@@ -570,28 +622,24 @@ def synthesize(
     if n_crossings < 1 or n_crossings % 2 == 0:
         raise ValueError("N must be an odd positive integer")
     n = (n_crossings - 1) // 2
-    basis = build_cn(n)
-    basis_tilde = build_cn_tilde(n, basis)
 
     if nodes is not None:
         node_set = NodeSet(n, tuple(sorted(Fraction(d) for d in nodes)),
                            Fraction(epsilon) if epsilon is not None else None)
-        _, a_poly = solve_deformation(basis, node_set)
-        chain = SturmChain(a_poly)
-        if not certify_A(chain, n_crossings):
+        cofactor, a_series = solve_deformation(node_set)
+        if not certify_cofactor(cofactor):
             raise CertificationFailed(
                 f"supplied nodes leave extra roots of A in [-2, 2] (N={n_crossings})", "count"
             )
-        _, b_poly = solve_height(basis_tilde, node_set)
+        b_series = solve_height(node_set)
     else:
         eps_val = Fraction(epsilon) if epsilon is not None else Fraction(1, 4)
         for _ in range(MAX_HALVINGS + 1):
             node_set = default_nodes(n, eps_val)
             try:
-                _, a_poly = solve_deformation(basis, node_set)
-                chain = SturmChain(a_poly)
-                if certify_A(chain, n_crossings):
-                    _, b_poly = solve_height(basis_tilde, node_set)
+                cofactor, a_series = solve_deformation(node_set)
+                if certify_cofactor(cofactor):
+                    b_series = solve_height(node_set)
                     break
             except SingularSystem:
                 pass
@@ -599,13 +647,13 @@ def synthesize(
         else:
             raise EpsilonExhausted(f"no certified node set for n={n} after {MAX_HALVINGS} halvings")
 
-    plane = lift_plane(a_poly, n_crossings)
-    z = lift_height(b_poly)
+    plane = lift_plane(a_series, n_crossings)
+    z = cb.lift_from_V(b_series)
     if z.degree != height_degree(n_crossings):
         raise InternalInconsistency(
             f"deg z = {z.degree}, expected {height_degree(n_crossings)}"
         )
-    report = certify(plane.y, z, n_crossings, node_set, chain)
+    report = certify(plane.y, z, n_crossings, node_set)
     return SpaceCurve(plane, z), replace(report, epsilon=node_set.epsilon, nodes=node_set.delta)
 
 

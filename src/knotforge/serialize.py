@@ -136,7 +136,7 @@ class StoredCurve:
     """The fields of a curve document, parsed and checked."""
 
     n_crossings: int
-    x: Poly
+    x: Union[Poly, cb.ChebT, cb.ChebV]  # a series x is expanded only at degree 3
     y: cb.ChebT
     z: Optional[cb.ChebT]
     nodes: Optional[NodeSet]
@@ -161,7 +161,9 @@ def parse_curve(doc: Any) -> StoredCurve:
     """Parse a curve document, or raise SchemaError naming the first bad field.
 
     N must be an odd positive integer; every coefficient, node and epsilon
-    a rational string; the nodes satisfy 0 < d_1 < ... < d_n < 1; y and z
+    a rational string; the nodes satisfy 0 < d_1 < ... < d_n < 1; an x
+    on the T or V basis is expanded to monomials only when its degree is
+    3, since no other can be T_3 (`export` expands any other); y and z
     are given in the T or monomial basis, of degree at most 4N + 64 (a
     `gen` curve has about 1.5N), which bounds the work of `verify`; and
     each stored crossing is an object with numeric "s" and "t" and a
@@ -177,7 +179,7 @@ def parse_curve(doc: Any) -> StoredCurve:
             or n_crossings < 1 or n_crossings % 2 == 0):
         raise SchemaError("N must be an odd positive integer")
     x = basis_from_json(doc["x"])
-    if isinstance(x, (cb.ChebT, cb.ChebV)):
+    if isinstance(x, (cb.ChebT, cb.ChebV)) and x.degree == 3:
         x = x.to_poly()
     max_degree = 4 * n_crossings + 64
     y = _space_coordinate(doc["y"], "y", max_degree)
@@ -217,8 +219,11 @@ def verify_curve(doc: Any) -> tuple[bool, list[str]]:
     raises SchemaError on any malformed field.  Then x must be exactly the
     monic degree-3 cosine polynomial, and `knots.certify` runs its stages
     on the stored y, z and nodes, each of them exact: R = dd(y) has
-    exactly N roots in (-2, 2) (Sturm); stored nodes number (N - 1) / 2
-    and are exact roots of R; the crossing parameters are ordered (proved
+    exactly N roots in (-2, 2), none repeated; stored nodes number
+    (N - 1) / 2 and are exact roots of R (both shown at once, with no
+    Sturm chain of R, when R divided by the planted factor passes the
+    cofactor certificate, and otherwise by Sturm counts on the chain of
+    R, which name the failure); the crossing parameters are ordered (proved
     on rational enclosures; the printed float margin is a diagnostic);
     and when z is present, the crossing signs alternate (dd(z) = (-1)^i
     at stored nodes, otherwise the exact sign of dd(z) at each root of

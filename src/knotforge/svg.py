@@ -24,9 +24,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from dataclasses import replace
 from typing import Any, Optional
 
 from . import chebyshev as cb
+from .exactpoly import Poly
 from .serialize import SchemaError, StoredCurve, parse_curve
 
 T_RANGE = (-2.2, 2.2)
@@ -34,8 +36,10 @@ GAP_HALF_WIDTH = 0.05
 
 
 def _plottable(doc: Any) -> StoredCurve:
-    """`parse_curve`, and every coefficient must convert to a double."""
+    """`parse_curve` with x on the monomial basis, and every coefficient must convert to a double."""
     curve = parse_curve(doc)
+    if not isinstance(curve.x, Poly):
+        curve = replace(curve, x=curve.x.to_poly())
     coordinates = {"x": curve.x.coeffs, "y": [c for _, c in curve.y.items]}
     if curve.z is not None:
         coordinates["z"] = [c for _, c in curve.z.items]

@@ -24,7 +24,7 @@ from knotforge.knots import (
     NodeSet,
     build_cn,
     build_cn_triangular,
-    certify_A,
+    certify_cofactor,
     crossing_oracle,
     crossings,
     height_degree,
@@ -217,8 +217,9 @@ def test_criterion_9_negative_controls(tmp_path, capsys):
         bad.write_text(json.dumps(doc))
         assert cli_main(["verify", str(bad)]) == 2
         capsys.readouterr()
-        # a deformation with roots in [-2,2] but outside (-1,1) must fail
+        # a deformation with roots in [-2,2] but outside (-1,1) must fail:
+        # its cofactor over the planted root 0 keeps the stray ones
         stray = Poly([0, F(-9, 4), 0, 1])  # roots {0, +-3/2}
         assert count_roots(stray, -2, 2) == 3
-        assert not certify_A(stray, 3)
-    _report(9, "tampered file exits 2; stray roots in [-2,2]\\(-1,1) fail certify_A", t)
+        assert not certify_cofactor(stray // Poly([0, 1]))
+    _report(9, "tampered file exits 2; stray roots in [-2,2]\\(-1,1) fail the cofactor certificate", t)

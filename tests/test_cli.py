@@ -1,6 +1,7 @@
 import copy
 import json
 import re
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -138,6 +139,59 @@ class TestVerify:
         code, stdout, _ = run(["verify", str(flat)], capsys)
         assert code == 2
         assert "FAIL space verification: z(t) = z(s) at crossing 2\n" in stdout
+
+    @pytest.mark.parametrize("nodes", [[], None], ids=["nodes", "nodeless"])
+    def test_tangent_crossing_fails(self, tmp_path, capsys, nodes):
+        # y = -T_4 + 2 T_2 gives R = u^3: the one crossing u = 0 is a
+        # threefold root of R, a tangency and not a transverse double point
+        doc = {
+            "N": 1, "epsilon": None, "nodes": nodes,
+            "x": {"basis": "monomial", "coeffs": ["0", "-3", "0", "1"]},
+            "y": {"basis": "T", "coeffs": ["0", "0", "2", "0", "-1"]},
+            "z": {"basis": "T", "coeffs": ["0", "-1"]},
+            "crossings": [], "certified": True,
+        }
+        path = tmp_path / "tangent.json"
+        path.write_text(json.dumps(doc))
+        code, stdout, _ = run(["verify", str(path)], capsys)
+        assert code == 2
+        assert stdout == ("ok   x = T_3\nFAIL R has a repeated root in (-2, 2): "
+                          "a crossing is not transverse\nNOT VERIFIED\n")
+
+    def test_high_degree_x_fails_without_expansion(self, tmp_path, capsys):
+        # an x of degree 800 on the T basis cannot be T_3; deciding that must
+        # not expand it to monomials (seconds at this degree)
+        out = tmp_path / "n21.json"
+        run(["gen", "--n", "21", "--out", str(out)], capsys)
+        doc = json.loads(out.read_text())
+        doc["x"] = {"basis": "T", "coeffs": ["0"] * 800 + ["1"]}
+        path = tmp_path / "x800.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, stdout, _ = run(["verify", str(path)], capsys)
+        assert time.perf_counter() - start < 0.1
+        assert code == 2
+        assert stdout == "FAIL x is not the monic degree-3 cosine polynomial t^3 - 3t\nNOT VERIFIED\n"
+        # export still expands it, and its samples overflow
+        code, _, err = run(["export", "--csv", "--samples", "2", str(path),
+                            "--out", str(tmp_path / "x800.csv")], capsys)
+        assert code == 1
+        assert "a x value is beyond the double range" in err
+
+    def test_series_x_exports_like_its_monomial_form(self, tmp_path, capsys):
+        out = tmp_path / "n5.json"
+        run(["gen", "--n", "5", "--out", str(out)], capsys)
+        doc = json.loads(out.read_text())
+        rendered = []
+        for x in ({"basis": "T", "coeffs": ["0", "0", "0", "0", "0", "1"]},
+                  {"basis": "monomial", "coeffs": ["0", "5", "0", "-5", "0", "1"]}):
+            path = tmp_path / "x5.json"
+            path.write_text(json.dumps(dict(doc, x=x)))
+            code, _, _ = run(["export", "--svg", str(path), "--out", str(tmp_path / "x5.svg")],
+                             capsys)
+            assert code == 0
+            rendered.append((tmp_path / "x5.svg").read_bytes())
+        assert rendered[0] == rendered[1]
 
     def test_tampered_coefficient_fails(self, tmp_path, capsys):
         out = tmp_path / "n5.json"

@@ -1,0 +1,162 @@
+"""The factored synthesis: the deformation and height solved with the planted
+roots factored out, and the cofactor certificate in `synthesize` and `certify`."""
+
+from fractions import Fraction as F
+
+import pytest
+
+from c_basis_reference import reference_deformation, reference_height, triangular_coordinates
+from knotforge import exactpoly, knots
+from knotforge.chebyshev import ChebT, ChebV, lift_from_V, to_V
+from knotforge.errors import CertificationFailed, EpsilonExhausted, SingularSystem
+from knotforge.exactpoly import Poly
+from knotforge.knots import (
+    NodeSet,
+    build_cn,
+    build_cn_tilde,
+    certify,
+    default_nodes,
+    planted_factor,
+    solve_deformation,
+    solve_height,
+    synthesize,
+)
+
+N_MAX = 41
+
+
+@pytest.fixture(scope="module")
+def bases():
+    basis = build_cn((N_MAX - 1) // 2)
+    return basis, build_cn_tilde((N_MAX - 1) // 2, basis)
+
+
+NODE_SETS = [
+    pytest.param(default_nodes((n - 1) // 2, eps), id=f"N{n}-eps{eps}")
+    for n in (1, 3, 5, 7, 9, 15, 21, 31, 41)
+    for eps in (F(1, 4), F(1, 8), F(3, 4))
+] + [
+    pytest.param(NodeSet(len(d), d), id=f"dyadic-N{2 * len(d) + 1}")
+    for d in ((F(1, 2),), (F(1, 4), F(1, 2)), (F(1, 8), F(1, 4), F(1, 2)),
+              (F(1, 64), F(1, 32), F(1, 16), F(1, 8), F(3, 16), F(1, 4), F(5, 16), F(3, 8)))
+] + [pytest.param(NodeSet(2, (F(98, 100), F(99, 100))), id="near-one-N5")]
+
+
+class TestAgainstTheCBasis:
+    @pytest.mark.parametrize("nodes", NODE_SETS)
+    def test_deformation_equals_the_c_basis_solve(self, bases, nodes):
+        basis, _ = bases
+        a, a_poly = reference_deformation(basis, nodes)
+        cofactor, series = solve_deformation(nodes)
+        assert series == to_V(a_poly)
+        assert series.to_poly() == a_poly
+        assert triangular_coordinates(a_poly, basis.cn[:nodes.n + 1]) == a + (1,)
+        assert planted_factor(nodes) * cofactor == a_poly
+        assert cofactor.is_even() and cofactor.degree == 2 * (nodes.n // 2)
+
+    @pytest.mark.parametrize("nodes", NODE_SETS)
+    def test_height_equals_the_ct_basis_solve(self, bases, nodes):
+        _, tilde = bases
+        _, b_poly = reference_height(tilde, nodes)
+        assert solve_height(nodes).to_poly() == b_poly
+
+    def test_singular_node_set_on_both_paths(self, bases):
+        # With C_2 = t^5 (t^2 - 6) the n = 3 system is singular exactly when
+        # d_1^2 + d_2^2 + d_3^2 = 6, which no node set in (0, 1) reaches.
+        # The algebra needs only distinct nonzero nodes, so skip the range check.
+        class UncheckedNodes(NodeSet):
+            def __post_init__(self):
+                pass
+
+        nodes = UncheckedNodes(3, (F(1, 5), F(7, 5), F(2)))
+        basis, tilde = bases
+        for solve in (lambda: reference_deformation(basis, nodes), lambda: solve_deformation(nodes),
+                      lambda: reference_height(tilde, nodes), lambda: solve_height(nodes)):
+            with pytest.raises(SingularSystem):
+                solve()
+
+
+def record_chains(monkeypatch):
+    """Degrees of the polynomials every SturmChain is built on from now on."""
+    degrees = []
+    real = exactpoly.SturmChain.__init__
+
+    def init(self, p):
+        degrees.append(p.degree)
+        real(self, p)
+
+    monkeypatch.setattr(exactpoly.SturmChain, "__init__", init)
+    return degrees
+
+
+class TestHotPath:
+    def test_synthesize_builds_no_c_basis_and_no_chain_of_a(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the C bases are not on the synthesis path")
+
+        monkeypatch.setattr(knots, "build_cn", refuse)
+        monkeypatch.setattr(knots, "build_cn_tilde", refuse)
+        degrees = record_chains(monkeypatch)
+        curve, report = synthesize(21)
+        assert len(report.crossings) == 21
+        # one chain per cofactor check: g has degree floor(n/2) = 5, A has 31
+        assert degrees and max(degrees) == 5
+
+    def test_certify_with_nodes_builds_no_chain_of_r(self, monkeypatch):
+        curve, report = synthesize(15)
+        degrees = record_chains(monkeypatch)
+        again = certify(curve.plane.y, curve.z, 15, NodeSet(7, report.nodes))
+        assert again.crossings == report.crossings
+        assert max(degrees) == 3  # the chain of g only
+        certify(curve.plane.y, curve.z, 15)
+        assert max(degrees) == 21  # without nodes: the chain of R
+
+    def test_failed_certificate_halves_until_exhausted(self, monkeypatch):
+        tried = []
+
+        def refuse(cofactor):
+            tried.append(cofactor)
+            return False
+
+        monkeypatch.setattr(knots, "certify_cofactor", refuse)
+        with pytest.raises(EpsilonExhausted, match="after 40 halvings"):
+            synthesize(5)
+        assert len(tried) == 41
+
+    def test_explicit_nodes_get_one_attempt(self, monkeypatch):
+        monkeypatch.setattr(knots, "certify_cofactor", lambda g: False)
+        with pytest.raises(CertificationFailed, match="extra roots of A"):
+            synthesize(5, nodes=[F(1, 8), F(1, 4)])
+
+
+def curve_with_r(r_series):
+    """y with dd(y) = R for R on the V basis, and z with dd(z)(0) = -1."""
+    return lift_from_V(r_series), ChebT.of({1: -1})
+
+
+class TestCertifyFallback:
+    def test_repeated_planted_root_fails_the_count(self):
+        # R = u^3 = V_3 + 2 V_1 has the one planted root 0, threefold
+        y, z = curve_with_r(ChebV.of({1: 2, 3: 1}))
+        for nodes in (NodeSet(0, ()), None):
+            with pytest.raises(CertificationFailed, match="repeated root") as exc:
+                certify(y, z, 1, nodes)
+            assert exc.value.stage == "count"
+
+    def test_repeated_root_beyond_the_band_passes(self):
+        # R = u (u^2 - 9)^2 (u^2 + 12) repeats only +-3, outside (-2, 2);
+        # the factor u^2 + 12 cancels its V_5 part, so R is in the image of dd
+        r_poly = Poly([0, 1]) * Poly([-9, 0, 1]) ** 2 * Poly([12, 0, 1])
+        y, z = curve_with_r(to_V(r_poly))
+        for nodes in (NodeSet(0, ()), None):
+            assert len(certify(y, z, 1, nodes).crossings) == 1
+
+    def test_root_at_two_is_located_on_the_chain(self, monkeypatch):
+        # R = u^3 - 4u = V_3 - 2 V_1: roots 0 and +-2, so g(v) = v - 4 has
+        # g(4) = 0; the chain locates the crossing as it does without nodes
+        y, z = curve_with_r(ChebV.of({1: -2, 3: 1}))
+        degrees = record_chains(monkeypatch)
+        with_nodes = certify(y, z, 1, NodeSet(0, ()))
+        assert 3 in degrees
+        assert with_nodes == certify(y, z, 1)
+        assert with_nodes.crossings[0].u_hi < 2

@@ -1,7 +1,8 @@
 """Byte-level golden outputs of `gen`, `verify` and `export`.
 
 The `gen` digests were recorded before the integer root-isolation
-kernel replaced the rational one, and the `verify` digests when the
+kernel replaced the rational one (N = 41 and 61 before the deformation
+and height were solved with the planted roots factored out), and the `verify` digests when the
 decimal sign and residual lines gave way to exact ones.  Every isolating
 interval, and so every crossing abscissa and margin printed, feeds
 these bytes, so a moved interval or a changed bisection choice fails
@@ -24,6 +25,8 @@ GEN_SHA256 = {
     9: "c13611665ffbf5c04073f56c0cbedaaa064b93343c5f680295126630a9a37bd1",
     15: "b133bfd8ddf09a5828753e259d37f6a8efc1c210b9283e203a9e99d7356f9ac9",
     21: "bcf1f8d4121979f11bed609663e846b438132597035e69b47dd897862236654e",
+    41: "bc620fd61bcdd174eeb5aef077f4881488c6fe251b13e5ada5c9c3f6884bc658",
+    61: "fbda399d624ac1458e91225cd3f51993836de5fc59d7f3a4f3461425e793f6d8",
 }
 VERIFY_FIXTURE_SHA256 = "a25fe7a2d9718ee5ecf8d079068bd00d3f9cad8df19c6fc839f8ea0f89dfb904"
 VERIFY_N21_SHA256 = {

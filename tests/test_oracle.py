@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from knotforge.chebyshev import ChebT, divided_difference, t_poly
-from knotforge.exactpoly import Poly, count_roots, squarefree_part
+from knotforge.exactpoly import Poly, SturmChain, count_roots
 from knotforge.knots import crossing_oracle, synthesize
 
 X3 = t_poly(3)
@@ -53,7 +53,7 @@ class TestCrossValidation:
                 5: F(rng.randint(-40, 40), rng.randint(200, 400)),
             })
             r_poly = divided_difference(y).to_poly()
-            if squarefree_part(r_poly).degree != r_poly.degree:
+            if SturmChain(r_poly).chain[0].degree != r_poly.degree:
                 continue
             expected = count_roots(r_poly, -2, 2)
             if expected != count_roots(r_poly, F(-9, 5), F(9, 5)):

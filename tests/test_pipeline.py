@@ -5,8 +5,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from c_basis_reference import triangular_coordinates
 from knotforge import knots
-from knotforge.chebyshev import divided_difference, to_V
+from knotforge.chebyshev import divided_difference, lift_from_V, to_V
 from knotforge.errors import EpsilonExhausted, NotInImage, OrderingViolation, SingularSystem
 from knotforge.exactpoly import IsolatingInterval, PlantedRoots, Poly, SturmChain
 from knotforge.knots import (
@@ -14,11 +15,10 @@ from knotforge.knots import (
     build_cn,
     build_cn_tilde,
     certify,
-    certify_A,
+    certify_cofactor,
     crossings,
     default_nodes,
     height_degree,
-    lift_height,
     lift_plane,
     plane_degree,
     solve_deformation,
@@ -29,23 +29,33 @@ from knotforge.knots import (
 T = Poly([0, 1])
 
 
+def deformation(n, nodes):
+    """(a, A) from the factored solve: A and its coordinates a_k on C_0..C_{n-1}."""
+    _, series = solve_deformation(nodes)
+    poly = series.to_poly()
+    return triangular_coordinates(poly, build_cn(n).cn)[:n], poly
+
+
+def height(n, nodes):
+    """(b, B) from the factored solve: B and its coordinates b_k on Ct_0..Ct_n."""
+    poly = solve_height(nodes).to_poly()
+    return triangular_coordinates(poly, build_cn_tilde(n).cn), poly
+
+
 class TestDeformation:
     def test_n1_exact(self):
-        basis = build_cn(1)
-        a, poly = solve_deformation(basis, NodeSet(1, (F(1, 8),)))
+        a, poly = deformation(1, NodeSet(1, (F(1, 8),)))
         assert a == (F(-1, 64),)
         assert poly == Poly([0, F(-1, 64), 0, 1])
         assert poly(F(1, 8)) == 0 and poly(F(-1, 8)) == 0 and poly(0) == 0
 
     def test_n0_returns_c0(self):
-        basis = build_cn(0)
-        a, poly = solve_deformation(basis, NodeSet(0, ()))
+        a, poly = deformation(0, NodeSet(0, ()))
         assert a == () and poly == T
 
     def test_n2_vanishes_at_all_five_nodes(self):
-        basis = build_cn(2)
         nodes = NodeSet(2, (F(1, 16), F(1, 8)))
-        _, poly = solve_deformation(basis, nodes)
+        _, poly = deformation(2, nodes)
         for u in nodes.all_roots():
             assert poly(u) == 0
         assert len(nodes.all_roots()) == 5
@@ -54,35 +64,63 @@ class TestDeformation:
         # a_k(eps) = O(eps^(2(n-k))): consecutive halvings shrink by about
         # 4^-(n-k); the 1.5x slack absorbs the O(eps^2) correction
         for n in (3, 4):
-            basis = build_cn(n)
             sols = {}
             for eps in (F(1, 4), F(1, 8), F(1, 16)):
-                sols[eps], _ = solve_deformation(basis, default_nodes(n, eps))
+                sols[eps], _ = deformation(n, default_nodes(n, eps))
             for k in range(n):
                 bound = F(3, 2) / F(4) ** (n - k)
                 assert abs(sols[F(1, 8)][k] / sols[F(1, 4)][k]) <= bound
                 assert abs(sols[F(1, 16)][k] / sols[F(1, 8)][k]) <= bound
 
 
+def cofactor_of(a_poly, n):
+    """G with A = P G for the planted factor P of the nodes 1/8, ..., n/8, or None
+    when P does not divide A."""
+    nodes = NodeSet(n, tuple(F(i, 8) for i in range(1, n + 1)))
+    q, r = divmod(a_poly, knots.planted_factor(nodes))
+    return q if r.is_zero else None
+
+
 class TestCertify:
     def test_planted_roots_pass(self):
-        assert certify_A(Poly([0, F(-1, 64), 0, 1]), 3)
+        assert certify_cofactor(cofactor_of(Poly([0, F(-1, 64), 0, 1]), 1))
 
     def test_roots_outside_band_fail(self):
-        # t^3 - 6t has roots +-sqrt(6) outside [-2, 2]: only 1 root counted
-        assert not certify_A(Poly([0, -6, 0, 1]), 3)
+        # t^3 - 6t has roots +-sqrt(6) outside [-2, 2]: only 1 root counted,
+        # so it plants no N = 3 node set; for N = 1 its cofactor t^2 - 6 passes
+        poly = Poly([0, -6, 0, 1])
+        assert cofactor_of(poly, 1) is None
+        assert certify_cofactor(cofactor_of(poly, 0))
 
     def test_c2_has_single_root_in_band(self):
-        assert certify_A(build_cn(2).cn[2], 1)
+        # C_2 = t^5 (t^2 - 6) has one distinct root in [-2, 2], but it is
+        # fivefold: a tangency, which the cofactor certificate refuses
+        c2 = build_cn(2).cn[2]
+        assert knots.count_roots(c2, F(-2), F(2)) == 1
+        assert not certify_cofactor(cofactor_of(c2, 0))
 
     def test_root_between_one_and_two_fails(self):
         # roots {0, +-3/2} are all in (-2, 2) but not all in (-1, 1)
         poly = Poly([0, F(-9, 4), 0, 1])
-        assert not certify_A(poly, 3)
-        assert certify_A(poly, 3) is False and poly(F(3, 2)) == 0
+        assert not certify_cofactor(cofactor_of(poly, 0))
+        assert certify_cofactor(cofactor_of(poly, 0)) is False and poly(F(3, 2)) == 0
 
     def test_zero_polynomial(self):
-        assert not certify_A(Poly(), 1)
+        assert not certify_cofactor(Poly())
+
+    def test_repeated_planted_root_fails(self):
+        # G vanishing at a planted node makes that root of A double
+        nodes = NodeSet(1, (F(1, 8),))
+        a_poly = knots.planted_factor(nodes) * Poly([-1, 0, 64])
+        assert not certify_cofactor(a_poly // knots.planted_factor(nodes))
+
+    def test_root_at_two_is_outside_the_open_band(self):
+        # g(v) = v - 4 vanishes at v = 4 only: A = t (t^2 - 4) has one root in (-2, 2)
+        assert certify_cofactor(Poly([-4, 0, 1]))
+        assert not certify_cofactor(Poly([-3, 0, 1]))   # roots +-sqrt(3) inside
+
+    def test_odd_cofactor_refused(self):
+        assert not certify_cofactor(Poly([5, 1]))
 
 
 class TestAutoNodes:
@@ -122,13 +160,14 @@ class TestEpsilonLoop:
     def test_deformation_solved_once(self, monkeypatch):
         solves = self._count_calls(monkeypatch, "solve_deformation")
         synthesize(7)
-        assert [nodes.epsilon for _, nodes in solves] == [F(1, 4)]
+        assert [nodes.epsilon for (nodes,) in solves] == [F(1, 4)]
 
     def test_failed_count_halves_epsilon(self, monkeypatch):
-        counts = self._count_calls(monkeypatch, "certify_A", fails=1)
+        counts = self._count_calls(monkeypatch, "certify_cofactor", fails=1)
         solves = self._count_calls(monkeypatch, "solve_deformation")
         _, report = synthesize(5)
-        assert len(counts) == 2 and len(solves) == 2
+        # two scales, then `certify` checks the cofactor of R once more
+        assert len(counts) == 3 and len(solves) == 2
         assert report.epsilon == F(1, 8)
         assert report.nodes == (F(1, 24), F(1, 12))
 
@@ -138,7 +177,7 @@ class TestEpsilonLoop:
         assert report.epsilon == F(1, 8)
 
     def test_exhausted_after_forty_halvings(self, monkeypatch):
-        counts = self._count_calls(monkeypatch, "certify_A", fails=10**6)
+        counts = self._count_calls(monkeypatch, "certify_cofactor", fails=10**6)
         with pytest.raises(EpsilonExhausted, match="after 40 halvings"):
             synthesize(3)
         assert len(counts) == 41
@@ -147,23 +186,23 @@ class TestEpsilonLoop:
 class TestPlaneLift:
     def test_trefoil_lift(self):
         poly = Poly([0, F(-1, 64), 0, 1])
-        plane = lift_plane(poly, 3)
+        plane = lift_plane(to_V(poly), 3)
         assert plane.x == Poly([0, -3, 0, 1])
         assert plane.y.as_dict() == {2: F(127, 64), 4: F(-1)}
         assert plane.x.degree == 3 and plane.y.degree == 4
 
     def test_undeformed_cubic(self):
-        plane = lift_plane(Poly([0, 0, 0, 1]), 3)
+        plane = lift_plane(to_V(Poly([0, 0, 0, 1])), 3)
         assert plane.y.as_dict() == {2: F(2), 4: F(-1)}
 
     def test_divided_difference_inverts_lift(self):
         poly = Poly([0, F(-1, 64), 0, 1])
-        plane = lift_plane(poly, 3)
+        plane = lift_plane(to_V(poly), 3)
         assert divided_difference(plane.y).to_poly() == poly
 
     def test_rejects_non_image(self):
         with pytest.raises(NotInImage):
-            lift_plane(to_V(Poly([0, 0, 1])).to_poly(), 1)  # even poly has V_2 part
+            lift_plane(to_V(Poly([0, 0, 1])), 1)  # even poly has V_2 part
 
 
 class TestCrossings:
@@ -242,10 +281,11 @@ class TestCrossings:
         # dyadic nodes fall on bisection midpoints of (-2, 2)
         n = len(nodes)
         node_set = NodeSet(n, nodes)
-        _, a_poly = solve_deformation(build_cn(n), node_set)
+        cofactor, a_series = solve_deformation(node_set)
+        a_poly = a_series.to_poly()
         chain = SturmChain(a_poly)
-        assert certify_A(chain, 2 * n + 1)
-        planted = PlantedRoots(chain, node_set.all_roots(), F(-2), F(2))
+        assert certify_cofactor(cofactor)
+        planted = PlantedRoots(node_set.all_roots(), chain.sign(F(2)), F(-2), F(2))
         assert crossings(planted, 2 * n + 1) == crossings(chain, 2 * n + 1)
 
     @pytest.mark.parametrize("nodes", [
@@ -265,26 +305,23 @@ class TestHeight:
     def test_n3_exact_solution(self):
         tilde = build_cn_tilde(1)
         nodes = NodeSet(1, (F(1, 8),))
-        b, poly = solve_height(tilde, nodes)
+        b, poly = height(1, nodes)
         assert tilde.cn[1](F(1, 8)) == F(191, 12288)
         assert b == (F(1), F(-24576, 191))
         assert poly(0) == 1 and poly(F(1, 8)) == -1 and poly(F(-1, 8)) == -1
 
     def test_b_evenness(self):
-        tilde = build_cn_tilde(2)
-        _, poly = solve_height(tilde, NodeSet(2, (F(1, 16), F(1, 8))))
+        _, poly = height(2, NodeSet(2, (F(1, 16), F(1, 8))))
         assert poly.is_even()
 
     def test_sign_pattern(self):
-        tilde = build_cn_tilde(1)
-        _, poly = solve_height(tilde, NodeSet(1, (F(1, 8),)))
+        _, poly = height(1, NodeSet(1, (F(1, 8),)))
         values = [poly(u) for u in (F(-1, 8), F(0), F(1, 8))]
         assert values == [-1, 1, -1]
 
     def test_lift_height_n3(self):
-        tilde = build_cn_tilde(1)
-        b, poly = solve_height(tilde, NodeSet(1, (F(1, 8),)))
-        z = lift_height(poly)
+        b, poly = height(1, NodeSet(1, (F(1, 8),)))
+        z = lift_from_V(to_V(poly))
         b1 = b[1]
         assert z.as_dict() == {1: 1 + b1 / 3, 5: b1 / 3}
         assert z.degree == 5

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from knotforge import exactpoly
 from knotforge.chebyshev import ChebT, ChebV, t_poly
 from knotforge.exactpoly import Poly, rat_str
 from knotforge.knots import synthesize
@@ -118,3 +119,22 @@ class TestVerifyCurve:
         ok, lines = verify_curve(doc)
         assert ok, lines
         assert "ok   crossing signs alternate (-1)^i [exact]" in lines
+
+    def test_nodeless_n51_signs_need_few_refinements(self, monkeypatch):
+        # `signs_at_roots` bounds |dd(z)'| on a root interval by |dd(z)'(lo)|
+        # plus a bound on |dd(z)''| times the width; with a bound on |dd(z)'|
+        # from the monomial coefficients alone this file took 32 refinements
+        curve, report = synthesize(51)
+        doc = curve_to_dict(51, curve.plane.x, curve.plane.y, curve.z, report, True)
+        doc["nodes"] = doc["epsilon"] = None
+        calls = []
+        real = exactpoly.refine
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(exactpoly, "refine", counting)
+        ok, lines = verify_curve(doc)
+        assert ok, lines
+        assert len(calls) <= 8
