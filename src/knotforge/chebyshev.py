@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence, Union
 
 from .errors import NotInImage
@@ -37,26 +38,31 @@ def eps(k: int) -> int:
     return _EPS_TABLE[k % 6]
 
 
-_T_CACHE = [Poly([2]), Poly([0, 1])]
-_V_CACHE = [Poly([1]), Poly([0, 1])]
+@lru_cache(maxsize=1024)
+def _family_ints(n: int, cosine: bool) -> tuple[int, ...]:
+    """Integer coefficients of T_n (cosine) or V_n, in closed form: (-1)^j c_j
+    at t^(n-2j), with c_j = C(n-j, j) for V_n and n/(n-j) C(n-j, j) for T_n."""
+    if cosine and n == 0:
+        return (2,)
+    out = [0] * (n + 1)
+    for j in range(n // 2 + 1):
+        c = math.comb(n - j, j)
+        out[n - 2 * j] = (-1) ** j * (n * c // (n - j) if cosine else c)
+    return tuple(out)
 
 
 def t_poly(n: int) -> Poly:
     """Monic cosine polynomial T_n as an exact monomial-basis Poly."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    while len(_T_CACHE) <= n:
-        _T_CACHE.append(Poly([0, 1]) * _T_CACHE[-1] - _T_CACHE[-2])
-    return _T_CACHE[n]
+    return Poly(_family_ints(n, True))
 
 
 def v_poly(n: int) -> Poly:
     """Monic sine polynomial V_n as an exact monomial-basis Poly."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    while len(_V_CACHE) <= n:
-        _V_CACHE.append(Poly([0, 1]) * _V_CACHE[-1] - _V_CACHE[-2])
-    return _V_CACHE[n]
+    return Poly(_family_ints(n, False))
 
 
 def _normalize(coeffs: _CoeffMap) -> tuple[tuple[int, Fraction], ...]:
@@ -96,22 +102,22 @@ class _ChebSeries:
         acc = [0] * (self.degree + 1)
         for k, c in self.items:
             w = c.numerator * (den // c.denominator)
-            for i, b in enumerate(self._family(k).coeffs):
+            for i, b in enumerate(_family_ints(k, self._cosine)):
                 if b:
-                    acc[i] += w * b.numerator
+                    acc[i] += w * b
         return Poly(Fraction(v, den) for v in acc)
 
 
 class ChebT(_ChebSeries):
     """Polynomial expressed in the T basis; note T_0 is the constant 2."""
 
-    _family = staticmethod(t_poly)
+    _cosine = True
 
 
 class ChebV(_ChebSeries):
     """Polynomial expressed in the V basis (V_0 = 1)."""
 
-    _family = staticmethod(v_poly)
+    _cosine = False
 
 
 def _from_monomials(p: Poly, cls):
@@ -121,11 +127,11 @@ def _from_monomials(p: Poly, cls):
     for d in range(len(rem) - 1, -1, -1):
         c = rem[d]
         if c:
-            basis = cls._family(d)
+            basis = _family_ints(d, cls._cosine)
             if d == 0:
-                c /= basis.coeffs[0]  # T_0 is the constant 2
+                c /= basis[0]  # T_0 is the constant 2
             out[d] = c
-            for i, bc in enumerate(basis.coeffs):
+            for i, bc in enumerate(basis):
                 rem[i] -= c * bc
     return cls.of(out)
 

@@ -13,14 +13,17 @@ counting, isolation and refinement of that polynomial then share.  Each
 element is kept as its primitive integer form, a positive multiple of
 the rational remainder, and its sign at n/d is the sign of the integer
 sum c_i n^i d^(D-i) (homogeneous Horner): no `Fraction` and no gcd.
-`Poly.__call__` runs the same Horner on the coefficients brought to
-their common denominator, so an exact value costs one gcd.
+`Poly.values_at` runs the same Horner on the coefficients brought to
+their common denominator once, so each exact value costs one gcd.
 
 When every root of a polynomial in an interval is already known and
 certified, `PlantedRoots` answers a chain's sign and count queries there
 from that root list, with no chain built, and `isolate_roots`/`refine`
-run unchanged on it.  `signs_at_roots` gives the exact sign of a second polynomial at
-each isolated root, from a slope bound, in integers.
+run unchanged on it; `PlantedRoots.cells` gives their intervals in
+closed form, with no bisection.  `signs_at_roots` gives the exact sign
+of a second polynomial at each isolated root, from a slope bound, in
+integers.  Linear systems are solved, and determinants taken, by one
+fraction-free (Bareiss) elimination on integer rows.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import SingularSystem, ZeroPolynomial
 
@@ -76,10 +79,6 @@ class Poly:
     @classmethod
     def monomial(cls, degree: int, coeff: _RationalLike = 1) -> "Poly":
         return cls([0] * degree + [coeff])
-
-    @classmethod
-    def constant(cls, c: _RationalLike) -> "Poly":
-        return cls([c])
 
     # -- basic queries -------------------------------------------------------
 
@@ -163,20 +162,24 @@ class Poly:
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, x: _RationalLike) -> Rational:
-        """Exact value at a rational (or int) point, by one integer Horner.
+        """Exact value at a rational (or int) point, by one integer Horner."""
+        return self.values_at([x])[0]
 
-        With L the lcm of the coefficient denominators and x = num/den,
-        p(x) = sum(L c_i num^i den^(D-i)) / (L den^D): the sum is integer
-        homogeneous Horner (see `_horner`), and normalizing the returned
-        Fraction is the only gcd.
+    def values_at(self, xs: Sequence[_RationalLike]) -> list[Rational]:
+        """Exact values at rational (or int) points, from one integer form.
+
+        With L the lcm of the coefficient denominators, taken once, and
+        x = num/den, p(x) = sum(L c_i num^i den^(D-i)) / (L den^D): the sum
+        is integer homogeneous Horner (see `_horner`), and normalizing each
+        returned Fraction is its only gcd.
         """
         cs = self.coeffs
         if not cs:
-            return Fraction(0)
+            return [Fraction(0)] * len(xs)
         lcm = math.lcm(*(c.denominator for c in cs))
-        acc = _horner([c.numerator * (lcm // c.denominator) for c in cs],
-                      x.numerator, x.denominator)
-        return Fraction(acc, lcm * x.denominator ** (len(cs) - 1))
+        ints = [c.numerator * (lcm // c.denominator) for c in cs]
+        return [Fraction(_horner(ints, x.numerator, x.denominator),
+                         lcm * x.denominator ** (len(cs) - 1)) for x in xs]
 
     def eval_float(self, xs: Sequence[float]) -> list[float]:
         """Double-precision Horner at every point of a grid, each coefficient
@@ -326,20 +329,26 @@ def _remainder_sequence(a: tuple[int, ...], b: tuple[int, ...]) -> list[tuple[in
     return seq
 
 
-def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """a / b for integer polynomials when the primitive b divides a over Q.
+def exact_quotient(a: Sequence[int], b: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """a / b for integer polynomials with b primitive; None when b does not divide a over Q.
 
-    By Gauss's lemma the quotient has integer coefficients, so every
-    step of the long division divides exactly.
+    By Gauss's lemma a quotient over Q has integer coefficients, so every
+    step of the long division must divide exactly and leave remainder 0;
+    the first step that does not proves that b does not divide a.
     """
     r = list(a)
     nb = len(b)
+    low = [(i, v) for i, v in enumerate(b[:-1]) if v]
     q = [0] * (len(a) - nb + 1)
     for k in range(len(q) - 1, -1, -1):
-        c = q[k] = r[k + nb - 1] // b[-1]
-        for i in range(nb - 1):
-            r[k + i] -= c * b[i]
-    return tuple(q)
+        c, rest = divmod(r[k + nb - 1], b[-1])
+        if rest:
+            return None
+        q[k] = c
+        if c:
+            for i, v in low:
+                r[k + i] -= c * v
+    return None if any(r[:nb - 1]) or not q else tuple(q)
 
 
 def _sturm_sequence(a: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -398,7 +407,7 @@ class SturmChain:
             # makes it primitive
             if gcd[-1] < 0:
                 gcd = tuple(-c for c in gcd)
-            a = _exact_quotient(a, gcd)
+            a = exact_quotient(a, gcd)
             p = Poly(a)
             seq = _sturm_sequence(a)
         self.gcd = Poly(gcd)
@@ -433,17 +442,18 @@ class SturmChain:
 
     def deflated(self, x: Rational) -> SturmChain:
         """Chain of chain[0] / (t - x), for an exact root x of chain[0]."""
-        return SturmChain(Poly(_exact_quotient(self._ints[0], (-x.numerator, x.denominator))))
+        return SturmChain(Poly(exact_quotient(self._ints[0], (-x.numerator, x.denominator))))
 
 
 class PlantedRoots:
     """A SturmChain's answers for a polynomial whose roots in [lo, hi] are known.
 
-    `roots` must be every root of the polynomial in [lo, hi], sorted,
-    all simple and none at lo or hi, and `top_sign` its sign between the
-    top root and hi; the caller certifies that (in `knots.certify`, by
-    the cofactor certificate).  Then the squarefree part changes sign
-    exactly at each root, so for lo <= x <= hi
+    `roots` must be every root of the polynomial in [lo, hi], all simple,
+    and `top_sign` its sign between the top root and hi; the caller
+    certifies that (in `knots.certify`, by the cofactor certificate).
+    The constructor checks the rest of the contract: the roots are sorted,
+    distinct and strictly inside (lo, hi), else ValueError.  Then the
+    squarefree part changes sign exactly at each root, so for lo <= x <= hi
 
         variations(x) = -#{roots <= x}
         sign(x) = top_sign * (-1)^#{roots > x}   (0 at a root)
@@ -451,13 +461,16 @@ class PlantedRoots:
     No chain is built.  Counts are differences of variations and agree
     with a chain's; signs agree with it up to one constant factor, which
     bisection never sees.  So `isolate_roots` and `refine` give the same
-    intervals on either.
+    intervals on either, and `cells` gives those of both in closed form.
     """
 
     def __init__(self, roots: Sequence[Rational], top_sign: int, lo: Rational, hi: Rational):
         self._roots = tuple(roots)
         self._top_sign = top_sign
         self._lo, self._hi = Fraction(lo), Fraction(hi)
+        ends = (self._lo, *self._roots, self._hi)
+        if not all(a < b for a, b in zip(ends, ends[1:])):
+            raise ValueError("planted roots must be sorted, distinct and strictly inside (lo, hi)")
 
     def _below(self, x: Rational) -> int:
         """#{roots <= x}, for x in [lo, hi]."""
@@ -476,6 +489,39 @@ class PlantedRoots:
 
     # distinct roots in (a, b], from this object's variations
     count = SturmChain.count
+
+    def cells(self, width: Rational) -> list[IsolatingInterval]:
+        """`[refine(self, iv, width) for iv in isolate_roots(self, lo, hi)]`, with no bisection.
+
+        For width = (hi - lo) / 2^depth.  Bisection of (lo, hi] makes only
+        the cells (lo + j w, lo + (j + 1) w] with w = (hi - lo) / 2^k; a root
+        r = lo + x (hi - lo) lies in the one with j = ceil(x 2^k) - 1.  Its
+        interval is that cell at k = max(depth, the first depth at which no
+        neighbouring root shares its cell): isolation splits down to there,
+        refinement on to `depth`.  Integer shifts and floor divisions give j.
+        """
+        span = self._hi - self._lo
+        steps = span / width
+        depth = steps.numerator.bit_length() - 1
+        if steps != 1 << depth:
+            raise ValueError("width must be (hi - lo) / 2^depth")
+        xs = [((r - self._lo) / span).as_integer_ratio() for r in self._roots]
+
+        def cell(x: tuple[int, int], k: int) -> int:
+            return ((x[0] << k) - 1) // x[1]
+
+        ks = [depth] * len(xs)
+        for i in range(len(xs) - 1):
+            k = depth  # once parted, two roots stay in different cells
+            while cell(xs[i], k) == cell(xs[i + 1], k):
+                k += 1
+            ks[i], ks[i + 1] = max(ks[i], k), k
+        out = []
+        for x, k in zip(xs, ks):
+            j = cell(x, k)
+            out.append(IsolatingInterval(self._lo + span * Fraction(j, 1 << k),
+                                         self._lo + span * Fraction(j + 1, 1 << k)))
+        return out
 
 
 @dataclass(frozen=True)
@@ -662,55 +708,66 @@ def signs_at_roots(
 # -- exact linear algebra ------------------------------------------------------
 
 
-def solve_linear(matrix: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) -> list[Rational]:
-    """Solve an exact rational linear system by Gaussian elimination.
+def _eliminate(rows: Sequence[Sequence[Rational]], n: int) -> tuple[list[list[int]], Fraction]:
+    """Bareiss fraction-free elimination of the first n columns of rational rows.
 
-    Partial pivoting picks the largest-magnitude pivot, which keeps
-    intermediate fractions smaller; exactness never depends on it.
-    Raises SingularSystem when the matrix is singular.
+    Each row is first multiplied by the lcm of its denominators.  Step k
+    makes every entry below and right of the pivot a minor of order
+    k + 2 of those integer rows, so each division by the previous pivot is
+    exact (Sylvester's identity).  Returns the eliminated rows and the
+    factor f with det = f * (last pivot).  The pivot is the first nonzero
+    entry of its column; a column with none depends on the columns before
+    it, whatever pivots were chosen, and raises SingularSystem naming it.
+    """
+    a, factor = [], Fraction(1)
+    for row in rows:
+        den = math.lcm(*(v.denominator for v in row))
+        a.append([v.numerator * (den // v.denominator) for v in row])
+        factor /= den
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            raise SingularSystem(f"singular at column {k}")
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            factor = -factor
+        top = a[k]
+        pk, tail = top[k], top[k + 1:]
+        for r in range(k + 1, n):
+            row, f = a[r], a[r][k]
+            a[r] = row[:k] + [0] + [(v * pk - f * w) // prev for v, w in zip(row[k + 1:], tail)]
+        prev = pk
+    return a, factor
+
+
+def solve_linear(matrix: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) -> list[Rational]:
+    """Solve an exact rational linear system by fraction-free elimination.
+
+    [matrix | rhs] is eliminated by `_eliminate`; with D the last pivot,
+    the integers D x_r, which Cramer's rule makes integral, come out of
+    back-substitution by exact division.  A singular matrix raises
+    SingularSystem, naming the first column that depends on the ones
+    before it.
     """
     n = len(matrix)
-    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[piv][col] == 0:
-            raise SingularSystem(f"singular at column {col}")
-        a[col], a[piv] = a[piv], a[col]
-        pivval = a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] / pivval
-            if f:
-                for c in range(col, n + 1):
-                    a[r][c] -= f * a[col][c]
-    x = [Fraction(0)] * n
+    a, _ = _eliminate([[*row, rhs[i]] for i, row in enumerate(matrix)], n)
+    if not n:
+        return []
+    det = a[-1][n - 1]
+    y = [0] * n
     for r in range(n - 1, -1, -1):
-        s = a[r][n] - sum(a[r][c] * x[c] for c in range(r + 1, n))
-        x[r] = s / a[r][r]
-    return x
+        row = a[r]
+        y[r] = (det * row[n] - sum(row[c] * y[c] for c in range(r + 1, n))) // row[r]
+    return [Fraction(v, det) for v in y]
 
 
 def bareiss_det(matrix: Sequence[Sequence[Rational]]) -> Rational:
-    """Determinant by fraction-free (Bareiss) elimination.
-
-    Exact over the rationals; the fraction-free pivoting pattern keeps
-    entry growth polynomial instead of exponential.
-    """
+    """Determinant by the fraction-free elimination of `solve_linear`; every
+    intermediate entry is a minor, so entry growth stays polynomial."""
     n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    a = [[Fraction(v) for v in row] for row in matrix]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if swap is None:
-                return Fraction(0)
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    try:
+        a, factor = _eliminate(matrix, n)
+    except SingularSystem:
+        return Fraction(0)
+    return factor * a[-1][-1] if n else Fraction(1)

@@ -58,7 +58,9 @@ from .exactpoly import (
     Poly,
     Rational,
     SturmChain,
+    _primitive_ints,
     count_roots,
+    exact_quotient,
     isolate_roots,
     rat_str,
     refine,
@@ -322,10 +324,11 @@ def _fit(known: list, first: list[int], count: int, residue: int,
 def planted_factor(nodes: NodeSet) -> Poly:
     """P = t prod (q_i^2 t^2 - p_i^2) for d_i = p_i/q_i: primitive, with simple roots
     exactly at the planted roots, and positive beyond the top one."""
-    poly = Poly([0, 1])
+    half = [1]  # prod (q_i^2 v - p_i^2) on integer lists, in v = t^2
     for d in nodes.delta:
-        poly = poly * Poly([-d.numerator ** 2, 0, d.denominator ** 2])
-    return poly
+        p2, q2 = d.numerator ** 2, d.denominator ** 2
+        half = [q2 * a - p2 * b for a, b in zip([0, *half], [*half, 0])]
+    return Poly([c for h in half for c in (0, h)])
 
 
 def solve_deformation(nodes: NodeSet) -> tuple[Poly, cb.ChebV]:
@@ -439,10 +442,12 @@ def crossings(
     """Locate the N crossings of the lifted curve from the roots of A.
 
     a_poly is A (or R), its SturmChain, or a PlantedRoots when the roots
-    in [-2, 2] are certified to be the planted ones.  Roots are isolated
-    in (-2, 2) by Sturm bisection (isolation itself certifies the count)
-    and refined to width 2^-48, all on one chain, so the squarefree part
-    is computed once.  Each root is then mapped through
+    in [-2, 2] are certified to be the planted ones.  On a chain, roots
+    are isolated in (-2, 2) by Sturm bisection (isolation itself
+    certifies the count) and refined to width 2^-48, all on one chain, so
+    the squarefree part is computed once.  On planted roots the same
+    intervals come in closed form from `PlantedRoots.cells`, with no
+    bisection.  Each root is then mapped through
     u = 2 cos(alpha), s = 2 cos(alpha + pi/3), t = 2 cos(alpha - pi/3) in
     floats for the report.  The 2N-way ordering
     s_1 < ... < s_N < t_1 < ... < t_N is proved on rational enclosures
@@ -450,7 +455,10 @@ def crossings(
     `ordering_margin`, the smallest gap of that sequence, is a diagnostic.
     """
     chain = SturmChain.of(a_poly)
-    intervals = [refine(chain, iv, ROOT_WIDTH) for iv in isolate_roots(chain, -2, 2)]
+    if isinstance(chain, PlantedRoots):
+        intervals = chain.cells(ROOT_WIDTH)
+    else:
+        intervals = [refine(chain, iv, ROOT_WIDTH) for iv in isolate_roots(chain, -2, 2)]
     if len(intervals) != n_crossings:
         raise OrderingViolation(f"found {len(intervals)} crossings, expected {n_crossings}")
     _certify_ordering(chain, intervals)
@@ -522,11 +530,15 @@ def certify(
       `signs_at_roots` on R's chain, where a root shared with dd(z)
       (z(t) = z(s)) fails.
 
-    With nodes, the quotient of R by `planted_factor(nodes)` passing
-    `certify_cofactor`, with no root at 2, proves the count and nodes
-    stages at once; the crossings are then located on the planted roots
-    (`PlantedRoots`), with no Sturm chain of R.  Otherwise both stages run
-    on the chain of R, which names the failure.  The intervals agree.
+    With nodes, the primitive integers of R are divided by those of
+    `planted_factor(nodes)`, each step checked exact; by Gauss's lemma an
+    inexact step means P does not divide R over Q.  An exact quotient
+    passing `certify_cofactor`, with no root at 2, proves the count and
+    nodes stages at once; the crossings are then located on the planted
+    roots (`PlantedRoots.cells`), with no Sturm chain of R.  Otherwise
+    both stages run on the chain of R, which names the failure.  The
+    intervals agree.  The signs at the nodes come from one integer form of
+    dd(z), evaluated at all 2n + 1 of them.
 
     Every certificate is exact.  The x/y coincidences are identities: s, t
     are the roots of X^2 - uX + (u^2 - 3), so T_3(s) = T_3(t), and
@@ -540,9 +552,12 @@ def certify(
         raise CertificationFailed("divided-difference image of y is zero", "count")
     located = None
     if nodes is not None and 2 * nodes.n + 1 == n_crossings:
-        cofactor, rest = divmod(r_poly, planted_factor(nodes))
-        # P(2) > 0, so cofactor(2) has the sign of R above the planted roots
-        top = cofactor(Fraction(2)) if rest.is_zero and certify_cofactor(cofactor) else 0
+        planted = [c.numerator for c in planted_factor(nodes).coeffs]
+        cofactor = exact_quotient(_primitive_ints(r_poly), planted)
+        # P(2) > 0 and the primitive R is a positive multiple of R, so
+        # cofactor(2) has the sign of R above the planted roots
+        top = (sum(c << i for i, c in enumerate(cofactor))
+               if cofactor and certify_cofactor(Poly(cofactor)) else 0)
         if top:
             located = PlantedRoots(nodes.all_roots(), 1 if top > 0 else -1, -2, 2)
     if located is None:
@@ -576,8 +591,9 @@ def certify(
 
     zv = cb.divided_difference(z).to_poly()
     if nodes is not None:
-        for i, u in enumerate(nodes.all_roots(), start=1):
-            if zv(u) != (-1) ** i:
+        roots = nodes.all_roots()
+        for i, (u, value) in enumerate(zip(roots, zv.values_at(roots)), start=1):
+            if value != (-1) ** i:
                 raise CertificationFailed(f"dd(z)({rat_str(u)}) != {(-1) ** i}", "space", report)
     else:
         intervals = [IsolatingInterval(c.u_lo, c.u_hi) for c in report.crossings]

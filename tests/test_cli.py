@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from knotforge import cli
+from knotforge import chebyshev as cb, cli
 from knotforge.cli import main
 from knotforge.exactpoly import rat_str
 from knotforge.knots import synthesize
@@ -177,6 +177,36 @@ class TestVerify:
                             "--out", str(tmp_path / "x800.csv")], capsys)
         assert code == 1
         assert "a x value is beyond the double range" in err
+
+    def test_high_degree_x_export_fails_fast(self, tmp_path, capsys):
+        # expanding T_800 to monomials takes its closed-form integer
+        # coefficients, not a recurrence on rational polynomials
+        out = tmp_path / "n21.json"
+        run(["gen", "--n", "21", "--out", str(out)], capsys)
+        doc = json.loads(out.read_text())
+        doc["x"] = {"basis": "T", "coeffs": ["0"] * 800 + ["1"]}
+        path = tmp_path / "x800.json"
+        path.write_text(json.dumps(doc))
+        cb._family_ints.cache_clear()
+        start = time.perf_counter()
+        code, _, err = run(["export", "--svg", str(path), "--out", str(tmp_path / "x800.svg")],
+                           capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert err.endswith("a x value is beyond the double range on [-2.2, 2.2]\n")
+
+    def test_node_off_the_roots_fails(self, tmp_path, capsys):
+        out = tmp_path / "n7.json"
+        run(["gen", "--n", "7", "--out", str(out)], capsys)
+        doc = json.loads(out.read_text())
+        assert doc["nodes"] == ["1/16", "1/8", "3/16"]
+        doc["nodes"][-1] = "1/3"
+        moved = tmp_path / "moved.json"
+        moved.write_text(json.dumps(doc))
+        code, stdout, _ = run(["verify", str(moved)], capsys)
+        assert code == 2
+        assert stdout == ("ok   x = T_3\nok   R has exactly 7 roots in (-2, 2) [Sturm]\n"
+                          "FAIL stored node -1/3 is not a root of R\nNOT VERIFIED\n")
 
     def test_series_x_exports_like_its_monomial_form(self, tmp_path, capsys):
         out = tmp_path / "n5.json"

@@ -13,6 +13,7 @@ from knotforge.exactpoly import (
     SturmChain,
     bareiss_det,
     count_roots,
+    exact_quotient,
     isolate_roots,
     parse_rat,
     poly_gcd,
@@ -459,6 +460,77 @@ class TestIntegerKernel:
         assert isolate_roots(oracle, -2, 2)[-1].hi == 2
 
 
+# a root of a bisection cell's boundary: 0, k/2^m, or a node next to one
+DYADIC = st.builds(lambda k, m: F(k, 2**m), st.integers(-63, 63), st.integers(0, 5))
+SPREAD = st.fractions(F(-39, 20), F(39, 20), max_denominator=60)
+
+
+class TestPlantedCells:
+    """`PlantedRoots.cells` against Sturm bisection of the polynomial with those roots."""
+
+    @given(
+        st.lists(st.one_of(SPREAD, DYADIC), max_size=6),
+        # pairs r, r + c 2^-e closer than the 2^-48 cells, where the
+        # isolation depth exceeds the refinement depth
+        st.lists(st.tuples(st.one_of(SPREAD, DYADIC), st.integers(40, 70), st.integers(1, 3)),
+                 max_size=2),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cells_match_chain_bisection(self, roots, pairs, with_zero):
+        roots = roots + [r + F(c, 2**e) for r, e, c in pairs] + [r for r, _, _ in pairs]
+        roots = sorted(set(r for r in roots + [F(0)] * with_zero if F(-2) < r < F(2)))
+        chain = SturmChain(poly_from_roots(roots))
+        width = F(1, 2**48)
+        expected = [refine(chain, iv, width) for iv in isolate_roots(chain, -2, 2)]
+        planted = PlantedRoots(roots, chain.sign(F(2)), F(-2), F(2))
+        assert planted.cells(width) == expected
+
+    def test_cells_on_another_interval(self):
+        roots = [F(-1, 3), F(1, 4), F(1, 4) + F(1, 2**60)]
+        chain = SturmChain(poly_from_roots(roots))
+        width = F(3, 2**20)  # (hi - lo) / 2^20
+        planted = PlantedRoots(roots, chain.sign(F(2)), F(-1), F(2))
+        assert planted.cells(width) == [refine(chain, iv, width)
+                                        for iv in isolate_roots(chain, -1, 2)]
+
+    def test_width_must_halve_the_interval(self):
+        planted = PlantedRoots([F(0)], 1, F(-2), F(2))
+        with pytest.raises(ValueError, match="2\\^depth"):
+            planted.cells(F(1, 3))
+
+    @pytest.mark.parametrize("roots", [
+        pytest.param([F(1, 2), F(-1, 2)], id="unsorted"),
+        pytest.param([F(0), F(0)], id="repeated"),
+        pytest.param([F(-2), F(0)], id="at-lo"),
+        pytest.param([F(0), F(2)], id="at-hi"),
+        pytest.param([F(3)], id="outside"),
+    ])
+    def test_contract_is_checked(self, roots):
+        with pytest.raises(ValueError, match="sorted, distinct and strictly inside"):
+            PlantedRoots(roots, 1, F(-2), F(2))
+
+
+class TestExactQuotient:
+    def test_divides(self):
+        b = (-1, 0, 4)  # 4t^2 - 1, primitive
+        a = _primitive_ints(Poly(b) * Poly([3, -2, 0, 5]))
+        assert exact_quotient(a, b) == (3, -2, 0, 5)
+
+    @pytest.mark.parametrize("a", [
+        pytest.param((1, 0, 4, 0, 4), id="inexact-step"),  # 4t^4 + 4t^2 + 1: then 5t^2 / 4t^2
+        # 5t^2 - 1: the floor quotient 1 clears the low terms, and only the
+        # inexact step shows that t^2 is left over
+        pytest.param((-1, 0, 5), id="inexact-lead"),
+        pytest.param((2, 1, 4), id="remainder"),           # every step exact, remainder t + 3
+        pytest.param((1, 2), id="lower-degree"),
+    ])
+    def test_refuses_a_non_divisor(self, a):
+        b = (-1, 0, 4)
+        assert divmod(Poly(a), Poly(b))[1] != Poly()
+        assert exact_quotient(a, b) is None
+
+
 class TestSignsAtRoots:
     """The exact sign of q at each root of p, from p's isolating intervals."""
 
@@ -502,7 +574,60 @@ class TestSignsAtRoots:
         assert signs_at_roots(chain, Poly(), ivs) == [0, 0]
 
 
+def gauss_reference(matrix, rhs):
+    """Fraction Gaussian elimination with largest-magnitude pivots: (solution, det)."""
+    n = len(matrix)
+    a = [[F(v) for v in row] + [F(rhs[i])] for i, row in enumerate(matrix)]
+    det = F(1)
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if a[piv][col] == 0:
+            raise SingularSystem(f"singular at column {col}")
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            for c in range(col, n + 1):
+                a[r][c] -= f * a[col][c]
+    x = [F(0)] * n
+    for r in range(n - 1, -1, -1):
+        x[r] = (a[r][n] - sum(a[r][c] * x[c] for c in range(r + 1, n))) / a[r][r]
+    return x, det
+
+
+@st.composite
+def linear_systems(draw):
+    """Square systems with many zeros, and sometimes a column that depends on earlier ones."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(F(0)), st.fractions(F(-9), F(9), max_denominator=7),
+                      st.integers(-2**70, 2**70).map(F))
+    m = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))  # j = 0 makes a zero column
+        weights = [draw(entry) for _ in range(j)]
+        for row in m:
+            row[j] = sum((w * row[i] for i, w in enumerate(weights)), F(0))
+    return m, [draw(entry) for _ in range(n)]
+
+
 class TestLinearAlgebra:
+    @given(linear_systems())
+    @settings(max_examples=150, deadline=None)
+    def test_solve_matches_fraction_gauss(self, system):
+        matrix, rhs = system
+        try:
+            expected, det = gauss_reference(matrix, rhs)
+        except SingularSystem as exc:
+            with pytest.raises(SingularSystem) as got:
+                solve_linear(matrix, rhs)
+            assert str(got.value) == str(exc)
+            assert bareiss_det(matrix) == 0
+        else:
+            assert solve_linear(matrix, rhs) == expected
+            assert bareiss_det(matrix) == det
+
     def test_solve(self):
         sol = solve_linear([[F(2), F(1)], [F(1), F(3)]], [F(5), F(10)])
         assert sol == [F(1), F(3)]

@@ -2,7 +2,9 @@
 
 The `gen` digests were recorded before the integer root-isolation
 kernel replaced the rational one (N = 41 and 61 before the deformation
-and height were solved with the planted roots factored out), and the `verify` digests when the
+and height were solved with the planted roots factored out, N = 101
+before the crossing cells, solves and cofactor division moved to
+integers), and the `verify` digests when the
 decimal sign and residual lines gave way to exact ones.  Every isolating
 interval, and so every crossing abscissa and margin printed, feeds
 these bytes, so a moved interval or a changed bisection choice fails
@@ -27,6 +29,7 @@ GEN_SHA256 = {
     21: "bcf1f8d4121979f11bed609663e846b438132597035e69b47dd897862236654e",
     41: "bc620fd61bcdd174eeb5aef077f4881488c6fe251b13e5ada5c9c3f6884bc658",
     61: "fbda399d624ac1458e91225cd3f51993836de5fc59d7f3a4f3461425e793f6d8",
+    101: "e20620172c5047e2e840cedc223b904a6d5354dedf03c69a02233042277ba0b7",
 }
 VERIFY_FIXTURE_SHA256 = "a25fe7a2d9718ee5ecf8d079068bd00d3f9cad8df19c6fc839f8ea0f89dfb904"
 VERIFY_N21_SHA256 = {

@@ -8,8 +8,21 @@ from hypothesis import example, given, settings, strategies as st
 from c_basis_reference import triangular_coordinates
 from knotforge import knots
 from knotforge.chebyshev import divided_difference, lift_from_V, to_V
-from knotforge.errors import EpsilonExhausted, NotInImage, OrderingViolation, SingularSystem
-from knotforge.exactpoly import IsolatingInterval, PlantedRoots, Poly, SturmChain
+from knotforge.errors import (
+    CertificationFailed,
+    EpsilonExhausted,
+    NotInImage,
+    OrderingViolation,
+    SingularSystem,
+)
+from knotforge.exactpoly import (
+    IsolatingInterval,
+    PlantedRoots,
+    Poly,
+    SturmChain,
+    _primitive_ints,
+    exact_quotient,
+)
 from knotforge.knots import (
     NodeSet,
     build_cn,
@@ -121,6 +134,19 @@ class TestCertify:
 
     def test_odd_cofactor_refused(self):
         assert not certify_cofactor(Poly([5, 1]))
+
+    def test_node_off_the_roots_fails_the_nodes_stage(self):
+        # P does not divide R, so certify takes R's chain, which names the node
+        curve, report = synthesize(7)
+        assert report.nodes == (F(1, 16), F(1, 8), F(3, 16))
+        moved = NodeSet(3, (F(1, 16), F(1, 8), F(1, 3)))
+        r_poly = divided_difference(curve.plane.y).to_poly()
+        planted = _primitive_ints(knots.planted_factor(moved))
+        assert exact_quotient(_primitive_ints(r_poly), planted) is None
+        with pytest.raises(CertificationFailed) as exc:
+            certify(curve.plane.y, curve.z, 7, moved)
+        assert exc.value.stage == "nodes"
+        assert str(exc.value) == "stored node -1/3 is not a root of R"
 
 
 class TestAutoNodes:
@@ -287,6 +313,22 @@ class TestCrossings:
         assert certify_cofactor(cofactor)
         planted = PlantedRoots(node_set.all_roots(), chain.sign(F(2)), F(-2), F(2))
         assert crossings(planted, 2 * n + 1) == crossings(chain, 2 * n + 1)
+
+    def test_planted_roots_locate_without_bisection(self, monkeypatch):
+        node_set = NodeSet(3, (F(1, 8), F(1, 4), F(1, 2)))
+        a_poly = solve_deformation(node_set)[1].to_poly()
+        chain = SturmChain(a_poly)
+        expected = crossings(chain, 7)
+        planted = PlantedRoots(node_set.all_roots(), chain.sign(F(2)), F(-2), F(2))
+
+        def bisection(*args):
+            raise AssertionError("crossings bisected on planted roots")
+
+        monkeypatch.setattr(knots, "isolate_roots", bisection)
+        monkeypatch.setattr(knots, "refine", bisection)
+        assert crossings(planted, 7) == expected
+        # nor does gen, whose R is certified on its planted roots
+        assert synthesize(21)[1].n_crossings == 21
 
     @pytest.mark.parametrize("nodes", [
         pytest.param((F(1, 4), F(1, 2)), id="n5"),
