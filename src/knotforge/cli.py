@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import Optional, Sequence
 
 from . import serialize, svg
 from .errors import KnotforgeError
-from .exactpoly import Poly, rat_str
+from .exactpoly import Poly, rat_str, signed_sum
 from .knots import build_cn, synthesize
 from .pade import pade
 from .serialize import SchemaError
@@ -70,12 +69,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _FileError(Exception):
+    """A file that cannot be read or written; `main` reports it and exits 1."""
+
+
+def _load(path: str) -> object:
+    """The JSON document in path; any bytes that do not decode raise _FileError."""
+    try:
+        return serialize.load_curve(path)
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and integers past the digit limit
+        raise _FileError(f"cannot read {path}: {exc}") from exc
+
+
 def _write(text: str, out: Optional[str]) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _FileError(f"cannot write {out}: {exc}") from exc
 
 
 def _cmd_gen(args) -> int:
@@ -117,11 +132,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        doc = serialize.load_curve(args.file)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"knotforge verify: cannot read {args.file}: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+    doc = _load(args.file)
     try:
         ok, lines = serialize.verify_curve(doc)
     except SchemaError as exc:
@@ -144,18 +155,7 @@ def _cmd_cn_table(args) -> int:
         mono = f"t^{order}" if order > 1 else "t"
         if cofactor != "1":
             mono += f" * ({cofactor})"
-        wparts = []
-        for i in range(j, -1, -1):
-            coeff = coords[i]
-            if coeff == 0:
-                continue
-            mag = coeff if coeff > 0 else -coeff
-            body = f"W_{i}" if mag == 1 else f"{rat_str(mag)}*W_{i}"
-            if not wparts:
-                wparts.append(body if coeff > 0 else f"-{body}")
-            else:
-                wparts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        print(f"C_{j} = {mono} = {' '.join(wparts)}")
+        print(f"C_{j} = {mono} = {signed_sum((coords[i], f'W_{i}') for i in range(j, -1, -1))}")
     return 0
 
 
@@ -182,11 +182,7 @@ def _cmd_export(args) -> int:
     if args.samples < 2:
         print("knotforge export: error: --samples must be >= 2", file=sys.stderr)
         return USAGE_EXIT
-    try:
-        doc = serialize.load_curve(args.file)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"knotforge export: cannot read {args.file}: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+    doc = _load(args.file)
     try:
         text = svg.render_svg(doc, args.samples) if args.svg else svg.render_csv(doc, args.samples)
     except SchemaError as exc:
@@ -213,7 +209,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         # argparse help/usage paths; exit code already decided
         return int(exc.code) if exc.code is not None else 0
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _FileError as exc:
+        print(f"knotforge {args.command}: {exc}", file=sys.stderr)
+        return USAGE_EXIT
 
 
 if __name__ == "__main__":  # pragma: no cover

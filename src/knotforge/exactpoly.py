@@ -17,10 +17,10 @@ sum c_i n^i d^(D-i) (homogeneous Horner): no `Fraction` and no gcd.
 their common denominator once, so each exact value costs one gcd.
 
 When every root of a polynomial in an interval is already known and
-certified, `PlantedRoots` answers a chain's sign and count queries there
-from that root list, with no chain built, and `isolate_roots`/`refine`
-run unchanged on it; `PlantedRoots.cells` gives their intervals in
-closed form, with no bisection.  `signs_at_roots` gives the exact sign
+certified, `PlantedRoots` holds them and gives, in closed form and with
+no chain built, the intervals that `isolate_roots` and `refine` would
+find by bisection (`cells`) and the half of one that a further halving
+keeps (`halve`).  `signs_at_roots` gives the exact sign
 of a second polynomial at each isolated root, from a slope bound, in
 integers.  Linear systems are solved, and determinants taken, by one
 fraction-free (Bareiss) elimination on integer rows.
@@ -29,7 +29,6 @@ fraction-free (Bareiss) elimination on integer rows.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -53,6 +52,19 @@ def rat_str(x: Rational) -> str:
 def parse_rat(s: str) -> Rational:
     """Inverse of :func:`rat_str`."""
     return Fraction(s.strip())
+
+
+def signed_sum(terms: Iterable[tuple[Rational, str]]) -> str:
+    """``c*name + ...`` over the nonzero terms, as in ``t^3 - 1/64*t``; a unit
+    coefficient is left out, and an empty name makes a constant term."""
+    parts = []
+    for c, name in terms:
+        if c:
+            mag = abs(c)
+            body = rat_str(mag) if not name else name if mag == 1 else f"{rat_str(mag)}*{name}"
+            sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
+            parts.append(sign + body)
+    return " ".join(parts)
 
 
 class Poly:
@@ -215,9 +227,6 @@ class Poly:
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
 
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
     def monic(self) -> "Poly":
         return self.scale(1 / self.leading)
 
@@ -235,22 +244,8 @@ class Poly:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeff(i)
-            if c == 0:
-                continue
-            mag = c if c > 0 else -c
-            if i == 0:
-                body = rat_str(mag)
-            else:
-                var = "t" if i == 1 else f"t^{i}"
-                body = var if mag == 1 else f"{rat_str(mag)}*{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        names = ["", "t", *(f"t^{i}" for i in range(2, len(self.coeffs)))][:len(self.coeffs)]
+        return signed_sum(zip(reversed(self.coeffs), reversed(names)))
 
 
 # -- integer kernel -------------------------------------------------------------
@@ -415,8 +410,8 @@ class SturmChain:
         self.chain: tuple[Poly, ...] = (p, p.derivative(), *map(Poly, seq[2:]))[:len(seq)]
 
     @classmethod
-    def of(cls, p: Union[Poly, SturmChain, PlantedRoots]) -> Union[SturmChain, PlantedRoots]:
-        """The chain of p for a polynomial; p itself when it already answers counts."""
+    def of(cls, p: Union[Poly, SturmChain]) -> SturmChain:
+        """The chain of p for a polynomial; p itself when it is already a chain."""
         return cls(p) if isinstance(p, Poly) else p
 
     def sign(self, x: Rational) -> int:
@@ -446,59 +441,43 @@ class SturmChain:
 
 
 class PlantedRoots:
-    """A SturmChain's answers for a polynomial whose roots in [lo, hi] are known.
+    """The certified roots of a polynomial in (lo, hi), with their bisection cells in closed form.
 
-    `roots` must be every root of the polynomial in [lo, hi], all simple,
-    and `top_sign` its sign between the top root and hi; the caller
-    certifies that (in `knots.certify`, by the cofactor certificate).
-    The constructor checks the rest of the contract: the roots are sorted,
-    distinct and strictly inside (lo, hi), else ValueError.  Then the
-    squarefree part changes sign exactly at each root, so for lo <= x <= hi
-
-        variations(x) = -#{roots <= x}
-        sign(x) = top_sign * (-1)^#{roots > x}   (0 at a root)
-
-    No chain is built.  Counts are differences of variations and agree
-    with a chain's; signs agree with it up to one constant factor, which
-    bisection never sees.  So `isolate_roots` and `refine` give the same
-    intervals on either, and `cells` gives those of both in closed form.
+    `roots` must be every root of the polynomial in [lo, hi], all simple;
+    the caller certifies that (in `knots.certify`, by the cofactor
+    certificate).  The constructor checks the rest of the contract: the
+    roots are sorted, distinct and strictly inside (lo, hi), else
+    ValueError.  No chain is built.  `cells` gives the intervals that
+    `isolate_roots` and `refine` give on a chain of the polynomial, and
+    `halve` the half that `refine` keeps of one of them.
     """
 
-    def __init__(self, roots: Sequence[Rational], top_sign: int, lo: Rational, hi: Rational):
+    def __init__(self, roots: Sequence[Rational], lo: Rational, hi: Rational):
         self._roots = tuple(roots)
-        self._top_sign = top_sign
         self._lo, self._hi = Fraction(lo), Fraction(hi)
         ends = (self._lo, *self._roots, self._hi)
         if not all(a < b for a, b in zip(ends, ends[1:])):
             raise ValueError("planted roots must be sorted, distinct and strictly inside (lo, hi)")
 
-    def _below(self, x: Rational) -> int:
-        """#{roots <= x}, for x in [lo, hi]."""
-        if not self._lo <= x <= self._hi:
-            raise ValueError(f"{x} lies outside the interval of the planted roots")
-        return bisect_right(self._roots, x)
+    def halve(self, i: int, iv: IsolatingInterval) -> IsolatingInterval:
+        """The half of iv that holds root i: (lo, m] if it is at most the midpoint m, else (m, hi].
 
-    def sign(self, x: Rational) -> int:
-        i = self._below(x)
-        if i and self._roots[i - 1] == x:
-            return 0
-        return self._top_sign if (len(self._roots) - i) % 2 == 0 else -self._top_sign
-
-    def variations(self, x: Rational) -> int:
-        return -self._below(x)
-
-    # distinct roots in (a, b], from this object's variations
-    count = SturmChain.count
+        For the half-open dyadic cells of `cells` and of halving, this is
+        `refine(chain, iv, iv.width / 2)` on a chain of the polynomial.
+        """
+        m = iv.midpoint
+        return IsolatingInterval(iv.lo, m) if self._roots[i] <= m else IsolatingInterval(m, iv.hi)
 
     def cells(self, width: Rational) -> list[IsolatingInterval]:
-        """`[refine(self, iv, width) for iv in isolate_roots(self, lo, hi)]`, with no bisection.
+        """`[refine(chain, iv, width) for iv in isolate_roots(chain, lo, hi)]`, with no bisection.
 
-        For width = (hi - lo) / 2^depth.  Bisection of (lo, hi] makes only
-        the cells (lo + j w, lo + (j + 1) w] with w = (hi - lo) / 2^k; a root
-        r = lo + x (hi - lo) lies in the one with j = ceil(x 2^k) - 1.  Its
-        interval is that cell at k = max(depth, the first depth at which no
-        neighbouring root shares its cell): isolation splits down to there,
-        refinement on to `depth`.  Integer shifts and floor divisions give j.
+        For a chain of the polynomial and width = (hi - lo) / 2^depth.
+        Bisection of (lo, hi] makes only the cells (lo + j w, lo + (j + 1) w]
+        with w = (hi - lo) / 2^k; a root r = lo + x (hi - lo) lies in the
+        one with j = ceil(x 2^k) - 1.  Its interval is that cell at
+        k = max(depth, the first depth at which no neighbouring root shares
+        its cell): isolation splits down to there, refinement on to `depth`.
+        Integer shifts and floor divisions give j.
         """
         span = self._hi - self._lo
         steps = span / width
@@ -557,13 +536,13 @@ def count_roots(p: Union[Poly, SturmChain], lo: Rational, hi: Rational) -> int:
 
 
 def isolate_roots(
-    p: Union[Poly, SturmChain, PlantedRoots], lo: Rational, hi: Rational
+    p: Union[Poly, SturmChain], lo: Rational, hi: Rational
 ) -> list[IsolatingInterval]:
     """Disjoint isolating intervals, one per distinct root of p in (lo, hi).
 
-    p is a polynomial, its SturmChain or a PlantedRoots over it.
-    Bisection on half-open Sturm counts; returned intervals (a, b] are
-    sorted and each contains exactly one root.
+    p is a polynomial or its SturmChain.  Bisection on half-open Sturm
+    counts; returned intervals (a, b] are sorted and each contains
+    exactly one root.
     """
     chain = SturmChain.of(p)
     lo, hi = Fraction(lo), Fraction(hi)
@@ -602,13 +581,11 @@ def isolate_roots(
     return out
 
 
-def refine(
-    p: Union[Poly, SturmChain, PlantedRoots], iv: IsolatingInterval, width: Rational
-) -> IsolatingInterval:
+def refine(p: Union[Poly, SturmChain], iv: IsolatingInterval, width: Rational) -> IsolatingInterval:
     """Shrink an isolating interval by bisection until hi - lo <= width.
 
-    p is a polynomial, its SturmChain or a PlantedRoots over it; passing
-    the chain lets every root of one polynomial share its squarefree part.
+    p is a polynomial or its SturmChain; passing the chain lets every
+    root of one polynomial share its squarefree part.
     After the first step that pins nonzero endpoint signs, plain sign
     bisection takes over, which needs one exact integer sign per step
     instead of a full chain evaluation.

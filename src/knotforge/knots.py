@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from . import chebyshev as cb
 from .errors import (
@@ -407,14 +407,16 @@ def _parameter_bounds(iv: IsolatingInterval, sign: int) -> tuple[int, int, int]:
 
 
 def _certify_ordering(
-    chain: Union[SturmChain, PlantedRoots], intervals: Sequence[IsolatingInterval]
+    intervals: Sequence[IsolatingInterval],
+    halve: Callable[[int, IsolatingInterval], IsolatingInterval],
 ) -> None:
     """Prove s_1 < ... < s_N < t_1 < ... < t_N on the enclosures of `_parameter_bounds`.
 
     When two neighboring enclosures overlap, the root intervals they come
-    from are halved on the chain and the pair compared again, down to
-    DEEP_WIDTH.  Disjoint enclosures in the wrong order, or a pair still
-    overlapping at that width, raise OrderingViolation.
+    from are halved, `halve(k, iv)` keeping the half of iv that holds
+    root k, and the pair compared again, down to DEEP_WIDTH.  Disjoint
+    enclosures in the wrong order, or a pair still overlapping at that
+    width, raise OrderingViolation.
     """
     n = len(intervals)
     ivs = list(intervals)
@@ -432,7 +434,7 @@ def _certify_ordering(
             for k in {i, j}:
                 if ivs[k].width <= DEEP_WIDTH:
                     raise OrderingViolation(f"parameters {pair} not separated at width 2^-200")
-                ivs[k] = refine(chain, ivs[k], ivs[k].width / 2)
+                ivs[k] = halve(k, ivs[k])
                 bounds[k::n] = [_parameter_bounds(ivs[k], sign) for sign in (-1, 1)]  # s_k, t_k
 
 
@@ -445,23 +447,28 @@ def crossings(
     in [-2, 2] are certified to be the planted ones.  On a chain, roots
     are isolated in (-2, 2) by Sturm bisection (isolation itself
     certifies the count) and refined to width 2^-48, all on one chain, so
-    the squarefree part is computed once.  On planted roots the same
-    intervals come in closed form from `PlantedRoots.cells`, with no
-    bisection.  Each root is then mapped through
+    the squarefree part is computed once; an interval that the ordering
+    proof needs narrower is halved by `refine` on that chain.  On planted
+    roots the same intervals come in closed form from
+    `PlantedRoots.cells`, and their halves from `PlantedRoots.halve`,
+    with no bisection.  Each root is then mapped through
     u = 2 cos(alpha), s = 2 cos(alpha + pi/3), t = 2 cos(alpha - pi/3) in
     floats for the report.  The 2N-way ordering
     s_1 < ... < s_N < t_1 < ... < t_N is proved on rational enclosures
     (`_certify_ordering`), else OrderingViolation; the float
     `ordering_margin`, the smallest gap of that sequence, is a diagnostic.
     """
-    chain = SturmChain.of(a_poly)
-    if isinstance(chain, PlantedRoots):
-        intervals = chain.cells(ROOT_WIDTH)
+    if isinstance(a_poly, PlantedRoots):
+        intervals, halve = a_poly.cells(ROOT_WIDTH), a_poly.halve
     else:
+        chain = SturmChain.of(a_poly)
         intervals = [refine(chain, iv, ROOT_WIDTH) for iv in isolate_roots(chain, -2, 2)]
+
+        def halve(_, iv: IsolatingInterval) -> IsolatingInterval:
+            return refine(chain, iv, iv.width / 2)
     if len(intervals) != n_crossings:
         raise OrderingViolation(f"found {len(intervals)} crossings, expected {n_crossings}")
-    _certify_ordering(chain, intervals)
+    _certify_ordering(intervals, halve)
     out = []
     for iv in intervals:
         u = float(iv.midpoint)
@@ -533,12 +540,12 @@ def certify(
     With nodes, the primitive integers of R are divided by those of
     `planted_factor(nodes)`, each step checked exact; by Gauss's lemma an
     inexact step means P does not divide R over Q.  An exact quotient
-    passing `certify_cofactor`, with no root at 2, proves the count and
-    nodes stages at once; the crossings are then located on the planted
-    roots (`PlantedRoots.cells`), with no Sturm chain of R.  Otherwise
-    both stages run on the chain of R, which names the failure.  The
-    intervals agree.  The signs at the nodes come from one integer form of
-    dd(z), evaluated at all 2n + 1 of them.
+    that is nonzero at 2 and passes `certify_cofactor` proves the count
+    and nodes stages at once; the crossings are then located on the
+    planted roots (`PlantedRoots`: cells and halvings in closed form),
+    with no Sturm chain of R.  Otherwise both stages run on the chain of
+    R, which names the failure.  The intervals agree.  The signs at the
+    nodes come from one integer form of dd(z), evaluated at all 2n + 1.
 
     Every certificate is exact.  The x/y coincidences are identities: s, t
     are the roots of X^2 - uX + (u^2 - 3), so T_3(s) = T_3(t), and
@@ -554,12 +561,10 @@ def certify(
     if nodes is not None and 2 * nodes.n + 1 == n_crossings:
         planted = [c.numerator for c in planted_factor(nodes).coeffs]
         cofactor = exact_quotient(_primitive_ints(r_poly), planted)
-        # P(2) > 0 and the primitive R is a positive multiple of R, so
-        # cofactor(2) has the sign of R above the planted roots
-        top = (sum(c << i for i, c in enumerate(cofactor))
-               if cofactor and certify_cofactor(Poly(cofactor)) else 0)
-        if top:
-            located = PlantedRoots(nodes.all_roots(), 1 if top > 0 else -1, -2, 2)
+        # a certified cofactor is even: nonzero at 2, it keeps R's roots off both ends
+        if (cofactor and sum(c << i for i, c in enumerate(cofactor))
+                and certify_cofactor(Poly(cofactor))):
+            located = PlantedRoots(nodes.all_roots(), -2, 2)
     if located is None:
         located = SturmChain(r_poly)
         count = count_roots(located, Fraction(-2), Fraction(2))

@@ -464,6 +464,34 @@ class TestExport:
         assert code == 1
 
 
+class TestUnusableFiles:
+    """Bytes that do not decode and paths that cannot be written exit 1 with
+    one stderr line, never a traceback."""
+
+    @pytest.mark.parametrize("content", [
+        pytest.param(b"\xff\xfe", id="not-utf8"),
+        pytest.param(b'{"N": ' + b"9" * 4301 + b"}", id="integer-past-digit-limit"),
+        pytest.param(b"[" * 200_000, id="deep-nesting"),
+    ])
+    @pytest.mark.parametrize("command", [["verify"], ["export", "--svg"], ["export", "--csv"]])
+    def test_unreadable_file(self, tmp_path, capsys, content, command):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        code, out, err = run([*command, str(bad)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"knotforge {command[0]}: cannot read {bad}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["gen", "export"])
+    def test_unwritable_out(self, tmp_path, capsys, fixture_n9_path, command):
+        argv = ["gen", "--n", "3"] if command == "gen" else ["export", "--csv", str(fixture_n9_path)]
+        target = tmp_path / "missing" / "x.out"
+        code, out, err = run([*argv, "--out", str(target)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"knotforge {command}: cannot write {target}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # -- fuzzing -----------------------------------------------------------------------
 
 json_values = st.one_of(

@@ -283,7 +283,7 @@ def reference_sturm_chain(p):
     """Signed remainder sequence p, p', -(p mod p'), ... in rational arithmetic."""
     chain = [p, p.derivative()]
     while chain[-1].degree > 0:
-        r = chain[-2] % chain[-1]
+        r = divmod(chain[-2], chain[-1])[1]
         if r.is_zero:
             break
         chain.append(-r)
@@ -396,52 +396,23 @@ class TestIntegerKernel:
         value = p(x)
         assert type(value) is F and value == expected
 
-    @given(
-        st.lists(st.fractions(min_value=F(-2), max_value=F(2), max_denominator=64),
-                 min_size=0, max_size=6),
-        st.lists(st.sampled_from([F(-3), F(5, 2)]), max_size=2),
-        st.sampled_from([1, 2]),
-        st.sampled_from([F(1), F(-2, 3)]),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_planted_roots_locate_like_the_chain(self, roots, outside, mult, scale):
-        # roots inside (-2, 2), roots beyond +-2, a repeated factor and a
-        # root-free quadratic; the oracle knows only the roots inside, which
-        # it needs simple, with none at +-2, and no chain
-        inside = sorted(set(r for r in roots if F(-2) < r < F(2)))
-        p = poly_from_roots(inside + outside).scale(scale) * Poly([1, 0, 1])
-        p = p * poly_from_roots(outside[:1]) ** (mult - 1)
-        if p.degree < 1:
-            return
-        chain = SturmChain(p)
-        oracle = PlantedRoots(inside, chain.sign(F(2)), F(-2), F(2))
-        v_lo = chain.variations(F(-2))
-        for x in inside + [F(k, 8) for k in range(-16, 17)]:
-            assert oracle.sign(x) == chain.sign(x)
-            assert oracle.variations(x) == chain.variations(x) - v_lo
-        ivs = isolate_roots(chain, -2, 2)
-        assert isolate_roots(oracle, -2, 2) == ivs
-        for iv in ivs:
-            assert refine(oracle, iv, F(1, 2**40)) == refine(chain, iv, F(1, 2**40))
-        with pytest.raises(ValueError):
-            oracle.sign(F(5, 2))
-
     @pytest.mark.parametrize("nodes", [
         pytest.param((F(1, 4), F(1, 2)), id="n5"),
         pytest.param((F(1, 8), F(1, 4), F(1, 2)), id="n7"),
     ])
     def test_planted_roots_on_bisection_midpoints(self, nodes):
         # dyadic planted roots are themselves midpoints of the bisection of
-        # (-2, 2), where both sign and count must read exactly 0 / the root
+        # (-2, 2), where the chain's sign and count read exactly 0 / the root;
+        # cells at width hi - lo are the isolating intervals themselves
         roots = sorted([-d for d in nodes] + [F(0)] + list(nodes))
         p = poly_from_roots(roots) * Poly([3, 0, 1])
         chain = SturmChain(p)
-        oracle = PlantedRoots(roots, 1, F(-2), F(2))
+        planted = PlantedRoots(roots, F(-2), F(2))
         ivs = isolate_roots(chain, -2, 2)
-        assert isolate_roots(oracle, -2, 2) == ivs
+        assert planted.cells(F(4)) == ivs
         assert [iv.hi for iv in ivs] == roots
-        for iv in ivs:
-            assert refine(oracle, iv, F(1, 2**48)) == refine(chain, iv, F(1, 2**48))
+        width = F(1, 2**48)
+        assert planted.cells(width) == [refine(chain, iv, width) for iv in ivs]
 
     def test_planted_roots_with_a_root_at_two(self):
         # R(2) = 0: the chain deflates the endpoint root, so its top interval
@@ -455,47 +426,62 @@ class TestIntegerKernel:
         ivs = isolate_roots(chain, -2, 2)
         assert len(ivs) == 3 and ivs[-1].hi < 2
         assert (p // poly_from_roots(roots))(F(2)) == 0
-        oracle = PlantedRoots(roots, 1, F(-2), F(2))
-        assert isolate_roots(oracle, -2, 2)[:2] == ivs[:2]
-        assert isolate_roots(oracle, -2, 2)[-1].hi == 2
+        cells = PlantedRoots(roots, F(-2), F(2)).cells(F(4))
+        assert cells[:2] == ivs[:2]
+        assert cells[-1].hi == 2
 
 
 # a root of a bisection cell's boundary: 0, k/2^m, or a node next to one
 DYADIC = st.builds(lambda k, m: F(k, 2**m), st.integers(-63, 63), st.integers(0, 5))
 SPREAD = st.fractions(F(-39, 20), F(39, 20), max_denominator=60)
+# sorted distinct roots in (-2, 2), with pairs r, r + c 2^-e closer than the
+# 2^-48 cells, where the isolation depth exceeds the refinement depth
+ROOT_SETS = st.builds(
+    lambda roots, pairs, with_zero: sorted(set(
+        r for r in roots + [r + F(c, 2**e) for r, e, c in pairs] + [r for r, _, _ in pairs]
+        + [F(0)] * with_zero if F(-2) < r < F(2))),
+    st.lists(st.one_of(SPREAD, DYADIC), max_size=6),
+    st.lists(st.tuples(st.one_of(SPREAD, DYADIC), st.integers(40, 70), st.integers(1, 3)),
+             max_size=2),
+    st.booleans(),
+)
 
 
 class TestPlantedCells:
     """`PlantedRoots.cells` against Sturm bisection of the polynomial with those roots."""
 
-    @given(
-        st.lists(st.one_of(SPREAD, DYADIC), max_size=6),
-        # pairs r, r + c 2^-e closer than the 2^-48 cells, where the
-        # isolation depth exceeds the refinement depth
-        st.lists(st.tuples(st.one_of(SPREAD, DYADIC), st.integers(40, 70), st.integers(1, 3)),
-                 max_size=2),
-        st.booleans(),
-    )
+    @given(ROOT_SETS)
     @settings(max_examples=150, deadline=None)
-    def test_cells_match_chain_bisection(self, roots, pairs, with_zero):
-        roots = roots + [r + F(c, 2**e) for r, e, c in pairs] + [r for r, _, _ in pairs]
-        roots = sorted(set(r for r in roots + [F(0)] * with_zero if F(-2) < r < F(2)))
+    def test_cells_match_chain_bisection(self, roots):
         chain = SturmChain(poly_from_roots(roots))
         width = F(1, 2**48)
         expected = [refine(chain, iv, width) for iv in isolate_roots(chain, -2, 2)]
-        planted = PlantedRoots(roots, chain.sign(F(2)), F(-2), F(2))
+        planted = PlantedRoots(roots, F(-2), F(2))
         assert planted.cells(width) == expected
+
+    @given(ROOT_SETS)
+    @settings(max_examples=100, deadline=None)
+    def test_halve_matches_chain_refinement(self, roots):
+        # twelve successive halvings of every 2^-48 cell, as the ordering
+        # proof makes them, against one bisection step each on the chain
+        chain = SturmChain(poly_from_roots(roots))
+        planted = PlantedRoots(roots, F(-2), F(2))
+        for i, iv in enumerate(planted.cells(F(1, 2**48))):
+            for _ in range(12):
+                expected = refine(chain, iv, iv.width / 2)
+                iv = planted.halve(i, iv)
+                assert iv == expected
 
     def test_cells_on_another_interval(self):
         roots = [F(-1, 3), F(1, 4), F(1, 4) + F(1, 2**60)]
         chain = SturmChain(poly_from_roots(roots))
         width = F(3, 2**20)  # (hi - lo) / 2^20
-        planted = PlantedRoots(roots, chain.sign(F(2)), F(-1), F(2))
+        planted = PlantedRoots(roots, F(-1), F(2))
         assert planted.cells(width) == [refine(chain, iv, width)
                                         for iv in isolate_roots(chain, -1, 2)]
 
     def test_width_must_halve_the_interval(self):
-        planted = PlantedRoots([F(0)], 1, F(-2), F(2))
+        planted = PlantedRoots([F(0)], F(-2), F(2))
         with pytest.raises(ValueError, match="2\\^depth"):
             planted.cells(F(1, 3))
 
@@ -508,7 +494,7 @@ class TestPlantedCells:
     ])
     def test_contract_is_checked(self, roots):
         with pytest.raises(ValueError, match="sorted, distinct and strictly inside"):
-            PlantedRoots(roots, 1, F(-2), F(2))
+            PlantedRoots(roots, F(-2), F(2))
 
 
 class TestExactQuotient:

@@ -311,7 +311,7 @@ class TestCrossings:
         a_poly = a_series.to_poly()
         chain = SturmChain(a_poly)
         assert certify_cofactor(cofactor)
-        planted = PlantedRoots(node_set.all_roots(), chain.sign(F(2)), F(-2), F(2))
+        planted = PlantedRoots(node_set.all_roots(), F(-2), F(2))
         assert crossings(planted, 2 * n + 1) == crossings(chain, 2 * n + 1)
 
     def test_planted_roots_locate_without_bisection(self, monkeypatch):
@@ -319,7 +319,7 @@ class TestCrossings:
         a_poly = solve_deformation(node_set)[1].to_poly()
         chain = SturmChain(a_poly)
         expected = crossings(chain, 7)
-        planted = PlantedRoots(node_set.all_roots(), chain.sign(F(2)), F(-2), F(2))
+        planted = PlantedRoots(node_set.all_roots(), F(-2), F(2))
 
         def bisection(*args):
             raise AssertionError("crossings bisected on planted roots")
@@ -338,6 +338,31 @@ class TestCrossings:
         n = len(nodes)
         curve, report = synthesize(2 * n + 1, nodes=nodes)
         plain = certify(curve.plane.y, None, 2 * n + 1)
+        assert [(c.u_lo, c.u_hi) for c in report.crossings] == [
+            (c.u_lo, c.u_hi) for c in plain.crossings
+        ]
+
+    def test_close_nodes_halve_in_closed_form(self, monkeypatch):
+        # nodes 2^-62 apart share their 2^-48 cells' parameter enclosures, so
+        # the ordering proof halves them, on the planted roots alone
+        nodes = [F(1, 4), F(1, 4) + F(1, 2**62)]
+        halvings = []
+        halve = PlantedRoots.halve
+
+        def counted(self, i, iv):
+            halvings.append(i)
+            return halve(self, i, iv)
+
+        def bisection(*args):
+            raise AssertionError("crossings bisected on planted roots")
+
+        monkeypatch.setattr(PlantedRoots, "halve", counted)
+        monkeypatch.setattr(knots, "isolate_roots", bisection)
+        monkeypatch.setattr(knots, "refine", bisection)
+        curve, report = synthesize(5, nodes=nodes)
+        monkeypatch.undo()
+        assert halvings
+        plain = certify(curve.plane.y, curve.z, 5)
         assert [(c.u_lo, c.u_hi) for c in report.crossings] == [
             (c.u_lo, c.u_hi) for c in plain.crossings
         ]
