@@ -4,8 +4,8 @@ For every odd N the package synthesizes an explicit space curve
 (x(t), y(t), z(t)) of degree (3, N + 2*floor(N/4) + 1, N + 2*floor((N+1)/4))
 whose plane projection has exactly N double points with torus-knot
 crossing structure, and certifies every claim with exact rational
-arithmetic (Sturm root counts, exact linear solves, exact interpolation
-identities).  Floats appear only in reports and rendering.
+arithmetic (Descartes and Sturm root counts, exact linear solves, exact
+interpolation identities).  Floats appear only in reports and rendering.
 """
 
 from .chebyshev import (
@@ -34,14 +34,14 @@ from .errors import (
 )
 from .exactpoly import (
     IsolatingInterval,
+    LocatedRoots,
     Poly,
     Rational,
     SturmChain,
     count_roots,
-    isolate_roots,
+    locate_roots,
     rat_str,
     parse_rat,
-    refine,
 )
 from .knots import (
     CnBasis,
@@ -75,8 +75,8 @@ __all__ = [
     "CertificationFailed", "DomainError", "EpsilonExhausted", "InternalInconsistency",
     "KnotforgeError", "NotInImage", "OrderingViolation", "SingularSystem",
     "ZeroPolynomial",
-    "IsolatingInterval", "Poly", "Rational", "SturmChain", "count_roots",
-    "isolate_roots", "rat_str", "parse_rat", "refine",
+    "IsolatingInterval", "LocatedRoots", "Poly", "Rational", "SturmChain", "count_roots",
+    "locate_roots", "rat_str", "parse_rat",
     "CnBasis", "CnTildeBasis", "Crossing", "CrossingReport", "NodeSet",
     "PlaneCurve", "SpaceCurve", "build_cn", "build_cn_tilde",
     "build_cn_triangular", "certify", "certify_cofactor", "crossing_oracle", "crossings",

@@ -1,29 +1,25 @@
-"""Exact rational polynomial arithmetic and certified real-root counting.
+"""Exact rational polynomial arithmetic and certified real roots.
 
 Everything in this module is exact: scalars are `fractions.Fraction`
 (aliased `Rational`), polynomials are immutable coefficient tuples, and
-root counting goes through Sturm chains so that every count is a proof,
-not an approximation.  Floating-point evaluation exists only as a
-convenience for plotting and diagnostics.
+every root count is a proof, not an approximation.  Floating-point
+evaluation exists only as a convenience for plotting and diagnostics.
 
-Root counting runs on integers alone.  A `SturmChain` is built once per
-polynomial by integer pseudo-division; its last remainder is
-gcd(p, p'), so the same sequence also gives the squarefree part, which
-counting, isolation and refinement of that polynomial then share.  Each
-element is kept as its primitive integer form, a positive multiple of
-the rational remainder, and its sign at n/d is the sign of the integer
-sum c_i n^i d^(D-i) (homogeneous Horner): no `Fraction` and no gcd.
-`Poly.values_at` runs the same Horner on the coefficients brought to
-their common denominator once, so each exact value costs one gcd.
-
-When every root of a polynomial in an interval is already known and
-certified, `PlantedRoots` holds them and gives, in closed form and with
-no chain built, the intervals that `isolate_roots` and `refine` would
-find by bisection (`cells`) and the half of one that a further halving
-keeps (`halve`).  `signs_at_roots` gives the exact sign
-of a second polynomial at each isolated root, from a slope bound, in
-integers.  Linear systems are solved, and determinants taken, by one
-fraction-free (Bareiss) elimination on integer rows.
+Roots are found on integers alone.  `locate_roots` isolates the roots of
+p in an interval by Descartes bisection (Collins-Akritas): sign
+variations after integer Taylor shifts, with no remainder sequence.  A
+finished run proves the count, every root simple.  Its `LocatedRoots`,
+or planted roots already certified, give the half-open dyadic cells
+that Sturm bisection and refinement would find (`cells`, `halve`),
+narrowing a cell on the exact value of p at dyadic points.  A
+`SturmChain`, built by integer pseudo-division, counts distinct roots
+(`count_roots`) and gives gcd(p, p'): the fallback for polynomials with
+multiple roots.  A sign at n/d is that of the integer sum
+c_i n^i d^(D-i) (homogeneous Horner), and `Poly.values_at` runs the same
+Horner on the coefficients brought to one denominator.  `signs_at_roots`
+gives the exact sign of a second polynomial at each located root, from
+a slope bound.  Linear systems are solved, and determinants taken, by
+one fraction-free (Bareiss) elimination on integer rows.
 """
 
 from __future__ import annotations
@@ -31,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import SingularSystem, ZeroPolynomial
@@ -364,30 +361,24 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly(g).monic()
 
 
-# -- Sturm chains and root isolation ------------------------------------------
+# -- Sturm chains ----------------------------------------------------------------
 
 
 class SturmChain:
     """Sturm chain of the squarefree part of p, in exact integer arithmetic.
 
-    One remainder sequence p, p', -(p mod p'), ... serves both purposes:
-    its last element is gcd(p, p'), kept as `gcd`.  When that is a
-    constant, p is its own squarefree part and the sequence is the chain.
-    Otherwise p is divided by it and the chain of the quotient is built
-    instead, so `chain[0]` is always the squarefree part (up to a positive
-    factor) and is shared by every count, isolation and refinement made
-    with this object.  The roots of `gcd` are the repeated roots of p.
+    The last element of the remainder sequence p, p', -(p mod p'), ... is
+    gcd(p, p'), kept as `gcd`: its roots are the repeated roots of p.  When
+    it is not constant, p is divided by it and the chain of the quotient is
+    built instead, so `chain[0]` is always the squarefree part (up to a
+    positive factor).  Every element is kept as its primitive form, a
+    positive multiple of the remainder, so signs are exact integer signs
+    from homogeneous Horner; `chain` holds the same elements as
+    polynomials, the first two as p and p' when p is squarefree.
 
-    Every element is kept as its primitive form (see `_primitive_ints`),
-    a positive multiple of the remainder, so signs are exact integer signs
-    from homogeneous Horner; no `Fraction` arithmetic is involved.
-    `chain` holds the same elements as polynomials, the first two as p
-    and p' when p is squarefree.
-
-    `count(a, b)` returns the number of distinct real roots of p in the
-    half-open interval (a, b].  This is exact for any rational endpoints,
-    including endpoints where p or a chain element vanishes: the
-    sign-variation count ignores zeros, which makes it right-continuous.
+    `count(a, b)`, the number of distinct real roots of p in (a, b], is
+    exact for any rational endpoints, zeros included: the sign-variation
+    count ignores zeros, which makes it right-continuous.
     """
 
     def __init__(self, p: Poly):
@@ -408,11 +399,6 @@ class SturmChain:
         self.gcd = Poly(gcd)
         self._ints: tuple[tuple[int, ...], ...] = tuple(seq)
         self.chain: tuple[Poly, ...] = (p, p.derivative(), *map(Poly, seq[2:]))[:len(seq)]
-
-    @classmethod
-    def of(cls, p: Union[Poly, SturmChain]) -> SturmChain:
-        """The chain of p for a polynomial; p itself when it is already a chain."""
-        return cls(p) if isinstance(p, Poly) else p
 
     def sign(self, x: Rational) -> int:
         """Exact sign of the squarefree part chain[0] at x."""
@@ -435,73 +421,6 @@ class SturmChain:
             raise ValueError("need a < b")
         return self.variations(a) - self.variations(b)
 
-    def deflated(self, x: Rational) -> SturmChain:
-        """Chain of chain[0] / (t - x), for an exact root x of chain[0]."""
-        return SturmChain(Poly(exact_quotient(self._ints[0], (-x.numerator, x.denominator))))
-
-
-class PlantedRoots:
-    """The certified roots of a polynomial in (lo, hi), with their bisection cells in closed form.
-
-    `roots` must be every root of the polynomial in [lo, hi], all simple;
-    the caller certifies that (in `knots.certify`, by the cofactor
-    certificate).  The constructor checks the rest of the contract: the
-    roots are sorted, distinct and strictly inside (lo, hi), else
-    ValueError.  No chain is built.  `cells` gives the intervals that
-    `isolate_roots` and `refine` give on a chain of the polynomial, and
-    `halve` the half that `refine` keeps of one of them.
-    """
-
-    def __init__(self, roots: Sequence[Rational], lo: Rational, hi: Rational):
-        self._roots = tuple(roots)
-        self._lo, self._hi = Fraction(lo), Fraction(hi)
-        ends = (self._lo, *self._roots, self._hi)
-        if not all(a < b for a, b in zip(ends, ends[1:])):
-            raise ValueError("planted roots must be sorted, distinct and strictly inside (lo, hi)")
-
-    def halve(self, i: int, iv: IsolatingInterval) -> IsolatingInterval:
-        """The half of iv that holds root i: (lo, m] if it is at most the midpoint m, else (m, hi].
-
-        For the half-open dyadic cells of `cells` and of halving, this is
-        `refine(chain, iv, iv.width / 2)` on a chain of the polynomial.
-        """
-        m = iv.midpoint
-        return IsolatingInterval(iv.lo, m) if self._roots[i] <= m else IsolatingInterval(m, iv.hi)
-
-    def cells(self, width: Rational) -> list[IsolatingInterval]:
-        """`[refine(chain, iv, width) for iv in isolate_roots(chain, lo, hi)]`, with no bisection.
-
-        For a chain of the polynomial and width = (hi - lo) / 2^depth.
-        Bisection of (lo, hi] makes only the cells (lo + j w, lo + (j + 1) w]
-        with w = (hi - lo) / 2^k; a root r = lo + x (hi - lo) lies in the
-        one with j = ceil(x 2^k) - 1.  Its interval is that cell at
-        k = max(depth, the first depth at which no neighbouring root shares
-        its cell): isolation splits down to there, refinement on to `depth`.
-        Integer shifts and floor divisions give j.
-        """
-        span = self._hi - self._lo
-        steps = span / width
-        depth = steps.numerator.bit_length() - 1
-        if steps != 1 << depth:
-            raise ValueError("width must be (hi - lo) / 2^depth")
-        xs = [((r - self._lo) / span).as_integer_ratio() for r in self._roots]
-
-        def cell(x: tuple[int, int], k: int) -> int:
-            return ((x[0] << k) - 1) // x[1]
-
-        ks = [depth] * len(xs)
-        for i in range(len(xs) - 1):
-            k = depth  # once parted, two roots stay in different cells
-            while cell(xs[i], k) == cell(xs[i + 1], k):
-                k += 1
-            ks[i], ks[i + 1] = max(ks[i], k), k
-        out = []
-        for x, k in zip(xs, ks):
-            j = cell(x, k)
-            out.append(IsolatingInterval(self._lo + span * Fraction(j, 1 << k),
-                                         self._lo + span * Fraction(j + 1, 1 << k)))
-        return out
-
 
 @dataclass(frozen=True)
 class IsolatingInterval:
@@ -520,14 +439,10 @@ class IsolatingInterval:
 
 
 def count_roots(p: Union[Poly, SturmChain], lo: Rational, hi: Rational) -> int:
-    """Exact number of distinct real roots of p in the open interval (lo, hi).
-
-    p is a polynomial or its SturmChain.  Roots exactly at either endpoint
-    are excluded; no endpoint perturbation is needed because the
-    half-open Sturm count (lo, hi] is already exact and a root at hi is
-    detected by its exact sign.
-    """
-    chain = SturmChain.of(p)
+    """Exact number of distinct real roots of p, a polynomial or its SturmChain, in
+    the open interval (lo, hi): the half-open Sturm count of (lo, hi], less a root
+    at hi, found by its exact sign."""
+    chain = SturmChain(p) if isinstance(p, Poly) else p
     lo, hi = Fraction(lo), Fraction(hi)
     n = chain.count(lo, hi)
     if chain.sign(hi) == 0:
@@ -535,114 +450,220 @@ def count_roots(p: Union[Poly, SturmChain], lo: Rational, hi: Rational) -> int:
     return n
 
 
-def isolate_roots(
-    p: Union[Poly, SturmChain], lo: Rational, hi: Rational
-) -> list[IsolatingInterval]:
-    """Disjoint isolating intervals, one per distinct root of p in (lo, hi).
+# -- Descartes root isolation ----------------------------------------------------
 
-    p is a polynomial or its SturmChain.  Bisection on half-open Sturm
-    counts; returned intervals (a, b] are sorted and each contains
-    exactly one root.
+
+def _moved(cs: Sequence[int], lo: Rational, hi: Rational) -> tuple[int, ...]:
+    """Primitive integers of a positive multiple of p(lo + (hi - lo) x), for p = cs.
+
+    With lo = a / c and hi - lo = b / c, that is sum cs_i c^(d-i) y^i at
+    y = a + b x: a Taylor shift by a, then coefficient i times b^i.
     """
-    chain = SturmChain.of(p)
+    span = hi - lo
+    c = lo.denominator * span.denominator
+    a, b = lo.numerator * span.denominator, span.numerator * lo.denominator
+    r = [v * c ** i for i, v in enumerate(reversed(cs))]  # r[i] is coefficient d - i
+    for m in range(len(r) if a else 0, 1, -1):
+        r[:m] = accumulate(r[:m], lambda acc, v: acc * a + v)
+    return _content_free([v * b ** i for i, v in enumerate(reversed(r))])
+
+
+def _descartes(cs: Sequence[int]) -> int:
+    """Sign variations of (1 + x)^d c(1/(1 + x)), capped at 2.
+
+    By Descartes' rule they bound the roots of c in (0, 1), counted with
+    multiplicity, and have their parity: 0 proves there are none, 1 that
+    there is exactly one, simple.  The transform is the Taylor shift by 1
+    of c reversed; each prefix-sum pass fixes one more coefficient, so
+    the count stops as soon as it reaches 2.
+    """
+    r = list(cs)
+    count = last = 0
+    for m in range(len(r), 0, -1):
+        r[:m] = accumulate(r[:m])
+        if r[m - 1]:
+            if last and (r[m - 1] < 0) != (last < 0):
+                count += 1
+                if count == 2:
+                    return 2
+            last = r[m - 1]
+    return count
+
+
+def descartes_bound(p: Poly, lo: Rational, hi: Rational) -> int:
+    """Descartes' bound, capped at 2, on the roots of p in (lo, hi) counted with
+    multiplicity; 0 proves that p has no root there."""
+    return _descartes(_moved(_primitive_ints(p), Fraction(lo), Fraction(hi)))
+
+
+class LocatedRoots:
+    """The roots of a polynomial in (lo, hi), each exact or held in an open dyadic cell.
+
+    In x = (u - lo) / (hi - lo), a root is exact, (num, den), or an open
+    cell (see `_narrow`) j / 2^e < x < (j + 1) / 2^e that holds no other
+    root; `locate_roots` makes both.  Planted roots, given to the
+    constructor, are exact and must be every root in [lo, hi], all simple
+    (`knots.certify` proves it); they are checked to be sorted, distinct
+    and strictly inside (lo, hi), else ValueError.  `poly`, the primitive
+    integers of the polynomial, is None for them.  `cells` and `halve`
+    give the half-open cells of x that Sturm bisection and refinement
+    give, narrowing open cells on exact values at dyadic points: integer
+    numerators over 2^e, no `Fraction` per step.
+    """
+
+    def __init__(self, roots: Sequence[Rational], lo: Rational, hi: Rational):
+        self._lo, self._hi = Fraction(lo), Fraction(hi)
+        self._span = self._hi - self._lo
+        ends = (self._lo, *roots, self._hi)
+        if not all(a < b for a, b in zip(ends, ends[1:])):
+            raise ValueError("planted roots must be sorted, distinct and strictly inside (lo, hi)")
+        self._x: list = [((r - self._lo) / self._span).as_integer_ratio() for r in roots]
+        self.poly: Optional[tuple[int, ...]] = None
+        self._moved: tuple[int, ...] = ()  # q(x), as `locate_roots` made it
+        self._root_at_hi = False
+
+    def __len__(self) -> int:
+        return len(self._x)
+
+    def _index(self, i: int, k: int) -> int:
+        """j with root i in the half-open cell (j / 2^k, (j + 1) / 2^k] of x."""
+        x = self._x[i]
+        while isinstance(x, list) and x[1] < k:
+            x = self._x[i] = self._narrow(x, k - x[1])
+        if isinstance(x, list):
+            return x[0] >> (x[1] - k)  # the ancestor of the open cell
+        return ((x[0] << k) - 1) // x[1]
+
+    def _narrow(self, cell: list, most: int) -> Union[list, tuple[int, int]]:
+        """One step, at most `most` levels deep, of quadratic interval refinement (Abbott 2006).
+
+        In the cell [j, e, s, fa, fb, t], q has the sign s just right of
+        j / 2^e, and fa, fb are 2^(e d) q at its ends.  The secant picks one
+        of 2^t subcells, kept if q has the signs s and -s at its ends; t
+        then doubles, else halves.  At t = 1, or with an end value 0 (a
+        neighbouring root), the cell is bisected on its midpoint's sign.  A
+        point where q vanishes is the root, returned exact.
+        """
+        j, e, s, fa, fb, t = cell
+        d, t = len(self._moved) - 1, min(t, most)
+        if t > 1 and fa and fb:
+            m = (fa << t) // (fa - fb)
+            a, b = (j << t) + m, (j << t) + m + 1
+            va = fa << t * d if m == 0 else _horner(self._moved, a, 1 << (e + t))
+            vb = fb << t * d if b == (j + 1) << t else _horner(self._moved, b, 1 << (e + t))
+            if not va or not vb:
+                return (a if not va else b, 1 << (e + t))
+            if (va > 0) == (s > 0) != (vb > 0):
+                return [a, e + t, s, va, vb, 2 * t]
+            return [j, e, s, fa, fb, t // 2]
+        m = 2 * j + 1
+        vm = _horner(self._moved, m, 2 << e)
+        if not vm:
+            return (m, 2 << e)
+        if (vm > 0) == (s > 0):
+            return [m, e + 1, s, vm, fb << d, 2]
+        return [m - 1, e + 1, s, fa << d, vm, 2]
+
+    def _depth(self, width: Rational) -> int:
+        steps = self._span / width
+        depth = steps.numerator.bit_length() - 1
+        if steps != 1 << depth:
+            raise ValueError("width must be (hi - lo) / 2^depth")
+        return depth
+
+    def _cell(self, j: int, k: int) -> IsolatingInterval:
+        return IsolatingInterval(self._lo + self._span * Fraction(j, 1 << k),
+                                 self._lo + self._span * Fraction(j + 1, 1 << k))
+
+    def halve(self, i: int, iv: IsolatingInterval, times: int = 1) -> IsolatingInterval:
+        """The cell of root i `times` halvings below its cell iv; once, that is (lo, m]
+        if the root is at most the midpoint m, else (m, hi]: `refine(chain, iv,
+        iv.width / 2^times)` on a Sturm chain of the polynomial."""
+        k = self._depth(iv.width) + times
+        return self._cell(self._index(i, k), k)
+
+    def cells(self, width: Rational) -> list[IsolatingInterval]:
+        """`[refine(chain, iv, width) for iv in isolate_roots(chain, lo, hi)]`, with no chain.
+
+        For width = (hi - lo) / 2^depth.  Root i gets its cell at
+        k = max(depth, the first depth at which no neighbouring root shares
+        its cell), a root at hi counting as a neighbour of the top one:
+        Sturm isolation splits down to there, refinement on to `depth`.
+        """
+        depth = self._depth(width)
+        n = len(self._x)
+        ks = [depth] * n
+        for i in range(n - 1):
+            k = depth  # once parted, two roots stay in different cells
+            while self._index(i, k) == self._index(i + 1, k):
+                k += 1
+            ks[i], ks[i + 1] = max(ks[i], k), k
+        while n and self._root_at_hi and self._index(n - 1, ks[-1]) == (1 << ks[-1]) - 1:
+            ks[-1] += 1
+        return [self._cell(self._index(i, k), k) for i, k in enumerate(ks)]
+
+
+def locate_roots(p: Poly, lo: Rational, hi: Rational,
+                 deep: Optional[Rational] = DEEP_WIDTH) -> Optional[LocatedRoots]:
+    """The roots of p in the open interval (lo, hi), by Descartes bisection on integers.
+
+    Collins-Akritas bisection (as in Rouillier-Zimmermann 2004) of
+    q(x) = p(lo + (hi - lo) x) on (0, 1): each cell is tested by
+    `_descartes`; its children are 2^d q(x / 2), by shifts, and that
+    Taylor-shifted by 1.  A midpoint where q vanishes is an exact root,
+    simple where q' does not.  A finished run proves the count, every
+    root simple, with no remainder sequence.  It is unfinished (None) when
+    a midpoint root is multiple or a cell at most `deep` wide still has
+    bound 2; with deep None it ends when the roots in (lo, hi) are simple.
+    """
+    if p.is_zero:
+        raise ZeroPolynomial("roots of the zero polynomial")
     lo, hi = Fraction(lo), Fraction(hi)
-    deflated_hi = chain.sign(hi) == 0
-    if deflated_hi:
-        # exclude the root at hi: it is not in the open interval
-        chain = chain.deflated(hi)
-    out: list[IsolatingInterval] = []
-    stack = [(lo, hi, chain.variations(lo), chain.variations(hi))]
+    ints = _primitive_ints(p)
+    q = _moved(ints, lo, hi)
+    d = len(q) - 1
+    ratio = (hi - lo) / (deep or 1)  # the first depth whose cells are at most `deep` wide:
+    last = (-(-ratio.numerator // ratio.denominator) - 1).bit_length() if deep else math.inf
+    found = []
+    stack = [(q, 0, 0)]
     while stack:
-        a, b, va, vb = stack.pop()
-        n = va - vb
-        if n == 0:
-            continue
-        if n == 1:
-            out.append(IsolatingInterval(a, b))
-            continue
-        m = (a + b) / 2
-        vm = chain.variations(m)
-        stack.append((a, m, va, vm))
-        stack.append((m, b, vm, vb))
-    out.sort(key=lambda iv: iv.lo)
-    if deflated_hi and out and out[-1].hi == hi:
-        # the top interval must not also contain the deflated endpoint root,
-        # or it would hold two roots of p; bisect until its ceiling drops
-        a, b = out[-1].lo, out[-1].hi
-        va = chain.variations(a)
-        while b == hi:
-            m = (a + b) / 2
-            vm = chain.variations(m)
-            if va - vm == 1:
-                b = m
-            else:
-                a, va = m, vm
-        out[-1] = IsolatingInterval(a, b)
-    return out
-
-
-def refine(p: Union[Poly, SturmChain], iv: IsolatingInterval, width: Rational) -> IsolatingInterval:
-    """Shrink an isolating interval by bisection until hi - lo <= width.
-
-    p is a polynomial or its SturmChain; passing the chain lets every
-    root of one polynomial share its squarefree part.
-    After the first step that pins nonzero endpoint signs, plain sign
-    bisection takes over, which needs one exact integer sign per step
-    instead of a full chain evaluation.
-    """
-    chain = SturmChain.of(p)
-    lo, hi = Fraction(iv.lo), Fraction(iv.hi)
-    width = Fraction(width)
-    if hi - lo <= width:
-        return IsolatingInterval(lo, hi)
-    s_hi = chain.sign(hi)
-    if s_hi == 0:
-        # the isolated root is exactly hi
-        lo = max(lo, hi - width)
-        return IsolatingInterval(lo, hi)
-    if chain.sign(lo) == 0:
-        # lo can sit exactly on the neighboring root (a bisection midpoint);
-        # chain-counted bisection until a clean sign bracket appears.
-        while hi - lo > width:
-            m = (lo + hi) / 2
-            s_m = chain.sign(m)
-            if s_m != 0 and s_m != s_hi:
-                lo = m
-                break
-            if chain.count(lo, m) == 1:
-                hi, s_hi = m, s_m
-            else:
-                lo = m
-            if s_hi == 0:
-                return IsolatingInterval(max(lo, hi - width), hi)
-        if hi - lo <= width:
-            return IsolatingInterval(lo, hi)
-    while hi - lo > width:
-        m = (lo + hi) / 2
-        s_m = chain.sign(m)
-        if s_m == 0:
-            return IsolatingInterval(max(lo, m - width), m)
-        if s_m == s_hi:
-            hi = m
-        else:
-            lo = m
-    return IsolatingInterval(lo, hi)
+        c, j, k = stack.pop()
+        bound = _descartes(c)
+        if bound == 1:
+            s = next(v for v in c if v)  # c just right of 0
+            found.append(((2 * j + 1, 2 << k), [j, k, 1 if s > 0 else -1, c[0], sum(c), 2]))
+        elif bound:
+            if k >= last:
+                return None
+            left = [v << (d - i) for i, v in enumerate(c)]
+            right = left[::-1]
+            for m in range(d + 1, 1, -1):  # the Taylor shift by 1, reversed
+                right[:m] = accumulate(right[:m])
+            right.reverse()
+            if not right[0]:
+                if not right[1]:
+                    return None
+                found.append(((2 * j + 1, 2 << k), (2 * j + 1, 2 << k)))
+            stack += [(left, 2 * j, k + 1), (right, 2 * j + 1, k + 1)]
+    located = LocatedRoots((), lo, hi)
+    located._x = [x for _, x in sorted(found, key=lambda e: Fraction(*e[0]))]
+    located.poly, located._moved, located._root_at_hi = ints, q, not sum(q)
+    return located
 
 
 def signs_at_roots(
-    chain: SturmChain, q: Poly, intervals: Sequence[IsolatingInterval]
+    located: LocatedRoots, q: Poly, intervals: Sequence[IsolatingInterval]
 ) -> list[int]:
-    """Exact sign of q at the root of chain[0] that each interval isolates, 0 if q vanishes there.
+    """Exact sign of q at each root of `locate_roots`' polynomial p, 0 if q vanishes there.
 
-    With c_k the primitive integer coefficients of q and m = max(|lo|, |hi|),
-    L2 = sum k (k-1) |c_k| m^(k-2) bounds |q''| on the interval, so
-    |q'(lo)| + L2 (hi - lo) bounds |q'| there, and
-    |q(lo)| > (|q'(lo)| + L2 (hi - lo)) (hi - lo) leaves q no root in
-    [lo, hi]: q has the sign of q(lo) at the root.  Otherwise the interval
-    is narrowed on the chain and tested again, in cross-multiplied
-    integers.  The test never passes where q vanishes, so below DEEP_WIDTH
-    the gcd of chain[0] and q (built once) is asked for a root in the
-    interval; if it has none, bisection goes on.
+    intervals[i] is a cell of root i (`LocatedRoots.cells`).  With c_k the
+    primitive integers of q and m = max(|lo|, |hi|), L2 = sum k (k-1) |c_k|
+    m^(k-2) bounds |q''| on the interval, so |q(lo)| > (|q'(lo)| +
+    L2 (hi - lo)) (hi - lo), in cross-multiplied integers, leaves q no root
+    in [lo, hi]: q has the sign of q(lo) at the root.  Otherwise the cell
+    is halved (`LocatedRoots.halve`) and tested again.  The test never
+    passes where q vanishes, so below DEEP_WIDTH the gcd of p and q (built
+    once) is asked for a root in the interval; if none, halving goes on.
     """
     if q.is_zero:
         return [0] * len(intervals)
@@ -650,9 +671,9 @@ def signs_at_roots(
     deg = len(cs) - 1
     slope = [k * c for k, c in enumerate(cs)][1:]
     curve = [k * (k - 1) * abs(c) for k, c in enumerate(cs)][2:]
-    common = None  # Sturm chain of gcd(chain[0], q), or False when it is constant
+    common = None  # Sturm chain of gcd(p, q), or False when it is constant
     out = []
-    for iv in intervals:
+    for i, iv in enumerate(intervals):
         m = max(abs(iv.lo), abs(iv.hi))
         # L2 = l2_num / l2_den, and 0 for q of degree below 2
         l2_num, l2_den = _horner(curve, m.numerator, m.denominator), m.denominator ** max(deg - 2, 0)
@@ -671,14 +692,13 @@ def signs_at_roots(
             if iv.width <= DEEP_WIDTH and not asked:
                 asked = True
                 if common is None:
-                    g = poly_gcd(chain.chain[0], q)
+                    g = poly_gcd(Poly(located.poly), q)
                     common = SturmChain(g) if g.degree > 0 else False
                 if common and common.count(iv.lo, iv.hi):
                     out.append(0)
                     break
             # enough halvings to bring the bound below about |q(lo)| / 2
-            halvings = min(max(1, bound.bit_length() - gap.bit_length() + 2), 64)
-            iv = refine(chain, iv, iv.width / 2**halvings)
+            iv = located.halve(i, iv, min(max(1, bound.bit_length() - gap.bit_length() + 2), 64))
     return out
 
 

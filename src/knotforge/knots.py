@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from . import chebyshev as cb
 from .errors import (
@@ -54,16 +54,16 @@ from .errors import (
 from .exactpoly import (
     DEEP_WIDTH,
     IsolatingInterval,
-    PlantedRoots,
+    LocatedRoots,
     Poly,
     Rational,
     SturmChain,
     _primitive_ints,
     count_roots,
+    descartes_bound,
     exact_quotient,
-    isolate_roots,
+    locate_roots,
     rat_str,
-    refine,
     signs_at_roots,
     solve_linear,
 )
@@ -362,12 +362,13 @@ def certify_cofactor(cofactor: Poly) -> bool:
     Then the roots of A in (-2, 2) are exactly the N planted ones, all
     simple: the hypothesis under which the lifted curve has exactly N
     transverse crossings.  With g(v) = G(sqrt v), that is g(0) != 0 and
-    one Sturm count of g on (0, 4).  A G that is not even is refused.
+    no root of g in (0, 4): shown by Descartes' rule (`descartes_bound`
+    0), else by one Sturm count.  A G that is not even is refused.
     """
     if cofactor.is_zero or not cofactor.is_even():
         return False
     g = Poly(cofactor.coeffs[::2])
-    return g.coeffs[0] != 0 and count_roots(g, Fraction(0), Fraction(4)) == 0
+    return g.coeffs[0] != 0 and (descartes_bound(g, 0, 4) == 0 or count_roots(g, 0, 4) == 0)
 
 
 def default_nodes(n: int, epsilon: Fraction) -> NodeSet:
@@ -406,17 +407,13 @@ def _parameter_bounds(iv: IsolatingInterval, sign: int) -> tuple[int, int, int]:
     return b + 1, min(vals), max(vals)
 
 
-def _certify_ordering(
-    intervals: Sequence[IsolatingInterval],
-    halve: Callable[[int, IsolatingInterval], IsolatingInterval],
-) -> None:
+def _certify_ordering(located: LocatedRoots, intervals: Sequence[IsolatingInterval]) -> None:
     """Prove s_1 < ... < s_N < t_1 < ... < t_N on the enclosures of `_parameter_bounds`.
 
     When two neighboring enclosures overlap, the root intervals they come
-    from are halved, `halve(k, iv)` keeping the half of iv that holds
-    root k, and the pair compared again, down to DEEP_WIDTH.  Disjoint
-    enclosures in the wrong order, or a pair still overlapping at that
-    width, raise OrderingViolation.
+    from are halved (`LocatedRoots.halve`) and the pair compared again,
+    down to DEEP_WIDTH.  Disjoint enclosures in the wrong order, or a pair
+    still overlapping at that width, raise OrderingViolation.
     """
     n = len(intervals)
     ivs = list(intervals)
@@ -434,41 +431,31 @@ def _certify_ordering(
             for k in {i, j}:
                 if ivs[k].width <= DEEP_WIDTH:
                     raise OrderingViolation(f"parameters {pair} not separated at width 2^-200")
-                ivs[k] = halve(k, ivs[k])
+                ivs[k] = located.halve(k, ivs[k])
                 bounds[k::n] = [_parameter_bounds(ivs[k], sign) for sign in (-1, 1)]  # s_k, t_k
 
 
-def crossings(
-    a_poly: Union[Poly, SturmChain, PlantedRoots], n_crossings: int
-) -> CrossingReport:
+def crossings(a_poly: Union[Poly, LocatedRoots], n_crossings: int) -> CrossingReport:
     """Locate the N crossings of the lifted curve from the roots of A.
 
-    a_poly is A (or R), its SturmChain, or a PlantedRoots when the roots
-    in [-2, 2] are certified to be the planted ones.  On a chain, roots
-    are isolated in (-2, 2) by Sturm bisection (isolation itself
-    certifies the count) and refined to width 2^-48, all on one chain, so
-    the squarefree part is computed once; an interval that the ordering
-    proof needs narrower is halved by `refine` on that chain.  On planted
-    roots the same intervals come in closed form from
-    `PlantedRoots.cells`, and their halves from `PlantedRoots.halve`,
-    with no bisection.  Each root is then mapped through
+    a_poly is A (or R), or its roots in (-2, 2) as `LocatedRoots`; a
+    polynomial whose isolation does not finish raises OrderingViolation.
+    The intervals are the 2^-48 cells of `LocatedRoots.cells`, halved by
+    `LocatedRoots.halve` where the ordering proof needs them narrower.
+    Each root is then mapped through
     u = 2 cos(alpha), s = 2 cos(alpha + pi/3), t = 2 cos(alpha - pi/3) in
     floats for the report.  The 2N-way ordering
     s_1 < ... < s_N < t_1 < ... < t_N is proved on rational enclosures
     (`_certify_ordering`), else OrderingViolation; the float
     `ordering_margin`, the smallest gap of that sequence, is a diagnostic.
     """
-    if isinstance(a_poly, PlantedRoots):
-        intervals, halve = a_poly.cells(ROOT_WIDTH), a_poly.halve
-    else:
-        chain = SturmChain.of(a_poly)
-        intervals = [refine(chain, iv, ROOT_WIDTH) for iv in isolate_roots(chain, -2, 2)]
-
-        def halve(_, iv: IsolatingInterval) -> IsolatingInterval:
-            return refine(chain, iv, iv.width / 2)
+    located = locate_roots(a_poly, -2, 2) if isinstance(a_poly, Poly) else a_poly
+    if located is None:
+        raise OrderingViolation("the roots in (-2, 2) are not simple and isolated at width 2^-200")
+    intervals = located.cells(ROOT_WIDTH)
     if len(intervals) != n_crossings:
         raise OrderingViolation(f"found {len(intervals)} crossings, expected {n_crossings}")
-    _certify_ordering(intervals, halve)
+    _certify_ordering(located, intervals)
     out = []
     for iv in intervals:
         u = float(iv.midpoint)
@@ -534,18 +521,21 @@ def certify(
     - space: when z is present, z(t) - z(s) = (t - s) dd(z)(u) with
       t - s = sqrt(12 - 3u^2) > 0, so the sign at a crossing is that of
       dd(z) at its root u: exactly (-1)^i at planted nodes, and otherwise
-      `signs_at_roots` on R's chain, where a root shared with dd(z)
-      (z(t) = z(s)) fails.
+      `signs_at_roots` on R's located roots, where a root shared with
+      dd(z) (z(t) = z(s)) fails.
 
     With nodes, the primitive integers of R are divided by those of
-    `planted_factor(nodes)`, each step checked exact; by Gauss's lemma an
-    inexact step means P does not divide R over Q.  An exact quotient
-    that is nonzero at 2 and passes `certify_cofactor` proves the count
-    and nodes stages at once; the crossings are then located on the
-    planted roots (`PlantedRoots`: cells and halvings in closed form),
-    with no Sturm chain of R.  Otherwise both stages run on the chain of
-    R, which names the failure.  The intervals agree.  The signs at the
-    nodes come from one integer form of dd(z), evaluated at all 2n + 1.
+    `planted_factor(nodes)`, each step checked exact (by Gauss's lemma an
+    inexact step means P does not divide R over Q).  An exact quotient
+    nonzero at 2 that passes `certify_cofactor` proves the count and
+    nodes stages at once: the planted roots are R's roots.  Otherwise a
+    finished Descartes isolation (`locate_roots`) proves the count, every
+    root simple, and the nodes are checked one by one.  Only an
+    unfinished one (a multiple root, or roots closer than DEEP_WIDTH)
+    builds R's Sturm chain, whose counts name the failure, and reruns
+    with no depth limit when they pass.  The intervals are the same on
+    every path.  The signs at the nodes come from one integer form of
+    dd(z), evaluated at all 2n + 1.
 
     Every certificate is exact.  The x/y coincidences are identities: s, t
     are the roots of X^2 - uX + (u^2 - 3), so T_3(s) = T_3(t), and
@@ -564,18 +554,25 @@ def certify(
         # a certified cofactor is even: nonzero at 2, it keeps R's roots off both ends
         if (cofactor and sum(c << i for i, c in enumerate(cofactor))
                 and certify_cofactor(Poly(cofactor))):
-            located = PlantedRoots(nodes.all_roots(), -2, 2)
+            located = LocatedRoots(nodes.all_roots(), -2, 2)
     if located is None:
-        located = SturmChain(r_poly)
-        count = count_roots(located, Fraction(-2), Fraction(2))
+        located = locate_roots(r_poly, -2, 2)
+        if located is None:
+            chain = SturmChain(r_poly)
+            count = count_roots(chain, -2, 2)
+            repeated = chain.gcd.degree > 0 and count_roots(chain.gcd, -2, 2)
+        else:
+            count, repeated = len(located), False
         if count != n_crossings:
             raise CertificationFailed(
                 f"R has {count} roots in (-2, 2), expected {n_crossings}", "count"
             )
-        if located.gcd.degree > 0 and count_roots(located.gcd, Fraction(-2), Fraction(2)):
+        if repeated:
             raise CertificationFailed(
                 "R has a repeated root in (-2, 2): a crossing is not transverse", "count"
             )
+        if located is None:  # simple roots: isolation finishes
+            located = locate_roots(r_poly, -2, 2, None)
         if nodes is not None:
             if 2 * nodes.n + 1 != n_crossings:
                 raise CertificationFailed(

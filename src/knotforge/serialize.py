@@ -59,16 +59,24 @@ def basis_to_json(obj: Union[Poly, cb.ChebT, cb.ChebV]) -> dict[str, Any]:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _clip(value: Any) -> str:
+    """repr(value), or, past 64 characters, that of its first 32 characters and its length."""
+    text = str(value)
+    return repr(value) if len(repr(value)) <= 64 else f"{text[:32]!r}... ({len(text)} characters)"
+
+
 def _rat_from_json(s: Any, what: str) -> Fraction:
-    """Parse one rational string of a document, or raise SchemaError."""
+    """Parse one rational string of a document, or raise SchemaError echoing it clipped."""
     if not isinstance(s, str):
         raise SchemaError(f"{what} must be a rational string, got {type(s).__name__}")
     if not _RATIONAL.fullmatch(s):
-        raise SchemaError(f"bad {what} {s!r}: expected p or p/q")
+        raise SchemaError(f"bad {what} {_clip(s)}: expected p or p/q")
     try:
         return parse_rat(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad {what} {s!r}: {exc}") from exc
+    except ZeroDivisionError as exc:
+        raise SchemaError(f"bad {what} {_clip(s)}: zero denominator") from exc
+    except ValueError as exc:  # the only other failure the pattern leaves
+        raise SchemaError(f"bad {what} {_clip(s)}: past the integer digit limit") from exc
 
 
 def basis_from_json(d: Any) -> Union[Poly, cb.ChebT, cb.ChebV]:
@@ -84,7 +92,7 @@ def basis_from_json(d: Any) -> Union[Poly, cb.ChebT, cb.ChebV]:
         return cb.ChebT.of(dict(enumerate(coeffs)))
     if basis == "V":
         return cb.ChebV.of(dict(enumerate(coeffs)))
-    raise SchemaError(f"unknown basis tag {basis!r}")
+    raise SchemaError(f"unknown basis tag {_clip(basis)}")
 
 
 def _crossing_to_json(c: Crossing) -> dict[str, Any]:
@@ -207,7 +215,7 @@ def parse_curve(doc: Any) -> StoredCurve:
             raise SchemaError(f"crossing {i} needs finite numeric 's' and 't'")
         sign = c.get("sign")
         if sign is not None and (isinstance(sign, bool) or sign not in (-1, 1)):
-            raise SchemaError(f"crossing {i} has sign {sign!r}, expected -1, 1 or null")
+            raise SchemaError(f"crossing {i} has sign {_clip(sign)}, expected -1, 1 or null")
         crossings.append((float(c["s"]), float(c["t"]), sign))
     return StoredCurve(n_crossings, x, y, z, nodes, tuple(crossings))
 
@@ -217,18 +225,15 @@ def verify_curve(doc: Any) -> tuple[bool, list[str]]:
 
     Returns (ok, report lines).  `parse_curve` checks the schema first and
     raises SchemaError on any malformed field.  Then x must be exactly the
-    monic degree-3 cosine polynomial, and `knots.certify` runs its stages
-    on the stored y, z and nodes, each of them exact: R = dd(y) has
-    exactly N roots in (-2, 2), none repeated; stored nodes number
-    (N - 1) / 2 and are exact roots of R (both shown at once, with no
-    Sturm chain of R, when R divided by the planted factor passes the
-    cofactor certificate, and otherwise by Sturm counts on the chain of
-    R, which name the failure); the crossing parameters are ordered (proved
-    on rational enclosures; the printed float margin is a diagnostic);
-    and when z is present, the crossing signs alternate (dd(z) = (-1)^i
-    at stored nodes, otherwise the exact sign of dd(z) at each root of
-    R).  Each passed stage gives an "ok" line, and the failed one a
-    "FAIL" line that ends the report.
+    monic degree-3 cosine polynomial, and `knots.certify` runs its exact
+    stages on the stored y, z and nodes: R = dd(y) has exactly N roots in
+    (-2, 2), none repeated (the count line keeps its `[Sturm]` tag, which
+    marks an exact count, whether a Sturm chain or Descartes' rule made
+    it); stored nodes number (N - 1) / 2 and are exact roots of R; the
+    crossing parameters are ordered (the printed float margin is a
+    diagnostic); and when z is present, the crossing signs alternate.
+    Each passed stage gives an "ok" line, and the failed one a "FAIL" line
+    that ends the report.
     """
     curve = parse_curve(doc)
     if curve.x != cb.t_poly(3):

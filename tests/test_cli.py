@@ -482,6 +482,23 @@ class TestUnusableFiles:
         assert err.startswith(f"knotforge {command[0]}: cannot read {bad}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", [
+        pytest.param("9" * 5000, id="past-digit-limit"),
+        pytest.param("9" * 3000 + "/0", id="zero-denominator"),
+        pytest.param("x" * 5000, id="not-a-rational"),
+    ])
+    @pytest.mark.parametrize("command", [["verify"], ["export", "--csv"]])
+    def test_long_value_is_clipped(self, tmp_path, capsys, fixture_n9_path, value, command):
+        with open(fixture_n9_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        _set_y_coefficient(doc, value)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run([*command, str(bad)], capsys)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+        assert f"... ({len(value)} characters)" in err
+
     @pytest.mark.parametrize("command", ["gen", "export"])
     def test_unwritable_out(self, tmp_path, capsys, fixture_n9_path, command):
         argv = ["gen", "--n", "3"] if command == "gen" else ["export", "--csv", str(fixture_n9_path)]

@@ -7,23 +7,25 @@ from hypothesis import given, settings, strategies as st
 
 from knotforge.errors import SingularSystem, ZeroPolynomial
 from knotforge.exactpoly import (
+    DEEP_WIDTH,
     IsolatingInterval,
-    PlantedRoots,
+    LocatedRoots,
     Poly,
     SturmChain,
     bareiss_det,
     count_roots,
+    descartes_bound,
     exact_quotient,
-    isolate_roots,
+    locate_roots,
     parse_rat,
     poly_gcd,
     rat_str,
-    refine,
     signs_at_roots,
     solve_linear,
     _primitive_ints,
     _sign_at,
 )
+from sturm_reference import isolate_roots, refine
 
 T = Poly([0, 1])
 
@@ -407,7 +409,7 @@ class TestIntegerKernel:
         roots = sorted([-d for d in nodes] + [F(0)] + list(nodes))
         p = poly_from_roots(roots) * Poly([3, 0, 1])
         chain = SturmChain(p)
-        planted = PlantedRoots(roots, F(-2), F(2))
+        planted = LocatedRoots(roots, F(-2), F(2))
         ivs = isolate_roots(chain, -2, 2)
         assert planted.cells(F(4)) == ivs
         assert [iv.hi for iv in ivs] == roots
@@ -416,9 +418,10 @@ class TestIntegerKernel:
 
     def test_planted_roots_with_a_root_at_two(self):
         # R(2) = 0: the chain deflates the endpoint root, so its top interval
-        # stops below 2.  A PlantedRoots assumes no root at its ends and would
-        # keep (0, 2], which is why `knots.certify` locates such an R on its
-        # chain: there the cofactor over the planted roots vanishes at 2.
+        # stops below 2.  Planted roots assume no root at the ends and would
+        # keep (0, 2], which is why `knots.certify` isolates such an R by
+        # Descartes bisection: there the cofactor over the planted roots
+        # vanishes at 2.
         roots = [F(-1, 4), F(0), F(1, 4)]
         p = poly_from_roots(roots + [F(2), F(-3)])
         chain = SturmChain(p)
@@ -426,7 +429,7 @@ class TestIntegerKernel:
         ivs = isolate_roots(chain, -2, 2)
         assert len(ivs) == 3 and ivs[-1].hi < 2
         assert (p // poly_from_roots(roots))(F(2)) == 0
-        cells = PlantedRoots(roots, F(-2), F(2)).cells(F(4))
+        cells = LocatedRoots(roots, F(-2), F(2)).cells(F(4))
         assert cells[:2] == ivs[:2]
         assert cells[-1].hi == 2
 
@@ -448,7 +451,7 @@ ROOT_SETS = st.builds(
 
 
 class TestPlantedCells:
-    """`PlantedRoots.cells` against Sturm bisection of the polynomial with those roots."""
+    """`LocatedRoots.cells` against Sturm bisection of the polynomial with those roots."""
 
     @given(ROOT_SETS)
     @settings(max_examples=150, deadline=None)
@@ -456,7 +459,7 @@ class TestPlantedCells:
         chain = SturmChain(poly_from_roots(roots))
         width = F(1, 2**48)
         expected = [refine(chain, iv, width) for iv in isolate_roots(chain, -2, 2)]
-        planted = PlantedRoots(roots, F(-2), F(2))
+        planted = LocatedRoots(roots, F(-2), F(2))
         assert planted.cells(width) == expected
 
     @given(ROOT_SETS)
@@ -465,7 +468,7 @@ class TestPlantedCells:
         # twelve successive halvings of every 2^-48 cell, as the ordering
         # proof makes them, against one bisection step each on the chain
         chain = SturmChain(poly_from_roots(roots))
-        planted = PlantedRoots(roots, F(-2), F(2))
+        planted = LocatedRoots(roots, F(-2), F(2))
         for i, iv in enumerate(planted.cells(F(1, 2**48))):
             for _ in range(12):
                 expected = refine(chain, iv, iv.width / 2)
@@ -476,12 +479,12 @@ class TestPlantedCells:
         roots = [F(-1, 3), F(1, 4), F(1, 4) + F(1, 2**60)]
         chain = SturmChain(poly_from_roots(roots))
         width = F(3, 2**20)  # (hi - lo) / 2^20
-        planted = PlantedRoots(roots, F(-1), F(2))
+        planted = LocatedRoots(roots, F(-1), F(2))
         assert planted.cells(width) == [refine(chain, iv, width)
                                         for iv in isolate_roots(chain, -1, 2)]
 
     def test_width_must_halve_the_interval(self):
-        planted = PlantedRoots([F(0)], F(-2), F(2))
+        planted = LocatedRoots([F(0)], F(-2), F(2))
         with pytest.raises(ValueError, match="2\\^depth"):
             planted.cells(F(1, 3))
 
@@ -494,7 +497,75 @@ class TestPlantedCells:
     ])
     def test_contract_is_checked(self, roots):
         with pytest.raises(ValueError, match="sorted, distinct and strictly inside"):
-            PlantedRoots(roots, F(-2), F(2))
+            LocatedRoots(roots, F(-2), F(2))
+
+
+class TestLocateRoots:
+    """Descartes isolation (`locate_roots`) against Sturm bisection and counting."""
+
+    @given(ROOT_SETS, st.sets(st.sampled_from([F(-2), F(2)])),
+           st.sampled_from([F(-3), F(9, 4), F(5, 2)]), st.lists(st.integers(1, 7), max_size=2))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sturm_bisection(self, roots, ends, double, squares):
+        # roots on bisection midpoints (DYADIC) and 2^-40..2^-70 apart
+        # (ROOT_SETS), at +-2, a double root outside (-2, 2), complex pairs
+        p = poly_from_roots(roots + sorted(ends) + [double, double])
+        for c in squares:
+            p = p * Poly([c, 0, 1])
+        chain = SturmChain(p)
+        located = locate_roots(p, -2, 2)
+        assert located is not None
+        assert len(located) == len(roots) == count_roots(chain, -2, 2)
+        ivs = isolate_roots(chain, -2, 2)
+        assert located.cells(F(4)) == ivs
+        width = F(1, 2**48)
+        cells = located.cells(width)
+        assert cells == [refine(chain, iv, width) for iv in ivs]
+        for i, iv in enumerate(cells):
+            assert located.halve(i, iv, 5) == refine(chain, iv, iv.width / 32)
+            for _ in range(6):
+                expected = refine(chain, iv, iv.width / 2)
+                iv = located.halve(i, iv)
+                assert iv == expected
+
+    @given(ROOT_SETS.filter(bool), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_double_root_inside_does_not_finish(self, roots, data):
+        p = poly_from_roots(roots + [data.draw(st.sampled_from(roots))])
+        assert locate_roots(p, -2, 2) is None
+        assert SturmChain(p).gcd.degree > 0
+
+    def test_roots_closer_than_deep_width_need_no_depth_limit(self):
+        roots = [F(1, 3), F(1, 3) + F(1, 2**210)]
+        p = poly_from_roots(roots)
+        assert locate_roots(p, -2, 2) is None
+        located = locate_roots(p, -2, 2, None)
+        chain = SturmChain(p)
+        width = F(1, 2**48)
+        assert located.cells(width) == [refine(chain, iv, width)
+                                        for iv in isolate_roots(chain, -2, 2)]
+        assert located.cells(width)[0].width < DEEP_WIDTH
+
+    def test_on_another_interval(self):
+        p = poly_from_roots([F(-1, 3), F(1, 4), F(1, 4) + F(1, 2**60), F(2)])
+        chain = SturmChain(p)
+        width = F(3, 2**20)  # (hi - lo) / 2^20
+        assert locate_roots(p, -1, 2).cells(width) == [refine(chain, iv, width)
+                                                        for iv in isolate_roots(chain, -1, 2)]
+
+    @given(st.lists(small_rat, max_size=5), st.lists(st.integers(1, 3), min_size=5, max_size=5),
+           st.sampled_from([(F(-2), F(2)), (F(0), F(4)), (F(-1, 3), F(1, 2))]))
+    @settings(max_examples=100, deadline=None)
+    def test_descartes_bound(self, roots, mults, interval):
+        # the bound, capped at 2, is at least the count with multiplicity, and exact below 2
+        lo, hi = interval
+        p = Poly([1])
+        for r, m in zip(roots, mults):
+            p = p * poly_from_roots([r] * m)
+        inside = sum(m for r, m in zip(roots, mults) if lo < r < hi)
+        bound = descartes_bound(p, lo, hi)
+        assert bound >= min(inside, 2)
+        assert bound >= 2 or bound == inside
 
 
 class TestExactQuotient:
@@ -532,9 +603,9 @@ class TestSignsAtRoots:
         if share:
             q_roots = q_roots + roots[:1]  # q vanishes at a root of p
         q = poly_from_roots(q_roots).scale(lead)
-        chain = SturmChain(poly_from_roots(roots))
+        located = locate_roots(poly_from_roots(roots), -2, 2)
         expected = [sign(q(r)) for r in sorted(roots)]
-        assert signs_at_roots(chain, q, isolate_roots(chain, -2, 2)) == expected
+        assert signs_at_roots(located, q, located.cells(F(4))) == expected
 
     @pytest.mark.parametrize("offset,expected", [
         (F(-1, 2**150), -1),   # decided above the gcd depth
@@ -542,22 +613,21 @@ class TestSignsAtRoots:
         (F(0), 0),
     ])
     def test_root_of_q_next_to_a_root_of_p(self, offset, expected):
-        chain = SturmChain(poly_from_roots([F(-1), F(1, 3)]))
+        located = locate_roots(poly_from_roots([F(-1), F(1, 3)]), -2, 2)
         q = Poly([-F(1, 3) + offset, 1])  # q(1/3) = offset
-        ivs = isolate_roots(chain, -2, 2)
-        assert signs_at_roots(chain, q, ivs) == [-1, expected]
+        assert signs_at_roots(located, q, located.cells(F(4))) == [-1, expected]
 
     def test_irrational_roots(self):
         p = Poly([-2, 0, 1])                 # roots -sqrt(2), sqrt(2)
         q = T * p - Poly([F(1, 10**30)])     # -10^-30 at both roots
-        chain = SturmChain(p)
-        assert signs_at_roots(chain, q, isolate_roots(chain, -2, 2)) == [-1, -1]
+        located = locate_roots(p, -2, 2)
+        assert signs_at_roots(located, q, located.cells(F(4))) == [-1, -1]
 
     def test_constant_and_zero(self):
-        chain = SturmChain(poly_from_roots([F(-1, 2), F(1, 2)]))
-        ivs = isolate_roots(chain, -2, 2)
-        assert signs_at_roots(chain, Poly([F(-2, 3)]), ivs) == [-1, -1]
-        assert signs_at_roots(chain, Poly(), ivs) == [0, 0]
+        located = locate_roots(poly_from_roots([F(-1, 2), F(1, 2)]), -2, 2)
+        ivs = located.cells(F(4))
+        assert signs_at_roots(located, Poly([F(-2, 3)]), ivs) == [-1, -1]
+        assert signs_at_roots(located, Poly(), ivs) == [0, 0]
 
 
 def gauss_reference(matrix, rhs):

@@ -99,17 +99,18 @@ class TestHotPath:
         degrees = record_chains(monkeypatch)
         curve, report = synthesize(21)
         assert len(report.crossings) == 21
-        # one chain per cofactor check: g has degree floor(n/2) = 5, A has 31
-        assert degrees and max(degrees) == 5
+        # no chain of A (degree 31), nor of g (degree floor(n/2) = 5): each
+        # cofactor check is decided by Descartes' rule
+        assert degrees == []
 
     def test_certify_with_nodes_builds_no_chain_of_r(self, monkeypatch):
         curve, report = synthesize(15)
         degrees = record_chains(monkeypatch)
         again = certify(curve.plane.y, curve.z, 15, NodeSet(7, report.nodes))
         assert again.crossings == report.crossings
-        assert max(degrees) == 3  # the chain of g only
-        certify(curve.plane.y, curve.z, 15)
-        assert max(degrees) == 21  # without nodes: the chain of R
+        assert degrees == []  # g (degree 3) passes Descartes' test
+        assert certify(curve.plane.y, curve.z, 15).crossings == report.crossings
+        assert degrees == []  # without nodes R (degree 21) is isolated by Descartes bisection
 
     def test_failed_certificate_halves_until_exhausted(self, monkeypatch):
         tried = []
@@ -151,12 +152,13 @@ class TestCertifyFallback:
         for nodes in (NodeSet(0, ()), None):
             assert len(certify(y, z, 1, nodes).crossings) == 1
 
-    def test_root_at_two_is_located_on_the_chain(self, monkeypatch):
+    def test_root_at_two_is_located_by_isolation(self, monkeypatch):
         # R = u^3 - 4u = V_3 - 2 V_1: roots 0 and +-2, so g(v) = v - 4 has
-        # g(4) = 0; the chain locates the crossing as it does without nodes
+        # g(4) = 0; Descartes isolation of R locates the crossing, with no
+        # chain, as it does without nodes
         y, z = curve_with_r(ChebV.of({1: -2, 3: 1}))
         degrees = record_chains(monkeypatch)
         with_nodes = certify(y, z, 1, NodeSet(0, ()))
-        assert 3 in degrees
+        assert degrees == []
         assert with_nodes == certify(y, z, 1)
         assert with_nodes.crossings[0].u_hi < 2

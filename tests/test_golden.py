@@ -5,7 +5,9 @@ kernel replaced the rational one (N = 41 and 61 before the deformation
 and height were solved with the planted roots factored out, N = 101
 before the crossing cells, solves and cofactor division moved to
 integers), and the `verify` digests when the
-decimal sign and residual lines gave way to exact ones.  Every isolating
+decimal sign and residual lines gave way to exact ones (the node-less
+N = 31 and 61 ones before Descartes isolation replaced the Sturm chain
+of R).  Every isolating
 interval, and so every crossing abscissa and margin printed, feeds
 these bytes, so a moved interval or a changed bisection choice fails
 here.  The `export` digests were recorded before the float sampling
@@ -46,6 +48,12 @@ EXPORT_SHA256 = {
 }
 # the default 1200 samples for the SVG, 2000 for the CSV
 EXPORT_ARGS = {"svg": ["--svg"], "csv": ["--csv", "--samples", "2000"]}
+# node-less `verify` of the `gen` output: the roots of R for N = 31 are
+# dyadic, so they fall on bisection midpoints of (-2, 2)
+VERIFY_NODELESS_SHA256 = {
+    31: "cb942e76384cb12161cdf6ebd4f15763fa3e346666f5d36f0920a4a1d39602b4",
+    61: "e30d88492dc367f0ef678792171deeffe5255e441324cd2f943e295b3065f0ec",
+}
 N21_VARIANTS = {
     "nodeless": {"nodes": None, "epsilon": None},
     "plane": {"z": None},
@@ -87,6 +95,15 @@ def test_verify_n21_variant_stdout(gen_outputs, tmp_path, capsys, variant):
     path = tmp_path / f"{variant}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n")
     assert sha256(verify_stdout(path, capsys).encode()) == VERIFY_N21_SHA256[variant]
+
+
+@pytest.mark.parametrize("n", sorted(VERIFY_NODELESS_SHA256))
+def test_verify_nodeless_stdout(tmp_path, capsys, n):
+    path = tmp_path / "curve.json"
+    assert main(["gen", "--n", str(n), "--out", str(path)]) == 0
+    doc = dict(json.loads(path.read_bytes()), nodes=None, epsilon=None)
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    assert sha256(verify_stdout(path, capsys).encode()) == VERIFY_NODELESS_SHA256[n]
 
 
 @pytest.mark.parametrize("source,fmt", sorted(EXPORT_SHA256, key=str))

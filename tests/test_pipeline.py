@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from c_basis_reference import triangular_coordinates
-from knotforge import knots
+from knotforge import exactpoly, knots
 from knotforge.chebyshev import divided_difference, lift_from_V, to_V
 from knotforge.errors import (
     CertificationFailed,
@@ -17,7 +17,7 @@ from knotforge.errors import (
 )
 from knotforge.exactpoly import (
     IsolatingInterval,
-    PlantedRoots,
+    LocatedRoots,
     Poly,
     SturmChain,
     _primitive_ints,
@@ -38,6 +38,7 @@ from knotforge.knots import (
     solve_height,
     synthesize,
 )
+from sturm_reference import isolate_roots, refine
 
 T = Poly([0, 1])
 
@@ -135,8 +136,21 @@ class TestCertify:
     def test_odd_cofactor_refused(self):
         assert not certify_cofactor(Poly([5, 1]))
 
+    def test_nodeless_certify_builds_no_chain_of_r(self, monkeypatch):
+        # the crossings of a node-less file are isolated by Descartes
+        # bisection, which proves their count, all simple, with no chain
+        curve, report = synthesize(21)
+
+        def chain(*args):
+            raise AssertionError("a Sturm chain was built")
+
+        monkeypatch.setattr(knots, "SturmChain", chain)
+        monkeypatch.setattr(exactpoly, "SturmChain", chain)
+        again = certify(curve.plane.y, curve.z, 21)
+        assert again.crossings == report.crossings and again.signs_alternate
+
     def test_node_off_the_roots_fails_the_nodes_stage(self):
-        # P does not divide R, so certify takes R's chain, which names the node
+        # P does not divide R, so certify isolates R and names the node
         curve, report = synthesize(7)
         assert report.nodes == (F(1, 16), F(1, 8), F(3, 16))
         moved = NodeSet(3, (F(1, 16), F(1, 8), F(1, 3)))
@@ -311,21 +325,23 @@ class TestCrossings:
         a_poly = a_series.to_poly()
         chain = SturmChain(a_poly)
         assert certify_cofactor(cofactor)
-        planted = PlantedRoots(node_set.all_roots(), F(-2), F(2))
-        assert crossings(planted, 2 * n + 1) == crossings(chain, 2 * n + 1)
+        planted = LocatedRoots(node_set.all_roots(), F(-2), F(2))
+        report = crossings(planted, 2 * n + 1)
+        assert report == crossings(a_poly, 2 * n + 1)
+        cells = [refine(chain, iv, knots.ROOT_WIDTH) for iv in isolate_roots(chain, -2, 2)]
+        assert [(c.u_lo, c.u_hi) for c in report.crossings] == [(iv.lo, iv.hi) for iv in cells]
 
     def test_planted_roots_locate_without_bisection(self, monkeypatch):
         node_set = NodeSet(3, (F(1, 8), F(1, 4), F(1, 2)))
         a_poly = solve_deformation(node_set)[1].to_poly()
-        chain = SturmChain(a_poly)
-        expected = crossings(chain, 7)
-        planted = PlantedRoots(node_set.all_roots(), F(-2), F(2))
+        expected = crossings(a_poly, 7)
+        planted = LocatedRoots(node_set.all_roots(), F(-2), F(2))
 
         def bisection(*args):
             raise AssertionError("crossings bisected on planted roots")
 
-        monkeypatch.setattr(knots, "isolate_roots", bisection)
-        monkeypatch.setattr(knots, "refine", bisection)
+        monkeypatch.setattr(knots, "locate_roots", bisection)
+        monkeypatch.setattr(knots, "SturmChain", bisection)
         assert crossings(planted, 7) == expected
         # nor does gen, whose R is certified on its planted roots
         assert synthesize(21)[1].n_crossings == 21
@@ -347,7 +363,7 @@ class TestCrossings:
         # the ordering proof halves them, on the planted roots alone
         nodes = [F(1, 4), F(1, 4) + F(1, 2**62)]
         halvings = []
-        halve = PlantedRoots.halve
+        halve = LocatedRoots.halve
 
         def counted(self, i, iv):
             halvings.append(i)
@@ -356,9 +372,10 @@ class TestCrossings:
         def bisection(*args):
             raise AssertionError("crossings bisected on planted roots")
 
-        monkeypatch.setattr(PlantedRoots, "halve", counted)
-        monkeypatch.setattr(knots, "isolate_roots", bisection)
-        monkeypatch.setattr(knots, "refine", bisection)
+        monkeypatch.setattr(LocatedRoots, "halve", counted)
+        monkeypatch.setattr(LocatedRoots, "_narrow", bisection)
+        monkeypatch.setattr(knots, "locate_roots", bisection)
+        monkeypatch.setattr(knots, "SturmChain", bisection)
         curve, report = synthesize(5, nodes=nodes)
         monkeypatch.undo()
         assert halvings

@@ -123,18 +123,20 @@ class TestVerifyCurve:
     def test_nodeless_n51_signs_need_few_refinements(self, monkeypatch):
         # `signs_at_roots` bounds |dd(z)'| on a root interval by |dd(z)'(lo)|
         # plus a bound on |dd(z)''| times the width; with a bound on |dd(z)'|
-        # from the monomial coefficients alone this file took 32 refinements
+        # from the monomial coefficients alone this file took 32 refinements.
+        # The ordering proof halves no interval of this file, so every
+        # halving counted here narrows a sign interval.
         curve, report = synthesize(51)
         doc = curve_to_dict(51, curve.plane.x, curve.plane.y, curve.z, report, True)
         doc["nodes"] = doc["epsilon"] = None
         calls = []
-        real = exactpoly.refine
+        real = exactpoly.LocatedRoots.halve
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(exactpoly, "refine", counting)
+        monkeypatch.setattr(exactpoly.LocatedRoots, "halve", counting)
         ok, lines = verify_curve(doc)
         assert ok, lines
         assert len(calls) <= 8
