@@ -1,0 +1,205 @@
+#!/usr/bin/env python3
+"""Time the stages of `synthesize` and `certify`, for one checkout or two side by side.
+
+Usage:
+    python scripts/bench_stages.py [--n 21 41 61 101] [--rounds 3] [--repeats 3]
+                                   [--parent DIR] [--out BENCH.json]
+
+Each round starts one worker process per checkout, this one and, with
+--parent, the checkout at DIR (its `src/` is imported), in alternating
+order, so the two meet the same drift of the machine.  A worker runs
+`synthesize(N)` once untimed, then --repeats timed runs, and reports for
+each stage its wall seconds and its calibrated seconds (wall time scaled to
+a machine where the `perfbench/calibrate.py` kernel takes its nominal time,
+measured by that module's sampler while the stage runs).
+
+The stages are the functions `synthesize` calls, timed by wrapping them
+where `knots` looks them up: `solve_deformation`, `solve_height` and
+`certify`.  Inside `certify`: `divided_difference` (of y and z),
+`exact_quotient` (R by the planted factor), `certify_cofactor`,
+`crossings` (cells and ordering proof), and `other`, the rest of `certify`
+(R's integer form and the space check).  `dumps` is `curve_to_dict` plus
+`dumps` of the finished curve.  A function a checkout lacks is not timed.
+
+The output JSON holds the Python and machine identity, one calibration
+kernel sample per worker, each stage's median over every timed run per
+checkout, and the change/parent ratio of the calibrated medians.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from collections import defaultdict
+
+ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
+SYNTH_STAGES = ("solve_deformation", "solve_height", "certify")
+CERTIFY_STEPS = ("divided_difference", "exact_quotient", "certify_cofactor", "crossings")
+
+
+def identity() -> dict:
+    return {
+        "python": f"{platform.python_implementation()} {platform.python_version()}",
+        "system": f"{platform.system()} {platform.release()}",
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+    }
+
+
+class _Spans:
+    """(stage, start, end) of every wrapped call made while `synthesize` runs."""
+
+    def __init__(self) -> None:
+        self.spans: list[tuple[str, float, float]] = []
+        self.stack: list[str] = []
+
+    def wrap(self, name: str, fn, inside: str = ""):
+        def timed(*args, **kwargs):
+            if inside and inside not in self.stack:
+                return fn(*args, **kwargs)
+            self.stack.append(name)
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.spans.append((name, t0, time.perf_counter()))
+                self.stack.pop()
+        return timed
+
+
+def worker(src: str, ns: list[int], repeats: int) -> dict:
+    """Stage times of the knotforge under src: {N: {stage: [(wall, calibrated), ...]}}."""
+    sys.path.insert(0, src)
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    calibrate = importlib.import_module("calibrate")
+    knots = importlib.import_module("knotforge.knots")
+    serialize = importlib.import_module("knotforge.serialize")
+    rec = _Spans()
+    for name in SYNTH_STAGES:
+        setattr(knots, name, rec.wrap(name, getattr(knots, name)))
+    for name in CERTIFY_STEPS:
+        owner = knots.cb if name == "divided_difference" else knots
+        if hasattr(owner, name):
+            setattr(owner, name, rec.wrap(name, getattr(owner, name), inside="certify"))
+
+    t0 = time.perf_counter()
+    calibrate.kernel()
+    out: dict = {"kernel_s": time.perf_counter() - t0, "stages": {}}
+    with calibrate.Sampler() as sampler:
+        for n in ns:
+            knots.synthesize(n)  # warm the caches
+            runs = []
+            for _ in range(repeats):
+                rec.spans.clear()
+                t0 = time.perf_counter()
+                curve, report = knots.synthesize(n)
+                t1 = time.perf_counter()
+                serialize.dumps(serialize.curve_to_dict(
+                    n, curve.plane.x, curve.plane.y, curve.z, report, True))
+                runs.append(rec.spans + [("synthesize", t0, t1), ("dumps", t1, time.perf_counter())])
+            while not sampler.took:  # a short run can end before the first sample
+                calibrate.kernel()
+            out["stages"][str(n)] = samples = defaultdict(list)
+            for spans in runs:
+                totals: dict[str, list[float]] = defaultdict(lambda: [0.0, 0.0])
+                for name, a, b in spans:
+                    key = f"certify.{name}" if name in CERTIFY_STEPS else name
+                    totals[key][0] += b - a
+                    totals[key][1] += sampler.calibrated(a, b)
+                if "certify" in totals:
+                    totals["certify.other"] = [
+                        totals["certify"][k] - sum(v[k] for name, v in totals.items()
+                                                   if name.startswith("certify."))
+                        for k in (0, 1)
+                    ]
+                for name, times in totals.items():
+                    samples[name].append(tuple(times))
+    return out
+
+
+def _run_worker(src: str, ns: list[int], repeats: int) -> dict:
+    argv = [sys.executable, os.path.abspath(__file__), "--worker", src,
+            "--repeats", str(repeats), "--n", *map(str, ns)]
+    proc = subprocess.run(argv, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def _commit(path: str) -> str | None:
+    """The checkout's commit, with "-dirty" when its tree has uncommitted changes."""
+    try:
+        proc = subprocess.run(["git", "-C", path, "describe", "--always", "--dirty"],
+                              capture_output=True, text=True, timeout=10)
+    except OSError:
+        return None
+    return proc.stdout.strip() or None
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--n", type=int, nargs="+", default=[21, 41, 61, 101])
+    ap.add_argument("--rounds", type=int, default=3)
+    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--parent", metavar="DIR", help="checkout to compare against")
+    ap.add_argument("--out", metavar="FILE", help="write the JSON here (default: stdout)")
+    ap.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.worker:
+        print(json.dumps(worker(args.worker, args.n, args.repeats)))
+        return 0
+
+    checkouts = {"change": ROOT}
+    if args.parent:
+        checkouts = {"parent": os.path.abspath(args.parent), "change": ROOT}
+    samples: dict = {label: defaultdict(lambda: defaultdict(list)) for label in checkouts}
+    kernels: dict = {label: [] for label in checkouts}
+    order = list(checkouts)
+    for r in range(args.rounds):
+        for label in order if r % 2 == 0 else order[::-1]:
+            result = _run_worker(os.path.join(checkouts[label], "src"), args.n, args.repeats)
+            kernels[label].append(result["kernel_s"])
+            for n, stages in result["stages"].items():
+                for stage, runs in stages.items():
+                    samples[label][n][stage].extend(runs)
+
+    stages: dict = {}
+    for n in map(str, args.n):
+        row = stages[n] = {}
+        for label in checkouts:
+            row[label] = {
+                stage: {"wall_s": statistics.median(w for w, _ in runs),
+                        "calibrated_s": statistics.median(c for _, c in runs),
+                        "runs": len(runs)}
+                for stage, runs in sorted(samples[label][n].items())
+            }
+        if "parent" in row:
+            row["ratio"] = {
+                stage: round(v["calibrated_s"] / row["parent"][stage]["calibrated_s"], 3)
+                for stage, v in row["change"].items()
+                if row["parent"].get(stage, {}).get("calibrated_s")
+            }
+    doc = {
+        "identity": identity(),
+        "commits": {label: _commit(path) for label, path in checkouts.items()},
+        "rounds": args.rounds,
+        "repeats": args.repeats,
+        "kernel_s": kernels,
+        "stages": stages,
+    }
+    text = json.dumps(doc, indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

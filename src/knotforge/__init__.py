@@ -45,15 +45,12 @@ from .exactpoly import (
 )
 from .knots import (
     CnBasis,
-    CnTildeBasis,
     Crossing,
     CrossingReport,
     NodeSet,
     PlaneCurve,
     SpaceCurve,
     build_cn,
-    build_cn_tilde,
-    build_cn_triangular,
     certify,
     certify_cofactor,
     crossing_oracle,
@@ -77,9 +74,9 @@ __all__ = [
     "ZeroPolynomial",
     "IsolatingInterval", "LocatedRoots", "Poly", "Rational", "SturmChain", "count_roots",
     "locate_roots", "rat_str", "parse_rat",
-    "CnBasis", "CnTildeBasis", "Crossing", "CrossingReport", "NodeSet",
-    "PlaneCurve", "SpaceCurve", "build_cn", "build_cn_tilde",
-    "build_cn_triangular", "certify", "certify_cofactor", "crossing_oracle", "crossings",
+    "CnBasis", "Crossing", "CrossingReport", "NodeSet",
+    "PlaneCurve", "SpaceCurve", "build_cn", "certify", "certify_cofactor",
+    "crossing_oracle", "crossings",
     "lift_plane", "planted_factor", "solve_deformation", "solve_height",
     "synthesize",
     "PadeApproximant", "check_pole_locations", "expand", "pade",

@@ -86,18 +86,15 @@ class _ChebSeries:
     def of(cls, coeffs: _CoeffMap):
         return cls(_normalize(coeffs))
 
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.items)
-
     @property
     def degree(self) -> int:
         return self.items[-1][0] if self.items else -1
 
-    def to_poly(self) -> Poly:
-        """The monomial form, summed in integers over the common denominator
-        (every T_k and V_k has integer coefficients)."""
-        if not self.items:
-            return Poly()
+    def integer_form(self) -> tuple[list[int], int]:
+        """(ints, den): the monomial coefficients are ints[i] / den, summed in
+        integers over den, the lcm of the denominators (every T_k and V_k has
+        integer coefficients).  ints is empty for the zero series, and its last
+        entry is nonzero otherwise."""
         den = math.lcm(*(c.denominator for _, c in self.items))
         acc = [0] * (self.degree + 1)
         for k, c in self.items:
@@ -105,7 +102,12 @@ class _ChebSeries:
             for i, b in enumerate(_family_ints(k, self._cosine)):
                 if b:
                     acc[i] += w * b
-        return Poly(Fraction(v, den) for v in acc)
+        return acc, den
+
+    def to_poly(self) -> Poly:
+        """The monomial form, from `integer_form`."""
+        ints, den = self.integer_form()
+        return Poly(Fraction(v, den) for v in ints)
 
 
 class ChebT(_ChebSeries):
@@ -195,10 +197,6 @@ def wtilde_index(k: int) -> int:
 
 def w_poly(k: int) -> Poly:
     return v_poly(w_index(k))
-
-
-def wtilde_poly(k: int) -> Poly:
-    return v_poly(wtilde_index(k))
 
 
 # -- numeric evaluation ---------------------------------------------------------

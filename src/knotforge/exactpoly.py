@@ -15,8 +15,8 @@ narrowing a cell on the exact value of p at dyadic points.  A
 `SturmChain`, built by integer pseudo-division, counts distinct roots
 (`count_roots`) and gives gcd(p, p'): the fallback for polynomials with
 multiple roots.  A sign at n/d is that of the integer sum
-c_i n^i d^(D-i) (homogeneous Horner), and `Poly.values_at` runs the same
-Horner on the coefficients brought to one denominator.  `signs_at_roots`
+c_i n^i d^(D-i) (homogeneous Horner), and a `Poly` is evaluated by the
+same Horner on its coefficients brought to one denominator.  `signs_at_roots`
 gives the exact sign of a second polynomial at each located root, from
 a slope bound.  Linear systems are solved, and determinants taken, by
 one fraction-free (Bareiss) elimination on integer rows.
@@ -82,12 +82,6 @@ class Poly:
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Poly is immutable")
-
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: _RationalLike = 1) -> "Poly":
-        return cls([0] * degree + [coeff])
 
     # -- basic queries -------------------------------------------------------
 
@@ -171,24 +165,20 @@ class Poly:
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, x: _RationalLike) -> Rational:
-        """Exact value at a rational (or int) point, by one integer Horner."""
-        return self.values_at([x])[0]
+        """Exact value at a rational (or int) point, by one integer Horner.
 
-    def values_at(self, xs: Sequence[_RationalLike]) -> list[Rational]:
-        """Exact values at rational (or int) points, from one integer form.
-
-        With L the lcm of the coefficient denominators, taken once, and
-        x = num/den, p(x) = sum(L c_i num^i den^(D-i)) / (L den^D): the sum
-        is integer homogeneous Horner (see `_horner`), and normalizing each
-        returned Fraction is its only gcd.
+        With L the lcm of the coefficient denominators and x = num/den,
+        p(x) = sum(L c_i num^i den^(D-i)) / (L den^D): the sum is integer
+        homogeneous Horner (see `_horner`), and normalizing the returned
+        Fraction is its only gcd.
         """
         cs = self.coeffs
         if not cs:
-            return [Fraction(0)] * len(xs)
+            return Fraction(0)
         lcm = math.lcm(*(c.denominator for c in cs))
         ints = [c.numerator * (lcm // c.denominator) for c in cs]
-        return [Fraction(_horner(ints, x.numerator, x.denominator),
-                         lcm * x.denominator ** (len(cs) - 1)) for x in xs]
+        return Fraction(_horner(ints, x.numerator, x.denominator),
+                        lcm * x.denominator ** (len(cs) - 1))
 
     def eval_float(self, xs: Sequence[float]) -> list[float]:
         """Double-precision Horner at every point of a grid, each coefficient
@@ -518,6 +508,10 @@ class LocatedRoots:
         if not all(a < b for a, b in zip(ends, ends[1:])):
             raise ValueError("planted roots must be sorted, distinct and strictly inside (lo, hi)")
         self._x: list = [((r - self._lo) / self._span).as_integer_ratio() for r in roots]
+        # lo = a / c and hi - lo = b / c, so the cell j / 2^k of x is lo + b j / (c 2^k)
+        c = self._lo.denominator * self._span.denominator
+        self._frame = (self._lo.numerator * self._span.denominator,
+                       self._span.numerator * self._lo.denominator, c)
         self.poly: Optional[tuple[int, ...]] = None
         self._moved: tuple[int, ...] = ()  # q(x), as `locate_roots` made it
         self._root_at_hi = False
@@ -572,8 +566,9 @@ class LocatedRoots:
         return depth
 
     def _cell(self, j: int, k: int) -> IsolatingInterval:
-        return IsolatingInterval(self._lo + self._span * Fraction(j, 1 << k),
-                                 self._lo + self._span * Fraction(j + 1, 1 << k))
+        a, b, c = self._frame
+        return IsolatingInterval(Fraction((a << k) + b * j, c << k),
+                                 Fraction((a << k) + b * (j + 1), c << k))
 
     def halve(self, i: int, iv: IsolatingInterval, times: int = 1) -> IsolatingInterval:
         """The cell of root i `times` halvings below its cell iv; once, that is (lo, m]

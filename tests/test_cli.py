@@ -2,13 +2,14 @@ import copy
 import json
 import re
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from knotforge import chebyshev as cb, cli
 from knotforge.cli import main
-from knotforge.exactpoly import rat_str
+from knotforge.exactpoly import rat_str, solve_linear
 from knotforge.knots import synthesize
 from knotforge.serialize import curve_to_dict
 
@@ -139,6 +140,38 @@ class TestVerify:
         code, stdout, _ = run(["verify", str(flat)], capsys)
         assert code == 2
         assert "FAIL space verification: z(t) = z(s) at crossing 2\n" in stdout
+
+    def test_height_in_the_kernel_fails_at_the_first_node(self, tmp_path, capsys):
+        # z = T_3 - 2 T_6 lies in the kernel of the divided difference: dd(z) = 0,
+        # which is (-1)^i at no planted root, and the first, -d_10 = -5/22, is named
+        out = tmp_path / "n21.json"
+        run(["gen", "--n", "21", "--out", str(out)], capsys)
+        doc = json.loads(out.read_text())
+        doc["z"] = {"basis": "T", "coeffs": ["0", "0", "0", "1", "0", "0", "-2"]}
+        path = tmp_path / "kernel.json"
+        path.write_text(json.dumps(doc))
+        code, stdout, _ = run(["verify", str(path)], capsys)
+        assert code == 2
+        assert stdout.endswith("ok   parameter ordering holds (margin 9.226e-03)\n"
+                               "FAIL space verification: dd(z)(-5/22) != -1\nNOT VERIFIED\n")
+
+    def test_height_wrong_at_one_node_names_that_node(self, tmp_path, capsys):
+        # z plus the lift of an f in the image of dd with f = 1 at the 15th
+        # planted root, 1/11, and 0 at the other 20: only 1/11 fails
+        curve, report = synthesize(21)
+        roots = sorted([-d for d in report.nodes] + [Fraction(0)] + list(report.nodes))
+        image = [j for j in range(2 * len(roots)) if j % 3 != 2][:len(roots)]
+        values = solve_linear([[cb.v_poly(j)(u) for j in image] for u in roots],
+                              [Fraction(i == 14) for i in range(len(roots))])
+        z = dict(curve.z.items)
+        for k, c in cb.lift_from_V(cb.ChebV.of(dict(zip(image, values)))).items:
+            z[k] = z.get(k, 0) + c
+        doc = curve_to_dict(21, curve.plane.x, curve.plane.y, cb.ChebT.of(z), report, True)
+        path = tmp_path / "bumped.json"
+        path.write_text(json.dumps(doc))
+        code, stdout, _ = run(["verify", str(path)], capsys)
+        assert code == 2
+        assert stdout.endswith("FAIL space verification: dd(z)(1/11) != -1\nNOT VERIFIED\n")
 
     @pytest.mark.parametrize("nodes", [[], None], ids=["nodes", "nodeless"])
     def test_tangent_crossing_fails(self, tmp_path, capsys, nodes):

@@ -2,9 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from c_basis_reference import build_cn_tilde, build_cn_triangular
 from knotforge.chebyshev import to_V, w_index, wtilde_index
 from knotforge.exactpoly import Poly, count_roots
-from knotforge.knots import build_cn, build_cn_tilde, build_cn_triangular
+from knotforge.knots import build_cn
 
 T = Poly([0, 1])
 
@@ -107,7 +108,7 @@ class TestTildeBasis:
         assert tilde.cn[2] == Poly([0, 0, 0, 0, 1, 0, F(-1, 3)])
 
     def test_ct1_v_form(self, tilde):
-        assert to_V(tilde.cn[1]).as_dict() == {0: F(1, 3), 4: F(-1, 3)}
+        assert dict(to_V(tilde.cn[1]).items) == {0: F(1, 3), 4: F(-1, 3)}
 
     def test_recursive_definition(self, tilde):
         basis = build_cn(9)

@@ -1,19 +1,25 @@
 """The factored synthesis: the deformation and height solved with the planted
 roots factored out, and the cofactor certificate in `synthesize` and `certify`."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from c_basis_reference import reference_deformation, reference_height, triangular_coordinates
-from knotforge import exactpoly, knots
+from c_basis_reference import (
+    build_cn_tilde,
+    reference_deformation,
+    reference_height,
+    triangular_coordinates,
+)
+from height_reference import reference_height_series
+from knotforge import chebyshev as cb, exactpoly, knots
 from knotforge.chebyshev import ChebT, ChebV, lift_from_V, to_V
 from knotforge.errors import CertificationFailed, EpsilonExhausted, SingularSystem
 from knotforge.exactpoly import Poly
 from knotforge.knots import (
     NodeSet,
     build_cn,
-    build_cn_tilde,
     certify,
     default_nodes,
     planted_factor,
@@ -95,7 +101,6 @@ class TestHotPath:
             raise AssertionError("the C bases are not on the synthesis path")
 
         monkeypatch.setattr(knots, "build_cn", refuse)
-        monkeypatch.setattr(knots, "build_cn_tilde", refuse)
         degrees = record_chains(monkeypatch)
         curve, report = synthesize(21)
         assert len(report.crossings) == 21
@@ -111,6 +116,17 @@ class TestHotPath:
         assert degrees == []  # g (degree 3) passes Descartes' test
         assert certify(curve.plane.y, curve.z, 15).crossings == report.crossings
         assert degrees == []  # without nodes R (degree 21) is isolated by Descartes bisection
+
+    def test_certify_with_nodes_expands_no_series_to_a_poly(self, monkeypatch):
+        # R's primitive integers and dd(z)'s values come from integer forms
+        curve, report = synthesize(21)
+
+        def refuse(self):
+            raise AssertionError("a Poly is built only when the planted path fails")
+
+        monkeypatch.setattr(cb.ChebV, "to_poly", refuse)
+        again = certify(curve.plane.y, curve.z, 21, NodeSet(10, report.nodes))
+        assert again.crossings == report.crossings
 
     def test_failed_certificate_halves_until_exhausted(self, monkeypatch):
         tried = []
@@ -162,3 +178,46 @@ class TestCertifyFallback:
         assert degrees == []
         assert with_nodes == certify(y, z, 1)
         assert with_nodes.crossings[0].u_hi < 2
+
+
+def random_node_sets(count, seed):
+    """Sorted node sets of 1 to 9 nodes, each node over its own denominator."""
+    rng = random.Random(seed)
+    denominators = (2, 3, 7, 10, 64, 97, 1000, 1024, 3**7, 2**20 + 7)
+    for _ in range(count):
+        n = rng.randint(1, 9)
+        delta = set()
+        while len(delta) < n:
+            q = rng.choice(denominators)
+            delta.add(F(rng.randint(1, q - 1), q))
+        yield NodeSet(n, tuple(sorted(delta)))
+
+
+class TestIntegerHeight:
+    """`solve_height` builds L B_0 in integers; the `Fraction` Newton-Horner
+    reference must give the same B."""
+
+    @pytest.mark.parametrize("n_crossings", range(1, 62, 2))
+    def test_default_nodes_match_the_fraction_reference(self, n_crossings):
+        nodes = default_nodes((n_crossings - 1) // 2, F(1, 4))
+        assert solve_height(nodes) == reference_height_series(nodes)
+
+    def test_random_node_sets_match_the_fraction_reference(self):
+        for nodes in random_node_sets(200, 11):
+            try:
+                expected = reference_height_series(nodes)
+            except SingularSystem:
+                with pytest.raises(SingularSystem):
+                    solve_height(nodes)
+                continue
+            assert solve_height(nodes) == expected, nodes.delta
+
+    def test_values_at_planted_roots(self):
+        rng = random.Random(12)
+        for nodes in random_node_sets(60, 13):
+            ints = [rng.randint(-10**30, 10**30) for _ in range(rng.randint(1, 40))]
+            values = knots._values_at_planted(ints, nodes.delta)
+            poly = Poly(ints)
+            assert [F(*v) for v in values] == [poly(u) for u in nodes.all_roots()]
+            assert [v[1] for v in values] == [u.denominator ** (len(ints) - 1)
+                                              for u in nodes.all_roots()]

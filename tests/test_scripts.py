@@ -1,6 +1,7 @@
 """Smoke tests of the scripts under scripts/."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -29,3 +30,23 @@ def test_fixture_script_reproduces_fixture(fixture_n9_path):
     spec.loader.exec_module(module)
     with open(fixture_n9_path, encoding="utf-8") as fh:
         assert dumps(module.build_document()) == fh.read()
+
+
+def test_bench_stages_runs(tmp_path):
+    root = os.path.join(SCRIPTS, "..")
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "bench_stages.py"), "--n", "5", "9",
+         "--rounds", "1", "--repeats", "1", "--parent", root, "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["identity"]["python"] and len(doc["kernel_s"]["parent"]) == 1
+    stages = {"synthesize", "solve_deformation", "solve_height", "certify", "certify.crossings",
+              "certify.exact_quotient", "certify.other", "dumps"}
+    for n in ("5", "9"):
+        row = doc["stages"][n]
+        assert stages <= set(row["change"]) and stages <= set(row["parent"])
+        assert all(v["runs"] == 1 and v["wall_s"] >= 0 for v in row["change"].values())
+        assert set(row["ratio"]) <= set(row["change"])

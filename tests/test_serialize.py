@@ -1,19 +1,24 @@
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
 from knotforge import exactpoly
+from knotforge.cli import main as cli_main
 from knotforge.chebyshev import ChebT, ChebV, t_poly
 from knotforge.exactpoly import Poly, rat_str
 from knotforge.knots import synthesize
 from knotforge.serialize import (
+    DIGITS_CAP,
     SchemaError,
     basis_from_json,
     basis_to_json,
     curve_to_dict,
+    digit_budget,
     dumps,
+    parse_curve,
     verify_curve,
 )
 
@@ -140,3 +145,60 @@ class TestVerifyCurve:
         ok, lines = verify_curve(doc)
         assert ok, lines
         assert len(calls) <= 8
+
+
+class TestDigitBudget:
+    """Coefficients past CPython's 4,300-digit string limit, as `gen` writes them from
+    N = 175 on, are written and read under a budget derived from N."""
+
+    # 6,001 and 5,001 digits: past the default limit, within the budget for N = 175
+    BIG = F(10**6000 + 1, 3 * 10**5000 + 7)
+
+    @staticmethod
+    def limit():
+        get = getattr(sys, "get_int_max_str_digits", None)
+        return get() if get is not None else 0
+
+    def test_n175_document_round_trips(self):
+        before = self.limit()
+        z = ChebT.of({1: self.BIG, 2: -self.BIG / 7})
+        text = dumps(curve_to_dict(175, t_poly(3), ChebT.of({2: 1}), z, None, False))
+        assert self.limit() == before
+        curve = parse_curve(json.loads(text))
+        assert curve.z == z and curve.n_crossings == 175
+        assert self.limit() == before
+        if 0 < before < 6000:  # the limit is on: the budget was needed
+            with pytest.raises(ValueError):
+                rat_str(self.BIG)
+
+    def test_n175_file_verifies_without_a_crash(self, tmp_path, capsys):
+        # the synthetic curve has one crossing, not 175: parsed, then refused with exit 2
+        doc = curve_to_dict(175, t_poly(3), ChebT.of({2: 1}), ChebT.of({1: self.BIG}), None, False)
+        path = tmp_path / "n175.json"
+        path.write_text(dumps(doc))
+        assert cli_main(["verify", str(path)]) == 2
+        assert "FAIL R has 1 roots in (-2, 2), expected 175" in capsys.readouterr().out
+
+    def test_small_n_keeps_the_default_limit(self):
+        doc = curve_to_dict(9, t_poly(3), ChebT.of({2: 1}), None, None, False)
+        doc["y"]["coeffs"][2] = "9" * 5000
+        if 0 < self.limit() < 5000:
+            with pytest.raises(SchemaError, match="past the integer digit limit"):
+                parse_curve(doc)
+
+    def test_a_huge_n_cannot_lift_the_limit_past_the_cap(self):
+        doc = curve_to_dict(10**9 + 1, t_poly(3), ChebT.of({2: 1}), None, None, False)
+        doc["y"]["coeffs"][2] = "9" * (DIGITS_CAP + 1)
+        before = self.limit()
+        if 0 < before <= DIGITS_CAP:
+            with pytest.raises(SchemaError, match="past the integer digit limit"):
+                parse_curve(doc)
+        with digit_budget(10**9 + 1):
+            assert self.limit() in (before, DIGITS_CAP)
+        assert self.limit() == before
+
+    def test_budget_is_restored_after_an_error(self):
+        before = self.limit()
+        with pytest.raises(RuntimeError), digit_budget(175):
+            raise RuntimeError
+        assert self.limit() == before

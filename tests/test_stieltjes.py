@@ -10,11 +10,10 @@ from knotforge.stieltjes import (
     difference,
     hankel_det,
     ode_residual,
-    partial_sum,
     phi,
     phi_closed,
-    series_sum,
 )
+from series_reference import partial_sum, series_sum
 
 
 def phi_by_algebraic_relation(count: int) -> list[F]:
