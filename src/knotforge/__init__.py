@@ -4,7 +4,7 @@ For every odd N the package synthesizes an explicit space curve
 (x(t), y(t), z(t)) of degree (3, N + 2*floor(N/4) + 1, N + 2*floor((N+1)/4))
 whose plane projection has exactly N double points with torus-knot
 crossing structure, and certifies every claim with exact rational
-arithmetic (Descartes and Sturm root counts, exact linear solves, exact
+arithmetic (Descartes root isolation and counts, exact linear solves, exact
 interpolation identities).  Floats appear only in reports and rendering.
 """
 
@@ -37,7 +37,6 @@ from .exactpoly import (
     LocatedRoots,
     Poly,
     Rational,
-    SturmChain,
     count_roots,
     locate_roots,
     rat_str,
@@ -72,7 +71,7 @@ __all__ = [
     "CertificationFailed", "DomainError", "EpsilonExhausted", "InternalInconsistency",
     "KnotforgeError", "NotInImage", "OrderingViolation", "SingularSystem",
     "ZeroPolynomial",
-    "IsolatingInterval", "LocatedRoots", "Poly", "Rational", "SturmChain", "count_roots",
+    "IsolatingInterval", "LocatedRoots", "Poly", "Rational", "count_roots",
     "locate_roots", "rat_str", "parse_rat",
     "CnBasis", "Crossing", "CrossingReport", "NodeSet",
     "PlaneCurve", "SpaceCurve", "build_cn", "certify", "certify_cofactor",

@@ -11,12 +11,13 @@ variations after integer Taylor shifts, with no remainder sequence.  A
 finished run proves the count, every root simple.  Its `LocatedRoots`,
 or planted roots already certified, give the half-open dyadic cells
 that Sturm bisection and refinement would find (`cells`, `halve`),
-narrowing a cell on the exact value of p at dyadic points.  A
-`SturmChain`, built by integer pseudo-division, counts distinct roots
-(`count_roots`) and gives gcd(p, p'): the fallback for polynomials with
-multiple roots.  A sign at n/d is that of the integer sum
-c_i n^i d^(D-i) (homogeneous Horner), and a `Poly` is evaluated by the
-same Horner on its coefficients brought to one denominator.  `signs_at_roots`
+narrowing a cell on the exact value of p at dyadic points.  The one
+root counter, `count_roots`, isolates the squarefree part p / gcd(p, p')
+(`squarefree`, by an integer remainder sequence and exact division),
+whose roots are simple, so its isolation always finishes.  A value at
+n/d is the integer sum c_i n^i d^(D-i) (homogeneous Horner), and a
+`Poly` is evaluated by the same Horner on its coefficients brought to
+one denominator.  `signs_at_roots`
 gives the exact sign of a second polynomial at each located root, from
 a slope bound.  Linear systems are solved, and determinants taken, by
 one fraction-free (Bareiss) elimination on integer rows.
@@ -264,12 +265,6 @@ def _horner(cs: Sequence[int], num: int, den: int) -> int:
     return acc
 
 
-def _sign_at(cs: Sequence[int], num: int, den: int) -> int:
-    """Exact sign of the integer polynomial cs at num/den, for den > 0."""
-    acc = _horner(cs, num, den)
-    return (acc > 0) - (acc < 0)
-
-
 def _neg_remainder(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """Primitive form of -(a mod b); empty when b divides a.
 
@@ -333,13 +328,6 @@ def exact_quotient(a: Sequence[int], b: Sequence[int]) -> Optional[tuple[int, ..
     return None if any(r[:nb - 1]) or not q else tuple(q)
 
 
-def _sturm_sequence(a: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Remainder sequence of a and a'; just [a] for a constant."""
-    if len(a) < 2:
-        return [a]
-    return _remainder_sequence(a, _content_free([i * c for i, c in enumerate(a)][1:]))
-
-
 # -- gcd ------------------------------------------------------------------------
 
 
@@ -351,65 +339,17 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly(g).monic()
 
 
-# -- Sturm chains ----------------------------------------------------------------
+def squarefree(p: Poly) -> tuple[Poly, Poly]:
+    """(s, g) for g = gcd(p, p'), monic, and s the primitive form of p / g.
 
-
-class SturmChain:
-    """Sturm chain of the squarefree part of p, in exact integer arithmetic.
-
-    The last element of the remainder sequence p, p', -(p mod p'), ... is
-    gcd(p, p'), kept as `gcd`: its roots are the repeated roots of p.  When
-    it is not constant, p is divided by it and the chain of the quotient is
-    built instead, so `chain[0]` is always the squarefree part (up to a
-    positive factor).  Every element is kept as its primitive form, a
-    positive multiple of the remainder, so signs are exact integer signs
-    from homogeneous Horner; `chain` holds the same elements as
-    polynomials, the first two as p and p' when p is squarefree.
-
-    `count(a, b)`, the number of distinct real roots of p in (a, b], is
-    exact for any rational endpoints, zeros included: the sign-variation
-    count ignores zeros, which makes it right-continuous.
+    s is the squarefree part of p: every root of p, each one simple.  The
+    roots of g are the repeated roots of p.  By Gauss's lemma the quotient
+    of the primitive integers is exact.
     """
-
-    def __init__(self, p: Poly):
-        if p.is_zero:
-            raise ZeroPolynomial("Sturm chain of the zero polynomial")
-        a = _primitive_ints(p)
-        seq = _sturm_sequence(a)
-        gcd = seq[-1]
-        if len(gcd) > 1:
-            # p / gcd(p, p'), with gcd's sign chosen so that the quotient is
-            # a positive multiple of p / gcd(p, p') over Q; Gauss's lemma
-            # makes it primitive
-            if gcd[-1] < 0:
-                gcd = tuple(-c for c in gcd)
-            a = exact_quotient(a, gcd)
-            p = Poly(a)
-            seq = _sturm_sequence(a)
-        self.gcd = Poly(gcd)
-        self._ints: tuple[tuple[int, ...], ...] = tuple(seq)
-        self.chain: tuple[Poly, ...] = (p, p.derivative(), *map(Poly, seq[2:]))[:len(seq)]
-
-    def sign(self, x: Rational) -> int:
-        """Exact sign of the squarefree part chain[0] at x."""
-        return _sign_at(self._ints[0], x.numerator, x.denominator)
-
-    def variations(self, x: Rational) -> int:
-        num, den = x.numerator, x.denominator
-        count = last = 0
-        for cs in self._ints:
-            s = _sign_at(cs, num, den)
-            if s:
-                if last and s != last:
-                    count += 1
-                last = s
-        return count
-
-    def count(self, a: Rational, b: Rational) -> int:
-        """Distinct roots of chain[0] in (a, b]."""
-        if not a < b:
-            raise ValueError("need a < b")
-        return self.variations(a) - self.variations(b)
+    if p.is_zero:
+        raise ZeroPolynomial("squarefree part of the zero polynomial")
+    g = poly_gcd(p, p.derivative())
+    return Poly(exact_quotient(_primitive_ints(p), _primitive_ints(g))), g
 
 
 @dataclass(frozen=True)
@@ -426,18 +366,6 @@ class IsolatingInterval:
     @property
     def midpoint(self) -> Rational:
         return (self.lo + self.hi) / 2
-
-
-def count_roots(p: Union[Poly, SturmChain], lo: Rational, hi: Rational) -> int:
-    """Exact number of distinct real roots of p, a polynomial or its SturmChain, in
-    the open interval (lo, hi): the half-open Sturm count of (lo, hi], less a root
-    at hi, found by its exact sign."""
-    chain = SturmChain(p) if isinstance(p, Poly) else p
-    lo, hi = Fraction(lo), Fraction(hi)
-    n = chain.count(lo, hi)
-    if chain.sign(hi) == 0:
-        n -= 1
-    return n
 
 
 # -- Descartes root isolation ----------------------------------------------------
@@ -646,6 +574,18 @@ def locate_roots(p: Poly, lo: Rational, hi: Rational,
     return located
 
 
+def count_roots(p: Poly, lo: Rational, hi: Rational) -> int:
+    """Exact number of distinct real roots of p in the open interval (lo, hi).
+
+    They are the roots that `locate_roots` isolates for the squarefree
+    part of p (`squarefree`): all simple, so the isolation, with no depth
+    limit, always finishes.
+    """
+    if not lo < hi:
+        raise ValueError("need lo < hi")
+    return len(locate_roots(squarefree(p)[0], lo, hi, None))
+
+
 def signs_at_roots(
     located: LocatedRoots, q: Poly, intervals: Sequence[IsolatingInterval]
 ) -> list[int]:
@@ -658,7 +598,8 @@ def signs_at_roots(
     in [lo, hi]: q has the sign of q(lo) at the root.  Otherwise the cell
     is halved (`LocatedRoots.halve`) and tested again.  The test never
     passes where q vanishes, so below DEEP_WIDTH the gcd of p and q (built
-    once) is asked for a root in the interval; if none, halving goes on.
+    once) is asked for a root in the interval (lo, hi], which a dyadic
+    exact root of p ends; if none, halving goes on.
     """
     if q.is_zero:
         return [0] * len(intervals)
@@ -666,7 +607,7 @@ def signs_at_roots(
     deg = len(cs) - 1
     slope = [k * c for k, c in enumerate(cs)][1:]
     curve = [k * (k - 1) * abs(c) for k, c in enumerate(cs)][2:]
-    common = None  # Sturm chain of gcd(p, q), or False when it is constant
+    common = None  # gcd(p, q)
     out = []
     for i, iv in enumerate(intervals):
         m = max(abs(iv.lo), abs(iv.hi))
@@ -687,9 +628,8 @@ def signs_at_roots(
             if iv.width <= DEEP_WIDTH and not asked:
                 asked = True
                 if common is None:
-                    g = poly_gcd(Poly(located.poly), q)
-                    common = SturmChain(g) if g.degree > 0 else False
-                if common and common.count(iv.lo, iv.hi):
+                    common = poly_gcd(Poly(located.poly), q)
+                if common(iv.hi) == 0 or count_roots(common, iv.lo, iv.hi):
                     out.append(0)
                     break
             # enough halvings to bring the bound below about |q(lo)| / 2

@@ -57,7 +57,6 @@ from .exactpoly import (
     LocatedRoots,
     Poly,
     Rational,
-    SturmChain,
     _content_free,
     _horner,
     count_roots,
@@ -67,6 +66,7 @@ from .exactpoly import (
     rat_str,
     signs_at_roots,
     solve_linear,
+    squarefree,
 )
 from .pade import pade
 from .stieltjes import phi
@@ -292,7 +292,8 @@ def certify_cofactor(cofactor: Poly) -> bool:
     simple: the hypothesis under which the lifted curve has exactly N
     transverse crossings.  With g(v) = G(sqrt v), that is g(0) != 0 and
     no root of g in (0, 4): shown by Descartes' rule (`descartes_bound`
-    0), else by one Sturm count.  A G that is not even is refused.
+    0), else by an exact count (`count_roots`).  A G that is not even is
+    refused.
     """
     if cofactor.is_zero or not cofactor.is_even():
         return False
@@ -493,12 +494,14 @@ def certify(
     `certify_cofactor` proves the count and nodes stages at once: the
     planted roots are R's roots.  Otherwise R is expanded to a `Poly`, a
     finished Descartes isolation (`locate_roots`) proves the count, every
-    root simple, and the nodes are checked one by one.  Only an
-    unfinished one (a multiple root, or roots closer than DEEP_WIDTH)
-    builds R's Sturm chain, whose counts name the failure, and reruns
-    with no depth limit when they pass.  The intervals are the same on
-    every path.  The signs at the nodes are checked in integers on dd(z)'s
-    form, q^D dd(z)(p/q) = (-1)^i den q^D at each planted root p/q, by
+    root simple, and the nodes are checked one by one.  An unfinished one
+    (a multiple root, or roots closer than DEEP_WIDTH) splits R into its
+    squarefree part s = R / g and g = gcd(R, R') (`squarefree`): s has
+    R's roots, all simple, so its isolation with no depth limit finishes
+    and counts them, and R has a repeated root in (-2, 2) exactly when g
+    has a root there.  The intervals are the same on every path.  The
+    signs at the nodes are checked in integers on dd(z)'s form,
+    q^D dd(z)(p/q) = (-1)^i den q^D at each planted root p/q, by
     `_values_at_planted`.
 
     Every certificate is exact.  The x/y coincidences are identities: s, t
@@ -524,22 +527,19 @@ def certify(
     if located is None:
         r_poly = r_series.to_poly()
         located = locate_roots(r_poly, -2, 2)
+        repeated = False
         if located is None:
-            chain = SturmChain(r_poly)
-            count = count_roots(chain, -2, 2)
-            repeated = chain.gcd.degree > 0 and count_roots(chain.gcd, -2, 2)
-        else:
-            count, repeated = len(located), False
-        if count != n_crossings:
+            s_poly, g_poly = squarefree(r_poly)
+            located = locate_roots(s_poly, -2, 2, None)
+            repeated = count_roots(g_poly, -2, 2) > 0
+        if len(located) != n_crossings:
             raise CertificationFailed(
-                f"R has {count} roots in (-2, 2), expected {n_crossings}", "count"
+                f"R has {len(located)} roots in (-2, 2), expected {n_crossings}", "count"
             )
         if repeated:
             raise CertificationFailed(
                 "R has a repeated root in (-2, 2): a crossing is not transverse", "count"
             )
-        if located is None:  # simple roots: isolation finishes
-            located = locate_roots(r_poly, -2, 2, None)
         if nodes is not None:
             if 2 * nodes.n + 1 != n_crossings:
                 raise CertificationFailed(

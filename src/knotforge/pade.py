@@ -116,7 +116,7 @@ def check_pole_locations(a: PadeApproximant, r: Rational) -> bool:
     """True iff the denominator has exactly m real roots in (r, infinity).
 
     The unbounded end is replaced by the exact Cauchy bound of q, so the
-    check is a certified Sturm count, not a numeric scan.
+    check is an exact root count (`count_roots`), not a numeric scan.
     """
     if a.m == 0:
         return True

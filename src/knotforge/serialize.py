@@ -258,11 +258,11 @@ def verify_curve(doc: Any) -> tuple[bool, list[str]]:
     raises SchemaError on any malformed field.  Then x must be exactly the
     monic degree-3 cosine polynomial, and `knots.certify` runs its exact
     stages on the stored y, z and nodes: R = dd(y) has exactly N roots in
-    (-2, 2), none repeated (the count line keeps its `[Sturm]` tag, which
-    marks an exact count, whether a Sturm chain or Descartes' rule made
-    it); stored nodes number (N - 1) / 2 and are exact roots of R; the
-    crossing parameters are ordered (the printed float margin is a
-    diagnostic); and when z is present, the crossing signs alternate.
+    (-2, 2), none repeated (the count line's `[exact]` tag marks an exact
+    count, made by Descartes' rule); stored nodes number (N - 1) / 2 and
+    are exact roots of R; the crossing parameters are ordered (the
+    printed float margin is a diagnostic); and when z is present, the
+    crossing signs alternate.
     Each passed stage gives an "ok" line, and the failed one a "FAIL" line
     that ends the report.
     """
@@ -279,7 +279,7 @@ def verify_curve(doc: Any) -> tuple[bool, list[str]]:
         failure, report = exc, exc.report
     passed = CERTIFY_STAGES.index(failure.stage) if failure else len(CERTIFY_STAGES)
     if passed > 0:
-        lines.append(f"ok   R has exactly {n_crossings} roots in (-2, 2) [Sturm]")
+        lines.append(f"ok   R has exactly {n_crossings} roots in (-2, 2) [exact]")
     if passed > 1 and curve.nodes is not None:
         lines.append("ok   all stored nodes are exact roots of R")
     if passed > 2:

@@ -1,21 +1,110 @@
-"""Root isolation and refinement by bisection on Sturm chains.
+"""Sturm chains: the reference root counter, isolation and refinement.
 
-`knotforge.exactpoly.locate_roots` isolates by Descartes bisection, and
-`LocatedRoots.cells` and `LocatedRoots.halve` give the intervals that
-isolation and refinement on a Sturm chain give; `isolate_roots` and
-`refine` are that reference, on the library's `SturmChain`.
+`knotforge.exactpoly.count_roots` counts the roots of the squarefree part
+by Descartes isolation, `locate_roots` isolates by Descartes bisection,
+and `LocatedRoots.cells` and `LocatedRoots.halve` give the intervals that
+isolation and refinement on a Sturm chain give.  `SturmChain`, its
+`count_roots`, `isolate_roots` and `refine` are that reference, on the
+library's integer remainder sequence.
 """
 
 from fractions import Fraction
 from typing import Union
 
+from knotforge.errors import ZeroPolynomial
 from knotforge.exactpoly import (
     IsolatingInterval,
     Poly,
     Rational,
-    SturmChain,
+    _content_free,
+    _horner,
+    _primitive_ints,
+    _remainder_sequence,
     exact_quotient,
 )
+
+
+def sign_at(cs, num: int, den: int) -> int:
+    """Exact sign of the integer polynomial cs at num/den, for den > 0."""
+    acc = _horner(cs, num, den)
+    return (acc > 0) - (acc < 0)
+
+
+def _sturm_sequence(a: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Remainder sequence of a and a'; just [a] for a constant."""
+    if len(a) < 2:
+        return [a]
+    return _remainder_sequence(a, _content_free([i * c for i, c in enumerate(a)][1:]))
+
+
+class SturmChain:
+    """Sturm chain of the squarefree part of p, in exact integer arithmetic.
+
+    The last element of the remainder sequence p, p', -(p mod p'), ... is
+    gcd(p, p'), kept as `gcd`: its roots are the repeated roots of p.  When
+    it is not constant, p is divided by it and the chain of the quotient is
+    built instead, so `chain[0]` is always the squarefree part (up to a
+    positive factor).  Every element is kept as its primitive form, a
+    positive multiple of the remainder, so signs are exact integer signs
+    from homogeneous Horner; `chain` holds the same elements as
+    polynomials, the first two as p and p' when p is squarefree.
+
+    `count(a, b)`, the number of distinct real roots of p in (a, b], is
+    exact for any rational endpoints, zeros included: the sign-variation
+    count ignores zeros, which makes it right-continuous.
+    """
+
+    def __init__(self, p: Poly):
+        if p.is_zero:
+            raise ZeroPolynomial("Sturm chain of the zero polynomial")
+        a = _primitive_ints(p)
+        seq = _sturm_sequence(a)
+        gcd = seq[-1]
+        if len(gcd) > 1:
+            # p / gcd(p, p'), with gcd's sign chosen so that the quotient is
+            # a positive multiple of p / gcd(p, p') over Q; Gauss's lemma
+            # makes it primitive
+            if gcd[-1] < 0:
+                gcd = tuple(-c for c in gcd)
+            a = exact_quotient(a, gcd)
+            p = Poly(a)
+            seq = _sturm_sequence(a)
+        self.gcd = Poly(gcd)
+        self._ints: tuple[tuple[int, ...], ...] = tuple(seq)
+        self.chain: tuple[Poly, ...] = (p, p.derivative(), *map(Poly, seq[2:]))[:len(seq)]
+
+    def sign(self, x: Rational) -> int:
+        """Exact sign of the squarefree part chain[0] at x."""
+        return sign_at(self._ints[0], x.numerator, x.denominator)
+
+    def variations(self, x: Rational) -> int:
+        num, den = x.numerator, x.denominator
+        count = last = 0
+        for cs in self._ints:
+            s = sign_at(cs, num, den)
+            if s:
+                if last and s != last:
+                    count += 1
+                last = s
+        return count
+
+    def count(self, a: Rational, b: Rational) -> int:
+        """Distinct roots of chain[0] in (a, b]."""
+        if not a < b:
+            raise ValueError("need a < b")
+        return self.variations(a) - self.variations(b)
+
+
+def count_roots(p: Union[Poly, SturmChain], lo: Rational, hi: Rational) -> int:
+    """Exact number of distinct real roots of p, a polynomial or its SturmChain, in
+    the open interval (lo, hi): the half-open Sturm count of (lo, hi], less a root
+    at hi, found by its exact sign."""
+    chain = chain_of(p)
+    lo, hi = Fraction(lo), Fraction(hi)
+    n = chain.count(lo, hi)
+    if chain.sign(hi) == 0:
+        n -= 1
+    return n
 
 
 def chain_of(p: Union[Poly, SturmChain]) -> SturmChain:

@@ -96,7 +96,7 @@ def test_criterion_2_nine_crossing_fixture():
         seq = [c.s for c in report.crossings] + [c.t for c in report.crossings]
         assert seq == sorted(seq)
         assert crossing_oracle(t_poly(3), FIXTURE_Y.to_poly()) == 9  # brute force
-    _report(2, "fixture curve: 9 crossings by Sturm and by brute force, ordered", t)
+    _report(2, "fixture curve: 9 crossings by exact count and by brute force, ordered", t)
 
 
 def test_criterion_3_full_synthesis_sweep(tmp_path, capsys):

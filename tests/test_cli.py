@@ -238,7 +238,7 @@ class TestVerify:
         moved.write_text(json.dumps(doc))
         code, stdout, _ = run(["verify", str(moved)], capsys)
         assert code == 2
-        assert stdout == ("ok   x = T_3\nok   R has exactly 7 roots in (-2, 2) [Sturm]\n"
+        assert stdout == ("ok   x = T_3\nok   R has exactly 7 roots in (-2, 2) [exact]\n"
                           "FAIL stored node -1/3 is not a root of R\nNOT VERIFIED\n")
 
     def test_series_x_exports_like_its_monomial_form(self, tmp_path, capsys):

@@ -5,13 +5,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knotforge import exactpoly
 from knotforge.errors import SingularSystem, ZeroPolynomial
 from knotforge.exactpoly import (
     DEEP_WIDTH,
     IsolatingInterval,
     LocatedRoots,
     Poly,
-    SturmChain,
     bareiss_det,
     count_roots,
     descartes_bound,
@@ -22,10 +22,10 @@ from knotforge.exactpoly import (
     rat_str,
     signs_at_roots,
     solve_linear,
+    squarefree,
     _primitive_ints,
-    _sign_at,
 )
-from sturm_reference import isolate_roots, refine
+from sturm_reference import SturmChain, count_roots as sturm_count, isolate_roots, refine, sign_at
 
 T = Poly([0, 1])
 
@@ -96,29 +96,40 @@ class TestEval:
 
 
 class TestSquarefree:
-    """The squarefree part is the first element of the Sturm chain."""
+    """`squarefree` against the first element of the reference Sturm chain."""
 
     def test_strips_multiplicity(self):
         p = Poly([0, 0, 0, 0, 0, 1]) * Poly([-6, 0, 1])
-        sf = SturmChain(p).chain[0]
-        assert sf.degree == 3
-        assert sf(0) == 0 and sf.coeff(0) == 0
+        sf, g = squarefree(p)
+        assert sf == Poly([0, -6, 0, 1]) == SturmChain(p).chain[0]
+        assert g == Poly([0, 0, 0, 0, 1])
         assert count_roots(sf, -3, 3) == count_roots(p, -3, 3) == 3
 
     def test_cube(self):
+        assert squarefree(Poly([0, 0, 0, 1])) == (T, T * T)
         assert SturmChain(Poly([0, 0, 0, 1])).chain[0] == T
 
     def test_squarefree_fixed(self):
         p = Poly([-2, 0, 1])
+        assert squarefree(p) == (p, Poly([1]))
         assert SturmChain(p).chain[0] == p
 
+    def test_primitive_and_constant(self):
+        # the squarefree part is primitive: a constant multiple of p / g
+        assert squarefree(Poly([F(-3, 2), 0, F(3, 4)])) == (Poly([-2, 0, 1]), Poly([1]))
+        assert squarefree(Poly([-5])) == (Poly([-1]), Poly([1]))
+
     def test_zero_raises(self):
+        with pytest.raises(ZeroPolynomial):
+            squarefree(Poly())
         with pytest.raises(ZeroPolynomial):
             SturmChain(Poly())
 
     def test_gcd_holds_the_repeated_roots(self):
         p = Poly([0, 0, 0, 0, 0, 1]) * Poly([-6, 0, 1]) * poly_from_roots([F(1, 2)] * 2)
-        assert SturmChain(p).gcd == Poly([0, 0, 0, 0, 1]) * Poly([F(-1, 2), 1]) * 2
+        g = Poly([0, 0, 0, 0, 1]) * Poly([F(-1, 2), 1])
+        assert squarefree(p)[1] == g
+        assert SturmChain(p).gcd == g * 2
         assert SturmChain(Poly([-2, 0, 1])).gcd.degree == 0
 
     def test_gcd(self):
@@ -150,6 +161,10 @@ class TestCountRoots:
     def test_multiplicities_do_not_double_count(self):
         p = poly_from_roots([F(1, 3), F(1, 3), -1])
         assert count_roots(p, -2, 2) == 2
+
+    def test_empty_interval_raises(self):
+        with pytest.raises(ValueError, match="lo < hi"):
+            count_roots(T, 1, 1)
 
 
 class TestIsolation:
@@ -333,7 +348,7 @@ class TestIntegerKernel:
     def test_sign_matches_rational_horner(self, p, x, make_root):
         if make_root:
             p = p * Poly([-x, 1])
-        assert _sign_at(_primitive_ints(p), x.numerator, x.denominator) == sign(p(x))
+        assert sign_at(_primitive_ints(p), x.numerator, x.denominator) == sign(p(x))
 
     @given(st.one_of(rational_polys, factored_polys, parity_polys))
     @settings(max_examples=150, deadline=None)
@@ -515,7 +530,7 @@ class TestLocateRoots:
         chain = SturmChain(p)
         located = locate_roots(p, -2, 2)
         assert located is not None
-        assert len(located) == len(roots) == count_roots(chain, -2, 2)
+        assert len(located) == len(roots) == sturm_count(chain, -2, 2)
         ivs = isolate_roots(chain, -2, 2)
         assert located.cells(F(4)) == ivs
         width = F(1, 2**48)
@@ -566,6 +581,65 @@ class TestLocateRoots:
         bound = descartes_bound(p, lo, hi)
         assert bound >= min(inside, 2)
         assert bound >= 2 or bound == inside
+
+
+def squarefree_isolation_only(mp):
+    """Fail if `locate_roots` with no depth limit is given a polynomial with a
+    multiple root, on which it could bisect forever."""
+    real = exactpoly.locate_roots
+
+    def checked(p, lo, hi, deep=DEEP_WIDTH):
+        assert deep is not None or poly_gcd(p, p.derivative()).degree == 0
+        return real(p, lo, hi, deep)
+
+    mp.setattr(exactpoly, "locate_roots", checked)
+
+
+@st.composite
+def counted_cases(draw):
+    """(p, lo, hi): rational roots, on bisection midpoints or not, and
+    irrational +-sqrt(c) ones, each up to threefold, and complex pairs; the
+    ends are arbitrary rationals, roots of p, or +-2."""
+    p = Poly([1])
+    roots = draw(st.lists(st.one_of(small_rat, DYADIC), max_size=4))
+    for r in roots:
+        p = p * poly_from_roots([r] * draw(st.integers(1, 3)))
+    for c in draw(st.lists(st.sampled_from([2, 3, 5, F(1, 2), F(7, 9)]), max_size=2)):
+        p = p * Poly([-c, 0, 1]) ** draw(st.integers(1, 3))
+    for a, b in draw(st.lists(st.tuples(small_rat, st.fractions(F(1, 10**6), 4)), max_size=2)):
+        p = p * Poly([a * a + b, -2 * a, 1]) ** draw(st.integers(1, 2))  # roots a +- i sqrt(b)
+    ends = st.one_of(any_rat, DYADIC, st.sampled_from([F(-2), F(2)]),
+                     *([st.sampled_from(roots)] if roots else []))
+    lo, hi = sorted([draw(ends), draw(ends)])
+    if lo == hi:
+        hi += draw(st.sampled_from([F(1, 2**60), F(1, 3), F(4)]))
+    return p, lo, hi
+
+
+class TestCountRootsDifferential:
+    """`count_roots` against the Sturm reference count, on multiple roots."""
+
+    @given(counted_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sturm_count(self, case):
+        p, lo, hi = case
+        with pytest.MonkeyPatch.context() as mp:
+            squarefree_isolation_only(mp)
+            assert count_roots(p, lo, hi) == sturm_count(p, lo, hi)
+
+    @pytest.mark.parametrize("p,lo,hi,expected", [
+        pytest.param(Poly([-2, 0, 1]) ** 2, -2, 2, 2, id="sqrt2-squared"),
+        pytest.param(Poly([-3, 0, 1]) ** 3, F(-7, 4), F(7, 4), 2, id="sqrt3-cubed"),
+        pytest.param(Poly([-3, 0, 1]) ** 3, F(7, 4), 2, 0, id="sqrt3-cubed-outside"),
+        pytest.param(T * Poly([-2, 0, 1]) ** 3, F(-1, 2), 2, 2, id="zero-and-sqrt2-cubed"),
+        pytest.param(poly_from_roots([F(1, 2)] * 3) * Poly([1, 0, 1]) ** 2, 0, F(1, 2), 0,
+                     id="triple-at-hi"),
+        pytest.param(poly_from_roots([0, 0, F(3, 8), F(3, 8)]), -2, 2, 2, id="double-midpoints"),
+    ])
+    def test_known_counts(self, p, lo, hi, expected):
+        with pytest.MonkeyPatch.context() as mp:
+            squarefree_isolation_only(mp)
+            assert count_roots(p, lo, hi) == sturm_count(p, lo, hi) == expected
 
 
 class TestExactQuotient:

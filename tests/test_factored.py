@@ -16,7 +16,7 @@ from height_reference import reference_height_series
 from knotforge import chebyshev as cb, exactpoly, knots
 from knotforge.chebyshev import ChebT, ChebV, lift_from_V, to_V
 from knotforge.errors import CertificationFailed, EpsilonExhausted, SingularSystem
-from knotforge.exactpoly import Poly
+from knotforge.exactpoly import Poly, locate_roots, solve_linear
 from knotforge.knots import (
     NodeSet,
     build_cn,
@@ -82,16 +82,17 @@ class TestAgainstTheCBasis:
                 solve()
 
 
-def record_chains(monkeypatch):
-    """Degrees of the polynomials every SturmChain is built on from now on."""
+def record_gcds(monkeypatch):
+    """Degrees of the first polynomial of every integer remainder sequence,
+    the kernel of each gcd and squarefree part, from now on."""
     degrees = []
-    real = exactpoly.SturmChain.__init__
+    real = exactpoly._remainder_sequence
 
-    def init(self, p):
-        degrees.append(p.degree)
-        real(self, p)
+    def recorded(a, b):
+        degrees.append(len(a) - 1)
+        return real(a, b)
 
-    monkeypatch.setattr(exactpoly.SturmChain, "__init__", init)
+    monkeypatch.setattr(exactpoly, "_remainder_sequence", recorded)
     return degrees
 
 
@@ -101,16 +102,16 @@ class TestHotPath:
             raise AssertionError("the C bases are not on the synthesis path")
 
         monkeypatch.setattr(knots, "build_cn", refuse)
-        degrees = record_chains(monkeypatch)
+        degrees = record_gcds(monkeypatch)
         curve, report = synthesize(21)
         assert len(report.crossings) == 21
-        # no chain of A (degree 31), nor of g (degree floor(n/2) = 5): each
+        # no gcd of A (degree 31), nor of g (degree floor(n/2) = 5): each
         # cofactor check is decided by Descartes' rule
         assert degrees == []
 
     def test_certify_with_nodes_builds_no_chain_of_r(self, monkeypatch):
         curve, report = synthesize(15)
-        degrees = record_chains(monkeypatch)
+        degrees = record_gcds(monkeypatch)
         again = certify(curve.plane.y, curve.z, 15, NodeSet(7, report.nodes))
         assert again.crossings == report.crossings
         assert degrees == []  # g (degree 3) passes Descartes' test
@@ -147,8 +148,31 @@ class TestHotPath:
 
 
 def curve_with_r(r_series):
-    """y with dd(y) = R for R on the V basis, and z with dd(z)(0) = -1."""
+    """y with dd(y) = R for R on the V basis, and z with dd(z) = -1."""
     return lift_from_V(r_series), ChebT.of({1: -1})
+
+
+def into_the_image(s0):
+    """L S0 for the monic cubic L that clears its V_2, V_5 and V_8
+    coefficients, for S0 of degree 6: a polynomial in the image of dd."""
+    cols = [dict(to_V(s0 * Poly([0] * k + [1])).items) for k in range(4)]
+    rows = (2, 5, 8)
+    low = solve_linear([[col.get(k, 0) for col in cols[:3]] for k in rows],
+                       [-cols[3].get(k, 0) for k in rows])
+    return Poly([*low, 1]) * s0
+
+
+def record_squarefree(monkeypatch):
+    """The degrees of the polynomials `certify` splits into squarefree parts."""
+    degrees = []
+    real = knots.squarefree
+
+    def recorded(p):
+        degrees.append(p.degree)
+        return real(p)
+
+    monkeypatch.setattr(knots, "squarefree", recorded)
+    return degrees
 
 
 class TestCertifyFallback:
@@ -168,12 +192,44 @@ class TestCertifyFallback:
         for nodes in (NodeSet(0, ()), None):
             assert len(certify(y, z, 1, nodes).crossings) == 1
 
+    def test_irrational_triple_root_fails_the_count(self, monkeypatch):
+        # R = u (u^2 - 2)^3 = V_7 + 2 V_3: the triple roots +-sqrt(2) keep
+        # Descartes' bound at 2 down to the depth limit, so R is split into
+        # its squarefree part, whose 3 roots match N, and gcd(R, R') = (u^2 - 2)^2,
+        # whose roots in (-2, 2) are the repeated ones
+        r_poly = Poly([0, 1]) * Poly([-2, 0, 1]) ** 3
+        assert to_V(r_poly) == ChebV.of({3: 2, 7: 1})
+        assert locate_roots(r_poly, -2, 2) is None
+        y, z = curve_with_r(to_V(r_poly))
+        degrees = record_squarefree(monkeypatch)
+        for nodes in (NodeSet(1, (F(1, 2),)), None):
+            with pytest.raises(CertificationFailed, match="repeated root") as exc:
+                certify(y, z, 3, nodes)
+            assert exc.value.stage == "count"
+        assert degrees == [7, 7]
+
+    def test_irrational_double_root_beyond_the_band_passes(self, monkeypatch):
+        # R = L (u^2 - 5)^2 ((u - 1/3)^2 + 2^-500): the complex pair 2^-250
+        # from 1/3 keeps Descartes' bound at 2 down to the depth limit, so R
+        # is split; its squarefree part has the one root of L in (-2, 2), and
+        # gcd(R, R') = u^2 - 5 has none there
+        pair = Poly([F(1, 9) + F(1, 2**500), F(-2, 3), 1])
+        r_poly = into_the_image(Poly([-5, 0, 1]) ** 2 * pair)
+        assert locate_roots(r_poly, -2, 2) is None
+        y, z = curve_with_r(to_V(r_poly))
+        degrees = record_squarefree(monkeypatch)
+        report = certify(y, z, 1)
+        assert len(report.crossings) == 1 and report.signs_alternate
+        assert degrees == [9]
+        with pytest.raises(CertificationFailed, match="R has 1 roots in \\(-2, 2\\), expected 3"):
+            certify(y, z, 3)
+
     def test_root_at_two_is_located_by_isolation(self, monkeypatch):
         # R = u^3 - 4u = V_3 - 2 V_1: roots 0 and +-2, so g(v) = v - 4 has
         # g(4) = 0; Descartes isolation of R locates the crossing, with no
-        # chain, as it does without nodes
+        # gcd, as it does without nodes
         y, z = curve_with_r(ChebV.of({1: -2, 3: 1}))
-        degrees = record_chains(monkeypatch)
+        degrees = record_gcds(monkeypatch)
         with_nodes = certify(y, z, 1, NodeSet(0, ()))
         assert degrees == []
         assert with_nodes == certify(y, z, 1)

@@ -7,7 +7,8 @@ before the crossing cells, solves and cofactor division moved to
 integers), and the `verify` digests when the
 decimal sign and residual lines gave way to exact ones (the node-less
 N = 31 and 61 ones before Descartes isolation replaced the Sturm chain
-of R).  Every isolating
+of R); each `verify` digest was re-recorded, with no other byte changed,
+when the count line's tag went from `[Sturm]` to `[exact]`.  Every isolating
 interval, and so every crossing abscissa and margin printed, feeds
 these bytes, so a moved interval or a changed bisection choice fails
 here.  The `export` digests were recorded before the float sampling
@@ -33,10 +34,10 @@ GEN_SHA256 = {
     61: "fbda399d624ac1458e91225cd3f51993836de5fc59d7f3a4f3461425e793f6d8",
     101: "e20620172c5047e2e840cedc223b904a6d5354dedf03c69a02233042277ba0b7",
 }
-VERIFY_FIXTURE_SHA256 = "a25fe7a2d9718ee5ecf8d079068bd00d3f9cad8df19c6fc839f8ea0f89dfb904"
+VERIFY_FIXTURE_SHA256 = "92f2d596b51c61507adc2c9c8af945c7a3b36e233c54bb7d9bd9bd2eef9272e8"
 VERIFY_N21_SHA256 = {
-    "nodeless": "c100254e9df7d3e850b1300301f5954f145a8ad1885f4a7e4b8e9c6ec2f56db5",
-    "plane": "be671392e10931835058aee8eaa1210cf86c5cf194f6599695702b3b637569a4",
+    "nodeless": "76ad3de8abb71bc519c5b2c32ed14080c044ad64d037fb4f6d152366ba14d641",
+    "plane": "7aa6c4a11a1a4806762db104b454510fceb15e0a0615d0340a275371dd87e6f2",
 }
 EXPORT_SHA256 = {
     (3, "svg"): "cb2f2f5e7d3ad9d5bc7774049a62e3a51d15fdc83ddd4085fe0dc37568b53c36",
@@ -51,8 +52,8 @@ EXPORT_ARGS = {"svg": ["--svg"], "csv": ["--csv", "--samples", "2000"]}
 # node-less `verify` of the `gen` output: the roots of R for N = 31 are
 # dyadic, so they fall on bisection midpoints of (-2, 2)
 VERIFY_NODELESS_SHA256 = {
-    31: "cb942e76384cb12161cdf6ebd4f15763fa3e346666f5d36f0920a4a1d39602b4",
-    61: "e30d88492dc367f0ef678792171deeffe5255e441324cd2f943e295b3065f0ec",
+    31: "76e7f09e6813b7ad0a209dc9396da5ed697e9fc00bc1d483fbaf94ea1d5be368",
+    61: "3d441b7ac548a94f560df035a17e53f36309ab3dfc573d96b5249f1910d0e8e6",
 }
 N21_VARIANTS = {
     "nodeless": {"nodes": None, "epsilon": None},

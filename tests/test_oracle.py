@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from knotforge.chebyshev import ChebT, divided_difference, t_poly
-from knotforge.exactpoly import Poly, SturmChain, count_roots
+from knotforge.exactpoly import Poly, count_roots, squarefree
 from knotforge.knots import crossing_oracle, synthesize
 
 X3 = t_poly(3)
@@ -41,7 +41,7 @@ class TestOracleBasics:
 class TestCrossValidation:
     def test_random_deformations_agree_with_sturm(self):
         # 20 seeded quartic-family curves: the oracle count must equal the
-        # certified Sturm count of the divided-difference image
+        # certified count of the divided-difference image
         rng = random.Random(20240817)
         agreed = tried = 0
         while agreed < 20 and tried < 80:
@@ -53,7 +53,7 @@ class TestCrossValidation:
                 5: F(rng.randint(-40, 40), rng.randint(200, 400)),
             })
             r_poly = divided_difference(y).to_poly()
-            if SturmChain(r_poly).chain[0].degree != r_poly.degree:
+            if squarefree(r_poly)[0].degree != r_poly.degree:
                 continue
             expected = count_roots(r_poly, -2, 2)
             if expected != count_roots(r_poly, F(-9, 5), F(9, 5)):

@@ -19,7 +19,6 @@ from knotforge.exactpoly import (
     IsolatingInterval,
     LocatedRoots,
     Poly,
-    SturmChain,
     _primitive_ints,
     exact_quotient,
 )
@@ -37,7 +36,7 @@ from knotforge.knots import (
     solve_height,
     synthesize,
 )
-from sturm_reference import isolate_roots, refine
+from sturm_reference import SturmChain, isolate_roots, refine
 
 T = Poly([0, 1])
 
@@ -137,14 +136,15 @@ class TestCertify:
 
     def test_nodeless_certify_builds_no_chain_of_r(self, monkeypatch):
         # the crossings of a node-less file are isolated by Descartes
-        # bisection, which proves their count, all simple, with no chain
+        # bisection, which proves their count, all simple, with no gcd: no
+        # remainder sequence of R, and no squarefree part
         curve, report = synthesize(21)
 
-        def chain(*args):
-            raise AssertionError("a Sturm chain was built")
+        def gcd(*args):
+            raise AssertionError("a gcd was computed")
 
-        monkeypatch.setattr(knots, "SturmChain", chain)
-        monkeypatch.setattr(exactpoly, "SturmChain", chain)
+        monkeypatch.setattr(exactpoly, "_remainder_sequence", gcd)
+        monkeypatch.setattr(knots, "squarefree", gcd)
         again = certify(curve.plane.y, curve.z, 21)
         assert again.crossings == report.crossings and again.signs_alternate
 
@@ -340,7 +340,7 @@ class TestCrossings:
             raise AssertionError("crossings bisected on planted roots")
 
         monkeypatch.setattr(knots, "locate_roots", bisection)
-        monkeypatch.setattr(knots, "SturmChain", bisection)
+        monkeypatch.setattr(knots, "squarefree", bisection)
         assert crossings(planted, 7) == expected
         # nor does gen, whose R is certified on its planted roots
         assert synthesize(21)[1].n_crossings == 21
@@ -374,7 +374,7 @@ class TestCrossings:
         monkeypatch.setattr(LocatedRoots, "halve", counted)
         monkeypatch.setattr(LocatedRoots, "_narrow", bisection)
         monkeypatch.setattr(knots, "locate_roots", bisection)
-        monkeypatch.setattr(knots, "SturmChain", bisection)
+        monkeypatch.setattr(knots, "squarefree", bisection)
         curve, report = synthesize(5, nodes=nodes)
         monkeypatch.undo()
         assert halvings
@@ -445,7 +445,7 @@ class TestSynthesize:
 
     def test_large_explicit_nodes_still_certify(self):
         # the certified region is much larger than the 'small enough' scale
-        # the existence argument needs; even nodes near 1 pass the Sturm gate
+        # the existence argument needs; even nodes near 1 pass the cofactor certificate
         curve, report = synthesize(5, nodes=[F(3, 4), F(9, 10)])
         assert len(report.crossings) == 5 and report.signs_alternate
 
