@@ -18,10 +18,7 @@ signs (-1)^i.  The steps:
     A = C_n + sum a_k C_k vanishing there is P G, with
     P = t prod (q_i^2 t^2 - p_i^2) for d_i = p_i/q_i and G even, so the
     floor(n/2) lower coefficients of G are solved for instead
-    (`solve_deformation`).  The cofactor certificate (`certify_cofactor`)
-    proves that the roots of A in (-2, 2) are exactly these, all simple.
-    One loop halves the node scale epsilon until this holds and the
-    height system below is solvable.
+    (`solve_deformation`).
 3.  Lift A through the divided-difference map to get y; crossing
     parameters come from u_i = 2 cos(alpha_i) via s, t = 2 cos(alpha -+ pi/3).
 4.  Interpolate B(u_i) = (-1)^i in span(Ct_0..Ct_n), solved as
@@ -29,7 +26,12 @@ signs (-1)^i.  The steps:
     crossing signs alternate exactly.
 5.  `certify` checks the finished curve.  The crossings of (T_3, y) are
     the roots of R = dd(y) in (-2, 2), so one routine serves `gen` (where
-    R = A) and `verify` (where R is recomputed from a stored y).
+    R = A) and `verify` (where R is recomputed from a stored y).  With
+    nodes, one Descartes test on R's cofactor over P (`certify_cofactor`)
+    can prove that R's roots in (-2, 2) are the planted ones, all simple.
+    `certify` is the only gate of `gen`: one loop in `synthesize` halves
+    the node scale epsilon until both systems are solvable and `certify`
+    accepts the curve.
 
 Every certificate is exact rational or integer arithmetic; floats appear
 only in reports and rendering, and decimals only in `crossing_oracle`,
@@ -41,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import chebyshev as cb
 from .errors import (
@@ -232,10 +234,9 @@ def _times_node(c: Sequence[int], p: int, q: int) -> list[int]:
     return [q2 * a - p2 * b for a, b in zip(_times_t(_times_t(c)), [*c, 0, 0])]
 
 
-def _fit(known: list, first: list[int], count: int, residue: int,
-         den: int) -> tuple[list[Fraction], cb.ChebV]:
-    """The x_j that clear the V-coefficients at k = residue (mod 6) of
-    X = known + sum_{j<count} x_j t^{2j} first, and X / den on the V basis."""
+def _fit(known: list, first: list[int], count: int, residue: int, den: int) -> cb.ChebV:
+    """X / den on the V basis, for X = known + sum_{j<count} x_j t^{2j} first
+    with the x_j that clear its V-coefficients at k = residue (mod 6)."""
     cols = []
     for _ in range(count):
         cols.append(first + [0] * (len(known) - len(first)))
@@ -244,7 +245,7 @@ def _fit(known: list, first: list[int], count: int, residue: int,
     x = solve_linear([[col[k] for col in cols] for k in rows], [-known[k] for k in rows])
     lcm = math.lcm(*(v.denominator for v in x))
     ints = [v.numerator * (lcm // v.denominator) for v in x]
-    return x, cb.ChebV.of({
+    return cb.ChebV.of({
         k: Fraction(lcm * c + sum(w * col[k] for w, col in zip(ints, cols)), lcm * den)
         for k, c in enumerate(known)
     })
@@ -260,7 +261,7 @@ def planted_factor(nodes: NodeSet) -> Poly:
     return Poly([c for h in half for c in (0, h)])
 
 
-def solve_deformation(nodes: NodeSet) -> tuple[Poly, cb.ChebV]:
+def solve_deformation(nodes: NodeSet) -> cb.ChebV:
     """Find the unique A = C_n + sum_{k<n} a_k C_k vanishing at the nodes, as A = P G.
 
     A is odd and vanishes at the planted roots, so A = P G with P from
@@ -271,7 +272,7 @@ def solve_deformation(nodes: NodeSet) -> tuple[Poly, cb.ChebV]:
     (SingularSystem) exactly when the n x n one in the C basis is, as both
     describe the same set of A.
 
-    Returns (G, A), with A on the V basis.
+    Returns A on the V basis.
     """
     m = nodes.n // 2
     planted = [0, 1]  # t = V_1
@@ -281,24 +282,23 @@ def solve_deformation(nodes: NodeSet) -> tuple[Poly, cb.ChebV]:
     top = planted
     for _ in range(m):
         top = _times_t(_times_t(top))
-    g, series = _fit(top, planted, m, 5, lead)
-    return Poly([c for x in [*g, 1] for c in (Fraction(x, lead), 0)]), series
+    return _fit(top, planted, m, 5, lead)
 
 
 def certify_cofactor(cofactor: Poly) -> bool:
-    """Certify that the even cofactor G of A = P G (or R = P G) has no root in (-2, 2).
+    """One-sided test that the even cofactor G of R = P G has no root in (-2, 2).
 
-    Then the roots of A in (-2, 2) are exactly the N planted ones, all
-    simple: the hypothesis under which the lifted curve has exactly N
-    transverse crossings.  With g(v) = G(sqrt v), that is g(0) != 0 and
-    no root of g in (0, 4): shown by Descartes' rule (`descartes_bound`
-    0), else by an exact count (`count_roots`).  A G that is not even is
-    refused.
+    True proves it, and with it that the roots of R in (-2, 2) are exactly
+    the N planted ones, all simple: the hypothesis under which the curve
+    has exactly N transverse crossings.  With g(v) = G(sqrt v), True means
+    g(0) != 0 and Descartes' rule shows no root of g in (0, 4)
+    (`descartes_bound` 0).  False proves nothing: a G that is not even, or
+    whose bound is positive, is left to the isolation of R in `certify`.
     """
     if cofactor.is_zero or not cofactor.is_even():
         return False
     g = Poly(cofactor.coeffs[::2])
-    return g.coeffs[0] != 0 and (descartes_bound(g, 0, 4) == 0 or count_roots(g, 0, 4) == 0)
+    return g.coeffs[0] != 0 and descartes_bound(g, 0, 4) == 0
 
 
 def default_nodes(n: int, epsilon: Fraction) -> NodeSet:
@@ -366,11 +366,9 @@ def _certify_ordering(located: LocatedRoots, intervals: Sequence[IsolatingInterv
                 bounds[k::n] = [_parameter_bounds(ivs[k], sign) for sign in (-1, 1)]  # s_k, t_k
 
 
-def crossings(a_poly: Union[Poly, LocatedRoots], n_crossings: int) -> CrossingReport:
-    """Locate the N crossings of the lifted curve from the roots of A.
+def crossings(located: LocatedRoots, n_crossings: int) -> CrossingReport:
+    """Locate the N crossings of the lifted curve from the roots of R in (-2, 2).
 
-    a_poly is A (or R), or its roots in (-2, 2) as `LocatedRoots`; a
-    polynomial whose isolation does not finish raises OrderingViolation.
     The intervals are the 2^-48 cells of `LocatedRoots.cells`, halved by
     `LocatedRoots.halve` where the ordering proof needs them narrower.
     Each root is then mapped through
@@ -380,9 +378,6 @@ def crossings(a_poly: Union[Poly, LocatedRoots], n_crossings: int) -> CrossingRe
     (`_certify_ordering`), else OrderingViolation; the float
     `ordering_margin`, the smallest gap of that sequence, is a diagnostic.
     """
-    located = locate_roots(a_poly, -2, 2) if isinstance(a_poly, Poly) else a_poly
-    if located is None:
-        raise OrderingViolation("the roots in (-2, 2) are not simple and isolated at width 2^-200")
     intervals = located.cells(ROOT_WIDTH)
     if len(intervals) != n_crossings:
         raise OrderingViolation(f"found {len(intervals)} crossings, expected {n_crossings}")
@@ -437,7 +432,7 @@ def solve_height(nodes: NodeSet) -> cb.ChebV:
     planted = _times_t(_times_t([1]))  # P_2 = t P
     for d in nodes.delta:
         planted = _times_node(planted, d.numerator, d.denominator)
-    return _fit(known + [0] * (2 * m), planted, m, 2, lcm)[1]
+    return _fit(known + [0] * (2 * m), planted, m, 2, lcm)
 
 
 # -- verification -----------------------------------------------------------------
@@ -492,7 +487,8 @@ def certify(
     step checked exact (by Gauss's lemma an inexact step means P does not
     divide R over Q).  An exact quotient nonzero at 2 that passes
     `certify_cofactor` proves the count and nodes stages at once: the
-    planted roots are R's roots.  Otherwise R is expanded to a `Poly`, a
+    planted roots are R's roots.  That test is one-sided, and every other
+    case, a failed test included, is decided exactly below: R is expanded to a `Poly`, a
     finished Descartes isolation (`locate_roots`) proves the count, every
     root simple, and the nodes are checked one by one.  An unfinished one
     (a multiple root, or roots closer than DEEP_WIDTH) splits R into its
@@ -574,7 +570,8 @@ def certify(
                     else f"z(t) = z(s) at crossing {i}", "space", report,
                 )
     # every sign is now certified to be (-1)^i
-    completed = tuple(replace(c, sign=(-1) ** i) for i, c in enumerate(report.crossings, start=1))
+    completed = tuple(Crossing(c.u_lo, c.u_hi, c.u, c.alpha, c.s, c.t, (-1) ** i)
+                      for i, c in enumerate(report.crossings, start=1))
     return replace(report, crossings=completed, signs_alternate=True)
 
 
@@ -593,14 +590,16 @@ def synthesize(
     n_crossings : odd N >= 1
     epsilon : starting node scale for the automatic search (default 1/4)
     nodes : explicit positive abscissae; skips the automatic search, and
-        failure then raises CertificationFailed instead of retrying
+        a failure then propagates instead of retrying
 
-    The automatic search tries d_i = epsilon * i / (n + 1), solving the
-    deformation, certifying its cofactor and solving the height once per
-    scale; a singular system or a failed certificate halves epsilon, at
-    most 40 times.  Every accepted scale so far has been the first one
-    tried; the loop exists because the underlying existence result is
-    only an 'epsilon small enough' statement.
+    Each candidate node set runs one pass: the deformation and height
+    solves, the y and z lifts, then `certify`, the gate `verify` runs too.
+    Explicit nodes are the only candidate.  The automatic search tries
+    d_i = epsilon * i / (n + 1) for epsilon / 2^k, k = 0..40: a singular
+    system or a failed certificate moves on to the next scale.  Every
+    accepted scale so far has been the first one tried; the loop exists
+    because the underlying existence result is only an 'epsilon small
+    enough' statement.
 
     Returns the curve and its report from `certify`.  EpsilonExhausted is
     the only expected failure of the automatic path.
@@ -608,39 +607,29 @@ def synthesize(
     if n_crossings < 1 or n_crossings % 2 == 0:
         raise ValueError("N must be an odd positive integer")
     n = (n_crossings - 1) // 2
-
     if nodes is not None:
-        node_set = NodeSet(n, tuple(sorted(Fraction(d) for d in nodes)),
-                           Fraction(epsilon) if epsilon is not None else None)
-        cofactor, a_series = solve_deformation(node_set)
-        if not certify_cofactor(cofactor):
-            raise CertificationFailed(
-                f"supplied nodes leave extra roots of A in [-2, 2] (N={n_crossings})", "count"
-            )
-        b_series = solve_height(node_set)
+        candidates = [NodeSet(n, tuple(sorted(Fraction(d) for d in nodes)),
+                              Fraction(epsilon) if epsilon is not None else None)]
     else:
         eps_val = Fraction(epsilon) if epsilon is not None else Fraction(1, 4)
-        for _ in range(MAX_HALVINGS + 1):
-            node_set = default_nodes(n, eps_val)
-            try:
-                cofactor, a_series = solve_deformation(node_set)
-                if certify_cofactor(cofactor):
-                    b_series = solve_height(node_set)
-                    break
-            except SingularSystem:
-                pass
-            eps_val /= 2
-        else:
-            raise EpsilonExhausted(f"no certified node set for n={n} after {MAX_HALVINGS} halvings")
+        candidates = (default_nodes(n, eps_val / 2**k) for k in range(MAX_HALVINGS + 1))
 
-    plane = lift_plane(a_series, n_crossings)
-    z = cb.lift_from_V(b_series)
-    if z.degree != height_degree(n_crossings):
-        raise InternalInconsistency(
-            f"deg z = {z.degree}, expected {height_degree(n_crossings)}"
-        )
-    report = certify(plane.y, z, n_crossings, node_set)
-    return SpaceCurve(plane, z), replace(report, epsilon=node_set.epsilon, nodes=node_set.delta)
+    for node_set in candidates:
+        try:
+            a_series, b_series = solve_deformation(node_set), solve_height(node_set)
+            plane = lift_plane(a_series, n_crossings)
+            z = cb.lift_from_V(b_series)
+            if z.degree != height_degree(n_crossings):
+                raise InternalInconsistency(
+                    f"deg z = {z.degree}, expected {height_degree(n_crossings)}"
+                )
+            report = certify(plane.y, z, n_crossings, node_set)
+        except (SingularSystem, CertificationFailed):
+            if nodes is not None:
+                raise
+            continue
+        return SpaceCurve(plane, z), replace(report, epsilon=node_set.epsilon, nodes=node_set.delta)
+    raise EpsilonExhausted(f"no certified node set for n={n} after {MAX_HALVINGS} halvings")
 
 
 # -- independent crossing oracle ------------------------------------------------------

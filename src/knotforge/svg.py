@@ -90,18 +90,17 @@ def render_csv(doc: dict[str, Any], samples: int) -> str:
     return "\n".join([header, *(row % values for values in zip(*columns))]) + "\n"
 
 
-def render_svg(doc: dict[str, Any], samples: int, gap: Optional[float] = None) -> str:
+def render_svg(doc: dict[str, Any], samples: int) -> str:
     """Render the plane projection with over/under gaps at the crossings."""
     curve = _plottable(doc)
     ts, xs, ys = _sample(curve, samples, heights=False)
     unders = sorted(_under_parameters(curve.crossings)) if curve.z is not None else []
-    if gap is None:
-        # keep distinct gaps from merging: cap the half-width at a third of
-        # the closest spacing between under-parameters
-        gap = GAP_HALF_WIDTH
-        if len(unders) > 1:
-            closest = min(b - a for a, b in zip(unders, unders[1:]))
-            gap = min(gap, closest / 3.0)
+    # keep distinct gaps from merging: cap the half-width at a third of
+    # the closest spacing between under-parameters
+    gap = GAP_HALF_WIDTH
+    if len(unders) > 1:
+        closest = min(b - a for a, b in zip(unders, unders[1:]))
+        gap = min(gap, closest / 3.0)
 
     def in_gap(t: float) -> bool:
         # |t - u| grows with the distance of u from t on either side, so the

@@ -34,4 +34,4 @@ def reference_height_series(nodes) -> cb.ChebV:
     planted = _times_t(_times_t([1]))  # P_2 = t P
     for d in nodes.delta:
         planted = _times_node(planted, d.numerator, d.denominator)
-    return _fit(newton_interpolant(nodes) + [0] * (2 * m), planted, m, 2, 1)[1]
+    return _fit(newton_interpolant(nodes) + [0] * (2 * m), planted, m, 2, 1)

@@ -20,7 +20,7 @@ from knotforge.chebyshev import (
     v_poly,
 )
 from knotforge.cli import main as cli_main
-from knotforge.exactpoly import Poly, count_roots
+from knotforge.exactpoly import Poly, count_roots, locate_roots
 from knotforge.knots import (
     NodeSet,
     build_cn,
@@ -90,7 +90,7 @@ def test_criterion_2_nine_crossing_fixture():
     with _Timer(5.0) as t:
         r_poly = divided_difference(FIXTURE_Y).to_poly()
         assert count_roots(r_poly, -2, 2) == 9          # certified path
-        report = crossings(r_poly, 9)                   # ordering + margin
+        report = crossings(locate_roots(r_poly, -2, 2), 9)  # ordering + margin
         assert len(report.crossings) == 9
         assert report.ordering_margin > 1e-8
         seq = [c.s for c in report.crossings] + [c.t for c in report.crossings]

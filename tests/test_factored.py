@@ -53,7 +53,8 @@ class TestAgainstTheCBasis:
     def test_deformation_equals_the_c_basis_solve(self, bases, nodes):
         basis, _ = bases
         a, a_poly = reference_deformation(basis, nodes)
-        cofactor, series = solve_deformation(nodes)
+        series = solve_deformation(nodes)
+        cofactor = a_poly // planted_factor(nodes)
         assert series == to_V(a_poly)
         assert series.to_poly() == a_poly
         assert triangular_coordinates(a_poly, basis.cn[:nodes.n + 1]) == a + (1,)
@@ -132,19 +133,40 @@ class TestHotPath:
     def test_failed_certificate_halves_until_exhausted(self, monkeypatch):
         tried = []
 
-        def refuse(cofactor):
-            tried.append(cofactor)
-            return False
+        def refuse(y, z, n_crossings, nodes):
+            tried.append(nodes.epsilon)
+            raise CertificationFailed("refused", "count")
 
-        monkeypatch.setattr(knots, "certify_cofactor", refuse)
+        monkeypatch.setattr(knots, "certify", refuse)
         with pytest.raises(EpsilonExhausted, match="after 40 halvings"):
             synthesize(5)
-        assert len(tried) == 41
+        assert tried == [F(1, 4) / 2**k for k in range(41)]
 
     def test_explicit_nodes_get_one_attempt(self, monkeypatch):
-        monkeypatch.setattr(knots, "certify_cofactor", lambda g: False)
-        with pytest.raises(CertificationFailed, match="extra roots of A"):
+        tried = []
+
+        def refuse(y, z, n_crossings, nodes):
+            tried.append(nodes.delta)
+            raise CertificationFailed("refused", "count")
+
+        monkeypatch.setattr(knots, "certify", refuse)
+        with pytest.raises(CertificationFailed, match="refused"):
             synthesize(5, nodes=[F(1, 8), F(1, 4)])
+        assert tried == [(F(1, 8), F(1, 4))]
+
+    @pytest.mark.parametrize("n", [5, 21])
+    def test_synthesize_tests_the_cofactor_once(self, monkeypatch, n):
+        # `certify` is the only gate: R's cofactor is tested there, once
+        tested = []
+        real = knots.certify_cofactor
+
+        def counted(cofactor):
+            tested.append(cofactor)
+            return real(cofactor)
+
+        monkeypatch.setattr(knots, "certify_cofactor", counted)
+        synthesize(n)
+        assert len(tested) == 1
 
 
 def curve_with_r(r_series):
@@ -176,6 +198,22 @@ def record_squarefree(monkeypatch):
 
 
 class TestCertifyFallback:
+    def test_positive_bound_without_a_root_is_left_to_isolation(self):
+        # g(v) = (v - 2)^2 + 1/64 has no real root, but Descartes' bound on
+        # (0, 4) is 2: the one-sided test does not decide it
+        g = Poly([F(257, 64), -4, 1])
+        assert exactpoly.descartes_bound(g, 0, 4) == 2
+        assert knots.certify_cofactor(Poly([F(257, 64), 0, -4, 0, 1])) is False
+
+    def test_undecided_cofactor_gives_the_same_report(self, monkeypatch):
+        # a cofactor test that never decides leaves R to its isolation,
+        # which certifies the same crossings and signs
+        curve, report = synthesize(21)
+        nodes = NodeSet(10, report.nodes)
+        expected = certify(curve.plane.y, curve.z, 21, nodes)
+        monkeypatch.setattr(knots, "descartes_bound", lambda *args: 2)
+        assert certify(curve.plane.y, curve.z, 21, nodes) == expected
+
     def test_repeated_planted_root_fails_the_count(self):
         # R = u^3 = V_3 + 2 V_1 has the one planted root 0, threefold
         y, z = curve_with_r(ChebV.of({1: 2, 3: 1}))

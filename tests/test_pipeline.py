@@ -21,6 +21,7 @@ from knotforge.exactpoly import (
     Poly,
     _primitive_ints,
     exact_quotient,
+    locate_roots,
 )
 from knotforge.knots import (
     NodeSet,
@@ -43,8 +44,7 @@ T = Poly([0, 1])
 
 def deformation(n, nodes):
     """(a, A) from the factored solve: A and its coordinates a_k on C_0..C_{n-1}."""
-    _, series = solve_deformation(nodes)
-    poly = series.to_poly()
+    poly = solve_deformation(nodes).to_poly()
     return triangular_coordinates(poly, build_cn(n).cn)[:n], poly
 
 
@@ -181,16 +181,14 @@ class TestAutoNodes:
 
 class TestEpsilonLoop:
     def _count_calls(self, monkeypatch, name, fails=0, raises=None):
-        """Record each call of knots.<name>; the first `fails` calls fail."""
+        """Record each call of knots.<name>; the first `fails` calls raise `raises`."""
         calls = []
         real = getattr(knots, name)
 
         def wrapper(*args):
             calls.append(args)
             if len(calls) <= fails:
-                if raises is not None:
-                    raise raises("injected")
-                return False
+                raise raises
             return real(*args)
 
         monkeypatch.setattr(knots, name, wrapper)
@@ -202,24 +200,26 @@ class TestEpsilonLoop:
         assert [nodes.epsilon for (nodes,) in solves] == [F(1, 4)]
 
     def test_failed_count_halves_epsilon(self, monkeypatch):
-        counts = self._count_calls(monkeypatch, "certify_cofactor", fails=1)
+        certs = self._count_calls(monkeypatch, "certify", fails=1,
+                                  raises=CertificationFailed("injected", "count"))
         solves = self._count_calls(monkeypatch, "solve_deformation")
         _, report = synthesize(5)
-        # two scales, then `certify` checks the cofactor of R once more
-        assert len(counts) == 3 and len(solves) == 2
+        # two scales, each solved once and certified once
+        assert len(certs) == 2 and len(solves) == 2
         assert report.epsilon == F(1, 8)
         assert report.nodes == (F(1, 24), F(1, 12))
 
     def test_singular_height_halves_epsilon(self, monkeypatch):
-        self._count_calls(monkeypatch, "solve_height", fails=1, raises=SingularSystem)
+        self._count_calls(monkeypatch, "solve_height", fails=1, raises=SingularSystem("injected"))
         _, report = synthesize(5)
         assert report.epsilon == F(1, 8)
 
     def test_exhausted_after_forty_halvings(self, monkeypatch):
-        counts = self._count_calls(monkeypatch, "certify_cofactor", fails=10**6)
+        certs = self._count_calls(monkeypatch, "certify", fails=10**6,
+                                  raises=CertificationFailed("injected", "count"))
         with pytest.raises(EpsilonExhausted, match="after 40 halvings"):
             synthesize(3)
-        assert len(counts) == 41
+        assert len(certs) == 41
 
 
 class TestPlaneLift:
@@ -246,7 +246,7 @@ class TestPlaneLift:
 
 class TestCrossings:
     def test_trefoil_middle_crossing(self):
-        report = crossings(Poly([0, F(-1, 64), 0, 1]), 3)
+        report = crossings(locate_roots(Poly([0, F(-1, 64), 0, 1]), -2, 2), 3)
         mid = report.crossings[1]
         assert mid.u == pytest.approx(0.0, abs=1e-12)
         assert mid.alpha == pytest.approx(math.pi / 2, abs=1e-12)
@@ -254,14 +254,14 @@ class TestCrossings:
         assert mid.t == pytest.approx(math.sqrt(3), abs=1e-12)
 
     def test_x_coincidence_at_middle(self):
-        report = crossings(T, 1)
+        report = crossings(locate_roots(T, -2, 2), 1)
         c = report.crossings[0]
         x = Poly([0, -3, 0, 1])
         xs, xt = x.eval_float([c.s, c.t])
         assert abs(xs - xt) < 1e-12
 
     def test_ordering_flags(self):
-        report = crossings(Poly([0, F(-1, 64), 0, 1]), 3)
+        report = crossings(locate_roots(Poly([0, F(-1, 64), 0, 1]), -2, 2), 3)
         assert len(report.crossings) == 3
         seq = [c.s for c in report.crossings] + [c.t for c in report.crossings]
         assert seq == sorted(seq)
@@ -269,22 +269,22 @@ class TestCrossings:
     # R = u^2 - 3 + e has the roots -+sqrt(3 - e), and s_2 - t_1 has the sign of -e:
     # at e = 0 the parameters s_2 = t_1 = 0 coincide
     def test_ordering_proved_below_the_float_margin(self):
-        report = crossings(Poly([-3 + F(1, 2**60), 0, 1]), 2)
+        report = crossings(locate_roots(Poly([-3 + F(1, 2**60), 0, 1]), -2, 2), 2)
         assert [c.u_hi - c.u_lo <= F(1, 2**48) for c in report.crossings] == [True, True]
         assert report.ordering_margin < 1e-8  # far below what the float diagnostic resolves
 
     def test_ordering_violation_below_the_float_margin(self):
         with pytest.raises(OrderingViolation, match="parameters s_2 and t_1 are out of order"):
-            crossings(Poly([-3 - F(1, 2**60), 0, 1]), 2)
+            crossings(locate_roots(Poly([-3 - F(1, 2**60), 0, 1]), -2, 2), 2)
 
     def test_coincident_parameters_are_not_separated(self):
         with pytest.raises(OrderingViolation, match="s_2 and t_1 not separated at width 2"):
-            crossings(Poly([-3, 0, 1]), 2)
+            crossings(locate_roots(Poly([-3, 0, 1]), -2, 2), 2)
 
     def test_roots_below_minus_one_reverse_s(self):
         # s falls on (-2, -1), so two roots there give s_1 > s_2
         with pytest.raises(OrderingViolation, match="parameters s_1 and s_2 are out of order"):
-            crossings(Poly([F(54, 25), 3, 1]), 2)  # (u + 9/5)(u + 6/5)
+            crossings(locate_roots(Poly([F(54, 25), 3, 1]), -2, 2), 2)  # (u + 9/5)(u + 6/5)
 
     @given(
         lo=st.fractions(F(-2), F(2), max_denominator=2**20),
@@ -320,20 +320,19 @@ class TestCrossings:
         # dyadic nodes fall on bisection midpoints of (-2, 2)
         n = len(nodes)
         node_set = NodeSet(n, nodes)
-        cofactor, a_series = solve_deformation(node_set)
-        a_poly = a_series.to_poly()
+        a_poly = solve_deformation(node_set).to_poly()
         chain = SturmChain(a_poly)
-        assert certify_cofactor(cofactor)
+        assert certify_cofactor(a_poly // knots.planted_factor(node_set))
         planted = LocatedRoots(node_set.all_roots(), F(-2), F(2))
         report = crossings(planted, 2 * n + 1)
-        assert report == crossings(a_poly, 2 * n + 1)
+        assert report == crossings(locate_roots(a_poly, -2, 2), 2 * n + 1)
         cells = [refine(chain, iv, knots.ROOT_WIDTH) for iv in isolate_roots(chain, -2, 2)]
         assert [(c.u_lo, c.u_hi) for c in report.crossings] == [(iv.lo, iv.hi) for iv in cells]
 
     def test_planted_roots_locate_without_bisection(self, monkeypatch):
         node_set = NodeSet(3, (F(1, 8), F(1, 4), F(1, 2)))
-        a_poly = solve_deformation(node_set)[1].to_poly()
-        expected = crossings(a_poly, 7)
+        a_poly = solve_deformation(node_set).to_poly()
+        expected = crossings(locate_roots(a_poly, -2, 2), 7)
         planted = LocatedRoots(node_set.all_roots(), F(-2), F(2))
 
         def bisection(*args):
