@@ -5,22 +5,22 @@ Everything in this module is exact: scalars are `fractions.Fraction`
 every root count is a proof, not an approximation.  Floating-point
 evaluation exists only as a convenience for plotting and diagnostics.
 
-Roots are found on integers alone.  `locate_roots` isolates the roots of
-p in an interval by Descartes bisection (Collins-Akritas): sign
-variations after integer Taylor shifts, with no remainder sequence.  A
-finished run proves the count, every root simple.  Its `LocatedRoots`,
-or planted roots already certified, give the half-open dyadic cells
-that Sturm bisection and refinement would find (`cells`, `halve`),
-narrowing a cell on the exact value of p at dyadic points.  The one
-root counter, `count_roots`, isolates the squarefree part p / gcd(p, p')
-(`squarefree`, by an integer remainder sequence and exact division),
-whose roots are simple, so its isolation always finishes.  A value at
-n/d is the integer sum c_i n^i d^(D-i) (homogeneous Horner), and a
-`Poly` is evaluated by the same Horner on its coefficients brought to
-one denominator.  `signs_at_roots`
-gives the exact sign of a second polynomial at each located root, from
-a slope bound.  Linear systems are solved, and determinants taken, by
-one fraction-free (Bareiss) elimination on integer rows.
+The root layer takes integer coefficients (`_primitive_ints` adapts a
+`Poly`).  `locate_roots` isolates the roots of p in an interval by
+Descartes bisection (Collins-Akritas): sign variations after integer
+Taylor shifts, with no remainder sequence.  A finished run proves the
+count, every root simple.  Its `LocatedRoots`, or planted roots already
+certified, give the dyadic cells of Sturm bisection and refinement as a
+depth per root (`cells`) and integers (`ends`), narrowed on exact values
+of p at dyadic points.  The one root counter, `count_roots`, isolates
+the squarefree part p / gcd(p, p') (`squarefree`, by an integer
+remainder sequence and exact division), so its isolation always
+finishes.  A value at n/d is the integer sum c_i n^i d^(D-i)
+(homogeneous Horner), which also evaluates a `Poly` on its coefficients
+brought to one denominator.  `signs_at_roots` gives the exact sign of a
+second polynomial at each located root, from a slope bound.  Linear
+systems are solved, and determinants taken, by one fraction-free
+(Bareiss) elimination on integer rows.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ Rational = Fraction
 
 _RationalLike = Union[Fraction, int]
 
-# Bisection depth at which `signs_at_roots` asks the gcd, and at which
-# `knots.crossings` stops trying to separate two crossing parameters.
+# Cell width, (h - l) << 200 <= d for (l / d, h / d], at which `signs_at_roots`
+# asks the gcd and `knots.crossings` stops separating two crossing parameters.
 DEEP_WIDTH = Fraction(1, 2**200)
 
 
@@ -328,28 +328,25 @@ def exact_quotient(a: Sequence[int], b: Sequence[int]) -> Optional[tuple[int, ..
     return None if any(r[:nb - 1]) or not q else tuple(q)
 
 
-# -- gcd ------------------------------------------------------------------------
+# -- squarefree part ------------------------------------------------------------
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the rationals (primitive integer remainder sequence)."""
-    if b.is_zero:
-        return a if a.is_zero else a.monic()
-    g = _remainder_sequence(_primitive_ints(a), _primitive_ints(b))[-1]
-    return Poly(g).monic()
+def squarefree(p: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(s, g) for integer coefficients p: g = gcd(p, p') and s = p / g, both
+    primitive, g with a positive leading coefficient.
 
-
-def squarefree(p: Poly) -> tuple[Poly, Poly]:
-    """(s, g) for g = gcd(p, p'), monic, and s the primitive form of p / g.
-
-    s is the squarefree part of p: every root of p, each one simple.  The
-    roots of g are the repeated roots of p.  By Gauss's lemma the quotient
-    of the primitive integers is exact.
+    s is the squarefree part of p, a positive multiple of it: every root of
+    p, each one simple.  The roots of g are the repeated roots of p.  By
+    Gauss's lemma the quotient of the primitive integers is exact.
     """
-    if p.is_zero:
+    if not p:
         raise ZeroPolynomial("squarefree part of the zero polynomial")
-    g = poly_gcd(p, p.derivative())
-    return Poly(exact_quotient(_primitive_ints(p), _primitive_ints(g))), g
+    a, g = _content_free(p), (1,)
+    if len(a) > 1:
+        g = _remainder_sequence(a, _content_free([i * c for i, c in enumerate(a)][1:]))[-1]
+        if g[-1] < 0:
+            g = tuple(-v for v in g)
+    return exact_quotient(a, g), g
 
 
 @dataclass(frozen=True)
@@ -408,10 +405,10 @@ def _descartes(cs: Sequence[int]) -> int:
     return count
 
 
-def descartes_bound(p: Poly, lo: Rational, hi: Rational) -> int:
-    """Descartes' bound, capped at 2, on the roots of p in (lo, hi) counted with
-    multiplicity; 0 proves that p has no root there."""
-    return _descartes(_moved(_primitive_ints(p), Fraction(lo), Fraction(hi)))
+def descartes_bound(p: Sequence[int], lo: Rational, hi: Rational) -> int:
+    """Descartes' bound, capped at 2, on the roots of the integer polynomial p in
+    (lo, hi) counted with multiplicity; 0 proves that p has no root there."""
+    return _descartes(_moved(p, Fraction(lo), Fraction(hi)))
 
 
 class LocatedRoots:
@@ -423,10 +420,9 @@ class LocatedRoots:
     constructor, are exact and must be every root in [lo, hi], all simple
     (`knots.certify` proves it); they are checked to be sorted, distinct
     and strictly inside (lo, hi), else ValueError.  `poly`, the primitive
-    integers of the polynomial, is None for them.  `cells` and `halve`
-    give the half-open cells of x that Sturm bisection and refinement
-    give, narrowing open cells on exact values at dyadic points: integer
-    numerators over 2^e, no `Fraction` per step.
+    integers of the polynomial, is None for them.  A cell is a root and a
+    depth k (`cells`, `ends`); a deeper cell is the same root at a larger
+    k.  Open cells are narrowed on exact values at dyadic points.
     """
 
     def __init__(self, roots: Sequence[Rational], lo: Rational, hi: Rational):
@@ -486,34 +482,31 @@ class LocatedRoots:
             return [m, e + 1, s, vm, fb << d, 2]
         return [m - 1, e + 1, s, fa << d, vm, 2]
 
-    def _depth(self, width: Rational) -> int:
-        steps = self._span / width
-        depth = steps.numerator.bit_length() - 1
-        if steps != 1 << depth:
-            raise ValueError("width must be (hi - lo) / 2^depth")
-        return depth
-
-    def _cell(self, j: int, k: int) -> IsolatingInterval:
+    def ends(self, i: int, k: int) -> tuple[int, int, int]:
+        """Root i's cell (l / d, h / d] after k halvings of (lo, hi]: (a 2^k + b j, l + b,
+        c 2^k) for j = `_index(i, k)`, with lo = a / c and hi - lo = b / c."""
         a, b, c = self._frame
-        return IsolatingInterval(Fraction((a << k) + b * j, c << k),
-                                 Fraction((a << k) + b * (j + 1), c << k))
+        low = (a << k) + b * self._index(i, k)
+        return low, low + b, c << k
 
-    def halve(self, i: int, iv: IsolatingInterval, times: int = 1) -> IsolatingInterval:
-        """The cell of root i `times` halvings below its cell iv; once, that is (lo, m]
-        if the root is at most the midpoint m, else (m, hi]: `refine(chain, iv,
-        iv.width / 2^times)` on a Sturm chain of the polynomial."""
-        k = self._depth(iv.width) + times
-        return self._cell(self._index(i, k), k)
+    def interval(self, i: int, k: int) -> IsolatingInterval:
+        """The cell `ends(i, k)` in `Fraction`s, for the report."""
+        low, high, den = self.ends(i, k)
+        return IsolatingInterval(Fraction(low, den), Fraction(high, den))
 
-    def cells(self, width: Rational) -> list[IsolatingInterval]:
-        """`[refine(chain, iv, width) for iv in isolate_roots(chain, lo, hi)]`, with no chain.
+    def cells(self, width: Rational) -> list[int]:
+        """The depth of each root's cell in `refine(chain, iv, width)` for every iv of
+        `isolate_roots(chain, lo, hi)`, with no chain.
 
         For width = (hi - lo) / 2^depth.  Root i gets its cell at
         k = max(depth, the first depth at which no neighbouring root shares
         its cell), a root at hi counting as a neighbour of the top one:
         Sturm isolation splits down to there, refinement on to `depth`.
         """
-        depth = self._depth(width)
+        steps = self._span / width
+        depth = steps.numerator.bit_length() - 1
+        if steps != 1 << depth:
+            raise ValueError("width must be (hi - lo) / 2^depth")
         n = len(self._x)
         ks = [depth] * n
         for i in range(n - 1):
@@ -523,12 +516,12 @@ class LocatedRoots:
             ks[i], ks[i + 1] = max(ks[i], k), k
         while n and self._root_at_hi and self._index(n - 1, ks[-1]) == (1 << ks[-1]) - 1:
             ks[-1] += 1
-        return [self._cell(self._index(i, k), k) for i, k in enumerate(ks)]
+        return ks
 
 
-def locate_roots(p: Poly, lo: Rational, hi: Rational,
+def locate_roots(p: Sequence[int], lo: Rational, hi: Rational,
                  deep: Optional[Rational] = DEEP_WIDTH) -> Optional[LocatedRoots]:
-    """The roots of p in the open interval (lo, hi), by Descartes bisection on integers.
+    """The roots of the integer polynomial p in (lo, hi), by Descartes bisection.
 
     Collins-Akritas bisection (as in Rouillier-Zimmermann 2004) of
     q(x) = p(lo + (hi - lo) x) on (0, 1): each cell is tested by
@@ -539,10 +532,10 @@ def locate_roots(p: Poly, lo: Rational, hi: Rational,
     a midpoint root is multiple or a cell at most `deep` wide still has
     bound 2; with deep None it ends when the roots in (lo, hi) are simple.
     """
-    if p.is_zero:
+    if not p:
         raise ZeroPolynomial("roots of the zero polynomial")
     lo, hi = Fraction(lo), Fraction(hi)
-    ints = _primitive_ints(p)
+    ints = _content_free(p)
     q = _moved(ints, lo, hi)
     d = len(q) - 1
     ratio = (hi - lo) / (deep or 1)  # the first depth whose cells are at most `deep` wide:
@@ -574,8 +567,8 @@ def locate_roots(p: Poly, lo: Rational, hi: Rational,
     return located
 
 
-def count_roots(p: Poly, lo: Rational, hi: Rational) -> int:
-    """Exact number of distinct real roots of p in the open interval (lo, hi).
+def count_roots(p: Sequence[int], lo: Rational, hi: Rational) -> int:
+    """Exact number of distinct real roots of the integer polynomial p in (lo, hi).
 
     They are the roots that `locate_roots` isolates for the squarefree
     part of p (`squarefree`): all simple, so the isolation, with no depth
@@ -586,54 +579,54 @@ def count_roots(p: Poly, lo: Rational, hi: Rational) -> int:
     return len(locate_roots(squarefree(p)[0], lo, hi, None))
 
 
-def signs_at_roots(
-    located: LocatedRoots, q: Poly, intervals: Sequence[IsolatingInterval]
-) -> list[int]:
+def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int]) -> list[int]:
     """Exact sign of q at each root of `locate_roots`' polynomial p, 0 if q vanishes there.
 
-    intervals[i] is a cell of root i (`LocatedRoots.cells`).  With c_k the
-    primitive integers of q and m = max(|lo|, |hi|), L2 = sum k (k-1) |c_k|
-    m^(k-2) bounds |q''| on the interval, so |q(lo)| > (|q'(lo)| +
-    L2 (hi - lo)) (hi - lo), in cross-multiplied integers, leaves q no root
-    in [lo, hi]: q has the sign of q(lo) at the root.  Otherwise the cell
-    is halved (`LocatedRoots.halve`) and tested again.  The test never
-    passes where q vanishes, so below DEEP_WIDTH the gcd of p and q (built
-    once) is asked for a root in the interval (lo, hi], which a dyadic
-    exact root of p ends; if none, halving goes on.
+    q is integers, a positive multiple of the polynomial, and root i starts
+    in its cell (lo, hi] at depth depths[i] (`LocatedRoots.cells`).  With
+    c_k the primitive integers of q and m = max(|lo|, |hi|),
+    L2 = sum k (k-1) |c_k| m^(k-2) bounds |q''| on the cell, so
+    |q(lo)| > (|q'(lo)| + L2 (hi - lo)) (hi - lo), in cross-multiplied
+    integers, leaves q no root in [lo, hi]: q has the sign of q(lo) at the
+    root.  Otherwise the cell is taken deeper and tested again.  The test
+    never passes where q vanishes, so below DEEP_WIDTH the gcd of p and q
+    (built once) is asked for a root in (lo, hi], which a dyadic exact
+    root of p ends; if none, deepening goes on.
     """
-    if q.is_zero:
-        return [0] * len(intervals)
-    cs = _primitive_ints(q)
+    cs = _content_free(q)
+    if not cs:
+        return [0] * len(depths)
     deg = len(cs) - 1
     slope = [k * c for k, c in enumerate(cs)][1:]
     curve = [k * (k - 1) * abs(c) for k, c in enumerate(cs)][2:]
     common = None  # gcd(p, q)
     out = []
-    for i, iv in enumerate(intervals):
-        m = max(abs(iv.lo), abs(iv.hi))
+    for i, k in enumerate(depths):
+        low, high, den = located.ends(i, k)
         # L2 = l2_num / l2_den, and 0 for q of degree below 2
-        l2_num, l2_den = _horner(curve, m.numerator, m.denominator), m.denominator ** max(deg - 2, 0)
+        l2_num, l2_den = _horner(curve, max(abs(low), abs(high)), den), den ** max(deg - 2, 0)
         asked = False
         while True:
-            lo, (w_num, w_den) = iv.lo, (iv.width.numerator, iv.width.denominator)
-            den = lo.denominator
-            val = _horner(cs, lo.numerator, den)          # den^deg q(lo)
-            d1 = abs(_horner(slope, lo.numerator, den))   # den^(deg-1) |q'(lo)|
-            # |q(lo)| and the bound above, times den^deg l2_den w_den^2
-            gap = abs(val) * l2_den * w_den * w_den
-            bound = (d1 * den * l2_den * w_den + l2_num * den ** deg * w_num) * w_num
+            low, high, den = located.ends(i, k)
+            w = high - low                        # the cell is w / den wide
+            val = _horner(cs, low, den)           # den^deg q(lo)
+            d1 = abs(_horner(slope, low, den))    # den^(deg-1) |q'(lo)|
+            # |q(lo)| and the bound above, times den^(deg+2) l2_den
+            gap = abs(val) * l2_den * den * den
+            bound = (d1 * den * l2_den * den + l2_num * den ** deg * w) * w
             if gap > bound:
                 out.append(1 if val > 0 else -1)
                 break
-            if iv.width <= DEEP_WIDTH and not asked:
+            if w << 200 <= den and not asked:  # at most DEEP_WIDTH wide
                 asked = True
                 if common is None:
-                    common = poly_gcd(Poly(located.poly), q)
-                if common(iv.hi) == 0 or count_roots(common, iv.lo, iv.hi):
+                    common = _remainder_sequence(located.poly, cs)[-1]
+                if not _horner(common, high, den) or count_roots(
+                        common, Fraction(low, den), Fraction(high, den)):
                     out.append(0)
                     break
-            # enough halvings to bring the bound below about |q(lo)| / 2
-            iv = located.halve(i, iv, min(max(1, bound.bit_length() - gap.bit_length() + 2), 64))
+            # enough levels to bring the bound below about |q(lo)| / 2
+            k += min(max(1, bound.bit_length() - gap.bit_length() + 2), 64)
     return out
 
 

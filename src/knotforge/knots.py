@@ -26,9 +26,10 @@ signs (-1)^i.  The steps:
     crossing signs alternate exactly.
 5.  `certify` checks the finished curve.  The crossings of (T_3, y) are
     the roots of R = dd(y) in (-2, 2), so one routine serves `gen` (where
-    R = A) and `verify` (where R is recomputed from a stored y).  With
-    nodes, one Descartes test on R's cofactor over P (`certify_cofactor`)
-    can prove that R's roots in (-2, 2) are the planted ones, all simple.
+    R = A) and `verify` (where R is recomputed from a stored y), on integer
+    coefficients and dyadic cells.  With nodes, one Descartes test on R's
+    cofactor over P (`certify_cofactor`) can prove that R's roots in
+    (-2, 2) are the planted ones, all simple.
     `certify` is the only gate of `gen`: one loop in `synthesize` halves
     the node scale epsilon until both systems are solvable and `certify`
     accepts the curve.
@@ -54,13 +55,12 @@ from .errors import (
     SingularSystem,
 )
 from .exactpoly import (
-    DEEP_WIDTH,
-    IsolatingInterval,
     LocatedRoots,
     Poly,
     Rational,
     _content_free,
     _horner,
+    _primitive_ints,
     count_roots,
     descartes_bound,
     exact_quotient,
@@ -172,12 +172,8 @@ def _validate_cn(j: int, c: Poly) -> tuple[Fraction, ...]:
         raise InternalInconsistency(f"C_{j} is not odd")
     if any(c.coeff(i) != 0 for i in range(2 * j + 1)):
         raise InternalInconsistency(f"t^{2*j+1} does not divide C_{j}")
-    cofactor = Poly(c.coeffs[2 * j + 1:])
-    if (
-        count_roots(cofactor, Fraction(-2), Fraction(2)) != 0
-        or cofactor(Fraction(-2)) == 0
-        or cofactor(Fraction(2)) == 0
-    ):
+    cofactor = _primitive_ints(Poly(c.coeffs[2 * j + 1:]))
+    if count_roots(cofactor, -2, 2) or not _horner(cofactor, -2, 1) or not _horner(cofactor, 2, 1):
         raise InternalInconsistency(f"cofactor of C_{j} has a root in [-2, 2]")
     windex = {cb.w_index(i): i for i in range(j + 1)}
     coords = [Fraction(0)] * (j + 1)
@@ -251,14 +247,22 @@ def _fit(known: list, first: list[int], count: int, residue: int, den: int) -> c
     })
 
 
-def planted_factor(nodes: NodeSet) -> Poly:
-    """P = t prod (q_i^2 t^2 - p_i^2) for d_i = p_i/q_i: primitive, with simple roots
-    exactly at the planted roots, and positive beyond the top one."""
+def planted_factor(nodes: NodeSet) -> tuple[int, ...]:
+    """P = t prod (q_i^2 t^2 - p_i^2) for d_i = p_i/q_i in primitive monomial integers,
+    with simple roots exactly at the planted roots, and positive beyond the top one."""
     half = [1]  # prod (q_i^2 v - p_i^2) on integer lists, in v = t^2
     for d in nodes.delta:
         p2, q2 = d.numerator ** 2, d.denominator ** 2
         half = [q2 * a - p2 * b for a, b in zip([0, *half], [*half, 0])]
-    return Poly([c for h in half for c in (0, h)])
+    return tuple(c for h in half for c in (0, h))
+
+
+def _planted_on_V(nodes: NodeSet) -> list[int]:
+    """P = t prod (q_i^2 t^2 - p_i^2) on the V basis, by `_times_node` from t = V_1."""
+    planted = [0, 1]
+    for d in nodes.delta:
+        planted = _times_node(planted, d.numerator, d.denominator)
+    return planted
 
 
 def solve_deformation(nodes: NodeSet) -> cb.ChebV:
@@ -275,9 +279,7 @@ def solve_deformation(nodes: NodeSet) -> cb.ChebV:
     Returns A on the V basis.
     """
     m = nodes.n // 2
-    planted = [0, 1]  # t = V_1
-    for d in nodes.delta:
-        planted = _times_node(planted, d.numerator, d.denominator)
+    planted = _planted_on_V(nodes)
     lead = planted[-1]  # lc(P): every V_k is monic
     top = planted
     for _ in range(m):
@@ -285,20 +287,19 @@ def solve_deformation(nodes: NodeSet) -> cb.ChebV:
     return _fit(top, planted, m, 5, lead)
 
 
-def certify_cofactor(cofactor: Poly) -> bool:
+def certify_cofactor(cofactor: Sequence[int]) -> bool:
     """One-sided test that the even cofactor G of R = P G has no root in (-2, 2).
 
     True proves it, and with it that the roots of R in (-2, 2) are exactly
     the N planted ones, all simple: the hypothesis under which the curve
-    has exactly N transverse crossings.  With g(v) = G(sqrt v), True means
-    g(0) != 0 and Descartes' rule shows no root of g in (0, 4)
-    (`descartes_bound` 0).  False proves nothing: a G that is not even, or
-    whose bound is positive, is left to the isolation of R in `certify`.
+    has exactly N transverse crossings.  With g(v) = G(sqrt v), for G in
+    integers, True means g(0) != 0 and Descartes' rule shows no root of g
+    in (0, 4) (`descartes_bound` 0).  False proves nothing: a G that is not
+    even, or whose bound is positive, is left to the isolation of R.
     """
-    if cofactor.is_zero or not cofactor.is_even():
+    if not cofactor or any(cofactor[1::2]):
         return False
-    g = Poly(cofactor.coeffs[::2])
-    return g.coeffs[0] != 0 and descartes_bound(g, 0, 4) == 0
+    return cofactor[0] != 0 and descartes_bound(cofactor[::2], 0, 4) == 0
 
 
 def default_nodes(n: int, epsilon: Fraction) -> NodeSet:
@@ -318,38 +319,39 @@ def lift_plane(a_series: cb.ChebV, n_crossings: int) -> PlaneCurve:
     return PlaneCurve(cb.t_poly(3), y)
 
 
-def _parameter_bounds(iv: IsolatingInterval, sign: int) -> tuple[int, int, int]:
-    """Enclosure of (u + sign sqrt(12 - 3u^2)) / 2, s for sign -1 and t for +1, on [lo, hi].
+def _parameter_bounds(cell: tuple[int, int, int], sign: int) -> tuple[int, int, int]:
+    """Enclosure of (u + sign sqrt(12 - 3u^2)) / 2, s for sign -1 and t for +1, on [l/d, h/d].
 
     Returns (e, low, high) in units of 2^-e, at most a quarter of the
     width.  s has its only minimum -2 at u = -1, and t its only maximum 2
     at u = 1, so the endpoint values and, when inside, that extreme bound
-    them.  At u = p/q, f = floor(2^b u) and r = floor(2^b sqrt(12 - 3u^2))
-    put 2^(b+1) s in (f - r - 1, f - r + 1) and 2^(b+1) t in [f + r, f + r + 2).
-    All of it runs on the numerators and denominators of lo and hi.
+    them.  At u = p/d, f = floor(2^b u) and r = floor(2^b sqrt(12 - 3u^2))
+    put 2^(b+1) s in (f - r - 1, f - r + 1) and 2^(b+1) t in [f + r, f + r + 2),
+    all in integers, for the cell (l, h, d) of `LocatedRoots.ends`.
     """
-    lp, lq, hp, hq = iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator
-    b = (4 * lq * hq // (hp * lq - lp * hq)).bit_length()  # of floor(4 / width)
-    vals = [sign << (b + 2)] if lp < sign * lq and sign * hq < hp else []
-    for p, q in ((lp, lq), (hp, hq)):
-        f = (p << b) // q
-        r = math.isqrt(((12 * q * q - 3 * p * p) << 2 * b) // (q * q))
+    low, high, den = cell
+    b = (4 * den // (high - low)).bit_length()  # of floor(4 / width)
+    vals = [sign << (b + 2)] if low < sign * den < high else []
+    for p in (low, high):
+        f = (p << b) // den
+        r = math.isqrt(((12 * den * den - 3 * p * p) << 2 * b) // (den * den))
         vals += [f + r, f + r + 2] if sign > 0 else [f - r - 1, f - r + 1]
     return b + 1, min(vals), max(vals)
 
 
-def _certify_ordering(located: LocatedRoots, intervals: Sequence[IsolatingInterval]) -> None:
+def _certify_ordering(located: LocatedRoots, depths: Sequence[int]) -> None:
     """Prove s_1 < ... < s_N < t_1 < ... < t_N on the enclosures of `_parameter_bounds`.
 
-    When two neighboring enclosures overlap, the root intervals they come
-    from are halved (`LocatedRoots.halve`) and the pair compared again,
-    down to DEEP_WIDTH.  Disjoint enclosures in the wrong order, or a pair
-    still overlapping at that width, raise OrderingViolation.
+    The roots start in their cells at `depths`.  When two neighboring
+    enclosures overlap, their cells are taken one level deeper and the pair
+    compared again, down to `exactpoly.DEEP_WIDTH`.  Disjoint enclosures in
+    the wrong order, or a pair still overlapping at that width, raise
+    OrderingViolation.
     """
-    n = len(intervals)
-    ivs = list(intervals)
+    n = len(depths)
+    ks = list(depths)
     seq = [(i, -1) for i in range(n)] + [(i, 1) for i in range(n)]  # s_1..s_N, t_1..t_N
-    bounds = [_parameter_bounds(ivs[i], sign) for i, sign in seq]
+    bounds = [_parameter_bounds(located.ends(i, ks[i]), sign) for i, sign in seq]
     for pos in range(2 * n - 1):
         (i, si), (j, sj) = seq[pos], seq[pos + 1]
         while True:
@@ -359,31 +361,32 @@ def _certify_ordering(located: LocatedRoots, intervals: Sequence[IsolatingInterv
             pair = f"{'st'[si > 0]}_{i + 1} and {'st'[sj > 0]}_{j + 1}"
             if a_lo << eb > b_hi << ea:
                 raise OrderingViolation(f"parameters {pair} are out of order")
-            for k in {i, j}:
-                if ivs[k].width <= DEEP_WIDTH:
+            for r in {i, j}:
+                low, high, den = located.ends(r, ks[r])
+                if (high - low) << 200 <= den:
                     raise OrderingViolation(f"parameters {pair} not separated at width 2^-200")
-                ivs[k] = located.halve(k, ivs[k])
-                bounds[k::n] = [_parameter_bounds(ivs[k], sign) for sign in (-1, 1)]  # s_k, t_k
+                ks[r] += 1
+                bounds[r::n] = [_parameter_bounds(located.ends(r, ks[r]), s) for s in (-1, 1)]
 
 
 def crossings(located: LocatedRoots, n_crossings: int) -> CrossingReport:
     """Locate the N crossings of the lifted curve from the roots of R in (-2, 2).
 
-    The intervals are the 2^-48 cells of `LocatedRoots.cells`, halved by
-    `LocatedRoots.halve` where the ordering proof needs them narrower.
-    Each root is then mapped through
-    u = 2 cos(alpha), s = 2 cos(alpha + pi/3), t = 2 cos(alpha - pi/3) in
-    floats for the report.  The 2N-way ordering
-    s_1 < ... < s_N < t_1 < ... < t_N is proved on rational enclosures
-    (`_certify_ordering`), else OrderingViolation; the float
-    `ordering_margin`, the smallest gap of that sequence, is a diagnostic.
+    The report's intervals are the 2^-48 cells of `LocatedRoots.cells`,
+    each mapped from its midpoint through u = 2 cos(alpha),
+    s = 2 cos(alpha + pi/3), t = 2 cos(alpha - pi/3) in floats.  The
+    2N-way ordering s_1 < ... < s_N < t_1 < ... < t_N is proved on
+    rational enclosures (`_certify_ordering`), else OrderingViolation; the
+    float `ordering_margin`, the smallest gap of that sequence, is a
+    diagnostic.
     """
-    intervals = located.cells(ROOT_WIDTH)
-    if len(intervals) != n_crossings:
-        raise OrderingViolation(f"found {len(intervals)} crossings, expected {n_crossings}")
-    _certify_ordering(located, intervals)
+    depths = located.cells(ROOT_WIDTH)
+    if len(depths) != n_crossings:
+        raise OrderingViolation(f"found {len(depths)} crossings, expected {n_crossings}")
+    _certify_ordering(located, depths)
     out = []
-    for iv in intervals:
+    for i, k in enumerate(depths):
+        iv = located.interval(i, k)
         u = float(iv.midpoint)
         alpha = math.acos(max(-1.0, min(1.0, u / 2.0)))
         s = 2.0 * math.cos(alpha + math.pi / 3.0)
@@ -429,10 +432,7 @@ def solve_height(nodes: NodeSet) -> cb.ChebV:
     for i in range(n - 1, -1, -1):  # L B_0 by Horner on the Newton form
         known = _times_node(known, a[i], big_q)
         known[0] += num[i] * (lcm // den[i])
-    planted = _times_t(_times_t([1]))  # P_2 = t P
-    for d in nodes.delta:
-        planted = _times_node(planted, d.numerator, d.denominator)
-    return _fit(known + [0] * (2 * m), planted, m, 2, lcm)
+    return _fit(known + [0] * (2 * m), _times_t(_planted_on_V(nodes)), m, 2, lcm)
 
 
 # -- verification -----------------------------------------------------------------
@@ -481,24 +481,26 @@ def certify(
       `signs_at_roots` on R's located roots, where a root shared with
       dd(z) (z(t) = z(s)) fails.
 
-    R and dd(z) are read through their integer forms
-    (`integer_form`).  With nodes, R's primitive integers, taken straight
-    from that form, are divided by those of `planted_factor(nodes)`, each
-    step checked exact (by Gauss's lemma an inexact step means P does not
+    R and dd(z) are read once each through their integer forms
+    (`integer_form`), and every stage runs on those integers and on the
+    dyadic cells of `LocatedRoots`: no `Poly` is built.  With nodes, R's
+    primitive integers are divided by `planted_factor(nodes)`, each step
+    checked exact (by Gauss's lemma an inexact step means P does not
     divide R over Q).  An exact quotient nonzero at 2 that passes
     `certify_cofactor` proves the count and nodes stages at once: the
     planted roots are R's roots.  That test is one-sided, and every other
-    case, a failed test included, is decided exactly below: R is expanded to a `Poly`, a
-    finished Descartes isolation (`locate_roots`) proves the count, every
-    root simple, and the nodes are checked one by one.  An unfinished one
-    (a multiple root, or roots closer than DEEP_WIDTH) splits R into its
-    squarefree part s = R / g and g = gcd(R, R') (`squarefree`): s has
-    R's roots, all simple, so its isolation with no depth limit finishes
-    and counts them, and R has a repeated root in (-2, 2) exactly when g
-    has a root there.  The intervals are the same on every path.  The
-    signs at the nodes are checked in integers on dd(z)'s form,
-    q^D dd(z)(p/q) = (-1)^i den q^D at each planted root p/q, by
-    `_values_at_planted`.
+    case, a failed test included, is decided exactly below: a finished
+    Descartes isolation of the same integers (`locate_roots`) proves the
+    count, every root simple, and R is evaluated at the nodes in integers
+    (`_values_at_planted`).  An unfinished one (a multiple root, or roots
+    closer than DEEP_WIDTH) splits R into its squarefree part s = R / g
+    and g = gcd(R, R') (`squarefree`): s has R's roots, all simple, so its
+    isolation with no depth limit finishes and counts them, and R has a
+    repeated root in (-2, 2) exactly when g has a root there.  The cells
+    are the same on every path.  The signs at the nodes are checked in
+    integers on dd(z)'s form, q^D dd(z)(p/q) = (-1)^i den q^D at each
+    planted root p/q, by `_values_at_planted`; without nodes
+    `signs_at_roots` decides them on the same form.
 
     Every certificate is exact.  The x/y coincidences are identities: s, t
     are the roots of X^2 - uX + (u^2 - 3), so T_3(s) = T_3(t), and
@@ -507,27 +509,24 @@ def certify(
     Returns the completed report; a failed stage raises
     CertificationFailed carrying the stage and the report so far.
     """
-    r_series = cb.divided_difference(y)
-    r_ints, _ = r_series.integer_form()
+    r_ints, _ = cb.divided_difference(y).integer_form()
     if not r_ints:
         raise CertificationFailed("divided-difference image of y is zero", "count")
+    r = _content_free(r_ints)
     roots = nodes.all_roots() if nodes is not None else ()
     located = None
     if nodes is not None and 2 * nodes.n + 1 == n_crossings:
-        planted = [c.numerator for c in planted_factor(nodes).coeffs]
-        cofactor = exact_quotient(_content_free(r_ints), planted)
+        cofactor = exact_quotient(r, planted_factor(nodes))
         # a certified cofactor is even: nonzero at 2, it keeps R's roots off both ends
-        if (cofactor and sum(c << i for i, c in enumerate(cofactor))
-                and certify_cofactor(Poly(cofactor))):
+        if cofactor and sum(c << i for i, c in enumerate(cofactor)) and certify_cofactor(cofactor):
             located = LocatedRoots(roots, -2, 2)
     if located is None:
-        r_poly = r_series.to_poly()
-        located = locate_roots(r_poly, -2, 2)
+        located = locate_roots(r, -2, 2)
         repeated = False
         if located is None:
-            s_poly, g_poly = squarefree(r_poly)
-            located = locate_roots(s_poly, -2, 2, None)
-            repeated = count_roots(g_poly, -2, 2) > 0
+            s, g = squarefree(r)
+            located = locate_roots(s, -2, 2, None)
+            repeated = count_roots(g, -2, 2) > 0
         if len(located) != n_crossings:
             raise CertificationFailed(
                 f"R has {len(located)} roots in (-2, 2), expected {n_crossings}", "count"
@@ -542,8 +541,8 @@ def certify(
                     f"{nodes.n} stored nodes give {2 * nodes.n + 1} planted roots, "
                     f"expected {n_crossings}", "nodes"
                 )
-            for u in roots:
-                if r_poly(u) != 0:
+            for u, (value, _) in zip(roots, _values_at_planted(r, nodes.delta)):
+                if value:
                     raise CertificationFailed(f"stored node {rat_str(u)} is not a root of R",
                                               "nodes")
 
@@ -554,16 +553,14 @@ def certify(
     if z is None:
         return report
 
-    z_series = cb.divided_difference(z)
+    z_ints, z_den = cb.divided_difference(z).integer_form()
     if nodes is not None:
-        z_ints, z_den = z_series.integer_form()
         values = _values_at_planted(z_ints, nodes.delta) if z_ints else [(0, 1)] * len(roots)
         for i, (u, (value, scale)) in enumerate(zip(roots, values), start=1):
             if value != (-1) ** i * z_den * scale:  # dd(z)(u) = value / (den scale)
                 raise CertificationFailed(f"dd(z)({rat_str(u)}) != {(-1) ** i}", "space", report)
     else:
-        intervals = [IsolatingInterval(c.u_lo, c.u_hi) for c in report.crossings]
-        for i, sign in enumerate(signs_at_roots(located, z_series.to_poly(), intervals), start=1):
+        for i, sign in enumerate(signs_at_roots(located, z_ints, located.cells(ROOT_WIDTH)), 1):
             if sign != (-1) ** i:
                 raise CertificationFailed(
                     f"crossing {i}: z(t)-z(s) has sign {sign}, expected {(-1) ** i}" if sign

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Sequence, Union
 
 from .errors import SingularSystem
-from .exactpoly import Poly, Rational, count_roots, solve_linear
+from .exactpoly import Poly, Rational, _primitive_ints, count_roots, solve_linear
 
 SeriesLike = Union[Sequence[Rational], Callable[[int], Rational]]
 
@@ -124,4 +124,4 @@ def check_pole_locations(a: PadeApproximant, r: Rational) -> bool:
     bound = cauchy_root_bound(a.q)
     if bound <= r:
         return False
-    return count_roots(a.q, r, bound) == a.m
+    return count_roots(_primitive_ints(a.q), r, bound) == a.m

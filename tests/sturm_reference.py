@@ -2,10 +2,11 @@
 
 `knotforge.exactpoly.count_roots` counts the roots of the squarefree part
 by Descartes isolation, `locate_roots` isolates by Descartes bisection,
-and `LocatedRoots.cells` and `LocatedRoots.halve` give the intervals that
-isolation and refinement on a Sturm chain give.  `SturmChain`, its
-`count_roots`, `isolate_roots` and `refine` are that reference, on the
-library's integer remainder sequence.
+and `LocatedRoots.cells` gives the depths at which isolation and
+refinement on a Sturm chain stop.  `SturmChain`, its `count_roots`,
+`isolate_roots` and `refine` are that reference, on the library's integer
+remainder sequence; `cell_intervals` puts the library's cells in its
+terms.
 """
 
 from fractions import Fraction
@@ -22,6 +23,11 @@ from knotforge.exactpoly import (
     _remainder_sequence,
     exact_quotient,
 )
+
+
+def cell_intervals(located, width: Rational) -> list[IsolatingInterval]:
+    """The cells of `located.cells(width)`, as intervals."""
+    return [located.interval(i, k) for i, k in enumerate(located.cells(width))]
 
 
 def sign_at(cs, num: int, den: int) -> int:

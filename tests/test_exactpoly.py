@@ -17,17 +17,25 @@ from knotforge.exactpoly import (
     descartes_bound,
     exact_quotient,
     locate_roots,
+    _remainder_sequence,
     parse_rat,
-    poly_gcd,
     rat_str,
     signs_at_roots,
     solve_linear,
     squarefree,
     _primitive_ints,
 )
-from sturm_reference import SturmChain, count_roots as sturm_count, isolate_roots, refine, sign_at
+from sturm_reference import (
+    SturmChain,
+    cell_intervals,
+    count_roots as sturm_count,
+    isolate_roots,
+    refine,
+    sign_at,
+)
 
 T = Poly([0, 1])
+ints = _primitive_ints
 
 
 def poly_from_roots(roots):
@@ -100,71 +108,73 @@ class TestSquarefree:
 
     def test_strips_multiplicity(self):
         p = Poly([0, 0, 0, 0, 0, 1]) * Poly([-6, 0, 1])
-        sf, g = squarefree(p)
-        assert sf == Poly([0, -6, 0, 1]) == SturmChain(p).chain[0]
-        assert g == Poly([0, 0, 0, 0, 1])
-        assert count_roots(sf, -3, 3) == count_roots(p, -3, 3) == 3
+        sf, g = squarefree(ints(p))
+        assert sf == (0, -6, 0, 1) == ints(SturmChain(p).chain[0])
+        assert g == (0, 0, 0, 0, 1)
+        assert count_roots(sf, -3, 3) == count_roots(ints(p), -3, 3) == 3
 
     def test_cube(self):
-        assert squarefree(Poly([0, 0, 0, 1])) == (T, T * T)
+        assert squarefree((0, 0, 0, 1)) == ((0, 1), (0, 0, 1))
         assert SturmChain(Poly([0, 0, 0, 1])).chain[0] == T
 
     def test_squarefree_fixed(self):
         p = Poly([-2, 0, 1])
-        assert squarefree(p) == (p, Poly([1]))
+        assert squarefree((-2, 0, 1)) == ((-2, 0, 1), (1,))
         assert SturmChain(p).chain[0] == p
 
     def test_primitive_and_constant(self):
-        # the squarefree part is primitive: a constant multiple of p / g
-        assert squarefree(Poly([F(-3, 2), 0, F(3, 4)])) == (Poly([-2, 0, 1]), Poly([1]))
-        assert squarefree(Poly([-5])) == (Poly([-1]), Poly([1]))
+        # the squarefree part is primitive: a positive multiple of p / g
+        assert squarefree((-6, 0, 3)) == ((-2, 0, 1), (1,))
+        assert squarefree((-5,)) == ((-1,), (1,))
 
     def test_zero_raises(self):
         with pytest.raises(ZeroPolynomial):
-            squarefree(Poly())
+            squarefree(())
         with pytest.raises(ZeroPolynomial):
             SturmChain(Poly())
 
     def test_gcd_holds_the_repeated_roots(self):
+        # g is primitive with a positive leading coefficient, whatever p's sign
         p = Poly([0, 0, 0, 0, 0, 1]) * Poly([-6, 0, 1]) * poly_from_roots([F(1, 2)] * 2)
         g = Poly([0, 0, 0, 0, 1]) * Poly([F(-1, 2), 1])
-        assert squarefree(p)[1] == g
+        assert squarefree(ints(p))[1] == squarefree(ints(-p))[1] == (0, 0, 0, 0, -1, 2)
         assert SturmChain(p).gcd == g * 2
         assert SturmChain(Poly([-2, 0, 1])).gcd.degree == 0
 
     def test_gcd(self):
+        # the last element of the remainder sequence is the gcd, up to a constant
         a = poly_from_roots([1, 2]) * 3
         b = poly_from_roots([2, 5])
-        assert poly_gcd(a, b) == Poly([-2, 1])
+        assert _remainder_sequence(ints(a), ints(b))[-1] in {(-2, 1), (2, -1)}
 
 
 class TestCountRoots:
     def test_three_small_roots(self):
-        assert count_roots(Poly([0, F(-1, 64), 0, 1]), -2, 2) == 3
+        assert count_roots((0, -1, 0, 64), -2, 2) == 3
 
     def test_no_real_roots(self):
-        assert count_roots(Poly([1, 0, 1]), -2, 2) == 0
+        assert count_roots((1, 0, 1), -2, 2) == 0
 
     def test_roots_beyond_interval(self):
-        assert count_roots(Poly([-6, 0, 1]), -2, 2) == 0  # roots +-sqrt(6)
+        assert count_roots((-6, 0, 1), -2, 2) == 0  # roots +-sqrt(6)
 
     def test_open_interval_excludes_endpoints(self):
-        p = poly_from_roots([0, 1, 2])
+        p = ints(poly_from_roots([0, 1, 2]))
         assert count_roots(p, 0, 2) == 1
         assert count_roots(p, F(-1, 2), 2) == 2
         assert count_roots(p, F(-1), F(5, 2)) == 3
 
     def test_zero_polynomial_raises(self):
         with pytest.raises(ZeroPolynomial):
-            count_roots(Poly(), -1, 1)
+            count_roots((), -1, 1)
 
     def test_multiplicities_do_not_double_count(self):
-        p = poly_from_roots([F(1, 3), F(1, 3), -1])
+        p = ints(poly_from_roots([F(1, 3), F(1, 3), -1]))
         assert count_roots(p, -2, 2) == 2
 
     def test_empty_interval_raises(self):
         with pytest.raises(ValueError, match="lo < hi"):
-            count_roots(T, 1, 1)
+            count_roots((0, 1), 1, 1)
 
 
 class TestIsolation:
@@ -229,7 +239,7 @@ class TestIsolation:
             inside = [r for r in roots if lo < r < hi]
             ivs = isolate_roots(p, lo, hi)
             assert len(ivs) == len(inside)
-            assert count_roots(p, lo, hi) == len(inside)
+            assert count_roots(ints(p), lo, hi) == len(inside)
             for iv, r in zip(ivs, inside):
                 tight = refine(p, iv, F(1, 2**22))
                 assert tight.lo < r <= tight.hi
@@ -243,7 +253,7 @@ class TestProperties:
     @given(st.lists(small_rat, min_size=1, max_size=5, unique=True))
     @settings(max_examples=60, deadline=None)
     def test_count_exact_on_known_factors(self, roots):
-        p = poly_from_roots(roots)
+        p = ints(poly_from_roots(roots))
         inside = [r for r in roots if F(-2) < r < F(2)]
         assert count_roots(p, -2, 2) == len(inside)
 
@@ -253,14 +263,15 @@ class TestProperties:
         p = poly_from_roots(roots)
         if p(mid) == 0 or not F(-2) < mid < F(2):
             return
+        p = ints(p)
         assert count_roots(p, -2, mid) + count_roots(p, mid, 2) == count_roots(p, -2, 2)
 
     @given(st.lists(small_rat, min_size=1, max_size=4, unique=True))
     @settings(max_examples=40, deadline=None)
     def test_square_has_same_squarefree_counts(self, roots):
         p = poly_from_roots(roots)
-        assert count_roots(SturmChain(p * p).chain[0], -2, 2) == count_roots(
-            SturmChain(p).chain[0], -2, 2
+        assert count_roots(ints(SturmChain(p * p).chain[0]), -2, 2) == count_roots(
+            ints(SturmChain(p).chain[0]), -2, 2
         )
 
     @given(
@@ -290,9 +301,16 @@ def reference_primitive(p):
     return tuple(v // g for v in ints)
 
 
+def reference_gcd(a, b):
+    """Monic gcd by Euclid's algorithm in rational arithmetic."""
+    while not b.is_zero:
+        a, b = b, divmod(a, b)[1]
+    return a.monic()
+
+
 def reference_squarefree(p):
     """p / gcd(p, p') in rational arithmetic."""
-    g = poly_gcd(p, p.derivative())
+    g = reference_gcd(p, p.derivative())
     return p if g.degree <= 0 else p // g
 
 
@@ -388,7 +406,7 @@ class TestIntegerKernel:
             lo = hi - 1
         distinct = sorted(set(roots))
         inside = [r for r in distinct if lo < r < hi]
-        assert count_roots(p, lo, hi) == len(inside)
+        assert count_roots(ints(p), lo, hi) == len(inside)
         chain = SturmChain(p)
         assert chain.count(lo, hi) == len([r for r in distinct if lo < r <= hi])
         ivs = isolate_roots(chain, lo, hi)
@@ -426,10 +444,10 @@ class TestIntegerKernel:
         chain = SturmChain(p)
         planted = LocatedRoots(roots, F(-2), F(2))
         ivs = isolate_roots(chain, -2, 2)
-        assert planted.cells(F(4)) == ivs
+        assert cell_intervals(planted, F(4)) == ivs
         assert [iv.hi for iv in ivs] == roots
         width = F(1, 2**48)
-        assert planted.cells(width) == [refine(chain, iv, width) for iv in ivs]
+        assert cell_intervals(planted, width) == [refine(chain, iv, width) for iv in ivs]
 
     def test_planted_roots_with_a_root_at_two(self):
         # R(2) = 0: the chain deflates the endpoint root, so its top interval
@@ -444,7 +462,7 @@ class TestIntegerKernel:
         ivs = isolate_roots(chain, -2, 2)
         assert len(ivs) == 3 and ivs[-1].hi < 2
         assert (p // poly_from_roots(roots))(F(2)) == 0
-        cells = LocatedRoots(roots, F(-2), F(2)).cells(F(4))
+        cells = cell_intervals(LocatedRoots(roots, F(-2), F(2)), F(4))
         assert cells[:2] == ivs[:2]
         assert cells[-1].hi == 2
 
@@ -475,28 +493,35 @@ class TestPlantedCells:
         width = F(1, 2**48)
         expected = [refine(chain, iv, width) for iv in isolate_roots(chain, -2, 2)]
         planted = LocatedRoots(roots, F(-2), F(2))
-        assert planted.cells(width) == expected
+        assert cell_intervals(planted, width) == expected
 
     @given(ROOT_SETS)
     @settings(max_examples=100, deadline=None)
     def test_halve_matches_chain_refinement(self, roots):
-        # twelve successive halvings of every 2^-48 cell, as the ordering
-        # proof makes them, against one bisection step each on the chain
+        # twelve levels below every 2^-48 cell, one at a time as the ordering
+        # proof takes them, against one bisection step each on the chain
         chain = SturmChain(poly_from_roots(roots))
         planted = LocatedRoots(roots, F(-2), F(2))
-        for i, iv in enumerate(planted.cells(F(1, 2**48))):
-            for _ in range(12):
-                expected = refine(chain, iv, iv.width / 2)
-                iv = planted.halve(i, iv)
-                assert iv == expected
+        for i, k in enumerate(planted.cells(F(1, 2**48))):
+            iv = planted.interval(i, k)
+            for step in range(1, 13):
+                iv = refine(chain, iv, iv.width / 2)
+                assert planted.interval(i, k + step) == iv
 
     def test_cells_on_another_interval(self):
         roots = [F(-1, 3), F(1, 4), F(1, 4) + F(1, 2**60)]
         chain = SturmChain(poly_from_roots(roots))
         width = F(3, 2**20)  # (hi - lo) / 2^20
         planted = LocatedRoots(roots, F(-1), F(2))
-        assert planted.cells(width) == [refine(chain, iv, width)
-                                        for iv in isolate_roots(chain, -1, 2)]
+        assert cell_intervals(planted, width) == [refine(chain, iv, width)
+                                                  for iv in isolate_roots(chain, -1, 2)]
+
+    def test_ends_are_integers_over_c_2k(self):
+        # lo = -1/2 and hi - lo = 3: a = -1, b = 6, c = 2; the root 1/3 is in
+        # the cell j = 1 of x at depth 2, (-1 * 4 + 6, -1 * 4 + 12] / (2 * 4)
+        planted = LocatedRoots([F(1, 3)], F(-1, 2), F(5, 2))
+        assert planted.ends(0, 2) == (2, 8, 8)
+        assert planted.interval(0, 2) == IsolatingInterval(F(1, 4), F(1))
 
     def test_width_must_halve_the_interval(self):
         planted = LocatedRoots([F(0)], F(-2), F(2))
@@ -528,45 +553,44 @@ class TestLocateRoots:
         for c in squares:
             p = p * Poly([c, 0, 1])
         chain = SturmChain(p)
-        located = locate_roots(p, -2, 2)
+        located = locate_roots(ints(p), -2, 2)
         assert located is not None
         assert len(located) == len(roots) == sturm_count(chain, -2, 2)
         ivs = isolate_roots(chain, -2, 2)
-        assert located.cells(F(4)) == ivs
+        assert cell_intervals(located, F(4)) == ivs
         width = F(1, 2**48)
-        cells = located.cells(width)
-        assert cells == [refine(chain, iv, width) for iv in ivs]
-        for i, iv in enumerate(cells):
-            assert located.halve(i, iv, 5) == refine(chain, iv, iv.width / 32)
-            for _ in range(6):
-                expected = refine(chain, iv, iv.width / 2)
-                iv = located.halve(i, iv)
-                assert iv == expected
+        assert cell_intervals(located, width) == [refine(chain, iv, width) for iv in ivs]
+        for i, k in enumerate(located.cells(width)):
+            iv = located.interval(i, k)
+            assert located.interval(i, k + 5) == refine(chain, iv, iv.width / 32)
+            for step in range(1, 7):
+                iv = refine(chain, iv, iv.width / 2)
+                assert located.interval(i, k + step) == iv
 
     @given(ROOT_SETS.filter(bool), st.data())
     @settings(max_examples=40, deadline=None)
     def test_double_root_inside_does_not_finish(self, roots, data):
         p = poly_from_roots(roots + [data.draw(st.sampled_from(roots))])
-        assert locate_roots(p, -2, 2) is None
+        assert locate_roots(ints(p), -2, 2) is None
         assert SturmChain(p).gcd.degree > 0
 
     def test_roots_closer_than_deep_width_need_no_depth_limit(self):
         roots = [F(1, 3), F(1, 3) + F(1, 2**210)]
         p = poly_from_roots(roots)
-        assert locate_roots(p, -2, 2) is None
-        located = locate_roots(p, -2, 2, None)
+        assert locate_roots(ints(p), -2, 2) is None
+        located = locate_roots(ints(p), -2, 2, None)
         chain = SturmChain(p)
         width = F(1, 2**48)
-        assert located.cells(width) == [refine(chain, iv, width)
-                                        for iv in isolate_roots(chain, -2, 2)]
-        assert located.cells(width)[0].width < DEEP_WIDTH
+        cells = cell_intervals(located, width)
+        assert cells == [refine(chain, iv, width) for iv in isolate_roots(chain, -2, 2)]
+        assert cells[0].width < DEEP_WIDTH
 
     def test_on_another_interval(self):
         p = poly_from_roots([F(-1, 3), F(1, 4), F(1, 4) + F(1, 2**60), F(2)])
         chain = SturmChain(p)
         width = F(3, 2**20)  # (hi - lo) / 2^20
-        assert locate_roots(p, -1, 2).cells(width) == [refine(chain, iv, width)
-                                                        for iv in isolate_roots(chain, -1, 2)]
+        assert cell_intervals(locate_roots(ints(p), -1, 2), width) == [
+            refine(chain, iv, width) for iv in isolate_roots(chain, -1, 2)]
 
     @given(st.lists(small_rat, max_size=5), st.lists(st.integers(1, 3), min_size=5, max_size=5),
            st.sampled_from([(F(-2), F(2)), (F(0), F(4)), (F(-1, 3), F(1, 2))]))
@@ -578,7 +602,7 @@ class TestLocateRoots:
         for r, m in zip(roots, mults):
             p = p * poly_from_roots([r] * m)
         inside = sum(m for r, m in zip(roots, mults) if lo < r < hi)
-        bound = descartes_bound(p, lo, hi)
+        bound = descartes_bound(ints(p), lo, hi)
         assert bound >= min(inside, 2)
         assert bound >= 2 or bound == inside
 
@@ -589,7 +613,7 @@ def squarefree_isolation_only(mp):
     real = exactpoly.locate_roots
 
     def checked(p, lo, hi, deep=DEEP_WIDTH):
-        assert deep is not None or poly_gcd(p, p.derivative()).degree == 0
+        assert deep is not None or squarefree(p)[1] == (1,)
         return real(p, lo, hi, deep)
 
     mp.setattr(exactpoly, "locate_roots", checked)
@@ -625,7 +649,7 @@ class TestCountRootsDifferential:
         p, lo, hi = case
         with pytest.MonkeyPatch.context() as mp:
             squarefree_isolation_only(mp)
-            assert count_roots(p, lo, hi) == sturm_count(p, lo, hi)
+            assert count_roots(ints(p), lo, hi) == sturm_count(p, lo, hi)
 
     @pytest.mark.parametrize("p,lo,hi,expected", [
         pytest.param(Poly([-2, 0, 1]) ** 2, -2, 2, 2, id="sqrt2-squared"),
@@ -639,7 +663,7 @@ class TestCountRootsDifferential:
     def test_known_counts(self, p, lo, hi, expected):
         with pytest.MonkeyPatch.context() as mp:
             squarefree_isolation_only(mp)
-            assert count_roots(p, lo, hi) == sturm_count(p, lo, hi) == expected
+            assert count_roots(ints(p), lo, hi) == sturm_count(p, lo, hi) == expected
 
 
 class TestExactQuotient:
@@ -671,15 +695,16 @@ class TestSignsAtRoots:
         st.lists(st.fractions(F(-19, 10), F(19, 10), max_denominator=40), max_size=3),
         st.booleans(),
         st.sampled_from([1, -3, F(1, 7)]),
+        st.sampled_from([F(4), F(1, 2**48)]),  # the isolating cells, and certify's ROOT_WIDTH
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_the_sign_at_rational_roots(self, roots, q_roots, share, lead):
+    def test_matches_the_sign_at_rational_roots(self, roots, q_roots, share, lead, width):
         if share:
             q_roots = q_roots + roots[:1]  # q vanishes at a root of p
         q = poly_from_roots(q_roots).scale(lead)
-        located = locate_roots(poly_from_roots(roots), -2, 2)
+        located = locate_roots(ints(poly_from_roots(roots)), -2, 2)
         expected = [sign(q(r)) for r in sorted(roots)]
-        assert signs_at_roots(located, q, located.cells(F(4))) == expected
+        assert signs_at_roots(located, ints(q), located.cells(width)) == expected
 
     @pytest.mark.parametrize("offset,expected", [
         (F(-1, 2**150), -1),   # decided above the gcd depth
@@ -687,21 +712,21 @@ class TestSignsAtRoots:
         (F(0), 0),
     ])
     def test_root_of_q_next_to_a_root_of_p(self, offset, expected):
-        located = locate_roots(poly_from_roots([F(-1), F(1, 3)]), -2, 2)
+        located = locate_roots(ints(poly_from_roots([F(-1), F(1, 3)])), -2, 2)
         q = Poly([-F(1, 3) + offset, 1])  # q(1/3) = offset
-        assert signs_at_roots(located, q, located.cells(F(4))) == [-1, expected]
+        assert signs_at_roots(located, ints(q), located.cells(F(4))) == [-1, expected]
 
     def test_irrational_roots(self):
         p = Poly([-2, 0, 1])                 # roots -sqrt(2), sqrt(2)
         q = T * p - Poly([F(1, 10**30)])     # -10^-30 at both roots
-        located = locate_roots(p, -2, 2)
-        assert signs_at_roots(located, q, located.cells(F(4))) == [-1, -1]
+        located = locate_roots(ints(p), -2, 2)
+        assert signs_at_roots(located, ints(q), located.cells(F(4))) == [-1, -1]
 
     def test_constant_and_zero(self):
-        located = locate_roots(poly_from_roots([F(-1, 2), F(1, 2)]), -2, 2)
-        ivs = located.cells(F(4))
-        assert signs_at_roots(located, Poly([F(-2, 3)]), ivs) == [-1, -1]
-        assert signs_at_roots(located, Poly(), ivs) == [0, 0]
+        located = locate_roots(ints(poly_from_roots([F(-1, 2), F(1, 2)])), -2, 2)
+        depths = located.cells(F(4))
+        assert signs_at_roots(located, (-2,), depths) == [-1, -1]
+        assert signs_at_roots(located, (), depths) == [0, 0]
 
 
 def gauss_reference(matrix, rhs):

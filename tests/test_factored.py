@@ -2,6 +2,7 @@
 roots factored out, and the cofactor certificate in `synthesize` and `certify`."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +17,7 @@ from height_reference import reference_height_series
 from knotforge import chebyshev as cb, exactpoly, knots
 from knotforge.chebyshev import ChebT, ChebV, lift_from_V, to_V
 from knotforge.errors import CertificationFailed, EpsilonExhausted, SingularSystem
-from knotforge.exactpoly import Poly, locate_roots, solve_linear
+from knotforge.exactpoly import Poly, _primitive_ints, locate_roots, solve_linear
 from knotforge.knots import (
     NodeSet,
     build_cn,
@@ -54,11 +55,12 @@ class TestAgainstTheCBasis:
         basis, _ = bases
         a, a_poly = reference_deformation(basis, nodes)
         series = solve_deformation(nodes)
-        cofactor = a_poly // planted_factor(nodes)
+        planted = Poly(planted_factor(nodes))
+        cofactor = a_poly // planted
         assert series == to_V(a_poly)
         assert series.to_poly() == a_poly
         assert triangular_coordinates(a_poly, basis.cn[:nodes.n + 1]) == a + (1,)
-        assert planted_factor(nodes) * cofactor == a_poly
+        assert planted * cofactor == a_poly
         assert cofactor.is_even() and cofactor.degree == 2 * (nodes.n // 2)
 
     @pytest.mark.parametrize("nodes", NODE_SETS)
@@ -124,11 +126,30 @@ class TestHotPath:
         curve, report = synthesize(21)
 
         def refuse(self):
-            raise AssertionError("a Poly is built only when the planted path fails")
+            raise AssertionError("a series was expanded to a Poly")
 
         monkeypatch.setattr(cb.ChebV, "to_poly", refuse)
         again = certify(curve.plane.y, curve.z, 21, NodeSet(10, report.nodes))
         assert again.crossings == report.crossings
+
+    @pytest.mark.parametrize("nodes,height", [
+        pytest.param(True, True, id="nodes"),
+        pytest.param(False, True, id="node-less"),
+        pytest.param(False, False, id="plane-only"),
+    ])
+    def test_certify_builds_no_poly(self, monkeypatch, nodes, height):
+        # every certificate runs on integer coefficients and dyadic cells
+        curve, report = synthesize(21)
+
+        def refuse(self, *args):
+            raise AssertionError("certify built a Poly")
+
+        monkeypatch.setattr(exactpoly.Poly, "__init__", refuse)
+        again = certify(curve.plane.y, curve.z if height else None, 21,
+                        NodeSet(10, report.nodes) if nodes else None)
+        monkeypatch.undo()
+        assert again.crossings == (report.crossings if height else tuple(
+            replace(c, sign=None) for c in report.crossings))
 
     def test_failed_certificate_halves_until_exhausted(self, monkeypatch):
         tried = []
@@ -190,7 +211,7 @@ def record_squarefree(monkeypatch):
     real = knots.squarefree
 
     def recorded(p):
-        degrees.append(p.degree)
+        degrees.append(len(p) - 1)
         return real(p)
 
     monkeypatch.setattr(knots, "squarefree", recorded)
@@ -201,9 +222,8 @@ class TestCertifyFallback:
     def test_positive_bound_without_a_root_is_left_to_isolation(self):
         # g(v) = (v - 2)^2 + 1/64 has no real root, but Descartes' bound on
         # (0, 4) is 2: the one-sided test does not decide it
-        g = Poly([F(257, 64), -4, 1])
-        assert exactpoly.descartes_bound(g, 0, 4) == 2
-        assert knots.certify_cofactor(Poly([F(257, 64), 0, -4, 0, 1])) is False
+        assert exactpoly.descartes_bound((257, -256, 64), 0, 4) == 2
+        assert knots.certify_cofactor((257, 0, -256, 0, 64)) is False
 
     def test_undecided_cofactor_gives_the_same_report(self, monkeypatch):
         # a cofactor test that never decides leaves R to its isolation,
@@ -237,7 +257,7 @@ class TestCertifyFallback:
         # whose roots in (-2, 2) are the repeated ones
         r_poly = Poly([0, 1]) * Poly([-2, 0, 1]) ** 3
         assert to_V(r_poly) == ChebV.of({3: 2, 7: 1})
-        assert locate_roots(r_poly, -2, 2) is None
+        assert locate_roots(_primitive_ints(r_poly), -2, 2) is None
         y, z = curve_with_r(to_V(r_poly))
         degrees = record_squarefree(monkeypatch)
         for nodes in (NodeSet(1, (F(1, 2),)), None):
@@ -253,7 +273,7 @@ class TestCertifyFallback:
         # gcd(R, R') = u^2 - 5 has none there
         pair = Poly([F(1, 9) + F(1, 2**500), F(-2, 3), 1])
         r_poly = into_the_image(Poly([-5, 0, 1]) ** 2 * pair)
-        assert locate_roots(r_poly, -2, 2) is None
+        assert locate_roots(_primitive_ints(r_poly), -2, 2) is None
         y, z = curve_with_r(to_V(r_poly))
         degrees = record_squarefree(monkeypatch)
         report = certify(y, z, 1)

@@ -16,7 +16,6 @@ from knotforge.errors import (
     SingularSystem,
 )
 from knotforge.exactpoly import (
-    IsolatingInterval,
     LocatedRoots,
     Poly,
     _primitive_ints,
@@ -38,6 +37,8 @@ from knotforge.knots import (
     synthesize,
 )
 from sturm_reference import SturmChain, isolate_roots, refine
+
+ints = _primitive_ints
 
 T = Poly([0, 1])
 
@@ -86,11 +87,10 @@ class TestDeformation:
 
 
 def cofactor_of(a_poly, n):
-    """G with A = P G for the planted factor P of the nodes 1/8, ..., n/8, or None
-    when P does not divide A."""
+    """The integers of G with A = P G for the planted factor P of the nodes
+    1/8, ..., n/8, or None when P does not divide A."""
     nodes = NodeSet(n, tuple(F(i, 8) for i in range(1, n + 1)))
-    q, r = divmod(a_poly, knots.planted_factor(nodes))
-    return q if r.is_zero else None
+    return exact_quotient(ints(a_poly), knots.planted_factor(nodes))
 
 
 class TestCertify:
@@ -108,7 +108,7 @@ class TestCertify:
         # C_2 = t^5 (t^2 - 6) has one distinct root in [-2, 2], but it is
         # fivefold: a tangency, which the cofactor certificate refuses
         c2 = build_cn(2).cn[2]
-        assert knots.count_roots(c2, F(-2), F(2)) == 1
+        assert knots.count_roots(ints(c2), F(-2), F(2)) == 1
         assert not certify_cofactor(cofactor_of(c2, 0))
 
     def test_root_between_one_and_two_fails(self):
@@ -118,21 +118,21 @@ class TestCertify:
         assert certify_cofactor(cofactor_of(poly, 0)) is False and poly(F(3, 2)) == 0
 
     def test_zero_polynomial(self):
-        assert not certify_cofactor(Poly())
+        assert not certify_cofactor(())
 
     def test_repeated_planted_root_fails(self):
         # G vanishing at a planted node makes that root of A double
         nodes = NodeSet(1, (F(1, 8),))
-        a_poly = knots.planted_factor(nodes) * Poly([-1, 0, 64])
-        assert not certify_cofactor(a_poly // knots.planted_factor(nodes))
+        a_poly = Poly(knots.planted_factor(nodes)) * Poly([-1, 0, 64])
+        assert not certify_cofactor(exact_quotient(ints(a_poly), knots.planted_factor(nodes)))
 
     def test_root_at_two_is_outside_the_open_band(self):
         # g(v) = v - 4 vanishes at v = 4 only: A = t (t^2 - 4) has one root in (-2, 2)
-        assert certify_cofactor(Poly([-4, 0, 1]))
-        assert not certify_cofactor(Poly([-3, 0, 1]))   # roots +-sqrt(3) inside
+        assert certify_cofactor((-4, 0, 1))
+        assert not certify_cofactor((-3, 0, 1))   # roots +-sqrt(3) inside
 
     def test_odd_cofactor_refused(self):
-        assert not certify_cofactor(Poly([5, 1]))
+        assert not certify_cofactor((5, 1))
 
     def test_nodeless_certify_builds_no_chain_of_r(self, monkeypatch):
         # the crossings of a node-less file are isolated by Descartes
@@ -154,8 +154,7 @@ class TestCertify:
         assert report.nodes == (F(1, 16), F(1, 8), F(3, 16))
         moved = NodeSet(3, (F(1, 16), F(1, 8), F(1, 3)))
         r_poly = divided_difference(curve.plane.y).to_poly()
-        planted = _primitive_ints(knots.planted_factor(moved))
-        assert exact_quotient(_primitive_ints(r_poly), planted) is None
+        assert exact_quotient(ints(r_poly), knots.planted_factor(moved)) is None
         with pytest.raises(CertificationFailed) as exc:
             certify(curve.plane.y, curve.z, 7, moved)
         assert exc.value.stage == "nodes"
@@ -246,7 +245,7 @@ class TestPlaneLift:
 
 class TestCrossings:
     def test_trefoil_middle_crossing(self):
-        report = crossings(locate_roots(Poly([0, F(-1, 64), 0, 1]), -2, 2), 3)
+        report = crossings(locate_roots((0, -1, 0, 64), -2, 2), 3)
         mid = report.crossings[1]
         assert mid.u == pytest.approx(0.0, abs=1e-12)
         assert mid.alpha == pytest.approx(math.pi / 2, abs=1e-12)
@@ -254,14 +253,14 @@ class TestCrossings:
         assert mid.t == pytest.approx(math.sqrt(3), abs=1e-12)
 
     def test_x_coincidence_at_middle(self):
-        report = crossings(locate_roots(T, -2, 2), 1)
+        report = crossings(locate_roots((0, 1), -2, 2), 1)
         c = report.crossings[0]
         x = Poly([0, -3, 0, 1])
         xs, xt = x.eval_float([c.s, c.t])
         assert abs(xs - xt) < 1e-12
 
     def test_ordering_flags(self):
-        report = crossings(locate_roots(Poly([0, F(-1, 64), 0, 1]), -2, 2), 3)
+        report = crossings(locate_roots((0, -1, 0, 64), -2, 2), 3)
         assert len(report.crossings) == 3
         seq = [c.s for c in report.crossings] + [c.t for c in report.crossings]
         assert seq == sorted(seq)
@@ -269,43 +268,47 @@ class TestCrossings:
     # R = u^2 - 3 + e has the roots -+sqrt(3 - e), and s_2 - t_1 has the sign of -e:
     # at e = 0 the parameters s_2 = t_1 = 0 coincide
     def test_ordering_proved_below_the_float_margin(self):
-        report = crossings(locate_roots(Poly([-3 + F(1, 2**60), 0, 1]), -2, 2), 2)
-        assert [c.u_hi - c.u_lo <= F(1, 2**48) for c in report.crossings] == [True, True]
-        assert report.ordering_margin < 1e-8  # far below what the float diagnostic resolves
+        # at e = 2^-150 the proof takes the cells past 2^-150 wide, above the 2^-200 stop
+        for e in (F(1, 2**60), F(1, 2**150)):
+            report = crossings(locate_roots(ints(Poly([-3 + e, 0, 1])), -2, 2), 2)
+            assert [c.u_hi - c.u_lo <= F(1, 2**48) for c in report.crossings] == [True, True]
+            assert report.ordering_margin < 1e-8  # far below what the float diagnostic resolves
 
     def test_ordering_violation_below_the_float_margin(self):
         with pytest.raises(OrderingViolation, match="parameters s_2 and t_1 are out of order"):
-            crossings(locate_roots(Poly([-3 - F(1, 2**60), 0, 1]), -2, 2), 2)
+            crossings(locate_roots(ints(Poly([-3 - F(1, 2**60), 0, 1])), -2, 2), 2)
 
     def test_coincident_parameters_are_not_separated(self):
         with pytest.raises(OrderingViolation, match="s_2 and t_1 not separated at width 2"):
-            crossings(locate_roots(Poly([-3, 0, 1]), -2, 2), 2)
+            crossings(locate_roots((-3, 0, 1), -2, 2), 2)
 
     def test_roots_below_minus_one_reverse_s(self):
         # s falls on (-2, -1), so two roots there give s_1 > s_2
         with pytest.raises(OrderingViolation, match="parameters s_1 and s_2 are out of order"):
-            crossings(locate_roots(Poly([F(54, 25), 3, 1]), -2, 2), 2)  # (u + 9/5)(u + 6/5)
+            crossings(locate_roots((54, 75, 25), -2, 2), 2)  # (u + 9/5)(u + 6/5)
 
     @given(
         lo=st.fractions(F(-2), F(2), max_denominator=2**20),
         width=st.one_of(st.fractions(F(1, 2**70), F(2), max_denominator=2**70),
                         st.integers(-1, 80).map(lambda k: F(1, 2) ** k)),
         at=st.one_of(st.sampled_from([F(0), F(1), F(1, 3)]), st.fractions(F(0), F(1))),
+        scale=st.sampled_from([1, 3, 2**40]),  # cells come unreduced, as (l, h, d)
     )
-    @example(lo=F(-2), width=F(2), at=F(1, 3))  # wide around the minimum s(-1) = -2
-    @example(lo=F(0), width=F(2), at=F(1, 3))   # and around the maximum t(1) = 2
+    @example(lo=F(-2), width=F(2), at=F(1, 3), scale=1)  # wide around the minimum s(-1) = -2
+    @example(lo=F(0), width=F(2), at=F(1, 3), scale=1)   # and around the maximum t(1) = 2
     @settings(max_examples=200, deadline=None)
-    def test_parameter_enclosures_hold(self, lo, width, at):
+    def test_parameter_enclosures_hold(self, lo, width, at, scale):
         # reference: s, t = (u -+ sqrt(12 - 3u^2)) / 2 in 100-digit decimals
         hi = min(lo + width, F(2))
         if not lo < hi:
             return
-        iv = IsolatingInterval(lo, hi)
+        den = math.lcm(lo.denominator, hi.denominator) * scale
+        cell = (lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den)
         points = [lo + (hi - lo) * at] + [u for u in (F(-1), F(1)) if lo < u < hi]
         with localcontext() as ctx:
             ctx.prec = 100
             for sign in (-1, 1):
-                e, low, high = knots._parameter_bounds(iv, sign)
+                e, low, high = knots._parameter_bounds(cell, sign)
                 scale = Decimal(2) ** e
                 for u in points:
                     d = Decimal(u.numerator) / Decimal(u.denominator)
@@ -322,17 +325,17 @@ class TestCrossings:
         node_set = NodeSet(n, nodes)
         a_poly = solve_deformation(node_set).to_poly()
         chain = SturmChain(a_poly)
-        assert certify_cofactor(a_poly // knots.planted_factor(node_set))
+        assert certify_cofactor(exact_quotient(ints(a_poly), knots.planted_factor(node_set)))
         planted = LocatedRoots(node_set.all_roots(), F(-2), F(2))
         report = crossings(planted, 2 * n + 1)
-        assert report == crossings(locate_roots(a_poly, -2, 2), 2 * n + 1)
+        assert report == crossings(locate_roots(ints(a_poly), -2, 2), 2 * n + 1)
         cells = [refine(chain, iv, knots.ROOT_WIDTH) for iv in isolate_roots(chain, -2, 2)]
         assert [(c.u_lo, c.u_hi) for c in report.crossings] == [(iv.lo, iv.hi) for iv in cells]
 
     def test_planted_roots_locate_without_bisection(self, monkeypatch):
         node_set = NodeSet(3, (F(1, 8), F(1, 4), F(1, 2)))
         a_poly = solve_deformation(node_set).to_poly()
-        expected = crossings(locate_roots(a_poly, -2, 2), 7)
+        expected = crossings(locate_roots(ints(a_poly), -2, 2), 7)
         planted = LocatedRoots(node_set.all_roots(), F(-2), F(2))
 
         def bisection(*args):
@@ -358,25 +361,26 @@ class TestCrossings:
 
     def test_close_nodes_halve_in_closed_form(self, monkeypatch):
         # nodes 2^-62 apart share their 2^-48 cells' parameter enclosures, so
-        # the ordering proof halves them, on the planted roots alone
+        # the ordering proof takes them deeper, on the planted roots alone:
+        # every cell past the first 2N enclosures is one level deeper
         nodes = [F(1, 4), F(1, 4) + F(1, 2**62)]
-        halvings = []
-        halve = LocatedRoots.halve
+        enclosures = []
+        bounds = knots._parameter_bounds
 
-        def counted(self, i, iv):
-            halvings.append(i)
-            return halve(self, i, iv)
+        def counted(cell, sign):
+            enclosures.append(cell)
+            return bounds(cell, sign)
 
         def bisection(*args):
             raise AssertionError("crossings bisected on planted roots")
 
-        monkeypatch.setattr(LocatedRoots, "halve", counted)
+        monkeypatch.setattr(knots, "_parameter_bounds", counted)
         monkeypatch.setattr(LocatedRoots, "_narrow", bisection)
         monkeypatch.setattr(knots, "locate_roots", bisection)
         monkeypatch.setattr(knots, "squarefree", bisection)
         curve, report = synthesize(5, nodes=nodes)
         monkeypatch.undo()
-        assert halvings
+        assert len(enclosures) > 2 * 5
         plain = certify(curve.plane.y, curve.z, 5)
         assert [(c.u_lo, c.u_hi) for c in report.crossings] == [
             (c.u_lo, c.u_hi) for c in plain.crossings

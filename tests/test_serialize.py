@@ -129,22 +129,23 @@ class TestVerifyCurve:
         # `signs_at_roots` bounds |dd(z)'| on a root interval by |dd(z)'(lo)|
         # plus a bound on |dd(z)''| times the width; with a bound on |dd(z)'|
         # from the monomial coefficients alone this file took 32 refinements.
-        # The ordering proof halves no interval of this file, so every
-        # halving counted here narrows a sign interval.
+        # The ordering proof takes no cell of this file deeper, so every
+        # cell past the first of each root is one refinement of a sign.
         curve, report = synthesize(51)
         doc = curve_to_dict(51, curve.plane.x, curve.plane.y, curve.z, report, True)
         doc["nodes"] = doc["epsilon"] = None
-        calls = []
-        real = exactpoly.LocatedRoots.halve
+        cells = set()
+        real = exactpoly.LocatedRoots.ends
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+        def counting(self, i, k):
+            cells.add((i, k))
+            return real(self, i, k)
 
-        monkeypatch.setattr(exactpoly.LocatedRoots, "halve", counting)
+        monkeypatch.setattr(exactpoly.LocatedRoots, "ends", counting)
         ok, lines = verify_curve(doc)
         assert ok, lines
-        assert len(calls) <= 8
+        assert len({i for i, _ in cells}) == 51
+        assert len(cells) - 51 <= 8
 
 
 class TestDigitBudget:
