@@ -19,7 +19,12 @@ where `knots` looks them up: `solve_deformation`, `solve_height` and
 `exact_quotient` (R by the planted factor), `certify_cofactor`,
 `crossings` (cells and ordering proof), and `other`, the rest of `certify`
 (R's integer form and the space check).  `dumps` is `curve_to_dict` plus
-`dumps` of the finished curve.  A function a checkout lacks is not timed.
+`dumps` of the finished curve.  `nodeless` is `certify(y, z, N)` of the
+same curve with no nodes, as `verify` runs it on a file that stores none,
+with the steps `locate_roots` (R's isolation), `crossings`,
+`signs_at_roots` (dd(z) at R's roots) and `other`.  An `other` is the
+stage's wall time less its steps', calibrated at the stage's speed.  A
+function a checkout lacks is not timed.
 
 The output JSON holds the Python and machine identity, one calibration
 kernel sample per worker, each stage's median over every timed run per
@@ -42,6 +47,7 @@ from collections import defaultdict
 ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
 SYNTH_STAGES = ("solve_deformation", "solve_height", "certify")
 CERTIFY_STEPS = ("divided_difference", "exact_quotient", "certify_cofactor", "crossings")
+NODELESS_STEPS = ("locate_roots", "crossings", "signs_at_roots")
 
 
 def identity() -> dict:
@@ -54,7 +60,7 @@ def identity() -> dict:
 
 
 class _Spans:
-    """(stage, start, end) of every wrapped call made while `synthesize` runs."""
+    """(stage, start, end) of every wrapped call made while a worker runs."""
 
     def __init__(self) -> None:
         self.spans: list[tuple[str, float, float]] = []
@@ -82,12 +88,14 @@ def worker(src: str, ns: list[int], repeats: int) -> dict:
     knots = importlib.import_module("knotforge.knots")
     serialize = importlib.import_module("knotforge.serialize")
     rec = _Spans()
+    nodeless = rec.wrap("nodeless", knots.certify)
     for name in SYNTH_STAGES:
         setattr(knots, name, rec.wrap(name, getattr(knots, name)))
-    for name in CERTIFY_STEPS:
-        owner = knots.cb if name == "divided_difference" else knots
-        if hasattr(owner, name):
-            setattr(owner, name, rec.wrap(name, getattr(owner, name), inside="certify"))
+    for stage, steps in (("certify", CERTIFY_STEPS), ("nodeless", NODELESS_STEPS)):
+        for name in steps:
+            owner = knots.cb if name == "divided_difference" else knots
+            if hasattr(owner, name):
+                setattr(owner, name, rec.wrap(f"{stage}.{name}", getattr(owner, name), stage))
 
     t0 = time.perf_counter()
     calibrate.kernel()
@@ -103,22 +111,25 @@ def worker(src: str, ns: list[int], repeats: int) -> dict:
                 t1 = time.perf_counter()
                 serialize.dumps(serialize.curve_to_dict(
                     n, curve.plane.x, curve.plane.y, curve.z, report, True))
-                runs.append(rec.spans + [("synthesize", t0, t1), ("dumps", t1, time.perf_counter())])
+                t2 = time.perf_counter()
+                nodeless(curve.plane.y, curve.z, n)
+                runs.append(rec.spans + [("synthesize", t0, t1), ("dumps", t1, t2)])
             while not sampler.took:  # a short run can end before the first sample
                 calibrate.kernel()
             out["stages"][str(n)] = samples = defaultdict(list)
             for spans in runs:
                 totals: dict[str, list[float]] = defaultdict(lambda: [0.0, 0.0])
                 for name, a, b in spans:
-                    key = f"certify.{name}" if name in CERTIFY_STEPS else name
-                    totals[key][0] += b - a
-                    totals[key][1] += sampler.calibrated(a, b)
-                if "certify" in totals:
-                    totals["certify.other"] = [
-                        totals["certify"][k] - sum(v[k] for name, v in totals.items()
-                                                   if name.startswith("certify."))
-                        for k in (0, 1)
-                    ]
+                    totals[name][0] += b - a
+                    totals[name][1] += sampler.calibrated(a, b)
+                for stage in ("certify", "nodeless"):
+                    if stage in totals:
+                        # each step is calibrated at its own speed, so the rest is
+                        # taken in wall time and calibrated at the stage's speed
+                        wall, cal = totals[stage]
+                        other = wall - sum(v[0] for name, v in totals.items()
+                                           if name.startswith(f"{stage}."))
+                        totals[f"{stage}.other"] = [other, other * cal / wall]
                 for name, times in totals.items():
                     samples[name].append(tuple(times))
     return out

@@ -6,17 +6,18 @@ every root count is a proof, not an approximation.  Floating-point
 evaluation exists only as a convenience for plotting and diagnostics.
 
 The root layer takes integer coefficients (`_primitive_ints` adapts a
-`Poly`).  `locate_roots` isolates the roots of p in an interval by
-Descartes bisection (Collins-Akritas): sign variations after integer
-Taylor shifts, with no remainder sequence.  A finished run proves the
-count, every root simple.  Its `LocatedRoots`, or planted roots already
-certified, give the dyadic cells of Sturm bisection and refinement as a
-depth per root (`cells`) and integers (`ends`), narrowed on exact values
-of p at dyadic points.  The one root counter, `count_roots`, isolates
-the squarefree part p / gcd(p, p') (`squarefree`, by an integer
-remainder sequence and exact division), so its isolation always
-finishes.  A value at n/d is the integer sum c_i n^i d^(D-i)
-(homogeneous Horner), which also evaluates a `Poly` on its coefficients
+`Poly`).  `locate_roots` isolates, in order, the roots of p in an
+interval by Descartes bisection in the Bernstein basis: sign variations
+(`_variations`, the one Descartes test) and integer de Casteljau splits,
+with no remainder sequence.  A finished run proves the count, every
+root simple.  Its `LocatedRoots`, or planted roots already certified,
+give the dyadic cells of Sturm bisection and refinement as a depth per
+root (`cells`) and integers (`ends`), narrowed on exact values of p at
+dyadic points.  The one root counter, `count_roots`, isolates the
+squarefree part p / gcd(p, p') (`squarefree`, by an integer remainder
+sequence and exact division), so its isolation always finishes.  A
+value at n/d is the integer sum c_i n^i d^(D-i) (homogeneous Horner,
+shifts for d = 2^s), which also evaluates a `Poly` on its coefficients
 brought to one denominator.  `signs_at_roots` gives the exact sign of a
 second polynomial at each located root, from a slope bound.  Linear
 systems are solved, and determinants taken, by one fraction-free
@@ -29,6 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import add, ne
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import SingularSystem, ZeroPolynomial
@@ -254,9 +256,16 @@ def _primitive_ints(p: Poly) -> tuple[int, ...]:
 def _horner(cs: Sequence[int], num: int, den: int) -> int:
     """den^D * p(num/den) = sum c_i num^i den^(D-i) for integer coefficients cs.
 
-    Homogeneous Horner: integer products and sums only, no division or gcd.
+    Homogeneous Horner: integer products and sums only, no division or gcd;
+    at a dyadic point the powers of den are shifts.
     """
-    acc, den_k = 0, 1
+    acc = 0
+    if den > 0 and not den & (den - 1):  # den = 2^s: den^k is a shift by s k
+        s = den.bit_length() - 1
+        for k, c in enumerate(reversed(cs)):
+            acc = acc * num + (c << s * k)
+        return acc
+    den_k = 1
     for c in reversed(cs):
         acc *= num
         if c:
@@ -383,32 +392,34 @@ def _moved(cs: Sequence[int], lo: Rational, hi: Rational) -> tuple[int, ...]:
     return _content_free([v * b ** i for i, v in enumerate(reversed(r))])
 
 
-def _descartes(cs: Sequence[int]) -> int:
-    """Sign variations of (1 + x)^d c(1/(1 + x)), capped at 2.
+def _bernstein(q: Sequence[int]) -> tuple[list[int], int]:
+    """(B, L): B_i = L b_i, L = lcm_i C(d, i), for q(x) = sum b_i C(d, i) x^i (1 - x)^(d - i).
 
-    By Descartes' rule they bound the roots of c in (0, 1), counted with
-    multiplicity, and have their parity: 0 proves there are none, 1 that
-    there is exactly one, simple.  The transform is the Taylor shift by 1
-    of c reversed; each prefix-sum pass fixes one more coefficient, so
-    the count stops as soon as it reaches 2.
-    """
-    r = list(cs)
-    count = last = 0
-    for m in range(len(r), 0, -1):
+    The Taylor shift by 1 of q reversed, (1 + y)^d q(1 / (1 + y)), has the
+    coefficients C(d, i) b_i; each prefix-sum pass fixes one of them."""
+    r = list(q)
+    for m in range(len(r), 1, -1):
         r[:m] = accumulate(r[:m])
-        if r[m - 1]:
-            if last and (r[m - 1] < 0) != (last < 0):
-                count += 1
-                if count == 2:
-                    return 2
-            last = r[m - 1]
-    return count
+    binom = [math.comb(len(r) - 1, i) for i in range(len(r))]
+    scale = math.lcm(*binom)
+    return [v * (scale // c) for v, c in zip(r, binom)], scale
+
+
+def _variations(b: Sequence[int]) -> int:
+    """Sign variations of b, zeros skipped, capped at 2.
+
+    For q's Bernstein coefficients on a cell, by Descartes' rule they bound
+    q's roots inside it, counted with multiplicity, and have their parity:
+    0 proves there are none, 1 that there is exactly one, simple.
+    """
+    signs = [v > 0 for v in b if v]
+    return min(2, sum(map(ne, signs, signs[1:])))
 
 
 def descartes_bound(p: Sequence[int], lo: Rational, hi: Rational) -> int:
-    """Descartes' bound, capped at 2, on the roots of the integer polynomial p in
-    (lo, hi) counted with multiplicity; 0 proves that p has no root there."""
-    return _descartes(_moved(p, Fraction(lo), Fraction(hi)))
+    """Descartes' bound (`_variations`), capped at 2, on the roots of the integer
+    polynomial p in (lo, hi) counted with multiplicity; 0 proves there are none."""
+    return _variations(_bernstein(_moved(p, Fraction(lo), Fraction(hi)))[0])
 
 
 class LocatedRoots:
@@ -495,13 +506,13 @@ class LocatedRoots:
         return IsolatingInterval(Fraction(low, den), Fraction(high, den))
 
     def cells(self, width: Rational) -> list[int]:
-        """The depth of each root's cell in `refine(chain, iv, width)` for every iv of
-        `isolate_roots(chain, lo, hi)`, with no chain.
+        """The depth of each root's cell when (lo, hi] is bisected until every cell
+        holds one root and then every root's cell is halved down to `width`.
 
         For width = (hi - lo) / 2^depth.  Root i gets its cell at
         k = max(depth, the first depth at which no neighbouring root shares
-        its cell), a root at hi counting as a neighbour of the top one:
-        Sturm isolation splits down to there, refinement on to `depth`.
+        its cell), a root at hi counting as a neighbour of the top one: the
+        cells of Sturm isolation and refinement, with no chain.
         """
         steps = self._span / width
         depth = steps.numerator.bit_length() - 1
@@ -521,16 +532,16 @@ class LocatedRoots:
 
 def locate_roots(p: Sequence[int], lo: Rational, hi: Rational,
                  deep: Optional[Rational] = DEEP_WIDTH) -> Optional[LocatedRoots]:
-    """The roots of the integer polynomial p in (lo, hi), by Descartes bisection.
+    """The roots of the integer polynomial p in (lo, hi), in order, by Descartes bisection.
 
-    Collins-Akritas bisection (as in Rouillier-Zimmermann 2004) of
-    q(x) = p(lo + (hi - lo) x) on (0, 1): each cell is tested by
-    `_descartes`; its children are 2^d q(x / 2), by shifts, and that
-    Taylor-shifted by 1.  A midpoint where q vanishes is an exact root,
-    simple where q' does not.  A finished run proves the count, every
-    root simple, with no remainder sequence.  It is unfinished (None) when
-    a midpoint root is multiple or a cell at most `deep` wide still has
-    bound 2; with deep None it ends when the roots in (lo, hi) are simple.
+    Bisection in the Bernstein basis (Rouillier-Zimmermann 2004) of
+    q(x) = p(lo + (hi - lo) x) on (0, 1): a cell is tested by `_variations`
+    and split by one integer de Casteljau pass, each child scaled by 2^d.
+    A midpoint where q vanishes is an exact root, simple where q' does
+    not.  A finished run proves the count, every root simple.  It is
+    unfinished (None) when a midpoint root is multiple or a cell at most
+    `deep` wide still has bound 2; with deep None it ends when the roots
+    in (lo, hi) are simple.
     """
     if not p:
         raise ZeroPolynomial("roots of the zero polynomial")
@@ -540,30 +551,36 @@ def locate_roots(p: Sequence[int], lo: Rational, hi: Rational,
     d = len(q) - 1
     ratio = (hi - lo) / (deep or 1)  # the first depth whose cells are at most `deep` wide:
     last = (-(-ratio.numerator // ratio.denominator) - 1).bit_length() if deep else math.inf
+    top, scale = _bernstein(q)  # a cell's coefficients are scale 2^(k d) times q's there
     found = []
-    stack = [(q, 0, 0)]
+    stack = [(top, 0, 0)]  # left subtrees on top, so roots are found in order
     while stack:
-        c, j, k = stack.pop()
-        bound = _descartes(c)
+        b, j, k = stack.pop()
+        if b is None:  # the exact root j / k
+            found.append((j, k))
+            continue
+        bound = _variations(b)
         if bound == 1:
-            s = next(v for v in c if v)  # c just right of 0
-            found.append(((2 * j + 1, 2 << k), [j, k, 1 if s > 0 else -1, c[0], sum(c), 2]))
+            s = next(v for v in b if v)  # q just right of j / 2^k
+            found.append([j, k, 1 if s > 0 else -1, b[0] // scale, b[-1] // scale, 2])
         elif bound:
             if k >= last:
                 return None
-            left = [v << (d - i) for i, v in enumerate(c)]
-            right = left[::-1]
-            for m in range(d + 1, 1, -1):  # the Taylor shift by 1, reversed
-                right[:m] = accumulate(right[:m])
-            right.reverse()
-            if not right[0]:
+            left, right, row = [b[0]], [b[-1]], b
+            for _ in range(d):
+                row = list(map(add, row, row[1:]))
+                left.append(row[0])
+                right.append(row[-1])
+            right = [v << i for i, v in enumerate(reversed(right))]
+            stack.append((right, 2 * j + 1, k + 1))
+            if not right[0]:  # q vanishes at the midpoint, and q' with right[1]
                 if not right[1]:
                     return None
-                found.append(((2 * j + 1, 2 << k), (2 * j + 1, 2 << k)))
-            stack += [(left, 2 * j, k + 1), (right, 2 * j + 1, k + 1)]
+                stack.append((None, 2 * j + 1, 2 << k))
+            stack.append(([v << (d - i) for i, v in enumerate(left)], 2 * j, k + 1))
     located = LocatedRoots((), lo, hi)
-    located._x = [x for _, x in sorted(found, key=lambda e: Fraction(*e[0]))]
-    located.poly, located._moved, located._root_at_hi = ints, q, not sum(q)
+    located._x = found
+    located.poly, located._moved, located._root_at_hi = ints, q, not top[-1]
     return located
 
 

@@ -34,10 +34,10 @@ from typing import Any, Optional, Union
 
 from . import chebyshev as cb
 from .errors import CertificationFailed, KnotforgeError
-from .exactpoly import Poly, parse_rat, rat_str
+from .exactpoly import Poly, rat_str
 from .knots import CERTIFY_STAGES, Crossing, CrossingReport, NodeSet, certify, plane_degree
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 # The most digits `digit_budget` lets an integer have, whatever N a file claims.
 DIGITS_CAP = 100_000
 
@@ -96,10 +96,11 @@ def _rat_from_json(s: Any, what: str) -> Fraction:
     """Parse one rational string of a document, or raise SchemaError echoing it clipped."""
     if not isinstance(s, str):
         raise SchemaError(f"{what} must be a rational string, got {type(s).__name__}")
-    if not _RATIONAL.fullmatch(s):
+    match = _RATIONAL.fullmatch(s)
+    if not match:
         raise SchemaError(f"bad {what} {_clip(s)}: expected p or p/q")
     try:
-        return parse_rat(s)
+        return Fraction(int(match[1]), int(match[2] or 1))
     except ZeroDivisionError as exc:
         raise SchemaError(f"bad {what} {_clip(s)}: zero denominator") from exc
     except ValueError as exc:  # the only other failure the pattern leaves

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,10 @@ from knotforge.exactpoly import (
     IsolatingInterval,
     LocatedRoots,
     Poly,
+    _bernstein,
+    _horner,
+    _moved,
+    _variations,
     bareiss_det,
     count_roots,
     descartes_bound,
@@ -431,6 +436,16 @@ class TestIntegerKernel:
         value = p(x)
         assert type(value) is F and value == expected
 
+    @given(st.lists(st.one_of(st.just(0), st.integers(-10**30, 10**30)), max_size=12),
+           st.integers(-2**90, 2**90), st.one_of(st.integers(0, 90).map(lambda k: 2**k),
+                                                   st.integers(1, 10**9)))
+    @settings(max_examples=300, deadline=None)
+    def test_horner_matches_fraction_evaluation(self, cs, num, den):
+        # den = 2^k (k = 0 included) takes the shift path, any other den the product one
+        x = F(num, den)
+        expected = sum((c * x**i for i, c in enumerate(cs)), F(0))
+        assert _horner(cs, num, den) == expected * den ** (len(cs) - 1)
+
     @pytest.mark.parametrize("nodes", [
         pytest.param((F(1, 4), F(1, 2)), id="n5"),
         pytest.param((F(1, 8), F(1, 4), F(1, 2)), id="n7"),
@@ -585,6 +600,25 @@ class TestLocateRoots:
         assert cells == [refine(chain, iv, width) for iv in isolate_roots(chain, -2, 2)]
         assert cells[0].width < DEEP_WIDTH
 
+    @given(ROOT_SETS, st.lists(st.integers(1, 7), max_size=2))
+    @settings(max_examples=100, deadline=None)
+    def test_roots_come_out_in_order(self, roots, squares):
+        # the raw roots, exact or open cells of x, ascend as isolation emits them
+        p = poly_from_roots(roots)
+        for c in squares:
+            p = p * Poly([c, 0, 1])
+        located = locate_roots(ints(p), -2, 2)
+        spans = [(F(*x), F(*x)) if isinstance(x, tuple) else (F(x[0], 2**x[1]), F(x[0] + 1, 2**x[1]))
+                 for x in located._x]
+        assert len(spans) == len(roots)
+        assert all(a[1] <= b[0] and a != b for a, b in zip(spans, spans[1:]))
+        assert all(lo < (r + 2) / 4 < hi or lo == hi == (r + 2) / 4
+                   for (lo, hi), r in zip(spans, roots))
+        # an open cell carries q's sign just right of its left end and 2^(e d) q at its ends
+        for j, e, s, fa, fb, _ in (x for x in located._x if isinstance(x, list)):
+            assert (fa, fb) == (_horner(located._moved, j, 2**e), _horner(located._moved, j + 1, 2**e))
+            assert s == sign(fa) if fa else not fb or s == -sign(fb)
+
     def test_on_another_interval(self):
         p = poly_from_roots([F(-1, 3), F(1, 4), F(1, 4) + F(1, 2**60), F(2)])
         chain = SturmChain(p)
@@ -605,6 +639,54 @@ class TestLocateRoots:
         bound = descartes_bound(ints(p), lo, hi)
         assert bound >= min(inside, 2)
         assert bound >= 2 or bound == inside
+
+
+def prefix_sum_descartes(cs):
+    """Sign variations of (1 + x)^d c(1/(1 + x)), capped at 2: the Descartes test
+    on (0, 1) by the Taylor shift by 1 of c reversed, one prefix-sum pass per
+    coefficient, stopping at 2; the reference for `_variations`."""
+    r = list(cs)
+    count = last = 0
+    for m in range(len(r), 0, -1):
+        r[:m] = accumulate(r[:m])
+        if r[m - 1]:
+            if last and (r[m - 1] < 0) != (last < 0):
+                count += 1
+                if count == 2:
+                    return 2
+            last = r[m - 1]
+    return count
+
+
+INTERVALS = st.sampled_from([(F(-2), F(2)), (F(-2), F(0)), (F(0), F(4)), (F(-1, 3), F(1, 2)),
+                             (F(1, 4), F(1, 4) + F(1, 2**60))])
+integer_polys = st.lists(st.integers(-50, 50), min_size=1, max_size=12).filter(any)
+
+
+class TestBernstein:
+    """`_bernstein` and `_variations` against the monomial form and the prefix-sum Descartes test."""
+
+    @given(st.one_of(ROOT_SETS.map(lambda roots: ints(poly_from_roots(roots))), integer_polys),
+           INTERVALS)
+    @settings(max_examples=200, deadline=None)
+    def test_variations_match_prefix_sum_descartes(self, p, interval):
+        q = _moved(p, *interval)
+        assert _variations(_bernstein(q)[0]) == prefix_sum_descartes(q)
+        assert descartes_bound(p, *interval) == prefix_sum_descartes(q)
+
+    @given(integer_polys, st.fractions(F(0), F(1), max_denominator=50))
+    @settings(max_examples=100, deadline=None)
+    def test_coefficients_expand_to_q(self, q, x):
+        b, scale = _bernstein(q)
+        d = len(q) - 1
+        value = sum(F(v, scale) * math.comb(d, i) * x**i * (1 - x)**(d - i) for i, v in enumerate(b))
+        assert value == sum(c * x**i for i, c in enumerate(q))
+        assert (b[0], b[-1]) == (q[0] * scale, sum(q) * scale)
+
+    def test_variations_skip_zeros_and_cap_at_two(self):
+        assert _variations([]) == _variations([0, 0]) == _variations([3, 0, 5]) == 0
+        assert _variations([3, 0, -5]) == _variations([0, -1, 0, 7, 0]) == 1
+        assert _variations([1, -1, 1]) == _variations([1, -1, 1, -1, 1]) == 2
 
 
 def squarefree_isolation_only(mp):

@@ -7,7 +7,9 @@ before the crossing cells, solves and cofactor division moved to
 integers), and the `verify` digests when the
 decimal sign and residual lines gave way to exact ones (the node-less
 N = 31 and 61 ones before Descartes isolation replaced the Sturm chain
-of R); each `verify` digest was re-recorded, with no other byte changed,
+of R, the N = 101 one before isolation moved to the Bernstein basis and
+evaluation at dyadic points to shifts); each `verify` digest but that
+last one was re-recorded, with no other byte changed,
 when the count line's tag went from `[Sturm]` to `[exact]`.  Every isolating
 interval, and so every crossing abscissa and margin printed, feeds
 these bytes, so a moved interval or a changed bisection choice fails
@@ -49,11 +51,13 @@ EXPORT_SHA256 = {
 }
 # the default 1200 samples for the SVG, 2000 for the CSV
 EXPORT_ARGS = {"svg": ["--svg"], "csv": ["--csv", "--samples", "2000"]}
-# node-less `verify` of the `gen` output: the roots of R for N = 31 are
-# dyadic, so they fall on bisection midpoints of (-2, 2)
+# node-less `verify` of the `gen` output (from `gen_outputs` where it has N):
+# the roots of R for N = 31 are dyadic, so they fall on bisection midpoints
+# of (-2, 2)
 VERIFY_NODELESS_SHA256 = {
     31: "76e7f09e6813b7ad0a209dc9396da5ed697e9fc00bc1d483fbaf94ea1d5be368",
     61: "3d441b7ac548a94f560df035a17e53f36309ab3dfc573d96b5249f1910d0e8e6",
+    101: "0b2019da91a764340a46e92399567c86b3ae862ed902af7a911fe175b210d63b",
 }
 N21_VARIANTS = {
     "nodeless": {"nodes": None, "epsilon": None},
@@ -99,9 +103,12 @@ def test_verify_n21_variant_stdout(gen_outputs, tmp_path, capsys, variant):
 
 
 @pytest.mark.parametrize("n", sorted(VERIFY_NODELESS_SHA256))
-def test_verify_nodeless_stdout(tmp_path, capsys, n):
+def test_verify_nodeless_stdout(gen_outputs, tmp_path, capsys, n):
     path = tmp_path / "curve.json"
-    assert main(["gen", "--n", str(n), "--out", str(path)]) == 0
+    if n in gen_outputs:
+        path.write_bytes(gen_outputs[n])
+    else:
+        assert main(["gen", "--n", str(n), "--out", str(path)]) == 0
     doc = dict(json.loads(path.read_bytes()), nodes=None, epsilon=None)
     path.write_text(json.dumps(doc, indent=2) + "\n")
     assert sha256(verify_stdout(path, capsys).encode()) == VERIFY_NODELESS_SHA256[n]

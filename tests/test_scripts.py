@@ -44,9 +44,12 @@ def test_bench_stages_runs(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["identity"]["python"] and len(doc["kernel_s"]["parent"]) == 1
     stages = {"synthesize", "solve_deformation", "solve_height", "certify", "certify.crossings",
-              "certify.exact_quotient", "certify.other", "dumps"}
+              "certify.exact_quotient", "certify.other", "dumps", "nodeless",
+              "nodeless.locate_roots", "nodeless.crossings", "nodeless.signs_at_roots",
+              "nodeless.other"}
     for n in ("5", "9"):
         row = doc["stages"][n]
         assert stages <= set(row["change"]) and stages <= set(row["parent"])
-        assert all(v["runs"] == 1 and v["wall_s"] >= 0 for v in row["change"].values())
+        assert all(v["runs"] == 1 and v["wall_s"] >= 0 and v["calibrated_s"] >= 0
+                   for label in ("change", "parent") for v in row[label].values())
         assert set(row["ratio"]) <= set(row["change"])
