@@ -23,7 +23,6 @@ from .chebyshev import (
 )
 from .errors import (
     CertificationFailed,
-    DomainError,
     EpsilonExhausted,
     InternalInconsistency,
     KnotforgeError,
@@ -40,7 +39,6 @@ from .exactpoly import (
     count_roots,
     locate_roots,
     rat_str,
-    parse_rat,
 )
 from .knots import (
     CnBasis,
@@ -60,25 +58,23 @@ from .knots import (
     solve_height,
     synthesize,
 )
-from .pade import PadeApproximant, check_pole_locations, expand, pade
-from .stieltjes import PhiSeries, difference, hankel_det, ode_residual, phi, phi_closed
+from .pade import PadeApproximant, pade
+from .stieltjes import PhiSeries, phi
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ChebT", "ChebV", "divided_difference", "eps", "lift_from_V", "t_poly",
     "to_T", "to_V", "v_poly", "w_index", "wtilde_index",
-    "CertificationFailed", "DomainError", "EpsilonExhausted", "InternalInconsistency",
-    "KnotforgeError", "NotInImage", "OrderingViolation", "SingularSystem",
-    "ZeroPolynomial",
+    "CertificationFailed", "EpsilonExhausted", "InternalInconsistency", "KnotforgeError",
+    "NotInImage", "OrderingViolation", "SingularSystem", "ZeroPolynomial",
     "IsolatingInterval", "LocatedRoots", "Poly", "Rational", "count_roots",
-    "locate_roots", "rat_str", "parse_rat",
+    "locate_roots", "rat_str",
     "CnBasis", "Crossing", "CrossingReport", "NodeSet",
     "PlaneCurve", "SpaceCurve", "build_cn", "certify", "certify_cofactor",
     "crossing_oracle", "crossings",
     "lift_plane", "planted_factor", "solve_deformation", "solve_height",
     "synthesize",
-    "PadeApproximant", "check_pole_locations", "expand", "pade",
-    "PhiSeries", "difference", "hankel_det", "ode_residual", "phi", "phi_closed",
+    "PadeApproximant", "pade", "PhiSeries", "phi",
     "__version__",
 ]

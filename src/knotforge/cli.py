@@ -116,13 +116,13 @@ def _cmd_gen(args) -> int:
             return USAGE_EXIT
     try:
         curve, report = synthesize(args.n, epsilon=epsilon, nodes=nodes)
+        doc = serialize.curve_to_dict(args.n, curve.plane.x, curve.plane.y, curve.z, report, True)
     except KnotforgeError as exc:
         print(f"knotforge gen: certification failed: {exc}", file=sys.stderr)
         return CERT_EXIT
-    except ValueError as exc:
+    except ValueError as exc:  # bad nodes, or integers past the digit limit of N
         print(f"knotforge gen: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    doc = serialize.curve_to_dict(args.n, curve.plane.x, curve.plane.y, curve.z, report, True)
     _write(serialize.dumps(doc), args.out)
     degs = (3, curve.plane.y.degree, curve.z.degree)
     print(f"N={args.n}: certified curve of degree {degs}, "

@@ -9,10 +9,6 @@ class ZeroPolynomial(KnotforgeError):
     """An operation that needs a nonzero polynomial received the zero polynomial."""
 
 
-class DomainError(KnotforgeError, ValueError):
-    """A numeric argument lies outside the domain of the function."""
-
-
 class NotInImage(KnotforgeError):
     """The sine-basis polynomial is not in the image of the divided-difference map."""
 

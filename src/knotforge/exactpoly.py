@@ -20,8 +20,8 @@ value at n/d is the integer sum c_i n^i d^(D-i) (homogeneous Horner,
 shifts for d = 2^s), which also evaluates a `Poly` on its coefficients
 brought to one denominator.  `signs_at_roots` gives the exact sign of a
 second polynomial at each located root, from a slope bound.  Linear
-systems are solved, and determinants taken, by one fraction-free
-(Bareiss) elimination on integer rows.
+systems are solved by fraction-free (Bareiss) elimination on integer
+rows (`solve_linear`).
 """
 
 from __future__ import annotations
@@ -47,11 +47,6 @@ DEEP_WIDTH = Fraction(1, 2**200)
 def rat_str(x: Rational) -> str:
     """Serialize a rational as ``p/q``, or ``p`` when the denominator is 1."""
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def parse_rat(s: str) -> Rational:
-    """Inverse of :func:`rat_str`."""
-    return Fraction(s.strip())
 
 
 def signed_sum(terms: Iterable[tuple[Rational, str]]) -> str:
@@ -650,66 +645,38 @@ def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int
 # -- exact linear algebra ------------------------------------------------------
 
 
-def _eliminate(rows: Sequence[Sequence[Rational]], n: int) -> tuple[list[list[int]], Fraction]:
-    """Bareiss fraction-free elimination of the first n columns of rational rows.
+def solve_linear(matrix: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) -> list[Rational]:
+    """Solve an exact rational linear system by Bareiss fraction-free elimination.
 
-    Each row is first multiplied by the lcm of its denominators.  Step k
-    makes every entry below and right of the pivot a minor of order
-    k + 2 of those integer rows, so each division by the previous pivot is
-    exact (Sylvester's identity).  Returns the eliminated rows and the
-    factor f with det = f * (last pivot).  The pivot is the first nonzero
-    entry of its column; a column with none depends on the columns before
-    it, whatever pivots were chosen, and raises SingularSystem naming it.
+    Each row of [matrix | rhs] is first multiplied by the lcm of its
+    denominators.  Step k makes every entry below and right of the pivot a
+    minor of order k + 2 of those integer rows, so each division by the
+    previous pivot is exact (Sylvester's identity).  The pivot is the first
+    nonzero entry of its column; a column with none depends on the columns
+    before it, whatever pivots were chosen, and raises SingularSystem naming
+    it.  With D the last pivot, the integers D x_r, which Cramer's rule makes
+    integral, come out of back-substitution by exact division.
     """
-    a, factor = [], Fraction(1)
-    for row in rows:
+    n = len(matrix)
+    a = []
+    for i, row in enumerate(matrix):
+        row = [*row, rhs[i]]
         den = math.lcm(*(v.denominator for v in row))
         a.append([v.numerator * (den // v.denominator) for v in row])
-        factor /= den
     prev = 1
     for k in range(n):
         piv = next((r for r in range(k, n) if a[r][k]), None)
         if piv is None:
             raise SingularSystem(f"singular at column {k}")
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            factor = -factor
+        a[k], a[piv] = a[piv], a[k]
         top = a[k]
         pk, tail = top[k], top[k + 1:]
         for r in range(k + 1, n):
             row, f = a[r], a[r][k]
             a[r] = row[:k] + [0] + [(v * pk - f * w) // prev for v, w in zip(row[k + 1:], tail)]
         prev = pk
-    return a, factor
-
-
-def solve_linear(matrix: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) -> list[Rational]:
-    """Solve an exact rational linear system by fraction-free elimination.
-
-    [matrix | rhs] is eliminated by `_eliminate`; with D the last pivot,
-    the integers D x_r, which Cramer's rule makes integral, come out of
-    back-substitution by exact division.  A singular matrix raises
-    SingularSystem, naming the first column that depends on the ones
-    before it.
-    """
-    n = len(matrix)
-    a, _ = _eliminate([[*row, rhs[i]] for i, row in enumerate(matrix)], n)
-    if not n:
-        return []
-    det = a[-1][n - 1]
     y = [0] * n
     for r in range(n - 1, -1, -1):
         row = a[r]
-        y[r] = (det * row[n] - sum(row[c] * y[c] for c in range(r + 1, n))) // row[r]
-    return [Fraction(v, det) for v in y]
-
-
-def bareiss_det(matrix: Sequence[Sequence[Rational]]) -> Rational:
-    """Determinant by the fraction-free elimination of `solve_linear`; every
-    intermediate entry is a minor, so entry growth stays polynomial."""
-    n = len(matrix)
-    try:
-        a, factor = _eliminate(matrix, n)
-    except SingularSystem:
-        return Fraction(0)
-    return factor * a[-1][-1] if n else Fraction(1)
+        y[r] = (prev * row[n] - sum(row[c] * y[c] for c in range(r + 1, n))) // row[r]
+    return [Fraction(v, prev) for v in y]

@@ -8,8 +8,8 @@ m x m Hankel solve on f_{n-m+1} .. f_{n+m}; positivity of the Hankel
 minors makes it nonsingular, so a SingularSystem here means the input
 series is not what it claims to be.
 
-The structural facts the rest of the package leans on (and the test
-surface pins down): denominator roots all lie beyond the radius of
+This module computes the approximant only.  The tests check its
+structure for phi: the denominator roots all lie beyond the radius of
 convergence, and the expansion of P/Q matches the series through order
 n+m, is strictly below it at order n+m+1, and never exceeds it
 coefficientwise after that.
@@ -19,31 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable
 
 from .errors import SingularSystem
-from .exactpoly import Poly, Rational, _primitive_ints, count_roots, solve_linear
-
-SeriesLike = Union[Sequence[Rational], Callable[[int], Rational]]
-
-
-def _as_callable(series: SeriesLike) -> Callable[[int], Fraction]:
-    """Normalize a coefficient source to a function k -> f_k with f_0 = 0.
-
-    Sequences are read as (f_1, f_2, ...); callables are used as-is.
-    """
-    if callable(series):
-        return lambda k: Fraction(series(k)) if k >= 1 else Fraction(0)
-    seq = [Fraction(c) for c in series]
-
-    def f(k: int) -> Fraction:
-        if k < 1:
-            return Fraction(0)
-        if k > len(seq):
-            raise IndexError(f"series truncated before f_{k}")
-        return seq[k - 1]
-
-    return f
+from .exactpoly import Poly, Rational, solve_linear
 
 
 @dataclass(frozen=True)
@@ -56,12 +35,12 @@ class PadeApproximant:
     q: Poly
 
 
-def pade(series: SeriesLike, n: int, m: int) -> PadeApproximant:
+def pade(series: Callable[[int], Rational], n: int, m: int) -> PadeApproximant:
     """Compute the [n/m] approximant of a zero-constant-term series.
 
     Parameters
     ----------
-    series : sequence of f_1..f_{n+m}, or a callable k -> f_k
+    series : the coefficients k -> f_k, read for 1 <= k <= n + m (f_0 = 0)
     n, m : numerator and denominator degrees, m <= n
 
     Raises
@@ -75,7 +54,10 @@ def pade(series: SeriesLike, n: int, m: int) -> PadeApproximant:
         raise ValueError("only m <= n is supported")
     if m < 0:
         raise ValueError("m must be >= 0")
-    f = _as_callable(series)
+
+    def f(k: int) -> Fraction:
+        return Fraction(series(k)) if k >= 1 else Fraction(0)
+
     if m == 0:
         q = Poly([1])
     else:
@@ -89,39 +71,3 @@ def pade(series: SeriesLike, n: int, m: int) -> PadeApproximant:
     if (n > 0 and p.degree != n) or q.degree != m:
         raise SingularSystem(f"degenerate [{n}/{m}] approximant (deg p={p.degree}, deg q={q.degree})")
     return PadeApproximant(n, m, p, q)
-
-
-def expand(a: PadeApproximant, k: int) -> tuple[Rational, ...]:
-    """First k Taylor coefficients (from x^1) of p/q by exact series division."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    out = [Fraction(0)] * (k + 1)
-    for j in range(min(k, a.p.degree) + 1):
-        out[j] = a.p.coeff(j)
-    # q(0) = 1, so division is a clean forward recurrence
-    for i in range(k + 1):
-        for j in range(1, min(i, a.q.degree) + 1):
-            out[i] -= a.q.coeff(j) * out[i - j]
-    return tuple(out[1:])
-
-
-def cauchy_root_bound(q: Poly) -> Rational:
-    """Exact bound H = 1 + max |q_i| / |q_m|: every root of q has |root| < H."""
-    lead = abs(q.leading)
-    rest = [abs(c) for c in q.coeffs[:-1]]
-    return Fraction(1) + (max(rest) / lead if rest else Fraction(0))
-
-
-def check_pole_locations(a: PadeApproximant, r: Rational) -> bool:
-    """True iff the denominator has exactly m real roots in (r, infinity).
-
-    The unbounded end is replaced by the exact Cauchy bound of q, so the
-    check is an exact root count (`count_roots`), not a numeric scan.
-    """
-    if a.m == 0:
-        return True
-    r = Fraction(r)
-    bound = cauchy_root_bound(a.q)
-    if bound <= r:
-        return False
-    return count_roots(_primitive_ints(a.q), r, bound) == a.m

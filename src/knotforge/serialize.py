@@ -49,7 +49,8 @@ class SchemaError(KnotforgeError, ValueError):
 @contextlib.contextmanager
 def digit_budget(n_crossings: int):
     """Lift Python's limit on the digits of an int converted to or from a string
-    to N^2 / 2, at most DIGITS_CAP, for a curve of N crossings; restore it on exit.
+    to N^2 / 2, at most DIGITS_CAP, for a curve of N crossings; yield the limit in
+    force (0 for none) and restore the old one on exit.
 
     z's numerators and denominators grow with N (about 1,556 digits at
     N = 101, 3,144 at 151 and 4,201 at 173), past CPython's default limit
@@ -59,10 +60,11 @@ def digit_budget(n_crossings: int):
     """
     get = getattr(sys, "get_int_max_str_digits", None)
     old = get() if get is not None else 0
+    limit = max(old, min(n_crossings * n_crossings // 2, DIGITS_CAP)) if old else 0
     if old:
-        sys.set_int_max_str_digits(max(old, min(n_crossings * n_crossings // 2, DIGITS_CAP)))
+        sys.set_int_max_str_digits(limit)
     try:
-        yield
+        yield limit
     finally:
         if old:
             sys.set_int_max_str_digits(old)
@@ -140,19 +142,29 @@ def curve_to_dict(
     report: Optional[CrossingReport],
     certified: bool,
 ) -> dict[str, Any]:
-    """Assemble the schema dict, under `digit_budget(N)`; key order is part of the contract."""
-    with digit_budget(n_crossings):
-        return {
-            "N": n_crossings,
-            "epsilon": rat_str(report.epsilon) if report and report.epsilon is not None else None,
-            "nodes": ([rat_str(d) for d in report.nodes]
-                      if report and report.nodes is not None else None),
-            "x": basis_to_json(x),
-            "y": basis_to_json(y),
-            "z": basis_to_json(z) if z is not None else None,
-            "crossings": [_crossing_to_json(c) for c in report.crossings] if report else [],
-            "certified": certified,
-        }
+    """Assemble the schema dict, under `digit_budget(N)`; key order is part of the contract.
+
+    An integer with more digits than that budget, which nodes with long
+    denominators can give at small N, raises ValueError naming the limit:
+    `verify` reads under the same budget, so it could not read the file.
+    """
+    with digit_budget(n_crossings) as limit:
+        try:
+            return {
+                "N": n_crossings,
+                "epsilon": (rat_str(report.epsilon)
+                            if report and report.epsilon is not None else None),
+                "nodes": ([rat_str(d) for d in report.nodes]
+                          if report and report.nodes is not None else None),
+                "x": basis_to_json(x),
+                "y": basis_to_json(y),
+                "z": basis_to_json(z) if z is not None else None,
+                "crossings": [_crossing_to_json(c) for c in report.crossings] if report else [],
+                "certified": certified,
+            }
+        except ValueError as exc:  # only int -> str conversion raises it here
+            raise ValueError(f"an integer of the curve has more than {limit} digits, "
+                             f"the digit limit for N = {n_crossings}") from exc
 
 
 def dumps(doc: dict[str, Any]) -> str:

@@ -31,9 +31,16 @@ from knotforge.knots import (
     plane_degree,
     synthesize,
 )
-from knotforge.pade import check_pole_locations, expand, pade
-from knotforge.stieltjes import difference, hankel_det, phi, phi_closed
-from series_reference import series_sum
+from knotforge.pade import pade
+from knotforge.stieltjes import phi
+from series_reference import (
+    check_pole_locations,
+    difference,
+    expand,
+    hankel_det,
+    phi_closed,
+    series_sum,
+)
 
 FIXTURE_Y = ChebT.of({
     0: F(56), 2: F(-100), 4: F(85), 6: F(-64),

@@ -84,6 +84,19 @@ class TestGen:
         code, _, _ = run(["gen", "--n", "3", "--frob"], capsys)
         assert code == 1
 
+    def test_integers_past_the_digit_limit_of_n(self, tmp_path, capsys):
+        # a node just above 1/3 with a 1,501-digit denominator certifies, but
+        # y and z then carry integers longer than digit_budget(3) lets `verify` read
+        out = tmp_path / "n3.json"
+        node = f"{10**1500 + 1}/{3 * 10**1500}"
+        code, stdout, err = run(["gen", "--n", "3", "--nodes", node, "--out", str(out)], capsys)
+        assert code == 1
+        assert stdout == ""
+        [line] = err.splitlines()
+        assert line.startswith("knotforge gen: error: an integer of the curve has more than ")
+        assert line.endswith(" digits, the digit limit for N = 3")
+        assert not out.exists()
+
 
 class TestParser:
     def test_calls_share_one_parser(self, capsys):

@@ -1,4 +1,4 @@
-"""Byte-level golden outputs of `gen`, `verify` and `export`.
+"""Byte-level golden outputs of `gen`, `verify`, `export` and the printed tables.
 
 The `gen` digests were recorded before the integer root-isolation
 kernel replaced the rational one (N = 41 and 61 before the deformation
@@ -59,6 +59,14 @@ VERIFY_NODELESS_SHA256 = {
     61: "3d441b7ac548a94f560df035a17e53f36309ab3dfc573d96b5249f1910d0e8e6",
     101: "0b2019da91a764340a46e92399567c86b3ae862ed902af7a911fe175b210d63b",
 }
+# stdout of the commands that print phi, the [n/m] approximants and the
+# C_n basis, recorded before the test-only predicates and `bareiss_det`
+# left `stieltjes`, `pade` and `exactpoly`
+STDOUT_SHA256 = {
+    ("cn-table", "--max", "12"): "f7ee1fc3a635be48f35a5a225a3a699b012662c696897926a9fbe306fbb7a7fb",
+    ("phi", "--count", "40"): "47c37086cb91a1d309558229072ccd241f9a2dc5e1406711cc558999e7c54738",
+    ("pade", "--k", "8", "--l", "6"): "0df3e9a636123e6674258506918102a1add7cd9fa3f15a729bca00839638a9ca",
+}
 N21_VARIANTS = {
     "nodeless": {"nodes": None, "epsilon": None},
     "plane": {"z": None},
@@ -112,6 +120,12 @@ def test_verify_nodeless_stdout(gen_outputs, tmp_path, capsys, n):
     doc = dict(json.loads(path.read_bytes()), nodes=None, epsilon=None)
     path.write_text(json.dumps(doc, indent=2) + "\n")
     assert sha256(verify_stdout(path, capsys).encode()) == VERIFY_NODELESS_SHA256[n]
+
+
+@pytest.mark.parametrize("argv", sorted(STDOUT_SHA256))
+def test_table_stdout(capsys, argv):
+    assert main(list(argv)) == 0
+    assert sha256(capsys.readouterr().out.encode()) == STDOUT_SHA256[argv]
 
 
 @pytest.mark.parametrize("source,fmt", sorted(EXPORT_SHA256, key=str))

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import knotforge
 from c_basis_reference import build_cn_tilde, triangular_coordinates
 from knotforge import exactpoly, knots
 from knotforge.chebyshev import divided_difference, lift_from_V, to_V
@@ -484,3 +485,12 @@ class TestSynthesize:
         assert len(report.crossings) == 2 * n + 1 and report.signs_alternate
         assert curve.plane.y.degree == plane_degree(2 * n + 1)
         assert curve.z.degree == height_degree(2 * n + 1)
+
+
+class TestExports:
+    def test_every_exported_name_resolves(self):
+        for name in knotforge.__all__:
+            getattr(knotforge, name)
+        namespace = {}
+        exec("from knotforge import *", namespace)
+        assert set(knotforge.__all__) <= set(namespace)
