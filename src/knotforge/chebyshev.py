@@ -154,14 +154,7 @@ def divided_difference(y: ChebT) -> ChebV:
     (y(t) - y(s)) / (t - s) equals the returned polynomial evaluated at
     s + t.  Constant terms (and every T_{3j}) lie in the kernel.
     """
-    out: dict[int, Fraction] = {}
-    for k, a in y.items:
-        if k == 0:
-            continue
-        e = eps(k)
-        if e:
-            out[k - 1] = e * a
-    return ChebV.of(out)
+    return ChebV(tuple((k - 1, a if e > 0 else -a) for k, a in y.items if k and (e := eps(k))))
 
 
 def lift_from_V(r: ChebV) -> ChebT:
@@ -171,14 +164,13 @@ def lift_from_V(r: ChebV) -> ChebT:
     not in the image).  The lift sets all kernel coefficients a_{3j},
     including the constant term, to zero, which keeps degrees minimal.
     """
-    out: dict[int, Fraction] = {}
+    out = []
     for j, c in r.items:
         e = eps(j + 1)
         if e == 0:
             raise NotInImage(f"V_{j} coefficient {rat_str(c)} obstructs the lift")
-        # eps is +-1, so dividing equals multiplying
-        out[j + 1] = e * c
-    return ChebT.of(out)
+        out.append((j + 1, c if e > 0 else -c))  # eps is +-1: dividing is a sign flip
+    return ChebT(tuple(out))
 
 
 def w_index(k: int) -> int:

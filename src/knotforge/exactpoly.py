@@ -364,10 +364,6 @@ class IsolatingInterval:
     def width(self) -> Rational:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> Rational:
-        return (self.lo + self.hi) / 2
-
 
 # -- Descartes root isolation ----------------------------------------------------
 
@@ -437,11 +433,13 @@ class LocatedRoots:
         ends = (self._lo, *roots, self._hi)
         if not all(a < b for a, b in zip(ends, ends[1:])):
             raise ValueError("planted roots must be sorted, distinct and strictly inside (lo, hi)")
-        self._x: list = [((r - self._lo) / self._span).as_integer_ratio() for r in roots]
         # lo = a / c and hi - lo = b / c, so the cell j / 2^k of x is lo + b j / (c 2^k)
-        c = self._lo.denominator * self._span.denominator
-        self._frame = (self._lo.numerator * self._span.denominator,
-                       self._span.numerator * self._lo.denominator, c)
+        (ln, ld), (sn, sd) = self._lo.as_integer_ratio(), self._span.as_integer_ratio()
+        self._frame = a, b, c = ln * sd, sn * ld, ld * sd
+        self._x: list = []  # root p / q is x = (c p - a q) / (b q), a reduced pair
+        for num, den in ((c * r.numerator - a * r.denominator, b * r.denominator) for r in roots):
+            g = math.gcd(num, den)
+            self._x.append((num // g, den // g))
         self.poly: Optional[tuple[int, ...]] = None
         self._moved: tuple[int, ...] = ()  # q(x), as `locate_roots` made it
         self._root_at_hi = False
@@ -594,16 +592,17 @@ def count_roots(p: Sequence[int], lo: Rational, hi: Rational) -> int:
 def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int]) -> list[int]:
     """Exact sign of q at each root of `locate_roots`' polynomial p, 0 if q vanishes there.
 
-    q is integers, a positive multiple of the polynomial, and root i starts
-    in its cell (lo, hi] at depth depths[i] (`LocatedRoots.cells`).  With
-    c_k the primitive integers of q and m = max(|lo|, |hi|),
-    L2 = sum k (k-1) |c_k| m^(k-2) bounds |q''| on the cell, so
-    |q(lo)| > (|q'(lo)| + L2 (hi - lo)) (hi - lo), in cross-multiplied
-    integers, leaves q no root in [lo, hi]: q has the sign of q(lo) at the
-    root.  Otherwise the cell is taken deeper and tested again.  The test
-    never passes where q vanishes, so below DEEP_WIDTH the gcd of p and q
-    (built once) is asked for a root in (lo, hi], which a dyadic exact
-    root of p ends; if none, deepening goes on.
+    q is integers, a positive multiple of the polynomial.  A root held
+    exact, a dyadic point, takes the sign of one `_horner` there.  Open
+    root i starts in its cell (lo, hi] at depth depths[i]
+    (`LocatedRoots.cells`).  With c_k the primitive integers of q and
+    m = max(|lo|, |hi|), L2 = sum k (k-1) |c_k| m^(k-2) bounds |q''| on the
+    cell, so |q(lo)| > (|q'(lo)| + L2 (hi - lo)) (hi - lo), in
+    cross-multiplied integers, leaves q no root in [lo, hi]: q has the sign
+    of q(lo) at the root.  Otherwise the cell is taken deeper and tested
+    again.  The test never passes where q vanishes, so below DEEP_WIDTH
+    the gcd of p and q (built once) is asked for a root in (lo, hi], which
+    a root of p found exact while deepening ends; if none, deepening goes on.
     """
     cs = _content_free(q)
     if not cs:
@@ -613,7 +612,12 @@ def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int
     curve = [k * (k - 1) * abs(c) for k, c in enumerate(cs)][2:]
     common = None  # gcd(p, q)
     out = []
+    a, b, c = located._frame
     for i, k in enumerate(depths):
+        if isinstance(x := located._x[i], tuple):  # the root lo + b num / (c den) itself
+            val = _horner(cs, a * x[1] + b * x[0], c * x[1])
+            out.append((val > 0) - (val < 0))
+            continue
         low, high, den = located.ends(i, k)
         # L2 = l2_num / l2_den, and 0 for q of degree below 2
         l2_num, l2_den = _horner(curve, max(abs(low), abs(high)), den), den ** max(deg - 2, 0)
@@ -648,21 +652,27 @@ def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int
 def solve_linear(matrix: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) -> list[Rational]:
     """Solve an exact rational linear system by Bareiss fraction-free elimination.
 
-    Each row of [matrix | rhs] is first multiplied by the lcm of its
-    denominators.  Step k makes every entry below and right of the pivot a
-    minor of order k + 2 of those integer rows, so each division by the
-    previous pivot is exact (Sylvester's identity).  The pivot is the first
-    nonzero entry of its column; a column with none depends on the columns
-    before it, whatever pivots were chosen, and raises SingularSystem naming
-    it.  With D the last pivot, the integers D x_r, which Cramer's rule makes
-    integral, come out of back-substitution by exact division.
+    Each row of [matrix | rhs] is multiplied by the lcm of its denominators
+    and divided by its content (an all-zero row stays), and the rows are
+    eliminated smallest first, by the bit length of their largest entry,
+    which keeps the minors short.  Step k makes every entry below and right
+    of the pivot a minor of order k + 2 of those integer rows, so each
+    division by the previous pivot is exact (Sylvester's identity).  The
+    pivot is the first nonzero entry of its column; a column with none
+    depends on the columns before it, which no row scaling, row order or
+    pivot choice changes, and raises SingularSystem naming it.  With D the
+    last pivot, the integers D x_r, which Cramer's rule makes integral,
+    come out of back-substitution by exact division.
     """
     n = len(matrix)
     a = []
     for i, row in enumerate(matrix):
         row = [*row, rhs[i]]
         den = math.lcm(*(v.denominator for v in row))
-        a.append([v.numerator * (den // v.denominator) for v in row])
+        row = [v.numerator * (den // v.denominator) for v in row]
+        g = math.gcd(*row)
+        a.append([v // g for v in row] if g > 1 else row)
+    a.sort(key=lambda row: max(map(abs, row)).bit_length())
     prev = 1
     for k in range(n):
         piv = next((r for r in range(k, n) if a[r][k]), None)

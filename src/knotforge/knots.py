@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import add
 from typing import Optional, Sequence
 
 from . import chebyshev as cb
@@ -124,7 +125,7 @@ class NodeSet:
 
     def all_roots(self) -> tuple[Fraction, ...]:
         """The full planted root set {-d_n, ..., -d_1, 0, d_1, ..., d_n}, sorted."""
-        return tuple(sorted([-d for d in self.delta] + [Fraction(0)] + list(self.delta)))
+        return (*(-d for d in reversed(self.delta)), Fraction(0), *self.delta)
 
 
 @dataclass(frozen=True)
@@ -221,7 +222,7 @@ def build_cn(n_max: int) -> CnBasis:
 
 def _times_t(c: Sequence[int]) -> list[int]:
     """t * sum c_k V_k on the V basis: t V_0 = V_1, t V_k = V_{k+1} + V_{k-1}."""
-    return [a + b for a, b in zip([0, *c], [*c[1:], 0, 0])]
+    return list(map(add, [0, *c], [*c[1:], 0, 0]))
 
 
 def _times_node(c: Sequence[int], p: int, q: int) -> list[int]:
@@ -240,11 +241,11 @@ def _fit(known: list, first: list[int], count: int, residue: int, den: int) -> c
     rows = range(residue, len(known), 6)
     x = solve_linear([[col[k] for col in cols] for k in rows], [-known[k] for k in rows])
     lcm = math.lcm(*(v.denominator for v in x))
-    ints = [v.numerator * (lcm // v.denominator) for v in x]
-    return cb.ChebV.of({
-        k: Fraction(lcm * c + sum(w * col[k] for w, col in zip(ints, cols)), lcm * den)
-        for k, c in enumerate(known)
-    })
+    out = [lcm * c for c in known]
+    for v, col in zip(x, cols):
+        w = v.numerator * (lcm // v.denominator)
+        out = [a + w * b for a, b in zip(out, col)]
+    return cb.ChebV(tuple((k, Fraction(c, lcm * den)) for k, c in enumerate(out) if c))
 
 
 def planted_factor(nodes: NodeSet) -> tuple[int, ...]:
@@ -373,7 +374,8 @@ def crossings(located: LocatedRoots, n_crossings: int) -> CrossingReport:
     """Locate the N crossings of the lifted curve from the roots of R in (-2, 2).
 
     The report's intervals are the 2^-48 cells of `LocatedRoots.cells`,
-    each mapped from its midpoint through u = 2 cos(alpha),
+    each mapped from its midpoint, the double nearest (l + h) / (2 d) for
+    the integer ends (l, h, d), through u = 2 cos(alpha),
     s = 2 cos(alpha + pi/3), t = 2 cos(alpha - pi/3) in floats.  The
     2N-way ordering s_1 < ... < s_N < t_1 < ... < t_N is proved on
     rational enclosures (`_certify_ordering`), else OrderingViolation; the
@@ -386,12 +388,12 @@ def crossings(located: LocatedRoots, n_crossings: int) -> CrossingReport:
     _certify_ordering(located, depths)
     out = []
     for i, k in enumerate(depths):
-        iv = located.interval(i, k)
-        u = float(iv.midpoint)
+        low, high, den = located.ends(i, k)
+        u = (low + high) / (2 * den)  # integer true division rounds correctly
         alpha = math.acos(max(-1.0, min(1.0, u / 2.0)))
         s = 2.0 * math.cos(alpha + math.pi / 3.0)
         t = 2.0 * math.cos(alpha - math.pi / 3.0)
-        out.append(Crossing(iv.lo, iv.hi, u, alpha, s, t))
+        out.append(Crossing(Fraction(low, den), Fraction(high, den), u, alpha, s, t))
     seq = [c.s for c in out] + [c.t for c in out]
     margin = min((b - a for a, b in zip(seq, seq[1:])), default=math.inf)
     return CrossingReport(n_crossings=n_crossings, crossings=tuple(out), ordering_margin=margin)
@@ -488,8 +490,9 @@ def certify(
     checked exact (by Gauss's lemma an inexact step means P does not
     divide R over Q).  An exact quotient nonzero at 2 that passes
     `certify_cofactor` proves the count and nodes stages at once: the
-    planted roots are R's roots.  That test is one-sided, and every other
-    case, a failed test included, is decided exactly below: a finished
+    2n + 1 planted roots are R's roots, all simple, so an N that differs
+    fails the count with no isolation.  That test is one-sided, and every
+    other case, a failed test included, is decided exactly below: a finished
     Descartes isolation of the same integers (`locate_roots`) proves the
     count, every root simple, and R is evaluated at the nodes in integers
     (`_values_at_planted`).  An unfinished one (a multiple root, or roots
@@ -514,37 +517,32 @@ def certify(
         raise CertificationFailed("divided-difference image of y is zero", "count")
     r = _content_free(r_ints)
     roots = nodes.all_roots() if nodes is not None else ()
-    located = None
-    if nodes is not None and 2 * nodes.n + 1 == n_crossings:
+    planted = repeated = False
+    if nodes is not None:
         cofactor = exact_quotient(r, planted_factor(nodes))
         # a certified cofactor is even: nonzero at 2, it keeps R's roots off both ends
-        if cofactor and sum(c << i for i, c in enumerate(cofactor)) and certify_cofactor(cofactor):
-            located = LocatedRoots(roots, -2, 2)
+        planted = bool(cofactor and sum(c << i for i, c in enumerate(cofactor))
+                       and certify_cofactor(cofactor))
+    located = LocatedRoots(roots, -2, 2) if planted else locate_roots(r, -2, 2)
     if located is None:
-        located = locate_roots(r, -2, 2)
-        repeated = False
-        if located is None:
-            s, g = squarefree(r)
-            located = locate_roots(s, -2, 2, None)
-            repeated = count_roots(g, -2, 2) > 0
-        if len(located) != n_crossings:
+        s, g = squarefree(r)
+        located = locate_roots(s, -2, 2, None)
+        repeated = count_roots(g, -2, 2) > 0
+    if len(located) != n_crossings:
+        raise CertificationFailed(f"R has {len(located)} roots in (-2, 2), expected {n_crossings}",
+                                  "count")
+    if repeated:
+        raise CertificationFailed("R has a repeated root in (-2, 2): a crossing is not transverse",
+                                  "count")
+    if nodes is not None and not planted:
+        if 2 * nodes.n + 1 != n_crossings:
             raise CertificationFailed(
-                f"R has {len(located)} roots in (-2, 2), expected {n_crossings}", "count"
+                f"{nodes.n} stored nodes give {2 * nodes.n + 1} planted roots, "
+                f"expected {n_crossings}", "nodes"
             )
-        if repeated:
-            raise CertificationFailed(
-                "R has a repeated root in (-2, 2): a crossing is not transverse", "count"
-            )
-        if nodes is not None:
-            if 2 * nodes.n + 1 != n_crossings:
-                raise CertificationFailed(
-                    f"{nodes.n} stored nodes give {2 * nodes.n + 1} planted roots, "
-                    f"expected {n_crossings}", "nodes"
-                )
-            for u, (value, _) in zip(roots, _values_at_planted(r, nodes.delta)):
-                if value:
-                    raise CertificationFailed(f"stored node {rat_str(u)} is not a root of R",
-                                              "nodes")
+        for u, (value, _) in zip(roots, _values_at_planted(r, nodes.delta)):
+            if value:
+                raise CertificationFailed(f"stored node {rat_str(u)} is not a root of R", "nodes")
 
     try:
         report = crossings(located, n_crossings)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from knotforge import chebyshev as cb, cli
+from knotforge import chebyshev as cb, cli, knots
 from knotforge.cli import main
 from knotforge.exactpoly import rat_str, solve_linear
 from knotforge.knots import synthesize
@@ -253,6 +253,26 @@ class TestVerify:
         assert code == 2
         assert stdout == ("ok   x = T_3\nok   R has exactly 7 roots in (-2, 2) [exact]\n"
                           "FAIL stored node -1/3 is not a root of R\nNOT VERIFIED\n")
+
+    @pytest.mark.parametrize("n_stored", [5, 9])
+    def test_wrong_n_with_stored_nodes_fails_the_count_without_isolation(
+            self, tmp_path, capsys, monkeypatch, n_stored):
+        # the certified cofactor proves that R has exactly the 7 planted roots,
+        # so the count fails with no isolation of R
+        out = tmp_path / "n7.json"
+        run(["gen", "--n", "7", "--out", str(out)], capsys)
+        doc = json.loads(out.read_text())
+        doc["N"] = n_stored
+        wrong = tmp_path / "wrong.json"
+        wrong.write_text(json.dumps(doc))
+
+        def no_isolation(*args, **kwargs):
+            raise AssertionError("R was isolated")
+
+        monkeypatch.setattr(knots, "locate_roots", no_isolation)
+        assert run(["verify", str(wrong)], capsys) == (
+            2, f"ok   x = T_3\nFAIL R has 7 roots in (-2, 2), expected {n_stored}\n"
+               "NOT VERIFIED\n", "")
 
     def test_series_x_exports_like_its_monomial_form(self, tmp_path, capsys):
         out = tmp_path / "n5.json"

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
-from itertools import accumulate
+from itertools import accumulate, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -200,7 +200,7 @@ class TestIsolation:
         ivs = isolate_roots(p, 0, 2)
         assert len(ivs) == 1
         tight = refine(p, ivs[0], F(1, 2**30))
-        mid = float(tight.midpoint)
+        mid = float((tight.lo + tight.hi) / 2)
         assert abs(mid - 2**0.5) < 1e-8
 
     def test_refine_keeps_root_at_exact_midpoint_hit(self):
@@ -786,6 +786,30 @@ class TestSignsAtRoots:
         expected = [sign(q(r)) for r in sorted(roots)]
         assert signs_at_roots(located, ints(q), located.cells(width)) == expected
 
+    @given(
+        st.lists(DYADIC.filter(lambda r: -2 < r < 2), min_size=1, max_size=5, unique=True),
+        st.lists(DYADIC, max_size=3),
+        st.booleans(),
+        st.sampled_from([1, -3, F(1, 7)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_exact_roots_match_the_cell_path(self, roots, q_roots, share, lead):
+        # planted in (-2, 2) every root is held exact and decided by one
+        # evaluation; in (-2, hi) a root k / 2^m (|k| < 64, m <= 5) sits at
+        # x = 243 (k + 2^(m+1)) / (973 2^m), never dyadic, so it is an open
+        # cell there, decided by the slope bound
+        if share:
+            q_roots = q_roots + roots[:1]  # q vanishes at a root of p
+        q = poly_from_roots(q_roots).scale(lead)
+        roots = sorted(roots)
+        exact = LocatedRoots(roots, -2, 2)
+        hi = 2 + F(1, 3**5)
+        cells = locate_roots(ints(poly_from_roots(roots)), -2, hi)
+        assert not any(isinstance(x, tuple) for x in cells._x)
+        expected = [sign(q(r)) for r in roots]
+        assert signs_at_roots(exact, ints(q), exact.cells(F(4))) == expected
+        assert signs_at_roots(cells, ints(q), cells.cells(hi + 2)) == expected
+
     @pytest.mark.parametrize("offset,expected", [
         (F(-1, 2**150), -1),   # decided above the gcd depth
         (F(1, 2**250), 1),     # decided below it, after the gcd finds no common root
@@ -837,6 +861,40 @@ class TestLinearAlgebra:
             assert str(got.value) == str(exc)
         else:
             assert solve_linear(matrix, rhs) == expected
+
+    @given(linear_systems(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_row_scale_and_order_change_nothing(self, system, data):
+        # rows cleared to int or left Fraction, scaled by positive integers
+        # and permuted: the same solution, or the same singular column
+        matrix, rhs = system
+        rows = [[*row, b] for row, b in zip(matrix, rhs)]
+        if data.draw(st.booleans(), label="int rows"):
+            rows = [[int(v * math.lcm(*(w.denominator for w in row))) for v in row] for row in rows]
+        scales = data.draw(st.lists(st.integers(1, 2**40), min_size=len(rows), max_size=len(rows)))
+        order = data.draw(st.permutations(range(len(rows))))
+        rows = [[s * v for v in rows[i]] for s, i in zip(scales, order)]
+        moved = [row[:-1] for row in rows], [row[-1] for row in rows]
+        try:
+            expected, _ = gauss_reference(matrix, rhs)
+        except SingularSystem as exc:
+            with pytest.raises(SingularSystem) as got:
+                solve_linear(*moved)
+            assert str(got.value) == str(exc)
+        else:
+            assert solve_linear(*moved) == expected
+
+    @pytest.mark.parametrize("matrix,column", [
+        pytest.param([[1, 2, 3], [0, 0, 0], [4, 5, 7]], 2, id="zero-row"),
+        pytest.param([[0, 1, 2], [0, 3, 4], [0, 5, 7]], 0, id="dependent-first-column"),
+        pytest.param([[1, 2, 5], [2, 4, 1], [3, 6, 2]], 1, id="dependent-second-column"),
+    ])
+    def test_singular_column_under_row_scale_and_order(self, matrix, column):
+        for order in permutations(range(3)):
+            for scales in ([1, 1, 1], [6, 1, 10**30], [F(1, 3), 7, F(5, 2)]):
+                rows = [[s * v for v in matrix[i]] for s, i in zip(scales, order)]
+                with pytest.raises(SingularSystem, match=f"^singular at column {column}$"):
+                    solve_linear(rows, [1, 2, 3])
 
     def test_solve(self):
         sol = solve_linear([[F(2), F(1)], [F(1), F(3)]], [F(5), F(10)])
