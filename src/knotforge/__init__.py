@@ -32,7 +32,6 @@ from .errors import (
     ZeroPolynomial,
 )
 from .exactpoly import (
-    IsolatingInterval,
     LocatedRoots,
     Poly,
     Rational,
@@ -68,8 +67,7 @@ __all__ = [
     "to_T", "to_V", "v_poly", "w_index", "wtilde_index",
     "CertificationFailed", "EpsilonExhausted", "InternalInconsistency", "KnotforgeError",
     "NotInImage", "OrderingViolation", "SingularSystem", "ZeroPolynomial",
-    "IsolatingInterval", "LocatedRoots", "Poly", "Rational", "count_roots",
-    "locate_roots", "rat_str",
+    "LocatedRoots", "Poly", "Rational", "count_roots", "locate_roots", "rat_str",
     "CnBasis", "Crossing", "CrossingReport", "NodeSet",
     "PlaneCurve", "SpaceCurve", "build_cn", "certify", "certify_cofactor",
     "crossing_oracle", "crossings",

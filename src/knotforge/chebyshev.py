@@ -194,30 +194,43 @@ def w_poly(k: int) -> Poly:
 # -- numeric evaluation ---------------------------------------------------------
 
 
-def eval_T_float(c: ChebT, ts: Sequence[float]) -> list[float]:
-    """Evaluate a T-basis polynomial in doubles at every point of a grid.
+def eval_T_float(series: Sequence[ChebT], ts: Sequence[float]) -> list[list[float]]:
+    """Evaluate one or two T-basis polynomials in doubles at every point of a grid.
 
-    Each coefficient is converted to a double once; at each point the
-    three-term recurrence runs on its own, adding the T_0 and T_1 terms
-    and then the term of each nonzero coefficient in increasing degree.
-    On [-2, 2] every T_k is bounded by 2, so this is far better
-    conditioned than expanding to the monomial basis first.
-    Diagnostics only: certification never uses floats.
+    Each coefficient is converted to a double once.  At each point one
+    three-term recurrence runs, two degrees per loop trip, and each series
+    sums from it the T_0 and T_1 terms, then the term of each nonzero
+    coefficient in increasing degree: the double operations, in the order,
+    of a one-series, one-point evaluation.  On [-2, 2] every T_k is bounded
+    by 2, so this is far better conditioned than expanding to the monomial
+    basis first.  Diagnostics only: certification never uses floats.
     """
-    items = c.items
-    if not items:
-        return [0.0] * len(ts)
-    coeffs = {k: float(ck) for k, ck in items}
-    c0, c1 = coeffs.get(0, 0.0), coeffs.get(1, 0.0)
-    # None marks a zero coefficient; a nonzero one whose double is 0.0 still adds
-    steps = [coeffs.get(k) for k in range(2, items[-1][0] + 1)]
-    out = []
+    if not 1 <= len(series) <= 2:
+        raise ValueError("eval_T_float takes one or two series")
+    top = max((c.items[-1][0] for c in series if c.items), default=0)
+    # a lone series runs beside an empty one
+    doubles = [{k: float(ck) for k, ck in c.items} for c in (*series, ChebT(()))[:2]]
+    a0, a1, b0, b1 = (d.get(k, 0.0) for d in doubles for k in (0, 1))
+    # None marks a zero coefficient; a nonzero one whose double is 0.0 still
+    # adds.  Steps come in pairs: k = 2 .. top, and top + 1 when top is even
+    a, b = ([d.get(k) for k in range(2, top + 2 - top % 2)] for d in doubles)
+    steps = list(zip(a[0::2], b[0::2], a[1::2], b[1::2]))
+    out_a, out_b = [], []
     for x in ts:
         t0, t1 = 2.0, x
-        tot = c0 * t0 + c1 * t1
-        for ck in steps:
-            t0, t1 = t1, x * t1 - t0
-            if ck is not None:
-                tot += ck * t1
-        out.append(tot)
-    return out
+        sum_a = a0 * t0 + a1 * t1
+        sum_b = b0 * t0 + b1 * t1
+        for a_even, b_even, a_odd, b_odd in steps:
+            t0 = x * t1 - t0
+            if a_even is not None:
+                sum_a += a_even * t0
+            if b_even is not None:
+                sum_b += b_even * t0
+            t1 = x * t0 - t1
+            if a_odd is not None:
+                sum_a += a_odd * t1
+            if b_odd is not None:
+                sum_b += b_odd * t1
+        out_a.append(sum_a)
+        out_b.append(sum_b)
+    return [values if c.items else [0.0] * len(ts) for c, values in zip(series, (out_a, out_b))]

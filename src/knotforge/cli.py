@@ -22,6 +22,7 @@ from .stieltjes import phi
 
 USAGE_EXIT = 1
 CERT_EXIT = 2
+MAX_SAMPLES = 1_000_000  # export's grid is held in memory, several lists of this length
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fmt = exp.add_mutually_exclusive_group(required=True)
     fmt.add_argument("--svg", action="store_true", help="plane projection with crossing gaps")
     fmt.add_argument("--csv", action="store_true", help="sampled t,x,y,z rows")
-    exp.add_argument("--samples", type=int, default=1200, metavar="M")
+    exp.add_argument("--samples", type=int, default=1200, metavar="M",
+                     help=f"grid points on t in [-2.2, 2.2], 2 to {MAX_SAMPLES} (default: 1200)")
     exp.add_argument("file", help="curve JSON file")
     exp.add_argument("--out", metavar="FILE", help="output path (default: stdout)")
     return parser
@@ -179,8 +181,9 @@ def _cmd_pade(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    if args.samples < 2:
-        print("knotforge export: error: --samples must be >= 2", file=sys.stderr)
+    if not 2 <= args.samples <= MAX_SAMPLES:
+        print(f"knotforge export: error: --samples must be between 2 and {MAX_SAMPLES}",
+              file=sys.stderr)
         return USAGE_EXIT
     doc = _load(args.file)
     try:

@@ -27,7 +27,6 @@ rows (`solve_linear`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, ne
@@ -353,18 +352,6 @@ def squarefree(p: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return exact_quotient(a, g), g
 
 
-@dataclass(frozen=True)
-class IsolatingInterval:
-    """Half-open interval (lo, hi] certified to contain exactly one root."""
-
-    lo: Rational
-    hi: Rational
-
-    @property
-    def width(self) -> Rational:
-        return self.hi - self.lo
-
-
 # -- Descartes root isolation ----------------------------------------------------
 
 
@@ -492,11 +479,6 @@ class LocatedRoots:
         a, b, c = self._frame
         low = (a << k) + b * self._index(i, k)
         return low, low + b, c << k
-
-    def interval(self, i: int, k: int) -> IsolatingInterval:
-        """The cell `ends(i, k)` in `Fraction`s, for the report."""
-        low, high, den = self.ends(i, k)
-        return IsolatingInterval(Fraction(low, den), Fraction(high, den))
 
     def cells(self, width: Rational) -> list[int]:
         """The depth of each root's cell when (lo, hi] is bisected until every cell

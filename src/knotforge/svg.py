@@ -8,13 +8,14 @@ curve without height data renders as one unbroken polyline.
 
 Both formats share one sampler: it builds the t grid on T_RANGE once and
 evaluates each coordinate over the whole grid in one pass
-(`Poly.eval_float`, `chebyshev.eval_T_float`), converting every
-coefficient to a double once.  Each sample takes the same double
-operations in the same order as a one-point evaluation, so the bytes
-written do not depend on the grid form.  A sampled value that is not
-finite, or an SVG frame whose span or scale is not, is a `SchemaError`
-(exit 1 in the CLI) rather than a `nan`/`inf` in the output.  The gap
-test finds the two under-parameters next to each sample by bisection.
+(`Poly.eval_float`, `chebyshev.eval_T_float`, where y and z share one
+recurrence), converting every coefficient to a double once.  Each sample
+takes the same double operations in the same order as a one-point
+evaluation, so the bytes written do not depend on the grid form.  A
+sampled value that is not finite, or an SVG frame whose span or scale is
+not, is a `SchemaError` (exit 1 in the CLI) rather than a `nan`/`inf` in
+the output.  The gap test walks the ascending grid and the sorted
+under-parameters together.  One `%` formats each CSV body and polyline.
 
 Floating-point evaluation is fine here: rendering is diagnostics, and
 certification never flows through this module.
@@ -23,7 +24,6 @@ certification never flows through this module.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import replace
 from typing import Any, Optional
 
@@ -61,10 +61,11 @@ def _under_parameters(crossings: tuple[tuple[float, float, Optional[int]], ...])
 def _sample(curve: StoredCurve, samples: int, heights: bool) -> tuple[list[float], ...]:
     """The t grid and the x, y (and, with `heights`, z) columns, each checked finite."""
     lo, hi = T_RANGE
-    ts = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
-    columns = {"x": curve.x.eval_float(ts), "y": cb.eval_T_float(curve.y, ts)}
-    if heights and curve.z is not None:
-        columns["z"] = cb.eval_T_float(curve.z, ts)
+    span, last = hi - lo, samples - 1
+    ts = [lo + span * i / last for i in range(samples)]
+    series = (curve.y, curve.z) if heights and curve.z is not None else (curve.y,)
+    columns = {"x": curve.x.eval_float(ts)}
+    columns.update(zip("yz", cb.eval_T_float(series, ts)))
     for name, values in columns.items():
         if not all(map(math.isfinite, values)):
             raise SchemaError(f"a {name} value is beyond the double range on [{lo}, {hi}]")
@@ -76,7 +77,7 @@ def _axis(name: str, values: list[float], size: float) -> tuple[float, float]:
     v0, v1 = min(values), max(values)
     pad = 0.05 * (v1 - v0 or 1.0)
     v0, v1 = v0 - pad, v1 + pad
-    scale = size / (v1 - v0)
+    scale = size / (v1 - v0) if v1 > v0 else math.inf  # a flat range far from 0 absorbs the pad
     if not (math.isfinite(v1 - v0) and math.isfinite(scale)):
         raise SchemaError(f"the {name} range of the curve cannot be scaled in doubles")
     return v0, scale
@@ -86,8 +87,30 @@ def render_csv(doc: dict[str, Any], samples: int) -> str:
     curve = _plottable(doc)
     columns = _sample(curve, samples, heights=True)
     header = "t,x,y,z" if curve.z is not None else "t,x,y"
+    flat = [0.0] * (len(columns) * samples)  # row by row: t, x, y(, z)
+    for j, values in enumerate(columns):
+        flat[j::len(columns)] = values
     row = ",".join(["%.12g"] * len(columns))
-    return "\n".join([header, *(row % values for values in zip(*columns))]) + "\n"
+    body = "\n".join([row] * samples) % tuple(flat)
+    return f"{header}\n{body}\n"
+
+
+def _segments(ts: list[float], unders: list[float], gap: float) -> list[tuple[int, int]]:
+    """Index ranges [start, stop) of two or more samples, none within `gap` of an
+    under-parameter.  The two neighbours of t in `unders` decide, and on the
+    ascending grid the first one >= t (`bisect_left`'s index) only moves up."""
+    segments = []
+    start, i, n = 0, 0, len(unders)
+    for j, t in enumerate(ts):
+        while i < n and unders[i] < t:
+            i += 1
+        if (i < n and abs(t - unders[i]) < gap) or (i > 0 and abs(t - unders[i - 1]) < gap):
+            if j - start >= 2:
+                segments.append((start, j))
+            start = j + 1
+    if len(ts) - start >= 2:
+        segments.append((start, len(ts)))
+    return segments
 
 
 def render_svg(doc: dict[str, Any], samples: int) -> str:
@@ -102,40 +125,19 @@ def render_svg(doc: dict[str, Any], samples: int) -> str:
         closest = min(b - a for a, b in zip(unders, unders[1:]))
         gap = min(gap, closest / 3.0)
 
-    def in_gap(t: float) -> bool:
-        # |t - u| grows with the distance of u from t on either side, so the
-        # two neighbours of t in the sorted list decide
-        i = bisect_left(unders, t)
-        return ((i < len(unders) and abs(t - unders[i]) < gap)
-                or (i > 0 and abs(t - unders[i - 1]) < gap))
-
-    # split the parameter line into segments, cutting a gap around each
-    # under-parameter; overlapping gaps merge on their own
-    segments: list[list[tuple[float, float]]] = []
-    current: list[tuple[float, float]] = []
-    for t, p in zip(ts, zip(xs, ys)):
-        if in_gap(t):
-            if len(current) >= 2:
-                segments.append(current)
-            current = []
-        else:
-            current.append(p)
-    if len(current) >= 2:
-        segments.append(current)
-
     width, height = 800.0, 600.0
     x0, sx = _axis("x", xs, width)
     y0, sy = _axis("y", ys, height)
-
-    def tx(p: tuple[float, float]) -> str:
-        # flip y so larger values render upward
-        return f"{(p[0] - x0) * sx:.2f},{(height - (p[1] - y0) * sy):.2f}"
+    pixels = [0.0] * (2 * samples)  # x, y per sample; flip y so larger values render upward
+    pixels[0::2] = [(x - x0) * sx for x in xs]
+    pixels[1::2] = [height - (y - y0) * sy for y in ys]
 
     stroke = max(1.0, 0.004 * max(width, height))
     body = "\n".join(
-        f'  <polyline fill="none" stroke="black" stroke-width="{stroke:.2f}" '
-        f'points="{" ".join(tx(p) for p in seg)}"/>'
-        for seg in segments
+        f'  <polyline fill="none" stroke="black" stroke-width="{stroke:.2f}" points="'
+        + " ".join(["%.2f,%.2f"] * (stop - start)) % tuple(pixels[2 * start:2 * stop])
+        + '"/>'
+        for start, stop in _segments(ts, unders, gap)
     )
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width:.0f} {height:.0f}">\n'

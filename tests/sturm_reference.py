@@ -5,16 +5,16 @@ by Descartes isolation, `locate_roots` isolates by Descartes bisection,
 and `LocatedRoots.cells` gives the depths at which isolation and
 refinement on a Sturm chain stop.  `SturmChain`, its `count_roots`,
 `isolate_roots` and `refine` are that reference, on the library's integer
-remainder sequence; `cell_intervals` puts the library's cells in its
-terms.
+remainder sequence; `interval` and `cell_intervals` put the library's
+cells in its terms.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from knotforge.errors import ZeroPolynomial
 from knotforge.exactpoly import (
-    IsolatingInterval,
     Poly,
     Rational,
     _content_free,
@@ -25,9 +25,27 @@ from knotforge.exactpoly import (
 )
 
 
+@dataclass(frozen=True)
+class IsolatingInterval:
+    """Half-open interval (lo, hi] certified to contain exactly one root."""
+
+    lo: Rational
+    hi: Rational
+
+    @property
+    def width(self) -> Rational:
+        return self.hi - self.lo
+
+
+def interval(located, i: int, k: int) -> IsolatingInterval:
+    """Root i's cell `located.ends(i, k)`, in `Fraction`s."""
+    low, high, den = located.ends(i, k)
+    return IsolatingInterval(Fraction(low, den), Fraction(high, den))
+
+
 def cell_intervals(located, width: Rational) -> list[IsolatingInterval]:
     """The cells of `located.cells(width)`, as intervals."""
-    return [located.interval(i, k) for i, k in enumerate(located.cells(width))]
+    return [interval(located, i, k) for i, k in enumerate(located.cells(width))]
 
 
 def sign_at(cs, num: int, den: int) -> int:

@@ -23,6 +23,8 @@ from knotforge.chebyshev import (
 from knotforge.errors import NotInImage
 from knotforge.exactpoly import Poly
 
+from export_reference import eval_T_float_at, poly_eval_float_at
+
 
 def v_ext(n: int) -> Poly:
     """V at any integer index via the reflection V_{-m} = -V_{m-2}."""
@@ -183,31 +185,6 @@ class TestWIndices:
             assert v_poly(wtilde_index(k)).degree == 2 * k + 2 * ((k + 1) // 2)
 
 
-def eval_T_float_at(c: ChebT, x: float) -> float:
-    """Reference: the one-point recurrence the grid evaluator must reproduce."""
-    items = c.items
-    if not items:
-        return 0.0
-    kmax = items[-1][0]
-    coeffs = dict(c.items)
-    t0, t1 = 2.0, x
-    tot = float(coeffs.get(0, 0)) * t0 + float(coeffs.get(1, 0)) * t1
-    for k in range(2, kmax + 1):
-        t0, t1 = t1, x * t1 - t0
-        ck = coeffs.get(k)
-        if ck:
-            tot += float(ck) * t1
-    return tot
-
-
-def poly_eval_float_at(p: Poly, x: float) -> float:
-    """Reference: the one-point Horner the grid evaluator must reproduce."""
-    acc = 0.0
-    for c in reversed(p.coeffs):
-        acc = acc * x + float(c)
-    return acc
-
-
 def bits(values: list[float]) -> list[str]:
     # float.hex tells -0.0 from 0.0, and every nan from every number
     return [v.hex() for v in values]
@@ -228,7 +205,7 @@ class TestFloatEval:
         y = ChebT.of({0: 3, 2: F(1, 4), 7: -2})
         exact = y.to_poly()
         xs = [-1.75, -0.5, 0.0, 1.2]
-        assert eval_T_float(y, xs) == pytest.approx(exact.eval_float(xs), abs=1e-12)
+        assert eval_T_float([y], xs)[0] == pytest.approx(exact.eval_float(xs), abs=1e-12)
 
     @given(coeffs=st.dictionaries(st.integers(0, 14), float_coefficients, max_size=6),
            xs=grid_points)
@@ -241,14 +218,43 @@ class TestFloatEval:
     @settings(max_examples=150, deadline=None)
     def test_grid_is_bit_equal_to_pointwise(self, coeffs, xs):
         c = ChebT.of(coeffs)
-        assert bits(eval_T_float(c, xs)) == bits([eval_T_float_at(c, x) for x in xs])
+        assert bits(eval_T_float([c], xs)[0]) == bits([eval_T_float_at(c, x) for x in xs])
         p = c.to_poly()
         assert bits(p.eval_float(xs)) == bits([poly_eval_float_at(p, x) for x in xs])
 
+    @given(first=st.dictionaries(st.integers(0, 14), float_coefficients, max_size=6),
+           second=st.dictionaries(st.integers(0, 14), float_coefficients, max_size=6),
+           xs=grid_points)
+    @example(first={0: F(3), 2: F(1, 4), 7: F(-2)}, second={}, xs=[-2.2, 0.0, 2.2])
+    @example(first={}, second={1: F(5), 12: F(-3, 7)}, xs=[-2.2, -0.0, 0.0, 2.2])
+    @example(first={}, second={}, xs=[-2.0, 0.0])
+    @example(first={0: F(1), 4: F(2), 9: F(-3)}, second={1: TINY, 3: F(10**300)}, xs=[-2.2, 2.2])
+    # the -0.0 partial sums of test_signed_zero_partial_sum, in either slot
+    @example(first={0: -TINY, 2: TINY}, second={0: -TINY}, xs=[-2.0, -1.0, 0.0])
+    @example(first={0: -TINY}, second={0: -TINY, 2: TINY, 13: F(1)}, xs=[-2.0, -1.0, 0.0])
+    # T_2(-2) = T_3(-1) = 2, so a TINY T_2 or T_3 term turns a -0.0 partial sum into +0.0
+    @example(first={0: -TINY, 3: TINY}, second={0: -TINY, 2: TINY, 3: TINY},
+             xs=[-2.0, -1.0, -0.0])
+    @settings(max_examples=150, deadline=None)
+    def test_two_series_share_one_recurrence(self, first, second, xs):
+        # different degrees, odd and even tops, an empty series: each output is
+        # the one-point recurrence of its own series, bit for bit
+        pair = [ChebT.of(first), ChebT.of(second)]
+        got = eval_T_float(pair, xs)
+        assert [bits(values) for values in got] == [bits([eval_T_float_at(c, x) for x in xs])
+                                                    for c in pair]
+        assert bits(eval_T_float(pair[1:], xs)[0]) == bits(got[1])
+
+    def test_takes_one_or_two_series(self):
+        with pytest.raises(ValueError, match="one or two series"):
+            eval_T_float([], [0.0])
+        with pytest.raises(ValueError, match="one or two series"):
+            eval_T_float([ChebT.of({0: 1})] * 3, [0.0])
+
     def test_signed_zero_partial_sum(self):
         c = ChebT.of({0: -TINY, 2: TINY})
-        assert bits(eval_T_float(c, [-2.0])) == [(0.0).hex()]
-        assert bits(eval_T_float(ChebT.of({0: -TINY}), [-2.0])) == [(-0.0).hex()]
+        assert bits(eval_T_float([c], [-2.0])[0]) == [(0.0).hex()]
+        assert bits(eval_T_float([ChebT.of({0: -TINY})], [-2.0])[0]) == [(-0.0).hex()]
         assert bits(Poly([-TINY]).eval_float([-1.0, 1.0])) == [(-0.0).hex(), (0.0).hex()]
 
 

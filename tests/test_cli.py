@@ -448,6 +448,16 @@ class TestExport:
         assert code == 0
         assert svg.count("<polyline") == 10
 
+    @pytest.mark.parametrize("fmt", ["--svg", "--csv"])
+    def test_samples_above_the_bound_exit_one(self, fixture_n9_path, tmp_path, capsys, fmt):
+        # rejected before any sampling: no grid is built and no file written
+        out = tmp_path / "out"
+        code, stdout, err = run(["export", fmt, "--samples", "1000001", fixture_n9_path,
+                                 "--out", str(out)], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == "knotforge export: error: --samples must be between 2 and 1000000\n"
+        assert not out.exists()
+
     def test_plane_only_svg_is_unbroken(self, fixture_n9_path, capsys):
         code, out, _ = run(["export", "--svg", fixture_n9_path, "--samples", "800"], capsys)
         assert code == 0
@@ -522,6 +532,21 @@ class TestExport:
                        "the y range of the curve cannot be scaled in doubles\n")
         code, csv, _ = run(["export", "--csv", str(bad)], capsys)
         assert code == 0 and not NON_FINITE.search(csv)
+
+    @pytest.mark.parametrize("n,samples", [(49, "2"), (3, "1200")])
+    def test_svg_flat_range_far_from_zero_exits_one(self, tmp_path, capsys, n, samples):
+        # y is even, so at 2 samples y(-2.2) = y(2.2), about 10^15 at N = 49, and
+        # a constant 2 * 10^20 is flat at any count: the 0.05 pad is lost in
+        # rounding and the padded span is 0, which raised ZeroDivisionError
+        path = tmp_path / "curve.json"
+        run(["gen", "--n", str(n), "--out", str(path)], capsys)
+        if n == 3:
+            doc = dict(json.loads(path.read_text()), y={"basis": "T", "coeffs": ["1" + "0" * 20]})
+            path.write_text(json.dumps(doc))
+        code, stdout, err = run(["export", "--svg", "--samples", samples, str(path)], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == ("knotforge export: bad curve file: "
+                       "the y range of the curve cannot be scaled in doubles\n")
 
     def test_requires_format_flag(self, tmp_path, capsys):
         out = tmp_path / "n3.json"

@@ -10,7 +10,6 @@ from knotforge import exactpoly
 from knotforge.errors import SingularSystem, ZeroPolynomial
 from knotforge.exactpoly import (
     DEEP_WIDTH,
-    IsolatingInterval,
     LocatedRoots,
     Poly,
     _bernstein,
@@ -30,9 +29,11 @@ from knotforge.exactpoly import (
 )
 from series_reference import gauss_reference
 from sturm_reference import (
+    IsolatingInterval,
     SturmChain,
     cell_intervals,
     count_roots as sturm_count,
+    interval,
     isolate_roots,
     refine,
     sign_at,
@@ -516,10 +517,10 @@ class TestPlantedCells:
         chain = SturmChain(poly_from_roots(roots))
         planted = LocatedRoots(roots, F(-2), F(2))
         for i, k in enumerate(planted.cells(F(1, 2**48))):
-            iv = planted.interval(i, k)
+            iv = interval(planted, i, k)
             for step in range(1, 13):
                 iv = refine(chain, iv, iv.width / 2)
-                assert planted.interval(i, k + step) == iv
+                assert interval(planted, i, k + step) == iv
 
     def test_cells_on_another_interval(self):
         roots = [F(-1, 3), F(1, 4), F(1, 4) + F(1, 2**60)]
@@ -534,7 +535,7 @@ class TestPlantedCells:
         # the cell j = 1 of x at depth 2, (-1 * 4 + 6, -1 * 4 + 12] / (2 * 4)
         planted = LocatedRoots([F(1, 3)], F(-1, 2), F(5, 2))
         assert planted.ends(0, 2) == (2, 8, 8)
-        assert planted.interval(0, 2) == IsolatingInterval(F(1, 4), F(1))
+        assert interval(planted, 0, 2) == IsolatingInterval(F(1, 4), F(1))
 
     def test_width_must_halve_the_interval(self):
         planted = LocatedRoots([F(0)], F(-2), F(2))
@@ -574,11 +575,11 @@ class TestLocateRoots:
         width = F(1, 2**48)
         assert cell_intervals(located, width) == [refine(chain, iv, width) for iv in ivs]
         for i, k in enumerate(located.cells(width)):
-            iv = located.interval(i, k)
-            assert located.interval(i, k + 5) == refine(chain, iv, iv.width / 32)
+            iv = interval(located, i, k)
+            assert interval(located, i, k + 5) == refine(chain, iv, iv.width / 32)
             for step in range(1, 7):
                 iv = refine(chain, iv, iv.width / 2)
-                assert located.interval(i, k + step) == iv
+                assert interval(located, i, k + step) == iv
 
     @given(ROOT_SETS.filter(bool), st.data())
     @settings(max_examples=40, deadline=None)

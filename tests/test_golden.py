@@ -14,9 +14,11 @@ when the count line's tag went from `[Sturm]` to `[exact]`.  Every isolating
 interval, and so every crossing abscissa and margin printed, feeds
 these bytes, so a moved interval or a changed bisection choice fails
 here.  The `export` digests were recorded before the float sampling
-moved to whole-grid evaluation: every sample goes through the same
-double operations in the same order, so a reordered recurrence or a
-changed number format fails here.
+moved to whole-grid evaluation (the N = 41 and clustered-crossings ones
+before y and z shared one recurrence and the SVG gaps were found by a
+walk): every sample goes through the same double operations in the same
+order, so a reordered recurrence, a moved gap or a changed number format
+fails here.
 """
 
 import hashlib
@@ -48,9 +50,16 @@ EXPORT_SHA256 = {
     (15, "csv"): "2af7c8437004d22e3313137a8e6793fd915a82c5b4cc66d8f20914dcab74541c",
     ("fixture", "svg"): "8480cf1a1404098ae301144bf7307cebb926cc371a095ee97c202b8557551013",
     ("fixture", "csv"): "9748d222909e11af5fa9daee68ba17dbe425437ebea3e5472952a612c7cb5112",
+    (41, "svg"): "a192076599ca2fa0952963b0058a385af725bce9ee41a4c55519eff7c5ef5b53",
+    (41, "csv"): "d7f170fcec8f4e1af5c300c68fc195e2ad75c4c2ed54df4377f73478c493e88e",
+    ("clustered", "svg"): "a3d1b80057cd98904663952f452ea5d83e04050cea14fa5fc587f7caf3cf7b1e",
 }
 # the default 1200 samples for the SVG, 2000 for the CSV
 EXPORT_ARGS = {"svg": ["--svg"], "csv": ["--csv", "--samples", "2000"]}
+# the N = 9 curve at 2000 samples, whose 9 under-parameters sit about 0.02
+# apart, so the gap width adapts and every gap shows in the bytes (as in
+# `test_cli`'s `test_svg_gaps_do_not_merge_when_crossings_cluster`)
+CLUSTERED = (9, ["--samples", "2000"])
 # node-less `verify` of the `gen` output (from `gen_outputs` where it has N):
 # the roots of R for N = 31 are dyadic, so they fall on bisection midpoints
 # of (-2, 2)
@@ -130,11 +139,12 @@ def test_table_stdout(capsys, argv):
 
 @pytest.mark.parametrize("source,fmt", sorted(EXPORT_SHA256, key=str))
 def test_export_bytes(gen_outputs, fixture_n9_path, tmp_path, source, fmt):
-    if source == "fixture":
+    n, extra = CLUSTERED if source == "clustered" else (source, [])
+    if n == "fixture":
         path = fixture_n9_path
     else:
-        path = tmp_path / f"n{source}.json"
-        path.write_bytes(gen_outputs[source])
+        path = tmp_path / f"n{n}.json"
+        path.write_bytes(gen_outputs[n])
     out = tmp_path / f"out.{fmt}"
-    assert main(["export", *EXPORT_ARGS[fmt], str(path), "--out", str(out)]) == 0
+    assert main(["export", *EXPORT_ARGS[fmt], *extra, str(path), "--out", str(out)]) == 0
     assert sha256(out.read_bytes()) == EXPORT_SHA256[(source, fmt)]
