@@ -70,7 +70,8 @@ def _normalize(coeffs: _CoeffMap) -> tuple[tuple[int, Fraction], ...]:
     for k, c in coeffs.items():
         if k < 0:
             raise ValueError("basis indices must be >= 0")
-        c = Fraction(c)
+        if type(c) is not Fraction:  # a parsed file's coefficients already are
+            c = Fraction(c)
         if c:
             items.append((k, c))
     return tuple(sorted(items))

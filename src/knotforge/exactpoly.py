@@ -13,15 +13,17 @@ with no remainder sequence.  A finished run proves the count, every
 root simple.  Its `LocatedRoots`, or planted roots already certified,
 give the dyadic cells of Sturm bisection and refinement as a depth per
 root (`cells`) and integers (`ends`), narrowed on exact values of p at
-dyadic points.  The one root counter, `count_roots`, isolates the
-squarefree part p / gcd(p, p') (`squarefree`, by an integer remainder
-sequence and exact division), so its isolation always finishes.  A
-value at n/d is the integer sum c_i n^i d^(D-i) (homogeneous Horner,
-shifts for d = 2^s), which also evaluates a `Poly` on its coefficients
-brought to one denominator.  `signs_at_roots` gives the exact sign of a
-second polynomial at each located root, from a slope bound.  Linear
-systems are solved by fraction-free (Bareiss) elimination on integer
-rows (`solve_linear`).
+dyadic points.  An even or odd p on a symmetric interval is isolated and
+narrowed through its half-degree part E, p = u^rho E(u^2), and its
+negative roots mirror the positive ones.  The one root counter,
+`count_roots`, isolates the squarefree part p / gcd(p, p')
+(`squarefree`, by an integer remainder sequence and exact division), so
+its isolation always finishes.  A value at n/d is the integer sum
+c_i n^i d^(D-i) (homogeneous Horner, shifts for d = 2^s), which also
+evaluates a `Poly` on its coefficients brought to one denominator.
+`signs_at_roots` gives the exact sign of a second polynomial at each
+located root, from a slope bound.  Linear systems are solved by
+fraction-free (Bareiss) elimination on integer rows (`solve_linear`).
 """
 
 from __future__ import annotations
@@ -309,6 +311,30 @@ def _remainder_sequence(a: tuple[int, ...], b: tuple[int, ...]) -> list[tuple[in
     return seq
 
 
+def _coprime(a: Sequence[int], b: Sequence[int], prime: int = (1 << 61) - 1) -> bool:
+    """True proves that the integer polynomials a and b have no common root.
+
+    When p divides neither leading coefficient, a common factor of a and b
+    over Q keeps its degree mod p, so a and b coprime mod p (Euclid in
+    GF(p)) are coprime over Q.  False proves nothing.
+    """
+    if not a[-1] % prime or not b[-1] % prime:
+        return False
+    a, b = [v % prime for v in a], [v % prime for v in b]
+    while len(b) > 1:
+        inv = pow(b[-1], -1, prime)
+        while len(a) >= len(b):  # a mod b, which drops a's top term
+            f, top = a.pop() * inv % prime, len(a) - len(b) + 1
+            for i, v in enumerate(b[:-1]):
+                a[top + i] = (a[top + i] - f * v) % prime
+            while a and not a[-1]:
+                a.pop()
+        if not a:  # b, of degree >= 1, divides a
+            return False
+        a, b = b, a
+    return True
+
+
 def exact_quotient(a: Sequence[int], b: Sequence[int]) -> Optional[tuple[int, ...]]:
     """a / b for integer polynomials with b primitive; None when b does not divide a over Q.
 
@@ -411,7 +437,10 @@ class LocatedRoots:
     and strictly inside (lo, hi), else ValueError.  `poly`, the primitive
     integers of the polynomial, is None for them.  A cell is a root and a
     depth k (`cells`, `ends`); a deeper cell is the same root at a larger
-    k.  Open cells are narrowed on exact values at dyadic points.
+    k.  Open cells are narrowed on exact values at dyadic points, except
+    when `locate_roots` found the roots of p = u^rho E(u^2) through E
+    (`_half`, E's roots on (0, hi^2)): then every cell is read off E's
+    cells, narrowed in E (`_half_index`), and `_x` keeps the first ones.
     """
 
     def __init__(self, roots: Sequence[Rational], lo: Rational, hi: Rational):
@@ -430,6 +459,7 @@ class LocatedRoots:
         self.poly: Optional[tuple[int, ...]] = None
         self._moved: tuple[int, ...] = ()  # q(x), as `locate_roots` made it
         self._root_at_hi = False
+        self._half: Optional[LocatedRoots] = None  # E's roots, for p = u^rho E(u^2)
 
     def __len__(self) -> int:
         return len(self._x)
@@ -437,11 +467,50 @@ class LocatedRoots:
     def _index(self, i: int, k: int) -> int:
         """j with root i in the half-open cell (j / 2^k, (j + 1) / 2^k] of x."""
         x = self._x[i]
+        if self._half is not None and not isinstance(x, tuple):
+            return self._half_index(i, k)
         while isinstance(x, list) and x[1] < k:
             x = self._x[i] = self._narrow(x, k - x[1])
         if isinstance(x, list):
             return x[0] >> (x[1] - k)  # the ancestor of the open cell
         return ((x[0] << k) - 1) // x[1]
+
+    def _half_index(self, i: int, k: int) -> int:
+        """`_index` of root i = +-sqrt(v) from the root v of E, its cells narrowed in E.
+
+        E's frame is y = v / hi^2 on (0, hi^2), so y = (2x - 1)^2 and 2^k x is
+        2^(k-1) + w or 2^(k-1) - w for w = 2^(k-1) sqrt(y).  E's open cell at
+        depth e keeps y off every point of depth e or less, so at a depth
+        D <= e, in y's cell J there, w^2 is strictly inside (J, J + 1) 2^s,
+        s = 2k - 2 - D.  When n = isqrt(floor(J 2^s)) has (J + 1) 2^s <=
+        (n + 1)^2, w is in (n, n + 1): j = 2^(k-1) + n for +sqrt(v) and
+        2^(k-1) - 1 - n for -sqrt(v).  Otherwise E's cell is taken deeper.  A
+        y that E holds exact decides at once, from ceil(w^2) or floor(w^2);
+        a dyadic x is an exact y, which narrowing reaches.
+        """
+        half = self._half
+        m = i - len(self._x) + len(half)
+        mirror = m < 0
+        if mirror:
+            m = len(half) - 1 - i
+        if not k:
+            return 0
+        y = half._x[m]
+        depth = y[1] if isinstance(y, list) else 0
+        while True:
+            j = half._index(m, depth)
+            y = half._x[m]
+            if isinstance(y, tuple):  # w^2 = 4^(k-1) y exactly
+                num = y[0] << 2 * (k - 1)
+                n = math.isqrt(num // y[1] if mirror else -(-num // y[1]) - 1)
+                break
+            shift = 2 * (k - 1) - depth  # w^2 in (j 2^shift, (j + 1) 2^shift]
+            n = math.isqrt(j << shift if shift >= 0 else j >> -shift)
+            if (j + 1) << max(0, shift) <= (n + 1) ** 2 << max(0, -shift):
+                break
+            # about the depth at which the span of w falls below 1/4
+            depth = max(depth + 1, 2 * k + 1 - ((j + 1).bit_length() + shift) // 2)
+        return (1 << (k - 1)) - 1 - n if mirror else (1 << (k - 1)) + n
 
     def _narrow(self, cell: list, most: int) -> Union[list, tuple[int, int]]:
         """One step, at most `most` levels deep, of quadratic interval refinement (Abbott 2006).
@@ -517,12 +586,27 @@ def locate_roots(p: Sequence[int], lo: Rational, hi: Rational,
     unfinished (None) when a midpoint root is multiple or a cell at most
     `deep` wide still has bound 2; with deep None it ends when the roots
     in (lo, hi) are simple.
+
+    On a symmetric interval, lo = -hi, a p whose integers have one parity
+    is u^rho E(u^2), rho in {0, 1}.  With E(0) != 0 its roots are those of
+    E on (0, hi^2), isolated by the same bisection at half the degree,
+    each root v giving +-sqrt(v), and 0 for rho = 1 (`_mirrored`); a
+    finished isolation of E proves them simple.  Every other p, and one
+    whose E is unfinished, takes the path above.  Both give the same roots
+    and cells; only roots (or complex pairs) closer than about `deep` can
+    leave the path above unfinished where E's isolation finishes.
     """
     if not p:
         raise ZeroPolynomial("roots of the zero polynomial")
     lo, hi = Fraction(lo), Fraction(hi)
     ints = _content_free(p)
     q = _moved(ints, lo, hi)
+    if lo == -hi:  # p = u^rho E(u^2) with E(0) != 0: the roots of E on (0, hi^2)
+        rho = 1 if not any(ints[::2]) else 0 if not any(ints[1::2]) else None
+        if rho is not None and ints[rho]:
+            half = locate_roots(ints[rho::2], 0, hi * hi, deep)
+            if half is not None:
+                return _mirrored(half, rho, ints, q, lo, hi)
     d = len(q) - 1
     ratio = (hi - lo) / (deep or 1)  # the first depth whose cells are at most `deep` wide:
     last = (-(-ratio.numerator // ratio.denominator) - 1).bit_length() if deep else math.inf
@@ -559,6 +643,44 @@ def locate_roots(p: Sequence[int], lo: Rational, hi: Rational,
     return located
 
 
+def _mirrored(half: LocatedRoots, rho: int, ints: tuple[int, ...], q: tuple[int, ...],
+              lo: Rational, hi: Rational) -> LocatedRoots:
+    """The roots of p = u^rho E(u^2) in (-hi, hi), from `half`, E's roots on (0, hi^2).
+
+    Each root v of E gives +sqrt(v) and its mirror -sqrt(v), and rho = 1
+    the root 0, exact at x = 1/2.  +sqrt(v) takes its cell at the depth
+    where `cells` parts it from its neighbours, from E's cells
+    (`_half_index`); an exact v with a rational square root gives an exact
+    x.  Since q(1 - x) = (-1)^rho q(x), the mirror of the cell
+    [j, e, s, fa, fb, t] is [2^e - 1 - j, e, -(-1)^rho s, (-1)^rho fb,
+    (-1)^rho fa, t], and that of an exact x is 1 - x.
+    """
+    located = LocatedRoots((), lo, hi)
+    located.poly, located._moved, located._root_at_hi = ints, q, half._root_at_hi
+    located._half = half
+    n, flip = len(half), -1 if rho else 1
+    located._x = [None] * n + [(1, 2)] * rho + [None] * n
+    for m, k in enumerate(located.cells(located._span / 2)[n + rho:]):
+        i = n + rho + m
+        while True:  # with both ends roots, the half holding sqrt(v) has a nonzero end
+            j = located._index(i, k)
+            fa, fb = _horner(q, j, 1 << k), _horner(q, j + 1, 1 << k)
+            if fa or fb:
+                break
+            k += 1
+        s = (1 if fa > 0 else -1) if fa else (-1 if fb > 0 else 1)
+        located._x[i] = [j, k, s, fa, fb, 2]
+        located._x[n - 1 - m] = [(1 << k) - 1 - j, k, -flip * s, flip * fb, flip * fa, 2]
+        if isinstance(y := half._x[m], tuple):  # sqrt(y) = a / b makes x = (b + a) / 2b
+            g = math.gcd(*y)
+            a, b = math.isqrt(y[0] // g), math.isqrt(y[1] // g)
+            if a * a * g == y[0] and b * b * g == y[1]:
+                g = math.gcd(b + a, 2 * b)
+                num, den = (b + a) // g, 2 * b // g
+                located._x[i], located._x[n - 1 - m] = (num, den), (den - num, den)
+    return located
+
+
 def count_roots(p: Sequence[int], lo: Rational, hi: Rational) -> int:
     """Exact number of distinct real roots of the integer polynomial p in (lo, hi).
 
@@ -583,12 +705,26 @@ def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int
     cross-multiplied integers, leaves q no root in [lo, hi]: q has the sign
     of q(lo) at the root.  Otherwise the cell is taken deeper and tested
     again.  The test never passes where q vanishes, so below DEEP_WIDTH
-    the gcd of p and q (built once) is asked for a root in (lo, hi], which
-    a root of p found exact while deepening ends; if none, deepening goes on.
+    the gcd of p and q (built once, and 1 without a remainder sequence when
+    `_coprime` proves it) is asked for a root in (lo, hi], which a root of
+    p found exact while deepening ends; if none, deepening goes on.
+
+    When p's roots came through E (`LocatedRoots._half`) and q is even or
+    odd, q = u^sigma Q(u^2), the test runs on Q at E's roots, from E's
+    cells at depth min(depths) (`cells`): sign q(+sqrt(v)) = sign Q(v),
+    sign q(-sqrt(v)) = (-1)^sigma sign Q(v), and q(0) = Q(0) or 0.  Any
+    other q is decided on p's cells as above.
     """
     cs = _content_free(q)
     if not cs:
         return [0] * len(depths)
+    half = located._half
+    if half is not None and depths and (not any(cs[1::2]) or not any(cs[::2])):
+        sigma = 1 if not any(cs[::2]) else 0  # q = u^sigma Q(u^2)
+        signs = signs_at_roots(half, cs[sigma::2], half.cells(half._span / (1 << min(depths))))
+        mirrored = [-v for v in reversed(signs)] if sigma else signs[::-1]
+        zero = [0 if sigma else (cs[0] > 0) - (cs[0] < 0)] * (len(depths) - 2 * len(signs))
+        return mirrored + zero + signs
     deg = len(cs) - 1
     slope = [k * c for k, c in enumerate(cs)][1:]
     curve = [k * (k - 1) * abs(c) for k, c in enumerate(cs)][2:]
@@ -618,7 +754,8 @@ def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int
             if w << 200 <= den and not asked:  # at most DEEP_WIDTH wide
                 asked = True
                 if common is None:
-                    common = _remainder_sequence(located.poly, cs)[-1]
+                    common = (1,) if _coprime(located.poly, cs) else _remainder_sequence(
+                        located.poly, cs)[-1]
                 if not _horner(common, high, den) or count_roots(
                         common, Fraction(low, den), Fraction(high, den)):
                     out.append(0)

@@ -499,11 +499,16 @@ def certify(
     closer than DEEP_WIDTH) splits R into its squarefree part s = R / g
     and g = gcd(R, R') (`squarefree`): s has R's roots, all simple, so its
     isolation with no depth limit finishes and counts them, and R has a
-    repeated root in (-2, 2) exactly when g has a root there.  The cells
-    are the same on every path.  The signs at the nodes are checked in
-    integers on dd(z)'s form, q^D dd(z)(p/q) = (-1)^i den q^D at each
-    planted root p/q, by `_values_at_planted`; without nodes
-    `signs_at_roots` decides them on the same form.
+    repeated root in (-2, 2) exactly when g has a root there.  R of a
+    `gen` curve is odd, R = u S(u^2), so `locate_roots` isolates S on
+    (0, 4) at half the degree and mirrors its roots; an R with no parity
+    (a perturbed y) or with S(0) = 0 (a root of R at 0 that is not simple)
+    is isolated on (-2, 2) itself.  The cells are the same on every path.
+    The signs at the nodes are checked in integers on dd(z)'s form,
+    q^D dd(z)(p/q) = (-1)^i den q^D at each planted root p/q, by
+    `_values_at_planted`; without nodes `signs_at_roots` decides them on
+    the same form, for an even dd(z) = E(u^2) and R's roots found through
+    S on E at S's roots, mirrored to the rest.
 
     Every certificate is exact.  The x/y coincidences are identities: s, t
     are the roots of X^2 - uX + (u^2 - 3), so T_3(s) = T_3(t), and

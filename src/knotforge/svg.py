@@ -74,10 +74,13 @@ def _sample(curve: StoredCurve, samples: int, heights: bool) -> tuple[list[float
 
 def _axis(name: str, values: list[float], size: float) -> tuple[float, float]:
     """Padded lower end and scale that map `values` onto [0, size]."""
-    v0, v1 = min(values), max(values)
-    pad = 0.05 * (v1 - v0 or 1.0)
-    v0, v1 = v0 - pad, v1 + pad
-    scale = size / (v1 - v0) if v1 > v0 else math.inf  # a flat range far from 0 absorbs the pad
+    lo, hi = min(values), max(values)
+    pad = 0.05 * (hi - lo or 1.0)
+    v0, v1 = lo - pad, hi + pad
+    if v1 == v0:  # a flat range far from 0 absorbs that pad in rounding
+        pad = 0.05 * abs(lo)
+        v0, v1 = lo - pad, hi + pad
+    scale = size / (v1 - v0) if v1 > v0 else math.inf
     if not (math.isfinite(v1 - v0) and math.isfinite(scale)):
         raise SchemaError(f"the {name} range of the curve cannot be scaled in doubles")
     return v0, scale

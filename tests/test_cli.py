@@ -534,19 +534,20 @@ class TestExport:
         assert code == 0 and not NON_FINITE.search(csv)
 
     @pytest.mark.parametrize("n,samples", [(49, "2"), (3, "1200")])
-    def test_svg_flat_range_far_from_zero_exits_one(self, tmp_path, capsys, n, samples):
+    def test_svg_flat_range_far_from_zero_is_drawn(self, tmp_path, capsys, n, samples):
         # y is even, so at 2 samples y(-2.2) = y(2.2), about 10^15 at N = 49, and
         # a constant 2 * 10^20 is flat at any count: the 0.05 pad is lost in
-        # rounding and the padded span is 0, which raised ZeroDivisionError
+        # rounding, so the range is padded by 0.05 |y| instead
         path = tmp_path / "curve.json"
         run(["gen", "--n", str(n), "--out", str(path)], capsys)
         if n == 3:
             doc = dict(json.loads(path.read_text()), y={"basis": "T", "coeffs": ["1" + "0" * 20]})
             path.write_text(json.dumps(doc))
-        code, stdout, err = run(["export", "--svg", "--samples", samples, str(path)], capsys)
-        assert (code, stdout) == (1, "")
-        assert err == ("knotforge export: bad curve file: "
-                       "the y range of the curve cannot be scaled in doubles\n")
+        code, svg, err = run(["export", "--svg", "--samples", samples, str(path)], capsys)
+        assert (code, err) == (0, "")
+        assert "<polyline" in svg and not NON_FINITE.search(svg)
+        points = [float(v) for v in re.findall(r"-?[0-9]+\.[0-9]+", svg.split("points=", 1)[1])]
+        assert points and all(0 <= v <= 800 for v in points)
 
     def test_requires_format_flag(self, tmp_path, capsys):
         out = tmp_path / "n3.json"

@@ -767,6 +767,29 @@ class TestExactQuotient:
         assert exact_quotient(a, b) is None
 
 
+class TestCoprime:
+    """`_coprime` is one-sided: True only for polynomials with no common root."""
+
+    @given(integer_polys, integer_polys, st.lists(st.integers(-9, 9), max_size=3),
+           st.sampled_from([3, 5, (1 << 61) - 1]))
+    @settings(max_examples=200, deadline=None)
+    def test_true_proves_a_constant_gcd(self, a, b, g, prime):
+        # a shared factor g of degree >= 1 (g = [] shares none), and small
+        # primes that divide a leading coefficient or split the gcd
+        a, b = Poly(a), Poly(b)
+        shared = len(g) > 1 and g[-1]
+        if shared:
+            a, b = a * Poly(g), b * Poly(g)
+        coprime = exactpoly._coprime(ints(a), ints(b), prime)
+        assert not coprime or reference_gcd(a, b).degree == 0
+        assert not (shared and coprime)
+
+    def test_coprime_and_shared(self):
+        assert exactpoly._coprime((-2, 0, 1), (-3, 0, 1))
+        assert not exactpoly._coprime((-2, 0, 1), (0, -2, 0, 1))  # t^2 - 2 divides t^3 - 2t
+        assert not exactpoly._coprime((1, 3), (1, 1), prime=3)    # 3 divides a leading coefficient
+
+
 class TestSignsAtRoots:
     """The exact sign of q at each root of p, from p's isolating intervals."""
 
@@ -832,6 +855,71 @@ class TestSignsAtRoots:
         depths = located.cells(F(4))
         assert signs_at_roots(located, (-2,), depths) == [-1, -1]
         assert signs_at_roots(located, (), depths) == [0, 0]
+
+
+# a symmetric interval (-h, h), and the same frame shifted by 1, where p(u - 1)
+# has no parity and `locate_roots` takes the general path on the same q(x)
+HALF_WIDTHS = st.sampled_from([F(2), F(1), F(3, 2)])
+SHIFT = Poly([-1, 1])
+
+
+@st.composite
+def parity_polys(draw, h):
+    """(p, factors): p = u^rho times the factors u^2 - c, for roots 0 and +-h,
+    dyadic, irrational and 2^-60 apart ones, one sometimes doubled, complex
+    pairs, and rho up to 3 (E(0) = 0 for u^2 and u^3)."""
+    roots = draw(st.lists(st.one_of(SPREAD, DYADIC).map(abs).filter(lambda r: 0 < r < h),
+                          max_size=3, unique=True))
+    if roots and draw(st.booleans()):
+        roots.append(roots[0] + F(1, 2**60))
+    if draw(st.booleans()):
+        roots.append(h)
+    squares = [r * r for r in roots]
+    squares += draw(st.lists(st.sampled_from([2, 3, F(1, 2), -1, -F(1, 9)]), max_size=2))
+    factors = [Poly([-c, 0, 1]) for c in squares]
+    p = T ** draw(st.integers(0, 3))
+    for f in factors + draw(st.lists(st.sampled_from(factors), max_size=1) if factors
+                            else st.just([])):
+        p = p * f
+    return p, factors
+
+
+class TestParityPath:
+    """`locate_roots` and `signs_at_roots` of an even or odd p on (-h, h), which
+    go through E on (0, h^2), against the general path on p(u - 1) over
+    (1 - h, 1 + h), which moves to the same q(x)."""
+
+    @given(HALF_WIDTHS, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_general_path(self, h, data):
+        p, factors = data.draw(parity_polys(h))
+        located = locate_roots(ints(p), -h, h)
+        general = locate_roots(ints(p.compose(SHIFT)), 1 - h, 1 + h)
+        assert (located is None) == (general is None)
+        # the squarefree part of an even or odd p is even or odd
+        assert count_roots(ints(p), -h, h) == count_roots(ints(p.compose(SHIFT)), 1 - h, 1 + h)
+        if located is None:
+            return
+        assert located._half is not None  # u^2 and u^3 make a multiple root, so None
+        assert len(located) == len(general)
+        for j, e, s, fa, fb, _ in (x for x in located._x if isinstance(x, list)):
+            assert (fa, fb) == (_horner(located._moved, j, 2**e), _horner(located._moved, j + 1, 2**e))
+            assert s == sign(fa) if fa else not fb or s == -sign(fb)
+        for i in range(len(located)):
+            for k in (0, 1, 2, 5, 30, 61, 64, 70):
+                low, high, den = general.ends(i, k)
+                assert located.ends(i, k) == (low - den, high - den, den)
+        for width in (2 * h, 2 * h / 2**48):
+            assert located.cells(width) == general.cells(width)
+        depths = located.cells(2 * h / 2**48)
+        q = Poly([data.draw(st.sampled_from([1, -3, F(1, 7)]))])
+        for r in data.draw(st.lists(st.one_of(SPREAD, DYADIC), max_size=3)):
+            q = q * Poly([-r * r, 0, 1])
+        if factors and data.draw(st.booleans()):  # q vanishes at roots of p
+            q = q * data.draw(st.sampled_from(factors))
+        for q in (q, q * T):  # even, then odd
+            expected = signs_at_roots(general, ints(q.compose(SHIFT)), depths)
+            assert signs_at_roots(located, ints(q), depths) == expected
 
 
 @st.composite
