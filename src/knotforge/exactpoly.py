@@ -14,8 +14,8 @@ root simple.  Its `LocatedRoots`, or planted roots already certified,
 give the dyadic cells of Sturm bisection and refinement as a depth per
 root (`cells`) and integers (`ends`), narrowed on exact values of p at
 dyadic points.  An even or odd p on a symmetric interval is isolated and
-narrowed through its half-degree part E, p = u^rho E(u^2), and its
-negative roots mirror the positive ones.  The one root counter,
+narrowed through its half-degree part E, p = u^rho E(u^2) alone: each
+root v of E is +-sqrt(v), its cells read off E's.  The one root counter,
 `count_roots`, isolates the squarefree part p / gcd(p, p')
 (`squarefree`, by an integer remainder sequence and exact division), so
 its isolation always finishes.  A value at n/d is the integer sum
@@ -439,8 +439,9 @@ class LocatedRoots:
     depth k (`cells`, `ends`); a deeper cell is the same root at a larger
     k.  Open cells are narrowed on exact values at dyadic points, except
     when `locate_roots` found the roots of p = u^rho E(u^2) through E
-    (`_half`, E's roots on (0, hi^2)): then every cell is read off E's
-    cells, narrowed in E (`_half_index`), and `_x` keeps the first ones.
+    (`_half`, E's roots on (0, hi^2)): then `_x` holds only the root 0 of
+    rho = 1, and the cell of every other root is read off E's cells,
+    narrowed in E (`_half_index`).
     """
 
     def __init__(self, roots: Sequence[Rational], lo: Rational, hi: Rational):
@@ -476,7 +477,8 @@ class LocatedRoots:
         return ((x[0] << k) - 1) // x[1]
 
     def _half_index(self, i: int, k: int) -> int:
-        """`_index` of root i = +-sqrt(v) from the root v of E, its cells narrowed in E.
+        """`_index` of root i = +-sqrt(v) from the root v of E, its cells narrowed in E:
+        the one map from E's roots to p's cells.
 
         E's frame is y = v / hi^2 on (0, hi^2), so y = (2x - 1)^2 and 2^k x is
         2^(k-1) + w or 2^(k-1) - w for w = 2^(k-1) sqrt(y).  E's open cell at
@@ -590,23 +592,27 @@ def locate_roots(p: Sequence[int], lo: Rational, hi: Rational,
     On a symmetric interval, lo = -hi, a p whose integers have one parity
     is u^rho E(u^2), rho in {0, 1}.  With E(0) != 0 its roots are those of
     E on (0, hi^2), isolated by the same bisection at half the degree,
-    each root v giving +-sqrt(v), and 0 for rho = 1 (`_mirrored`); a
-    finished isolation of E proves them simple.  Every other p, and one
-    whose E is unfinished, takes the path above.  Both give the same roots
-    and cells; only roots (or complex pairs) closer than about `deep` can
-    leave the path above unfinished where E's isolation finishes.
+    each root v giving +-sqrt(v), and 0 for rho = 1, with no step at full
+    degree (`LocatedRoots._half_index`); a finished isolation of E proves
+    them simple.  Every other p, and one whose E is unfinished, takes the
+    path above.  Both give the same roots and cells; only roots (or complex
+    pairs) closer than about `deep` can leave the path above unfinished
+    where E's isolation finishes.
     """
     if not p:
         raise ZeroPolynomial("roots of the zero polynomial")
     lo, hi = Fraction(lo), Fraction(hi)
     ints = _content_free(p)
-    q = _moved(ints, lo, hi)
     if lo == -hi:  # p = u^rho E(u^2) with E(0) != 0: the roots of E on (0, hi^2)
         rho = 1 if not any(ints[::2]) else 0 if not any(ints[1::2]) else None
         if rho is not None and ints[rho]:
             half = locate_roots(ints[rho::2], 0, hi * hi, deep)
-            if half is not None:
-                return _mirrored(half, rho, ints, q, lo, hi)
+            if half is not None:  # -sqrt(v), then 0 (x = 1/2) for rho = 1, then +sqrt(v)
+                located = LocatedRoots((), lo, hi)
+                located.poly, located._root_at_hi, located._half = ints, half._root_at_hi, half
+                located._x = [None] * len(half) + [(1, 2)] * rho + [None] * len(half)
+                return located
+    q = _moved(ints, lo, hi)
     d = len(q) - 1
     ratio = (hi - lo) / (deep or 1)  # the first depth whose cells are at most `deep` wide:
     last = (-(-ratio.numerator // ratio.denominator) - 1).bit_length() if deep else math.inf
@@ -640,44 +646,6 @@ def locate_roots(p: Sequence[int], lo: Rational, hi: Rational,
     located = LocatedRoots((), lo, hi)
     located._x = found
     located.poly, located._moved, located._root_at_hi = ints, q, not top[-1]
-    return located
-
-
-def _mirrored(half: LocatedRoots, rho: int, ints: tuple[int, ...], q: tuple[int, ...],
-              lo: Rational, hi: Rational) -> LocatedRoots:
-    """The roots of p = u^rho E(u^2) in (-hi, hi), from `half`, E's roots on (0, hi^2).
-
-    Each root v of E gives +sqrt(v) and its mirror -sqrt(v), and rho = 1
-    the root 0, exact at x = 1/2.  +sqrt(v) takes its cell at the depth
-    where `cells` parts it from its neighbours, from E's cells
-    (`_half_index`); an exact v with a rational square root gives an exact
-    x.  Since q(1 - x) = (-1)^rho q(x), the mirror of the cell
-    [j, e, s, fa, fb, t] is [2^e - 1 - j, e, -(-1)^rho s, (-1)^rho fb,
-    (-1)^rho fa, t], and that of an exact x is 1 - x.
-    """
-    located = LocatedRoots((), lo, hi)
-    located.poly, located._moved, located._root_at_hi = ints, q, half._root_at_hi
-    located._half = half
-    n, flip = len(half), -1 if rho else 1
-    located._x = [None] * n + [(1, 2)] * rho + [None] * n
-    for m, k in enumerate(located.cells(located._span / 2)[n + rho:]):
-        i = n + rho + m
-        while True:  # with both ends roots, the half holding sqrt(v) has a nonzero end
-            j = located._index(i, k)
-            fa, fb = _horner(q, j, 1 << k), _horner(q, j + 1, 1 << k)
-            if fa or fb:
-                break
-            k += 1
-        s = (1 if fa > 0 else -1) if fa else (-1 if fb > 0 else 1)
-        located._x[i] = [j, k, s, fa, fb, 2]
-        located._x[n - 1 - m] = [(1 << k) - 1 - j, k, -flip * s, flip * fb, flip * fa, 2]
-        if isinstance(y := half._x[m], tuple):  # sqrt(y) = a / b makes x = (b + a) / 2b
-            g = math.gcd(*y)
-            a, b = math.isqrt(y[0] // g), math.isqrt(y[1] // g)
-            if a * a * g == y[0] and b * b * g == y[1]:
-                g = math.gcd(b + a, 2 * b)
-                num, den = (b + a) // g, 2 * b // g
-                located._x[i], located._x[n - 1 - m] = (num, den), (den - num, den)
     return located
 
 

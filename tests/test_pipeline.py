@@ -149,6 +149,23 @@ class TestCertify:
         again = certify(curve.plane.y, curve.z, 21)
         assert again.crossings == report.crossings and again.signs_alternate
 
+    @pytest.mark.parametrize("n", [31, 61])
+    def test_nodeless_certify_of_a_gen_curve_runs_at_half_degree(self, monkeypatch, n):
+        # R = u S(u^2) and dd(z) = E(u^2): every Taylor shift and every
+        # Horner works on S or E, never on R or dd(z) at full degree
+        curve, report = synthesize(n)
+        full = max(len(divided_difference(p).integer_form()[0]) for p in (curve.plane.y, curve.z))
+        sizes = []
+        for name in ("_moved", "_horner"):
+            def wrapper(cs, *args, real=getattr(exactpoly, name)):
+                sizes.append(len(cs))
+                return real(cs, *args)
+
+            monkeypatch.setattr(exactpoly, name, wrapper)
+        again = certify(curve.plane.y, curve.z, n)
+        assert again.crossings == report.crossings and again.signs_alternate
+        assert sizes and max(sizes) <= -(-full // 2)
+
     def test_node_off_the_roots_fails_the_nodes_stage(self):
         # P does not divide R, so certify isolates R and names the node
         curve, report = synthesize(7)
