@@ -3,7 +3,7 @@
 
 Usage:
     python scripts/bench_stages.py [--n 21 41 61 101] [--rounds 3] [--repeats 3]
-                                   [--parent DIR] [--out BENCH.json]
+                                   [--parent DIR [--parent-commit SHA]] [--out BENCH.json]
 
 Each round starts one worker process per checkout, this one and, with
 --parent, the checkout at DIR (its `src/` is imported), in alternating
@@ -26,9 +26,11 @@ with the steps `locate_roots` (R's isolation), `crossings`,
 stage's wall time less its steps', calibrated at the stage's speed.  A
 function a checkout lacks is not timed.
 
-The output JSON holds the Python and machine identity, one calibration
-kernel sample per worker, each stage's median over every timed run per
-checkout, and the change/parent ratio of the calibrated medians.
+The output JSON holds the Python and machine identity, each checkout's
+commit (from git, or --parent-commit for a parent that git cannot read,
+such as a `git archive` copy), one calibration kernel sample per worker,
+each stage's median over every timed run per checkout, and the
+change/parent ratio of the calibrated medians.
 """
 
 from __future__ import annotations
@@ -158,6 +160,8 @@ def main(argv=None) -> int:
     ap.add_argument("--rounds", type=int, default=3)
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--parent", metavar="DIR", help="checkout to compare against")
+    ap.add_argument("--parent-commit", metavar="SHA",
+                    help="the parent's commit, recorded instead of asking git in DIR")
     ap.add_argument("--out", metavar="FILE", help="write the JSON here (default: stdout)")
     ap.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -165,6 +169,8 @@ def main(argv=None) -> int:
         print(json.dumps(worker(args.worker, args.n, args.repeats)))
         return 0
 
+    if args.parent_commit and not args.parent:
+        ap.error("--parent-commit needs --parent")
     checkouts = {"change": ROOT}
     if args.parent:
         checkouts = {"parent": os.path.abspath(args.parent), "change": ROOT}
@@ -203,6 +209,8 @@ def main(argv=None) -> int:
         "kernel_s": kernels,
         "stages": stages,
     }
+    if args.parent_commit:
+        doc["commits"]["parent"] = args.parent_commit
     text = json.dumps(doc, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

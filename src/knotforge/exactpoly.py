@@ -675,7 +675,8 @@ def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int
     again.  The test never passes where q vanishes, so below DEEP_WIDTH
     the gcd of p and q (built once, and 1 without a remainder sequence when
     `_coprime` proves it) is asked for a root in (lo, hi], which a root of
-    p found exact while deepening ends; if none, deepening goes on.
+    p found exact while deepening ends; if none, deepening goes on.  It
+    divides p, so its roots there are simple, counted by one isolation.
 
     When p's roots came through E (`LocatedRoots._half`) and q is even or
     odd, q = u^sigma Q(u^2), the test runs on Q at E's roots, from E's
@@ -724,8 +725,8 @@ def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int
                 if common is None:
                     common = (1,) if _coprime(located.poly, cs) else _remainder_sequence(
                         located.poly, cs)[-1]
-                if not _horner(common, high, den) or count_roots(
-                        common, Fraction(low, den), Fraction(high, den)):
+                if not _horner(common, high, den) or len(locate_roots(
+                        common, Fraction(low, den), Fraction(high, den), None)):
                     out.append(0)
                     break
             # enough levels to bring the bound below about |q(lo)| / 2

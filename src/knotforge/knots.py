@@ -340,22 +340,35 @@ def _parameter_bounds(cell: tuple[int, int, int], sign: int) -> tuple[int, int, 
     return b + 1, min(vals), max(vals)
 
 
-def _certify_ordering(located: LocatedRoots, depths: Sequence[int]) -> None:
-    """Prove s_1 < ... < s_N < t_1 < ... < t_N on the enclosures of `_parameter_bounds`.
+def _certify_ordering(located: LocatedRoots, depths: Sequence[int],
+                      cells: Sequence[tuple[int, int, int]]) -> None:
+    """Prove s_1 < ... < s_N < t_1 < ... < t_N, by monotonicity where it decides.
 
-    The roots start in their cells at `depths`.  When two neighboring
-    enclosures overlap, their cells are taken one level deeper and the pair
-    compared again, down to `exactpoly.DEEP_WIDTH`.  Disjoint enclosures in
-    the wrong order, or a pair still overlapping at that width, raise
-    OrderingViolation.
+    Root i starts in its cell (l_i / d_i, h_i / d_i] = cells[i], `LocatedRoots.ends`
+    at depths[i].  s rises strictly on [-1, 2) and t on (-2, 1], and s <= -1
+    on [-2, 1] and t >= 1 on [-1, 2].  So (s_i, s_{i+1}) is ordered when
+    l_i >= -d_i, (t_i, t_{i+1}) when h_{i+1} <= d_{i+1}, and (s_N, t_1) when
+    h_N <= d_N and l_1 >= -d_1: every pair of a `gen` curve, whose roots lie
+    in (-1, 1).  Any other pair is compared on the enclosures of
+    `_parameter_bounds`, built when first asked for; overlapping ones are
+    taken one level deeper and compared again, down to `exactpoly.DEEP_WIDTH`.
+    Disjoint enclosures in the wrong order, or a pair still overlapping at
+    that width, raise OrderingViolation.
     """
     n = len(depths)
     ks = list(depths)
+    # (u_i > -1, u_i <= 1): a root of a pair needs [0] if the other member is an s, [1] if a t
+    inside = [(low >= -den, high <= den) for low, high, den in cells]
     seq = [(i, -1) for i in range(n)] + [(i, 1) for i in range(n)]  # s_1..s_N, t_1..t_N
-    bounds = [_parameter_bounds(located.ends(i, ks[i]), sign) for i, sign in seq]
+    bounds: list = [None] * (2 * n)
     for pos in range(2 * n - 1):
         (i, si), (j, sj) = seq[pos], seq[pos + 1]
+        if inside[i][sj > 0] and inside[j][si > 0]:
+            continue
         while True:
+            for p in (pos, pos + 1):
+                r, sign = seq[p]
+                bounds[p] = bounds[p] or _parameter_bounds(located.ends(r, ks[r]), sign)
             (ea, a_lo, a_hi), (eb, b_lo, b_hi) = bounds[pos], bounds[pos + 1]
             if a_hi << eb < b_lo << ea:
                 break
@@ -367,7 +380,7 @@ def _certify_ordering(located: LocatedRoots, depths: Sequence[int]) -> None:
                 if (high - low) << 200 <= den:
                     raise OrderingViolation(f"parameters {pair} not separated at width 2^-200")
                 ks[r] += 1
-                bounds[r::n] = [_parameter_bounds(located.ends(r, ks[r]), s) for s in (-1, 1)]
+                bounds[r::n] = [None, None]
 
 
 def crossings(located: LocatedRoots, n_crossings: int) -> CrossingReport:
@@ -377,18 +390,18 @@ def crossings(located: LocatedRoots, n_crossings: int) -> CrossingReport:
     each mapped from its midpoint, the double nearest (l + h) / (2 d) for
     the integer ends (l, h, d), through u = 2 cos(alpha),
     s = 2 cos(alpha + pi/3), t = 2 cos(alpha - pi/3) in floats.  The
-    2N-way ordering s_1 < ... < s_N < t_1 < ... < t_N is proved on
-    rational enclosures (`_certify_ordering`), else OrderingViolation; the
-    float `ordering_margin`, the smallest gap of that sequence, is a
-    diagnostic.
+    2N-way ordering s_1 < ... < s_N < t_1 < ... < t_N is proved by the
+    monotonicity of s and t on [-1, 1], on rational enclosures only for pairs
+    outside it (`_certify_ordering`), else OrderingViolation; the float
+    `ordering_margin`, the smallest gap of that sequence, is a diagnostic.
     """
     depths = located.cells(ROOT_WIDTH)
     if len(depths) != n_crossings:
         raise OrderingViolation(f"found {len(depths)} crossings, expected {n_crossings}")
-    _certify_ordering(located, depths)
+    cells = list(map(located.ends, range(n_crossings), depths))
+    _certify_ordering(located, depths, cells)
     out = []
-    for i, k in enumerate(depths):
-        low, high, den = located.ends(i, k)
+    for low, high, den in cells:
         u = (low + high) / (2 * den)  # integer true division rounds correctly
         alpha = math.acos(max(-1.0, min(1.0, u / 2.0)))
         s = 2.0 * math.cos(alpha + math.pi / 3.0)
@@ -479,9 +492,9 @@ def certify(
       ordered (see `crossings`);
     - space: when z is present, z(t) - z(s) = (t - s) dd(z)(u) with
       t - s = sqrt(12 - 3u^2) > 0, so the sign at a crossing is that of
-      dd(z) at its root u: exactly (-1)^i at planted nodes, and otherwise
-      `signs_at_roots` on R's located roots, where a root shared with
-      dd(z) (z(t) = z(s)) fails.
+      dd(z) at its root u, which must be (-1)^i: decided in integers at
+      planted nodes, and otherwise by `signs_at_roots` on R's located
+      roots, where a root shared with dd(z) (z(t) = z(s)) fails.
 
     R and dd(z) are read once each through their integer forms
     (`integer_form`), and every stage runs on those integers and on the
@@ -504,8 +517,8 @@ def certify(
     (0, 4) at half the degree and mirrors its roots; an R with no parity
     (a perturbed y) or with S(0) = 0 (a root of R at 0 that is not simple)
     is isolated on (-2, 2) itself.  The cells are the same on every path.
-    The signs at the nodes are checked in integers on dd(z)'s form,
-    q^D dd(z)(p/q) = (-1)^i den q^D at each planted root p/q, by
+    The signs at the nodes are checked in integers on dd(z)'s form, as the
+    sign of q^D dd(z)(p/q) (over den q^D > 0) at each planted root p/q, by
     `_values_at_planted`; without nodes `signs_at_roots` decides them on
     the same form, for an even dd(z) = E(u^2) and R's roots found through
     S on E at S's roots, mirrored to the rest.
@@ -556,11 +569,11 @@ def certify(
     if z is None:
         return report
 
-    z_ints, z_den = cb.divided_difference(z).integer_form()
+    z_ints, _ = cb.divided_difference(z).integer_form()
     if nodes is not None:
         values = _values_at_planted(z_ints, nodes.delta) if z_ints else [(0, 1)] * len(roots)
-        for i, (u, (value, scale)) in enumerate(zip(roots, values), start=1):
-            if value != (-1) ** i * z_den * scale:  # dd(z)(u) = value / (den scale)
+        for i, (u, (value, _)) in enumerate(zip(roots, values), start=1):
+            if value * (-1) ** i <= 0:  # dd(z)(u) = value / (den scale), den, scale > 0
                 raise CertificationFailed(f"dd(z)({rat_str(u)}) != {(-1) ** i}", "space", report)
     else:
         for i, sign in enumerate(signs_at_roots(located, z_ints, located.cells(ROOT_WIDTH)), 1):

@@ -1,5 +1,6 @@
 import copy
 import json
+import random
 import re
 import time
 from fractions import Fraction
@@ -185,6 +186,50 @@ class TestVerify:
         code, stdout, _ = run(["verify", str(path)], capsys)
         assert code == 2
         assert stdout.endswith("FAIL space verification: dd(z)(1/11) != -1\nNOT VERIFIED\n")
+
+    @pytest.fixture(scope="class")
+    def gen_docs(self):
+        docs = {}
+        for n in (21, 61):
+            curve, report = synthesize(n)
+            docs[n] = curve_to_dict(n, curve.plane.x, curve.plane.y, curve.z, report, True)
+        return docs
+
+    @pytest.mark.parametrize("edit", ["double", "third", "flip"])
+    @pytest.mark.parametrize("n", [21, 61])
+    def test_one_verdict_with_and_without_nodes(self, tmp_path, capsys, gen_docs, n, edit):
+        # the certificate is the sign of dd(z) at each crossing, stored nodes or
+        # not: a positive scale of z keeps every sign, and one visible
+        # coefficient negated (a seeded choice) breaks one
+        doc = copy.deepcopy(gen_docs[n])
+        coeffs = doc["z"]["coeffs"]
+        if edit == "flip":
+            k = random.Random(n).choice([k for k, c in enumerate(coeffs) if k % 3 and c != "0"])
+            coeffs[k] = rat_str(-Fraction(coeffs[k]))
+        else:
+            scale = 2 if edit == "double" else Fraction(1, 3)
+            doc["z"]["coeffs"] = [rat_str(Fraction(c) * scale) for c in coeffs]
+        codes = []
+        for nodes, epsilon in ((doc["nodes"], doc["epsilon"]), (None, None)):
+            path = tmp_path / "edited.json"
+            path.write_text(json.dumps(dict(doc, nodes=nodes, epsilon=epsilon)))
+            codes.append(run(["verify", str(path)], capsys)[0])
+        assert codes == ([2, 2] if edit == "flip" else [0, 0])
+
+    def test_nodeless_height_equal_to_y_fails_in_bounded_time(self, tmp_path, capsys):
+        # z = y gives dd(z) = R, which vanishes at every crossing; the gcd of R
+        # and dd(z) is S itself, whose roots in a cell need no squarefree part
+        out = tmp_path / "n41.json"
+        run(["gen", "--n", "41", "--out", str(out)], capsys)
+        doc = json.loads(out.read_text())
+        doc.update(nodes=None, epsilon=None, z=doc["y"])
+        path = tmp_path / "z_is_y.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, stdout, _ = run(["verify", str(path)], capsys)
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        assert stdout.endswith("FAIL space verification: z(t) = z(s) at crossing 1\nNOT VERIFIED\n")
 
     @pytest.mark.parametrize("nodes", [[], None], ids=["nodes", "nodeless"])
     def test_tangent_crossing_fails(self, tmp_path, capsys, nodes):

@@ -1,6 +1,7 @@
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -37,6 +38,8 @@ from knotforge.knots import (
     solve_height,
     synthesize,
 )
+from knotforge.serialize import load_curve, verify_curve
+from ordering_reference import certify_ordering
 from sturm_reference import SturmChain, isolate_roots, refine
 
 ints = _primitive_ints
@@ -378,10 +381,10 @@ class TestCrossings:
         ]
 
     def test_close_nodes_halve_in_closed_form(self, monkeypatch):
-        # nodes 2^-62 apart share their 2^-48 cells' parameter enclosures, so
-        # the ordering proof takes them deeper, on the planted roots alone:
-        # every cell past the first 2N enclosures is one level deeper
-        nodes = [F(1, 4), F(1, 4) + F(1, 2**62)]
+        # s(-11/7) = s(-2/7) = -13/7, so planted roots at -11/7 and -2/7 + 2^-62
+        # share their 2^-48 cells' enclosures of s, and the ordering proof takes
+        # them deeper, on the planted roots alone: every cell past the first
+        # enclosures is one level deeper, in closed form
         enclosures = []
         bounds = knots._parameter_bounds
 
@@ -396,13 +399,69 @@ class TestCrossings:
         monkeypatch.setattr(LocatedRoots, "_narrow", bisection)
         monkeypatch.setattr(knots, "locate_roots", bisection)
         monkeypatch.setattr(knots, "squarefree", bisection)
-        curve, report = synthesize(5, nodes=nodes)
+        crossings(LocatedRoots((F(-11, 7), F(-2, 7) + F(1, 2**62)), -2, 2), 2)
+        assert len(enclosures) > 2 * 2
+        # nodes 2^-62 apart in (-1, 1) are ordered by monotonicity, with no enclosure
+        enclosures.clear()
+        curve, report = synthesize(5, nodes=[F(1, 4), F(1, 4) + F(1, 2**62)])
         monkeypatch.undo()
-        assert len(enclosures) > 2 * 5
+        assert enclosures == []
         plain = certify(curve.plane.y, curve.z, 5)
         assert [(c.u_lo, c.u_hi) for c in report.crossings] == [
             (c.u_lo, c.u_hi) for c in plain.crossings
         ]
+
+    @staticmethod
+    def _ordering(roots, reference=False):
+        """None, or the OrderingViolation message, of `crossings` on planted roots."""
+        with mock.patch.object(knots, "_certify_ordering",
+                               certify_ordering if reference else knots._certify_ordering):
+            try:
+                crossings(LocatedRoots(roots, -2, 2), len(roots))
+            except OrderingViolation as exc:
+                return str(exc)
+        return None
+
+    @given(roots=st.lists(st.one_of(
+        st.fractions(F(-2), F(2), max_denominator=2**20),
+        st.fractions(F(-2), F(-1), max_denominator=2**20),   # below -1
+        st.fractions(F(1), F(2), max_denominator=2**20),     # above 1
+        st.tuples(st.sampled_from([F(-1), F(1)]), st.integers(-2**20, 2**20)).map(
+            lambda p: p[0] + F(p[1], 2**40)),                # near -1 and 1
+    ), min_size=1, max_size=8, unique=True).map(sorted).filter(lambda r: -2 < r[0] and r[-1] < 2))
+    @example(roots=[F(-11, 7), F(-2, 7) + F(1, 2**62)])  # s_1 < s_2, parted deep down
+    @example(roots=[F(-11, 7), F(-2, 7) - F(1, 2**62)])  # s_1 and s_2 are out of order
+    @example(roots=[F(-11, 7), F(-2, 7)])                # s_1 = s_2 = -13/7: not separated
+    @settings(max_examples=200, deadline=None)
+    def test_ordering_matches_the_enclosure_reference(self, roots):
+        assert self._ordering(roots) == self._ordering(roots, reference=True)
+
+    def test_ordering_reference_examples(self):
+        assert self._ordering([F(-11, 7), F(-2, 7) + F(1, 2**62)]) is None
+        assert self._ordering([F(-11, 7), F(-2, 7) - F(1, 2**62)]) == (
+            "parameters s_1 and s_2 are out of order")
+        assert self._ordering([F(-11, 7), F(-2, 7)]) == (
+            "parameters s_1 and s_2 not separated at width 2^-200")
+
+    @pytest.mark.parametrize("n", [21, 41, 61])
+    def test_gen_curves_need_no_enclosure(self, monkeypatch, n):
+        # every planted root lies in (-1, 1), where s and t rise strictly
+        calls = []
+        bounds = knots._parameter_bounds
+        monkeypatch.setattr(knots, "_parameter_bounds", lambda *a: calls.append(a) or bounds(*a))
+        curve, report = synthesize(n)
+        assert calls == []
+        assert certify(curve.plane.y, curve.z, n).signs_alternate
+        assert calls == []
+
+    def test_roots_outside_the_unit_interval_take_enclosures(self, monkeypatch, fixture_n9_path):
+        # two of the fixture's crossing abscissae lie just outside (-1, 1)
+        calls = []
+        bounds = knots._parameter_bounds
+        monkeypatch.setattr(knots, "_parameter_bounds", lambda *a: calls.append(a) or bounds(*a))
+        passed, lines = verify_curve(load_curve(fixture_n9_path))
+        assert passed and "ok   parameter ordering holds (margin 1.262e-02)" in lines
+        assert calls
 
 
 class TestHeight:

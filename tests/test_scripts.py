@@ -53,3 +53,16 @@ def test_bench_stages_runs(tmp_path):
         assert all(v["runs"] == 1 and v["wall_s"] >= 0 and v["calibrated_s"] >= 0
                    for label in ("change", "parent") for v in row[label].values())
         assert set(row["ratio"]) <= set(row["change"])
+
+
+def test_bench_stages_records_the_given_parent_commit(tmp_path):
+    # a `git archive` copy has no repository for git to describe
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "bench_stages.py"), "--n", "3", "--rounds", "1",
+         "--repeats", "1", "--parent", os.path.join(SCRIPTS, ".."),
+         "--parent-commit", "0123abc", "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["commits"]["parent"] == "0123abc"
