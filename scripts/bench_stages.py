@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the stages of `synthesize` and `certify`, for one checkout or two side by side.
+"""Time the stages of `synthesize`, `certify` and `verify`, for one checkout or two side by side.
 
 Usage:
     python scripts/bench_stages.py [--n 21 41 61 101] [--rounds 3] [--repeats 3]
@@ -22,9 +22,12 @@ where `knots` looks them up: `solve_deformation`, `solve_height` and
 `dumps` of the finished curve.  `nodeless` is `certify(y, z, N)` of the
 same curve with no nodes, as `verify` runs it on a file that stores none,
 with the steps `locate_roots` (R's isolation), `crossings`,
-`signs_at_roots` (dd(z) at R's roots) and `other`.  An `other` is the
-stage's wall time less its steps', calibrated at the stage's speed.  A
-function a checkout lacks is not timed.
+`signs_at_roots` (dd(z) at R's roots) and `other`.  `verify` is
+`serialize.verify_curve` of the dumped document read back with `json`, and
+`verify_nodeless` of the same document with no nodes, each with the steps
+`parse_curve`, `certify` and `other`.  An `other` is the stage's wall time
+less its steps', calibrated at the stage's speed.  A function a checkout
+lacks is not timed.
 
 The output JSON holds the Python and machine identity, each checkout's
 commit (from git, or --parent-commit for a parent that git cannot read,
@@ -50,6 +53,8 @@ ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)),
 SYNTH_STAGES = ("solve_deformation", "solve_height", "certify")
 CERTIFY_STEPS = ("divided_difference", "exact_quotient", "certify_cofactor", "crossings")
 NODELESS_STEPS = ("locate_roots", "crossings", "signs_at_roots")
+VERIFY_STAGES = ("verify", "verify_nodeless")
+VERIFY_STEPS = ("parse_curve", "certify")
 
 
 def identity() -> dict:
@@ -91,6 +96,7 @@ def worker(src: str, ns: list[int], repeats: int) -> dict:
     serialize = importlib.import_module("knotforge.serialize")
     rec = _Spans()
     nodeless = rec.wrap("nodeless", knots.certify)
+    verify, verify_nodeless = (rec.wrap(stage, serialize.verify_curve) for stage in VERIFY_STAGES)
     for name in SYNTH_STAGES:
         setattr(knots, name, rec.wrap(name, getattr(knots, name)))
     for stage, steps in (("certify", CERTIFY_STEPS), ("nodeless", NODELESS_STEPS)):
@@ -98,6 +104,9 @@ def worker(src: str, ns: list[int], repeats: int) -> dict:
             owner = knots.cb if name == "divided_difference" else knots
             if hasattr(owner, name):
                 setattr(owner, name, rec.wrap(f"{stage}.{name}", getattr(owner, name), stage))
+    for stage in VERIFY_STAGES:
+        for name in VERIFY_STEPS:  # as `verify_curve` looks them up in `serialize`
+            setattr(serialize, name, rec.wrap(f"{stage}.{name}", getattr(serialize, name), stage))
 
     t0 = time.perf_counter()
     calibrate.kernel()
@@ -111,10 +120,13 @@ def worker(src: str, ns: list[int], repeats: int) -> dict:
                 t0 = time.perf_counter()
                 curve, report = knots.synthesize(n)
                 t1 = time.perf_counter()
-                serialize.dumps(serialize.curve_to_dict(
+                text = serialize.dumps(serialize.curve_to_dict(
                     n, curve.plane.x, curve.plane.y, curve.z, report, True))
                 t2 = time.perf_counter()
                 nodeless(curve.plane.y, curve.z, n)
+                doc = json.loads(text)
+                verify(doc)
+                verify_nodeless(dict(doc, nodes=None, epsilon=None))
                 runs.append(rec.spans + [("synthesize", t0, t1), ("dumps", t1, t2)])
             while not sampler.took:  # a short run can end before the first sample
                 calibrate.kernel()
@@ -124,7 +136,7 @@ def worker(src: str, ns: list[int], repeats: int) -> dict:
                 for name, a, b in spans:
                     totals[name][0] += b - a
                     totals[name][1] += sampler.calibrated(a, b)
-                for stage in ("certify", "nodeless"):
+                for stage in ("certify", "nodeless", *VERIFY_STAGES):
                     if stage in totals:
                         # each step is calibrated at its own speed, so the rest is
                         # taken in wall time and calibrated at the stage's speed

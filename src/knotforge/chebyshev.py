@@ -70,7 +70,7 @@ def _normalize(coeffs: _CoeffMap) -> tuple[tuple[int, Fraction], ...]:
     for k, c in coeffs.items():
         if k < 0:
             raise ValueError("basis indices must be >= 0")
-        if type(c) is not Fraction:  # a parsed file's coefficients already are
+        if type(c) is not Fraction:  # `_from_monomials` gives Fractions
             c = Fraction(c)
         if c:
             items.append((k, c))

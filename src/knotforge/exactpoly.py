@@ -566,10 +566,12 @@ class LocatedRoots:
             raise ValueError("width must be (hi - lo) / 2^depth")
         n = len(self._x)
         ks = [depth] * n
+        at_depth = [self._index(i, depth) for i in range(n)]  # each root indexed once there
         for i in range(n - 1):
-            k = depth  # once parted, two roots stay in different cells
-            while self._index(i, k) == self._index(i + 1, k):
+            k, a, b = depth, at_depth[i], at_depth[i + 1]
+            while a == b:  # once parted, two roots stay in different cells
                 k += 1
+                a, b = self._index(i, k), self._index(i + 1, k)
             ks[i], ks[i + 1] = max(ks[i], k), k
         while n and self._root_at_hi and self._index(n - 1, ks[-1]) == (1 << ks[-1]) - 1:
             ks[-1] += 1
@@ -666,8 +668,8 @@ def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int
 
     q is integers, a positive multiple of the polynomial.  A root held
     exact, a dyadic point, takes the sign of one `_horner` there.  Open
-    root i starts in its cell (lo, hi] at depth depths[i]
-    (`LocatedRoots.cells`).  With c_k the primitive integers of q and
+    root i starts in its cell (lo, hi] at depth depths[i] (`LocatedRoots.cells`,
+    kept in `knots.certify`'s crossing report).  With c_k the primitive integers of q and
     m = max(|lo|, |hi|), L2 = sum k (k-1) |c_k| m^(k-2) bounds |q''| on the
     cell, so |q(lo)| > (|q'(lo)| + L2 (hi - lo)) (hi - lo), in
     cross-multiplied integers, leaves q no root in [lo, hi]: q has the sign

@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from operator import add
 from typing import Optional, Sequence
 
@@ -153,12 +154,24 @@ class Crossing:
 
 @dataclass(frozen=True)
 class CrossingReport:
+    """Crossing i as `crossings` finds it: its integer cell (low / den, high / den] at
+    depth depths[i] of `LocatedRoots.cells`, and its floats (u, alpha, s, t).  The
+    property `crossings` builds the Crossing objects, signed (-1)^i once certified."""
+
     n_crossings: int
-    crossings: tuple[Crossing, ...]
+    cells: tuple[tuple[int, int, int], ...]
+    floats: tuple[tuple[float, float, float, float], ...]
+    depths: tuple[int, ...]
     ordering_margin: float  # diagnostic: smallest gap of s_1, ..., t_N in floats
     signs_alternate: Optional[bool] = None
     epsilon: Optional[Fraction] = None
     nodes: Optional[tuple[Fraction, ...]] = None
+
+    @cached_property
+    def crossings(self) -> tuple[Crossing, ...]:
+        return tuple(Crossing(Fraction(low, den), Fraction(high, den), *f,
+                              (-1) ** i if self.signs_alternate else None)
+                     for i, ((low, high, den), f) in enumerate(zip(self.cells, self.floats), 1))
 
 
 # -- the C bases ------------------------------------------------------------------
@@ -386,9 +399,9 @@ def _certify_ordering(located: LocatedRoots, depths: Sequence[int],
 def crossings(located: LocatedRoots, n_crossings: int) -> CrossingReport:
     """Locate the N crossings of the lifted curve from the roots of R in (-2, 2).
 
-    The report's intervals are the 2^-48 cells of `LocatedRoots.cells`,
-    each mapped from its midpoint, the double nearest (l + h) / (2 d) for
-    the integer ends (l, h, d), through u = 2 cos(alpha),
+    The report keeps the 2^-48 cells of `LocatedRoots.cells`, their depths
+    and their integer ends (l, h, d), and no Fraction: each is mapped from
+    its midpoint, the double nearest (l + h) / (2 d), through u = 2 cos(alpha),
     s = 2 cos(alpha + pi/3), t = 2 cos(alpha - pi/3) in floats.  The
     2N-way ordering s_1 < ... < s_N < t_1 < ... < t_N is proved by the
     monotonicity of s and t on [-1, 1], on rational enclosures only for pairs
@@ -398,18 +411,17 @@ def crossings(located: LocatedRoots, n_crossings: int) -> CrossingReport:
     depths = located.cells(ROOT_WIDTH)
     if len(depths) != n_crossings:
         raise OrderingViolation(f"found {len(depths)} crossings, expected {n_crossings}")
-    cells = list(map(located.ends, range(n_crossings), depths))
+    cells = tuple(map(located.ends, range(n_crossings), depths))
     _certify_ordering(located, depths, cells)
     out = []
     for low, high, den in cells:
         u = (low + high) / (2 * den)  # integer true division rounds correctly
         alpha = math.acos(max(-1.0, min(1.0, u / 2.0)))
-        s = 2.0 * math.cos(alpha + math.pi / 3.0)
-        t = 2.0 * math.cos(alpha - math.pi / 3.0)
-        out.append(Crossing(Fraction(low, den), Fraction(high, den), u, alpha, s, t))
-    seq = [c.s for c in out] + [c.t for c in out]
+        out.append((u, alpha, 2.0 * math.cos(alpha + math.pi / 3.0),
+                    2.0 * math.cos(alpha - math.pi / 3.0)))
+    seq = [s for _, _, s, _ in out] + [t for _, _, _, t in out]
     margin = min((b - a for a, b in zip(seq, seq[1:])), default=math.inf)
-    return CrossingReport(n_crossings=n_crossings, crossings=tuple(out), ordering_margin=margin)
+    return CrossingReport(n_crossings, cells, tuple(out), tuple(depths), margin)
 
 
 def solve_height(nodes: NodeSet) -> cb.ChebV:
@@ -493,8 +505,8 @@ def certify(
     - space: when z is present, z(t) - z(s) = (t - s) dd(z)(u) with
       t - s = sqrt(12 - 3u^2) > 0, so the sign at a crossing is that of
       dd(z) at its root u, which must be (-1)^i: decided in integers at
-      planted nodes, and otherwise by `signs_at_roots` on R's located
-      roots, where a root shared with dd(z) (z(t) = z(s)) fails.
+      planted nodes, and otherwise by `signs_at_roots` on R's roots at the
+      report's depths, where a root shared with dd(z) (z(t) = z(s)) fails.
 
     R and dd(z) are read once each through their integer forms
     (`integer_form`), and every stage runs on those integers and on the
@@ -527,8 +539,8 @@ def certify(
     are the roots of X^2 - uX + (u^2 - 3), so T_3(s) = T_3(t), and
     y(t) - y(s) = (t - s) R(u) = 0.
 
-    Returns the completed report; a failed stage raises
-    CertificationFailed carrying the stage and the report so far.
+    Returns the report with signs_alternate set, its crossings signed (-1)^i; a
+    failed stage raises CertificationFailed carrying it and the unsigned report so far.
     """
     r_ints, _ = cb.divided_difference(y).integer_form()
     if not r_ints:
@@ -576,16 +588,13 @@ def certify(
             if value * (-1) ** i <= 0:  # dd(z)(u) = value / (den scale), den, scale > 0
                 raise CertificationFailed(f"dd(z)({rat_str(u)}) != {(-1) ** i}", "space", report)
     else:
-        for i, sign in enumerate(signs_at_roots(located, z_ints, located.cells(ROOT_WIDTH)), 1):
+        for i, sign in enumerate(signs_at_roots(located, z_ints, report.depths), 1):
             if sign != (-1) ** i:
                 raise CertificationFailed(
                     f"crossing {i}: z(t)-z(s) has sign {sign}, expected {(-1) ** i}" if sign
                     else f"z(t) = z(s) at crossing {i}", "space", report,
                 )
-    # every sign is now certified to be (-1)^i
-    completed = tuple(Crossing(c.u_lo, c.u_hi, c.u, c.alpha, c.s, c.t, (-1) ** i)
-                      for i, c in enumerate(report.crossings, start=1))
-    return replace(report, crossings=completed, signs_alternate=True)
+    return replace(report, signs_alternate=True)  # every sign is certified to be (-1)^i
 
 
 # -- the full pipeline --------------------------------------------------------------

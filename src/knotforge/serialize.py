@@ -110,18 +110,22 @@ def _rat_from_json(s: Any, what: str) -> Fraction:
 
 
 def basis_from_json(d: Any) -> Union[Poly, cb.ChebT, cb.ChebV]:
+    """Read a coefficient object's nonzero coefficients in index order, before its
+    basis tag: an entry "0", about two thirds of a `gen` file's, makes no Fraction,
+    and any other is read by `_rat_from_json` and dropped if zero."""
     if not isinstance(d, dict) or "basis" not in d or "coeffs" not in d:
         raise SchemaError("coefficient object needs 'basis' and 'coeffs'")
     if not isinstance(d["coeffs"], list):
         raise SchemaError("'coeffs' must be a list of rational strings")
-    coeffs = [_rat_from_json(c, "coefficient") for c in d["coeffs"]]
+    coeffs = [0 if c == "0" else _rat_from_json(c, "coefficient") for c in d["coeffs"]]
     basis = d["basis"]
     if basis == "monomial":
         return Poly(coeffs)
+    items = tuple((k, c) for k, c in enumerate(coeffs) if c)
     if basis == "T":
-        return cb.ChebT.of(dict(enumerate(coeffs)))
+        return cb.ChebT(items)
     if basis == "V":
-        return cb.ChebV.of(dict(enumerate(coeffs)))
+        return cb.ChebV(items)
     raise SchemaError(f"unknown basis tag {_clip(basis)}")
 
 

@@ -1,6 +1,7 @@
 """The factored synthesis: the deformation and height solved with the planted
 roots factored out, and the cofactor certificate in `synthesize` and `certify`."""
 
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -17,7 +18,14 @@ from height_reference import reference_height_series
 from knotforge import chebyshev as cb, exactpoly, knots
 from knotforge.chebyshev import ChebT, ChebV, lift_from_V, to_V
 from knotforge.errors import CertificationFailed, EpsilonExhausted, SingularSystem
-from knotforge.exactpoly import Poly, _primitive_ints, locate_roots, solve_linear
+from knotforge.exactpoly import (
+    Poly,
+    _content_free,
+    _primitive_ints,
+    locate_roots,
+    rat_str,
+    solve_linear,
+)
 from knotforge.knots import (
     NodeSet,
     build_cn,
@@ -28,6 +36,7 @@ from knotforge.knots import (
     solve_height,
     synthesize,
 )
+from knotforge.serialize import curve_to_dict, dumps, parse_curve, verify_curve
 
 N_MAX = 41
 
@@ -99,6 +108,79 @@ def record_gcds(monkeypatch):
     return degrees
 
 
+@pytest.fixture(scope="module")
+def gen_docs():
+    """The documents `gen` writes at N = 21 and 41, read back from JSON."""
+    docs = {}
+    for n in (21, 41):
+        curve, report = synthesize(n)
+        doc = curve_to_dict(n, curve.plane.x, curve.plane.y, curve.z, report, True)
+        docs[n] = json.loads(dumps(doc))
+    return docs
+
+
+def pairwise_depths(located, width):
+    """`LocatedRoots.cells` as it was first written: both roots of each neighbouring
+    pair indexed at every depth, the reference for the depths."""
+    steps = located._span / width
+    depth = steps.numerator.bit_length() - 1
+    n = len(located)
+    ks = [depth] * n
+    for i in range(n - 1):
+        k = depth
+        while located._index(i, k) == located._index(i + 1, k):
+            k += 1
+        ks[i], ks[i + 1] = max(ks[i], k), k
+    while n and located._root_at_hi and located._index(n - 1, ks[-1]) == (1 << ks[-1]) - 1:
+        ks[-1] += 1
+    return ks
+
+
+class TestCellIndexing:
+    @staticmethod
+    def count_index(monkeypatch, located):
+        calls = []
+        real = exactpoly.LocatedRoots._index
+
+        def counting(self, i, k):
+            if self is located:
+                calls.append((i, k))
+            return real(self, i, k)
+
+        monkeypatch.setattr(exactpoly.LocatedRoots, "_index", counting)
+        return calls
+
+    def test_each_root_is_indexed_once_on_the_half_path(self, monkeypatch, gen_docs):
+        curve = parse_curve(gen_docs[21])
+        r = _content_free(cb.divided_difference(curve.y).integer_form()[0])
+        reference = locate_roots(r, -2, 2)
+        located = locate_roots(r, -2, 2)
+        assert located._half is not None  # R = u S(u^2)
+        old = self.count_index(monkeypatch, reference)
+        expected = pairwise_depths(reference, knots.ROOT_WIDTH)
+        new = self.count_index(monkeypatch, located)
+        assert located.cells(knots.ROOT_WIDTH) == expected
+        assert len(old) == 2 * (21 - 1) and len(new) == 21
+        assert sorted(i for i, _ in new) == list(range(21))
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: exactpoly.LocatedRoots(
+            NodeSet(10, tuple(F(i, 44) for i in range(1, 11))).all_roots(), -2, 2), id="planted"),
+        pytest.param(lambda: exactpoly.LocatedRoots(
+            (F(-1, 3), F(0), F(1, 2**60), F(1, 2**59)), -2, 2), id="sharing-cells"),
+        # (u - 2)(2^60 u - (2^61 - 1)): the top root shares its cell with hi
+        pytest.param(lambda: locate_roots([2**62 - 2, -(2**62 - 1), 2**60], -2, 2),
+                     id="root-at-hi"),
+        pytest.param(lambda: locate_roots([0, -4, 0, 1], -2, 2), id="half-root-at-hi"),
+        # (4u^2 - 1)(q^2 u^2 - p^2) for p/q = 1/2 + 2^-60, through E on (0, 4)
+        pytest.param(lambda: locate_roots([(2**59 + 1) ** 2, 0, -(4 * (2**59 + 1) ** 2 + 2**120),
+                                           0, 2**122], -2, 2), id="half-sharing-cells"),
+    ])
+    def test_depths_match_the_pairwise_walk(self, make):
+        for width in (knots.ROOT_WIDTH, F(1, 2**70)):
+            assert make().cells(width) == pairwise_depths(make(), width)
+
+
 class TestHotPath:
     def test_synthesize_builds_no_c_basis_and_no_chain_of_a(self, monkeypatch):
         def refuse(*args):
@@ -150,6 +232,63 @@ class TestHotPath:
         monkeypatch.undo()
         assert again.crossings == (report.crossings if height else tuple(
             replace(c, sign=None) for c in report.crossings))
+
+    @pytest.mark.parametrize("nodes,height", [
+        pytest.param(True, True, id="nodes"),
+        pytest.param(False, True, id="node-less"),
+        pytest.param(False, False, id="plane-only"),
+    ])
+    def test_verify_builds_no_crossing(self, monkeypatch, gen_docs, nodes, height):
+        # the report keeps integer cells; a Crossing is built only where one is read
+        doc = dict(gen_docs[21])
+        if not nodes:
+            doc.update(nodes=None, epsilon=None)
+        if not height:
+            doc["z"] = None
+        expected = verify_curve(doc)
+
+        def refuse(self, *args):
+            raise AssertionError("verify built a Crossing")
+
+        monkeypatch.setattr(knots.Crossing, "__init__", refuse)
+        ok, lines = verify_curve(doc)
+        monkeypatch.undo()
+        assert ok and (ok, lines) == expected
+        assert lines[-1] == ("ok   crossing signs alternate (-1)^i [exact]" if height
+                             else "note z absent: plane diagram only, sign checks skipped")
+
+    @pytest.mark.parametrize("n", [21, 41])
+    @pytest.mark.parametrize("nodes", [True, False], ids=["nodes", "node-less"])
+    def test_certified_crossings_match_the_gen_file(self, gen_docs, n, nodes):
+        curve = parse_curve(gen_docs[n])
+        report = certify(curve.y, curve.z, n, curve.nodes if nodes else None)
+        assert [{"u": f"{rat_str(c.u_lo)}..{rat_str(c.u_hi)}", "s": c.s, "t": c.t,
+                 "sign": c.sign} for c in report.crossings] == gen_docs[n]["crossings"]
+
+    def test_failed_space_stage_carries_unsigned_crossings(self, gen_docs):
+        curve = parse_curve(gen_docs[21])
+        signed = certify(curve.y, curve.z, 21, curve.nodes).crossings
+        flipped = ChebT(tuple((k, -c) for k, c in curve.z.items))
+        for nodes in (curve.nodes, None):
+            with pytest.raises(CertificationFailed) as info:
+                certify(curve.y, flipped, 21, nodes)
+            assert info.value.stage == "space" and not info.value.report.signs_alternate
+            assert info.value.report.crossings == tuple(replace(c, sign=None) for c in signed)
+
+    def test_nodeless_certify_finds_the_cells_of_r_once(self, monkeypatch, gen_docs):
+        curve = parse_curve(gen_docs[21])
+        owners = []
+        real = exactpoly.LocatedRoots.cells
+
+        def counting(self, width):
+            owners.append(self)
+            return real(self, width)
+
+        monkeypatch.setattr(exactpoly.LocatedRoots, "cells", counting)
+        report = certify(curve.y, curve.z, 21)
+        assert report.signs_alternate
+        # R's cells, for the report and the signs; E's, on the half path, once more
+        assert sum(owner is owners[0] for owner in owners) == 1
 
     def test_failed_certificate_halves_until_exhausted(self, monkeypatch):
         tried = []

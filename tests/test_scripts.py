@@ -46,7 +46,9 @@ def test_bench_stages_runs(tmp_path):
     stages = {"synthesize", "solve_deformation", "solve_height", "certify", "certify.crossings",
               "certify.exact_quotient", "certify.other", "dumps", "nodeless",
               "nodeless.locate_roots", "nodeless.crossings", "nodeless.signs_at_roots",
-              "nodeless.other"}
+              "nodeless.other", "verify", "verify.parse_curve", "verify.certify", "verify.other",
+              "verify_nodeless", "verify_nodeless.parse_curve", "verify_nodeless.certify",
+              "verify_nodeless.other"}
     for n in ("5", "9"):
         row = doc["stages"][n]
         assert stages <= set(row["change"]) and stages <= set(row["parent"])

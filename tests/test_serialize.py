@@ -7,12 +7,13 @@ from hypothesis import given, strategies as st
 
 from knotforge import exactpoly
 from knotforge.cli import main as cli_main
-from knotforge.chebyshev import ChebT, ChebV, t_poly
+from knotforge.chebyshev import ChebT, ChebV, t_poly, to_T
 from knotforge.exactpoly import Poly, rat_str
 from knotforge.knots import synthesize
 from knotforge.serialize import (
     DIGITS_CAP,
     SchemaError,
+    _space_coordinate,
     basis_from_json,
     basis_to_json,
     curve_to_dict,
@@ -56,6 +57,72 @@ class TestBasisJson:
     @given(st.fractions())
     def test_rat_str_roundtrip(self, x):
         assert basis_from_json({"basis": "monomial", "coeffs": [rat_str(x)]}) == Poly([x])
+
+
+def old_reading(basis, strings):
+    """The reader before zero entries were skipped: every entry a Fraction, then
+    `ChebT.of` / `ChebV.of` dropping the zeros, or a dense `Poly`."""
+    coeffs = [F(s) for s in strings]
+    if basis == "monomial":
+        return Poly(coeffs)
+    return (ChebT if basis == "T" else ChebV).of(dict(enumerate(coeffs)))
+
+
+ZERO_SPELLINGS = ["0", "-0", "00", "0/7", "-0/3"]
+BASES = ["T", "V", "monomial"]
+
+
+class TestZeroCoefficients:
+    @pytest.mark.parametrize("basis", BASES)
+    @pytest.mark.parametrize("zero", ZERO_SPELLINGS)
+    def test_zero_spellings_read_as_zero(self, basis, zero):
+        for strings in ([zero], ["1", zero, "-2/3", zero], [zero, zero, "5", zero, zero]):
+            got = basis_from_json({"basis": basis, "coeffs": strings})
+            assert got == old_reading(basis, strings)
+            assert got == basis_from_json({"basis": basis, "coeffs": [
+                "0" if F(s) == 0 else s for s in strings]})
+
+    @pytest.mark.parametrize("basis", [*BASES, "bogus"])
+    @pytest.mark.parametrize("bad,message", [
+        ("0/0", "bad coefficient '0/0': zero denominator"),
+        (0, "coefficient must be a rational string, got int"),
+        ("", "bad coefficient '': expected p or p/q"),
+        (" 0", "bad coefficient ' 0': expected p or p/q"),
+        ("+0", "bad coefficient '+0': expected p or p/q"),
+        (None, "coefficient must be a rational string, got NoneType"),
+    ])
+    def test_failure_messages_are_unchanged(self, basis, bad, message):
+        # the first bad entry is named, and before the basis tag is read
+        for strings in ([bad], ["0", "1", bad, "0", "1/0"], ["0", bad, "x"]):
+            with pytest.raises(SchemaError) as info:
+                basis_from_json({"basis": basis, "coeffs": strings})
+            assert str(info.value) == message
+
+    @given(
+        basis=st.sampled_from(BASES),
+        strings=st.lists(st.one_of(
+            st.sampled_from(ZERO_SPELLINGS),
+            st.fractions(max_denominator=10**6).map(rat_str),
+            st.tuples(st.integers(-99, 99), st.integers(1, 99)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+        ), max_size=12),
+        cap=st.integers(0, 10),
+    )
+    def test_reader_matches_the_old_reading(self, basis, strings, cap):
+        d = {"basis": basis, "coeffs": strings}
+        expected = old_reading(basis, strings)
+        assert basis_from_json(d) == expected
+        # `_space_coordinate`'s checks see the same series, so they give the same verdict
+        if basis == "V":
+            with pytest.raises(SchemaError, match="must be in the T or monomial basis"):
+                _space_coordinate(d, "y", cap)
+        elif expected.degree > cap:
+            with pytest.raises(SchemaError) as info:
+                _space_coordinate(d, "y", cap)
+            assert str(info.value) == (f"y has degree {expected.degree}, "
+                                       f"above the cap 4N + 64 = {cap}")
+        else:
+            assert _space_coordinate(d, "y", cap) == (
+                to_T(expected) if basis == "monomial" else expected)
 
 
 class TestCurveDict:
