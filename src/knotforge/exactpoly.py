@@ -17,10 +17,12 @@ dyadic points.  An even or odd p on a symmetric interval is isolated and
 narrowed through its half-degree part E, p = u^rho E(u^2) alone: each
 root v of E is +-sqrt(v), its cells read off E's.  The one root counter,
 `count_roots`, isolates the squarefree part p / gcd(p, p')
-(`squarefree`, by an integer remainder sequence and exact division), so
-its isolation always finishes.  A value at n/d is the integer sum
-c_i n^i d^(D-i) (homogeneous Horner, shifts for d = 2^s), which also
-evaluates a `Poly` on its coefficients brought to one denominator.
+(`squarefree`, by exact division), so its isolation always finishes.
+The one polynomial gcd, `poly_gcd`, is Brown's modular gcd: Euclid mod
+61-bit primes, combined by CRT and checked by exact division.  A value
+at n/d is the integer sum c_i n^i d^(D-i) (homogeneous Horner, shifts
+for d = 2^s), which also evaluates a `Poly` on its coefficients brought
+to one denominator.
 `signs_at_roots` gives the exact sign of a second polynomial at each
 located root, from a slope bound.  Linear systems are solved by
 fraction-free (Bareiss) elimination on integer rows (`solve_linear`).
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
 from operator import add, ne
 from typing import Iterable, Optional, Sequence, Union
 
@@ -270,69 +272,71 @@ def _horner(cs: Sequence[int], num: int, den: int) -> int:
     return acc
 
 
-def _neg_remainder(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Primitive form of -(a mod b); empty when b divides a.
-
-    Integer pseudo-division: each step multiplies the running remainder by
-    |lc(b)| / g, a positive factor, so the result is a positive multiple
-    of the rational remainder and keeps its signs.
-    """
-    r = list(a)
-    nb = len(b)
-    lead = b[-1]
-    lead_sign = 1 if lead > 0 else -1
-    while len(r) >= nb:
-        top = r.pop()
-        if not top:
-            continue
-        g = math.gcd(top, lead)
-        scale, f = abs(lead) // g, lead_sign * top // g
-        if scale != 1:
-            r = [scale * v for v in r]
-        k = len(r) + 1 - nb
-        for i in range(nb - 1):
-            r[k + i] -= f * b[i]
-    while r and not r[-1]:
-        r.pop()
-    return _content_free([-v for v in r])
+_PRIMES = [(1 << 61) - 1]  # a Mersenne prime, then the primes above it that a gcd took
 
 
-def _remainder_sequence(a: tuple[int, ...], b: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """a, b, then the primitive forms of -(a mod b), ... (b nonzero).
-
-    The last element is gcd(a, b) up to a nonzero constant.
-    """
-    seq = [a, b]
-    while len(seq[-1]) > 1:
-        r = _neg_remainder(seq[-2], seq[-1])
-        if not r:
-            break
-        seq.append(r)
-    return seq
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the prime bases up to 41, exact for odd n < 3.3 * 10^24."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        x = pow(a, (n - 1) >> s, n)  # 0 when n is the base itself
+        if x not in (0, 1, n - 1) and all((x := x * x % n) != n - 1 for _ in range(s - 1)):
+            return False
+    return True
 
 
-def _coprime(a: Sequence[int], b: Sequence[int], prime: int = (1 << 61) - 1) -> bool:
-    """True proves that the integer polynomials a and b have no common root.
-
-    When p divides neither leading coefficient, a common factor of a and b
-    over Q keeps its degree mod p, so a and b coprime mod p (Euclid in
-    GF(p)) are coprime over Q.  False proves nothing.
-    """
-    if not a[-1] % prime or not b[-1] % prime:
-        return False
-    a, b = [v % prime for v in a], [v % prime for v in b]
-    while len(b) > 1:
-        inv = pow(b[-1], -1, prime)
-        while len(a) >= len(b):  # a mod b, which drops a's top term
-            f, top = a.pop() * inv % prime, len(a) - len(b) + 1
-            for i, v in enumerate(b[:-1]):
-                a[top + i] = (a[top + i] - f * v) % prime
+def _gcd_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Monic gcd of a and b mod the prime p, by Euclid in GF(p); p divides neither lc."""
+    a, b = [v % p for v in a], [v % p for v in b]
+    while b:
+        inv, nb = pow(b[-1], -1, p), len(b) - 1
+        while len(a) > nb:  # a mod b, which drops a's top term
+            f, top = a.pop() * inv % p, len(a) - nb
+            a[top:] = [(v - f * w) % p for v, w in zip(a[top:], b)]
             while a and not a[-1]:
                 a.pop()
-        if not a:  # b, of degree >= 1, divides a
-            return False
         a, b = b, a
-    return True
+    inv = pow(a[-1], -1, p)
+    return [v * inv % p for v in a]
+
+
+def poly_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """gcd of the nonzero integer polynomials a and b: primitive, leading coefficient > 0.
+
+    Brown's modular gcd.  For a prime p dividing neither leading coefficient,
+    g = gcd(a, b) keeps its degree mod p and divides both images, so their
+    gcd in GF(p) (`_gcd_mod`) has degree >= deg g, and a common divisor of
+    degree deg g is g.  An image of degree 0 proves g = 1.  The candidates
+    are b, the shorter input, and then the CRT combination of the images
+    of least degree below b's, each times l = gcd(lc a, lc b), which lc g
+    divides, once a further prime leaves it unchanged; a candidate's
+    primitive part is returned only when `exact_quotient` divides both
+    inputs by it, and otherwise more primes are taken.
+    """
+    a, b = sorted((_content_free(a), _content_free(b)), key=len, reverse=True)
+    lead = math.gcd(a[-1], b[-1])
+    g, least, image, modulus = b, len(b) - 1, None, 1  # CRT of l times the images of least length
+    for k in count():  # the primes of _PRIMES, and past its end each next one, found and kept
+        if g and exact_quotient(a, g) is not None and exact_quotient(b, g) is not None:
+            return g if g[-1] > 0 else tuple(-v for v in g)
+        if k == len(_PRIMES):
+            _PRIMES.append(next(n for n in count(_PRIMES[-1] + 2, 2) if _is_prime(n)))
+        p, g = _PRIMES[k], None
+        if not a[-1] % p or not b[-1] % p:
+            continue
+        h = _gcd_mod(a, b, p)
+        if len(h) == 1:
+            return (1,)
+        if len(h) > least:
+            continue
+        if image is None or len(h) < least:
+            least, image, modulus = len(h), [0] * len(h), 1
+        m, inv, modulus = modulus, pow(modulus, -1, p), modulus * p
+        steps = [(w * lead - v) * inv % p for v, w in zip(image, h)]
+        # each coefficient in (-modulus / 2, modulus / 2]: stable once it is the true one
+        image = [(v + m * t + modulus // 2) % modulus - modulus // 2 for v, t in zip(image, steps)]
+        if not any(steps):
+            g = _content_free(image)
 
 
 def exact_quotient(a: Sequence[int], b: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -357,24 +361,18 @@ def exact_quotient(a: Sequence[int], b: Sequence[int]) -> Optional[tuple[int, ..
     return None if any(r[:nb - 1]) or not q else tuple(q)
 
 
-# -- squarefree part ------------------------------------------------------------
-
-
 def squarefree(p: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(s, g) for integer coefficients p: g = gcd(p, p') and s = p / g, both
     primitive, g with a positive leading coefficient.
 
     s is the squarefree part of p, a positive multiple of it: every root of
-    p, each one simple.  The roots of g are the repeated roots of p.  By
-    Gauss's lemma the quotient of the primitive integers is exact.
+    p, each one simple.  The roots of g (`poly_gcd`) are the repeated roots
+    of p.  By Gauss's lemma the quotient of the primitive integers is exact.
     """
     if not p:
         raise ZeroPolynomial("squarefree part of the zero polynomial")
-    a, g = _content_free(p), (1,)
-    if len(a) > 1:
-        g = _remainder_sequence(a, _content_free([i * c for i, c in enumerate(a)][1:]))[-1]
-        if g[-1] < 0:
-            g = tuple(-v for v in g)
+    a = _content_free(p)
+    g = poly_gcd(a, [i * c for i, c in enumerate(a)][1:] or [1])
     return exact_quotient(a, g), g
 
 
@@ -675,10 +673,10 @@ def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int
     cross-multiplied integers, leaves q no root in [lo, hi]: q has the sign
     of q(lo) at the root.  Otherwise the cell is taken deeper and tested
     again.  The test never passes where q vanishes, so below DEEP_WIDTH
-    the gcd of p and q (built once, and 1 without a remainder sequence when
-    `_coprime` proves it) is asked for a root in (lo, hi], which a root of
-    p found exact while deepening ends; if none, deepening goes on.  It
-    divides p, so its roots there are simple, counted by one isolation.
+    the gcd of p and q (`poly_gcd`, built once) is asked for a root in
+    (lo, hi], which a root of p found exact while deepening ends; if none,
+    deepening goes on.  It divides p, so its roots there are simple,
+    counted by one isolation.
 
     When p's roots came through E (`LocatedRoots._half`) and q is even or
     odd, q = u^sigma Q(u^2), the test runs on Q at E's roots, from E's
@@ -724,9 +722,7 @@ def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int
                 break
             if w << 200 <= den and not asked:  # at most DEEP_WIDTH wide
                 asked = True
-                if common is None:
-                    common = (1,) if _coprime(located.poly, cs) else _remainder_sequence(
-                        located.poly, cs)[-1]
+                common = common or poly_gcd(located.poly, cs)
                 if not _horner(common, high, den) or len(locate_roots(
                         common, Fraction(low, den), Fraction(high, den), None)):
                     out.append(0)

@@ -506,7 +506,8 @@ def certify(
       t - s = sqrt(12 - 3u^2) > 0, so the sign at a crossing is that of
       dd(z) at its root u, which must be (-1)^i: decided in integers at
       planted nodes, and otherwise by `signs_at_roots` on R's roots at the
-      report's depths, where a root shared with dd(z) (z(t) = z(s)) fails.
+      report's depths, where a root shared with dd(z) (z(t) = z(s)), found
+      by their gcd (`poly_gcd`), fails.
 
     R and dd(z) are read once each through their integer forms
     (`integer_form`), and every stage runs on those integers and on the
@@ -521,14 +522,15 @@ def certify(
     Descartes isolation of the same integers (`locate_roots`) proves the
     count, every root simple, and R is evaluated at the nodes in integers
     (`_values_at_planted`).  An unfinished one (a multiple root, or roots
-    closer than DEEP_WIDTH) splits R into its squarefree part s = R / g
-    and g = gcd(R, R') (`squarefree`): s has R's roots, all simple, so its
-    isolation with no depth limit finishes and counts them, and R has a
-    repeated root in (-2, 2) exactly when g has a root there.  R of a
-    `gen` curve is odd, R = u S(u^2), so `locate_roots` isolates S on
-    (0, 4) at half the degree and mirrors its roots; an R with no parity
-    (a perturbed y) or with S(0) = 0 (a root of R at 0 that is not simple)
-    is isolated on (-2, 2) itself.  The cells are the same on every path.
+    closer than DEEP_WIDTH) splits R into its squarefree part s = R / g and
+    g = gcd(R, R') (`squarefree`, by the modular `poly_gcd`): s has R's
+    roots, all simple, so its isolation with no depth limit finishes and
+    counts them, and R has a repeated root in (-2, 2) exactly when g has a
+    root there.  R of a `gen` curve is odd, R = u S(u^2), so `locate_roots`
+    isolates S on (0, 4) at half the degree and mirrors its roots; an R
+    with no parity (a perturbed y) or with S(0) = 0 (a root of R at 0 that
+    is not simple) is isolated on (-2, 2) itself.  The cells are the same
+    on every path.
     The signs at the nodes are checked in integers on dd(z)'s form, as the
     sign of q^D dd(z)(p/q) (over den q^D > 0) at each planted root p/q, by
     `_values_at_planted`; without nodes `signs_at_roots` decides them on

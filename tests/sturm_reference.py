@@ -4,14 +4,16 @@
 by Descartes isolation, `locate_roots` isolates by Descartes bisection,
 and `LocatedRoots.cells` gives the depths at which isolation and
 refinement on a Sturm chain stop.  `SturmChain`, its `count_roots`,
-`isolate_roots` and `refine` are that reference, on the library's integer
-remainder sequence; `interval` and `cell_intervals` put the library's
-cells in its terms.
+`isolate_roots` and `refine` are that reference, on the primitive integer
+remainder sequence (`_remainder_sequence`), which also checks the library's
+modular gcd; `interval` and `cell_intervals` put the library's cells in
+its terms.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 from knotforge.errors import ZeroPolynomial
 from knotforge.exactpoly import (
@@ -20,7 +22,6 @@ from knotforge.exactpoly import (
     _content_free,
     _horner,
     _primitive_ints,
-    _remainder_sequence,
     exact_quotient,
 )
 
@@ -52,6 +53,47 @@ def sign_at(cs, num: int, den: int) -> int:
     """Exact sign of the integer polynomial cs at num/den, for den > 0."""
     acc = _horner(cs, num, den)
     return (acc > 0) - (acc < 0)
+
+
+def _neg_remainder(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Primitive form of -(a mod b); empty when b divides a.
+
+    Integer pseudo-division: each step multiplies the running remainder by
+    |lc(b)| / g, a positive factor, so the result is a positive multiple
+    of the rational remainder and keeps its signs.
+    """
+    r = list(a)
+    nb = len(b)
+    lead = b[-1]
+    lead_sign = 1 if lead > 0 else -1
+    while len(r) >= nb:
+        top = r.pop()
+        if not top:
+            continue
+        g = math.gcd(top, lead)
+        scale, f = abs(lead) // g, lead_sign * top // g
+        if scale != 1:
+            r = [scale * v for v in r]
+        k = len(r) + 1 - nb
+        for i in range(nb - 1):
+            r[k + i] -= f * b[i]
+    while r and not r[-1]:
+        r.pop()
+    return _content_free([-v for v in r])
+
+
+def _remainder_sequence(a: tuple[int, ...], b: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """a, b, then the primitive forms of -(a mod b), ... (b nonzero).
+
+    The last element is gcd(a, b) up to a nonzero constant.
+    """
+    seq = [a, b]
+    while len(seq[-1]) > 1:
+        r = _neg_remainder(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append(r)
+    return seq
 
 
 def _sturm_sequence(a: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from knotforge import chebyshev as cb, cli, knots
+from knotforge import chebyshev as cb, cli, exactpoly, knots
 from knotforge.cli import main
 from knotforge.exactpoly import rat_str, solve_linear
 from knotforge.knots import synthesize
@@ -230,6 +230,57 @@ class TestVerify:
         assert time.perf_counter() - start < 5.0
         assert code == 2
         assert stdout.endswith("FAIL space verification: z(t) = z(s) at crossing 1\nNOT VERIFIED\n")
+
+    @pytest.mark.parametrize("edit,line", [
+        pytest.param("bump", "FAIL space verification: z(t) = z(s) at crossing 2", id="bump"),
+        pytest.param("double", "FAIL R has 39 roots in (-2, 2), expected 61", id="double"),
+    ])
+    def test_nodeless_hostile_edit_fails_in_bounded_time(self, tmp_path, capsys, gen_docs,
+                                                         edit, line):
+        # two edits of the N = 61 file at its third node d_3, node-less, each
+        # decided by a gcd: of R and dd(z), or of R and R'
+        doc = copy.deepcopy(gen_docs[61])
+        d3 = Fraction(doc["nodes"][2])
+
+        def dd(key):
+            series = cb.ChebT.of({k: Fraction(c) for k, c in enumerate(doc[key]["coeffs"])})
+            return cb.divided_difference(series).to_poly()
+
+        def add(key, k, c):
+            doc[key]["coeffs"][k] = rat_str(Fraction(doc[key]["coeffs"][k]) + c)
+
+        if edit == "bump":
+            # dd(T_1) = V_0 = 1: dd(z) - dd(z)(d_3) stays even and vanishes at +-d_3
+            add("z", 1, -dd("z")(d3))
+        else:
+            # c_1 T_2 - c_3 T_4 adds c_1 V_1 + c_3 V_3 = c_3 u (u^2 - d_3^2) to R,
+            # whose slope 2 c_3 d_3^2 at d_3 cancels R'(d_3): d_3 is a double root
+            c3 = -dd("y").derivative()(d3) / (2 * d3 * d3)
+            add("y", 2, -c3 * (d3 * d3 - 2))
+            add("y", 4, -c3)
+        path = tmp_path / f"{edit}.json"
+        path.write_text(json.dumps(dict(doc, nodes=None, epsilon=None)))
+        start = time.perf_counter()
+        code, stdout, _ = run(["verify", str(path)], capsys)
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        assert stdout.endswith(line + "\nNOT VERIFIED\n")
+
+    def test_root_shared_by_a_q_of_no_parity_is_found_in_bounded_time(self):
+        # q = dd(z) (u - d_1) has no parity, so its signs on R = u S(u^2) at
+        # N = 61 are decided on R's cells, and it vanishes at the crossing
+        # d_1 (index n + 1), which only the gcd of R and q shows
+        curve, report = synthesize(61)
+        n = len(report.nodes)
+        r = cb.divided_difference(curve.plane.y).integer_form()[0]
+        located = exactpoly.locate_roots(exactpoly._content_free(r), -2, 2)
+        dz = cb.divided_difference(curve.z).integer_form()[0]
+        q = exactpoly._primitive_ints(exactpoly.Poly(dz) * exactpoly.Poly([-report.nodes[0], 1]))
+        start = time.perf_counter()
+        signs = exactpoly.signs_at_roots(located, q, located.cells(knots.ROOT_WIDTH))
+        assert time.perf_counter() - start < 10.0
+        assert signs == [0 if i == n + 1 else (-1) ** (i + 1) * (1 if i > n + 1 else -1)
+                         for i in range(2 * n + 1)]
 
     @pytest.mark.parametrize("nodes", [[], None], ids=["nodes", "nodeless"])
     def test_tangent_crossing_fails(self, tmp_path, capsys, nodes):

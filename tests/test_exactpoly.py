@@ -20,7 +20,6 @@ from knotforge.exactpoly import (
     descartes_bound,
     exact_quotient,
     locate_roots,
-    _remainder_sequence,
     rat_str,
     signs_at_roots,
     solve_linear,
@@ -31,6 +30,7 @@ from series_reference import gauss_reference
 from sturm_reference import (
     IsolatingInterval,
     SturmChain,
+    _remainder_sequence,
     cell_intervals,
     count_roots as sturm_count,
     interval,
@@ -770,27 +770,59 @@ class TestExactQuotient:
         assert exact_quotient(a, b) is None
 
 
-class TestCoprime:
-    """`_coprime` is one-sided: True only for polynomials with no common root."""
+MERSENNE = (1 << 61) - 1             # the first prime of `poly_gcd`
+NEXT_PRIME = MERSENNE + 16           # the second, the next prime above it
 
-    @given(integer_polys, integer_polys, st.lists(st.integers(-9, 9), max_size=3),
-           st.sampled_from([3, 5, (1 << 61) - 1]))
+
+def positive(g):
+    return g if g[-1] > 0 else tuple(-v for v in g)
+
+
+class TestPolyGcd:
+    """`poly_gcd` against the integer remainder sequence and Euclid over Q."""
+
+    @given(integer_polys, integer_polys, st.lists(st.integers(-9, 9), max_size=4),
+           st.sampled_from(["", "divides", "constant"]),
+           st.lists(st.sampled_from([1, MERSENNE, NEXT_PRIME, MERSENNE * NEXT_PRIME]),
+                    min_size=3, max_size=3))
     @settings(max_examples=200, deadline=None)
-    def test_true_proves_a_constant_gcd(self, a, b, g, prime):
-        # a shared factor g of degree >= 1 (g = [] shares none), and small
-        # primes that divide a leading coefficient or split the gcd
-        a, b = Poly(a), Poly(b)
-        shared = len(g) > 1 and g[-1]
-        if shared:
-            a, b = a * Poly(g), b * Poly(g)
-        coprime = exactpoly._coprime(ints(a), ints(b), prime)
-        assert not coprime or reference_gcd(a, b).degree == 0
-        assert not (shared and coprime)
+    def test_matches_the_remainder_sequence(self, f, h, g, shape, leads):
+        # a = f g and b = h g: g of degree >= 1 is a shared factor, g = []
+        # shares none; b a multiple of g divides a; b a constant; and leading
+        # coefficients that the first two primes divide, which are skipped
+        def lead_times(p, m):
+            return p + Poly([0] * p.degree + [p.leading * (m - 1)])
 
-    def test_coprime_and_shared(self):
-        assert exactpoly._coprime((-2, 0, 1), (-3, 0, 1))
-        assert not exactpoly._coprime((-2, 0, 1), (0, -2, 0, 1))  # t^2 - 2 divides t^3 - 2t
-        assert not exactpoly._coprime((1, 3), (1, 1), prime=3)    # 3 divides a leading coefficient
+        f = lead_times(Poly(f), leads[0])
+        g = lead_times(Poly(g) if any(g) else Poly([1]), leads[1])
+        h = {"": lead_times(Poly(h), leads[2]), "divides": Poly([leads[2]]),
+             "constant": Poly([h[0] or 1])}[shape]
+        a, b = f * g, h * g
+        got = exactpoly.poly_gcd(ints(a), ints(b))
+        assert got == exactpoly.poly_gcd(ints(b), ints(a)) == ints(reference_gcd(a, b))
+        assert got[-1] > 0
+        remainder = positive(_remainder_sequence(ints(a), ints(b))[-1])
+        assert got == (remainder if len(remainder) > 1 else (1,))
+        assert len(got) > g.degree
+
+    def test_coprime_and_shared(self, monkeypatch):
+        assert exactpoly.poly_gcd((-2, 0, 1), (-3, 0, 1)) == (1,)
+        # t^2 - 2 divides t^3 - 2t
+        assert exactpoly.poly_gcd((-2, 0, 1), (0, -2, 0, 1)) == (-2, 0, 1)
+        # 3 divides a leading coefficient, so the gcd takes the next prime,
+        # found only when it is needed
+        monkeypatch.setattr(exactpoly, "_PRIMES", [3])
+        assert exactpoly.poly_gcd((1, 3), (1, 1)) == (1,)
+        assert exactpoly._PRIMES == [3, 5]
+
+    def test_primes(self):
+        assert exactpoly._PRIMES[0] == MERSENNE
+        assert [n for n in range(3, 100, 2) if exactpoly._is_prime(n)] == [
+            n for n in range(3, 100, 2) if all(n % d for d in range(3, n, 2))]
+        assert [n for n in range(MERSENNE, NEXT_PRIME + 1, 2) if exactpoly._is_prime(n)] == [
+            MERSENNE, NEXT_PRIME]
+        # strong pseudoprimes to the bases 2 and 3, to 2 up to 7, and to 2 up to 31
+        assert not any(map(exactpoly._is_prime, (1373653, 3215031751, 3825123056546413051)))
 
 
 class TestSignsAtRoots:

@@ -95,16 +95,16 @@ class TestAgainstTheCBasis:
 
 
 def record_gcds(monkeypatch):
-    """Degrees of the first polynomial of every integer remainder sequence,
-    the kernel of each gcd and squarefree part, from now on."""
+    """Degrees of the first polynomial of every `poly_gcd`, the one gcd of
+    the library, each squarefree part's included, from now on."""
     degrees = []
-    real = exactpoly._remainder_sequence
+    real = exactpoly.poly_gcd
 
     def recorded(a, b):
         degrees.append(len(a) - 1)
         return real(a, b)
 
-    monkeypatch.setattr(exactpoly, "_remainder_sequence", recorded)
+    monkeypatch.setattr(exactpoly, "poly_gcd", recorded)
     return degrees
 
 

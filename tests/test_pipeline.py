@@ -140,14 +140,14 @@ class TestCertify:
 
     def test_nodeless_certify_builds_no_chain_of_r(self, monkeypatch):
         # the crossings of a node-less file are isolated by Descartes
-        # bisection, which proves their count, all simple, with no gcd: no
-        # remainder sequence of R, and no squarefree part
+        # bisection, which proves their count, all simple, with no gcd of R
+        # and dd(z), and no squarefree part
         curve, report = synthesize(21)
 
         def gcd(*args):
             raise AssertionError("a gcd was computed")
 
-        monkeypatch.setattr(exactpoly, "_remainder_sequence", gcd)
+        monkeypatch.setattr(exactpoly, "poly_gcd", gcd)
         monkeypatch.setattr(knots, "squarefree", gcd)
         again = certify(curve.plane.y, curve.z, 21)
         assert again.crossings == report.crossings and again.signs_alternate
