@@ -34,6 +34,15 @@ commit (from git, or --parent-commit for a parent that git cannot read,
 such as a `git archive` copy), one calibration kernel sample per worker,
 each stage's median over every timed run per checkout, and the
 change/parent ratio of the calibrated medians.
+
+The `import` stage times `import knotforge.cli` in fresh interpreters,
+measured inside each: --repeats times with bytecode (`bytecode`: a
+temporary PYTHONPYCACHEPREFIX, written by one untimed import), then
+--repeats times with the package compiled from source (`source`: its
+bytecode removed from that prefix and none written), the standard library
+cached in both.  Each time is calibrated at the worker's speed around the
+interpreter's run, and the stage is kept apart from the N rows, with its
+own medians and ratio.
 """
 
 from __future__ import annotations
@@ -43,9 +52,11 @@ import importlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from collections import defaultdict
 
@@ -55,6 +66,9 @@ CERTIFY_STEPS = ("divided_difference", "exact_quotient", "certify_cofactor", "cr
 NODELESS_STEPS = ("locate_roots", "crossings", "signs_at_roots")
 VERIFY_STAGES = ("verify", "verify_nodeless")
 VERIFY_STEPS = ("parse_curve", "certify")
+IMPORT_MODES = ("bytecode", "source")
+IMPORT_CLI = ("import time; t0 = time.perf_counter(); import knotforge.cli; "
+              "print(time.perf_counter() - t0)")
 
 
 def identity() -> dict:
@@ -87,6 +101,25 @@ class _Spans:
         return timed
 
 
+def _import_runs(src: str, repeats: int) -> list[tuple[str, float, float, float]]:
+    """(mode, seconds of the import, start, end of its interpreter) for each timed import."""
+    runs = []
+    with tempfile.TemporaryDirectory() as prefix:
+        env = dict(os.environ, PYTHONPATH=src, PYTHONPYCACHEPREFIX=prefix)
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        argv = [sys.executable, "-c", IMPORT_CLI]
+        subprocess.run(argv, env=env, check=True, capture_output=True)  # writes the bytecode
+        for mode in IMPORT_MODES:
+            if mode == "source":  # the package's bytecode goes, the standard library's stays
+                shutil.rmtree(os.path.join(prefix, os.path.abspath(src).lstrip(os.sep), "knotforge"))
+                env["PYTHONDONTWRITEBYTECODE"] = "1"
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                proc = subprocess.run(argv, env=env, check=True, capture_output=True, text=True)
+                runs.append((mode, float(proc.stdout), t0, time.perf_counter()))
+    return runs
+
+
 def worker(src: str, ns: list[int], repeats: int) -> dict:
     """Stage times of the knotforge under src: {N: {stage: [(wall, calibrated), ...]}}."""
     sys.path.insert(0, src)
@@ -112,6 +145,7 @@ def worker(src: str, ns: list[int], repeats: int) -> dict:
     calibrate.kernel()
     out: dict = {"kernel_s": time.perf_counter() - t0, "stages": {}}
     with calibrate.Sampler() as sampler:
+        imports = _import_runs(src, repeats)
         for n in ns:
             knots.synthesize(n)  # warm the caches
             runs = []
@@ -146,6 +180,11 @@ def worker(src: str, ns: list[int], repeats: int) -> dict:
                         totals[f"{stage}.other"] = [other, other * cal / wall]
                 for name, times in totals.items():
                     samples[name].append(tuple(times))
+        while not sampler.took:
+            calibrate.kernel()
+        out["import"] = {mode: [] for mode in IMPORT_MODES}
+        for mode, seconds, a, b in imports:  # at the speed the worker saw meanwhile
+            out["import"][mode].append((seconds, seconds * sampler.calibrated(a, b) / (b - a)))
     return out
 
 
@@ -188,24 +227,26 @@ def main(argv=None) -> int:
         checkouts = {"parent": os.path.abspath(args.parent), "change": ROOT}
     samples: dict = {label: defaultdict(lambda: defaultdict(list)) for label in checkouts}
     kernels: dict = {label: [] for label in checkouts}
+    imports: dict = {label: defaultdict(list) for label in checkouts}
     order = list(checkouts)
     for r in range(args.rounds):
         for label in order if r % 2 == 0 else order[::-1]:
             result = _run_worker(os.path.join(checkouts[label], "src"), args.n, args.repeats)
             kernels[label].append(result["kernel_s"])
+            for mode, runs in result["import"].items():
+                imports[label][mode].extend(runs)
             for n, stages in result["stages"].items():
                 for stage, runs in stages.items():
                     samples[label][n][stage].extend(runs)
 
-    stages: dict = {}
-    for n in map(str, args.n):
-        row = stages[n] = {}
-        for label in checkouts:
+    def summary(label_samples: dict) -> dict:
+        row = {}
+        for label, by_stage in label_samples.items():
             row[label] = {
                 stage: {"wall_s": statistics.median(w for w, _ in runs),
                         "calibrated_s": statistics.median(c for _, c in runs),
                         "runs": len(runs)}
-                for stage, runs in sorted(samples[label][n].items())
+                for stage, runs in sorted(by_stage.items())
             }
         if "parent" in row:
             row["ratio"] = {
@@ -213,12 +254,17 @@ def main(argv=None) -> int:
                 for stage, v in row["change"].items()
                 if row["parent"].get(stage, {}).get("calibrated_s")
             }
+        return row
+
+    stages = {n: summary({label: samples[label][n] for label in checkouts})
+              for n in map(str, args.n)}
     doc = {
         "identity": identity(),
         "commits": {label: _commit(path) for label, path in checkouts.items()},
         "rounds": args.rounds,
         "repeats": args.repeats,
         "kernel_s": kernels,
+        "import": summary(imports),
         "stages": stages,
     }
     if args.parent_commit:

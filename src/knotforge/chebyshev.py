@@ -18,10 +18,9 @@ for a single univariate polynomial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .errors import NotInImage
 from .exactpoly import Poly, Rational, rat_str
@@ -77,11 +76,17 @@ def _normalize(coeffs: _CoeffMap) -> tuple[tuple[int, Fraction], ...]:
     return tuple(sorted(items))
 
 
-@dataclass(frozen=True)
-class _ChebSeries:
-    """Coefficients on one of the two monic families, as sorted (index, value) pairs."""
+class _ChebSeries(NamedTuple):
+    """Coefficients on one of the two monic families, as sorted (index, value) pairs.
+    A series equals only a series of its own family, never a tuple."""
 
     items: tuple[tuple[int, Fraction], ...]
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):  # tuple's own != would not see the family
+        return not self == other
 
     @classmethod
     def of(cls, coeffs: _CoeffMap):
@@ -114,12 +119,14 @@ class _ChebSeries:
 class ChebT(_ChebSeries):
     """Polynomial expressed in the T basis; note T_0 is the constant 2."""
 
+    __slots__ = ()
     _cosine = True
 
 
 class ChebV(_ChebSeries):
     """Polynomial expressed in the V basis (V_0 = 1)."""
 
+    __slots__ = ()
     _cosine = False
 
 

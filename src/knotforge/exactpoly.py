@@ -676,7 +676,8 @@ def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int
     the gcd of p and q (`poly_gcd`, built once) is asked for a root in
     (lo, hi], which a root of p found exact while deepening ends; if none,
     deepening goes on.  It divides p, so its roots there are simple,
-    counted by one isolation.
+    counted by one isolation.  A gcd of p's degree is p itself: q vanishes
+    at every root of p, and this sign and every later one is 0.
 
     When p's roots came through E (`LocatedRoots._half`) and q is even or
     odd, q = u^sigma Q(u^2), the test runs on Q at E's roots, from E's
@@ -723,6 +724,8 @@ def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int
             if w << 200 <= den and not asked:  # at most DEEP_WIDTH wide
                 asked = True
                 common = common or poly_gcd(located.poly, cs)
+                if len(common) == len(located.poly):
+                    return out + [0] * (len(depths) - i)
                 if not _horner(common, high, den) or len(locate_roots(
                         common, Fraction(low, den), Fraction(high, den), None)):
                     out.append(0)

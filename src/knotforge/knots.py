@@ -42,11 +42,9 @@ the brute-force reference the tests compare against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 from operator import add
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import chebyshev as cb
 from .errors import (
@@ -94,8 +92,7 @@ def height_degree(n_crossings: int) -> int:
 # -- domain types ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CnBasis:
+class CnBasis(NamedTuple):
     """The odd triangular basis C_0..C_n_max, stored monic.
 
     `cn[j] = t^{2j+1} F_j` with F_j root-free on [-2, 2]; `cn_w[j]` are
@@ -107,42 +104,43 @@ class CnBasis:
     cn_w: tuple[tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
-class NodeSet:
-    """Planted positive double-point abscissae 0 < d_1 < ... < d_n < 1."""
-
+class _NodeFields(NamedTuple):
     n: int
     delta: tuple[Fraction, ...]
     epsilon: Optional[Fraction] = None  # scale that produced the nodes, if any
 
-    def __post_init__(self):
-        if len(self.delta) != self.n:
+
+class NodeSet(_NodeFields):
+    """Planted positive double-point abscissae 0 < d_1 < ... < d_n < 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, delta: tuple[Fraction, ...], epsilon: Optional[Fraction] = None):
+        if len(delta) != n:
             raise ValueError("need exactly n nodes")
         prev = Fraction(0)
-        for d in self.delta:
+        for d in delta:
             if not prev < d < 1:
                 raise ValueError("nodes must satisfy 0 < d_1 < ... < d_n < 1")
             prev = d
+        return tuple.__new__(cls, (n, delta, epsilon))
 
     def all_roots(self) -> tuple[Fraction, ...]:
         """The full planted root set {-d_n, ..., -d_1, 0, d_1, ..., d_n}, sorted."""
         return (*(-d for d in reversed(self.delta)), Fraction(0), *self.delta)
 
 
-@dataclass(frozen=True)
-class PlaneCurve:
+class PlaneCurve(NamedTuple):
     x: Poly
     y: cb.ChebT
 
 
-@dataclass(frozen=True)
-class SpaceCurve:
+class SpaceCurve(NamedTuple):
     plane: PlaneCurve
     z: cb.ChebT
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     u_lo: Fraction
     u_hi: Fraction
     u: float
@@ -152,11 +150,11 @@ class Crossing:
     sign: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class CrossingReport:
+class CrossingReport(NamedTuple):
     """Crossing i as `crossings` finds it: its integer cell (low / den, high / den] at
     depth depths[i] of `LocatedRoots.cells`, and its floats (u, alpha, s, t).  The
-    property `crossings` builds the Crossing objects, signed (-1)^i once certified."""
+    property `crossings` builds the Crossing objects at each read, signed (-1)^i once
+    certified."""
 
     n_crossings: int
     cells: tuple[tuple[int, int, int], ...]
@@ -167,7 +165,7 @@ class CrossingReport:
     epsilon: Optional[Fraction] = None
     nodes: Optional[tuple[Fraction, ...]] = None
 
-    @cached_property
+    @property
     def crossings(self) -> tuple[Crossing, ...]:
         return tuple(Crossing(Fraction(low, den), Fraction(high, den), *f,
                               (-1) ** i if self.signs_alternate else None)
@@ -596,7 +594,7 @@ def certify(
                     f"crossing {i}: z(t)-z(s) has sign {sign}, expected {(-1) ** i}" if sign
                     else f"z(t) = z(s) at crossing {i}", "space", report,
                 )
-    return replace(report, signs_alternate=True)  # every sign is certified to be (-1)^i
+    return report._replace(signs_alternate=True)  # every sign is certified to be (-1)^i
 
 
 # -- the full pipeline --------------------------------------------------------------
@@ -652,7 +650,7 @@ def synthesize(
             if nodes is not None:
                 raise
             continue
-        return SpaceCurve(plane, z), replace(report, epsilon=node_set.epsilon, nodes=node_set.delta)
+        return SpaceCurve(plane, z), report._replace(epsilon=node_set.epsilon, nodes=node_set.delta)
     raise EpsilonExhausted(f"no certified node set for n={n} after {MAX_HALVINGS} halvings")
 
 

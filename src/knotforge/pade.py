@@ -17,16 +17,14 @@ coefficientwise after that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import SingularSystem
 from .exactpoly import Poly, Rational, solve_linear
 
 
-@dataclass(frozen=True)
-class PadeApproximant:
+class PadeApproximant(NamedTuple):
     """The [n/m] approximant: p/q with q(0) = 1, deg p = n, deg q = m."""
 
     n: int

@@ -28,9 +28,8 @@ import contextlib
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional, Union
+from typing import Any, NamedTuple, Optional, Union
 
 from . import chebyshev as cb
 from .errors import CertificationFailed, KnotforgeError
@@ -185,8 +184,7 @@ def load_curve(path: str) -> dict[str, Any]:
         return json.load(fh)
 
 
-@dataclass(frozen=True)
-class StoredCurve:
+class StoredCurve(NamedTuple):
     """The fields of a curve document, parsed and checked."""
 
     n_crossings: int

@@ -24,7 +24,6 @@ certification never flows through this module.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Any, Optional
 
 from . import chebyshev as cb
@@ -39,7 +38,7 @@ def _plottable(doc: Any) -> StoredCurve:
     """`parse_curve` with x on the monomial basis, and every coefficient must convert to a double."""
     curve = parse_curve(doc)
     if not isinstance(curve.x, Poly):
-        curve = replace(curve, x=curve.x.to_poly())
+        curve = curve._replace(x=curve.x.to_poly())
     coordinates = {"x": curve.x.coeffs, "y": [c for _, c in curve.y.items]}
     if curve.z is not None:
         coordinates["z"] = [c for _, c in curve.z.items]

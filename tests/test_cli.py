@@ -216,20 +216,40 @@ class TestVerify:
             codes.append(run(["verify", str(path)], capsys)[0])
         assert codes == ([2, 2] if edit == "flip" else [0, 0])
 
-    def test_nodeless_height_equal_to_y_fails_in_bounded_time(self, tmp_path, capsys):
-        # z = y gives dd(z) = R, which vanishes at every crossing; the gcd of R
-        # and dd(z) is S itself, whose roots in a cell need no squarefree part
-        out = tmp_path / "n41.json"
-        run(["gen", "--n", "41", "--out", str(out)], capsys)
+    @pytest.mark.parametrize("n", [41, 61])
+    def test_nodeless_height_equal_to_y_fails_in_bounded_time(self, tmp_path, capsys, monkeypatch,
+                                                              n):
+        # z = y gives dd(z) = R, which vanishes at every crossing; the gcd of R's
+        # half S and dd(z)'s is S itself, so every sign is 0 at once, and no
+        # root of the gcd is isolated in any crossing's cell
+        out = tmp_path / f"n{n}.json"
+        run(["gen", "--n", str(n), "--out", str(out)], capsys)
         doc = json.loads(out.read_text())
         doc.update(nodes=None, epsilon=None, z=doc["y"])
         path = tmp_path / "z_is_y.json"
         path.write_text(json.dumps(doc))
+        signing, isolations = [], []
+        real_signs, real_locate = knots.signs_at_roots, exactpoly.locate_roots
+
+        def signs(*args):
+            signing.append(True)
+            try:
+                return real_signs(*args)
+            finally:
+                signing.pop()
+
+        def locate(*args):
+            isolations.extend(signing[-1:])  # an isolation asked by signs_at_roots
+            return real_locate(*args)
+
+        monkeypatch.setattr(knots, "signs_at_roots", signs)
+        monkeypatch.setattr(exactpoly, "locate_roots", locate)
         start = time.perf_counter()
         code, stdout, _ = run(["verify", str(path)], capsys)
         assert time.perf_counter() - start < 5.0
         assert code == 2
         assert stdout.endswith("FAIL space verification: z(t) = z(s) at crossing 1\nNOT VERIFIED\n")
+        assert isolations == []
 
     @pytest.mark.parametrize("edit,line", [
         pytest.param("bump", "FAIL space verification: z(t) = z(s) at crossing 2", id="bump"),

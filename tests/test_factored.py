@@ -3,7 +3,6 @@ roots factored out, and the cofactor certificate in `synthesize` and `certify`."
 
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -83,8 +82,10 @@ class TestAgainstTheCBasis:
         # d_1^2 + d_2^2 + d_3^2 = 6, which no node set in (0, 1) reaches.
         # The algebra needs only distinct nonzero nodes, so skip the range check.
         class UncheckedNodes(NodeSet):
-            def __post_init__(self):
-                pass
+            __slots__ = ()
+
+            def __new__(cls, *fields):
+                return tuple.__new__(cls, fields)
 
         nodes = UncheckedNodes(3, (F(1, 5), F(7, 5), F(2)))
         basis, tilde = bases
@@ -231,7 +232,7 @@ class TestHotPath:
                         NodeSet(10, report.nodes) if nodes else None)
         monkeypatch.undo()
         assert again.crossings == (report.crossings if height else tuple(
-            replace(c, sign=None) for c in report.crossings))
+            c._replace(sign=None) for c in report.crossings))
 
     @pytest.mark.parametrize("nodes,height", [
         pytest.param(True, True, id="nodes"),
@@ -252,6 +253,8 @@ class TestHotPath:
 
         monkeypatch.setattr(knots.Crossing, "__init__", refuse)
         ok, lines = verify_curve(doc)
+        with pytest.raises(AssertionError, match="verify built a Crossing"):  # the spy is live
+            knots.CrossingReport(1, ((1, 2, 4),), ((0.0,) * 4,), (2,), 0.0).crossings
         monkeypatch.undo()
         assert ok and (ok, lines) == expected
         assert lines[-1] == ("ok   crossing signs alternate (-1)^i [exact]" if height
@@ -273,7 +276,7 @@ class TestHotPath:
             with pytest.raises(CertificationFailed) as info:
                 certify(curve.y, flipped, 21, nodes)
             assert info.value.stage == "space" and not info.value.report.signs_alternate
-            assert info.value.report.crossings == tuple(replace(c, sign=None) for c in signed)
+            assert info.value.report.crossings == tuple(c._replace(sign=None) for c in signed)
 
     def test_nodeless_certify_finds_the_cells_of_r_once(self, monkeypatch, gen_docs):
         curve = parse_curve(gen_docs[21])

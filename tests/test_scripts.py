@@ -55,6 +55,13 @@ def test_bench_stages_runs(tmp_path):
         assert all(v["runs"] == 1 and v["wall_s"] >= 0 and v["calibrated_s"] >= 0
                    for label in ("change", "parent") for v in row[label].values())
         assert set(row["ratio"]) <= set(row["change"])
+    # the import stage: --repeats fresh interpreters per mode, round and checkout
+    imports = doc["import"]
+    for label in ("change", "parent"):
+        assert set(imports[label]) == {"bytecode", "source"}
+        assert all(v["runs"] == 1 and v["wall_s"] > 0 and v["calibrated_s"] > 0
+                   for v in imports[label].values())
+    assert set(imports["ratio"]) == {"bytecode", "source"}
 
 
 def test_bench_stages_records_the_given_parent_commit(tmp_path):
