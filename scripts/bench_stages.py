@@ -17,8 +17,9 @@ The stages are the functions `synthesize` calls, timed by wrapping them
 where `knots` looks them up: `solve_deformation`, `solve_height` and
 `certify`.  Inside `certify`: `divided_difference` (of y and z),
 `exact_quotient` (R by the planted factor), `certify_cofactor`,
-`crossings` (cells and ordering proof), and `other`, the rest of `certify`
-(R's integer form and the space check).  `dumps` is `curve_to_dict` plus
+`crossings` (cells and ordering proof), `signs_at_roots` (dd(z) at the
+planted roots, the space check) and `other`, the rest of `certify` (R's
+integer form and the planted `LocatedRoots`).  `dumps` is `curve_to_dict` plus
 `dumps` of the finished curve.  `nodeless` is `certify(y, z, N)` of the
 same curve with no nodes, as `verify` runs it on a file that stores none,
 with the steps `locate_roots` (R's isolation), `crossings`,
@@ -62,7 +63,8 @@ from collections import defaultdict
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
 SYNTH_STAGES = ("solve_deformation", "solve_height", "certify")
-CERTIFY_STEPS = ("divided_difference", "exact_quotient", "certify_cofactor", "crossings")
+CERTIFY_STEPS = ("divided_difference", "exact_quotient", "certify_cofactor", "crossings",
+                 "signs_at_roots")
 NODELESS_STEPS = ("locate_roots", "crossings", "signs_at_roots")
 VERIFY_STAGES = ("verify", "verify_nodeless")
 VERIFY_STEPS = ("parse_curve", "certify")

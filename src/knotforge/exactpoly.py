@@ -431,34 +431,37 @@ class LocatedRoots:
     cell (see `_narrow`) j / 2^e < x < (j + 1) / 2^e that holds no other
     root; `locate_roots` makes both.  Planted roots, given to the
     constructor, are exact and must be every root in [lo, hi], all simple
-    (`knots.certify` proves it); they are checked to be sorted, distinct
-    and strictly inside (lo, hi), else ValueError.  `poly`, the primitive
-    integers of the polynomial, is None for them.  A cell is a root and a
-    depth k (`cells`, `ends`); a deeper cell is the same root at a larger
-    k.  Open cells are narrowed on exact values at dyadic points, except
-    when `locate_roots` found the roots of p = u^rho E(u^2) through E
-    (`_half`, E's roots on (0, hi^2)): then `_x` holds only the root 0 of
-    rho = 1, and the cell of every other root is read off E's cells,
-    narrowed in E (`_half_index`).
+    (`knots.certify` proves it); they are checked in integers to be sorted,
+    distinct and strictly inside (lo, hi), else ValueError.  `poly`, the
+    primitive integers of the polynomial, is None for them.  A cell is a
+    root and a depth k (`cells`, `ends`); a deeper cell is the same root at
+    a larger k.  Open cells are narrowed on exact values at dyadic points.
+    `_half` holds E's roots on (0, hi^2), p = u^rho E(u^2): the squares of
+    planted roots symmetric about 0, or, when `locate_roots` found p's
+    roots through E, their own; then `_x` holds only the root 0 of
+    rho = 1, and every other root's cell is read off E's, narrowed in E
+    (`_half_index`).
     """
 
     def __init__(self, roots: Sequence[Rational], lo: Rational, hi: Rational):
         self._lo, self._hi = Fraction(lo), Fraction(hi)
         self._span = self._hi - self._lo
-        ends = (self._lo, *roots, self._hi)
-        if not all(a < b for a, b in zip(ends, ends[1:])):
-            raise ValueError("planted roots must be sorted, distinct and strictly inside (lo, hi)")
         # lo = a / c and hi - lo = b / c, so the cell j / 2^k of x is lo + b j / (c 2^k)
         (ln, ld), (sn, sd) = self._lo.as_integer_ratio(), self._span.as_integer_ratio()
         self._frame = a, b, c = ln * sd, sn * ld, ld * sd
-        self._x: list = []  # root p / q is x = (c p - a q) / (b q), a reduced pair
-        for num, den in ((c * r.numerator - a * r.denominator, b * r.denominator) for r in roots):
-            g = math.gcd(num, den)
-            self._x.append((num // g, den // g))
+        pairs = [(r.numerator, r.denominator) for r in roots]
+        self._x: list = [(c * p - a * q, b * q) for p, q in pairs]  # x = (c p - a q) / (b q)
+        ends = [(0, 1), *self._x, (1, 1)]
+        if not (b > 0 and all(m * t < s * n for (m, n), (s, t) in zip(ends, ends[1:]))):
+            raise ValueError("planted roots must be sorted, distinct and strictly inside (lo, hi)")
         self.poly: Optional[tuple[int, ...]] = None
         self._moved: tuple[int, ...] = ()  # q(x), as `locate_roots` made it
         self._root_at_hi = False
         self._half: Optional[LocatedRoots] = None  # E's roots, for p = u^rho E(u^2)
+        if pairs and self._lo == -self._hi and pairs == [(-p, q) for p, q in reversed(pairs)]:
+            half = self._half = LocatedRoots((), 0, self._hi * self._hi)
+            _, hb, hc = half._frame  # the squares p^2 / q^2 of the positive roots
+            half._x = [(hc * p * p, hb * q * q) for p, q in pairs[(len(pairs) + 1) // 2:]]
 
     def __len__(self) -> int:
         return len(self._x)
@@ -662,10 +665,10 @@ def count_roots(p: Sequence[int], lo: Rational, hi: Rational) -> int:
 
 
 def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int]) -> list[int]:
-    """Exact sign of q at each root of `locate_roots`' polynomial p, 0 if q vanishes there.
+    """Exact sign of q at each root of a polynomial p held by `located`, 0 if q vanishes there.
 
     q is integers, a positive multiple of the polynomial.  A root held
-    exact, a dyadic point, takes the sign of one `_horner` there.  Open
+    exact, planted or dyadic, takes the sign of one `_horner` there.  Open
     root i starts in its cell (lo, hi] at depth depths[i] (`LocatedRoots.cells`,
     kept in `knots.certify`'s crossing report).  With c_k the primitive integers of q and
     m = max(|lo|, |hi|), L2 = sum k (k-1) |c_k| m^(k-2) bounds |q''| on the
@@ -679,7 +682,7 @@ def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int
     counted by one isolation.  A gcd of p's degree is p itself: q vanishes
     at every root of p, and this sign and every later one is 0.
 
-    When p's roots came through E (`LocatedRoots._half`) and q is even or
+    When `located._half` holds E's roots and q is even or
     odd, q = u^sigma Q(u^2), the test runs on Q at E's roots, from E's
     cells at depth min(depths) (`cells`): sign q(+sqrt(v)) = sign Q(v),
     sign q(-sqrt(v)) = (-1)^sigma sign Q(v), and q(0) = Q(0) or 0.  Any
@@ -696,16 +699,19 @@ def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int
         zero = [0 if sigma else (cs[0] > 0) - (cs[0] < 0)] * (len(depths) - 2 * len(signs))
         return mirrored + zero + signs
     deg = len(cs) - 1
-    slope = [k * c for k, c in enumerate(cs)][1:]
-    curve = [k * (k - 1) * abs(c) for k, c in enumerate(cs)][2:]
-    common = None  # gcd(p, q)
+    slope = curve = common = None  # q', L2's terms and gcd(p, q), built when first needed
     out = []
     a, b, c = located._frame
     for i, k in enumerate(depths):
         if isinstance(x := located._x[i], tuple):  # the root lo + b num / (c den) itself
-            val = _horner(cs, a * x[1] + b * x[0], c * x[1])
+            num, den = a * x[1] + b * x[0], c * x[1]
+            g = math.gcd(num, den)
+            val = _horner(cs, num // g, den // g)
             out.append((val > 0) - (val < 0))
             continue
+        if slope is None:
+            slope = [k * c for k, c in enumerate(cs)][1:]
+            curve = [k * (k - 1) * abs(c) for k, c in enumerate(cs)][2:]
         low, high, den = located.ends(i, k)
         # L2 = l2_num / l2_den, and 0 for q of degree below 2
         l2_num, l2_den = _horner(curve, max(abs(low), abs(high)), den), den ** max(deg - 2, 0)

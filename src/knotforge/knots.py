@@ -463,26 +463,6 @@ def solve_height(nodes: NodeSet) -> cb.ChebV:
 # -- verification -----------------------------------------------------------------
 
 
-def _values_at_planted(ints: Sequence[int], delta: Sequence[Fraction]) -> list[tuple[int, int]]:
-    """[(q^D f(u), q^D) for u = p/q in -d_n, ..., -d_1, 0, d_1, ..., d_n], for the
-    integer polynomial f = ints of degree D >= 0.
-
-    The homogeneous Horner sum q^D f(+-p/q) splits into its even and odd
-    terms, E +- O, with E = q^(D mod 2) e(p^2, q^2) and
-    O = p q^((D+1) mod 2) o(p^2, q^2) for the even and odd coefficients e
-    and o: two Horners at half the degree give the values at d and -d.
-    """
-    deg, even, odd = len(ints) - 1, ints[::2], ints[1::2]
-    plus, minus = [], []
-    for d in delta:
-        p, q = d.numerator, d.denominator
-        e = _horner(even, p * p, q * q) * q ** (deg % 2)
-        o = _horner(odd, p * p, q * q) * p * q ** ((deg + 1) % 2) if odd else 0
-        plus.append((e + o, q ** deg))
-        minus.append((e - o, q ** deg))
-    return [*reversed(minus), (ints[0], 1), *plus]
-
-
 def certify(
     y: cb.ChebT,
     z: Optional[cb.ChebT],
@@ -502,10 +482,10 @@ def certify(
       ordered (see `crossings`);
     - space: when z is present, z(t) - z(s) = (t - s) dd(z)(u) with
       t - s = sqrt(12 - 3u^2) > 0, so the sign at a crossing is that of
-      dd(z) at its root u, which must be (-1)^i: decided in integers at
-      planted nodes, and otherwise by `signs_at_roots` on R's roots at the
-      report's depths, where a root shared with dd(z) (z(t) = z(s)), found
-      by their gcd (`poly_gcd`), fails.
+      dd(z) at its root u, which must be (-1)^i: decided by
+      `signs_at_roots` on the roots that the count stage certified, at the
+      report's depths, with or without nodes; a root shared with dd(z)
+      (z(t) = z(s)) fails.  With nodes a failure names the node.
 
     R and dd(z) are read once each through their integer forms
     (`integer_form`), and every stage runs on those integers and on the
@@ -518,8 +498,8 @@ def certify(
     fails the count with no isolation.  That test is one-sided, and every
     other case, a failed test included, is decided exactly below: a finished
     Descartes isolation of the same integers (`locate_roots`) proves the
-    count, every root simple, and R is evaluated at the nodes in integers
-    (`_values_at_planted`).  An unfinished one (a multiple root, or roots
+    count, every root simple, and one integer Horner of R at each node
+    decides whether it is a root.  An unfinished one (a multiple root, or roots
     closer than DEEP_WIDTH) splits R into its squarefree part s = R / g and
     g = gcd(R, R') (`squarefree`, by the modular `poly_gcd`): s has R's
     roots, all simple, so its isolation with no depth limit finishes and
@@ -529,11 +509,11 @@ def certify(
     with no parity (a perturbed y) or with S(0) = 0 (a root of R at 0 that
     is not simple) is isolated on (-2, 2) itself.  The cells are the same
     on every path.
-    The signs at the nodes are checked in integers on dd(z)'s form, as the
-    sign of q^D dd(z)(p/q) (over den q^D > 0) at each planted root p/q, by
-    `_values_at_planted`; without nodes `signs_at_roots` decides them on
-    the same form, for an even dd(z) = E(u^2) and R's roots found through
-    S on E at S's roots, mirrored to the rest.
+    `signs_at_roots` reads dd(z)'s integer form.  Certified planted roots
+    are exact, and symmetric, so `LocatedRoots` also holds their squares
+    d_i^2 on (0, 4): an even dd(z) = E(u^2) takes one Horner of E at half
+    the degree per node pair, as it does at S's roots for R's roots found
+    through S, and the signs are mirrored to the rest.
 
     Every certificate is exact.  The x/y coincidences are identities: s, t
     are the roots of X^2 - uX + (u^2 - 3), so T_3(s) = T_3(t), and
@@ -570,8 +550,8 @@ def certify(
                 f"{nodes.n} stored nodes give {2 * nodes.n + 1} planted roots, "
                 f"expected {n_crossings}", "nodes"
             )
-        for u, (value, _) in zip(roots, _values_at_planted(r, nodes.delta)):
-            if value:
+        for u in roots:
+            if _horner(r, u.numerator, u.denominator):
                 raise CertificationFailed(f"stored node {rat_str(u)} is not a root of R", "nodes")
 
     try:
@@ -582,18 +562,13 @@ def certify(
         return report
 
     z_ints, _ = cb.divided_difference(z).integer_form()
-    if nodes is not None:
-        values = _values_at_planted(z_ints, nodes.delta) if z_ints else [(0, 1)] * len(roots)
-        for i, (u, (value, _)) in enumerate(zip(roots, values), start=1):
-            if value * (-1) ** i <= 0:  # dd(z)(u) = value / (den scale), den, scale > 0
-                raise CertificationFailed(f"dd(z)({rat_str(u)}) != {(-1) ** i}", "space", report)
-    else:
-        for i, sign in enumerate(signs_at_roots(located, z_ints, report.depths), 1):
-            if sign != (-1) ** i:
-                raise CertificationFailed(
-                    f"crossing {i}: z(t)-z(s) has sign {sign}, expected {(-1) ** i}" if sign
-                    else f"z(t) = z(s) at crossing {i}", "space", report,
-                )
+    for i, sign in enumerate(signs_at_roots(located, z_ints, report.depths), 1):
+        if sign != (-1) ** i:
+            raise CertificationFailed(
+                f"dd(z)({rat_str(roots[i - 1])}) != {(-1) ** i}" if roots
+                else f"crossing {i}: z(t)-z(s) has sign {sign}, expected {(-1) ** i}" if sign
+                else f"z(t) = z(s) at crossing {i}", "space", report,
+            )
     return report._replace(signs_alternate=True)  # every sign is certified to be (-1)^i
 
 

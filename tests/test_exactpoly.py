@@ -548,6 +548,10 @@ class TestPlantedCells:
         pytest.param([F(-2), F(0)], id="at-lo"),
         pytest.param([F(0), F(2)], id="at-hi"),
         pytest.param([F(3)], id="outside"),
+        # symmetric about 0, as stored nodes are: the squares are kept only past the check
+        pytest.param([F(1, 2), F(0), F(-1, 2)], id="symmetric-unsorted"),
+        pytest.param([F(-3), F(0), F(3)], id="symmetric-outside"),
+        pytest.param([F(-2), F(0), F(2)], id="symmetric-at-the-ends"),
     ])
     def test_contract_is_checked(self, roots):
         with pytest.raises(ValueError, match="sorted, distinct and strictly inside"):

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from c_basis_reference import (
     build_cn_tilde,
@@ -468,12 +469,51 @@ class TestIntegerHeight:
                 continue
             assert solve_height(nodes) == expected, nodes.delta
 
-    def test_values_at_planted_roots(self):
-        rng = random.Random(12)
-        for nodes in random_node_sets(60, 13):
-            ints = [rng.randint(-10**30, 10**30) for _ in range(rng.randint(1, 40))]
-            values = knots._values_at_planted(ints, nodes.delta)
-            poly = Poly(ints)
-            assert [F(*v) for v in values] == [poly(u) for u in nodes.all_roots()]
-            assert [v[1] for v in values] == [u.denominator ** (len(ints) - 1)
-                                              for u in nodes.all_roots()]
+
+def _planted_q(nodes, kind, cs, at):
+    """Integers of q for the planted-sign test: cs spread on the even or odd powers,
+    taken as they are (cs[0] and cs[1] nonzero, so no parity), or even and times
+    q_d^2 u^2 - p_d^2 for the node d = delta[at], so that q vanishes at +-d."""
+    if kind == "none":
+        return list(cs)
+    spread = [c for v in cs for c in (v, 0)][:-1]  # c_0 + c_1 u^2 + ...
+    if kind == "odd":
+        return [0, *spread]
+    if kind == "even":
+        return spread
+    d = nodes.delta[at % nodes.n]
+    zero = Poly([-d.numerator ** 2, 0, d.denominator ** 2])
+    return [int(c) for c in (Poly(spread) * zero).coeffs]
+
+
+class TestPlantedSigns:
+    """`signs_at_roots` on the planted `LocatedRoots` of stored nodes: the one sign
+    certificate of `certify`, with or without nodes."""
+
+    @given(st.integers(0, 2**32), st.sampled_from(["even", "odd", "none", "zero"]),
+           st.lists(st.integers(-10**30, 10**30), min_size=2, max_size=20).map(
+               lambda cs: [cs[0] or 1, cs[1] or -1, *cs[2:-1], cs[-1] or 1]),
+           st.integers(0, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_signs_match_fraction_values(self, seed, kind, cs, at):
+        nodes = next(random_node_sets(1, seed))
+        q = _planted_q(nodes, kind, cs, at)
+        located = exactpoly.LocatedRoots(nodes.all_roots(), -2, 2)
+        assert located._half is not None  # the squares d_i^2, exact on (0, 4)
+        sizes, real = [], exactpoly._horner
+
+        def spy(cs, *args):
+            sizes.append(len(cs))
+            return real(cs, *args)
+
+        exactpoly._horner = spy  # no monkeypatch: a function-scoped fixture outlives each example
+        try:
+            signs = exactpoly.signs_at_roots(located, q, located.cells(F(4)))
+        finally:
+            exactpoly._horner = real
+        poly = Poly(q)
+        assert signs == [(v > 0) - (v < 0) for v in map(poly, nodes.all_roots())]
+        if kind in ("even", "zero"):  # one Horner at half degree per node pair
+            assert sizes and max(sizes) <= -(-len(q) // 2)
+        if kind == "zero":
+            assert signs[nodes.n - 1 - at % nodes.n] == signs[nodes.n + 1 + at % nodes.n] == 0
