@@ -28,7 +28,8 @@ with the steps `locate_roots` (R's isolation), `crossings`,
 `verify_nodeless` of the same document with no nodes, each with the steps
 `parse_curve`, `certify` and `other`.  An `other` is the stage's wall time
 less its steps', calibrated at the stage's speed.  A function a checkout
-lacks is not timed.
+lacks is not timed, and a checkout whose `curve_to_dict` still takes the
+one-value flag `certified` is passed True.
 
 The output JSON holds the Python and machine identity, each checkout's
 commit (from git, or --parent-commit for a parent that git cannot read,
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import inspect
 import json
 import os
 import platform
@@ -132,6 +134,7 @@ def worker(src: str, ns: list[int], repeats: int) -> dict:
     rec = _Spans()
     nodeless = rec.wrap("nodeless", knots.certify)
     verify, verify_nodeless = (rec.wrap(stage, serialize.verify_curve) for stage in VERIFY_STAGES)
+    flag = (True,) if "certified" in inspect.signature(serialize.curve_to_dict).parameters else ()
     for name in SYNTH_STAGES:
         setattr(knots, name, rec.wrap(name, getattr(knots, name)))
     for stage, steps in (("certify", CERTIFY_STEPS), ("nodeless", NODELESS_STEPS)):
@@ -157,7 +160,7 @@ def worker(src: str, ns: list[int], repeats: int) -> dict:
                 curve, report = knots.synthesize(n)
                 t1 = time.perf_counter()
                 text = serialize.dumps(serialize.curve_to_dict(
-                    n, curve.plane.x, curve.plane.y, curve.z, report, True))
+                    n, curve.plane.x, curve.plane.y, curve.z, report, *flag))
                 t2 = time.perf_counter()
                 nodeless(curve.plane.y, curve.z, n)
                 doc = json.loads(text)

@@ -39,7 +39,7 @@ def build_document() -> dict:
     """The fixture document, certified as `verify` certifies it."""
     y = ChebT.of(Y_COEFFS)
     report = certify(y, None, 9)
-    return curve_to_dict(9, t_poly(3), y, None, report, True)
+    return curve_to_dict(9, t_poly(3), y, None, report)
 
 
 def main() -> None:

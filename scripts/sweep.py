@@ -42,7 +42,7 @@ def main() -> None:
               f"{report.ordering_margin:>11.3e} {oracle:>6} {elapsed:>6.2f}")
         if args.outdir:
             os.makedirs(args.outdir, exist_ok=True)
-            doc = curve_to_dict(n, curve.plane.x, curve.plane.y, curve.z, report, True)
+            doc = curve_to_dict(n, curve.plane.x, curve.plane.y, curve.z, report)
             save_curve(os.path.join(args.outdir, f"curve_n{n}.json"), doc)
             with open(os.path.join(args.outdir, f"curve_n{n}.svg"), "w") as fh:
                 fh.write(render_svg(doc, 1600))

@@ -118,7 +118,7 @@ def _cmd_gen(args) -> int:
             return USAGE_EXIT
     try:
         curve, report = synthesize(args.n, epsilon=epsilon, nodes=nodes)
-        doc = serialize.curve_to_dict(args.n, curve.plane.x, curve.plane.y, curve.z, report, True)
+        doc = serialize.curve_to_dict(args.n, curve.plane.x, curve.plane.y, curve.z, report)
     except KnotforgeError as exc:
         print(f"knotforge gen: certification failed: {exc}", file=sys.stderr)
         return CERT_EXIT

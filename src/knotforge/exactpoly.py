@@ -436,11 +436,9 @@ class LocatedRoots:
     primitive integers of the polynomial, is None for them.  A cell is a
     root and a depth k (`cells`, `ends`); a deeper cell is the same root at
     a larger k.  Open cells are narrowed on exact values at dyadic points.
-    `_half` holds E's roots on (0, hi^2), p = u^rho E(u^2): the squares of
-    planted roots symmetric about 0, or, when `locate_roots` found p's
-    roots through E, their own; then `_x` holds only the root 0 of
-    rho = 1, and every other root's cell is read off E's, narrowed in E
-    (`_half_index`).
+    When `locate_roots` found p's roots through E, p = u^rho E(u^2), `_half`
+    holds E's roots on (0, hi^2) and `_x` only the root 0 of rho = 1: every
+    other root's cell is read off E's, narrowed in E (`_half_index`).
     """
 
     def __init__(self, roots: Sequence[Rational], lo: Rational, hi: Rational):
@@ -458,10 +456,6 @@ class LocatedRoots:
         self._moved: tuple[int, ...] = ()  # q(x), as `locate_roots` made it
         self._root_at_hi = False
         self._half: Optional[LocatedRoots] = None  # E's roots, for p = u^rho E(u^2)
-        if pairs and self._lo == -self._hi and pairs == [(-p, q) for p, q in reversed(pairs)]:
-            half = self._half = LocatedRoots((), 0, self._hi * self._hi)
-            _, hb, hc = half._frame  # the squares p^2 / q^2 of the positive roots
-            half._x = [(hc * p * p, hb * q * q) for p, q in pairs[(len(pairs) + 1) // 2:]]
 
     def __len__(self) -> int:
         return len(self._x)
@@ -596,11 +590,9 @@ def locate_roots(p: Sequence[int], lo: Rational, hi: Rational,
     is u^rho E(u^2), rho in {0, 1}.  With E(0) != 0 its roots are those of
     E on (0, hi^2), isolated by the same bisection at half the degree,
     each root v giving +-sqrt(v), and 0 for rho = 1, with no step at full
-    degree (`LocatedRoots._half_index`); a finished isolation of E proves
-    them simple.  Every other p, and one whose E is unfinished, takes the
-    path above.  Both give the same roots and cells; only roots (or complex
-    pairs) closer than about `deep` can leave the path above unfinished
-    where E's isolation finishes.
+    degree (`LocatedRoots._half_index`): a finished isolation of E proves
+    them simple, and an unfinished one leaves p's unfinished.  Every other
+    p takes the path above, which gives the same roots and cells.
     """
     if not p:
         raise ZeroPolynomial("roots of the zero polynomial")
@@ -609,12 +601,12 @@ def locate_roots(p: Sequence[int], lo: Rational, hi: Rational,
     if lo == -hi:  # p = u^rho E(u^2) with E(0) != 0: the roots of E on (0, hi^2)
         rho = 1 if not any(ints[::2]) else 0 if not any(ints[1::2]) else None
         if rho is not None and ints[rho]:
-            half = locate_roots(ints[rho::2], 0, hi * hi, deep)
-            if half is not None:  # -sqrt(v), then 0 (x = 1/2) for rho = 1, then +sqrt(v)
-                located = LocatedRoots((), lo, hi)
-                located.poly, located._root_at_hi, located._half = ints, half._root_at_hi, half
-                located._x = [None] * len(half) + [(1, 2)] * rho + [None] * len(half)
-                return located
+            if (half := locate_roots(ints[rho::2], 0, hi * hi, deep)) is None:
+                return None
+            located = LocatedRoots((), lo, hi)  # -sqrt(v), 0 (x = 1/2) for rho = 1, +sqrt(v)
+            located.poly, located._root_at_hi, located._half = ints, half._root_at_hi, half
+            located._x = [None] * len(half) + [(1, 2)] * rho + [None] * len(half)
+            return located
     q = _moved(ints, lo, hi)
     d = len(q) - 1
     ratio = (hi - lo) / (deep or 1)  # the first depth whose cells are at most `deep` wide:
@@ -667,12 +659,13 @@ def count_roots(p: Sequence[int], lo: Rational, hi: Rational) -> int:
 def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int]) -> list[int]:
     """Exact sign of q at each root of a polynomial p held by `located`, 0 if q vanishes there.
 
-    q is integers, a positive multiple of the polynomial.  A root held
-    exact, planted or dyadic, takes the sign of one `_horner` there.  Open
-    root i starts in its cell (lo, hi] at depth depths[i] (`LocatedRoots.cells`,
-    kept in `knots.certify`'s crossing report).  With c_k the primitive integers of q and
-    m = max(|lo|, |hi|), L2 = sum k (k-1) |c_k| m^(k-2) bounds |q''| on the
-    cell, so |q(lo)| > (|q'(lo)| + L2 (hi - lo)) (hi - lo), in
+    q is integers, a positive multiple of the polynomial.  A root u held
+    exact, planted or dyadic, takes one `_horner` of each nonzero half of
+    q = Q0(u^2) + u Q1(u^2) at u^2, shared by +-u.  Open root i starts in
+    its cell (lo, hi] at depth depths[i] (`LocatedRoots.cells`, kept in
+    `knots.certify`'s crossing report).  With c_k the primitive integers of
+    q and m = max(|lo|, |hi|), L2 = sum k (k-1) |c_k| m^(k-2) bounds |q''|
+    on the cell, so |q(lo)| > (|q'(lo)| + L2 (hi - lo)) (hi - lo), in
     cross-multiplied integers, leaves q no root in [lo, hi]: q has the sign
     of q(lo) at the root.  Otherwise the cell is taken deeper and tested
     again.  The test never passes where q vanishes, so below DEEP_WIDTH
@@ -682,19 +675,20 @@ def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int
     counted by one isolation.  A gcd of p's degree is p itself: q vanishes
     at every root of p, and this sign and every later one is 0.
 
-    When `located._half` holds E's roots and q is even or
-    odd, q = u^sigma Q(u^2), the test runs on Q at E's roots, from E's
-    cells at depth min(depths) (`cells`): sign q(+sqrt(v)) = sign Q(v),
+    When `located._half` holds E's roots and q is even or odd,
+    q = u^sigma Q(u^2), the test runs on Q at E's roots, from E's cells at
+    depth min(depths) (`cells`): sign q(+sqrt(v)) = sign Q(v),
     sign q(-sqrt(v)) = (-1)^sigma sign Q(v), and q(0) = Q(0) or 0.  Any
     other q is decided on p's cells as above.
     """
     cs = _content_free(q)
     if not cs:
         return [0] * len(depths)
+    even, odd = (h if any(h) else () for h in (cs[::2], cs[1::2]))  # q = Q0(u^2) + u Q1(u^2)
     half = located._half
-    if half is not None and depths and (not any(cs[1::2]) or not any(cs[::2])):
-        sigma = 1 if not any(cs[::2]) else 0  # q = u^sigma Q(u^2)
-        signs = signs_at_roots(half, cs[sigma::2], half.cells(half._span / (1 << min(depths))))
+    if half is not None and depths and not (even and odd):
+        sigma = 0 if even else 1  # q = u^sigma Q(u^2)
+        signs = signs_at_roots(half, even or odd, half.cells(half._span / (1 << min(depths))))
         mirrored = [-v for v in reversed(signs)] if sigma else signs[::-1]
         zero = [0 if sigma else (cs[0] > 0) - (cs[0] < 0)] * (len(depths) - 2 * len(signs))
         return mirrored + zero + signs
@@ -702,11 +696,17 @@ def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int
     slope = curve = common = None  # q', L2's terms and gcd(p, q), built when first needed
     out = []
     a, b, c = located._frame
+    squares = {}  # (|num|, den): den^deg Q0(u^2) and den^(deg-1) Q1(u^2) at u = +-num / den
     for i, k in enumerate(depths):
-        if isinstance(x := located._x[i], tuple):  # the root lo + b num / (c den) itself
+        if isinstance(x := located._x[i], tuple):  # the root u = lo + b num / (c den) itself
             num, den = a * x[1] + b * x[0], c * x[1]
             g = math.gcd(num, den)
-            val = _horner(cs, num // g, den // g)
+            num, den = num // g, den // g
+            if (key := (abs(num), den)) not in squares:
+                sq, dsq = num * num, den * den
+                squares[key] = (_horner(even, sq, dsq) * den ** (deg % 2) if even else 0,
+                                _horner(odd, sq, dsq) * den ** (1 - deg % 2) if odd else 0)
+            val = squares[key][0] + num * squares[key][1]  # den^deg q(u)
             out.append((val > 0) - (val < 0))
             continue
         if slope is None:

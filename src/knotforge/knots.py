@@ -505,15 +505,14 @@ def certify(
     roots, all simple, so its isolation with no depth limit finishes and
     counts them, and R has a repeated root in (-2, 2) exactly when g has a
     root there.  R of a `gen` curve is odd, R = u S(u^2), so `locate_roots`
-    isolates S on (0, 4) at half the degree and mirrors its roots; an R
-    with no parity (a perturbed y) or with S(0) = 0 (a root of R at 0 that
-    is not simple) is isolated on (-2, 2) itself.  The cells are the same
-    on every path.
-    `signs_at_roots` reads dd(z)'s integer form.  Certified planted roots
-    are exact, and symmetric, so `LocatedRoots` also holds their squares
-    d_i^2 on (0, 4): an even dd(z) = E(u^2) takes one Horner of E at half
-    the degree per node pair, as it does at S's roots for R's roots found
-    through S, and the signs are mirrored to the rest.
+    isolates S on (0, 4) at half the degree and mirrors its roots, and an
+    unfinished S leaves R unfinished; an R with no parity (a perturbed y)
+    or with S(0) = 0 (a root of R at 0 that is not simple) is isolated on
+    (-2, 2) itself.  The cells are the same on every path.
+    `signs_at_roots` reads dd(z)'s integer form: at the exact planted roots
+    +-d_i through its even and odd halves at d_i^2, one Horner of half the
+    degree per node pair for an even dd(z) = E(u^2), and at R's roots
+    found through S on S's roots, mirrored to the rest.
 
     Every certificate is exact.  The x/y coincidences are identities: s, t
     are the roots of X^2 - uX + (u^2 - 3), so T_3(s) = T_3(t), and

@@ -142,10 +142,10 @@ def curve_to_dict(
     x: Poly,
     y: cb.ChebT,
     z: Optional[cb.ChebT],
-    report: Optional[CrossingReport],
-    certified: bool,
+    report: CrossingReport,
 ) -> dict[str, Any]:
-    """Assemble the schema dict, under `digit_budget(N)`; key order is part of the contract.
+    """Assemble the schema dict of a certified curve and its report, under
+    `digit_budget(N)`; key order is part of the contract.
 
     An integer with more digits than that budget, which nodes with long
     denominators can give at small N, raises ValueError naming the limit:
@@ -155,15 +155,13 @@ def curve_to_dict(
         try:
             return {
                 "N": n_crossings,
-                "epsilon": (rat_str(report.epsilon)
-                            if report and report.epsilon is not None else None),
-                "nodes": ([rat_str(d) for d in report.nodes]
-                          if report and report.nodes is not None else None),
+                "epsilon": rat_str(report.epsilon) if report.epsilon is not None else None,
+                "nodes": [rat_str(d) for d in report.nodes] if report.nodes is not None else None,
                 "x": basis_to_json(x),
                 "y": basis_to_json(y),
                 "z": basis_to_json(z) if z is not None else None,
-                "crossings": [_crossing_to_json(c) for c in report.crossings] if report else [],
-                "certified": certified,
+                "crossings": [_crossing_to_json(c) for c in report.crossings],
+                "certified": True,
             }
         except ValueError as exc:  # only int -> str conversion raises it here
             raise ValueError(f"an integer of the curve has more than {limit} digits, "
@@ -188,7 +186,7 @@ class StoredCurve(NamedTuple):
     """The fields of a curve document, parsed and checked."""
 
     n_crossings: int
-    x: Union[Poly, cb.ChebT, cb.ChebV]  # a series x is expanded only at degree 3
+    x: Poly  # a T or V series x is expanded to monomials
     y: cb.ChebT
     z: Optional[cb.ChebT]
     nodes: Optional[NodeSet]
@@ -200,12 +198,17 @@ def _is_finite_number(v: Any) -> bool:
     return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
+def _check_cap(name: str, degree: int, max_degree: int) -> None:
+    """SchemaError when a coordinate's degree is above the cap 4N + 64 of x, y and z."""
+    if degree > max_degree:
+        raise SchemaError(f"{name} has degree {degree}, above the cap 4N + 64 = {max_degree}")
+
+
 def _space_coordinate(d: Any, name: str, max_degree: int) -> cb.ChebT:
     c = basis_from_json(d)
     if isinstance(c, cb.ChebV):
         raise SchemaError(f"{name} must be in the T or monomial basis")
-    if c.degree > max_degree:
-        raise SchemaError(f"{name} has degree {c.degree}, above the cap 4N + 64 = {max_degree}")
+    _check_cap(name, c.degree, max_degree)
     return cb.to_T(c) if isinstance(c, Poly) else c
 
 
@@ -213,14 +216,13 @@ def parse_curve(doc: Any) -> StoredCurve:
     """Parse a curve document, or raise SchemaError naming the first bad field.
 
     N must be an odd positive integer; every coefficient, node and epsilon
-    a rational string; the nodes satisfy 0 < d_1 < ... < d_n < 1; an x
-    on the T or V basis is expanded to monomials only when its degree is
-    3, since no other can be T_3 (`export` expands any other); y and z
-    are given in the T or monomial basis, of degree at most 4N + 64 (a
-    `gen` curve has about 1.5N), which bounds the work of `verify`; and
-    each stored crossing is an object with numeric "s" and "t" and a
-    "sign" of -1, 1 or null.  N is read first, and the rest under
-    `digit_budget(N)`.
+    a rational string; the nodes satisfy 0 < d_1 < ... < d_n < 1; x, y
+    and z have degree at most 4N + 64 (a `gen` curve has 3 and about
+    1.5N), which bounds the work of `verify` and `export`; x is given in
+    the T, V or monomial basis and expanded to monomials once, here; y
+    and z are given in the T or monomial basis; and each stored crossing
+    is an object with numeric "s" and "t" and a "sign" of -1, 1 or null.
+    N is read first, and the rest under `digit_budget(N)`.
     """
     if not isinstance(doc, dict):
         raise SchemaError("document is not an object")
@@ -232,10 +234,10 @@ def parse_curve(doc: Any) -> StoredCurve:
             or n_crossings < 1 or n_crossings % 2 == 0):
         raise SchemaError("N must be an odd positive integer")
     with digit_budget(n_crossings):
-        x = basis_from_json(doc["x"])
-        if isinstance(x, (cb.ChebT, cb.ChebV)) and x.degree == 3:
-            x = x.to_poly()
         max_degree = 4 * n_crossings + 64
+        x = basis_from_json(doc["x"])
+        _check_cap("x", x.degree, max_degree)
+        x = x if isinstance(x, Poly) else x.to_poly()
         y = _space_coordinate(doc["y"], "y", max_degree)
         z = _space_coordinate(doc["z"], "z", max_degree) if doc.get("z") is not None else None
         epsilon = doc.get("epsilon")

@@ -27,7 +27,6 @@ import math
 from typing import Any, Optional
 
 from . import chebyshev as cb
-from .exactpoly import Poly
 from .serialize import SchemaError, StoredCurve, parse_curve
 
 T_RANGE = (-2.2, 2.2)
@@ -35,10 +34,8 @@ GAP_HALF_WIDTH = 0.05
 
 
 def _plottable(doc: Any) -> StoredCurve:
-    """`parse_curve` with x on the monomial basis, and every coefficient must convert to a double."""
+    """`parse_curve`, and every coefficient must convert to a double."""
     curve = parse_curve(doc)
-    if not isinstance(curve.x, Poly):
-        curve = curve._replace(x=curve.x.to_poly())
     coordinates = {"x": curve.x.coeffs, "y": [c for _, c in curve.y.items]}
     if curve.z is not None:
         coordinates["z"] = [c for _, c in curve.z.items]

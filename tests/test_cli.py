@@ -180,7 +180,7 @@ class TestVerify:
         z = dict(curve.z.items)
         for k, c in cb.lift_from_V(cb.ChebV.of(dict(zip(image, values)))).items:
             z[k] = z.get(k, 0) + c
-        doc = curve_to_dict(21, curve.plane.x, curve.plane.y, cb.ChebT.of(z), report, True)
+        doc = curve_to_dict(21, curve.plane.x, curve.plane.y, cb.ChebT.of(z), report)
         path = tmp_path / "bumped.json"
         path.write_text(json.dumps(doc))
         code, stdout, _ = run(["verify", str(path)], capsys)
@@ -192,7 +192,7 @@ class TestVerify:
         docs = {}
         for n in (21, 61):
             curve, report = synthesize(n)
-            docs[n] = curve_to_dict(n, curve.plane.x, curve.plane.y, curve.z, report, True)
+            docs[n] = curve_to_dict(n, curve.plane.x, curve.plane.y, curve.z, report)
         return docs
 
     @pytest.mark.parametrize("edit", ["double", "third", "flip"])
@@ -320,33 +320,31 @@ class TestVerify:
         assert stdout == ("ok   x = T_3\nFAIL R has a repeated root in (-2, 2): "
                           "a crossing is not transverse\nNOT VERIFIED\n")
 
-    def test_high_degree_x_fails_without_expansion(self, tmp_path, capsys):
-        # an x of degree 800 on the T basis cannot be T_3; deciding that must
-        # not expand it to monomials (seconds at this degree)
-        out = tmp_path / "n21.json"
-        run(["gen", "--n", "21", "--out", str(out)], capsys)
-        doc = json.loads(out.read_text())
-        doc["x"] = {"basis": "T", "coeffs": ["0"] * 800 + ["1"]}
-        path = tmp_path / "x800.json"
+    def test_high_degree_x_fails_without_expansion(self, tmp_path, capsys, fixture_n9_path):
+        # x = T_40000, a 240 KB file, is above the cap 4N + 64 = 100 of N = 9:
+        # verify and export refuse it unexpanded (export ran past a minute,
+        # expanding it, before x had a cap)
+        with open(fixture_n9_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["x"] = {"basis": "T", "coeffs": ["0"] * 40000 + ["1"]}
+        path = tmp_path / "x40000.json"
         path.write_text(json.dumps(doc))
-        start = time.perf_counter()
-        code, stdout, _ = run(["verify", str(path)], capsys)
-        assert time.perf_counter() - start < 0.1
-        assert code == 2
-        assert stdout == "FAIL x is not the monic degree-3 cosine polynomial t^3 - 3t\nNOT VERIFIED\n"
-        # export still expands it, and its samples overflow
-        code, _, err = run(["export", "--csv", "--samples", "2", str(path),
-                            "--out", str(tmp_path / "x800.csv")], capsys)
-        assert code == 1
-        assert "a x value is beyond the double range" in err
+        cap = "x has degree 40000, above the cap 4N + 64 = 100\n"
+        for command, prefix in ((["verify"], "knotforge verify: bad schema: "),
+                                (["export", "--csv", "--samples", "50"],
+                                 "knotforge export: bad curve file: ")):
+            start = time.perf_counter()
+            assert run([*command, str(path)], capsys) == (1, "", prefix + cap)
+            assert time.perf_counter() - start < 2.0
 
     def test_high_degree_x_export_fails_fast(self, tmp_path, capsys):
-        # expanding T_800 to monomials takes its closed-form integer
-        # coefficients, not a recurrence on rational polynomials
+        # under the cap 4N + 64 = 804 of N = 185, x = T_800 is expanded once:
+        # its closed-form integer coefficients, not a recurrence on rational
+        # polynomials
         out = tmp_path / "n21.json"
         run(["gen", "--n", "21", "--out", str(out)], capsys)
         doc = json.loads(out.read_text())
-        doc["x"] = {"basis": "T", "coeffs": ["0"] * 800 + ["1"]}
+        doc["N"], doc["x"] = 185, {"basis": "T", "coeffs": ["0"] * 800 + ["1"]}
         path = tmp_path / "x800.json"
         path.write_text(json.dumps(doc))
         cb._family_ints.cache_clear()
@@ -356,6 +354,9 @@ class TestVerify:
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert err.endswith("a x value is beyond the double range on [-2.2, 2.2]\n")
+        code, stdout, _ = run(["verify", str(path)], capsys)
+        assert code == 2
+        assert stdout == "FAIL x is not the monic degree-3 cosine polynomial t^3 - 3t\nNOT VERIFIED\n"
 
     def test_node_off_the_roots_fails(self, tmp_path, capsys):
         out = tmp_path / "n7.json"
@@ -486,6 +487,7 @@ class TestVerifyMalformed:
             # the cap is 4N + 64 = 84 for N = 5
             pytest.param(lambda d: _raise_degree(d, "y", 85), id="y-degree-above-cap"),
             pytest.param(lambda d: _raise_degree(d, "z", 85), id="z-degree-above-cap"),
+            pytest.param(lambda d: _raise_degree(d, "x", 85), id="x-degree-above-cap"),
             pytest.param(lambda d: d.update(y={"basis": "monomial", "coeffs": ["0"] * 85 + ["1"]}),
                          id="monomial-y-degree-above-cap"),
         ],
@@ -741,8 +743,8 @@ rational_values = st.one_of(
 def mutated_documents(draw, bases):
     """A stored curve with one to three fields edited, replaced or dropped.
 
-    Returns (document, raised): sometimes the y or z of a document whose N
-    is still a small odd integer is then padded to a degree above the cap
+    Returns (document, raised): sometimes the x, y or z of a document whose
+    N is still a small odd integer is then padded to a degree above the cap
     4N + 64, and raised is True.
     """
     doc = copy.deepcopy(draw(st.sampled_from(bases)))
@@ -768,7 +770,7 @@ def mutated_documents(draw, bases):
                 target[i][draw(st.sampled_from(["s", "t", "sign", "u"]))] = draw(json_values)
             else:
                 target[i] = draw(rational_values)
-    n, name = doc.get("N"), draw(st.sampled_from(["y", "z"]))
+    n, name = doc.get("N"), draw(st.sampled_from(["x", "y", "z"]))
     coordinate = doc.get(name)
     raised = (draw(st.integers(0, 7)) == 0 and type(n) is int and 1 <= n <= 45 and n % 2 == 1
               and isinstance(coordinate, dict) and isinstance(coordinate.get("coeffs"), list))
@@ -779,13 +781,13 @@ def mutated_documents(draw, bases):
 
 def _n3_document():
     curve, report = synthesize(3)
-    return curve_to_dict(3, curve.plane.x, curve.plane.y, curve.z, report, True)
+    return curve_to_dict(3, curve.plane.x, curve.plane.y, curve.z, report)
 
 
 class TestFuzz:
     """verify and export map every mutated curve file to 0, 1 or 2, never a
-    traceback, and a successful export holds no nan or inf.  A y or z of
-    degree above the cap exits 1."""
+    traceback, and a successful export holds no nan or inf.  An x, y or z
+    of degree above the cap exits 1."""
 
     @pytest.fixture(scope="class")
     def bases(self, fixture_n9_path):

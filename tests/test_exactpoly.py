@@ -603,6 +603,21 @@ class TestLocateRoots:
         assert cells == [refine(chain, iv, width) for iv in isolate_roots(chain, -2, 2)]
         assert cells[0].width < DEEP_WIDTH
 
+    def test_unfinished_half_ends_the_isolation(self, monkeypatch):
+        # p = u S(u^2), S = (3v - 1)^2 (v - 2): S's double root 1/3 in (0, 4) leaves
+        # S's isolation unfinished, and p is not isolated again at full degree
+        p = ints(T * Poly([-1, 0, 3]) ** 2 * Poly([-2, 0, 1]))
+        lengths, real = [], exactpoly._moved
+
+        def spy(cs, lo, hi):
+            lengths.append(len(cs))
+            return real(cs, lo, hi)
+
+        monkeypatch.setattr(exactpoly, "_moved", spy)
+        assert locate_roots(p, -2, 2) is None
+        assert lengths and len(p) not in lengths
+        assert count_roots(p, -2, 2) == 5  # 0, +-sqrt(1/3), +-sqrt(2), through S
+
     @given(ROOT_SETS, st.lists(st.integers(1, 7), max_size=2))
     @settings(max_examples=100, deadline=None)
     def test_roots_come_out_in_order(self, roots, squares):

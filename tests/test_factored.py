@@ -3,6 +3,7 @@ roots factored out, and the cofactor certificate in `synthesize` and `certify`."
 
 import json
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -116,7 +117,7 @@ def gen_docs():
     docs = {}
     for n in (21, 41):
         curve, report = synthesize(n)
-        doc = curve_to_dict(n, curve.plane.x, curve.plane.y, curve.z, report, True)
+        doc = curve_to_dict(n, curve.plane.x, curve.plane.y, curve.z, report)
         docs[n] = json.loads(dumps(doc))
     return docs
 
@@ -293,6 +294,21 @@ class TestHotPath:
         assert report.signs_alternate
         # R's cells, for the report and the signs; E's, on the half path, once more
         assert sum(owner is owners[0] for owner in owners) == 1
+
+    @pytest.mark.parametrize("n", [21, 41])
+    def test_planted_certify_finds_the_cells_once(self, monkeypatch, gen_docs, n):
+        # planted roots are exact, so `signs_at_roots` builds no cells: only `crossings` does
+        curve = parse_curve(gen_docs[n])
+        callers = []
+        real = exactpoly.LocatedRoots.cells
+
+        def counting(self, width):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(self, width)
+
+        monkeypatch.setattr(exactpoly.LocatedRoots, "cells", counting)
+        assert certify(curve.y, curve.z, n, curve.nodes).signs_alternate
+        assert callers == ["crossings"]
 
     def test_failed_certificate_halves_until_exhausted(self, monkeypatch):
         tried = []
@@ -499,7 +515,6 @@ class TestPlantedSigns:
         nodes = next(random_node_sets(1, seed))
         q = _planted_q(nodes, kind, cs, at)
         located = exactpoly.LocatedRoots(nodes.all_roots(), -2, 2)
-        assert located._half is not None  # the squares d_i^2, exact on (0, 4)
         sizes, real = [], exactpoly._horner
 
         def spy(cs, *args):
@@ -513,7 +528,9 @@ class TestPlantedSigns:
             exactpoly._horner = real
         poly = Poly(q)
         assert signs == [(v > 0) - (v < 0) for v in map(poly, nodes.all_roots())]
-        if kind in ("even", "zero"):  # one Horner at half degree per node pair
-            assert sizes and max(sizes) <= -(-len(q) // 2)
+        # q's halves, each evaluated once at d^2 for +-d and never when all zero: at
+        # most half the degree, one Horner per node pair for a q of one parity, two for none
+        assert sizes and max(sizes) <= -(-len(q) // 2)
+        assert len(sizes) <= (2 if kind == "none" else 1) * (nodes.n + 1)
         if kind == "zero":
             assert signs[nodes.n - 1 - at % nodes.n] == signs[nodes.n + 1 + at % nodes.n] == 0

@@ -9,7 +9,7 @@ from knotforge import exactpoly
 from knotforge.cli import main as cli_main
 from knotforge.chebyshev import ChebT, ChebV, t_poly, to_T
 from knotforge.exactpoly import Poly, rat_str
-from knotforge.knots import synthesize
+from knotforge.knots import CrossingReport, synthesize
 from knotforge.serialize import (
     DIGITS_CAP,
     SchemaError,
@@ -128,14 +128,14 @@ class TestZeroCoefficients:
 class TestCurveDict:
     def test_key_order_is_stable(self):
         curve, report = synthesize(3)
-        doc = curve_to_dict(3, curve.plane.x, curve.plane.y, curve.z, report, True)
+        doc = curve_to_dict(3, curve.plane.x, curve.plane.y, curve.z, report)
         assert list(doc.keys()) == ["N", "epsilon", "nodes", "x", "y", "z", "crossings", "certified"]
         assert doc["crossings"][0].keys() == {"u", "s", "t", "sign"}
         assert ".." in doc["crossings"][0]["u"]
 
     def test_dumps_deterministic(self):
         curve, report = synthesize(3)
-        doc = curve_to_dict(3, curve.plane.x, curve.plane.y, curve.z, report, True)
+        doc = curve_to_dict(3, curve.plane.x, curve.plane.y, curve.z, report)
         assert dumps(doc) == dumps(json.loads(dumps(doc)))
 
 
@@ -177,7 +177,7 @@ class TestVerifyCurve:
 
     def test_stored_node_must_be_root(self):
         curve, report = synthesize(3)
-        doc = curve_to_dict(3, curve.plane.x, curve.plane.y, curve.z, report, True)
+        doc = curve_to_dict(3, curve.plane.x, curve.plane.y, curve.z, report)
         doc["nodes"] = ["1/7"]  # not the planted node
         ok, lines = verify_curve(doc)
         assert not ok
@@ -186,7 +186,7 @@ class TestVerifyCurve:
         # dd(z) changes sign inside the 2^-48 root interval at crossing 1,
         # so a sign read at the interval's midpoint is wrong there
         curve, report = synthesize(51)
-        doc = curve_to_dict(51, curve.plane.x, curve.plane.y, curve.z, report, True)
+        doc = curve_to_dict(51, curve.plane.x, curve.plane.y, curve.z, report)
         doc["nodes"] = doc["epsilon"] = None
         ok, lines = verify_curve(doc)
         assert ok, lines
@@ -199,7 +199,7 @@ class TestVerifyCurve:
         # The ordering proof takes no cell of this file deeper, so every
         # cell past the first of each root is one refinement of a sign.
         curve, report = synthesize(51)
-        doc = curve_to_dict(51, curve.plane.x, curve.plane.y, curve.z, report, True)
+        doc = curve_to_dict(51, curve.plane.x, curve.plane.y, curve.z, report)
         doc["nodes"] = doc["epsilon"] = None
         cells = set()
         real = exactpoly.LocatedRoots.ends
@@ -221,6 +221,8 @@ class TestDigitBudget:
 
     # 6,001 and 5,001 digits: past the default limit, within the budget for N = 175
     BIG = F(10**6000 + 1, 3 * 10**5000 + 7)
+    # the synthetic curves below are written with no crossing and no nodes
+    EMPTY = CrossingReport(1, (), (), (), 0.0)
 
     @staticmethod
     def limit():
@@ -230,7 +232,7 @@ class TestDigitBudget:
     def test_n175_document_round_trips(self):
         before = self.limit()
         z = ChebT.of({1: self.BIG, 2: -self.BIG / 7})
-        text = dumps(curve_to_dict(175, t_poly(3), ChebT.of({2: 1}), z, None, False))
+        text = dumps(curve_to_dict(175, t_poly(3), ChebT.of({2: 1}), z, self.EMPTY))
         assert self.limit() == before
         curve = parse_curve(json.loads(text))
         assert curve.z == z and curve.n_crossings == 175
@@ -241,21 +243,21 @@ class TestDigitBudget:
 
     def test_n175_file_verifies_without_a_crash(self, tmp_path, capsys):
         # the synthetic curve has one crossing, not 175: parsed, then refused with exit 2
-        doc = curve_to_dict(175, t_poly(3), ChebT.of({2: 1}), ChebT.of({1: self.BIG}), None, False)
+        doc = curve_to_dict(175, t_poly(3), ChebT.of({2: 1}), ChebT.of({1: self.BIG}), self.EMPTY)
         path = tmp_path / "n175.json"
         path.write_text(dumps(doc))
         assert cli_main(["verify", str(path)]) == 2
         assert "FAIL R has 1 roots in (-2, 2), expected 175" in capsys.readouterr().out
 
     def test_small_n_keeps_the_default_limit(self):
-        doc = curve_to_dict(9, t_poly(3), ChebT.of({2: 1}), None, None, False)
+        doc = curve_to_dict(9, t_poly(3), ChebT.of({2: 1}), None, self.EMPTY)
         doc["y"]["coeffs"][2] = "9" * 5000
         if 0 < self.limit() < 5000:
             with pytest.raises(SchemaError, match="past the integer digit limit"):
                 parse_curve(doc)
 
     def test_a_huge_n_cannot_lift_the_limit_past_the_cap(self):
-        doc = curve_to_dict(10**9 + 1, t_poly(3), ChebT.of({2: 1}), None, None, False)
+        doc = curve_to_dict(10**9 + 1, t_poly(3), ChebT.of({2: 1}), None, self.EMPTY)
         doc["y"]["coeffs"][2] = "9" * (DIGITS_CAP + 1)
         before = self.limit()
         if 0 < before <= DIGITS_CAP:
