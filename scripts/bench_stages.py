@@ -16,8 +16,8 @@ measured by that module's sampler while the stage runs).
 The stages are the functions `synthesize` calls, timed by wrapping them
 where `knots` looks them up: `solve_deformation`, `solve_height` and
 `certify`.  Inside `certify`: `divided_difference` (of y and z),
-`exact_quotient` (R by the planted factor), `certify_cofactor`,
-`crossings` (cells and ordering proof), `signs_at_roots` (dd(z) at the
+`exact_quotient` (R by the planted factor), `root_free` (the cofactor's
+test), `crossings` (cells and ordering proof), `signs_at_roots` (dd(z) at the
 planted roots, the space check) and `other`, the rest of `certify` (R's
 integer form and the planted `LocatedRoots`).  `dumps` is `curve_to_dict` plus
 `dumps` of the finished curve.  `nodeless` is `certify(y, z, N)` of the
@@ -28,8 +28,7 @@ with the steps `locate_roots` (R's isolation), `crossings`,
 `verify_nodeless` of the same document with no nodes, each with the steps
 `parse_curve`, `certify` and `other`.  An `other` is the stage's wall time
 less its steps', calibrated at the stage's speed.  A function a checkout
-lacks is not timed, and a checkout whose `curve_to_dict` still takes the
-one-value flag `certified` is passed True.
+lacks is not timed.
 
 The output JSON holds the Python and machine identity, each checkout's
 commit (from git, or --parent-commit for a parent that git cannot read,
@@ -51,7 +50,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import inspect
 import json
 import os
 import platform
@@ -65,7 +63,7 @@ from collections import defaultdict
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
 SYNTH_STAGES = ("solve_deformation", "solve_height", "certify")
-CERTIFY_STEPS = ("divided_difference", "exact_quotient", "certify_cofactor", "crossings",
+CERTIFY_STEPS = ("divided_difference", "exact_quotient", "root_free", "crossings",
                  "signs_at_roots")
 NODELESS_STEPS = ("locate_roots", "crossings", "signs_at_roots")
 VERIFY_STAGES = ("verify", "verify_nodeless")
@@ -134,7 +132,6 @@ def worker(src: str, ns: list[int], repeats: int) -> dict:
     rec = _Spans()
     nodeless = rec.wrap("nodeless", knots.certify)
     verify, verify_nodeless = (rec.wrap(stage, serialize.verify_curve) for stage in VERIFY_STAGES)
-    flag = (True,) if "certified" in inspect.signature(serialize.curve_to_dict).parameters else ()
     for name in SYNTH_STAGES:
         setattr(knots, name, rec.wrap(name, getattr(knots, name)))
     for stage, steps in (("certify", CERTIFY_STEPS), ("nodeless", NODELESS_STEPS)):
@@ -160,7 +157,7 @@ def worker(src: str, ns: list[int], repeats: int) -> dict:
                 curve, report = knots.synthesize(n)
                 t1 = time.perf_counter()
                 text = serialize.dumps(serialize.curve_to_dict(
-                    n, curve.plane.x, curve.plane.y, curve.z, report, *flag))
+                    n, curve.plane.x, curve.plane.y, curve.z, report))
                 t2 = time.perf_counter()
                 nodeless(curve.plane.y, curve.z, n)
                 doc = json.loads(text)

@@ -35,7 +35,6 @@ from .exactpoly import (
     LocatedRoots,
     Poly,
     Rational,
-    count_roots,
     locate_roots,
     rat_str,
 )
@@ -48,7 +47,6 @@ from .knots import (
     SpaceCurve,
     build_cn,
     certify,
-    certify_cofactor,
     crossing_oracle,
     crossings,
     lift_plane,
@@ -67,9 +65,9 @@ __all__ = [
     "to_T", "to_V", "v_poly", "w_index", "wtilde_index",
     "CertificationFailed", "EpsilonExhausted", "InternalInconsistency", "KnotforgeError",
     "NotInImage", "OrderingViolation", "SingularSystem", "ZeroPolynomial",
-    "LocatedRoots", "Poly", "Rational", "count_roots", "locate_roots", "rat_str",
+    "LocatedRoots", "Poly", "Rational", "locate_roots", "rat_str",
     "CnBasis", "Crossing", "CrossingReport", "NodeSet",
-    "PlaneCurve", "SpaceCurve", "build_cn", "certify", "certify_cofactor",
+    "PlaneCurve", "SpaceCurve", "build_cn", "certify",
     "crossing_oracle", "crossings",
     "lift_plane", "planted_factor", "solve_deformation", "solve_height",
     "synthesize",

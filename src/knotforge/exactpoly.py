@@ -6,18 +6,18 @@ every root count is a proof, not an approximation.  Floating-point
 evaluation exists only as a convenience for plotting and diagnostics.
 
 The root layer takes integer coefficients (`_primitive_ints` adapts a
-`Poly`).  `locate_roots` isolates, in order, the roots of p in an
-interval by Descartes bisection in the Bernstein basis: sign variations
-(`_variations`, the one Descartes test) and integer de Casteljau splits,
-with no remainder sequence.  A finished run proves the count, every
-root simple.  Its `LocatedRoots`, or planted roots already certified,
-give the dyadic cells of Sturm bisection and refinement as a depth per
-root (`cells`) and integers (`ends`), narrowed on exact values of p at
-dyadic points.  An even or odd p on a symmetric interval is isolated and
-narrowed through its half-degree part E, p = u^rho E(u^2) alone: each
-root v of E is +-sqrt(v), its cells read off E's.  The one root counter,
-`count_roots`, isolates the squarefree part p / gcd(p, p')
-(`squarefree`, by exact division), so its isolation always finishes.
+`Poly`).  `locate_roots`, the one isolator, finds in order the roots of
+p in an interval by Descartes bisection in the Bernstein basis: sign
+variations (`_variations`, the one Descartes test) and integer de
+Casteljau splits.  A run unfinished at the depth limit isolates the
+squarefree part p / gcd(p, p') (`squarefree`) instead, which always
+finishes; `root_free` proves with it that p has no root in [lo, hi].
+Its `LocatedRoots`, or planted roots already certified, give the dyadic
+cells of Sturm bisection and refinement as a depth per root (`cells`)
+and integers (`ends`), narrowed on exact values of p at dyadic points.
+An even or odd p on a symmetric interval is isolated and narrowed
+through its half-degree part E, p = u^rho E(u^2) alone: each root v of
+E is +-sqrt(v), its cells read off E's.
 The one polynomial gcd, `poly_gcd`, is Brown's modular gcd: Euclid mod
 61-bit primes, combined by CRT and checked by exact division.  A value
 at n/d is the integer sum c_i n^i d^(D-i) (homogeneous Horner, shifts
@@ -42,9 +42,10 @@ Rational = Fraction
 
 _RationalLike = Union[Fraction, int]
 
-# Cell width, (h - l) << 200 <= d for (l / d, h / d], at which `signs_at_roots`
-# asks the gcd and `knots.crossings` stops separating two crossing parameters.
-DEEP_WIDTH = Fraction(1, 2**200)
+# Cells at most 2^-DEEP_BITS wide, (h - l) << DEEP_BITS <= d for (l / d, h / d], end
+# `locate_roots`' limited run, make `signs_at_roots` ask the gcd, and stop
+# `knots.crossings` separating two crossing parameters.
+DEEP_BITS = 200
 
 
 def rat_str(x: Rational) -> str:
@@ -418,12 +419,6 @@ def _variations(b: Sequence[int]) -> int:
     return min(2, sum(map(ne, signs, signs[1:])))
 
 
-def descartes_bound(p: Sequence[int], lo: Rational, hi: Rational) -> int:
-    """Descartes' bound (`_variations`), capped at 2, on the roots of the integer
-    polynomial p in (lo, hi) counted with multiplicity; 0 proves there are none."""
-    return _variations(_bernstein(_moved(p, Fraction(lo), Fraction(hi)))[0])
-
-
 class LocatedRoots:
     """The roots of a polynomial in (lo, hi), each exact or held in an open dyadic cell.
 
@@ -439,6 +434,8 @@ class LocatedRoots:
     When `locate_roots` found p's roots through E, p = u^rho E(u^2), `_half`
     holds E's roots on (0, hi^2) and `_x` only the root 0 of rho = 1: every
     other root's cell is read off E's, narrowed in E (`_half_index`).
+    `repeated` is True when p has a multiple root in (lo, hi); its roots are
+    then those of p's squarefree part, which `poly` holds.
     """
 
     def __init__(self, roots: Sequence[Rational], lo: Rational, hi: Rational):
@@ -454,7 +451,7 @@ class LocatedRoots:
             raise ValueError("planted roots must be sorted, distinct and strictly inside (lo, hi)")
         self.poly: Optional[tuple[int, ...]] = None
         self._moved: tuple[int, ...] = ()  # q(x), as `locate_roots` made it
-        self._root_at_hi = False
+        self._root_at_hi = self.repeated = False
         self._half: Optional[LocatedRoots] = None  # E's roots, for p = u^rho E(u^2)
 
     def __len__(self) -> int:
@@ -573,18 +570,19 @@ class LocatedRoots:
         return ks
 
 
-def locate_roots(p: Sequence[int], lo: Rational, hi: Rational,
-                 deep: Optional[Rational] = DEEP_WIDTH) -> Optional[LocatedRoots]:
+def locate_roots(p: Sequence[int], lo: Rational, hi: Rational) -> LocatedRoots:
     """The roots of the integer polynomial p in (lo, hi), in order, by Descartes bisection.
 
     Bisection in the Bernstein basis (Rouillier-Zimmermann 2004) of
-    q(x) = p(lo + (hi - lo) x) on (0, 1): a cell is tested by `_variations`
-    and split by one integer de Casteljau pass, each child scaled by 2^d.
-    A midpoint where q vanishes is an exact root, simple where q' does
-    not.  A finished run proves the count, every root simple.  It is
-    unfinished (None) when a midpoint root is multiple or a cell at most
-    `deep` wide still has bound 2; with deep None it ends when the roots
-    in (lo, hi) are simple.
+    q(x) = p(lo + (hi - lo) x) on (0, 1) (`_isolate`): a cell is tested by
+    `_variations` and split by one integer de Casteljau pass, each child
+    scaled by 2^d.  A midpoint where q vanishes is an exact root, simple
+    where q' does not.  A finished run proves the count, every root simple.
+    It is unfinished when a midpoint root is multiple or a cell at most
+    2^-DEEP_BITS wide still has bound 2.  Only then is p split into
+    s = p / g and g = gcd(p, p') (`squarefree`): s has p's roots, all
+    simple, so its bisection with no depth limit finishes, and `repeated`
+    is set when g, the repeated roots of p, has a root in (lo, hi).
 
     On a symmetric interval, lo = -hi, a p whose integers have one parity
     is u^rho E(u^2), rho in {0, 1}.  With E(0) != 0 its roots are those of
@@ -597,11 +595,31 @@ def locate_roots(p: Sequence[int], lo: Rational, hi: Rational,
     if not p:
         raise ZeroPolynomial("roots of the zero polynomial")
     lo, hi = Fraction(lo), Fraction(hi)
-    ints = _content_free(p)
+    if not lo < hi:
+        raise ValueError("need lo < hi")
+    located = _isolate(_content_free(p), lo, hi, True)
+    if located is None:
+        s, g = squarefree(p)
+        located = _isolate(s, lo, hi, False)
+        located.repeated = len(locate_roots(g, lo, hi)) > 0
+    return located
+
+
+def root_free(p: Sequence[int], lo: Rational, hi: Rational) -> bool:
+    """True exactly when the integer polynomial p has no root in [lo, hi]: it is
+    nonzero at both ends, and `locate_roots` finds no root between them."""
+    return (all(_horner(p, x.numerator, x.denominator) for x in (lo, hi))
+            and not len(locate_roots(p, lo, hi)))
+
+
+def _isolate(ints: tuple[int, ...], lo: Rational, hi: Rational,
+             limited: bool) -> Optional[LocatedRoots]:
+    """`locate_roots`' bisection of the primitive integers ints; None when a run
+    limited to cells 2^-DEEP_BITS wide is unfinished."""
     if lo == -hi:  # p = u^rho E(u^2) with E(0) != 0: the roots of E on (0, hi^2)
         rho = 1 if not any(ints[::2]) else 0 if not any(ints[1::2]) else None
         if rho is not None and ints[rho]:
-            if (half := locate_roots(ints[rho::2], 0, hi * hi, deep)) is None:
+            if (half := _isolate(ints[rho::2], 0, hi * hi, limited)) is None:
                 return None
             located = LocatedRoots((), lo, hi)  # -sqrt(v), 0 (x = 1/2) for rho = 1, +sqrt(v)
             located.poly, located._root_at_hi, located._half = ints, half._root_at_hi, half
@@ -609,8 +627,8 @@ def locate_roots(p: Sequence[int], lo: Rational, hi: Rational,
             return located
     q = _moved(ints, lo, hi)
     d = len(q) - 1
-    ratio = (hi - lo) / (deep or 1)  # the first depth whose cells are at most `deep` wide:
-    last = (-(-ratio.numerator // ratio.denominator) - 1).bit_length() if deep else math.inf
+    sn, sd = (hi - lo).as_integer_ratio()  # the first depth of cells at most 2^-DEEP_BITS wide:
+    last = (-(-(sn << DEEP_BITS) // sd) - 1).bit_length() if limited else math.inf
     top, scale = _bernstein(q)  # a cell's coefficients are scale 2^(k d) times q's there
     found = []
     stack = [(top, 0, 0)]  # left subtrees on top, so roots are found in order
@@ -644,18 +662,6 @@ def locate_roots(p: Sequence[int], lo: Rational, hi: Rational,
     return located
 
 
-def count_roots(p: Sequence[int], lo: Rational, hi: Rational) -> int:
-    """Exact number of distinct real roots of the integer polynomial p in (lo, hi).
-
-    They are the roots that `locate_roots` isolates for the squarefree
-    part of p (`squarefree`): all simple, so the isolation, with no depth
-    limit, always finishes.
-    """
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    return len(locate_roots(squarefree(p)[0], lo, hi, None))
-
-
 def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int]) -> list[int]:
     """Exact sign of q at each root of a polynomial p held by `located`, 0 if q vanishes there.
 
@@ -668,7 +674,7 @@ def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int
     on the cell, so |q(lo)| > (|q'(lo)| + L2 (hi - lo)) (hi - lo), in
     cross-multiplied integers, leaves q no root in [lo, hi]: q has the sign
     of q(lo) at the root.  Otherwise the cell is taken deeper and tested
-    again.  The test never passes where q vanishes, so below DEEP_WIDTH
+    again.  The test never passes where q vanishes, so below 2^-DEEP_BITS
     the gcd of p and q (`poly_gcd`, built once) is asked for a root in
     (lo, hi], which a root of p found exact while deepening ends; if none,
     deepening goes on.  It divides p, so its roots there are simple,
@@ -727,13 +733,13 @@ def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int
             if gap > bound:
                 out.append(1 if val > 0 else -1)
                 break
-            if w << 200 <= den and not asked:  # at most DEEP_WIDTH wide
+            if w << DEEP_BITS <= den and not asked:
                 asked = True
                 common = common or poly_gcd(located.poly, cs)
                 if len(common) == len(located.poly):
                     return out + [0] * (len(depths) - i)
                 if not _horner(common, high, den) or len(locate_roots(
-                        common, Fraction(low, den), Fraction(high, den), None)):
+                        common, Fraction(low, den), Fraction(high, den))):
                     out.append(0)
                     break
             # enough levels to bring the bound below about |q(lo)| / 2

@@ -27,8 +27,8 @@ signs (-1)^i.  The steps:
 5.  `certify` checks the finished curve.  The crossings of (T_3, y) are
     the roots of R = dd(y) in (-2, 2), so one routine serves `gen` (where
     R = A) and `verify` (where R is recomputed from a stored y), on integer
-    coefficients and dyadic cells.  With nodes, one Descartes test on R's
-    cofactor over P (`certify_cofactor`) can prove that R's roots in
+    coefficients and dyadic cells.  With nodes, R's cofactor over P with
+    no root in [-2, 2] (`exactpoly.root_free`) proves that R's roots in
     (-2, 2) are the planted ones, all simple.
     `certify` is the only gate of `gen`: one loop in `synthesize` halves
     the node scale epsilon until both systems are solvable and `certify`
@@ -55,20 +55,19 @@ from .errors import (
     SingularSystem,
 )
 from .exactpoly import (
+    DEEP_BITS,
     LocatedRoots,
     Poly,
     Rational,
     _content_free,
     _horner,
     _primitive_ints,
-    count_roots,
-    descartes_bound,
     exact_quotient,
     locate_roots,
     rat_str,
+    root_free,
     signs_at_roots,
     solve_linear,
-    squarefree,
 )
 from .pade import pade
 from .stieltjes import phi
@@ -185,7 +184,7 @@ def _validate_cn(j: int, c: Poly) -> tuple[Fraction, ...]:
     if any(c.coeff(i) != 0 for i in range(2 * j + 1)):
         raise InternalInconsistency(f"t^{2*j+1} does not divide C_{j}")
     cofactor = _primitive_ints(Poly(c.coeffs[2 * j + 1:]))
-    if count_roots(cofactor, -2, 2) or not _horner(cofactor, -2, 1) or not _horner(cofactor, 2, 1):
+    if not root_free(cofactor, -2, 2):
         raise InternalInconsistency(f"cofactor of C_{j} has a root in [-2, 2]")
     windex = {cb.w_index(i): i for i in range(j + 1)}
     coords = [Fraction(0)] * (j + 1)
@@ -299,21 +298,6 @@ def solve_deformation(nodes: NodeSet) -> cb.ChebV:
     return _fit(top, planted, m, 5, lead)
 
 
-def certify_cofactor(cofactor: Sequence[int]) -> bool:
-    """One-sided test that the even cofactor G of R = P G has no root in (-2, 2).
-
-    True proves it, and with it that the roots of R in (-2, 2) are exactly
-    the N planted ones, all simple: the hypothesis under which the curve
-    has exactly N transverse crossings.  With g(v) = G(sqrt v), for G in
-    integers, True means g(0) != 0 and Descartes' rule shows no root of g
-    in (0, 4) (`descartes_bound` 0).  False proves nothing: a G that is not
-    even, or whose bound is positive, is left to the isolation of R.
-    """
-    if not cofactor or any(cofactor[1::2]):
-        return False
-    return cofactor[0] != 0 and descartes_bound(cofactor[::2], 0, 4) == 0
-
-
 def default_nodes(n: int, epsilon: Fraction) -> NodeSet:
     """Uniformly spaced nodes d_i = epsilon * i / (n + 1)."""
     return NodeSet(n, tuple(epsilon * Fraction(i, n + 1) for i in range(1, n + 1)), epsilon)
@@ -362,7 +346,7 @@ def _certify_ordering(located: LocatedRoots, depths: Sequence[int],
     h_N <= d_N and l_1 >= -d_1: every pair of a `gen` curve, whose roots lie
     in (-1, 1).  Any other pair is compared on the enclosures of
     `_parameter_bounds`, built when first asked for; overlapping ones are
-    taken one level deeper and compared again, down to `exactpoly.DEEP_WIDTH`.
+    taken one level deeper and compared again, down to width 2^-DEEP_BITS.
     Disjoint enclosures in the wrong order, or a pair still overlapping at
     that width, raise OrderingViolation.
     """
@@ -388,8 +372,9 @@ def _certify_ordering(located: LocatedRoots, depths: Sequence[int],
                 raise OrderingViolation(f"parameters {pair} are out of order")
             for r in {i, j}:
                 low, high, den = located.ends(r, ks[r])
-                if (high - low) << 200 <= den:
-                    raise OrderingViolation(f"parameters {pair} not separated at width 2^-200")
+                if (high - low) << DEEP_BITS <= den:
+                    raise OrderingViolation(
+                        f"parameters {pair} not separated at width 2^-{DEEP_BITS}")
                 ks[r] += 1
                 bounds[r::n] = [None, None]
 
@@ -492,23 +477,17 @@ def certify(
     dyadic cells of `LocatedRoots`: no `Poly` is built.  With nodes, R's
     primitive integers are divided by `planted_factor(nodes)`, each step
     checked exact (by Gauss's lemma an inexact step means P does not
-    divide R over Q).  An exact quotient nonzero at 2 that passes
-    `certify_cofactor` proves the count and nodes stages at once: the
-    2n + 1 planted roots are R's roots, all simple, so an N that differs
-    fails the count with no isolation.  That test is one-sided, and every
-    other case, a failed test included, is decided exactly below: a finished
-    Descartes isolation of the same integers (`locate_roots`) proves the
-    count, every root simple, and one integer Horner of R at each node
-    decides whether it is a root.  An unfinished one (a multiple root, or roots
-    closer than DEEP_WIDTH) splits R into its squarefree part s = R / g and
-    g = gcd(R, R') (`squarefree`, by the modular `poly_gcd`): s has R's
-    roots, all simple, so its isolation with no depth limit finishes and
-    counts them, and R has a repeated root in (-2, 2) exactly when g has a
-    root there.  R of a `gen` curve is odd, R = u S(u^2), so `locate_roots`
-    isolates S on (0, 4) at half the degree and mirrors its roots, and an
-    unfinished S leaves R unfinished; an R with no parity (a perturbed y)
-    or with S(0) = 0 (a root of R at 0 that is not simple) is isolated on
-    (-2, 2) itself.  The cells are the same on every path.
+    divide R over Q).  A quotient G with no root in [-2, 2] (`root_free`)
+    proves the count and nodes stages at once: R = P G has exactly the
+    2n + 1 planted roots there, all simple, so an N that differs fails the
+    count with no isolation of R.  Every other case is decided by
+    `locate_roots` on R itself, which finds R's distinct roots in (-2, 2)
+    and flags a repeated one, and by one integer Horner of R at each node.
+    R of a `gen` curve is odd, R = u S(u^2), so `locate_roots` isolates S
+    on (0, 4) at half the degree and mirrors its roots; an R with no
+    parity (a perturbed y) or with S(0) = 0 (a root of R at 0 that is not
+    simple) is isolated on (-2, 2) itself.  The cells are the same on
+    every path.
     `signs_at_roots` reads dd(z)'s integer form: at the exact planted roots
     +-d_i through its even and odd halves at d_i^2, one Horner of half the
     degree per node pair for an even dd(z) = E(u^2), and at R's roots
@@ -526,21 +505,13 @@ def certify(
         raise CertificationFailed("divided-difference image of y is zero", "count")
     r = _content_free(r_ints)
     roots = nodes.all_roots() if nodes is not None else ()
-    planted = repeated = False
-    if nodes is not None:
-        cofactor = exact_quotient(r, planted_factor(nodes))
-        # a certified cofactor is even: nonzero at 2, it keeps R's roots off both ends
-        planted = bool(cofactor and sum(c << i for i, c in enumerate(cofactor))
-                       and certify_cofactor(cofactor))
+    cofactor = exact_quotient(r, planted_factor(nodes)) if nodes is not None else None
+    planted = cofactor is not None and root_free(cofactor, -2, 2)
     located = LocatedRoots(roots, -2, 2) if planted else locate_roots(r, -2, 2)
-    if located is None:
-        s, g = squarefree(r)
-        located = locate_roots(s, -2, 2, None)
-        repeated = count_roots(g, -2, 2) > 0
     if len(located) != n_crossings:
         raise CertificationFailed(f"R has {len(located)} roots in (-2, 2), expected {n_crossings}",
                                   "count")
-    if repeated:
+    if located.repeated:
         raise CertificationFailed("R has a repeated root in (-2, 2): a crossing is not transverse",
                                   "count")
     if nodes is not None and not planted:

@@ -14,7 +14,7 @@ from typing import Optional
 
 from knotforge import chebyshev as cb
 from knotforge.errors import InternalInconsistency
-from knotforge.exactpoly import Poly, _primitive_ints, count_roots, solve_linear
+from knotforge.exactpoly import Poly, _primitive_ints, locate_roots, solve_linear
 from knotforge.knots import CnBasis, _validate_cn, build_cn
 
 
@@ -77,7 +77,7 @@ def build_cn_tilde(n_max: int, basis: Optional[CnBasis] = None) -> CnTildeBasis:
             raise InternalInconsistency(f"t^{2*j} does not divide Ct_{j}")
         cofactor = Poly(c.coeffs[2 * j:])
         if (
-            count_roots(_primitive_ints(cofactor), -1, 1) != 0
+            len(locate_roots(_primitive_ints(cofactor), -1, 1)) != 0
             or cofactor(Fraction(-1)) == 0
             or cofactor(Fraction(1)) == 0
         ):

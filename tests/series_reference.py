@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from knotforge.errors import SingularSystem
-from knotforge.exactpoly import _primitive_ints, count_roots
+from knotforge.exactpoly import _primitive_ints, locate_roots
 from knotforge.stieltjes import phi
 
 
@@ -106,4 +106,4 @@ def check_pole_locations(a, r) -> bool:
     if a.m == 0:
         return True
     bound = cauchy_root_bound(a.q)
-    return bound > r and count_roots(_primitive_ints(a.q), Fraction(r), bound) == a.m
+    return bound > r and len(locate_roots(_primitive_ints(a.q), Fraction(r), bound)) == a.m

@@ -20,11 +20,10 @@ from knotforge.chebyshev import (
     v_poly,
 )
 from knotforge.cli import main as cli_main
-from knotforge.exactpoly import Poly, _primitive_ints, count_roots, exact_quotient, locate_roots
+from knotforge.exactpoly import Poly, _primitive_ints, exact_quotient, locate_roots, root_free
 from knotforge.knots import (
     NodeSet,
     build_cn,
-    certify_cofactor,
     crossing_oracle,
     crossings,
     height_degree,
@@ -96,7 +95,7 @@ def test_criterion_1_cn_table_reproduction():
 def test_criterion_2_nine_crossing_fixture():
     with _Timer(5.0) as t:
         r_ints, _ = divided_difference(FIXTURE_Y).integer_form()
-        assert count_roots(r_ints, -2, 2) == 9          # certified path
+        assert len(locate_roots(r_ints, -2, 2)) == 9        # certified path
         report = crossings(locate_roots(r_ints, -2, 2), 9)  # ordering + margin
         assert len(report.crossings) == 9
         assert report.ordering_margin > 1e-8
@@ -174,7 +173,7 @@ def test_criterion_6_pade_suite():
                     assert 0 <= c <= phi(k)
                 assert check_pole_locations(a, F(1))
                 if m:
-                    assert count_roots(_primitive_ints(a.q), 0, 1) == 0
+                    assert len(locate_roots(_primitive_ints(a.q), 0, 1)) == 0
                     assert a.q(0) == 1 and a.q(1) > 0
     _report(6, "[n/m] structure for all m <= n <= 6: degrees, domination, poles", t)
 
@@ -229,6 +228,6 @@ def test_criterion_9_negative_controls(tmp_path, capsys):
         # a deformation with roots in [-2,2] but outside (-1,1) must fail:
         # its cofactor over the planted root 0 keeps the stray ones
         stray = (0, -9, 0, 4)  # roots {0, +-3/2}
-        assert count_roots(stray, -2, 2) == 3
-        assert not certify_cofactor(exact_quotient(stray, (0, 1)))
+        assert len(locate_roots(stray, -2, 2)) == 3
+        assert not root_free(exact_quotient(stray, (0, 1)), -2, 2)
     _report(9, "tampered file exits 2; stray roots in [-2,2]\\(-1,1) fail the cofactor certificate", t)

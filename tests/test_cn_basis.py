@@ -4,7 +4,7 @@ import pytest
 
 from c_basis_reference import build_cn_tilde, build_cn_triangular
 from knotforge.chebyshev import to_V, w_index, wtilde_index
-from knotforge.exactpoly import Poly, _primitive_ints, count_roots
+from knotforge.exactpoly import Poly, _primitive_ints, locate_roots
 from knotforge.knots import build_cn
 
 T = Poly([0, 1])
@@ -78,7 +78,7 @@ class TestStructuralInvariants:
     def test_cofactor_root_free_on_band(self, basis):
         for j, c in enumerate(basis.cn):
             cof = Poly(c.coeffs[2 * j + 1:])
-            assert count_roots(_primitive_ints(cof), -2, 2) == 0
+            assert len(locate_roots(_primitive_ints(cof), -2, 2)) == 0
             assert cof(F(-2)) != 0 and cof(F(2)) != 0
 
     def test_v_support(self, basis):
@@ -127,9 +127,9 @@ class TestTildeBasis:
         # certified root-free band is [-1, 1], which contains every node
         for j in range(1, 11):
             cof = Poly(tilde.cn[j].coeffs[2 * j:])
-            assert count_roots(_primitive_ints(cof), -1, 1) == 0
+            assert len(locate_roots(_primitive_ints(cof), -1, 1)) == 0
             assert cof(F(-1)) != 0 and cof(F(1)) != 0
-            assert count_roots(_primitive_ints(cof), -2, 2) == 2  # the sqrt(3) pair, for the record
+            assert len(locate_roots(_primitive_ints(cof), -2, 2)) == 2  # the sqrt(3) pair, for the record
 
     def test_v_support(self, tilde):
         for j, c in enumerate(tilde.cn):

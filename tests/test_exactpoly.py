@@ -9,18 +9,17 @@ from hypothesis import given, settings, strategies as st
 from knotforge import exactpoly
 from knotforge.errors import SingularSystem, ZeroPolynomial
 from knotforge.exactpoly import (
-    DEEP_WIDTH,
+    DEEP_BITS,
     LocatedRoots,
     Poly,
     _bernstein,
     _horner,
     _moved,
     _variations,
-    count_roots,
-    descartes_bound,
     exact_quotient,
     locate_roots,
     rat_str,
+    root_free,
     signs_at_roots,
     solve_linear,
     squarefree,
@@ -115,7 +114,7 @@ class TestSquarefree:
         sf, g = squarefree(ints(p))
         assert sf == (0, -6, 0, 1) == ints(SturmChain(p).chain[0])
         assert g == (0, 0, 0, 0, 1)
-        assert count_roots(sf, -3, 3) == count_roots(ints(p), -3, 3) == 3
+        assert len(locate_roots(sf, -3, 3)) == len(locate_roots(ints(p), -3, 3)) == 3
 
     def test_cube(self):
         assert squarefree((0, 0, 0, 1)) == ((0, 1), (0, 0, 1))
@@ -154,31 +153,31 @@ class TestSquarefree:
 
 class TestCountRoots:
     def test_three_small_roots(self):
-        assert count_roots((0, -1, 0, 64), -2, 2) == 3
+        assert len(locate_roots((0, -1, 0, 64), -2, 2)) == 3
 
     def test_no_real_roots(self):
-        assert count_roots((1, 0, 1), -2, 2) == 0
+        assert len(locate_roots((1, 0, 1), -2, 2)) == 0
 
     def test_roots_beyond_interval(self):
-        assert count_roots((-6, 0, 1), -2, 2) == 0  # roots +-sqrt(6)
+        assert len(locate_roots((-6, 0, 1), -2, 2)) == 0  # roots +-sqrt(6)
 
     def test_open_interval_excludes_endpoints(self):
         p = ints(poly_from_roots([0, 1, 2]))
-        assert count_roots(p, 0, 2) == 1
-        assert count_roots(p, F(-1, 2), 2) == 2
-        assert count_roots(p, F(-1), F(5, 2)) == 3
+        assert len(locate_roots(p, 0, 2)) == 1
+        assert len(locate_roots(p, F(-1, 2), 2)) == 2
+        assert len(locate_roots(p, F(-1), F(5, 2))) == 3
 
     def test_zero_polynomial_raises(self):
         with pytest.raises(ZeroPolynomial):
-            count_roots((), -1, 1)
+            len(locate_roots((), -1, 1))
 
     def test_multiplicities_do_not_double_count(self):
         p = ints(poly_from_roots([F(1, 3), F(1, 3), -1]))
-        assert count_roots(p, -2, 2) == 2
+        assert len(locate_roots(p, -2, 2)) == 2
 
     def test_empty_interval_raises(self):
         with pytest.raises(ValueError, match="lo < hi"):
-            count_roots((0, 1), 1, 1)
+            len(locate_roots((0, 1), 1, 1))
 
 
 class TestIsolation:
@@ -243,7 +242,7 @@ class TestIsolation:
             inside = [r for r in roots if lo < r < hi]
             ivs = isolate_roots(p, lo, hi)
             assert len(ivs) == len(inside)
-            assert count_roots(ints(p), lo, hi) == len(inside)
+            assert len(locate_roots(ints(p), lo, hi)) == len(inside)
             for iv, r in zip(ivs, inside):
                 tight = refine(p, iv, F(1, 2**22))
                 assert tight.lo < r <= tight.hi
@@ -259,7 +258,7 @@ class TestProperties:
     def test_count_exact_on_known_factors(self, roots):
         p = ints(poly_from_roots(roots))
         inside = [r for r in roots if F(-2) < r < F(2)]
-        assert count_roots(p, -2, 2) == len(inside)
+        assert len(locate_roots(p, -2, 2)) == len(inside)
 
     @given(st.lists(small_rat, min_size=1, max_size=5, unique=True), small_rat)
     @settings(max_examples=60, deadline=None)
@@ -268,15 +267,15 @@ class TestProperties:
         if p(mid) == 0 or not F(-2) < mid < F(2):
             return
         p = ints(p)
-        assert count_roots(p, -2, mid) + count_roots(p, mid, 2) == count_roots(p, -2, 2)
+        assert len(locate_roots(p, -2, mid)) + len(locate_roots(p, mid, 2)) == len(locate_roots(p, -2, 2))
 
     @given(st.lists(small_rat, min_size=1, max_size=4, unique=True))
     @settings(max_examples=40, deadline=None)
     def test_square_has_same_squarefree_counts(self, roots):
         p = poly_from_roots(roots)
-        assert count_roots(ints(SturmChain(p * p).chain[0]), -2, 2) == count_roots(
+        assert len(locate_roots(ints(SturmChain(p * p).chain[0]), -2, 2)) == len(locate_roots(
             ints(SturmChain(p).chain[0]), -2, 2
-        )
+        ))
 
     @given(
         st.lists(small_rat, min_size=1, max_size=4),
@@ -410,7 +409,7 @@ class TestIntegerKernel:
             lo = hi - 1
         distinct = sorted(set(roots))
         inside = [r for r in distinct if lo < r < hi]
-        assert count_roots(ints(p), lo, hi) == len(inside)
+        assert len(locate_roots(ints(p), lo, hi)) == len(inside)
         chain = SturmChain(p)
         assert chain.count(lo, hi) == len([r for r in distinct if lo < r <= hi])
         ivs = isolate_roots(chain, lo, hi)
@@ -587,25 +586,40 @@ class TestLocateRoots:
 
     @given(ROOT_SETS.filter(bool), st.data())
     @settings(max_examples=40, deadline=None)
-    def test_double_root_inside_does_not_finish(self, roots, data):
+    def test_double_root_inside_is_flagged_repeated(self, roots, data):
+        # the limited run does not finish; the squarefree part's isolation does,
+        # with the cells of Sturm bisection, and the gcd's root is flagged
         p = poly_from_roots(roots + [data.draw(st.sampled_from(roots))])
-        assert locate_roots(ints(p), -2, 2) is None
-        assert SturmChain(p).gcd.degree > 0
+        chain = SturmChain(p)
+        located = locate_roots(ints(p), -2, 2)
+        assert located.repeated and chain.gcd.degree > 0
+        assert len(located) == len(roots)
+        width = F(1, 2**48)
+        assert cell_intervals(located, width) == [
+            refine(chain, iv, width) for iv in isolate_roots(chain, -2, 2)]
 
     def test_roots_closer_than_deep_width_need_no_depth_limit(self):
+        # 2^-210 apart, past the limited run's depth: the squarefree part, p
+        # itself, is isolated with no limit, and no root is repeated
         roots = [F(1, 3), F(1, 3) + F(1, 2**210)]
         p = poly_from_roots(roots)
-        assert locate_roots(ints(p), -2, 2) is None
-        located = locate_roots(ints(p), -2, 2, None)
+        located = locate_roots(ints(p), -2, 2)
+        assert not located.repeated
         chain = SturmChain(p)
         width = F(1, 2**48)
         cells = cell_intervals(located, width)
         assert cells == [refine(chain, iv, width) for iv in isolate_roots(chain, -2, 2)]
-        assert cells[0].width < DEEP_WIDTH
+        assert cells[0].width < F(1, 2**DEEP_BITS)
+
+    @pytest.mark.parametrize("lo,hi", [(1, 1), (2, -2)])
+    def test_empty_interval_raises(self, lo, hi):
+        with pytest.raises(ValueError, match="need lo < hi"):
+            locate_roots((-2, 0, 1), lo, hi)
 
     def test_unfinished_half_ends_the_isolation(self, monkeypatch):
         # p = u S(u^2), S = (3v - 1)^2 (v - 2): S's double root 1/3 in (0, 4) leaves
-        # S's isolation unfinished, and p is not isolated again at full degree
+        # S's isolation unfinished, and p is not isolated again at full degree:
+        # its squarefree part u (3u^2 - 1) (u^2 - 2) is, through its half
         p = ints(T * Poly([-1, 0, 3]) ** 2 * Poly([-2, 0, 1]))
         lengths, real = [], exactpoly._moved
 
@@ -614,9 +628,9 @@ class TestLocateRoots:
             return real(cs, lo, hi)
 
         monkeypatch.setattr(exactpoly, "_moved", spy)
-        assert locate_roots(p, -2, 2) is None
+        located = locate_roots(p, -2, 2)
         assert lengths and len(p) not in lengths
-        assert count_roots(p, -2, 2) == 5  # 0, +-sqrt(1/3), +-sqrt(2), through S
+        assert len(located) == 5 and located.repeated  # 0, +-sqrt(1/3), +-sqrt(2)
 
     @given(ROOT_SETS, st.lists(st.integers(1, 7), max_size=2))
     @settings(max_examples=100, deadline=None)
@@ -657,7 +671,7 @@ class TestLocateRoots:
         for r, m in zip(roots, mults):
             p = p * poly_from_roots([r] * m)
         inside = sum(m for r, m in zip(roots, mults) if lo < r < hi)
-        bound = descartes_bound(ints(p), lo, hi)
+        bound = _variations(_bernstein(_moved(ints(p), lo, hi))[0])
         assert bound >= min(inside, 2)
         assert bound >= 2 or bound == inside
 
@@ -693,7 +707,6 @@ class TestBernstein:
     def test_variations_match_prefix_sum_descartes(self, p, interval):
         q = _moved(p, *interval)
         assert _variations(_bernstein(q)[0]) == prefix_sum_descartes(q)
-        assert descartes_bound(p, *interval) == prefix_sum_descartes(q)
 
     @given(integer_polys, st.fractions(F(0), F(1), max_denominator=50))
     @settings(max_examples=100, deadline=None)
@@ -711,15 +724,15 @@ class TestBernstein:
 
 
 def squarefree_isolation_only(mp):
-    """Fail if `locate_roots` with no depth limit is given a polynomial with a
-    multiple root, on which it could bisect forever."""
-    real = exactpoly.locate_roots
+    """Fail if `locate_roots` bisects a polynomial with a multiple root with no
+    depth limit, on which it could bisect forever."""
+    real = exactpoly._isolate
 
-    def checked(p, lo, hi, deep=DEEP_WIDTH):
-        assert deep is not None or squarefree(p)[1] == (1,)
-        return real(p, lo, hi, deep)
+    def checked(ints, lo, hi, limited):
+        assert limited or squarefree(ints)[1] == (1,)
+        return real(ints, lo, hi, limited)
 
-    mp.setattr(exactpoly, "locate_roots", checked)
+    mp.setattr(exactpoly, "_isolate", checked)
 
 
 @st.composite
@@ -744,7 +757,8 @@ def counted_cases(draw):
 
 
 class TestCountRootsDifferential:
-    """`count_roots` against the Sturm reference count, on multiple roots."""
+    """The root count, `len(locate_roots(...))`, against the Sturm reference count, and
+    `repeated` against the reference gcd, on multiple roots."""
 
     @given(counted_cases())
     @settings(max_examples=200, deadline=None)
@@ -752,7 +766,10 @@ class TestCountRootsDifferential:
         p, lo, hi = case
         with pytest.MonkeyPatch.context() as mp:
             squarefree_isolation_only(mp)
-            assert count_roots(ints(p), lo, hi) == sturm_count(p, lo, hi)
+            located = locate_roots(ints(p), lo, hi)
+        assert len(located) == sturm_count(p, lo, hi)
+        gcd = SturmChain(p).gcd
+        assert located.repeated == (gcd.degree > 0 and sturm_count(gcd, lo, hi) > 0)
 
     @pytest.mark.parametrize("p,lo,hi,expected", [
         pytest.param(Poly([-2, 0, 1]) ** 2, -2, 2, 2, id="sqrt2-squared"),
@@ -766,7 +783,21 @@ class TestCountRootsDifferential:
     def test_known_counts(self, p, lo, hi, expected):
         with pytest.MonkeyPatch.context() as mp:
             squarefree_isolation_only(mp)
-            assert count_roots(ints(p), lo, hi) == sturm_count(p, lo, hi) == expected
+            assert len(locate_roots(ints(p), lo, hi)) == sturm_count(p, lo, hi) == expected
+
+
+class TestRootFree:
+    """`root_free` against the Sturm reference count and exact values at the ends."""
+
+    @given(counted_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_sturm_count_and_ends(self, case):
+        p, lo, hi = case
+        expected = sturm_count(p, lo, hi) == 0 and p(lo) != 0 and p(hi) != 0
+        assert root_free(ints(p), lo, hi) is expected
+
+    def test_zero_polynomial_is_not_root_free(self):
+        assert root_free((), -2, 2) is False
 
 
 class TestExactQuotient:
@@ -951,7 +982,7 @@ class TestParityPath:
         general = locate_roots(ints(p.compose(SHIFT)), 1 - h, 1 + h)
         assert (located is None) == (general is None)
         # the squarefree part of an even or odd p is even or odd
-        assert count_roots(ints(p), -h, h) == count_roots(ints(p.compose(SHIFT)), 1 - h, 1 + h)
+        assert len(locate_roots(ints(p), -h, h)) == len(locate_roots(ints(p.compose(SHIFT)), 1 - h, 1 + h))
         if located is None:
             return
         assert located._half is not None  # u^2 and u^3 make a multiple root, so None

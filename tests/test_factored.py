@@ -194,7 +194,7 @@ class TestHotPath:
         curve, report = synthesize(21)
         assert len(report.crossings) == 21
         # no gcd of A (degree 31), nor of g (degree floor(n/2) = 5): each
-        # cofactor check is decided by Descartes' rule
+        # cofactor check is decided by a finished Descartes isolation
         assert degrees == []
 
     def test_certify_with_nodes_builds_no_chain_of_r(self, monkeypatch):
@@ -202,7 +202,7 @@ class TestHotPath:
         degrees = record_gcds(monkeypatch)
         again = certify(curve.plane.y, curve.z, 15, NodeSet(7, report.nodes))
         assert again.crossings == report.crossings
-        assert degrees == []  # g (degree 3) passes Descartes' test
+        assert degrees == []  # g (degree 3) is root-free by a finished isolation
         assert certify(curve.plane.y, curve.z, 15).crossings == report.crossings
         assert degrees == []  # without nodes R (degree 21) is isolated by Descartes bisection
 
@@ -338,15 +338,20 @@ class TestHotPath:
     def test_synthesize_tests_the_cofactor_once(self, monkeypatch, n):
         # `certify` is the only gate: R's cofactor is tested there, once
         tested = []
-        real = knots.certify_cofactor
+        real = knots.root_free
 
-        def counted(cofactor):
+        def counted(cofactor, lo, hi):
             tested.append(cofactor)
-            return real(cofactor)
+            return real(cofactor, lo, hi)
 
-        monkeypatch.setattr(knots, "certify_cofactor", counted)
+        monkeypatch.setattr(knots, "root_free", counted)
         synthesize(n)
         assert len(tested) == 1
+
+
+def descartes_bound(p, lo, hi):
+    """Descartes' bound, capped at 2, on the roots of the integers p in (lo, hi)."""
+    return exactpoly._variations(exactpoly._bernstein(exactpoly._moved(p, lo, hi))[0])
 
 
 def curve_with_r(r_series):
@@ -365,33 +370,59 @@ def into_the_image(s0):
 
 
 def record_squarefree(monkeypatch):
-    """The degrees of the polynomials `certify` splits into squarefree parts."""
+    """The degrees of the polynomials `locate_roots` splits into squarefree parts."""
     degrees = []
-    real = knots.squarefree
+    real = exactpoly.squarefree
 
     def recorded(p):
         degrees.append(len(p) - 1)
         return real(p)
 
-    monkeypatch.setattr(knots, "squarefree", recorded)
+    monkeypatch.setattr(exactpoly, "squarefree", recorded)
     return degrees
 
 
 class TestCertifyFallback:
-    def test_positive_bound_without_a_root_is_left_to_isolation(self):
+    def test_positive_bound_without_a_root_is_root_free(self):
         # g(v) = (v - 2)^2 + 1/64 has no real root, but Descartes' bound on
-        # (0, 4) is 2: the one-sided test does not decide it
-        assert exactpoly.descartes_bound((257, -256, 64), 0, 4) == 2
-        assert knots.certify_cofactor((257, 0, -256, 0, 64)) is False
+        # (0, 4) is 2: the isolation behind `root_free` bisects and decides it
+        assert descartes_bound((257, -256, 64), 0, 4) == 2
+        assert exactpoly.root_free((257, 0, -256, 0, 64), -2, 2) is True
 
     def test_undecided_cofactor_gives_the_same_report(self, monkeypatch):
-        # a cofactor test that never decides leaves R to its isolation,
+        # a cofactor test that never passes leaves R to its isolation,
         # which certifies the same crossings and signs
         curve, report = synthesize(21)
         nodes = NodeSet(10, report.nodes)
         expected = certify(curve.plane.y, curve.z, 21, nodes)
-        monkeypatch.setattr(knots, "descartes_bound", lambda *args: 2)
+        monkeypatch.setattr(knots, "root_free", lambda *args: False)
         assert certify(curve.plane.y, curve.z, 21, nodes) == expected
+
+    def test_cofactor_beyond_descartes_takes_the_planted_path(self, monkeypatch):
+        # R = P G for the node 3/4: G = (92u^2 - 377)(64u^4 - 256u^2 + 257), whose
+        # g(v) has the factor 64 ((v - 2)^2 + 1/64) and no root in [0, 4], but
+        # Descartes' bound 2 on (0, 4); 92u^2 - 377, with roots just past +-2,
+        # clears R's V_5 part, so R is in the image of dd
+        nodes = NodeSet(1, (F(3, 4),))
+        p = planted_factor(nodes)
+        r_poly = Poly(p) * Poly([-377, 0, 92]) * Poly([257, 0, -256, 0, 64])
+        y, z = lift_from_V(to_V(r_poly)), lift_from_V(solve_height(nodes))
+        cofactor = exactpoly.exact_quotient(_primitive_ints(r_poly), p)
+        assert descartes_bound(cofactor[::2], 0, 4) == 2
+        isolated, real = [], exactpoly.locate_roots
+
+        def spy(ints, lo, hi):
+            isolated.append(tuple(ints))
+            return real(ints, lo, hi)
+
+        for module in (exactpoly, knots):
+            monkeypatch.setattr(module, "locate_roots", spy)
+        report = certify(y, z, 3, nodes)
+        assert isolated == [cofactor]  # the cofactor, never R
+        assert report.signs_alternate
+        monkeypatch.setattr(knots, "root_free", lambda *args: False)
+        assert certify(y, z, 3, nodes) == report
+        assert _primitive_ints(r_poly) in isolated
 
     def test_repeated_planted_root_fails_the_count(self):
         # R = u^3 = V_3 + 2 V_1 has the one planted root 0, threefold
@@ -410,20 +441,22 @@ class TestCertifyFallback:
             assert len(certify(y, z, 1, nodes).crossings) == 1
 
     def test_irrational_triple_root_fails_the_count(self, monkeypatch):
-        # R = u (u^2 - 2)^3 = V_7 + 2 V_3: the triple roots +-sqrt(2) keep
-        # Descartes' bound at 2 down to the depth limit, so R is split into
-        # its squarefree part, whose 3 roots match N, and gcd(R, R') = (u^2 - 2)^2,
-        # whose roots in (-2, 2) are the repeated ones
+        # R = u (u^2 - 2)^3 = V_7 + 2 V_3: the triple roots +-sqrt(2), the
+        # midpoint v = 2 of S's bisection on (0, 4), leave R's limited run
+        # unfinished, so R is split into its squarefree part, whose 3 roots
+        # match N, and gcd(R, R') = (u^2 - 2)^2, whose roots in (-2, 2) are
+        # the repeated ones; its double roots split it in turn
         r_poly = Poly([0, 1]) * Poly([-2, 0, 1]) ** 3
         assert to_V(r_poly) == ChebV.of({3: 2, 7: 1})
-        assert locate_roots(_primitive_ints(r_poly), -2, 2) is None
+        located = locate_roots(_primitive_ints(r_poly), -2, 2)
+        assert len(located) == 3 and located.repeated
         y, z = curve_with_r(to_V(r_poly))
         degrees = record_squarefree(monkeypatch)
         for nodes in (NodeSet(1, (F(1, 2),)), None):
             with pytest.raises(CertificationFailed, match="repeated root") as exc:
                 certify(y, z, 3, nodes)
             assert exc.value.stage == "count"
-        assert degrees == [7, 7]
+        assert degrees == [7, 4, 7, 4]
 
     def test_irrational_double_root_beyond_the_band_passes(self, monkeypatch):
         # R = L (u^2 - 5)^2 ((u - 1/3)^2 + 2^-500): the complex pair 2^-250
@@ -432,7 +465,8 @@ class TestCertifyFallback:
         # gcd(R, R') = u^2 - 5 has none there
         pair = Poly([F(1, 9) + F(1, 2**500), F(-2, 3), 1])
         r_poly = into_the_image(Poly([-5, 0, 1]) ** 2 * pair)
-        assert locate_roots(_primitive_ints(r_poly), -2, 2) is None
+        located = locate_roots(_primitive_ints(r_poly), -2, 2)
+        assert len(located) == 1 and not located.repeated
         y, z = curve_with_r(to_V(r_poly))
         degrees = record_squarefree(monkeypatch)
         report = certify(y, z, 1)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from knotforge.chebyshev import ChebT, divided_difference, t_poly
-from knotforge.exactpoly import Poly, count_roots, squarefree
+from knotforge.exactpoly import Poly, locate_roots, squarefree
 from knotforge.knots import crossing_oracle, synthesize
 
 X3 = t_poly(3)
@@ -55,8 +55,8 @@ class TestCrossValidation:
             r_ints, _ = divided_difference(y).integer_form()
             if len(squarefree(r_ints)[0]) != len(r_ints):
                 continue
-            expected = count_roots(r_ints, -2, 2)
-            if expected != count_roots(r_ints, F(-9, 5), F(9, 5)):
+            expected = len(locate_roots(r_ints, -2, 2))
+            if expected != len(locate_roots(r_ints, F(-9, 5), F(9, 5))):
                 continue  # keep roots clear of the +-2 degeneracy
             assert crossing_oracle(X3, y.to_poly(), grid=400) == expected
             agreed += 1

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from knotforge.errors import SingularSystem
-from knotforge.exactpoly import Poly, _primitive_ints, count_roots
+from knotforge.exactpoly import Poly, _primitive_ints, locate_roots
 from knotforge.pade import pade
 from knotforge.stieltjes import phi
 from series_reference import cauchy_root_bound, check_pole_locations, expand
@@ -89,7 +89,7 @@ class TestStructureBattery:
             a = pade(phi, n, m)
             assert check_pole_locations(a, F(1))
             if m:
-                assert count_roots(_primitive_ints(a.q), 0, 1) == 0
+                assert len(locate_roots(_primitive_ints(a.q), 0, 1)) == 0
                 assert a.q(0) == 1 and a.q(1) > 0  # positive on all of [0, 1]
 
 

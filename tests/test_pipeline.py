@@ -23,12 +23,12 @@ from knotforge.exactpoly import (
     _primitive_ints,
     exact_quotient,
     locate_roots,
+    root_free,
 )
 from knotforge.knots import (
     NodeSet,
     build_cn,
     certify,
-    certify_cofactor,
     crossings,
     default_nodes,
     height_degree,
@@ -98,45 +98,51 @@ def cofactor_of(a_poly, n):
 
 
 class TestCertify:
+    """`root_free` on cofactors: the planted path's test in `certify`."""
+
     def test_planted_roots_pass(self):
-        assert certify_cofactor(cofactor_of(Poly([0, F(-1, 64), 0, 1]), 1))
+        assert root_free(cofactor_of(Poly([0, F(-1, 64), 0, 1]), 1), -2, 2)
 
     def test_roots_outside_band_fail(self):
         # t^3 - 6t has roots +-sqrt(6) outside [-2, 2]: only 1 root counted,
         # so it plants no N = 3 node set; for N = 1 its cofactor t^2 - 6 passes
         poly = Poly([0, -6, 0, 1])
         assert cofactor_of(poly, 1) is None
-        assert certify_cofactor(cofactor_of(poly, 0))
+        assert root_free(cofactor_of(poly, 0), -2, 2)
 
     def test_c2_has_single_root_in_band(self):
         # C_2 = t^5 (t^2 - 6) has one distinct root in [-2, 2], but it is
-        # fivefold: a tangency, which the cofactor certificate refuses
+        # fivefold: a tangency, which the cofactor test refuses
         c2 = build_cn(2).cn[2]
-        assert knots.count_roots(ints(c2), F(-2), F(2)) == 1
-        assert not certify_cofactor(cofactor_of(c2, 0))
+        assert len(locate_roots(ints(c2), F(-2), F(2))) == 1
+        assert not root_free(cofactor_of(c2, 0), -2, 2)
 
     def test_root_between_one_and_two_fails(self):
         # roots {0, +-3/2} are all in (-2, 2) but not all in (-1, 1)
         poly = Poly([0, F(-9, 4), 0, 1])
-        assert not certify_cofactor(cofactor_of(poly, 0))
-        assert certify_cofactor(cofactor_of(poly, 0)) is False and poly(F(3, 2)) == 0
+        assert root_free(cofactor_of(poly, 0), -2, 2) is False and poly(F(3, 2)) == 0
 
     def test_zero_polynomial(self):
-        assert not certify_cofactor(())
+        assert not root_free((), -2, 2)
 
     def test_repeated_planted_root_fails(self):
         # G vanishing at a planted node makes that root of A double
         nodes = NodeSet(1, (F(1, 8),))
         a_poly = Poly(knots.planted_factor(nodes)) * Poly([-1, 0, 64])
-        assert not certify_cofactor(exact_quotient(ints(a_poly), knots.planted_factor(nodes)))
+        assert not root_free(exact_quotient(ints(a_poly), knots.planted_factor(nodes)), -2, 2)
 
     def test_root_at_two_is_outside_the_open_band(self):
-        # g(v) = v - 4 vanishes at v = 4 only: A = t (t^2 - 4) has one root in (-2, 2)
-        assert certify_cofactor((-4, 0, 1))
-        assert not certify_cofactor((-3, 0, 1))   # roots +-sqrt(3) inside
+        # t^2 - 4 has no root in (-2, 2) but vanishes at +-2, inside the closed
+        # band [-2, 2] that a cofactor must keep free: A = t (t^2 - 4) is left
+        # to its isolation
+        assert len(locate_roots((-4, 0, 1), -2, 2)) == 0
+        assert not root_free((-4, 0, 1), -2, 2)
+        assert not root_free((-3, 0, 1), -2, 2)   # roots +-sqrt(3) inside
 
-    def test_odd_cofactor_refused(self):
-        assert not certify_cofactor((5, 1))
+    def test_cofactor_without_parity_is_decided(self):
+        # t + 5 has its one root outside [-2, 2], t + 1 inside
+        assert root_free((5, 1), -2, 2)
+        assert not root_free((1, 1), -2, 2)
 
     def test_nodeless_certify_builds_no_chain_of_r(self, monkeypatch):
         # the crossings of a node-less file are isolated by Descartes
@@ -148,7 +154,7 @@ class TestCertify:
             raise AssertionError("a gcd was computed")
 
         monkeypatch.setattr(exactpoly, "poly_gcd", gcd)
-        monkeypatch.setattr(knots, "squarefree", gcd)
+        monkeypatch.setattr(exactpoly, "squarefree", gcd)
         again = certify(curve.plane.y, curve.z, 21)
         assert again.crossings == report.crossings and again.signs_alternate
 
@@ -346,7 +352,7 @@ class TestCrossings:
         node_set = NodeSet(n, nodes)
         a_poly = solve_deformation(node_set).to_poly()
         chain = SturmChain(a_poly)
-        assert certify_cofactor(exact_quotient(ints(a_poly), knots.planted_factor(node_set)))
+        assert root_free(exact_quotient(ints(a_poly), knots.planted_factor(node_set)), -2, 2)
         planted = LocatedRoots(node_set.all_roots(), F(-2), F(2))
         report = crossings(planted, 2 * n + 1)
         assert report == crossings(locate_roots(ints(a_poly), -2, 2), 2 * n + 1)
@@ -363,7 +369,7 @@ class TestCrossings:
             raise AssertionError("crossings bisected on planted roots")
 
         monkeypatch.setattr(knots, "locate_roots", bisection)
-        monkeypatch.setattr(knots, "squarefree", bisection)
+        monkeypatch.setattr(exactpoly, "squarefree", bisection)
         assert crossings(planted, 7) == expected
         # nor does gen, whose R is certified on its planted roots
         assert synthesize(21)[1].n_crossings == 21
@@ -398,7 +404,7 @@ class TestCrossings:
         monkeypatch.setattr(knots, "_parameter_bounds", counted)
         monkeypatch.setattr(LocatedRoots, "_narrow", bisection)
         monkeypatch.setattr(knots, "locate_roots", bisection)
-        monkeypatch.setattr(knots, "squarefree", bisection)
+        monkeypatch.setattr(exactpoly, "squarefree", bisection)
         crossings(LocatedRoots((F(-11, 7), F(-2, 7) + F(1, 2**62)), -2, 2), 2)
         assert len(enclosures) > 2 * 2
         # nodes 2^-62 apart in (-1, 1) are ordered by monotonicity, with no enclosure

@@ -44,7 +44,8 @@ def test_bench_stages_runs(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["identity"]["python"] and len(doc["kernel_s"]["parent"]) == 1
     stages = {"synthesize", "solve_deformation", "solve_height", "certify", "certify.crossings",
-              "certify.exact_quotient", "certify.signs_at_roots", "certify.other", "dumps",
+              "certify.exact_quotient", "certify.root_free", "certify.signs_at_roots",
+              "certify.other", "dumps",
               "nodeless",
               "nodeless.locate_roots", "nodeless.crossings", "nodeless.signs_at_roots",
               "nodeless.other", "verify", "verify.parse_curve", "verify.certify", "verify.other",
