@@ -100,24 +100,19 @@ def _cmd_gen(args) -> int:
         print(f"knotforge gen: error: --n must be an odd positive integer, got {args.n}",
               file=sys.stderr)
         return USAGE_EXIT
-    # the p or p/q rationals of curve files, checked by the same reader
-    nodes = None
-    if args.nodes:
+    # the p or p/q rationals of curve files, checked by the same reader: each
+    # comma-separated part of --nodes, and --epsilon whole
+    read = {}
+    for flag, what, parts in (("nodes", "node", args.nodes and args.nodes.split(",")),
+                              ("epsilon", "epsilon", args.epsilon and [args.epsilon])):
         try:
-            nodes = [serialize._rat_from_json(part.strip(), "node")
-                     for part in args.nodes.split(",")]
+            read[flag] = [serialize._rat_from_json(part.strip(), what) for part in parts or ()]
         except SchemaError as exc:
-            print(f"knotforge gen: error: bad --nodes: {exc}", file=sys.stderr)
-            return USAGE_EXIT
-    epsilon = None
-    if args.epsilon:
-        try:
-            epsilon = serialize._rat_from_json(args.epsilon.strip(), "epsilon")
-        except SchemaError as exc:
-            print(f"knotforge gen: error: bad --epsilon: {exc}", file=sys.stderr)
+            print(f"knotforge gen: error: bad --{flag}: {exc}", file=sys.stderr)
             return USAGE_EXIT
     try:
-        curve, report = synthesize(args.n, epsilon=epsilon, nodes=nodes)
+        curve, report = synthesize(args.n, epsilon=(read["epsilon"] or [None])[0],
+                                   nodes=read["nodes"] or None)
         doc = serialize.curve_to_dict(args.n, curve.plane.x, curve.plane.y, curve.z, report)
     except KnotforgeError as exc:
         print(f"knotforge gen: certification failed: {exc}", file=sys.stderr)

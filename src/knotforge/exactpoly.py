@@ -6,15 +6,18 @@ every root count is a proof, not an approximation.  Floating-point
 evaluation exists only as a convenience for plotting and diagnostics.
 
 The root layer takes integer coefficients (`_primitive_ints` adapts a
-`Poly`).  `locate_roots`, the one isolator, finds in order the roots of
-p in an interval by Descartes bisection in the Bernstein basis: sign
-variations (`_variations`, the one Descartes test) and integer de
-Casteljau splits.  A run unfinished at the depth limit isolates the
-squarefree part p / gcd(p, p') (`squarefree`) instead, which always
-finishes; `root_free` proves with it that p has no root in [lo, hi].
+`Poly`) and reads an interval (lo, hi) of ints or Fractions as integers
+a, b, c with lo = a / c and hi - lo = b / c (`_frame`).  `locate_roots`,
+the one isolator, finds in order the roots of p in an interval by
+Descartes bisection in the Bernstein basis: sign variations
+(`_variations`, the one Descartes test) and integer de Casteljau splits.
+A run unfinished at the depth limit isolates the squarefree part
+p / gcd(p, p') (`squarefree`) instead, which always finishes;
+`root_free` proves with it that p has no root in [lo, hi].
 Its `LocatedRoots`, or planted roots already certified, give the dyadic
-cells of Sturm bisection and refinement as a depth per root (`cells`)
-and integers (`ends`), narrowed on exact values of p at dyadic points.
+cells of Sturm bisection and refinement: `cells(depth)` a depth k per
+root, and `ends` its cell in the frame, (a 2^k + b j, ... + b, c 2^k),
+narrowed on exact values of p at dyadic points.
 An even or odd p on a symmetric interval is isolated and narrowed
 through its half-degree part E, p = u^rho E(u^2) alone: each root v of
 E is +-sqrt(v), its cells read off E's.
@@ -380,15 +383,23 @@ def squarefree(p: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
 # -- Descartes root isolation ----------------------------------------------------
 
 
+def _frame(lo: Rational, hi: Rational) -> tuple[int, int, int]:
+    """(a, b, c) with lo = a / c and hi - lo = b / c: a = ln sd, b = sn ld and
+    c = ld sd for lo = ln / ld and hi - lo = sn / sd in lowest terms, from the
+    ends' integer ratios and one gcd; the one reader of an interval."""
+    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    sn, sd = hn * ld - ln * hd, hd * ld
+    g = math.gcd(sn, sd)
+    return ln * (sd // g), sn // g * ld, ld * (sd // g)
+
+
 def _moved(cs: Sequence[int], lo: Rational, hi: Rational) -> tuple[int, ...]:
     """Primitive integers of a positive multiple of p(lo + (hi - lo) x), for p = cs.
 
-    With lo = a / c and hi - lo = b / c, that is sum cs_i c^(d-i) y^i at
-    y = a + b x: a Taylor shift by a, then coefficient i times b^i.
+    With lo = a / c and hi - lo = b / c (`_frame`), that is sum cs_i c^(d-i)
+    y^i at y = a + b x: a Taylor shift by a, then coefficient i times b^i.
     """
-    span = hi - lo
-    c = lo.denominator * span.denominator
-    a, b = lo.numerator * span.denominator, span.numerator * lo.denominator
+    a, b, c = _frame(lo, hi)
     r = [v * c ** i for i, v in enumerate(reversed(cs))]  # r[i] is coefficient d - i
     for m in range(len(r) if a else 0, 1, -1):
         r[:m] = accumulate(r[:m], lambda acc, v: acc * a + v)
@@ -428,9 +439,10 @@ class LocatedRoots:
     constructor, are exact and must be every root in [lo, hi], all simple
     (`knots.certify` proves it); they are checked in integers to be sorted,
     distinct and strictly inside (lo, hi), else ValueError.  `poly`, the
-    primitive integers of the polynomial, is None for them.  A cell is a
-    root and a depth k (`cells`, `ends`); a deeper cell is the same root at
-    a larger k.  Open cells are narrowed on exact values at dyadic points.
+    primitive integers of the polynomial, is None for them.  (lo, hi) is
+    kept only as its integer frame (`_frame`).  A cell is a root and a
+    depth k (`cells`, `ends`); a deeper cell is the same root at a larger
+    k.  Open cells are narrowed on exact values at dyadic points.
     When `locate_roots` found p's roots through E, p = u^rho E(u^2), `_half`
     holds E's roots on (0, hi^2) and `_x` only the root 0 of rho = 1: every
     other root's cell is read off E's, narrowed in E (`_half_index`).
@@ -439,11 +451,8 @@ class LocatedRoots:
     """
 
     def __init__(self, roots: Sequence[Rational], lo: Rational, hi: Rational):
-        self._lo, self._hi = Fraction(lo), Fraction(hi)
-        self._span = self._hi - self._lo
         # lo = a / c and hi - lo = b / c, so the cell j / 2^k of x is lo + b j / (c 2^k)
-        (ln, ld), (sn, sd) = self._lo.as_integer_ratio(), self._span.as_integer_ratio()
-        self._frame = a, b, c = ln * sd, sn * ld, ld * sd
+        self._frame = a, b, c = _frame(lo, hi)
         pairs = [(r.numerator, r.denominator) for r in roots]
         self._x: list = [(c * p - a * q, b * q) for p, q in pairs]  # x = (c p - a q) / (b q)
         ends = [(0, 1), *self._x, (1, 1)]
@@ -543,19 +552,15 @@ class LocatedRoots:
         low = (a << k) + b * self._index(i, k)
         return low, low + b, c << k
 
-    def cells(self, width: Rational) -> list[int]:
+    def cells(self, depth: int) -> list[int]:
         """The depth of each root's cell when (lo, hi] is bisected until every cell
-        holds one root and then every root's cell is halved down to `width`.
+        holds one root and is at least `depth` halvings deep.
 
-        For width = (hi - lo) / 2^depth.  Root i gets its cell at
-        k = max(depth, the first depth at which no neighbouring root shares
-        its cell), a root at hi counting as a neighbour of the top one: the
-        cells of Sturm isolation and refinement, with no chain.
+        Root i gets its cell at k = max(depth, the first depth at which no
+        neighbouring root shares its cell), a root at hi counting as a
+        neighbour of the top one: the cells of Sturm isolation and refinement
+        to width (hi - lo) / 2^depth, with no chain.
         """
-        steps = self._span / width
-        depth = steps.numerator.bit_length() - 1
-        if steps != 1 << depth:
-            raise ValueError("width must be (hi - lo) / 2^depth")
         n = len(self._x)
         ks = [depth] * n
         at_depth = [self._index(i, depth) for i in range(n)]  # each root indexed once there
@@ -573,10 +578,11 @@ class LocatedRoots:
 def locate_roots(p: Sequence[int], lo: Rational, hi: Rational) -> LocatedRoots:
     """The roots of the integer polynomial p in (lo, hi), in order, by Descartes bisection.
 
-    Bisection in the Bernstein basis (Rouillier-Zimmermann 2004) of
-    q(x) = p(lo + (hi - lo) x) on (0, 1) (`_isolate`): a cell is tested by
-    `_variations` and split by one integer de Casteljau pass, each child
-    scaled by 2^d.  A midpoint where q vanishes is an exact root, simple
+    lo and hi are ints or Fractions, read only as their integer frame
+    (`_frame`).  Bisection in the Bernstein basis (Rouillier-Zimmermann
+    2004) of q(x) = p(lo + (hi - lo) x) on (0, 1) (`_isolate`): a cell is
+    tested by `_variations` and split by one integer de Casteljau pass,
+    each child scaled by 2^d.  A midpoint where q vanishes is an exact root, simple
     where q' does not.  A finished run proves the count, every root simple.
     It is unfinished when a midpoint root is multiple or a cell at most
     2^-DEEP_BITS wide still has bound 2.  Only then is p split into
@@ -594,7 +600,6 @@ def locate_roots(p: Sequence[int], lo: Rational, hi: Rational) -> LocatedRoots:
     """
     if not p:
         raise ZeroPolynomial("roots of the zero polynomial")
-    lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise ValueError("need lo < hi")
     located = _isolate(_content_free(p), lo, hi, True)
@@ -616,19 +621,20 @@ def _isolate(ints: tuple[int, ...], lo: Rational, hi: Rational,
              limited: bool) -> Optional[LocatedRoots]:
     """`locate_roots`' bisection of the primitive integers ints; None when a run
     limited to cells 2^-DEEP_BITS wide is unfinished."""
+    located = LocatedRoots((), lo, hi)
     if lo == -hi:  # p = u^rho E(u^2) with E(0) != 0: the roots of E on (0, hi^2)
         rho = 1 if not any(ints[::2]) else 0 if not any(ints[1::2]) else None
         if rho is not None and ints[rho]:
             if (half := _isolate(ints[rho::2], 0, hi * hi, limited)) is None:
                 return None
-            located = LocatedRoots((), lo, hi)  # -sqrt(v), 0 (x = 1/2) for rho = 1, +sqrt(v)
             located.poly, located._root_at_hi, located._half = ints, half._root_at_hi, half
+            # -sqrt(v), 0 (x = 1/2) for rho = 1, +sqrt(v)
             located._x = [None] * len(half) + [(1, 2)] * rho + [None] * len(half)
             return located
-    q = _moved(ints, lo, hi)
+    q = located._moved = _moved(ints, lo, hi)
     d = len(q) - 1
-    sn, sd = (hi - lo).as_integer_ratio()  # the first depth of cells at most 2^-DEEP_BITS wide:
-    last = (-(-(sn << DEEP_BITS) // sd) - 1).bit_length() if limited else math.inf
+    _, w, c = located._frame  # hi - lo = w / c: the first depth of cells at most 2^-DEEP_BITS wide
+    last = (-(-(w << DEEP_BITS) // c) - 1).bit_length() if limited else math.inf
     top, scale = _bernstein(q)  # a cell's coefficients are scale 2^(k d) times q's there
     found = []
     stack = [(top, 0, 0)]  # left subtrees on top, so roots are found in order
@@ -656,9 +662,7 @@ def _isolate(ints: tuple[int, ...], lo: Rational, hi: Rational,
                     return None
                 stack.append((None, 2 * j + 1, 2 << k))
             stack.append(([v << (d - i) for i, v in enumerate(left)], 2 * j, k + 1))
-    located = LocatedRoots((), lo, hi)
-    located._x = found
-    located.poly, located._moved, located._root_at_hi = ints, q, not top[-1]
+    located.poly, located._x, located._root_at_hi = ints, found, not top[-1]
     return located
 
 
@@ -694,7 +698,7 @@ def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int
     half = located._half
     if half is not None and depths and not (even and odd):
         sigma = 0 if even else 1  # q = u^sigma Q(u^2)
-        signs = signs_at_roots(half, even or odd, half.cells(half._span / (1 << min(depths))))
+        signs = signs_at_roots(half, even or odd, half.cells(min(depths)))
         mirrored = [-v for v in reversed(signs)] if sigma else signs[::-1]
         zero = [0 if sigma else (cs[0] > 0) - (cs[0] < 0)] * (len(depths) - 2 * len(signs))
         return mirrored + zero + signs

@@ -72,7 +72,7 @@ from .exactpoly import (
 from .pade import pade
 from .stieltjes import phi
 
-ROOT_WIDTH = Fraction(1, 2**48)
+ROOT_DEPTH = 50  # `crossings`' cells on (-2, 2): 2^-48 wide
 # The stages of `certify`, in the order it runs them.
 CERTIFY_STAGES = ("count", "nodes", "ordering", "space")
 MAX_HALVINGS = 40
@@ -382,16 +382,16 @@ def _certify_ordering(located: LocatedRoots, depths: Sequence[int],
 def crossings(located: LocatedRoots, n_crossings: int) -> CrossingReport:
     """Locate the N crossings of the lifted curve from the roots of R in (-2, 2).
 
-    The report keeps the 2^-48 cells of `LocatedRoots.cells`, their depths
-    and their integer ends (l, h, d), and no Fraction: each is mapped from
-    its midpoint, the double nearest (l + h) / (2 d), through u = 2 cos(alpha),
+    The report keeps the cells of `LocatedRoots.cells(ROOT_DEPTH)`, at most
+    2^-48 wide, their depths and ends (l, h, d), and no Fraction: the double
+    nearest each midpoint (l + h) / (2 d) is mapped through u = 2 cos(alpha),
     s = 2 cos(alpha + pi/3), t = 2 cos(alpha - pi/3) in floats.  The
     2N-way ordering s_1 < ... < s_N < t_1 < ... < t_N is proved by the
     monotonicity of s and t on [-1, 1], on rational enclosures only for pairs
     outside it (`_certify_ordering`), else OrderingViolation; the float
     `ordering_margin`, the smallest gap of that sequence, is a diagnostic.
     """
-    depths = located.cells(ROOT_WIDTH)
+    depths = located.cells(ROOT_DEPTH)
     if len(depths) != n_crossings:
         raise OrderingViolation(f"found {len(depths)} crossings, expected {n_crossings}")
     cells = tuple(map(located.ends, range(n_crossings), depths))

@@ -252,11 +252,11 @@ def parse_curve(doc: Any) -> StoredCurve:
                 nodes = NodeSet(len(delta), delta, epsilon)
             except ValueError as exc:
                 raise SchemaError(str(exc)) from exc
-        stored = doc.get("crossings") or []
-        if not isinstance(stored, list):
+        stored = doc.get("crossings")  # a missing key or null: none stored
+        if stored is not None and not isinstance(stored, list):
             raise SchemaError("crossings must be a list of objects")
         crossings = []
-        for i, c in enumerate(stored, start=1):
+        for i, c in enumerate(stored or (), start=1):
             if not isinstance(c, dict):
                 raise SchemaError(f"crossing {i} is not an object")
             if not (_is_finite_number(c.get("s")) and _is_finite_number(c.get("t"))):

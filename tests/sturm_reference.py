@@ -45,8 +45,12 @@ def interval(located, i: int, k: int) -> IsolatingInterval:
 
 
 def cell_intervals(located, width: Rational) -> list[IsolatingInterval]:
-    """The cells of `located.cells(width)`, as intervals."""
-    return [interval(located, i, k) for i, k in enumerate(located.cells(width))]
+    """The cells of `located.cells(depth)` for width = (hi - lo) / 2^depth, as intervals."""
+    _, b, c = located._frame  # hi - lo = b / c
+    steps = Fraction(b, c) / width
+    depth = steps.numerator.bit_length() - 1
+    assert steps == 1 << depth, "width must be (hi - lo) / 2^depth"
+    return [interval(located, i, k) for i, k in enumerate(located.cells(depth))]
 
 
 def sign_at(cs, num: int, den: int) -> int:

@@ -297,7 +297,7 @@ class TestVerify:
         dz = cb.divided_difference(curve.z).integer_form()[0]
         q = exactpoly._primitive_ints(exactpoly.Poly(dz) * exactpoly.Poly([-report.nodes[0], 1]))
         start = time.perf_counter()
-        signs = exactpoly.signs_at_roots(located, q, located.cells(knots.ROOT_WIDTH))
+        signs = exactpoly.signs_at_roots(located, q, located.cells(knots.ROOT_DEPTH))
         assert time.perf_counter() - start < 10.0
         assert signs == [0 if i == n + 1 else (-1) ** (i + 1) * (1 if i > n + 1 else -1)
                          for i in range(2 * n + 1)]
@@ -504,6 +504,22 @@ class TestVerifyMalformed:
         assert stdout == ""
         assert err.startswith("knotforge verify: bad schema: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", [0, {}, "", False], ids=["zero", "object", "string", "false"])
+    @pytest.mark.parametrize("command,reason", [
+        (["verify"], "bad schema"), (["export", "--svg"], "bad curve file")])
+    def test_crossings_not_a_list_exit_one(self, tmp_path, capsys, fixture_n9_path, value,
+                                           command, reason):
+        # only a missing key or null means no stored crossings; a false value
+        # that is not a list is as malformed as a true one
+        with open(fixture_n9_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["crossings"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, stdout, err = run([*command, str(bad)], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == f"knotforge {command[0]}: {reason}: crossings must be a list of objects\n"
 
     def test_missing_nodes_is_a_certificate_failure(self, tmp_path, capsys):
         # every stored node is a genuine root, but too few of them are

@@ -13,6 +13,7 @@ from knotforge.exactpoly import (
     LocatedRoots,
     Poly,
     _bernstein,
+    _frame,
     _horner,
     _moved,
     _variations,
@@ -510,12 +511,12 @@ class TestPlantedCells:
 
     @given(ROOT_SETS)
     @settings(max_examples=100, deadline=None)
-    def test_halve_matches_chain_refinement(self, roots):
+    def test_deeper_cells_match_chain_refinement(self, roots):
         # twelve levels below every 2^-48 cell, one at a time as the ordering
         # proof takes them, against one bisection step each on the chain
         chain = SturmChain(poly_from_roots(roots))
         planted = LocatedRoots(roots, F(-2), F(2))
-        for i, k in enumerate(planted.cells(F(1, 2**48))):
+        for i, k in enumerate(planted.cells(50)):
             iv = interval(planted, i, k)
             for step in range(1, 13):
                 iv = refine(chain, iv, iv.width / 2)
@@ -536,11 +537,6 @@ class TestPlantedCells:
         assert planted.ends(0, 2) == (2, 8, 8)
         assert interval(planted, 0, 2) == IsolatingInterval(F(1, 4), F(1))
 
-    def test_width_must_halve_the_interval(self):
-        planted = LocatedRoots([F(0)], F(-2), F(2))
-        with pytest.raises(ValueError, match="2\\^depth"):
-            planted.cells(F(1, 3))
-
     @pytest.mark.parametrize("roots", [
         pytest.param([F(1, 2), F(-1, 2)], id="unsorted"),
         pytest.param([F(0), F(0)], id="repeated"),
@@ -555,6 +551,48 @@ class TestPlantedCells:
     def test_contract_is_checked(self, roots):
         with pytest.raises(ValueError, match="sorted, distinct and strictly inside"):
             LocatedRoots(roots, F(-2), F(2))
+
+
+# (-1/2, 5/2) and (-1/3, 1/2) have no dyadic span
+FRAME_INTERVALS = st.sampled_from([(F(-2), F(2)), (F(0), F(4)), (F(-1), F(2)),
+                                   (F(-1, 2), F(5, 2)), (F(-1, 3), F(1, 2))])
+
+
+def spellings(lo, hi):
+    """(lo, hi) as Fractions, as Fractions written unreduced, and as ints where it has them."""
+    forms = [(lo, hi), (F(2 * lo.numerator, 2 * lo.denominator),
+                        F(8 * hi.numerator, 8 * hi.denominator))]
+    if lo.denominator == hi.denominator == 1:
+        forms.append((lo.numerator, hi.numerator))
+    return forms
+
+
+class TestFrame:
+    """`_frame`, the one reader of an interval: however its ends are spelled,
+    planted and located roots get the same frame, cells and `ends`."""
+
+    def test_frame_is_read_from_the_ends(self):
+        assert _frame(F(-1, 2), F(5, 2)) == _frame(F(-4, 8), F(10, 4)) == (-1, 6, 2)
+        assert _frame(-2, 2) == _frame(F(-4, 2), F(8, 4)) == (-2, 4, 1)
+        assert _frame(0, F(1, 3)) == (0, 1, 3)
+
+    @given(FRAME_INTERVALS,
+           st.lists(st.one_of(SPREAD, DYADIC, st.fractions(F(-1, 2), F(5, 2), max_denominator=12)),
+                    max_size=5),
+           st.integers(0, 60))
+    @settings(max_examples=100, deadline=None)
+    def test_every_spelling_reads_alike(self, interval, candidates, depth):
+        lo, hi = interval
+        roots = sorted({r for r in candidates if lo < r < hi})
+        p = ints(poly_from_roots(roots))
+        seen = set()
+        for a, b in spellings(lo, hi):
+            for located in (LocatedRoots(roots, a, b), locate_roots(p, a, b)):
+                assert len(located) == len(roots)
+                depths = located.cells(depth)
+                ends = tuple(map(located.ends, range(len(roots)), depths))
+                seen.add((located._frame, tuple(depths), ends))
+        assert len(seen) == 1
 
 
 class TestLocateRoots:
@@ -577,7 +615,7 @@ class TestLocateRoots:
         assert cell_intervals(located, F(4)) == ivs
         width = F(1, 2**48)
         assert cell_intervals(located, width) == [refine(chain, iv, width) for iv in ivs]
-        for i, k in enumerate(located.cells(width)):
+        for i, k in enumerate(located.cells(50)):  # cells 2^-48 wide
             iv = interval(located, i, k)
             assert interval(located, i, k + 5) == refine(chain, iv, iv.width / 32)
             for step in range(1, 7):
@@ -884,16 +922,16 @@ class TestSignsAtRoots:
         st.lists(st.fractions(F(-19, 10), F(19, 10), max_denominator=40), max_size=3),
         st.booleans(),
         st.sampled_from([1, -3, F(1, 7)]),
-        st.sampled_from([F(4), F(1, 2**48)]),  # the isolating cells, and certify's ROOT_WIDTH
+        st.sampled_from([0, 50]),  # the isolating cells, and certify's ROOT_DEPTH
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_the_sign_at_rational_roots(self, roots, q_roots, share, lead, width):
+    def test_matches_the_sign_at_rational_roots(self, roots, q_roots, share, lead, depth):
         if share:
             q_roots = q_roots + roots[:1]  # q vanishes at a root of p
         q = poly_from_roots(q_roots).scale(lead)
         located = locate_roots(ints(poly_from_roots(roots)), -2, 2)
         expected = [sign(q(r)) for r in sorted(roots)]
-        assert signs_at_roots(located, ints(q), located.cells(width)) == expected
+        assert signs_at_roots(located, ints(q), located.cells(depth)) == expected
 
     @given(
         st.lists(DYADIC.filter(lambda r: -2 < r < 2), min_size=1, max_size=5, unique=True),
@@ -916,8 +954,8 @@ class TestSignsAtRoots:
         cells = locate_roots(ints(poly_from_roots(roots)), -2, hi)
         assert not any(isinstance(x, tuple) for x in cells._x)
         expected = [sign(q(r)) for r in roots]
-        assert signs_at_roots(exact, ints(q), exact.cells(F(4))) == expected
-        assert signs_at_roots(cells, ints(q), cells.cells(hi + 2)) == expected
+        assert signs_at_roots(exact, ints(q), exact.cells(0)) == expected
+        assert signs_at_roots(cells, ints(q), cells.cells(0)) == expected
 
     @pytest.mark.parametrize("offset,expected", [
         (F(-1, 2**150), -1),   # decided above the gcd depth
@@ -927,17 +965,17 @@ class TestSignsAtRoots:
     def test_root_of_q_next_to_a_root_of_p(self, offset, expected):
         located = locate_roots(ints(poly_from_roots([F(-1), F(1, 3)])), -2, 2)
         q = Poly([-F(1, 3) + offset, 1])  # q(1/3) = offset
-        assert signs_at_roots(located, ints(q), located.cells(F(4))) == [-1, expected]
+        assert signs_at_roots(located, ints(q), located.cells(0)) == [-1, expected]
 
     def test_irrational_roots(self):
         p = Poly([-2, 0, 1])                 # roots -sqrt(2), sqrt(2)
         q = T * p - Poly([F(1, 10**30)])     # -10^-30 at both roots
         located = locate_roots(ints(p), -2, 2)
-        assert signs_at_roots(located, ints(q), located.cells(F(4))) == [-1, -1]
+        assert signs_at_roots(located, ints(q), located.cells(0)) == [-1, -1]
 
     def test_constant_and_zero(self):
         located = locate_roots(ints(poly_from_roots([F(-1, 2), F(1, 2)])), -2, 2)
-        depths = located.cells(F(4))
+        depths = located.cells(0)
         assert signs_at_roots(located, (-2,), depths) == [-1, -1]
         assert signs_at_roots(located, (), depths) == [0, 0]
 
@@ -991,9 +1029,9 @@ class TestParityPath:
             for k in (0, 1, 2, 5, 30, 61, 64, 70):
                 low, high, den = general.ends(i, k)
                 assert located.ends(i, k) == (low - den, high - den, den)
-        for width in (2 * h, 2 * h / 2**48):
-            assert located.cells(width) == general.cells(width)
-        depths = located.cells(2 * h / 2**48)
+        for depth in (0, 48):
+            assert located.cells(depth) == general.cells(depth)
+        depths = located.cells(48)
         q = Poly([data.draw(st.sampled_from([1, -3, F(1, 7)]))])
         for r in data.draw(st.lists(st.one_of(SPREAD, DYADIC), max_size=3)):
             q = q * Poly([-r * r, 0, 1])

@@ -122,11 +122,9 @@ def gen_docs():
     return docs
 
 
-def pairwise_depths(located, width):
+def pairwise_depths(located, depth):
     """`LocatedRoots.cells` as it was first written: both roots of each neighbouring
     pair indexed at every depth, the reference for the depths."""
-    steps = located._span / width
-    depth = steps.numerator.bit_length() - 1
     n = len(located)
     ks = [depth] * n
     for i in range(n - 1):
@@ -160,9 +158,9 @@ class TestCellIndexing:
         located = locate_roots(r, -2, 2)
         assert located._half is not None  # R = u S(u^2)
         old = self.count_index(monkeypatch, reference)
-        expected = pairwise_depths(reference, knots.ROOT_WIDTH)
+        expected = pairwise_depths(reference, knots.ROOT_DEPTH)
         new = self.count_index(monkeypatch, located)
-        assert located.cells(knots.ROOT_WIDTH) == expected
+        assert located.cells(knots.ROOT_DEPTH) == expected
         assert len(old) == 2 * (21 - 1) and len(new) == 21
         assert sorted(i for i, _ in new) == list(range(21))
 
@@ -180,8 +178,26 @@ class TestCellIndexing:
                                            0, 2**122], -2, 2), id="half-sharing-cells"),
     ])
     def test_depths_match_the_pairwise_walk(self, make):
-        for width in (knots.ROOT_WIDTH, F(1, 2**70)):
-            assert make().cells(width) == pairwise_depths(make(), width)
+        for depth in (knots.ROOT_DEPTH, 72):  # cells 2^-48 and 2^-70 wide on (-2, 2)
+            assert make().cells(depth) == pairwise_depths(make(), depth)
+
+
+class TestIntegerFrame:
+    def test_root_layer_makes_no_fraction(self, monkeypatch, gen_docs):
+        # `_frame` reads an interval's ends as integers: isolating R, the
+        # cofactor's test and `certify` with and without nodes make no Fraction
+        curve = parse_curve(gen_docs[21])
+        r = _content_free(cb.divided_difference(curve.y).integer_form()[0])
+        cofactor = exactpoly.exact_quotient(r, planted_factor(curve.nodes))
+
+        def refuse(*args):
+            raise AssertionError("the root layer made a Fraction")
+
+        monkeypatch.setattr(exactpoly, "Fraction", refuse)
+        assert len(locate_roots(r, -2, 2)) == 21
+        assert exactpoly.root_free(cofactor, -2, 2)
+        assert certify(curve.y, curve.z, 21, curve.nodes).signs_alternate
+        assert certify(curve.y, curve.z, 21).signs_alternate
 
 
 class TestHotPath:
@@ -285,9 +301,9 @@ class TestHotPath:
         owners = []
         real = exactpoly.LocatedRoots.cells
 
-        def counting(self, width):
+        def counting(self, depth):
             owners.append(self)
-            return real(self, width)
+            return real(self, depth)
 
         monkeypatch.setattr(exactpoly.LocatedRoots, "cells", counting)
         report = certify(curve.y, curve.z, 21)
@@ -302,9 +318,9 @@ class TestHotPath:
         callers = []
         real = exactpoly.LocatedRoots.cells
 
-        def counting(self, width):
+        def counting(self, depth):
             callers.append(sys._getframe(1).f_code.co_name)
-            return real(self, width)
+            return real(self, depth)
 
         monkeypatch.setattr(exactpoly.LocatedRoots, "cells", counting)
         assert certify(curve.y, curve.z, n, curve.nodes).signs_alternate
@@ -557,7 +573,7 @@ class TestPlantedSigns:
 
         exactpoly._horner = spy  # no monkeypatch: a function-scoped fixture outlives each example
         try:
-            signs = exactpoly.signs_at_roots(located, q, located.cells(F(4)))
+            signs = exactpoly.signs_at_roots(located, q, located.cells(0))
         finally:
             exactpoly._horner = real
         poly = Poly(q)

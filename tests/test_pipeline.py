@@ -356,7 +356,8 @@ class TestCrossings:
         planted = LocatedRoots(node_set.all_roots(), F(-2), F(2))
         report = crossings(planted, 2 * n + 1)
         assert report == crossings(locate_roots(ints(a_poly), -2, 2), 2 * n + 1)
-        cells = [refine(chain, iv, knots.ROOT_WIDTH) for iv in isolate_roots(chain, -2, 2)]
+        width = F(4, 2**knots.ROOT_DEPTH)
+        cells = [refine(chain, iv, width) for iv in isolate_roots(chain, -2, 2)]
         assert [(c.u_lo, c.u_hi) for c in report.crossings] == [(iv.lo, iv.hi) for iv in cells]
 
     def test_planted_roots_locate_without_bisection(self, monkeypatch):
