@@ -23,7 +23,11 @@ integer form and the planted `LocatedRoots`).  `dumps` is `curve_to_dict` plus
 `dumps` of the finished curve.  `nodeless` is `certify(y, z, N)` of the
 same curve with no nodes, as `verify` runs it on a file that stores none,
 with the steps `locate_roots` (R's isolation), `crossings`,
-`signs_at_roots` (dd(z) at R's roots) and `other`.  `verify` is
+`signs_at_roots` (dd(z) at R's roots) and `other`.  `hostile` is node-less
+`certify` of two edits of the curve that fail the space check: `z_is_y`,
+z replaced by y, and `bump`, z minus dd(z)(d) T_1 for the third node d, or
+the last one when N < 7, so that dd(z) vanishes at every crossing whose
+index has d's parity; each is timed as `hostile.<edit>`.  `verify` is
 `serialize.verify_curve` of the dumped document read back with `json`, and
 `verify_nodeless` of the same document with no nodes, each with the steps
 `parse_curve`, `certify` and `other`.  An `other` is the stage's wall time
@@ -66,6 +70,7 @@ SYNTH_STAGES = ("solve_deformation", "solve_height", "certify")
 CERTIFY_STEPS = ("divided_difference", "exact_quotient", "root_free", "crossings",
                  "signs_at_roots")
 NODELESS_STEPS = ("locate_roots", "crossings", "signs_at_roots")
+HOSTILE_EDITS = ("z_is_y", "bump")
 VERIFY_STAGES = ("verify", "verify_nodeless")
 VERIFY_STEPS = ("parse_curve", "certify")
 IMPORT_MODES = ("bytecode", "source")
@@ -122,6 +127,18 @@ def _import_runs(src: str, repeats: int) -> list[tuple[str, float, float, float]
     return runs
 
 
+def _hostile_edits(cb, curve, report) -> list:
+    """(edit, z) of the `hostile` stage: z = y, and z minus dd(z)(d) T_1 at the
+    third node d, or the last one when N < 7 (none when N = 1)."""
+    edits = [("z_is_y", curve.plane.y)]
+    if report.nodes:
+        d = report.nodes[min(2, len(report.nodes) - 1)]
+        z = dict(curve.z.items)
+        z[1] = z.get(1, 0) - cb.divided_difference(curve.z).to_poly()(d)
+        edits.append(("bump", cb.ChebT.of(z)))
+    return edits
+
+
 def worker(src: str, ns: list[int], repeats: int) -> dict:
     """Stage times of the knotforge under src: {N: {stage: [(wall, calibrated), ...]}}."""
     sys.path.insert(0, src)
@@ -129,8 +146,10 @@ def worker(src: str, ns: list[int], repeats: int) -> dict:
     calibrate = importlib.import_module("calibrate")
     knots = importlib.import_module("knotforge.knots")
     serialize = importlib.import_module("knotforge.serialize")
+    failed = importlib.import_module("knotforge.errors").CertificationFailed
     rec = _Spans()
     nodeless = rec.wrap("nodeless", knots.certify)
+    hostile = {edit: rec.wrap(f"hostile.{edit}", knots.certify) for edit in HOSTILE_EDITS}
     verify, verify_nodeless = (rec.wrap(stage, serialize.verify_curve) for stage in VERIFY_STAGES)
     for name in SYNTH_STAGES:
         setattr(knots, name, rec.wrap(name, getattr(knots, name)))
@@ -163,6 +182,11 @@ def worker(src: str, ns: list[int], repeats: int) -> dict:
                 doc = json.loads(text)
                 verify(doc)
                 verify_nodeless(dict(doc, nodes=None, epsilon=None))
+                for edit, z in _hostile_edits(knots.cb, curve, report):
+                    try:
+                        hostile[edit](curve.plane.y, z, n)
+                    except failed:
+                        pass
                 runs.append(rec.spans + [("synthesize", t0, t1), ("dumps", t1, t2)])
             while not sampler.took:  # a short run can end before the first sample
                 calibrate.kernel()

@@ -27,8 +27,8 @@ at n/d is the integer sum c_i n^i d^(D-i) (homogeneous Horner, shifts
 for d = 2^s), which also evaluates a `Poly` on its coefficients brought
 to one denominator.
 `signs_at_roots` gives the exact sign of a second polynomial at each
-located root, from a slope bound.  Linear systems are solved by
-fraction-free (Bareiss) elimination on integer rows (`solve_linear`).
+located root, by a slope bound, or 0 by the gcd's signs at the root's cell
+ends.  `solve_linear` is fraction-free (Bareiss) elimination on integer rows.
 """
 
 from __future__ import annotations
@@ -678,12 +678,12 @@ def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int
     on the cell, so |q(lo)| > (|q'(lo)| + L2 (hi - lo)) (hi - lo), in
     cross-multiplied integers, leaves q no root in [lo, hi]: q has the sign
     of q(lo) at the root.  Otherwise the cell is taken deeper and tested
-    again.  The test never passes where q vanishes, so below 2^-DEEP_BITS
-    the gcd of p and q (`poly_gcd`, built once) is asked for a root in
-    (lo, hi], which a root of p found exact while deepening ends; if none,
-    deepening goes on.  It divides p, so its roots there are simple,
-    counted by one isolation.  A gcd of p's degree is p itself: q vanishes
-    at every root of p, and this sign and every later one is 0.
+    again.  The test never passes where q vanishes, so once a cell below
+    2^-DEEP_BITS fails it, the gcd G of p and q (`poly_gcd`) is built and a
+    zero test runs first at every later step, of any root: G divides p, and
+    a cell at depth depths[i] or more holds no root of p but root i in
+    (lo, hi], so q vanishes there exactly when G(hi) = 0 or G changes sign
+    on it.  G(lo) = 0, a neighbouring root, decides nothing: it goes deeper.
 
     When `located._half` holds E's roots and q is even or odd,
     q = u^sigma Q(u^2), the test runs on Q at E's roots, from E's cells at
@@ -725,10 +725,14 @@ def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int
         low, high, den = located.ends(i, k)
         # L2 = l2_num / l2_den, and 0 for q of degree below 2
         l2_num, l2_den = _horner(curve, max(abs(low), abs(high)), den), den ** max(deg - 2, 0)
-        asked = False
         while True:
             low, high, den = located.ends(i, k)
             w = high - low                        # the cell is w / den wide
+            if common is not None:  # its one root in (lo, hi], if any, is root i
+                at_high = _horner(common, high, den)
+                if not at_high or _horner(common, low, den) * at_high < 0:
+                    out.append(0)
+                    break
             val = _horner(cs, low, den)           # den^deg q(lo)
             d1 = abs(_horner(slope, low, den))    # den^(deg-1) |q'(lo)|
             # |q(lo)| and the bound above, times den^(deg+2) l2_den
@@ -737,15 +741,8 @@ def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int
             if gap > bound:
                 out.append(1 if val > 0 else -1)
                 break
-            if w << DEEP_BITS <= den and not asked:
-                asked = True
-                common = common or poly_gcd(located.poly, cs)
-                if len(common) == len(located.poly):
-                    return out + [0] * (len(depths) - i)
-                if not _horner(common, high, den) or len(locate_roots(
-                        common, Fraction(low, den), Fraction(high, den))):
-                    out.append(0)
-                    break
+            if common is None and w << DEEP_BITS <= den:
+                common = poly_gcd(located.poly, cs)
             # enough levels to bring the bound below about |q(lo)| / 2
             k += min(max(1, bound.bit_length() - gap.bit_length() + 2), 64)
     return out

@@ -315,7 +315,7 @@ def lift_plane(a_series: cb.ChebV, n_crossings: int) -> PlaneCurve:
     return PlaneCurve(cb.t_poly(3), y)
 
 
-def _parameter_bounds(cell: tuple[int, int, int], sign: int) -> tuple[int, int, int]:
+def _parameter_bounds(cell: tuple[int, int, int], depth: int, sign: int) -> tuple[int, int, int]:
     """Enclosure of (u + sign sqrt(12 - 3u^2)) / 2, s for sign -1 and t for +1, on [l/d, h/d].
 
     Returns (e, low, high) in units of 2^-e, at most a quarter of the
@@ -323,10 +323,10 @@ def _parameter_bounds(cell: tuple[int, int, int], sign: int) -> tuple[int, int, 
     at u = 1, so the endpoint values and, when inside, that extreme bound
     them.  At u = p/d, f = floor(2^b u) and r = floor(2^b sqrt(12 - 3u^2))
     put 2^(b+1) s in (f - r - 1, f - r + 1) and 2^(b+1) t in [f + r, f + r + 2),
-    all in integers, for the cell (l, h, d) of `LocatedRoots.ends`.
+    all in integers, for the cell (l, h, d) of `LocatedRoots.ends` at depth b - 1.
     """
     low, high, den = cell
-    b = (4 * den // (high - low)).bit_length()  # of floor(4 / width)
+    b = depth + 1
     vals = [sign << (b + 2)] if low < sign * den < high else []
     for p in (low, high):
         f = (p << b) // den
@@ -363,7 +363,7 @@ def _certify_ordering(located: LocatedRoots, depths: Sequence[int],
         while True:
             for p in (pos, pos + 1):
                 r, sign = seq[p]
-                bounds[p] = bounds[p] or _parameter_bounds(located.ends(r, ks[r]), sign)
+                bounds[p] = bounds[p] or _parameter_bounds(located.ends(r, ks[r]), ks[r], sign)
             (ea, a_lo, a_hi), (eb, b_lo, b_hi) = bounds[pos], bounds[pos + 1]
             if a_hi << eb < b_lo << ea:
                 break

@@ -31,7 +31,7 @@ def certify_ordering(located: LocatedRoots, depths: Sequence[int],
     n = len(depths)
     ks = list(depths)
     seq = [(i, -1) for i in range(n)] + [(i, 1) for i in range(n)]  # s_1..s_N, t_1..t_N
-    bounds = [_parameter_bounds(cells[i], sign) for i, sign in seq]
+    bounds = [_parameter_bounds(cells[i], ks[i], sign) for i, sign in seq]
     for pos in range(2 * n - 1):
         (i, si), (j, sj) = seq[pos], seq[pos + 1]
         while True:
@@ -46,4 +46,5 @@ def certify_ordering(located: LocatedRoots, depths: Sequence[int],
                 if (high - low) << 200 <= den:
                     raise OrderingViolation(f"parameters {pair} not separated at width 2^-200")
                 ks[r] += 1
-                bounds[r::n] = [_parameter_bounds(located.ends(r, ks[r]), s) for s in (-1, 1)]
+                bounds[r::n] = [_parameter_bounds(located.ends(r, ks[r]), ks[r], s)
+                                for s in (-1, 1)]

@@ -21,6 +21,22 @@ WIDE = "1" + "0" * 307
 NON_FINITE = re.compile(r"\b(?:nan|inf)\b", re.IGNORECASE)
 
 
+def dd(doc, key):
+    """The divided difference of a document's T series `key`, as a Poly."""
+    series = cb.ChebT.of({k: Fraction(c) for k, c in enumerate(doc[key]["coeffs"])})
+    return cb.divided_difference(series).to_poly()
+
+
+def add(doc, key, k, c):
+    doc[key]["coeffs"][k] = rat_str(Fraction(doc[key]["coeffs"][k]) + c)
+
+
+def bump_at_third_node(doc):
+    """z minus dd(z)(d_3) T_1: dd(T_1) = V_0 = 1, so dd(z), (-1)^i at crossing i,
+    stays even and vanishes at every crossing whose index has d_3's parity."""
+    add(doc, "z", 1, -dd(doc, "z")(Fraction(doc["nodes"][2])))
+
+
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -216,17 +232,27 @@ class TestVerify:
             codes.append(run(["verify", str(path)], capsys)[0])
         assert codes == ([2, 2] if edit == "flip" else [0, 0])
 
-    @pytest.mark.parametrize("n", [41, 61])
+    @pytest.mark.parametrize("n,edit,line", [
+        pytest.param(41, "z_is_y", 1, id="41"),
+        pytest.param(61, "z_is_y", 1, id="61"),
+        pytest.param(41, "bump", 2, id="bump-41"),
+        pytest.param(61, "bump", 2, id="bump-61"),
+    ])
     def test_nodeless_height_equal_to_y_fails_in_bounded_time(self, tmp_path, capsys, monkeypatch,
-                                                              n):
-        # z = y gives dd(z) = R, which vanishes at every crossing; the gcd of R's
-        # half S and dd(z)'s is S itself, so every sign is 0 at once, and no
-        # root of the gcd is isolated in any crossing's cell
+                                                              n, edit, line):
+        # z = y gives dd(z) = R, which vanishes at every crossing; the bump at
+        # d_3 makes dd(z) vanish at every crossing whose index has d_3's
+        # parity.  Each zero is read off the gcd's signs at its cell's ends,
+        # and no root of the gcd is isolated in any crossing's cell
         out = tmp_path / f"n{n}.json"
         run(["gen", "--n", str(n), "--out", str(out)], capsys)
         doc = json.loads(out.read_text())
-        doc.update(nodes=None, epsilon=None, z=doc["y"])
-        path = tmp_path / "z_is_y.json"
+        if edit == "bump":
+            bump_at_third_node(doc)
+        else:
+            doc["z"] = doc["y"]
+        doc.update(nodes=None, epsilon=None)
+        path = tmp_path / f"{edit}.json"
         path.write_text(json.dumps(doc))
         signing, isolations = [], []
         real_signs, real_locate = knots.signs_at_roots, exactpoly.locate_roots
@@ -248,7 +274,8 @@ class TestVerify:
         code, stdout, _ = run(["verify", str(path)], capsys)
         assert time.perf_counter() - start < 5.0
         assert code == 2
-        assert stdout.endswith("FAIL space verification: z(t) = z(s) at crossing 1\nNOT VERIFIED\n")
+        assert stdout.endswith(f"FAIL space verification: z(t) = z(s) at crossing {line}\n"
+                               "NOT VERIFIED\n")
         assert isolations == []
 
     @pytest.mark.parametrize("edit,line", [
@@ -260,24 +287,15 @@ class TestVerify:
         # two edits of the N = 61 file at its third node d_3, node-less, each
         # decided by a gcd: of R and dd(z), or of R and R'
         doc = copy.deepcopy(gen_docs[61])
-        d3 = Fraction(doc["nodes"][2])
-
-        def dd(key):
-            series = cb.ChebT.of({k: Fraction(c) for k, c in enumerate(doc[key]["coeffs"])})
-            return cb.divided_difference(series).to_poly()
-
-        def add(key, k, c):
-            doc[key]["coeffs"][k] = rat_str(Fraction(doc[key]["coeffs"][k]) + c)
-
         if edit == "bump":
-            # dd(T_1) = V_0 = 1: dd(z) - dd(z)(d_3) stays even and vanishes at +-d_3
-            add("z", 1, -dd("z")(d3))
+            bump_at_third_node(doc)
         else:
             # c_1 T_2 - c_3 T_4 adds c_1 V_1 + c_3 V_3 = c_3 u (u^2 - d_3^2) to R,
             # whose slope 2 c_3 d_3^2 at d_3 cancels R'(d_3): d_3 is a double root
-            c3 = -dd("y").derivative()(d3) / (2 * d3 * d3)
-            add("y", 2, -c3 * (d3 * d3 - 2))
-            add("y", 4, -c3)
+            d3 = Fraction(doc["nodes"][2])
+            c3 = -dd(doc, "y").derivative()(d3) / (2 * d3 * d3)
+            add(doc, "y", 2, -c3 * (d3 * d3 - 2))
+            add(doc, "y", 4, -c3)
         path = tmp_path / f"{edit}.json"
         path.write_text(json.dumps(dict(doc, nodes=None, epsilon=None)))
         start = time.perf_counter()

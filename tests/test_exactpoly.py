@@ -920,14 +920,13 @@ class TestSignsAtRoots:
         st.lists(st.fractions(F(-19, 10), F(19, 10), max_denominator=40),
                  min_size=1, max_size=4, unique=True),
         st.lists(st.fractions(F(-19, 10), F(19, 10), max_denominator=40), max_size=3),
-        st.booleans(),
+        st.integers(0, 4),
         st.sampled_from([1, -3, F(1, 7)]),
         st.sampled_from([0, 50]),  # the isolating cells, and certify's ROOT_DEPTH
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_the_sign_at_rational_roots(self, roots, q_roots, share, lead, depth):
-        if share:
-            q_roots = q_roots + roots[:1]  # q vanishes at a root of p
+        q_roots = q_roots + roots[:share]  # q vanishes at none, some or all roots of p
         q = poly_from_roots(q_roots).scale(lead)
         located = locate_roots(ints(poly_from_roots(roots)), -2, 2)
         expected = [sign(q(r)) for r in sorted(roots)]
@@ -966,6 +965,18 @@ class TestSignsAtRoots:
         located = locate_roots(ints(poly_from_roots([F(-1), F(1, 3)])), -2, 2)
         q = Poly([-F(1, 3) + offset, 1])  # q(1/3) = offset
         assert signs_at_roots(located, ints(q), located.cells(0)) == [-1, expected]
+
+    # the gcd is built at the first cell below 2^-200 and asked from the next,
+    # up to 64 levels deeper: b = 2^-400 puts 0 at that cell's low end
+    @pytest.mark.parametrize("b", [F(1, 2**210), F(1, 3 * 2**210), F(1, 2**400), F(1, 3 * 2**400)])
+    @pytest.mark.parametrize("q,expected", [(None, [0, 0]), ((0, 1), [0, 1])], ids=["p", "u"])
+    def test_shared_root_at_the_low_end_of_the_next_cell(self, b, q, expected):
+        # p = u (u - b): the root 0 is the low end of b's cells down to width
+        # b, where the gcd with q = p or q = u vanishes, so those cells decide
+        # nothing; q = p vanishes at b too, and q = u is positive there
+        p = ints(poly_from_roots([F(0), b]))
+        located = locate_roots(p, -2, 2)
+        assert signs_at_roots(located, q or p, located.cells(0)) == expected
 
     def test_irrational_roots(self):
         p = Poly([-2, 0, 1])                 # roots -sqrt(2), sqrt(2)

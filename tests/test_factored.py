@@ -185,10 +185,15 @@ class TestCellIndexing:
 class TestIntegerFrame:
     def test_root_layer_makes_no_fraction(self, monkeypatch, gen_docs):
         # `_frame` reads an interval's ends as integers: isolating R, the
-        # cofactor's test and `certify` with and without nodes make no Fraction
+        # cofactor's test and `certify` with and without nodes make no Fraction,
+        # nor does a node-less z(t) = z(s), decided by the gcd's signs at cell ends
         curve = parse_curve(gen_docs[21])
         r = _content_free(cb.divided_difference(curve.y).integer_form()[0])
         cofactor = exactpoly.exact_quotient(r, planted_factor(curve.nodes))
+        wide = parse_curve(gen_docs[41])
+        z = dict(wide.z.items)  # minus dd(z)(d_3) T_1: dd(z) vanishes at +-d_3, among others
+        z[1] = z.get(1, 0) - cb.divided_difference(wide.z).to_poly()(wide.nodes.delta[2])
+        bump = ChebT.of(z)
 
         def refuse(*args):
             raise AssertionError("the root layer made a Fraction")
@@ -198,6 +203,8 @@ class TestIntegerFrame:
         assert exactpoly.root_free(cofactor, -2, 2)
         assert certify(curve.y, curve.z, 21, curve.nodes).signs_alternate
         assert certify(curve.y, curve.z, 21).signs_alternate
+        with pytest.raises(CertificationFailed, match=r"^z\(t\) = z\(s\) at crossing 2$"):
+            certify(wide.y, bump, 41)
 
 
 class TestHotPath:

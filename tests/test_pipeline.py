@@ -332,10 +332,11 @@ class TestCrossings:
         den = math.lcm(lo.denominator, hi.denominator) * scale
         cell = (lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den)
         points = [lo + (hi - lo) * at] + [u for u in (F(-1), F(1)) if lo < u < hi]
+        depth = (4 // (hi - lo)).bit_length() - 1  # of the cells on (-2, 2) about this wide
         with localcontext() as ctx:
             ctx.prec = 100
             for sign in (-1, 1):
-                e, low, high = knots._parameter_bounds(cell, sign)
+                e, low, high = knots._parameter_bounds(cell, depth, sign)
                 scale = Decimal(2) ** e
                 for u in points:
                     d = Decimal(u.numerator) / Decimal(u.denominator)
@@ -395,9 +396,9 @@ class TestCrossings:
         enclosures = []
         bounds = knots._parameter_bounds
 
-        def counted(cell, sign):
+        def counted(cell, depth, sign):
             enclosures.append(cell)
-            return bounds(cell, sign)
+            return bounds(cell, depth, sign)
 
         def bisection(*args):
             raise AssertionError("crossings bisected on planted roots")

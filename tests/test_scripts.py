@@ -50,7 +50,7 @@ def test_bench_stages_runs(tmp_path):
               "nodeless.locate_roots", "nodeless.crossings", "nodeless.signs_at_roots",
               "nodeless.other", "verify", "verify.parse_curve", "verify.certify", "verify.other",
               "verify_nodeless", "verify_nodeless.parse_curve", "verify_nodeless.certify",
-              "verify_nodeless.other"}
+              "verify_nodeless.other", "hostile.z_is_y", "hostile.bump"}
     for n in ("5", "9"):
         row = doc["stages"][n]
         assert stages <= set(row["change"]) and stages <= set(row["parent"])
