@@ -11,8 +11,9 @@ a, b, c with lo = a / c and hi - lo = b / c (`_frame`).  `locate_roots`,
 the one isolator, finds in order the roots of p in an interval by
 Descartes bisection in the Bernstein basis: sign variations
 (`_variations`, the one Descartes test) and integer de Casteljau splits.
-A run unfinished at the depth limit isolates the squarefree part
-p / gcd(p, p') (`squarefree`) instead, which always finishes;
+A run unfinished at the depth limit, or stalled about a multiple root,
+isolates the squarefree part p / gcd(p, p') (`squarefree`) instead, which
+always finishes;
 `root_free` proves with it that p has no root in [lo, hi].
 Its `LocatedRoots`, or planted roots already certified, give the dyadic
 cells of Sturm bisection and refinement: `cells(depth)` a depth k per
@@ -28,7 +29,7 @@ for d = 2^s), which also evaluates a `Poly` on its coefficients brought
 to one denominator.
 `signs_at_roots` gives the exact sign of a second polynomial at each
 located root, by a slope bound, or 0 by the gcd's signs at the root's cell
-ends.  `solve_linear` is fraction-free (Bareiss) elimination on integer rows.
+ends.  `solve_linear` (Bareiss) returns integers over their least denominator, (nums, den).
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ _RationalLike = Union[Fraction, int]
 # `locate_roots`' limited run, make `signs_at_roots` ask the gcd, and stop
 # `knots.crossings` separating two crossing parameters.
 DEEP_BITS = 200
+# A cell that still has bound 2 this many halvings below the last split of its line
+# into two cells with variations ends `locate_roots`' limited run too: about a
+# multiple root the bound never falls, and the squarefree part finishes at once.
+STALL_LEVELS = 32
 
 
 def rat_str(x: Rational) -> str:
@@ -584,8 +589,10 @@ def locate_roots(p: Sequence[int], lo: Rational, hi: Rational) -> LocatedRoots:
     tested by `_variations` and split by one integer de Casteljau pass,
     each child scaled by 2^d.  A midpoint where q vanishes is an exact root, simple
     where q' does not.  A finished run proves the count, every root simple.
-    It is unfinished when a midpoint root is multiple or a cell at most
-    2^-DEEP_BITS wide still has bound 2.  Only then is p split into
+    It is unfinished when a midpoint root is multiple or a cell still has
+    bound 2 at most 2^-DEEP_BITS wide, or STALL_LEVELS halvings below the
+    last split of its line into two cells that both have variations (about
+    a multiple root the bound never falls).  Only then is p split into
     s = p / g and g = gcd(p, p') (`squarefree`): s has p's roots, all
     simple, so its bisection with no depth limit finishes, and `repeated`
     is set when g, the repeated roots of p, has a root in (lo, hi).
@@ -619,8 +626,9 @@ def root_free(p: Sequence[int], lo: Rational, hi: Rational) -> bool:
 
 def _isolate(ints: tuple[int, ...], lo: Rational, hi: Rational,
              limited: bool) -> Optional[LocatedRoots]:
-    """`locate_roots`' bisection of the primitive integers ints; None when a run
-    limited to cells 2^-DEEP_BITS wide is unfinished."""
+    """`locate_roots`' bisection of the primitive integers ints; None when a limited
+    run is unfinished: a cell at most 2^-DEEP_BITS wide, or STALL_LEVELS below the
+    last split of its line into two cells with variations, still has bound 2."""
     located = LocatedRoots((), lo, hi)
     if lo == -hi:  # p = u^rho E(u^2) with E(0) != 0: the roots of E on (0, hi^2)
         rho = 1 if not any(ints[::2]) else 0 if not any(ints[1::2]) else None
@@ -635,33 +643,37 @@ def _isolate(ints: tuple[int, ...], lo: Rational, hi: Rational,
     d = len(q) - 1
     _, w, c = located._frame  # hi - lo = w / c: the first depth of cells at most 2^-DEEP_BITS wide
     last = (-(-(w << DEEP_BITS) // c) - 1).bit_length() if limited else math.inf
+    stall = STALL_LEVELS if limited else math.inf
     top, scale = _bernstein(q)  # a cell's coefficients are scale 2^(k d) times q's there
     found = []
-    stack = [(top, 0, 0)]  # left subtrees on top, so roots are found in order
+    # (coefficients, bound, j, k, the depth where the cell's line last split into two cells
+    # that both have variations); left subtrees on top, so roots are found in order
+    stack = [(top, _variations(top), 0, 0, 0)]
     while stack:
-        b, j, k = stack.pop()
+        b, bound, j, k, split = stack.pop()
         if b is None:  # the exact root j / k
             found.append((j, k))
-            continue
-        bound = _variations(b)
-        if bound == 1:
+        elif bound == 1:
             s = next(v for v in b if v)  # q just right of j / 2^k
             found.append([j, k, 1 if s > 0 else -1, b[0] // scale, b[-1] // scale, 2])
         elif bound:
-            if k >= last:
+            if k >= last or k - split >= stall:
                 return None
             left, right, row = [b[0]], [b[-1]], b
             for _ in range(d):
                 row = list(map(add, row, row[1:]))
                 left.append(row[0])
                 right.append(row[-1])
+            left = [v << (d - i) for i, v in enumerate(left)]
             right = [v << i for i, v in enumerate(reversed(right))]
-            stack.append((right, 2 * j + 1, k + 1))
+            lb, rb = _variations(left), _variations(right)
+            split = k + 1 if lb and rb else split
+            stack.append((right, rb, 2 * j + 1, k + 1, split))
             if not right[0]:  # q vanishes at the midpoint, and q' with right[1]
                 if not right[1]:
                     return None
-                stack.append((None, 2 * j + 1, 2 << k))
-            stack.append(([v << (d - i) for i, v in enumerate(left)], 2 * j, k + 1))
+                stack.append((None, 0, 2 * j + 1, 2 << k, split))
+            stack.append((left, lb, 2 * j, k + 1, split))
     located.poly, located._x, located._root_at_hi = ints, found, not top[-1]
     return located
 
@@ -751,8 +763,10 @@ def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int
 # -- exact linear algebra ------------------------------------------------------
 
 
-def solve_linear(matrix: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) -> list[Rational]:
-    """Solve an exact rational linear system by Bareiss fraction-free elimination.
+def solve_linear(matrix: Sequence[Sequence[Rational]],
+                 rhs: Sequence[Rational]) -> tuple[list[int], int]:
+    """Solve an exact rational linear system by Bareiss fraction-free elimination:
+    (nums, den) with x_r = nums[r] / den, den > 0 and gcd(den, *nums) = 1.
 
     Each row of [matrix | rhs] is multiplied by the lcm of its denominators
     and divided by its content (an all-zero row stays), and the rows are
@@ -764,7 +778,7 @@ def solve_linear(matrix: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) 
     depends on the columns before it, which no row scaling, row order or
     pivot choice changes, and raises SingularSystem naming it.  With D the
     last pivot, the integers D x_r, which Cramer's rule makes integral,
-    come out of back-substitution by exact division.
+    come out of back-substitution by exact division; one gcd with D reduces them.
     """
     n = len(matrix)
     a = []
@@ -791,4 +805,5 @@ def solve_linear(matrix: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) 
     for r in range(n - 1, -1, -1):
         row = a[r]
         y[r] = (prev * row[n] - sum(row[c] * y[c] for c in range(r + 1, n))) // row[r]
-    return [Fraction(v, prev) for v in y]
+    g = math.gcd(prev, *y) * (1 if prev > 0 else -1)
+    return [v // g for v in y], prev // g

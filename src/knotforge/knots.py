@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from operator import add
 from typing import NamedTuple, Optional, Sequence
 
@@ -241,20 +242,19 @@ def _times_node(c: Sequence[int], p: int, q: int) -> list[int]:
     return [q2 * a - p2 * b for a, b in zip(_times_t(_times_t(c)), [*c, 0, 0])]
 
 
-def _fit(known: list, first: list[int], count: int, residue: int, den: int) -> cb.ChebV:
-    """X / den on the V basis, for X = known + sum_{j<count} x_j t^{2j} first
-    with the x_j that clear its V-coefficients at k = residue (mod 6)."""
+def _fit(known: Optional[list], first: Sequence, count: int, residue: int, den: int) -> cb.ChebV:
+    """X / den on the V basis, for X = known + sum_{j<count} x_j t^{2j} first with the
+    x_j that clear its V-coefficients at k = residue (mod 6); known None is t^{2 count} first."""
     cols = []
-    for _ in range(count):
-        cols.append(first + [0] * (len(known) - len(first)))
-        first = _times_t(_times_t(first))
+    for _ in range(count + (known is None)):
+        cols.append(_times_t(_times_t(cols[-1])) if cols else list(first))
+    known = cols.pop() if known is None else known
+    cols = [col + [0] * (len(known) - len(col)) for col in cols]
     rows = range(residue, len(known), 6)
-    x = solve_linear([[col[k] for col in cols] for k in rows], [-known[k] for k in rows])
-    lcm = math.lcm(*(v.denominator for v in x))
+    nums, lcm = solve_linear([[col[k] for col in cols] for k in rows], [-known[k] for k in rows])
     out = [lcm * c for c in known]
-    for v, col in zip(x, cols):
-        w = v.numerator * (lcm // v.denominator)
-        out = [a + w * b for a, b in zip(out, col)]
+    for v, col in zip(nums, cols):
+        out = [a + v * b for a, b in zip(out, col)]
     return cb.ChebV(tuple((k, Fraction(c, lcm * den)) for k, c in enumerate(out) if c))
 
 
@@ -268,12 +268,13 @@ def planted_factor(nodes: NodeSet) -> tuple[int, ...]:
     return tuple(c for h in half for c in (0, h))
 
 
-def _planted_on_V(nodes: NodeSet) -> list[int]:
-    """P = t prod (q_i^2 t^2 - p_i^2) on the V basis, by `_times_node` from t = V_1."""
+@lru_cache(maxsize=1)
+def _planted_on_V(nodes: NodeSet) -> tuple[int, ...]:
+    """P = t prod (q_i^2 t^2 - p_i^2) on the V basis from t = V_1, kept for both solves."""
     planted = [0, 1]
     for d in nodes.delta:
         planted = _times_node(planted, d.numerator, d.denominator)
-    return planted
+    return tuple(planted)
 
 
 def solve_deformation(nodes: NodeSet) -> cb.ChebV:
@@ -289,13 +290,8 @@ def solve_deformation(nodes: NodeSet) -> cb.ChebV:
 
     Returns A on the V basis.
     """
-    m = nodes.n // 2
     planted = _planted_on_V(nodes)
-    lead = planted[-1]  # lc(P): every V_k is monic
-    top = planted
-    for _ in range(m):
-        top = _times_t(_times_t(top))
-    return _fit(top, planted, m, 5, lead)
+    return _fit(None, planted, nodes.n // 2, 5, planted[-1])  # lc(P): every V_k is monic
 
 
 def default_nodes(n: int, epsilon: Fraction) -> NodeSet:
@@ -460,7 +456,8 @@ def certify(
     CERTIFY_STAGES order:
 
     - count: R is nonzero and has exactly N roots in (-2, 2), none
-      repeated (a tangency, not a transverse crossing);
+      repeated (a tangency, not a transverse crossing); an N above deg R
+      fails at once, before any isolation;
     - nodes: when planted nodes are given, 2n + 1 = N and every planted
       root is an exact root of R;
     - ordering: the crossings are located and their parameters proved
@@ -503,6 +500,9 @@ def certify(
     r_ints, _ = cb.divided_difference(y).integer_form()
     if not r_ints:
         raise CertificationFailed("divided-difference image of y is zero", "count")
+    if n_crossings >= len(r_ints):
+        raise CertificationFailed(f"R has degree {len(r_ints) - 1}, fewer than {n_crossings} "
+                                  "roots in (-2, 2)", "count")
     r = _content_free(r_ints)
     roots = nodes.all_roots() if nodes is not None else ()
     cofactor = exact_quotient(r, planted_factor(nodes)) if nodes is not None else None

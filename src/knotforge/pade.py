@@ -61,8 +61,8 @@ def pade(series: Callable[[int], Rational], n: int, m: int) -> PadeApproximant:
     else:
         matrix = [[f(n + j - l) for l in range(1, m + 1)] for j in range(1, m + 1)]
         rhs = [-f(n + j) for j in range(1, m + 1)]
-        sol = solve_linear(matrix, rhs)
-        q = Poly([Fraction(1)] + sol)
+        nums, den = solve_linear(matrix, rhs)
+        q = Poly([1, *(Fraction(v, den) for v in nums)])
     p = Poly([sum((f(k - j) * q.coeff(j) for j in range(min(k, m) + 1)), Fraction(0))
               for k in range(n + 1)])
     # f_0 = 0 forces p = 0 at n = 0; every n >= 1 must reach full degree

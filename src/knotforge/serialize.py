@@ -70,11 +70,10 @@ def digit_budget(n_crossings: int):
 
 
 def _dense(items: list[tuple[int, Fraction]]) -> list[str]:
-    deg = items[-1][0] if items else 0
-    row = [Fraction(0)] * (deg + 1)
+    row = ["0"] * ((items[-1][0] if items else 0) + 1)
     for k, c in items:
-        row[k] = c
-    return [rat_str(c) for c in row]
+        row[k] = rat_str(c)
+    return row
 
 
 def basis_to_json(obj: Union[Poly, cb.ChebT, cb.ChebV]) -> dict[str, Any]:

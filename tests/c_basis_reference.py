@@ -46,7 +46,8 @@ def build_cn_triangular(n_max: int) -> CnBasis:
         else:
             matrix = [[cb.w_poly(i).coeff(2 * row + 1) for i in range(j)] for row in range(j)]
             rhs = [-wj.coeff(2 * row + 1) for row in range(j)]
-            sol = solve_linear(matrix, rhs)
+            nums, den = solve_linear(matrix, rhs)
+            sol = [Fraction(v, den) for v in nums]
             c = wj
             for i, ci in enumerate(sol):
                 c = c + cb.w_poly(i) * ci
@@ -98,7 +99,8 @@ def reference_deformation(basis, nodes):
         return (), basis.cn[0]
     matrix = [[basis.cn[k](d) for k in range(n)] for d in nodes.delta]
     rhs = [-basis.cn[n](d) for d in nodes.delta]
-    a = solve_linear(matrix, rhs)
+    nums, den = solve_linear(matrix, rhs)
+    a = [Fraction(v, den) for v in nums]
     poly = basis.cn[n]
     for k, ak in enumerate(a):
         poly = poly + basis.cn[k] * ak
@@ -111,7 +113,8 @@ def reference_height(basis_tilde, nodes):
     points = [Fraction(0)] + list(nodes.delta)
     matrix = [[basis_tilde.cn[k](u) for k in range(n + 1)] for u in points]
     rhs = [Fraction((-1) ** (n + 1 + i)) for i in range(n + 1)]
-    b = solve_linear(matrix, rhs)
+    nums, den = solve_linear(matrix, rhs)
+    b = [Fraction(v, den) for v in nums]
     poly = Poly()
     for k, bk in enumerate(b):
         poly = poly + basis_tilde.cn[k] * bk

@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import random
 import re
@@ -6,7 +8,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from knotforge import chebyshev as cb, cli, exactpoly, knots
 from knotforge.cli import main
@@ -191,10 +193,11 @@ class TestVerify:
         curve, report = synthesize(21)
         roots = sorted([-d for d in report.nodes] + [Fraction(0)] + list(report.nodes))
         image = [j for j in range(2 * len(roots)) if j % 3 != 2][:len(roots)]
-        values = solve_linear([[cb.v_poly(j)(u) for j in image] for u in roots],
-                              [Fraction(i == 14) for i in range(len(roots))])
+        nums, den = solve_linear([[cb.v_poly(j)(u) for j in image] for u in roots],
+                                 [Fraction(i == 14) for i in range(len(roots))])
+        values = {j: Fraction(v, den) for j, v in zip(image, nums)}
         z = dict(curve.z.items)
-        for k, c in cb.lift_from_V(cb.ChebV.of(dict(zip(image, values)))).items:
+        for k, c in cb.lift_from_V(cb.ChebV.of(values)).items:
             z[k] = z.get(k, 0) + c
         doc = curve_to_dict(21, curve.plane.x, curve.plane.y, cb.ChebT.of(z), report)
         path = tmp_path / "bumped.json"
@@ -354,6 +357,20 @@ class TestVerify:
             start = time.perf_counter()
             assert run([*command, str(path)], capsys) == (1, "", prefix + cap)
             assert time.perf_counter() - start < 2.0
+
+    def test_huge_n_fails_the_count_before_isolation(self, tmp_path, capsys, fixture_n9_path):
+        # N = 1,000,000,001 and y = T_2000 are under the cap 4N + 64, and R has
+        # degree 1999 < N: the count fails at once, where isolating R ran past 10 s
+        with open(fixture_n9_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["N"], doc["y"] = 10**9 + 1, {"basis": "T", "coeffs": ["0"] * 2000 + ["1"]}
+        path = tmp_path / "huge_n.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert run(["verify", str(path)], capsys) == (
+            2, "ok   x = T_3\nFAIL R has degree 1999, fewer than 1000000001 roots in (-2, 2)\n"
+               "NOT VERIFIED\n", "")
+        assert time.perf_counter() - start < 2.0
 
     def test_high_degree_x_export_fails_fast(self, tmp_path, capsys):
         # under the cap 4N + 64 = 804 of N = 185, x = T_800 is expanded once:
@@ -831,6 +848,27 @@ class TestFuzz:
     @pytest.fixture(scope="class")
     def work(self, tmp_path_factory):
         return tmp_path_factory.mktemp("fuzz")
+
+    @given(n=st.integers(0, (10**12 - 1) // 2).map(lambda k: 2 * k + 1))
+    @example(n=9)
+    @example(n=13)
+    @example(n=15)
+    @example(n=10**12 - 1)
+    @settings(max_examples=30, deadline=None)
+    def test_any_claimed_n_is_decided_fast(self, bases, work, n):
+        # the fixture, whose R has degree 13 and 9 roots, claiming any odd N up
+        # to 10^12: VERIFIED at N = 9, and one FAIL line on the count otherwise
+        path = work / "claimed_n.json"
+        path.write_text(json.dumps(dict(bases[1], N=n)))
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify", str(path)])
+        assert time.perf_counter() - start < 2.0
+        fails = [line for line in out.getvalue().splitlines() if line.startswith("FAIL")]
+        line = (f"FAIL R has degree 13, fewer than {n} roots in (-2, 2)" if n > 13
+                else f"FAIL R has 9 roots in (-2, 2), expected {n}")
+        assert (code, fails) == ((0, []) if n == 9 else (2, [line]))
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None,

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from itertools import accumulate, permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from knotforge import exactpoly
 from knotforge.errors import SingularSystem, ZeroPolynomial
@@ -12,6 +12,7 @@ from knotforge.exactpoly import (
     DEEP_BITS,
     LocatedRoots,
     Poly,
+    STALL_LEVELS,
     _bernstein,
     _frame,
     _horner,
@@ -649,6 +650,25 @@ class TestLocateRoots:
         assert cells == [refine(chain, iv, width) for iv in isolate_roots(chain, -2, 2)]
         assert cells[0].width < F(1, 2**DEEP_BITS)
 
+    @pytest.mark.parametrize("p", [
+        pytest.param(Poly([-1, 0, 3]) ** 2 * Poly([1, 1]), id="(3u^2-1)^2(u+1)"),
+        pytest.param(Poly([F(-1, 3), 0, 1]) ** 3 * T, id="(u^2-1/3)^3u"),
+    ])
+    def test_stalled_cell_ends_the_limited_run(self, monkeypatch, p):
+        # about an irrational multiple root the bound stays 2 at every level: the
+        # limited run ends STALL_LEVELS below the last split, not at 2^-DEEP_BITS
+        # (over 300 Descartes tests), and the squarefree part's isolation gives
+        # the cells of Sturm bisection, the gcd's roots flagged
+        tests, real = [], exactpoly._variations
+        monkeypatch.setattr(exactpoly, "_variations", lambda b: tests.append(b) or real(b))
+        located = locate_roots(ints(p), -2, 2)
+        assert len(tests) < 5 * STALL_LEVELS
+        chain = SturmChain(p)
+        assert located.repeated and len(located) == 3
+        width = F(1, 2**48)
+        assert cell_intervals(located, width) == [
+            refine(chain, iv, width) for iv in isolate_roots(chain, -2, 2)]
+
     @pytest.mark.parametrize("lo,hi", [(1, 1), (2, -2)])
     def test_empty_interval_raises(self, lo, hi):
         with pytest.raises(ValueError, match="need lo < hi"):
@@ -1074,6 +1094,12 @@ def linear_systems(draw):
     return m, [draw(entry) for _ in range(n)]
 
 
+def solved(matrix, rhs):
+    """`solve_linear`'s (nums, den) read as Fractions."""
+    nums, den = solve_linear(matrix, rhs)
+    return [F(v, den) for v in nums]
+
+
 class TestLinearAlgebra:
     @given(linear_systems())
     @settings(max_examples=150, deadline=None)
@@ -1086,7 +1112,7 @@ class TestLinearAlgebra:
                 solve_linear(matrix, rhs)
             assert str(got.value) == str(exc)
         else:
-            assert solve_linear(matrix, rhs) == expected
+            assert solved(matrix, rhs) == expected
 
     @given(linear_systems(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -1108,7 +1134,7 @@ class TestLinearAlgebra:
                 solve_linear(*moved)
             assert str(got.value) == str(exc)
         else:
-            assert solve_linear(*moved) == expected
+            assert solved(*moved) == expected
 
     @pytest.mark.parametrize("matrix,column", [
         pytest.param([[1, 2, 3], [0, 0, 0], [4, 5, 7]], 2, id="zero-row"),
@@ -1123,8 +1149,33 @@ class TestLinearAlgebra:
                     solve_linear(rows, [1, 2, 3])
 
     def test_solve(self):
-        sol = solve_linear([[F(2), F(1)], [F(1), F(3)]], [F(5), F(10)])
-        assert sol == [F(1), F(3)]
+        assert solve_linear([[F(2), F(1)], [F(1), F(3)]], [F(5), F(10)]) == ([1, 3], 1)
+        assert solve_linear([[F(2), F(1)], [F(1), F(3)]], [F(5, 2), F(10)]) == ([-1, 7], 2)
+        assert solve_linear([[-3]], [2]) == ([-2], 3)
+        assert solve_linear([], []) == ([], 1)
+
+    @given(linear_systems(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_numerators_over_their_least_denominator(self, system, int_rows):
+        # (nums, den): den > 0, coprime to the numerators, M nums = den b in
+        # integers, and nums / den the Fraction elimination's solution
+        matrix, rhs = system
+        try:
+            expected, _ = gauss_reference(matrix, rhs)
+        except SingularSystem:
+            assume(False)
+        if int_rows:
+            scales = [math.lcm(*(v.denominator for v in [*row, b])) for row, b in zip(matrix, rhs)]
+            matrix = [[int(s * v) for v in row] for s, row in zip(scales, matrix)]
+            rhs = [int(s * b) for s, b in zip(scales, rhs)]
+        nums, den = solve_linear(matrix, rhs)
+        assert den > 0 and math.gcd(den, *nums) == 1
+        assert all(isinstance(v, int) for v in [*nums, den])
+        for row, b in zip(matrix, rhs):
+            scale = math.lcm(*(F(v).denominator for v in [*row, b]))
+            left = sum(int(scale * F(v)) * x for v, x in zip(row, nums))
+            assert left == int(scale * F(b)) * den
+        assert [F(v, den) for v in nums] == expected
 
     def test_singular_raises(self):
         with pytest.raises(SingularSystem):

@@ -371,6 +371,55 @@ class TestHotPath:
         synthesize(n)
         assert len(tested) == 1
 
+    @pytest.mark.parametrize("n", [1, 4, 10, 25])
+    def test_fit_makes_no_fraction_but_its_series(self, monkeypatch, n):
+        # `solve_linear` returns integers over their denominator, which `_fit`
+        # combines in integers: its one Fraction per nonzero entry is the result
+        nodes = default_nodes(n, F(1, 4))
+        expected = solve_deformation(nodes), solve_height(nodes)
+        made = []
+
+        def refuse(*args):
+            raise AssertionError("the solve made a Fraction")
+
+        def counted(*args):
+            made.append(args)
+            return F(*args)
+
+        monkeypatch.setattr(exactpoly, "Fraction", refuse)
+        monkeypatch.setattr(knots, "Fraction", counted)
+        for solve, series in zip((solve_deformation, solve_height), expected):
+            made.clear()
+            assert solve(nodes) == series
+            assert len(made) == len(series.items)
+
+    @pytest.mark.parametrize("n", [1, 4, 10, 25])
+    def test_deformation_walks_the_columns_once(self, monkeypatch, n):
+        # P t^{2j} for j <= m = floor(n/2) is one walk of 2m multiplications by t,
+        # after the n node factors of P, two each
+        calls, real = [], knots._times_t
+        monkeypatch.setattr(knots, "_times_t", lambda c: calls.append(len(c)) or real(c))
+        knots._planted_on_V.cache_clear()
+        solve_deformation(default_nodes(n, F(1, 4)))
+        assert len(calls) == 2 * n + 2 * (n // 2)
+
+    def test_planted_factor_is_built_once_per_candidate(self, monkeypatch):
+        # both solves of a node set read one P on the V basis; three candidates
+        # are refused, and the fourth is certified
+        refused, real = [], knots.certify
+
+        def refuse_three(y, z, n_crossings, nodes):
+            if len(refused) < 3:
+                refused.append(nodes.epsilon)
+                raise CertificationFailed("refused", "count")
+            return real(y, z, n_crossings, nodes)
+
+        monkeypatch.setattr(knots, "certify", refuse_three)
+        knots._planted_on_V.cache_clear()
+        curve, report = synthesize(21)
+        info = knots._planted_on_V.cache_info()
+        assert report.epsilon == F(1, 32) and (info.misses, info.hits) == (4, 4)
+
 
 def descartes_bound(p, lo, hi):
     """Descartes' bound, capped at 2, on the roots of the integers p in (lo, hi)."""
@@ -387,9 +436,9 @@ def into_the_image(s0):
     coefficients, for S0 of degree 6: a polynomial in the image of dd."""
     cols = [dict(to_V(s0 * Poly([0] * k + [1])).items) for k in range(4)]
     rows = (2, 5, 8)
-    low = solve_linear([[col.get(k, 0) for col in cols[:3]] for k in rows],
-                       [-cols[3].get(k, 0) for k in rows])
-    return Poly([*low, 1]) * s0
+    nums, den = solve_linear([[col.get(k, 0) for col in cols[:3]] for k in rows],
+                             [-cols[3].get(k, 0) for k in rows])
+    return Poly([*(F(v, den) for v in nums), 1]) * s0
 
 
 def record_squarefree(monkeypatch):
