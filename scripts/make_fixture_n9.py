@@ -17,11 +17,12 @@ certifies exactly what is true and nothing more.
 import os
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from knotforge import ChebT, certify, t_poly  # noqa: E402
-from knotforge.serialize import curve_to_dict, save_curve  # noqa: E402
+from knotforge.serialize import curve_to_dict, dumps  # noqa: E402
 
 Y_COEFFS = {
     0: Fraction(56),  # T_0 is the constant 2, so this is the +112
@@ -46,7 +47,7 @@ def main() -> None:
     doc = build_document()
     out = os.path.join(os.path.dirname(__file__), "..", "fixtures", "curve_n9.json")
     os.makedirs(os.path.dirname(out), exist_ok=True)
-    save_curve(out, doc)
+    Path(out).write_text(dumps(doc), encoding="utf-8")
     print(f"wrote {os.path.normpath(out)} ({doc['N']} crossings)")
 
 

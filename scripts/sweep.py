@@ -12,11 +12,12 @@ import argparse
 import os
 import sys
 import time
+from pathlib import Path
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from knotforge import crossing_oracle, rat_str, synthesize  # noqa: E402
-from knotforge.serialize import curve_to_dict, save_curve  # noqa: E402
+from knotforge.serialize import curve_to_dict, dumps  # noqa: E402
 from knotforge.svg import render_svg  # noqa: E402
 
 
@@ -43,7 +44,7 @@ def main() -> None:
         if args.outdir:
             os.makedirs(args.outdir, exist_ok=True)
             doc = curve_to_dict(n, curve.plane.x, curve.plane.y, curve.z, report)
-            save_curve(os.path.join(args.outdir, f"curve_n{n}.json"), doc)
+            Path(args.outdir, f"curve_n{n}.json").write_text(dumps(doc), encoding="utf-8")
             with open(os.path.join(args.outdir, f"curve_n{n}.svg"), "w") as fh:
                 fh.write(render_svg(doc, 1600))
 

@@ -195,10 +195,6 @@ def wtilde_index(k: int) -> int:
     return 6 * (k // 2) + (0 if k % 2 == 0 else 4)
 
 
-def w_poly(k: int) -> Poly:
-    return v_poly(w_index(k))
-
-
 # -- numeric evaluation ---------------------------------------------------------
 
 

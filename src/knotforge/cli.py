@@ -45,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--epsilon", metavar="p/q", help="starting node scale (default 1/4)")
     gen.add_argument("--nodes", metavar="LIST", help="comma-separated explicit nodes, e.g. 1/16,1/8")
     gen.add_argument("--out", metavar="FILE", help="output path (default: stdout)")
-    gen.add_argument("--format", default="json", choices=["json"], help="output format")
 
     ver = sub.add_parser("verify", help="re-derive every certificate of a stored curve")
     ver.add_argument("file", help="curve JSON file")

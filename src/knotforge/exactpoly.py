@@ -115,9 +115,6 @@ class Poly:
     def is_odd(self) -> bool:
         return all(c == 0 for i, c in enumerate(self.coeffs) if i % 2 == 0)
 
-    def is_even(self) -> bool:
-        return all(c == 0 for i, c in enumerate(self.coeffs) if i % 2 == 1)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -147,22 +144,9 @@ class Poly:
             return Poly(out)
         return self.scale(other)
 
-    def __rmul__(self, other: _RationalLike) -> "Poly":
-        return self.scale(other)
-
     def scale(self, s: _RationalLike) -> "Poly":
         s = Fraction(s)
         return Poly([c * s for c in self.coeffs])
-
-    def __pow__(self, n: int) -> "Poly":
-        out = Poly([1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def compose(self, inner: "Poly") -> "Poly":
         """Return self(inner(t)), expanded exactly (Horner over polynomials)."""
@@ -220,9 +204,6 @@ class Poly:
                 r[k + i] -= c * other.coeffs[i]
             r.pop()
         return Poly(q), Poly(r)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
 
     def monic(self) -> "Poly":
         return self.scale(1 / self.leading)

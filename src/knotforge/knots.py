@@ -456,8 +456,8 @@ def certify(
     CERTIFY_STAGES order:
 
     - count: R is nonzero and has exactly N roots in (-2, 2), none
-      repeated (a tangency, not a transverse crossing); an N above deg R
-      fails at once, before any isolation;
+      repeated (a tangency, not a transverse crossing); an N above deg R,
+      R's top V index, fails at once, before R is expanded or isolated;
     - nodes: when planted nodes are given, 2n + 1 = N and every planted
       root is an exact root of R;
     - ordering: the crossings are located and their parameters proved
@@ -497,13 +497,13 @@ def certify(
     Returns the report with signs_alternate set, its crossings signed (-1)^i; a
     failed stage raises CertificationFailed carrying it and the unsigned report so far.
     """
-    r_ints, _ = cb.divided_difference(y).integer_form()
-    if not r_ints:
+    r_series = cb.divided_difference(y)
+    if not r_series.items:
         raise CertificationFailed("divided-difference image of y is zero", "count")
-    if n_crossings >= len(r_ints):
-        raise CertificationFailed(f"R has degree {len(r_ints) - 1}, fewer than {n_crossings} "
+    if n_crossings > r_series.degree:
+        raise CertificationFailed(f"R has degree {r_series.degree}, fewer than {n_crossings} "
                                   "roots in (-2, 2)", "count")
-    r = _content_free(r_ints)
+    r = _content_free(r_series.integer_form()[0])
     roots = nodes.all_roots() if nodes is not None else ()
     cofactor = exact_quotient(r, planted_factor(nodes)) if nodes is not None else None
     planted = cofactor is not None and root_free(cofactor, -2, 2)

@@ -171,11 +171,6 @@ def dumps(doc: dict[str, Any]) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def save_curve(path: str, doc: dict[str, Any]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(doc))
-
-
 def load_curve(path: str) -> dict[str, Any]:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -197,17 +192,17 @@ def _is_finite_number(v: Any) -> bool:
     return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
-def _check_cap(name: str, degree: int, max_degree: int) -> None:
-    """SchemaError when a coordinate's degree is above the cap 4N + 64 of x, y and z."""
+def _check_cap(name: str, degree: int, max_degree: int, cap: str) -> None:
+    """SchemaError when a coordinate's degree is above max_degree, the cap that `cap` names."""
     if degree > max_degree:
-        raise SchemaError(f"{name} has degree {degree}, above the cap 4N + 64 = {max_degree}")
+        raise SchemaError(f"{name} has degree {degree}, above the cap {cap} = {max_degree}")
 
 
-def _space_coordinate(d: Any, name: str, max_degree: int) -> cb.ChebT:
+def _space_coordinate(d: Any, name: str, max_degree: int, cap: str) -> cb.ChebT:
     c = basis_from_json(d)
     if isinstance(c, cb.ChebV):
         raise SchemaError(f"{name} must be in the T or monomial basis")
-    _check_cap(name, c.degree, max_degree)
+    _check_cap(name, c.degree, max_degree, cap)
     return cb.to_T(c) if isinstance(c, Poly) else c
 
 
@@ -221,7 +216,9 @@ def parse_curve(doc: Any) -> StoredCurve:
     the T, V or monomial basis and expanded to monomials once, here; y
     and z are given in the T or monomial basis; and each stored crossing
     is an object with numeric "s" and "t" and a "sign" of -1, 1 or null.
-    N is read first, and the rest under `digit_budget(N)`.
+    N is read first, and the rest under `digit_budget(N)`.  An N above
+    len(y), y's number of coefficients, can only fail the count (R = dd(y)
+    has fewer roots), so there len(y) takes its place in the cap and budget.
     """
     if not isinstance(doc, dict):
         raise SchemaError("document is not an object")
@@ -232,13 +229,16 @@ def parse_curve(doc: Any) -> StoredCurve:
     if (not isinstance(n_crossings, int) or isinstance(n_crossings, bool)
             or n_crossings < 1 or n_crossings % 2 == 0):
         raise SchemaError("N must be an odd positive integer")
-    with digit_budget(n_crossings):
-        max_degree = 4 * n_crossings + 64
+    ys = doc["y"].get("coeffs") if isinstance(doc["y"], dict) else None
+    bound, cap = ((len(ys), "4 len(y) + 64") if isinstance(ys, list) and len(ys) < n_crossings
+                  else (n_crossings, "4N + 64"))
+    with digit_budget(bound):
+        max_degree = 4 * bound + 64
         x = basis_from_json(doc["x"])
-        _check_cap("x", x.degree, max_degree)
+        _check_cap("x", x.degree, max_degree, cap)
         x = x if isinstance(x, Poly) else x.to_poly()
-        y = _space_coordinate(doc["y"], "y", max_degree)
-        z = _space_coordinate(doc["z"], "z", max_degree) if doc.get("z") is not None else None
+        y = _space_coordinate(doc["y"], "y", max_degree, cap)
+        z = _space_coordinate(doc["z"], "z", max_degree, cap) if doc.get("z") is not None else None
         epsilon = doc.get("epsilon")
         if epsilon is not None:
             epsilon = _rat_from_json(epsilon, "epsilon")
@@ -289,7 +289,8 @@ def verify_curve(doc: Any) -> tuple[bool, list[str]]:
     n_crossings, z = curve.n_crossings, curve.z
     failure = None
     try:
-        with digit_budget(n_crossings):  # a failure may name a node
+        # a failure may name a node: the budget `parse_curve` read it under
+        with digit_budget(min(n_crossings, len(doc["y"]["coeffs"]))):
             report = certify(curve.y, z, n_crossings, curve.nodes)
     except CertificationFailed as exc:
         failure, report = exc, exc.report

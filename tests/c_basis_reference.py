@@ -39,18 +39,19 @@ def build_cn_triangular(n_max: int) -> CnBasis:
     cns: list[Poly] = []
     coords: list[tuple[Fraction, ...]] = []
     for j in range(n_max + 1):
-        wj = cb.w_poly(j)
+        wj = cb.v_poly(cb.w_index(j))
         if j == 0:
             c = wj
             sol: list[Fraction] = []
         else:
-            matrix = [[cb.w_poly(i).coeff(2 * row + 1) for i in range(j)] for row in range(j)]
+            matrix = [[cb.v_poly(cb.w_index(i)).coeff(2 * row + 1) for i in range(j)]
+                      for row in range(j)]
             rhs = [-wj.coeff(2 * row + 1) for row in range(j)]
             nums, den = solve_linear(matrix, rhs)
             sol = [Fraction(v, den) for v in nums]
             c = wj
             for i, ci in enumerate(sol):
-                c = c + cb.w_poly(i) * ci
+                c = c + cb.v_poly(cb.w_index(i)) * ci
         coords.append(_validate_cn(j, c))
         cns.append(c)
     return CnBasis(n_max, tuple(cns), tuple(coords))
@@ -72,7 +73,7 @@ def build_cn_tilde(n_max: int, basis: Optional[CnBasis] = None) -> CnTildeBasis:
     cns: list[Poly] = [Poly([1])]
     for j in range(1, n_max + 1):
         c = (t3 * basis.cn[j - 1]).scale(third)
-        if not c.is_even():
+        if any(c.coeffs[1::2]):
             raise InternalInconsistency(f"Ct_{j} is not even")
         if any(c.coeff(i) != 0 for i in range(2 * j)):
             raise InternalInconsistency(f"t^{2*j} does not divide Ct_{j}")

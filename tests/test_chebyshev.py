@@ -17,7 +17,6 @@ from knotforge.chebyshev import (
     to_V,
     v_poly,
     w_index,
-    w_poly,
     wtilde_index,
 )
 from knotforge.errors import NotInImage
@@ -181,7 +180,7 @@ class TestWIndices:
 
     def test_degree_formulas(self):
         for k in range(12):
-            assert w_poly(k).degree == 2 * k + 2 * (k // 2) + 1
+            assert v_poly(w_index(k)).degree == 2 * k + 2 * (k // 2) + 1
             assert v_poly(wtilde_index(k)).degree == 2 * k + 2 * ((k + 1) // 2)
 
 

@@ -372,14 +372,44 @@ class TestVerify:
                "NOT VERIFIED\n", "")
         assert time.perf_counter() - start < 2.0
 
+    @pytest.mark.parametrize("key,command,expected", [
+        pytest.param("x", ["verify"], (1, "", "knotforge verify: bad schema: x has degree 10000, "
+                                      "above the cap 4 len(y) + 64 = 124\n"), id="x-verify"),
+        pytest.param("x", ["export", "--csv", "--samples", "50"],
+                     (1, "", "knotforge export: bad curve file: x has degree 10000, above the "
+                      "cap 4 len(y) + 64 = 124\n"), id="x-export"),
+        pytest.param("y", ["verify"], (2, "ok   x = T_3\nFAIL R has degree 9999, fewer than "
+                                      "1000000001 roots in (-2, 2)\nNOT VERIFIED\n", ""),
+                     id="y-verify"),
+        pytest.param("y", ["export", "--csv", "--samples", "50"],
+                     (1, "", "knotforge export: bad curve file: a y value is beyond the double "
+                      "range on [-2.2, 2.2]\n"), id="y-export"),
+    ])
+    def test_huge_n_sizes_nothing(self, tmp_path, capsys, fixture_n9_path, key, command,
+                                  expected):
+        # N = 1,000,000,001 with x or y = T_10000: y's 15 coefficients, not N, set
+        # the cap 4 len(y) + 64 that refuses x, and R's top V index fails the count
+        # before R is expanded; expanding either takes seconds, which the time
+        # bound would catch
+        with open(fixture_n9_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["N"], doc[key] = 10**9 + 1, {"basis": "T", "coeffs": ["0"] * 10000 + ["1"]}
+        path = tmp_path / "huge_n.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert run([*command, str(path)], capsys) == expected
+        assert time.perf_counter() - start < 0.5
+
     def test_high_degree_x_export_fails_fast(self, tmp_path, capsys):
         # under the cap 4N + 64 = 804 of N = 185, x = T_800 is expanded once:
         # its closed-form integer coefficients, not a recurrence on rational
-        # polynomials
+        # polynomials (y is padded with zeros to N coefficients, so that N,
+        # not len(y), sets the cap)
         out = tmp_path / "n21.json"
         run(["gen", "--n", "21", "--out", str(out)], capsys)
         doc = json.loads(out.read_text())
         doc["N"], doc["x"] = 185, {"basis": "T", "coeffs": ["0"] * 800 + ["1"]}
+        doc["y"]["coeffs"] += ["0"] * (185 - len(doc["y"]["coeffs"]))
         path = tmp_path / "x800.json"
         path.write_text(json.dumps(doc))
         cb._family_ints.cache_clear()

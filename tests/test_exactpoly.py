@@ -66,9 +66,6 @@ class TestArithmetic:
         assert Poly().degree == -1
         assert Poly([0, 0]).is_zero
 
-    def test_pow(self):
-        assert (T + Poly([1])) ** 2 == Poly([1, 2, 1])
-
     def test_str_roundtrippable_forms(self):
         assert str(Poly([0, F(-1, 64), 0, 1])) == "t^3 - 1/64*t"
         assert str(Poly()) == "0"
@@ -316,7 +313,7 @@ def reference_gcd(a, b):
 def reference_squarefree(p):
     """p / gcd(p, p') in rational arithmetic."""
     g = reference_gcd(p, p.derivative())
-    return p if g.degree <= 0 else p // g
+    return p if g.degree <= 0 else divmod(p, g)[0]
 
 
 def reference_sturm_chain(p):
@@ -476,7 +473,7 @@ class TestIntegerKernel:
         assert chain.sign(F(2)) == 0
         ivs = isolate_roots(chain, -2, 2)
         assert len(ivs) == 3 and ivs[-1].hi < 2
-        assert (p // poly_from_roots(roots))(F(2)) == 0
+        assert divmod(p, poly_from_roots(roots))[0](F(2)) == 0
         cells = cell_intervals(LocatedRoots(roots, F(-2), F(2)), F(4))
         assert cells[:2] == ivs[:2]
         assert cells[-1].hi == 2
@@ -651,8 +648,8 @@ class TestLocateRoots:
         assert cells[0].width < F(1, 2**DEEP_BITS)
 
     @pytest.mark.parametrize("p", [
-        pytest.param(Poly([-1, 0, 3]) ** 2 * Poly([1, 1]), id="(3u^2-1)^2(u+1)"),
-        pytest.param(Poly([F(-1, 3), 0, 1]) ** 3 * T, id="(u^2-1/3)^3u"),
+        pytest.param(Poly([-1, 0, 3]) * Poly([-1, 0, 3]) * Poly([1, 1]), id="(3u^2-1)^2(u+1)"),
+        pytest.param(math.prod([Poly([F(-1, 3), 0, 1])] * 3, start=T), id="(u^2-1/3)^3u"),
     ])
     def test_stalled_cell_ends_the_limited_run(self, monkeypatch, p):
         # about an irrational multiple root the bound stays 2 at every level: the
@@ -678,7 +675,7 @@ class TestLocateRoots:
         # p = u S(u^2), S = (3v - 1)^2 (v - 2): S's double root 1/3 in (0, 4) leaves
         # S's isolation unfinished, and p is not isolated again at full degree:
         # its squarefree part u (3u^2 - 1) (u^2 - 2) is, through its half
-        p = ints(T * Poly([-1, 0, 3]) ** 2 * Poly([-2, 0, 1]))
+        p = ints(T * Poly([-1, 0, 3]) * Poly([-1, 0, 3]) * Poly([-2, 0, 1]))
         lengths, real = [], exactpoly._moved
 
         def spy(cs, lo, hi):
@@ -803,9 +800,10 @@ def counted_cases(draw):
     for r in roots:
         p = p * poly_from_roots([r] * draw(st.integers(1, 3)))
     for c in draw(st.lists(st.sampled_from([2, 3, 5, F(1, 2), F(7, 9)]), max_size=2)):
-        p = p * Poly([-c, 0, 1]) ** draw(st.integers(1, 3))
+        p = math.prod([Poly([-c, 0, 1])] * draw(st.integers(1, 3)), start=p)
     for a, b in draw(st.lists(st.tuples(small_rat, st.fractions(F(1, 10**6), 4)), max_size=2)):
-        p = p * Poly([a * a + b, -2 * a, 1]) ** draw(st.integers(1, 2))  # roots a +- i sqrt(b)
+        pair = Poly([a * a + b, -2 * a, 1])  # roots a +- i sqrt(b)
+        p = math.prod([pair] * draw(st.integers(1, 2)), start=p)
     ends = st.one_of(any_rat, DYADIC, st.sampled_from([F(-2), F(2)]),
                      *([st.sampled_from(roots)] if roots else []))
     lo, hi = sorted([draw(ends), draw(ends)])
@@ -830,11 +828,15 @@ class TestCountRootsDifferential:
         assert located.repeated == (gcd.degree > 0 and sturm_count(gcd, lo, hi) > 0)
 
     @pytest.mark.parametrize("p,lo,hi,expected", [
-        pytest.param(Poly([-2, 0, 1]) ** 2, -2, 2, 2, id="sqrt2-squared"),
-        pytest.param(Poly([-3, 0, 1]) ** 3, F(-7, 4), F(7, 4), 2, id="sqrt3-cubed"),
-        pytest.param(Poly([-3, 0, 1]) ** 3, F(7, 4), 2, 0, id="sqrt3-cubed-outside"),
-        pytest.param(T * Poly([-2, 0, 1]) ** 3, F(-1, 2), 2, 2, id="zero-and-sqrt2-cubed"),
-        pytest.param(poly_from_roots([F(1, 2)] * 3) * Poly([1, 0, 1]) ** 2, 0, F(1, 2), 0,
+        pytest.param(Poly([-2, 0, 1]) * Poly([-2, 0, 1]), -2, 2, 2, id="sqrt2-squared"),
+        pytest.param(math.prod([Poly([-3, 0, 1])] * 3, start=Poly([1])), F(-7, 4), F(7, 4), 2,
+                     id="sqrt3-cubed"),
+        pytest.param(math.prod([Poly([-3, 0, 1])] * 3, start=Poly([1])), F(7, 4), 2, 0,
+                     id="sqrt3-cubed-outside"),
+        pytest.param(math.prod([Poly([-2, 0, 1])] * 3, start=T), F(-1, 2), 2, 2,
+                     id="zero-and-sqrt2-cubed"),
+        pytest.param(poly_from_roots([F(1, 2)] * 3) * Poly([1, 0, 1]) * Poly([1, 0, 1]),
+                     0, F(1, 2), 0,
                      id="triple-at-hi"),
         pytest.param(poly_from_roots([0, 0, F(3, 8), F(3, 8)]), -2, 2, 2, id="double-midpoints"),
     ])
@@ -1031,7 +1033,7 @@ def parity_polys(draw, h):
     squares = [r * r for r in roots]
     squares += draw(st.lists(st.sampled_from([2, 3, F(1, 2), -1, -F(1, 9)]), max_size=2))
     factors = [Poly([-c, 0, 1]) for c in squares]
-    p = T ** draw(st.integers(0, 3))
+    p = math.prod([T] * draw(st.integers(0, 3)), start=Poly([1]))
     for f in factors + draw(st.lists(st.sampled_from(factors), max_size=1) if factors
                             else st.just([])):
         p = p * f

@@ -2,6 +2,7 @@
 roots factored out, and the cofactor certificate in `synthesize` and `certify`."""
 
 import json
+import math
 import random
 import sys
 from fractions import Fraction as F
@@ -66,12 +67,12 @@ class TestAgainstTheCBasis:
         a, a_poly = reference_deformation(basis, nodes)
         series = solve_deformation(nodes)
         planted = Poly(planted_factor(nodes))
-        cofactor = a_poly // planted
+        cofactor = divmod(a_poly, planted)[0]
         assert series == to_V(a_poly)
         assert series.to_poly() == a_poly
         assert triangular_coordinates(a_poly, basis.cn[:nodes.n + 1]) == a + (1,)
         assert planted * cofactor == a_poly
-        assert cofactor.is_even() and cofactor.degree == 2 * (nodes.n // 2)
+        assert not any(cofactor.coeffs[1::2]) and cofactor.degree == 2 * (nodes.n // 2)
 
     @pytest.mark.parametrize("nodes", NODE_SETS)
     def test_height_equals_the_ct_basis_solve(self, bases, nodes):
@@ -507,7 +508,7 @@ class TestCertifyFallback:
     def test_repeated_root_beyond_the_band_passes(self):
         # R = u (u^2 - 9)^2 (u^2 + 12) repeats only +-3, outside (-2, 2);
         # the factor u^2 + 12 cancels its V_5 part, so R is in the image of dd
-        r_poly = Poly([0, 1]) * Poly([-9, 0, 1]) ** 2 * Poly([12, 0, 1])
+        r_poly = Poly([0, 1]) * Poly([-9, 0, 1]) * Poly([-9, 0, 1]) * Poly([12, 0, 1])
         y, z = curve_with_r(to_V(r_poly))
         for nodes in (NodeSet(0, ()), None):
             assert len(certify(y, z, 1, nodes).crossings) == 1
@@ -518,7 +519,7 @@ class TestCertifyFallback:
         # unfinished, so R is split into its squarefree part, whose 3 roots
         # match N, and gcd(R, R') = (u^2 - 2)^2, whose roots in (-2, 2) are
         # the repeated ones; its double roots split it in turn
-        r_poly = Poly([0, 1]) * Poly([-2, 0, 1]) ** 3
+        r_poly = math.prod([Poly([-2, 0, 1])] * 3, start=Poly([0, 1]))
         assert to_V(r_poly) == ChebV.of({3: 2, 7: 1})
         located = locate_roots(_primitive_ints(r_poly), -2, 2)
         assert len(located) == 3 and located.repeated
@@ -536,7 +537,7 @@ class TestCertifyFallback:
         # is split; its squarefree part has the one root of L in (-2, 2), and
         # gcd(R, R') = u^2 - 5 has none there
         pair = Poly([F(1, 9) + F(1, 2**500), F(-2, 3), 1])
-        r_poly = into_the_image(Poly([-5, 0, 1]) ** 2 * pair)
+        r_poly = into_the_image(Poly([-5, 0, 1]) * Poly([-5, 0, 1]) * pair)
         located = locate_roots(_primitive_ints(r_poly), -2, 2)
         assert len(located) == 1 and not located.repeated
         y, z = curve_with_r(to_V(r_poly))

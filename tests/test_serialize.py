@@ -114,14 +114,14 @@ class TestZeroCoefficients:
         # `_space_coordinate`'s checks see the same series, so they give the same verdict
         if basis == "V":
             with pytest.raises(SchemaError, match="must be in the T or monomial basis"):
-                _space_coordinate(d, "y", cap)
+                _space_coordinate(d, "y", cap, "4N + 64")
         elif expected.degree > cap:
             with pytest.raises(SchemaError) as info:
-                _space_coordinate(d, "y", cap)
+                _space_coordinate(d, "y", cap, "4N + 64")
             assert str(info.value) == (f"y has degree {expected.degree}, "
                                        f"above the cap 4N + 64 = {cap}")
         else:
-            assert _space_coordinate(d, "y", cap) == (
+            assert _space_coordinate(d, "y", cap, "4N + 64") == (
                 to_T(expected) if basis == "monomial" else expected)
 
 
@@ -217,7 +217,9 @@ class TestVerifyCurve:
 
 class TestDigitBudget:
     """Coefficients past CPython's 4,300-digit string limit, as `gen` writes them from
-    N = 175 on, are written and read under a budget derived from N."""
+    N = 175 on, are written and read under a budget derived from N.  A `gen` y has
+    more than N coefficients; the synthetic y = T_2 below is padded with zeros to N
+    of them, so that N, not len(y), sizes the budget `parse_curve` reads under."""
 
     # 6,001 and 5,001 digits: past the default limit, within the budget for N = 175
     BIG = F(10**6000 + 1, 3 * 10**5000 + 7)
@@ -232,7 +234,9 @@ class TestDigitBudget:
     def test_n175_document_round_trips(self):
         before = self.limit()
         z = ChebT.of({1: self.BIG, 2: -self.BIG / 7})
-        text = dumps(curve_to_dict(175, t_poly(3), ChebT.of({2: 1}), z, self.EMPTY))
+        doc = curve_to_dict(175, t_poly(3), ChebT.of({2: 1}), z, self.EMPTY)
+        doc["y"]["coeffs"] += ["0"] * 172
+        text = dumps(doc)
         assert self.limit() == before
         curve = parse_curve(json.loads(text))
         assert curve.z == z and curve.n_crossings == 175
@@ -244,6 +248,7 @@ class TestDigitBudget:
     def test_n175_file_verifies_without_a_crash(self, tmp_path, capsys):
         # the synthetic curve has one crossing, not 175: parsed, then refused with exit 2
         doc = curve_to_dict(175, t_poly(3), ChebT.of({2: 1}), ChebT.of({1: self.BIG}), self.EMPTY)
+        doc["y"]["coeffs"] += ["0"] * 172
         path = tmp_path / "n175.json"
         path.write_text(dumps(doc))
         assert cli_main(["verify", str(path)]) == 2
