@@ -5,7 +5,9 @@ Conventions (with t = 2 cos theta):
 * ``T_n(t) = 2 cos(n theta)`` -- cosine family, monic, T_0 = 2, T_1 = t,
   T_{n+1} = t T_n - T_{n-1}.
 * ``V_n(t) = sin((n+1) theta) / sin(theta)`` -- sine family, monic,
-  V_0 = 1, V_1 = t, same recurrence.
+  V_0 = 1, V_1 = t, same recurrence.  Its step t V_k = V_{k+1} + V_{k-1}
+  (`_times_t`) changes bases: `to_V` is an integer Horner in t, `to_T`
+  reads it through T_k = V_k - V_{k-2}, and synthesis builds on V with it.
 
 The map at the heart of the construction sends T_k to eps_k V_{k-1},
 where eps_k = V_{k-1}(1) is the period-6 sign table (1, 1, 0, -1, -1, 0).
@@ -20,12 +22,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Mapping, NamedTuple, Sequence, Union
 
 from .errors import NotInImage
 from .exactpoly import Poly, Rational, rat_str
-
-_CoeffMap = Mapping[int, Union[Rational, int]]
 
 _EPS_TABLE = (0, 1, 1, 0, -1, -1)
 
@@ -40,40 +41,28 @@ def eps(k: int) -> int:
 @lru_cache(maxsize=1024)
 def _family_ints(n: int, cosine: bool) -> tuple[int, ...]:
     """Integer coefficients of T_n (cosine) or V_n, in closed form: (-1)^j c_j
-    at t^(n-2j), with c_j = C(n-j, j) for V_n and n/(n-j) C(n-j, j) for T_n."""
-    if cosine and n == 0:
-        return (2,)
+    at t^(n-2j), with c_j = C(n-j, j) for V_n and n/(n-j) C(n-j, j) for T_n,
+    each (-1)^j C(n-j, j) from the one before by an exact integer ratio."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        return (2,) if cosine else (1,)
     out = [0] * (n + 1)
+    c = 1
     for j in range(n // 2 + 1):
-        c = math.comb(n - j, j)
-        out[n - 2 * j] = (-1) ** j * (n * c // (n - j) if cosine else c)
+        out[n - 2 * j] = n * c // (n - j) if cosine else c
+        c = -c * (n - 2 * j) * (n - 2 * j - 1) // ((j + 1) * (n - j))
     return tuple(out)
 
 
 def t_poly(n: int) -> Poly:
     """Monic cosine polynomial T_n as an exact monomial-basis Poly."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
     return Poly(_family_ints(n, True))
 
 
 def v_poly(n: int) -> Poly:
     """Monic sine polynomial V_n as an exact monomial-basis Poly."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
     return Poly(_family_ints(n, False))
-
-
-def _normalize(coeffs: _CoeffMap) -> tuple[tuple[int, Fraction], ...]:
-    items = []
-    for k, c in coeffs.items():
-        if k < 0:
-            raise ValueError("basis indices must be >= 0")
-        if type(c) is not Fraction:  # `_from_monomials` gives Fractions
-            c = Fraction(c)
-        if c:
-            items.append((k, c))
-    return tuple(sorted(items))
 
 
 class _ChebSeries(NamedTuple):
@@ -89,8 +78,12 @@ class _ChebSeries(NamedTuple):
         return not self == other
 
     @classmethod
-    def of(cls, coeffs: _CoeffMap):
-        return cls(_normalize(coeffs))
+    def of(cls, coeffs: Mapping[int, Union[Rational, int]]):
+        """The series of the nonzero values of {index: value}, indices >= 0."""
+        if min(coeffs, default=0) < 0:
+            raise ValueError("basis indices must be >= 0")
+        items = ((k, Fraction(c)) for k, c in coeffs.items())
+        return cls(tuple(sorted((k, c) for k, c in items if c)))
 
     @property
     def degree(self) -> int:
@@ -130,28 +123,40 @@ class ChebV(_ChebSeries):
     _cosine = False
 
 
-def _from_monomials(p: Poly, cls):
-    """Exact change of basis, monomial -> cls, by triangular back-substitution."""
-    rem = list(p.coeffs)
-    out: dict[int, Fraction] = {}
-    for d in range(len(rem) - 1, -1, -1):
-        c = rem[d]
-        if c:
-            basis = _family_ints(d, cls._cosine)
-            if d == 0:
-                c /= basis[0]  # T_0 is the constant 2
-            out[d] = c
-            for i, bc in enumerate(basis):
-                rem[i] -= c * bc
-    return cls.of(out)
+def _times_t(c: Sequence[int]) -> list[int]:
+    """t * sum c_k V_k on the V basis: t V_0 = V_1, t V_k = V_{k+1} + V_{k-1}."""
+    return list(map(add, [0, *c], [*c[1:], 0, 0]))
+
+
+def ints_on_V(ints: Sequence[int]) -> list[int]:
+    """sum ints[i] t^i on the V basis, by the integer Horner acc = t acc + c."""
+    acc = list(ints[-1:])
+    for c in ints[-2::-1]:
+        acc = _times_t(acc)
+        acc[0] += c
+    return acc
+
+
+def _convert(p: Poly, cls):
+    """p on cls's basis, over the lcm den of p's denominators: `ints_on_V` gives the
+    V coefficients b_k, and T_k = V_k - V_{k-2}, T_0 = 2 V_0 give the T ones,
+    a_k = b_k + a_{k+2}: a step-2 suffix sum, with a_0 halved."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = ints_on_V([c.numerator * (den // c.denominator) for c in p.coeffs])
+    for k in range(len(ints) - 3, -1, -1) if cls._cosine else ():
+        ints[k] += ints[k + 2]
+    return cls(tuple((k, Fraction(c, 2 * den if cls._cosine and not k else den))
+                     for k, c in enumerate(ints) if c))
 
 
 def to_T(p: Poly) -> ChebT:
-    return _from_monomials(p, ChebT)
+    """Exact change of basis, monomial -> T, through the V basis (`_convert`)."""
+    return _convert(p, ChebT)
 
 
 def to_V(p: Poly) -> ChebV:
-    return _from_monomials(p, ChebV)
+    """Exact change of basis, monomial -> V, by one integer Horner in t (`ints_on_V`)."""
+    return _convert(p, ChebV)
 
 
 def divided_difference(y: ChebT) -> ChebV:

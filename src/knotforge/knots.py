@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 from typing import NamedTuple, Optional, Sequence
 
 from . import chebyshev as cb
@@ -231,23 +230,12 @@ def build_cn(n_max: int) -> CnBasis:
 # -- deformation and height, with the planted roots factored out -----------------
 
 
-def _times_t(c: Sequence[int]) -> list[int]:
-    """t * sum c_k V_k on the V basis: t V_0 = V_1, t V_k = V_{k+1} + V_{k-1}."""
-    return list(map(add, [0, *c], [*c[1:], 0, 0]))
-
-
-def _times_node(c: Sequence[int], p: int, q: int) -> list[int]:
-    """(q^2 t^2 - p^2) * sum c_k V_k on the V basis."""
-    p2, q2 = p * p, q * q
-    return [q2 * a - p2 * b for a, b in zip(_times_t(_times_t(c)), [*c, 0, 0])]
-
-
 def _fit(known: Optional[list], first: Sequence, count: int, residue: int, den: int) -> cb.ChebV:
     """X / den on the V basis, for X = known + sum_{j<count} x_j t^{2j} first with the
     x_j that clear its V-coefficients at k = residue (mod 6); known None is t^{2 count} first."""
     cols = []
     for _ in range(count + (known is None)):
-        cols.append(_times_t(_times_t(cols[-1])) if cols else list(first))
+        cols.append(cb._times_t(cb._times_t(cols[-1])) if cols else list(first))
     known = cols.pop() if known is None else known
     cols = [col + [0] * (len(known) - len(col)) for col in cols]
     rows = range(residue, len(known), 6)
@@ -270,11 +258,9 @@ def planted_factor(nodes: NodeSet) -> tuple[int, ...]:
 
 @lru_cache(maxsize=1)
 def _planted_on_V(nodes: NodeSet) -> tuple[int, ...]:
-    """P = t prod (q_i^2 t^2 - p_i^2) on the V basis from t = V_1, kept for both solves."""
-    planted = [0, 1]
-    for d in nodes.delta:
-        planted = _times_node(planted, d.numerator, d.denominator)
-    return tuple(planted)
+    """P = `planted_factor(nodes)`, the product `certify` divides by, on the V basis
+    by the integer Horner `cb.ints_on_V`; built once per node set for both solves."""
+    return tuple(cb.ints_on_V(planted_factor(nodes)))
 
 
 def solve_deformation(nodes: NodeSet) -> cb.ChebV:
@@ -411,9 +397,9 @@ def solve_height(nodes: NodeSet) -> cb.ChebV:
     a_i = Q d_i, B_0 is their Newton interpolant in W = Q^2 v, at the
     integer abscissas W_i = a_i^2: sum c_i prod_{j<i} (Q^2 t^2 - a_j^2).
     The divided differences c_i are reduced integer pairs num/den, and
-    L B_0, for L the lcm of their denominators, is an integer Horner on
-    the V basis (`_times_node`); the fit divides L back out.  Every even
-    interpolant is B_0 + P_2 H with P_2 = t P and H even.  B lies in
+    L B_0, for L the lcm of their denominators, is an integer Horner in v
+    that `cb.ints_on_V` puts on the V basis; the fit divides L back out.
+    Every even interpolant is B_0 + P_2 H with P_2 = t P and H even.  B lies in
     span(Ct_0..Ct_n) = span(Wt_0..Wt_n) (Wt_{2j} = V_{6j},
     Wt_{2j+1} = V_{6j+4}) exactly when deg B <= deg Ct_n and its
     V-coefficients at k = 2 (mod 6) vanish: floor((n-1)/2) + 1 equations.
@@ -424,8 +410,7 @@ def solve_height(nodes: NodeSet) -> cb.ChebV:
     """
     n, m = nodes.n, (nodes.n + 1) // 2
     big_q = math.lcm(*(d.denominator for d in nodes.delta))
-    a = [0] + [d.numerator * (big_q // d.denominator) for d in nodes.delta]
-    w = [x * x for x in a]
+    w = [0] + [(d.numerator * (big_q // d.denominator)) ** 2 for d in nodes.delta]
     num, den = [(-1) ** (n + 1 + i) for i in range(n + 1)], [1] * (n + 1)
     for j in range(1, n + 1):  # Newton divided differences in W
         for i in range(n, j - 1, -1):
@@ -433,12 +418,13 @@ def solve_height(nodes: NodeSet) -> cb.ChebV:
             bottom = den[i] * den[i - 1] * (w[i] - w[i - j])
             g = math.gcd(top, bottom)
             num[i], den[i] = top // g, bottom // g
-    lcm = math.lcm(*den)
-    known = [num[n] * (lcm // den[n])]
-    for i in range(n - 1, -1, -1):  # L B_0 by Horner on the Newton form
-        known = _times_node(known, a[i], big_q)
-        known[0] += num[i] * (lcm // den[i])
-    return _fit(known + [0] * (2 * m), _times_t(_planted_on_V(nodes)), m, 2, lcm)
+    lcm, q2 = math.lcm(*den), big_q * big_q
+    half = [num[n] * (lcm // den[n])]
+    for i in range(n - 1, -1, -1):  # L B_0 by Horner on the Newton form, in v = t^2
+        half = [q2 * x - w[i] * y for x, y in zip([0, *half], [*half, 0])]
+        half[0] += num[i] * (lcm // den[i])
+    known = cb.ints_on_V([c for h in half for c in (h, 0)][:-1])
+    return _fit(known + [0] * (2 * m), cb._times_t(_planted_on_V(nodes)), m, 2, lcm)
 
 
 # -- verification -----------------------------------------------------------------

@@ -37,6 +37,7 @@ from .exactpoly import Poly, rat_str
 from .knots import CERTIFY_STAGES, Crossing, CrossingReport, NodeSet, certify, plane_degree
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_ZERO = re.compile(r"-?0+(?:/0*[1-9][0-9]*)?")  # a rational string of value 0
 # The most digits `digit_budget` lets an integer have, whatever N a file claims.
 DIGITS_CAP = 100_000
 
@@ -180,6 +181,7 @@ class StoredCurve(NamedTuple):
     """The fields of a curve document, parsed and checked."""
 
     n_crossings: int
+    bound: int  # min(N, len(y)): sets the degree cap 4 bound + 64 and `digit_budget`
     x: Poly  # a T or V series x is expanded to monomials
     y: cb.ChebT
     z: Optional[cb.ChebT]
@@ -217,8 +219,9 @@ def parse_curve(doc: Any) -> StoredCurve:
     and z are given in the T or monomial basis; and each stored crossing
     is an object with numeric "s" and "t" and a "sign" of -1, 1 or null.
     N is read first, and the rest under `digit_budget(N)`.  An N above
-    len(y), y's number of coefficients, can only fail the count (R = dd(y)
-    has fewer roots), so there len(y) takes its place in the cap and budget.
+    len(y), the count of y's coefficients up to its last nonzero one (however
+    its zeros are spelled), can only fail the count (R = dd(y) has fewer
+    roots), so there len(y) takes its place in the cap and budget.
     """
     if not isinstance(doc, dict):
         raise SchemaError("document is not an object")
@@ -230,8 +233,12 @@ def parse_curve(doc: Any) -> StoredCurve:
             or n_crossings < 1 or n_crossings % 2 == 0):
         raise SchemaError("N must be an odd positive integer")
     ys = doc["y"].get("coeffs") if isinstance(doc["y"], dict) else None
-    bound, cap = ((len(ys), "4 len(y) + 64") if isinstance(ys, list) and len(ys) < n_crossings
-                  else (n_crossings, "4N + 64"))
+    len_y = n_crossings
+    if isinstance(ys, list):
+        len_y = len(ys)
+        while len_y and isinstance(ys[len_y - 1], str) and _ZERO.fullmatch(ys[len_y - 1]):
+            len_y -= 1
+    bound, cap = (len_y, "4 len(y) + 64") if len_y < n_crossings else (n_crossings, "4N + 64")
     with digit_budget(bound):
         max_degree = 4 * bound + 64
         x = basis_from_json(doc["x"])
@@ -264,7 +271,7 @@ def parse_curve(doc: Any) -> StoredCurve:
             if sign is not None and (isinstance(sign, bool) or sign not in (-1, 1)):
                 raise SchemaError(f"crossing {i} has sign {_clip(sign)}, expected -1, 1 or null")
             crossings.append((float(c["s"]), float(c["t"]), sign))
-        return StoredCurve(n_crossings, x, y, z, nodes, tuple(crossings))
+        return StoredCurve(n_crossings, bound, x, y, z, nodes, tuple(crossings))
 
 
 def verify_curve(doc: Any) -> tuple[bool, list[str]]:
@@ -290,7 +297,7 @@ def verify_curve(doc: Any) -> tuple[bool, list[str]]:
     failure = None
     try:
         # a failure may name a node: the budget `parse_curve` read it under
-        with digit_budget(min(n_crossings, len(doc["y"]["coeffs"]))):
+        with digit_budget(curve.bound):
             report = certify(curve.y, z, n_crossings, curve.nodes)
     except CertificationFailed as exc:
         failure, report = exc, exc.report

@@ -1,10 +1,12 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from knotforge import chebyshev as cb
 from knotforge.chebyshev import (
     ChebT,
     ChebV,
@@ -96,6 +98,21 @@ class TestConversions:
         p = Poly(coeffs)
         assert to_T(p).to_poly() == p
         assert to_V(p).to_poly() == p
+
+    def test_degree_1600_monomial_round_trips(self):
+        # t^n = sum_j C(n, j) T_{n-2j}, T_0's term halved, and
+        # sum_j (C(n, j) - C(n, j-1)) V_{n-2j}; both come from one integer Horner
+        # in t, where a Fraction back-substitution took seconds
+        n, p = 1600, Poly([0] * 1600 + [1])
+        cb._family_ints.cache_clear()
+        start = time.perf_counter()
+        t_series, v_series = to_T(p), to_V(p)
+        assert t_series.to_poly() == p and v_series.to_poly() == p
+        assert time.perf_counter() - start < 3.0
+        assert dict(t_series.items) == {n - 2 * j: F(math.comb(n, j), 2 if 2 * j == n else 1)
+                                        for j in range(n // 2 + 1)}
+        assert dict(v_series.items) == {
+            n - 2 * j: math.comb(n, j) - math.comb(n, j - 1) if j else 1 for j in range(n // 2 + 1)}
 
 
 class TestEps:

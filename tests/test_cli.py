@@ -400,16 +400,60 @@ class TestVerify:
         assert run([*command, str(path)], capsys) == expected
         assert time.perf_counter() - start < 0.5
 
+    @pytest.mark.parametrize("command", [
+        pytest.param(["verify"], id="verify"),
+        pytest.param(["export", "--csv", "--samples", "50"], id="export"),
+    ])
+    @pytest.mark.parametrize("zero", ["0", "-0/3"])
+    def test_padded_y_sizes_nothing(self, tmp_path, capsys, fixture_n9_path, command, zero):
+        # the same claim with x = T_10000 and y padded with 10,000 zeros: len(y)
+        # counts up to y's last nonzero coefficient, -27/10, however the zeros
+        # are spelled, so the cap stays 124 and x is refused unexpanded
+        with open(fixture_n9_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["N"], doc["x"] = 10**9 + 1, {"basis": "T", "coeffs": ["0"] * 10000 + ["1"]}
+        doc["y"]["coeffs"] += [zero] * 10000
+        path = tmp_path / "padded.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        what = "bad schema" if command == ["verify"] else "bad curve file"
+        assert run([*command, str(path)], capsys) == (
+            1, "", f"knotforge {command[0]}: {what}: x has degree 10000, above the cap "
+                   "4 len(y) + 64 = 124\n")
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("command,expected", [
+        pytest.param(["verify"], (2, "ok   x = T_3\nFAIL R has degree 1599, fewer than 1601 "
+                                     "roots in (-2, 2)\nNOT VERIFIED\n", ""), id="verify"),
+        pytest.param(["export", "--csv", "--samples", "50"],
+                     (1, "", "knotforge export: bad curve file: a y coefficient is beyond the "
+                      "double range\n"), id="export"),
+    ])
+    def test_monomial_y_converts_fast(self, tmp_path, capsys, fixture_n9_path, command,
+                                      expected):
+        # N = 1601 with y the monomial t^1600, under the cap: its change into the
+        # T basis is one integer Horner in t and a suffix sum, where a Fraction
+        # back-substitution took seconds
+        with open(fixture_n9_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["N"], doc["y"] = 1601, {"basis": "monomial", "coeffs": ["0"] * 1600 + ["1"]}
+        path = tmp_path / "monomial_y.json"
+        path.write_text(json.dumps(doc))
+        cb._family_ints.cache_clear()
+        start = time.perf_counter()
+        assert run([*command, str(path)], capsys) == expected
+        assert time.perf_counter() - start < 1.0
+
     def test_high_degree_x_export_fails_fast(self, tmp_path, capsys):
         # under the cap 4N + 64 = 804 of N = 185, x = T_800 is expanded once:
         # its closed-form integer coefficients, not a recurrence on rational
-        # polynomials (y is padded with zeros to N coefficients, so that N,
-        # not len(y), sets the cap)
+        # polynomials (y ends in a T_186 term, so that N, not len(y), sets the
+        # cap; T_186 is in the kernel of the divided difference, so R is kept)
         out = tmp_path / "n21.json"
         run(["gen", "--n", "21", "--out", str(out)], capsys)
         doc = json.loads(out.read_text())
         doc["N"], doc["x"] = 185, {"basis": "T", "coeffs": ["0"] * 800 + ["1"]}
-        doc["y"]["coeffs"] += ["0"] * (185 - len(doc["y"]["coeffs"]))
+        doc["y"]["coeffs"] += ["0"] * (186 - len(doc["y"]["coeffs"])) + ["1"]
         path = tmp_path / "x800.json"
         path.write_text(json.dumps(doc))
         cb._family_ints.cache_clear()

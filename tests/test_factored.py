@@ -397,12 +397,12 @@ class TestHotPath:
     @pytest.mark.parametrize("n", [1, 4, 10, 25])
     def test_deformation_walks_the_columns_once(self, monkeypatch, n):
         # P t^{2j} for j <= m = floor(n/2) is one walk of 2m multiplications by t,
-        # after the n node factors of P, two each
-        calls, real = [], knots._times_t
-        monkeypatch.setattr(knots, "_times_t", lambda c: calls.append(len(c)) or real(c))
+        # after the Horner that puts P, of degree 2n + 1, on the V basis
+        calls, real = [], cb._times_t
+        monkeypatch.setattr(cb, "_times_t", lambda c: calls.append(len(c)) or real(c))
         knots._planted_on_V.cache_clear()
         solve_deformation(default_nodes(n, F(1, 4)))
-        assert len(calls) == 2 * n + 2 * (n // 2)
+        assert len(calls) == (2 * n + 1) + 2 * (n // 2)
 
     def test_planted_factor_is_built_once_per_candidate(self, monkeypatch):
         # both solves of a node set read one P on the V basis; three candidates

@@ -42,7 +42,7 @@ RECORDS = {
         1, ((1, 2, 4),), ((0.6, 1.0, -1.0, 1.5),), (2,), 0.5, True, F(1, 4), last),
     "PadeApproximant": lambda last=2: PadeApproximant(1, 1, Poly([0, 1]), Poly([1, last])),
     "StoredCurve": lambda last=((-1.0, 1.0, -1),): StoredCurve(
-        3, t_poly(3), series(), None, None, last),
+        3, 3, t_poly(3), series(), None, None, last),
 }
 CHANGED = {"ChebT": F(5), "ChebV": F(5), "CnBasis": F(2), "NodeSet": None, "PlaneCurve": F(5),
            "SpaceCurve": F(5), "Crossing": 1, "CrossingReport": None, "PadeApproximant": 3,
@@ -59,7 +59,7 @@ FIELDS = {
                         "signs_alternate", "epsilon", "nodes"),
                        {"signs_alternate": None, "epsilon": None, "nodes": None}),
     "PadeApproximant": (("n", "m", "p", "q"), {}),
-    "StoredCurve": (("n_crossings", "x", "y", "z", "nodes", "crossings"), {}),
+    "StoredCurve": (("n_crossings", "bound", "x", "y", "z", "nodes", "crossings"), {}),
 }
 
 

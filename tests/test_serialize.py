@@ -218,8 +218,11 @@ class TestVerifyCurve:
 class TestDigitBudget:
     """Coefficients past CPython's 4,300-digit string limit, as `gen` writes them from
     N = 175 on, are written and read under a budget derived from N.  A `gen` y has
-    more than N coefficients; the synthetic y = T_2 below is padded with zeros to N
-    of them, so that N, not len(y), sizes the budget `parse_curve` reads under."""
+    more than N coefficients; the synthetic y = T_2 + T_174 below has N of them, so
+    that N, not len(y), sizes the budget `parse_curve` reads under, and its R is
+    that of T_2 (T_174 is in the kernel of the divided difference)."""
+
+    Y = ChebT.of({2: 1, 174: 1})
 
     # 6,001 and 5,001 digits: past the default limit, within the budget for N = 175
     BIG = F(10**6000 + 1, 3 * 10**5000 + 7)
@@ -234,8 +237,7 @@ class TestDigitBudget:
     def test_n175_document_round_trips(self):
         before = self.limit()
         z = ChebT.of({1: self.BIG, 2: -self.BIG / 7})
-        doc = curve_to_dict(175, t_poly(3), ChebT.of({2: 1}), z, self.EMPTY)
-        doc["y"]["coeffs"] += ["0"] * 172
+        doc = curve_to_dict(175, t_poly(3), self.Y, z, self.EMPTY)
         text = dumps(doc)
         assert self.limit() == before
         curve = parse_curve(json.loads(text))
@@ -247,8 +249,7 @@ class TestDigitBudget:
 
     def test_n175_file_verifies_without_a_crash(self, tmp_path, capsys):
         # the synthetic curve has one crossing, not 175: parsed, then refused with exit 2
-        doc = curve_to_dict(175, t_poly(3), ChebT.of({2: 1}), ChebT.of({1: self.BIG}), self.EMPTY)
-        doc["y"]["coeffs"] += ["0"] * 172
+        doc = curve_to_dict(175, t_poly(3), self.Y, ChebT.of({1: self.BIG}), self.EMPTY)
         path = tmp_path / "n175.json"
         path.write_text(dumps(doc))
         assert cli_main(["verify", str(path)]) == 2
