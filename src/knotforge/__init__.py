@@ -27,7 +27,6 @@ from .errors import (
     InternalInconsistency,
     KnotforgeError,
     NotInImage,
-    OrderingViolation,
     SingularSystem,
     ZeroPolynomial,
 )
@@ -49,7 +48,6 @@ from .knots import (
     certify,
     crossing_oracle,
     crossings,
-    lift_plane,
     planted_factor,
     solve_deformation,
     solve_height,
@@ -64,12 +62,12 @@ __all__ = [
     "ChebT", "ChebV", "divided_difference", "eps", "lift_from_V", "t_poly",
     "to_T", "to_V", "v_poly", "w_index", "wtilde_index",
     "CertificationFailed", "EpsilonExhausted", "InternalInconsistency", "KnotforgeError",
-    "NotInImage", "OrderingViolation", "SingularSystem", "ZeroPolynomial",
+    "NotInImage", "SingularSystem", "ZeroPolynomial",
     "LocatedRoots", "Poly", "Rational", "locate_roots", "rat_str",
     "CnBasis", "Crossing", "CrossingReport", "NodeSet",
     "PlaneCurve", "SpaceCurve", "build_cn", "certify",
     "crossing_oracle", "crossings",
-    "lift_plane", "planted_factor", "solve_deformation", "solve_height",
+    "planted_factor", "solve_deformation", "solve_height",
     "synthesize",
     "PadeApproximant", "pade", "PhiSeries", "phi",
     "__version__",

@@ -37,7 +37,3 @@ class CertificationFailed(KnotforgeError):
         super().__init__(message)
         self.stage = stage
         self.report = report
-
-
-class OrderingViolation(KnotforgeError):
-    """The crossing parameters failed the required global ordering."""

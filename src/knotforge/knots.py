@@ -51,7 +51,6 @@ from .errors import (
     CertificationFailed,
     EpsilonExhausted,
     InternalInconsistency,
-    OrderingViolation,
     SingularSystem,
 )
 from .exactpoly import (
@@ -285,16 +284,7 @@ def default_nodes(n: int, epsilon: Fraction) -> NodeSet:
     return NodeSet(n, tuple(epsilon * Fraction(i, n + 1) for i in range(1, n + 1)), epsilon)
 
 
-# -- lifting to the curve -----------------------------------------------------------
-
-
-def lift_plane(a_series: cb.ChebV, n_crossings: int) -> PlaneCurve:
-    """Lift a certified deformation, on the V basis, to the plane curve (T_3(t), y(t))."""
-    y = cb.lift_from_V(a_series)
-    expected = plane_degree(n_crossings)
-    if y.degree != expected:
-        raise InternalInconsistency(f"deg y = {y.degree}, expected {expected}")
-    return PlaneCurve(cb.t_poly(3), y)
+# -- crossings ----------------------------------------------------------------------
 
 
 def _parameter_bounds(cell: tuple[int, int, int], depth: int, sign: int) -> tuple[int, int, int]:
@@ -330,7 +320,7 @@ def _certify_ordering(located: LocatedRoots, depths: Sequence[int],
     `_parameter_bounds`, built when first asked for; overlapping ones are
     taken one level deeper and compared again, down to width 2^-DEEP_BITS.
     Disjoint enclosures in the wrong order, or a pair still overlapping at
-    that width, raise OrderingViolation.
+    that width, fail the ordering stage: CertificationFailed(..., "ordering").
     """
     n = len(depths)
     ks = list(depths)
@@ -351,18 +341,18 @@ def _certify_ordering(located: LocatedRoots, depths: Sequence[int],
                 break
             pair = f"{'st'[si > 0]}_{i + 1} and {'st'[sj > 0]}_{j + 1}"
             if a_lo << eb > b_hi << ea:
-                raise OrderingViolation(f"parameters {pair} are out of order")
+                raise CertificationFailed(f"parameters {pair} are out of order", "ordering")
             for r in {i, j}:
                 low, high, den = located.ends(r, ks[r])
                 if (high - low) << DEEP_BITS <= den:
-                    raise OrderingViolation(
-                        f"parameters {pair} not separated at width 2^-{DEEP_BITS}")
+                    raise CertificationFailed(
+                        f"parameters {pair} not separated at width 2^-{DEEP_BITS}", "ordering")
                 ks[r] += 1
                 bounds[r::n] = [None, None]
 
 
-def crossings(located: LocatedRoots, n_crossings: int) -> CrossingReport:
-    """Locate the N crossings of the lifted curve from the roots of R in (-2, 2).
+def crossings(located: LocatedRoots) -> CrossingReport:
+    """The crossings at the N = len(located) roots of R in (-2, 2) that `certify` counted.
 
     The report keeps the cells of `LocatedRoots.cells(ROOT_DEPTH)`, at most
     2^-48 wide, their depths and ends (l, h, d), and no Fraction: the double
@@ -370,13 +360,11 @@ def crossings(located: LocatedRoots, n_crossings: int) -> CrossingReport:
     s = 2 cos(alpha + pi/3), t = 2 cos(alpha - pi/3) in floats.  The
     2N-way ordering s_1 < ... < s_N < t_1 < ... < t_N is proved by the
     monotonicity of s and t on [-1, 1], on rational enclosures only for pairs
-    outside it (`_certify_ordering`), else OrderingViolation; the float
-    `ordering_margin`, the smallest gap of that sequence, is a diagnostic.
+    outside it (`_certify_ordering`), else the "ordering" stage fails; the
+    float `ordering_margin`, the smallest gap of that sequence, is a diagnostic.
     """
     depths = located.cells(ROOT_DEPTH)
-    if len(depths) != n_crossings:
-        raise OrderingViolation(f"found {len(depths)} crossings, expected {n_crossings}")
-    cells = tuple(map(located.ends, range(n_crossings), depths))
+    cells = tuple(map(located.ends, range(len(located)), depths))
     _certify_ordering(located, depths, cells)
     out = []
     for low, high, den in cells:
@@ -386,7 +374,7 @@ def crossings(located: LocatedRoots, n_crossings: int) -> CrossingReport:
                     2.0 * math.cos(alpha - math.pi / 3.0)))
     seq = [s for _, _, s, _ in out] + [t for _, _, _, t in out]
     margin = min((b - a for a, b in zip(seq, seq[1:])), default=math.inf)
-    return CrossingReport(n_crossings, cells, tuple(out), tuple(depths), margin)
+    return CrossingReport(len(located), cells, tuple(out), tuple(depths), margin)
 
 
 def solve_height(nodes: NodeSet) -> cb.ChebV:
@@ -446,8 +434,8 @@ def certify(
       R's top V index, fails at once, before R is expanded or isolated;
     - nodes: when planted nodes are given, 2n + 1 = N and every planted
       root is an exact root of R;
-    - ordering: the crossings are located and their parameters proved
-      ordered (see `crossings`);
+    - ordering: `crossings` locates the N counted roots and proves their
+      parameters ordered, raising this stage's CertificationFailed itself;
     - space: when z is present, z(t) - z(s) = (t - s) dd(z)(u) with
       t - s = sqrt(12 - 3u^2) > 0, so the sign at a crossing is that of
       dd(z) at its root u, which must be (-1)^i: decided by
@@ -510,10 +498,7 @@ def certify(
             if _horner(r, u.numerator, u.denominator):
                 raise CertificationFailed(f"stored node {rat_str(u)} is not a root of R", "nodes")
 
-    try:
-        report = crossings(located, n_crossings)
-    except OrderingViolation as exc:
-        raise CertificationFailed(str(exc), "ordering") from exc
+    report = crossings(located)
     if z is None:
         return report
 
@@ -541,7 +526,8 @@ def synthesize(
     Parameters
     ----------
     n_crossings : odd N >= 1
-    epsilon : starting node scale for the automatic search (default 1/4)
+    epsilon : starting node scale for the automatic search (default 1/4), in
+        0 < epsilon < (n + 1) / n, where every node lies in (0, 1); else ValueError
     nodes : explicit positive abscissae; skips the automatic search, and
         a failure then propagates instead of retrying
 
@@ -565,23 +551,26 @@ def synthesize(
                               Fraction(epsilon) if epsilon is not None else None)]
     else:
         eps_val = Fraction(epsilon) if epsilon is not None else Fraction(1, 4)
+        bound = f" < {rat_str(Fraction(n + 1, n))}" if n else ""  # d_n = epsilon n / (n + 1) < 1
+        if eps_val <= 0 or n and eps_val >= Fraction(n + 1, n):
+            raise ValueError(f"epsilon must satisfy 0 < epsilon{bound} for N = {n_crossings}, "
+                             f"got {rat_str(eps_val)}")
         candidates = (default_nodes(n, eps_val / 2**k) for k in range(MAX_HALVINGS + 1))
 
     for node_set in candidates:
         try:
-            a_series, b_series = solve_deformation(node_set), solve_height(node_set)
-            plane = lift_plane(a_series, n_crossings)
-            z = cb.lift_from_V(b_series)
-            if z.degree != height_degree(n_crossings):
-                raise InternalInconsistency(
-                    f"deg z = {z.degree}, expected {height_degree(n_crossings)}"
-                )
-            report = certify(plane.y, z, n_crossings, node_set)
+            y, z = (cb.lift_from_V(solve(node_set)) for solve in (solve_deformation, solve_height))
+            for name, f, expected in (("y", y, plane_degree(n_crossings)),
+                                      ("z", z, height_degree(n_crossings))):
+                if f.degree != expected:
+                    raise InternalInconsistency(f"deg {name} = {f.degree}, expected {expected}")
+            report = certify(y, z, n_crossings, node_set)
         except (SingularSystem, CertificationFailed):
             if nodes is not None:
                 raise
             continue
-        return SpaceCurve(plane, z), report._replace(epsilon=node_set.epsilon, nodes=node_set.delta)
+        return (SpaceCurve(PlaneCurve(cb.t_poly(3), y), z),
+                report._replace(epsilon=node_set.epsilon, nodes=node_set.delta))
     raise EpsilonExhausted(f"no certified node set for n={n} after {MAX_HALVINGS} halvings")
 
 

@@ -13,7 +13,7 @@ the library passes.
 
 from typing import Sequence
 
-from knotforge.errors import OrderingViolation
+from knotforge.errors import CertificationFailed
 from knotforge.exactpoly import LocatedRoots
 from knotforge.knots import _parameter_bounds
 
@@ -26,7 +26,7 @@ def certify_ordering(located: LocatedRoots, depths: Sequence[int],
     depths[i].  When two neighboring enclosures overlap, their cells are
     taken one level deeper and the pair compared again, down to width
     2^-200.  Disjoint enclosures in the wrong order, or a pair still
-    overlapping at that width, raise OrderingViolation.
+    overlapping at that width, raise CertificationFailed(..., "ordering").
     """
     n = len(depths)
     ks = list(depths)
@@ -40,11 +40,12 @@ def certify_ordering(located: LocatedRoots, depths: Sequence[int],
                 break
             pair = f"{'st'[si > 0]}_{i + 1} and {'st'[sj > 0]}_{j + 1}"
             if a_lo << eb > b_hi << ea:
-                raise OrderingViolation(f"parameters {pair} are out of order")
+                raise CertificationFailed(f"parameters {pair} are out of order", "ordering")
             for r in {i, j}:
                 low, high, den = located.ends(r, ks[r])
                 if (high - low) << 200 <= den:
-                    raise OrderingViolation(f"parameters {pair} not separated at width 2^-200")
+                    raise CertificationFailed(f"parameters {pair} not separated at width 2^-200",
+                                              "ordering")
                 ks[r] += 1
                 bounds[r::n] = [_parameter_bounds(located.ends(r, ks[r]), ks[r], s)
                                 for s in (-1, 1)]

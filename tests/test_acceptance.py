@@ -96,7 +96,7 @@ def test_criterion_2_nine_crossing_fixture():
     with _Timer(5.0) as t:
         r_ints, _ = divided_difference(FIXTURE_Y).integer_form()
         assert len(locate_roots(r_ints, -2, 2)) == 9        # certified path
-        report = crossings(locate_roots(r_ints, -2, 2), 9)  # ordering + margin
+        report = crossings(locate_roots(r_ints, -2, 2))  # ordering + margin
         assert len(report.crossings) == 9
         assert report.ordering_margin > 1e-8
         seq = [c.s for c in report.crossings] + [c.t for c in report.crossings]

@@ -89,6 +89,16 @@ class TestGen:
         assert doc["epsilon"] == "1/8"
         assert doc["nodes"] == ["1/24", "1/12"]  # eps * i/(n+1) for n = 2
 
+    @pytest.mark.parametrize("epsilon, bound", [
+        ("2", "0 < epsilon < 3/2 for N = 5, got 2"),
+        ("0", "0 < epsilon < 3/2 for N = 5, got 0"),
+        ("-1/4", "0 < epsilon < 3/2 for N = 5, got -1/4"),
+    ])
+    def test_epsilon_with_no_node_set_is_usage_error(self, capsys, epsilon, bound):
+        # d_2 = 2 epsilon / 3 must lie in (0, 1): the refusal names epsilon, not nodes
+        code, out, err = run(["gen", "--n", "5", f"--epsilon={epsilon}"], capsys)
+        assert (code, out, err) == (1, "", f"knotforge gen: error: epsilon must satisfy {bound}\n")
+
     @pytest.mark.parametrize("value", ["0.x", "1e-1", "0.1", "1e100000000"])
     @pytest.mark.parametrize("flag", ["--nodes", "--epsilon"])
     def test_bad_nodes_string(self, capsys, flag, value):
@@ -340,6 +350,22 @@ class TestVerify:
         assert code == 2
         assert stdout == ("ok   x = T_3\nFAIL R has a repeated root in (-2, 2): "
                           "a crossing is not transverse\nNOT VERIFIED\n")
+
+    def test_unordered_parameters_fail(self, tmp_path, capsys):
+        # R has the seven roots 0, +-sqrt(3/2), +-sqrt(9/5), +-sqrt(27/10); three lie
+        # below -1, where s falls, so s_1 > s_2 and the ordering stage fails
+        doc = {
+            "N": 7, "epsilon": None, "nodes": None,
+            "x": {"basis": "monomial", "coeffs": ["0", "-3", "0", "1"]},
+            "y": {"basis": "T", "coeffs": ["0", "0", "-7/100", "0", "-161/100", "0", "0", "0", "1"]},
+            "z": None, "crossings": [], "certified": True,
+        }
+        path = tmp_path / "unordered.json"
+        path.write_text(json.dumps(doc))
+        code, stdout, _ = run(["verify", str(path)], capsys)
+        assert code == 2
+        assert stdout == ("ok   x = T_3\nok   R has exactly 7 roots in (-2, 2) [exact]\n"
+                          "FAIL ordering: parameters s_1 and s_2 are out of order\nNOT VERIFIED\n")
 
     def test_high_degree_x_fails_without_expansion(self, tmp_path, capsys, fixture_n9_path):
         # x = T_40000, a 240 KB file, is above the cap 4N + 64 = 100 of N = 9:

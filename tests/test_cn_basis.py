@@ -1,11 +1,13 @@
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from c_basis_reference import build_cn_tilde, build_cn_triangular
 from knotforge.chebyshev import to_V, w_index, wtilde_index
+from knotforge.errors import InternalInconsistency
 from knotforge.exactpoly import Poly, _primitive_ints, locate_roots
-from knotforge.knots import build_cn
+from knotforge.knots import _validate_cn, build_cn
 
 T = Poly([0, 1])
 
@@ -90,6 +92,22 @@ class TestStructuralInvariants:
     def test_w_leading_coordinate_is_one(self, basis):
         for j in range(11):
             assert basis.cn_w[j][j] == 1
+
+    # each candidate passes the checks before the one it fails; "a V_k component
+    # outside W_0..W_j" follows from the degree, parity and mod-3 checks, so no
+    # candidate reaches it
+    @pytest.mark.parametrize("j, coeffs, message", [
+        pytest.param(1, [0, 0, 0, 0, 1], "C_1 has degree 4, expected 3", id="degree"),
+        pytest.param(0, [1, 1], "C_0 is not odd", id="parity"),
+        pytest.param(1, [0, 1, 0, 1], "t^3 does not divide C_1", id="vanishing"),
+        pytest.param(2, [0, 0, 0, 0, 0, -1, 0, 1], "cofactor of C_2 has a root in [-2, 2]",
+                     id="cofactor"),
+        pytest.param(2, [0, 0, 0, 0, 0, 1, 0, 1],
+                     "C_2 has a V_5 component (index = 2 mod 3)", id="v-support"),
+    ])
+    def test_self_checks_reject(self, j, coeffs, message):
+        with pytest.raises(InternalInconsistency, match=f"^{re.escape(message)}$"):
+            _validate_cn(j, Poly(coeffs))
 
 
 class TestDualPath:

@@ -9,12 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 import knotforge
 from c_basis_reference import build_cn_tilde, triangular_coordinates
 from knotforge import exactpoly, knots
-from knotforge.chebyshev import divided_difference, lift_from_V, to_V
+from knotforge.chebyshev import ChebV, divided_difference, lift_from_V, t_poly, to_V
 from knotforge.errors import (
     CertificationFailed,
     EpsilonExhausted,
+    InternalInconsistency,
     NotInImage,
-    OrderingViolation,
     SingularSystem,
 )
 from knotforge.exactpoly import (
@@ -27,12 +27,12 @@ from knotforge.exactpoly import (
 )
 from knotforge.knots import (
     NodeSet,
+    PlaneCurve,
     build_cn,
     certify,
     crossings,
     default_nodes,
     height_degree,
-    lift_plane,
     plane_degree,
     solve_deformation,
     solve_height,
@@ -251,28 +251,27 @@ class TestEpsilonLoop:
 class TestPlaneLift:
     def test_trefoil_lift(self):
         poly = Poly([0, F(-1, 64), 0, 1])
-        plane = lift_plane(to_V(poly), 3)
+        plane = PlaneCurve(t_poly(3), lift_from_V(to_V(poly)))
         assert plane.x == Poly([0, -3, 0, 1])
         assert dict(plane.y.items) == {2: F(127, 64), 4: F(-1)}
-        assert plane.x.degree == 3 and plane.y.degree == 4
+        assert plane.x.degree == 3 and plane.y.degree == plane_degree(3)
 
     def test_undeformed_cubic(self):
-        plane = lift_plane(to_V(Poly([0, 0, 0, 1])), 3)
-        assert dict(plane.y.items) == {2: F(2), 4: F(-1)}
+        y = lift_from_V(to_V(Poly([0, 0, 0, 1])))
+        assert dict(y.items) == {2: F(2), 4: F(-1)}
 
     def test_divided_difference_inverts_lift(self):
         poly = Poly([0, F(-1, 64), 0, 1])
-        plane = lift_plane(to_V(poly), 3)
-        assert divided_difference(plane.y).to_poly() == poly
+        assert divided_difference(lift_from_V(to_V(poly))).to_poly() == poly
 
     def test_rejects_non_image(self):
         with pytest.raises(NotInImage):
-            lift_plane(to_V(Poly([0, 0, 1])), 1)  # even poly has V_2 part
+            lift_from_V(to_V(Poly([0, 0, 1])))  # even poly has V_2 part
 
 
 class TestCrossings:
     def test_trefoil_middle_crossing(self):
-        report = crossings(locate_roots((0, -1, 0, 64), -2, 2), 3)
+        report = crossings(locate_roots((0, -1, 0, 64), -2, 2))
         mid = report.crossings[1]
         assert mid.u == pytest.approx(0.0, abs=1e-12)
         assert mid.alpha == pytest.approx(math.pi / 2, abs=1e-12)
@@ -280,14 +279,14 @@ class TestCrossings:
         assert mid.t == pytest.approx(math.sqrt(3), abs=1e-12)
 
     def test_x_coincidence_at_middle(self):
-        report = crossings(locate_roots((0, 1), -2, 2), 1)
+        report = crossings(locate_roots((0, 1), -2, 2))
         c = report.crossings[0]
         x = Poly([0, -3, 0, 1])
         xs, xt = x.eval_float([c.s, c.t])
         assert abs(xs - xt) < 1e-12
 
     def test_ordering_flags(self):
-        report = crossings(locate_roots((0, -1, 0, 64), -2, 2), 3)
+        report = crossings(locate_roots((0, -1, 0, 64), -2, 2))
         assert len(report.crossings) == 3
         seq = [c.s for c in report.crossings] + [c.t for c in report.crossings]
         assert seq == sorted(seq)
@@ -297,22 +296,22 @@ class TestCrossings:
     def test_ordering_proved_below_the_float_margin(self):
         # at e = 2^-150 the proof takes the cells past 2^-150 wide, above the 2^-200 stop
         for e in (F(1, 2**60), F(1, 2**150)):
-            report = crossings(locate_roots(ints(Poly([-3 + e, 0, 1])), -2, 2), 2)
+            report = crossings(locate_roots(ints(Poly([-3 + e, 0, 1])), -2, 2))
             assert [c.u_hi - c.u_lo <= F(1, 2**48) for c in report.crossings] == [True, True]
             assert report.ordering_margin < 1e-8  # far below what the float diagnostic resolves
 
     def test_ordering_violation_below_the_float_margin(self):
-        with pytest.raises(OrderingViolation, match="parameters s_2 and t_1 are out of order"):
-            crossings(locate_roots(ints(Poly([-3 - F(1, 2**60), 0, 1])), -2, 2), 2)
+        with pytest.raises(CertificationFailed, match="parameters s_2 and t_1 are out of order"):
+            crossings(locate_roots(ints(Poly([-3 - F(1, 2**60), 0, 1])), -2, 2))
 
     def test_coincident_parameters_are_not_separated(self):
-        with pytest.raises(OrderingViolation, match="s_2 and t_1 not separated at width 2"):
-            crossings(locate_roots((-3, 0, 1), -2, 2), 2)
+        with pytest.raises(CertificationFailed, match="s_2 and t_1 not separated at width 2"):
+            crossings(locate_roots((-3, 0, 1), -2, 2))
 
     def test_roots_below_minus_one_reverse_s(self):
         # s falls on (-2, -1), so two roots there give s_1 > s_2
-        with pytest.raises(OrderingViolation, match="parameters s_1 and s_2 are out of order"):
-            crossings(locate_roots((54, 75, 25), -2, 2), 2)  # (u + 9/5)(u + 6/5)
+        with pytest.raises(CertificationFailed, match="parameters s_1 and s_2 are out of order"):
+            crossings(locate_roots((54, 75, 25), -2, 2))  # (u + 9/5)(u + 6/5)
 
     @given(
         lo=st.fractions(F(-2), F(2), max_denominator=2**20),
@@ -355,8 +354,8 @@ class TestCrossings:
         chain = SturmChain(a_poly)
         assert root_free(exact_quotient(ints(a_poly), knots.planted_factor(node_set)), -2, 2)
         planted = LocatedRoots(node_set.all_roots(), F(-2), F(2))
-        report = crossings(planted, 2 * n + 1)
-        assert report == crossings(locate_roots(ints(a_poly), -2, 2), 2 * n + 1)
+        report = crossings(planted)
+        assert report == crossings(locate_roots(ints(a_poly), -2, 2))
         width = F(4, 2**knots.ROOT_DEPTH)
         cells = [refine(chain, iv, width) for iv in isolate_roots(chain, -2, 2)]
         assert [(c.u_lo, c.u_hi) for c in report.crossings] == [(iv.lo, iv.hi) for iv in cells]
@@ -364,7 +363,7 @@ class TestCrossings:
     def test_planted_roots_locate_without_bisection(self, monkeypatch):
         node_set = NodeSet(3, (F(1, 8), F(1, 4), F(1, 2)))
         a_poly = solve_deformation(node_set).to_poly()
-        expected = crossings(locate_roots(ints(a_poly), -2, 2), 7)
+        expected = crossings(locate_roots(ints(a_poly), -2, 2))
         planted = LocatedRoots(node_set.all_roots(), F(-2), F(2))
 
         def bisection(*args):
@@ -372,7 +371,7 @@ class TestCrossings:
 
         monkeypatch.setattr(knots, "locate_roots", bisection)
         monkeypatch.setattr(exactpoly, "squarefree", bisection)
-        assert crossings(planted, 7) == expected
+        assert crossings(planted) == expected
         # nor does gen, whose R is certified on its planted roots
         assert synthesize(21)[1].n_crossings == 21
 
@@ -407,7 +406,7 @@ class TestCrossings:
         monkeypatch.setattr(LocatedRoots, "_narrow", bisection)
         monkeypatch.setattr(knots, "locate_roots", bisection)
         monkeypatch.setattr(exactpoly, "squarefree", bisection)
-        crossings(LocatedRoots((F(-11, 7), F(-2, 7) + F(1, 2**62)), -2, 2), 2)
+        crossings(LocatedRoots((F(-11, 7), F(-2, 7) + F(1, 2**62)), -2, 2))
         assert len(enclosures) > 2 * 2
         # nodes 2^-62 apart in (-1, 1) are ordered by monotonicity, with no enclosure
         enclosures.clear()
@@ -421,12 +420,13 @@ class TestCrossings:
 
     @staticmethod
     def _ordering(roots, reference=False):
-        """None, or the OrderingViolation message, of `crossings` on planted roots."""
+        """None, or the ordering stage's failure message, of `crossings` on planted roots."""
         with mock.patch.object(knots, "_certify_ordering",
                                certify_ordering if reference else knots._certify_ordering):
             try:
-                crossings(LocatedRoots(roots, -2, 2), len(roots))
-            except OrderingViolation as exc:
+                crossings(LocatedRoots(roots, -2, 2))
+            except CertificationFailed as exc:
+                assert exc.stage == "ordering"
                 return str(exc)
         return None
 
@@ -525,6 +525,35 @@ class TestSynthesize:
     def test_rejects_even(self):
         with pytest.raises(ValueError):
             synthesize(4)
+
+    @pytest.mark.parametrize("solve, message", [
+        ("solve_deformation", "deg y = 10, expected 14"),
+        ("solve_height", "deg z = 11, expected 13"),
+    ])
+    def test_lift_degree_self_checks(self, monkeypatch, solve, message):
+        # a solve that loses its top V term lifts to a curve of the wrong degree
+        original = getattr(knots, solve)
+        monkeypatch.setattr(knots, solve, lambda nodes: ChebV(original(nodes).items[:-1]))
+        with pytest.raises(InternalInconsistency, match=f"^{message}$"):
+            synthesize(9)
+
+    @pytest.mark.parametrize("n, epsilon, message", [
+        (5, F(3, 2), "0 < epsilon < 3/2 for N = 5, got 3/2"),
+        (5, 0, "0 < epsilon < 3/2 for N = 5, got 0"),
+        (9, F(-1, 4), "0 < epsilon < 5/4 for N = 9, got -1/4"),
+        (1, 0, "0 < epsilon for N = 1, got 0"),
+    ])
+    def test_rejects_a_start_scale_with_no_node_set(self, monkeypatch, n, epsilon, message):
+        # d_n = epsilon n / (n + 1) < 1 needs epsilon < (n + 1) / n; refused before any
+        # solve, which here would raise TypeError
+        monkeypatch.setattr(knots, "solve_deformation", None)
+        with pytest.raises(ValueError, match=f"^epsilon must satisfy {message}$"):
+            synthesize(n, epsilon=epsilon)
+
+    def test_largest_start_scales_below_the_bound_certify(self):
+        for n, epsilon in ((1, 7), (5, F(149, 100))):
+            _, report = synthesize(n, epsilon=epsilon)
+            assert report.signs_alternate and all(0 < d < 1 for d in report.nodes)
 
     def test_explicit_nodes(self):
         curve, report = synthesize(3, nodes=[F(1, 8)])
