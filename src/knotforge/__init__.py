@@ -54,7 +54,7 @@ from .knots import (
     synthesize,
 )
 from .pade import PadeApproximant, pade
-from .stieltjes import PhiSeries, phi
+from .stieltjes import phi, phi_coefficients
 
 __version__ = "0.1.0"
 
@@ -69,6 +69,6 @@ __all__ = [
     "crossing_oracle", "crossings",
     "planted_factor", "solve_deformation", "solve_height",
     "synthesize",
-    "PadeApproximant", "pade", "PhiSeries", "phi",
+    "PadeApproximant", "pade", "phi", "phi_coefficients",
     "__version__",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from itertools import islice
 from typing import Optional, Sequence
 
 from . import serialize, svg
@@ -18,7 +19,7 @@ from .exactpoly import Poly, rat_str, signed_sum
 from .knots import build_cn, synthesize
 from .pade import pade
 from .serialize import SchemaError
-from .stieltjes import phi
+from .stieltjes import phi, phi_coefficients
 
 USAGE_EXIT = 1
 CERT_EXIT = 2
@@ -42,8 +43,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="synthesize a certified curve", parents=[], add_help=True)
     gen.add_argument("--n", type=int, required=True, metavar="N", help="odd number of crossings")
-    gen.add_argument("--epsilon", metavar="p/q", help="starting node scale (default 1/4)")
-    gen.add_argument("--nodes", metavar="LIST", help="comma-separated explicit nodes, e.g. 1/16,1/8")
+    grp = gen.add_mutually_exclusive_group()  # explicit nodes run no search
+    grp.add_argument("--epsilon", metavar="p/q", help="starting node scale (default 1/4)")
+    grp.add_argument("--nodes", metavar="LIST", help="comma-separated explicit nodes, e.g. 1/16,1/8")
     gen.add_argument("--out", metavar="FILE", help="output path (default: stdout)")
 
     ver = sub.add_parser("verify", help="re-derive every certificate of a stored curve")
@@ -159,8 +161,13 @@ def _cmd_phi(args) -> int:
     if args.count < 1:
         print("knotforge phi: error: --count must be >= 1", file=sys.stderr)
         return USAGE_EXIT
-    for n in range(1, args.count + 1):
-        print(rat_str(phi(n)))
+    try:
+        for n, c in enumerate(islice(phi_coefficients(), args.count), 1):
+            print(rat_str(c))
+    except ValueError:  # only int -> str conversion raises it: 4,301 digits at phi_3006
+        print(f"knotforge phi: error: phi_{n} has an integer of more than "
+              f"{sys.get_int_max_str_digits()} digits, the integer digit limit", file=sys.stderr)
+        return USAGE_EXIT
     return 0
 
 

@@ -38,7 +38,7 @@ import math
 from fractions import Fraction
 from itertools import accumulate, count
 from operator import add, ne
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import SingularSystem, ZeroPolynomial
 
@@ -111,9 +111,6 @@ class Poly:
 
     def coeff(self, k: int) -> Rational:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
-    def is_odd(self) -> bool:
-        return all(c == 0 for i, c in enumerate(self.coeffs) if i % 2 == 0)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -262,9 +259,6 @@ def _horner(cs: Sequence[int], num: int, den: int) -> int:
     return acc
 
 
-_PRIMES = [(1 << 61) - 1]  # a Mersenne prime, then the primes above it that a gcd took
-
-
 def _is_prime(n: int) -> bool:
     """Miller-Rabin on the prime bases up to 41, exact for odd n < 3.3 * 10^24."""
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
@@ -273,6 +267,11 @@ def _is_prime(n: int) -> bool:
         if x not in (0, 1, n - 1) and all((x := x * x % n) != n - 1 for _ in range(s - 1)):
             return False
     return True
+
+
+def _primes() -> Iterator[int]:
+    """The primes from the Mersenne prime 2^61 - 1 upward, in order."""
+    return filter(_is_prime, count((1 << 61) - 1, 2))
 
 
 def _gcd_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
@@ -306,12 +305,10 @@ def poly_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     a, b = sorted((_content_free(a), _content_free(b)), key=len, reverse=True)
     lead = math.gcd(a[-1], b[-1])
     g, least, image, modulus = b, len(b) - 1, None, 1  # CRT of l times the images of least length
-    for k in count():  # the primes of _PRIMES, and past its end each next one, found and kept
+    for p in _primes():
         if g and exact_quotient(a, g) is not None and exact_quotient(b, g) is not None:
             return g if g[-1] > 0 else tuple(-v for v in g)
-        if k == len(_PRIMES):
-            _PRIMES.append(next(n for n in count(_PRIMES[-1] + 2, 2) if _is_prime(n)))
-        p, g = _PRIMES[k], None
+        g = None
         if not a[-1] % p or not b[-1] % p:
             continue
         h = _gcd_mod(a, b, p)

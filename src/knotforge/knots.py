@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from typing import NamedTuple, Optional, Sequence
 
 from . import chebyshev as cb
@@ -69,7 +70,7 @@ from .exactpoly import (
     solve_linear,
 )
 from .pade import pade
-from .stieltjes import phi
+from .stieltjes import phi_coefficients
 
 ROOT_DEPTH = 50  # `crossings`' cells on (-2, 2): 2^-48 wide
 # The stages of `certify`, in the order it runs them.
@@ -174,13 +175,9 @@ class CrossingReport(NamedTuple):
 
 
 def _validate_cn(j: int, c: Poly) -> tuple[Fraction, ...]:
-    """Structural checks for a candidate C_j; returns its W-coordinates."""
-    expected_deg = 2 * j + 2 * (j // 2) + 1
-    if c.degree != expected_deg:
-        raise InternalInconsistency(f"C_{j} has degree {c.degree}, expected {expected_deg}")
-    if not c.is_odd():
-        raise InternalInconsistency(f"C_{j} is not odd")
-    if any(c.coeff(i) != 0 for i in range(2 * j + 1)):
+    """Check C_j = t^{2j+1} F_j, F_j root-free on [-2, 2], and C_j = W_j + a combination
+    of W_0..W_{j-1}, which fixes its parity and degree; returns its W-coordinates."""
+    if any(c.coeffs[:2 * j + 1]):
         raise InternalInconsistency(f"t^{2*j+1} does not divide C_{j}")
     cofactor = _primitive_ints(Poly(c.coeffs[2 * j + 1:]))
     if not root_free(cofactor, -2, 2):
@@ -188,11 +185,11 @@ def _validate_cn(j: int, c: Poly) -> tuple[Fraction, ...]:
     windex = {cb.w_index(i): i for i in range(j + 1)}
     coords = [Fraction(0)] * (j + 1)
     for k, coeff in cb.to_V(c).items:
-        if k % 3 == 2:
-            raise InternalInconsistency(f"C_{j} has a V_{k} component (index = 2 mod 3)")
         if k not in windex:
             raise InternalInconsistency(f"C_{j} has a V_{k} component outside W_0..W_{j}")
         coords[windex[k]] = coeff
+    if coords[j] != 1:
+        raise InternalInconsistency(f"C_{j} has W_{j} coordinate {rat_str(coords[j])}, expected 1")
     return tuple(coords)
 
 
@@ -211,6 +208,7 @@ def build_cn(n_max: int) -> CnBasis:
     v_sub = t * t
     w = v_sub - Poly([3])
     u_sub = (v_sub * w * w).scale(Fraction(1, 4))
+    series = [Fraction(0), *islice(phi_coefficients(), max(n_max - 1, 0))]  # f_0..f_{n_max-1}
     cns: list[Poly] = []
     coords: list[tuple[Fraction, ...]] = []
     for j in range(n_max + 1):
@@ -218,7 +216,7 @@ def build_cn(n_max: int) -> CnBasis:
             c = t
         else:
             k, l = ((j - 1) // 2, (j - 1) // 2) if j % 2 else (j // 2, j // 2 - 1)
-            approx = pade(phi, k, l)
+            approx = pade(series.__getitem__, k, l)
             c = t * (v_sub * approx.q.compose(u_sub) - approx.p.compose(u_sub))
             c = c.monic()
         coords.append(_validate_cn(j, c))
@@ -528,8 +526,8 @@ def synthesize(
     n_crossings : odd N >= 1
     epsilon : starting node scale for the automatic search (default 1/4), in
         0 < epsilon < (n + 1) / n, where every node lies in (0, 1); else ValueError
-    nodes : explicit positive abscissae; skips the automatic search, and
-        a failure then propagates instead of retrying
+    nodes : explicit positive abscissae, given without epsilon (else ValueError);
+        skips the automatic search, and a failure then propagates instead of retrying
 
     Each candidate node set runs one pass: the deformation and height
     solves, the y and z lifts, then `certify`, the gate `verify` runs too.
@@ -547,8 +545,9 @@ def synthesize(
         raise ValueError("N must be an odd positive integer")
     n = (n_crossings - 1) // 2
     if nodes is not None:
-        candidates = [NodeSet(n, tuple(sorted(Fraction(d) for d in nodes)),
-                              Fraction(epsilon) if epsilon is not None else None)]
+        if epsilon is not None:
+            raise ValueError("explicit nodes take no epsilon")
+        candidates = [NodeSet(n, tuple(sorted(Fraction(d) for d in nodes)))]
     else:
         eps_val = Fraction(epsilon) if epsilon is not None else Fraction(1, 4)
         bound = f" < {rat_str(Fraction(n + 1, n))}" if n else ""  # d_n = epsilon n / (n + 1) < 1

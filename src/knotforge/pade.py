@@ -38,7 +38,7 @@ def pade(series: Callable[[int], Rational], n: int, m: int) -> PadeApproximant:
 
     Parameters
     ----------
-    series : the coefficients k -> f_k, read for 1 <= k <= n + m (f_0 = 0)
+    series : the coefficients k -> f_k, read once each for 1 <= k <= n + m (f_0 = 0)
     n, m : numerator and denominator degrees, m <= n
 
     Raises
@@ -53,17 +53,14 @@ def pade(series: Callable[[int], Rational], n: int, m: int) -> PadeApproximant:
     if m < 0:
         raise ValueError("m must be >= 0")
 
-    def f(k: int) -> Fraction:
-        return Fraction(series(k)) if k >= 1 else Fraction(0)
-
+    f = [Fraction(0), *(Fraction(series(k)) for k in range(1, n + m + 1))]
     if m == 0:
         q = Poly([1])
     else:
-        matrix = [[f(n + j - l) for l in range(1, m + 1)] for j in range(1, m + 1)]
-        rhs = [-f(n + j) for j in range(1, m + 1)]
-        nums, den = solve_linear(matrix, rhs)
+        matrix = [f[n + j - m:n + j][::-1] for j in range(1, m + 1)]
+        nums, den = solve_linear(matrix, [-v for v in f[n + 1:]])
         q = Poly([1, *(Fraction(v, den) for v in nums)])
-    p = Poly([sum((f(k - j) * q.coeff(j) for j in range(min(k, m) + 1)), Fraction(0))
+    p = Poly([sum((f[k - j] * q.coeff(j) for j in range(min(k, m) + 1)), Fraction(0))
               for k in range(n + 1)])
     # f_0 = 0 forces p = 0 at n = 0; every n >= 1 must reach full degree
     if (n > 0 and p.degree != n) or q.degree != m:

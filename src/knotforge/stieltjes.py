@@ -16,39 +16,23 @@ closed form and the differential equation of phi, on them.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
+from itertools import count, islice
+from typing import Iterator
 
 from .exactpoly import Rational
 
 
-class PhiSeries:
-    """Grow-only memo cache of the exact coefficients phi_n.
-
-    Thread contract: the cache extends under an internal lock and is
-    append-only, so concurrent readers are safe; a lock-free reader never
-    observes a partially updated state.
-    """
-
-    def __init__(self):
-        self._cache = [Fraction(0), Fraction(4, 9)]
-        self._lock = threading.Lock()
-
-    def __call__(self, n: int) -> Rational:
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        if n >= len(self._cache):
-            with self._lock:
-                while len(self._cache) <= n:
-                    m = len(self._cache) - 1
-                    ratio = Fraction(2 * (3 * m + 1) * (3 * m - 1), 9 * (m + 1) * (2 * m + 1))
-                    self._cache.append(self._cache[-1] * ratio)
-        return self._cache[n]
-
-
-_series = PhiSeries()
+def phi_coefficients() -> Iterator[Rational]:
+    """The exact coefficients phi_1, phi_2, ... in order, by the ratio recursion."""
+    c = Fraction(4, 9)
+    for m in count(1):
+        yield c
+        c *= Fraction(2 * (3 * m + 1) * (3 * m - 1), 9 * (m + 1) * (2 * m + 1))
 
 
 def phi(n: int) -> Rational:
     """Exact coefficient phi_n (phi_0 = 0, phi_1 = 4/9, ...)."""
-    return _series(n)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return next(islice(phi_coefficients(), n - 1, None)) if n else Fraction(0)

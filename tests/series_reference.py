@@ -9,25 +9,26 @@ is also checked against), and the expansion and poles of an approximant.
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 from knotforge.errors import SingularSystem
 from knotforge.exactpoly import _primitive_ints, locate_roots
-from knotforge.stieltjes import phi
+from knotforge.stieltjes import phi, phi_coefficients
 
 
 def series_sum(u: float, terms: int = 120) -> float:
     """Truncated series sum_{n<=terms} phi_n u^n in double precision."""
     acc = 0.0
     up = 1.0
-    for n in range(1, terms + 1):
+    for c in islice(phi_coefficients(), terms):
         up *= u
-        acc += float(phi(n)) * up
+        acc += float(c) * up
     return acc
 
 
 def partial_sum(k: int) -> Fraction:
     """Exact partial sum of phi_1 + ... + phi_k."""
-    return sum((phi(n) for n in range(1, k + 1)), Fraction(0))
+    return sum(islice(phi_coefficients(), k), Fraction(0))
 
 
 def phi_closed(u: float) -> float:
@@ -39,8 +40,7 @@ def ode_residual(u: float, terms: int = 80) -> float:
     """Residual at u of -4 + 2 f + 9 (1 - 2u) f' + 18 (u - u^2) f'', for f the
     phi series truncated after `terms`; it vanishes up to the truncation tail."""
     f = fp = fpp = 0.0
-    for n in range(1, terms + 1):
-        c = float(phi(n))
+    for n, c in enumerate(map(float, islice(phi_coefficients(), terms)), 1):
         f += c * u**n
         fp += c * n * u ** (n - 1)
         if n >= 2:

@@ -4,6 +4,7 @@ import io
 import json
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from knotforge import chebyshev as cb, cli, exactpoly, knots
 from knotforge.cli import main
+from knotforge.errors import EpsilonExhausted
 from knotforge.exactpoly import rat_str, solve_linear
 from knotforge.knots import synthesize
 from knotforge.serialize import curve_to_dict
@@ -113,6 +115,28 @@ class TestGen:
         code, _, _ = run(["gen", "--n", "3", "--frob"], capsys)
         assert code == 1
 
+    def test_epsilon_with_nodes_is_usage_error(self, tmp_path, capsys):
+        # explicit nodes run no search: an epsilon beside them would only be stored
+        out = tmp_path / "n3.json"
+        code, stdout, err = run(["gen", "--n", "3", "--nodes", "1/8", "--epsilon=-5",
+                                 "--out", str(out)], capsys)
+        assert (code, stdout) == (1, "")
+        assert err.endswith("knotforge gen: error: argument --epsilon: "
+                            "not allowed with argument --nodes\n")
+        assert not out.exists()
+
+    def test_exhausted_search_is_a_certification_failure(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise EpsilonExhausted("no certified node set for n=1 after 40 halvings")
+
+        monkeypatch.setattr(cli, "synthesize", exhausted)
+        out = tmp_path / "n3.json"
+        code, stdout, err = run(["gen", "--n", "3", "--out", str(out)], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == ("knotforge gen: certification failed: "
+                       "no certified node set for n=1 after 40 halvings\n")
+        assert not out.exists()
+
     def test_integers_past_the_digit_limit_of_n(self, tmp_path, capsys):
         # a node just above 1/3 with a 1,501-digit denominator certifies, but
         # y and z then carry integers longer than digit_budget(3) lets `verify` read
@@ -155,6 +179,30 @@ class TestVerify:
         code, stdout, _ = run(["verify", fixture_n9_path], capsys)
         assert code == 0
         assert "exactly 9 roots" in stdout
+
+    def test_y_above_the_synthesized_degree_is_noted(self, tmp_path, capsys):
+        # dd(T_6) = 0, so y + T_6 has the same R and verifies; only its degree differs
+        doc = _n3_document()
+        doc["y"]["coeffs"] += ["0", "1"]
+        path = tmp_path / "n3_t6.json"
+        path.write_text(json.dumps(doc))
+        code, stdout, _ = run(["verify", str(path)], capsys)
+        assert code == 0
+        assert stdout.endswith("note deg y = 6 (canonical synthesized degree is 4)\nVERIFIED\n")
+
+    @pytest.mark.parametrize("nodes", [True, False], ids=["nodes", "nodeless"])
+    def test_y_with_zero_image_fails(self, tmp_path, capsys, nodes):
+        # dd(T_3) = 0: R is zero, and the count stage fails before any root is sought
+        doc = _n3_document()
+        doc["y"] = {"basis": "T", "coeffs": ["0", "0", "0", "1"]}
+        if not nodes:
+            doc.update(nodes=None, epsilon=None)
+        path = tmp_path / "n3_t3.json"
+        path.write_text(json.dumps(doc))
+        code, stdout, _ = run(["verify", str(path)], capsys)
+        assert code == 2
+        assert stdout == ("ok   x = T_3\nFAIL divided-difference image of y is zero\n"
+                          "NOT VERIFIED\n")
 
     def test_verifies_without_stored_nodes(self, tmp_path, capsys):
         # sign checks fall back to the refined abscissae when the exact
@@ -656,6 +704,23 @@ class TestVerifyMalformed:
         assert (code, stdout) == (1, "")
         assert err == f"knotforge {command[0]}: {reason}: crossings must be a list of objects\n"
 
+    @pytest.mark.parametrize("crossing, reason", [
+        (1, "crossing 1 is not an object"),
+        ({"s": "x"}, "crossing 1 needs finite numeric 's' and 't'"),
+    ], ids=["not-an-object", "non-numeric-s"])
+    @pytest.mark.parametrize("command,prefix", [
+        (["verify"], "bad schema"), (["export", "--svg"], "bad curve file")])
+    def test_malformed_crossing_exits_one(self, tmp_path, capsys, fixture_n9_path, crossing,
+                                          reason, command, prefix):
+        with open(fixture_n9_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["crossings"][0] = crossing if crossing == 1 else {**doc["crossings"][0], **crossing}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, stdout, err = run([*command, str(bad)], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == f"knotforge {command[0]}: {prefix}: {reason}\n"
+
     def test_missing_nodes_is_a_certificate_failure(self, tmp_path, capsys):
         # every stored node is a genuine root, but too few of them are
         # stored to name one planted root per crossing
@@ -685,6 +750,21 @@ class TestTables:
         code, out, _ = run(["phi", "--count", "2"], capsys)
         assert code == 0
         assert out.splitlines() == ["4/9", "32/243"]
+
+    def test_phi_past_the_digit_limit_exits_one(self, capsys):
+        # phi_3006's denominator has 4,301 digits, one past CPython's default limit
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no integer digit limit")
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run(["phi", "--count", "3006"], capsys)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert code == 1
+        assert len(out.splitlines()) == 3005
+        assert err == ("knotforge phi: error: phi_3006 has an integer of more than 4300 digits, "
+                       "the integer digit limit\n")
 
     def test_pade(self, capsys):
         code, out, _ = run(["pade", "--k", "1", "--l", "1"], capsys)

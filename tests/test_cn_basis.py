@@ -65,7 +65,7 @@ class TestStructuralInvariants:
 
     def test_odd_and_monic(self, basis):
         for j, c in enumerate(basis.cn):
-            assert c.is_odd(), f"C_{j}"
+            assert not any(c.coeffs[0::2]), f"C_{j}"
             assert c.leading == 1
 
     def test_degree_formula(self, basis):
@@ -93,17 +93,17 @@ class TestStructuralInvariants:
         for j in range(11):
             assert basis.cn_w[j][j] == 1
 
-    # each candidate passes the checks before the one it fails; "a V_k component
-    # outside W_0..W_j" follows from the degree, parity and mod-3 checks, so no
-    # candidate reaches it
+    # each candidate passes the checks before the one it fails; the span check
+    # covers C_j's degree and parity
     @pytest.mark.parametrize("j, coeffs, message", [
-        pytest.param(1, [0, 0, 0, 0, 1], "C_1 has degree 4, expected 3", id="degree"),
-        pytest.param(0, [1, 1], "C_0 is not odd", id="parity"),
+        pytest.param(1, [0, 0, 0, 0, 1], "cofactor of C_1 has a root in [-2, 2]", id="degree"),
+        pytest.param(0, [1, 1], "t^1 does not divide C_0", id="parity"),
         pytest.param(1, [0, 1, 0, 1], "t^3 does not divide C_1", id="vanishing"),
         pytest.param(2, [0, 0, 0, 0, 0, -1, 0, 1], "cofactor of C_2 has a root in [-2, 2]",
                      id="cofactor"),
         pytest.param(2, [0, 0, 0, 0, 0, 1, 0, 1],
-                     "C_2 has a V_5 component (index = 2 mod 3)", id="v-support"),
+                     "C_2 has a V_5 component outside W_0..W_2", id="v-support"),
+        pytest.param(1, [0, 0, 0, 2], "C_1 has W_1 coordinate 2, expected 1", id="w-coordinate"),
     ])
     def test_self_checks_reject(self, j, coeffs, message):
         with pytest.raises(InternalInconsistency, match=f"^{re.escape(message)}$"):

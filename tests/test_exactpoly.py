@@ -919,14 +919,20 @@ class TestPolyGcd:
         assert exactpoly.poly_gcd((-2, 0, 1), (-3, 0, 1)) == (1,)
         # t^2 - 2 divides t^3 - 2t
         assert exactpoly.poly_gcd((-2, 0, 1), (0, -2, 0, 1)) == (-2, 0, 1)
-        # 3 divides a leading coefficient, so the gcd takes the next prime,
-        # found only when it is needed
-        monkeypatch.setattr(exactpoly, "_PRIMES", [3])
+        # 3 divides a leading coefficient, so the gcd takes the next prime
+        taken = []
+
+        def primes():
+            for p in (3, 5):
+                taken.append(p)
+                yield p
+
+        monkeypatch.setattr(exactpoly, "_primes", primes)
         assert exactpoly.poly_gcd((1, 3), (1, 1)) == (1,)
-        assert exactpoly._PRIMES == [3, 5]
+        assert taken == [3, 5]
 
     def test_primes(self):
-        assert exactpoly._PRIMES[0] == MERSENNE
+        assert next(exactpoly._primes()) == MERSENNE
         assert [n for n in range(3, 100, 2) if exactpoly._is_prime(n)] == [
             n for n in range(3, 100, 2) if all(n % d for d in range(3, n, 2))]
         assert [n for n in range(MERSENNE, NEXT_PRIME + 1, 2) if exactpoly._is_prime(n)] == [

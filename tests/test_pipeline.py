@@ -570,6 +570,11 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize(5, nodes=[F(1, 8)])  # N=5 needs two positive nodes
 
+    def test_explicit_nodes_take_no_epsilon(self):
+        # explicit nodes run no search, so a scale beside them would only be stored
+        with pytest.raises(ValueError, match="^explicit nodes take no epsilon$"):
+            synthesize(3, epsilon=F(-5), nodes=[F(1, 8)])
+
     def test_exact_identities_and_margins(self):
         curve, report = synthesize(7)
         nodes = NodeSet(3, report.nodes)

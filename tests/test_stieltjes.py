@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from knotforge.exactpoly import Poly
-from knotforge.stieltjes import PhiSeries, phi
+from knotforge.stieltjes import phi
 from series_reference import (
     difference,
     hankel_det,
@@ -36,6 +36,8 @@ class TestCoefficients:
         assert phi(1) == F(4, 9)
         assert phi(2) == F(32, 243)
         assert phi(3) == F(448, 6561)
+        with pytest.raises(ValueError, match="^n must be >= 0$"):
+            phi(-1)
 
     def test_against_algebraic_oracle(self):
         oracle = phi_by_algebraic_relation(12)
@@ -51,9 +53,6 @@ class TestCoefficients:
             assert phi(n) > 0
             assert phi(n + 1) < phi(n)
 
-    def test_fresh_instance_matches(self):
-        series = PhiSeries()
-        assert [series(n) for n in range(6)] == [phi(n) for n in range(6)]
 
 
 class TestClosedForm:
