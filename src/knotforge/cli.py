@@ -206,10 +206,22 @@ _COMMANDS = {
 }
 
 
+def _join_signed(argv: Sequence[str]) -> list[str]:
+    """argv with a value such as "-1/4" after --epsilon or --nodes joined to its flag
+    as --flag=-1/4, which argparse would otherwise read as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--epsilon", "--nodes") and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_signed(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse help/usage paths; exit code already decided
         return int(exc.code) if exc.code is not None else 0

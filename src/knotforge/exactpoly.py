@@ -29,7 +29,8 @@ for d = 2^s), which also evaluates a `Poly` on its coefficients brought
 to one denominator.
 `signs_at_roots` gives the exact sign of a second polynomial at each
 located root, by a slope bound, or 0 by the gcd's signs at the root's cell
-ends.  `solve_linear` (Bareiss) returns integers over their least denominator, (nums, den).
+ends.  `solve_linear` (elimination that divides each row by its content)
+returns integers over their least denominator, (nums, den).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate, count
-from operator import add, ne
+from operator import add, mul, ne
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import SingularSystem, ZeroPolynomial
@@ -743,20 +744,24 @@ def signs_at_roots(located: LocatedRoots, q: Sequence[int], depths: Sequence[int
 
 def solve_linear(matrix: Sequence[Sequence[Rational]],
                  rhs: Sequence[Rational]) -> tuple[list[int], int]:
-    """Solve an exact rational linear system by Bareiss fraction-free elimination:
+    """Solve an exact rational linear system by content-reducing elimination:
     (nums, den) with x_r = nums[r] / den, den > 0 and gcd(den, *nums) = 1.
 
     Each row of [matrix | rhs] is multiplied by the lcm of its denominators
     and divided by its content (an all-zero row stays), and the rows are
-    eliminated smallest first, by the bit length of their largest entry,
-    which keeps the minors short.  Step k makes every entry below and right
-    of the pivot a minor of order k + 2 of those integer rows, so each
-    division by the previous pivot is exact (Sylvester's identity).  The
+    eliminated smallest first, by the bit length of their largest entry.
+    Step k replaces each row below the pivot p, with f its entry in column
+    k and g = gcd(p, f), by (p/g) row - (f/g) pivot row, divided by its
+    content.  That row is a nonzero multiple of the one fraction-free
+    (Bareiss) elimination holds, whose entries are minors of the integer
+    rows, so its zeros are the same; the content division drops the
+    factors those minors share, often far larger than the solution.  The
     pivot is the first nonzero entry of its column; a column with none
     depends on the columns before it, which no row scaling, row order or
-    pivot choice changes, and raises SingularSystem naming it.  With D the
-    last pivot, the integers D x_r, which Cramer's rule makes integral,
-    come out of back-substitution by exact division; one gcd with D reduces them.
+    pivot choice changes, and raises SingularSystem naming it.
+    Back-substitution keeps the solved x_c as integers over one running
+    denominator, which each pivot, reduced against its numerator,
+    multiplies; one gcd reduces them at the end.
     """
     n = len(matrix)
     a = []
@@ -767,21 +772,30 @@ def solve_linear(matrix: Sequence[Sequence[Rational]],
         g = math.gcd(*row)
         a.append([v // g for v in row] if g > 1 else row)
     a.sort(key=lambda row: max(map(abs, row)).bit_length())
-    prev = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][k]), None)
+    for k in range(n):  # a[k:] hold columns k..n of the rows not yet pivots
+        piv = next((r for r in range(k, n) if a[r][0]), None)
         if piv is None:
             raise SingularSystem(f"singular at column {k}")
         a[k], a[piv] = a[piv], a[k]
-        top = a[k]
-        pk, tail = top[k], top[k + 1:]
+        pk, tail = a[k][0], a[k][1:]
         for r in range(k + 1, n):
-            row, f = a[r], a[r][k]
-            a[r] = row[:k] + [0] + [(v * pk - f * w) // prev for v, w in zip(row[k + 1:], tail)]
-        prev = pk
-    y = [0] * n
-    for r in range(n - 1, -1, -1):
-        row = a[r]
-        y[r] = (prev * row[n] - sum(row[c] * y[c] for c in range(r + 1, n))) // row[r]
-    g = math.gcd(prev, *y) * (1 if prev > 0 else -1)
-    return [v // g for v in y], prev // g
+            f, *row = a[r]
+            if f:
+                g = math.gcd(pk, f)
+                p, f = pk // g, f // g
+                row = [p * v - f * w for v, w in zip(row, tail)]
+                g = math.gcd(*row)
+                if g > 1:
+                    row = [v // g for v in row]
+            a[r] = row
+    y, den = [], 1
+    for row in reversed(a):  # pivot row r, columns r..n; y / den holds x_{r+1}..x_{n-1}
+        num, p = den * row[-1] - sum(map(mul, row[1:-1], y)), row[0]
+        g = math.gcd(num, p) * (1 if p > 0 else -1)
+        num, p = num // g, p // g  # x_r = num / (den p)
+        if p != 1:
+            y = [v * p for v in y]
+            den *= p
+        y.insert(0, num)
+    g = math.gcd(den, *y)
+    return [v // g for v in y], den // g

@@ -101,6 +101,18 @@ class TestGen:
         code, out, err = run(["gen", "--n", "5", f"--epsilon={epsilon}"], capsys)
         assert (code, out, err) == (1, "", f"knotforge gen: error: epsilon must satisfy {bound}\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--epsilon", "-1/4"], "epsilon must satisfy 0 < epsilon < 3/2 for N = 5, got -1/4"),
+        (["--nodes", "-1/8,1/4"], "nodes must satisfy 0 < d_1 < ... < d_n < 1"),
+        (["--epsilon", "-1/0"], "bad --epsilon: bad epsilon '-1/0': zero denominator"),
+        (["--nodes", "-1e5"], "bad --nodes: bad node '-1e5': expected p or p/q"),
+    ])
+    def test_signed_value_after_its_flag(self, capsys, argv, message):
+        # argparse alone reads "-1/4" as an option and prints "expected one
+        # argument"; the value reaches the program's own check instead
+        code, out, err = run(["gen", "--n", "5", *argv], capsys)
+        assert (code, out, err) == (1, "", f"knotforge gen: error: {message}\n")
+
     @pytest.mark.parametrize("value", ["0.x", "1e-1", "0.1", "1e100000000"])
     @pytest.mark.parametrize("flag", ["--nodes", "--epsilon"])
     def test_bad_nodes_string(self, capsys, flag, value):

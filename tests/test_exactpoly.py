@@ -1089,7 +1089,8 @@ class TestParityPath:
 
 @st.composite
 def linear_systems(draw):
-    """Square systems with many zeros, and sometimes a column that depends on earlier ones."""
+    """Square systems with many zeros, sometimes a column that depends on earlier ones,
+    and sometimes rows mixed by an integer lower-triangular L with large diagonal."""
     n = draw(st.integers(1, 6))
     entry = st.one_of(st.just(F(0)), st.fractions(F(-9), F(9), max_denominator=7),
                       st.integers(-2**70, 2**70).map(F))
@@ -1099,7 +1100,15 @@ def linear_systems(draw):
         weights = [draw(entry) for _ in range(j)]
         for row in m:
             row[j] = sum((w * row[i] for i, w in enumerate(weights)), F(0))
-    return m, [draw(entry) for _ in range(n)]
+    rows = [[*row, draw(entry)] for row in m]
+    if draw(st.booleans()):
+        # L [M | b]: the same solution and the same dependent columns, but
+        # eliminated rows that carry L's large diagonal entries as content
+        big = st.integers(2**40, 2**90).flatmap(lambda v: st.sampled_from([v, -v]))
+        low = [[draw(st.integers(-2**20, 2**20)) for _ in range(i)] + [draw(big)] for i in range(n)]
+        rows = [[sum((w * row[c] for w, row in zip(line, rows)), F(0)) for c in range(n + 1)]
+                for line in low]
+    return [row[:-1] for row in rows], [row[-1] for row in rows]
 
 
 def solved(matrix, rhs):
